@@ -415,9 +415,10 @@ def autotune(
                 continue
             except Exception as exc:
                 # A sweep probes corners of the knob space the rest of the
-                # flow has never seen (e.g. width_log2=14 currently dies in
-                # assembly) — record the crash against the candidate and
-                # keep sweeping rather than losing the whole search.
+                # flow rejects (width_log2=14 raises ConfigError when the
+                # compile starts) or has never seen — record the error
+                # against the candidate and keep sweeping rather than
+                # losing the whole search.
                 _counter(
                     "gem_tune_errors_total", "candidates crashed during compile"
                 ).inc()

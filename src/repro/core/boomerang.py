@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.isa import MAX_WIDTH_LOG2
+from repro.errors import ConfigError
+
 
 @dataclass(frozen=True)
 class BoomerangConfig:
@@ -43,6 +46,16 @@ class BoomerangConfig:
     #: state bits per core; defaults to the leaf width (the paper keeps
     #: "up to 8192 bits of circuit states" per core)
     state_bits: int | None = None
+
+    def validate(self) -> None:
+        """Reject a core the ISA cannot program (checked when a compile
+        starts, see ``GemConfig.validate``)."""
+        if not 1 <= self.width_log2 <= MAX_WIDTH_LOG2:
+            raise ConfigError(
+                f"width_log2={self.width_log2} is outside [1, {MAX_WIDTH_LOG2}]: "
+                f"the fold constants of a wider core do not fit one FOLD "
+                f"instruction, so bitstream assembly cannot emit it"
+            )
 
     @property
     def width(self) -> int:

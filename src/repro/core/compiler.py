@@ -64,6 +64,11 @@ class GemConfig:
         # The partitioner's width budget must match the processor's state.
         self.partition.width = self.boomerang.state_size
 
+    def validate(self) -> None:
+        """Reject knob values the flow cannot compile, with a typed
+        :class:`~repro.errors.ConfigError`, before any work is done."""
+        self.boomerang.validate()
+
     def knob_dict(self) -> dict:
         """Canonical JSON-friendly dump of every effective knob.
 
@@ -194,6 +199,7 @@ class GemCompiler:
 
     def compile(self, circuit: Circuit | SynthesisResult) -> CompiledDesign:
         config = self.config
+        config.validate()
         if isinstance(circuit, SynthesisResult):
             synth = circuit
         else:

@@ -114,6 +114,20 @@ def bits_to_int(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
+def _transpose_bits(bits: np.ndarray, row_bytes: int) -> np.ndarray:
+    """Transpose a 0/1 ``uint8`` matrix and pack each row of the result
+    into ``row_bytes`` little-endian bytes (zero padded): the one step
+    both directions of the lane <-> integer conversion share."""
+    # a contiguous copy first: packbits along a strided axis is several
+    # times slower than copy + pack
+    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    if packed.shape[1] == row_bytes:
+        return packed
+    rows = np.zeros((packed.shape[0], row_bytes), dtype=np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    return rows
+
+
 class ExecutionEngine:
     """Word-level ALU for ``batch`` packed stimulus lanes.
 
@@ -249,35 +263,54 @@ class ExecutionEngine:
         bits = np.where(int_to_bits(value, nbits), self.lane_mask, _ZERO)
         return bits if self.words == 1 else bits[:, None]
 
-    def pack_lanes(self, values: Sequence[int], nbits: int) -> np.ndarray:
+    def pack_lanes(self, values: "Sequence[int] | np.ndarray", nbits: int) -> np.ndarray:
         """Per-lane integers to packed words (arbitrary width).
 
-        Vectorized: all lanes' values become one ``(batch, nbytes)`` byte
-        matrix, one ``np.unpackbits`` yields the ``(batch, nbits)`` bit
-        plane, and a single shift-reduce packs each bit column into its
-        word — no per-lane Python loop.  Returns ``(nbits,)`` words for
+        ``values`` is one integer per lane — a sequence of Python ints
+        of any size or an integer array — masked to ``nbits``.  All lanes
+        become one ``(batch, nbytes)`` byte matrix, one ``np.unpackbits``
+        yields the per-lane bits, and one ``np.packbits`` along the lane
+        axis turns each bit's lane row into its little-endian words — the
+        inverse of :meth:`unpack_lanes`.  Returns ``(nbits,)`` words for
         single-word batches, ``(nbits, K)`` planes beyond.
         """
-        if self.batch == 1:
-            return int_to_bits(values[0], nbits).astype(np.uint64)
-        nbytes = (nbits + 7) // 8
-        vmask = (1 << nbits) - 1
-        raw = b"".join((v & vmask).to_bytes(nbytes, "little") for v in values)
-        mat = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
+        column = np.asarray(values) if nbits <= 64 else None
+        if column is not None and column.dtype.kind in "iub":
+            # two's-complement wrap then the bit slice below = the mask
+            mat = column.astype("<u8").view(np.uint8).reshape(len(column), 8)
+        else:  # wider than a machine word, or ints beyond 64 bits to mask
+            nbytes = (nbits + 7) // 8
+            vmask = (1 << nbits) - 1
+            raw = b"".join((int(v) & vmask).to_bytes(nbytes, "little") for v in values)
+            mat = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
         bits = np.unpackbits(mat, axis=1, bitorder="little")[:, :nbits]
-        if self.words == 1:
-            shifted = bits.astype(np.uint64) << self.lane_shifts[: len(values), None]
-            return np.bitwise_or.reduce(shifted, axis=0)
-        planes = bits.astype(np.uint64).reshape(self.words, WORD_LANES, nbits)
-        shifted = planes << self.lane_shifts[None, :, None]
-        return np.bitwise_or.reduce(shifted, axis=1).T.copy()
+        words = _transpose_bits(bits, 8 * self.words).view("<u8").astype(np.uint64, copy=False)
+        return words.reshape(nbits) if self.words == 1 else words
 
-    def lane_int(self, words: np.ndarray, lane: int) -> int:
-        """One lane's integer value from packed bit-plane words."""
-        if self.words == 1:
-            return bits_to_int((words >> np.uint64(lane)) & _ONE)
-        word, bit = self.lane_coords(lane)
-        return bits_to_int((words[:, word] >> np.uint64(bit)) & _ONE)
+    def unpack_lanes(self, words: np.ndarray) -> np.ndarray:
+        """Packed words to the per-lane bit matrix, shape ``(n, batch)``
+        uint8: row ``i`` holds element ``i``'s bit in every lane.  One
+        ``np.unpackbits`` over the words' bytes — no per-lane shift, the
+        same lines for a single word and a K-word plane."""
+        raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(
+            raw.reshape(len(words), 8 * self.words), axis=1, bitorder="little"
+        )
+        return bits[:, : self.batch]
+
+    @staticmethod
+    def lane_ints(bits: np.ndarray) -> np.ndarray:
+        """Per-lane integers of one port from its rows of
+        :meth:`unpack_lanes`, shape ``(batch,)``: ``uint64`` for ports of
+        up to 64 bits, object dtype (Python ints) for wider ones."""
+        nbits, batch = bits.shape
+        if nbits <= 64:
+            return _transpose_bits(bits, 8).view("<u8").astype(np.uint64, copy=False).reshape(batch)
+        step = (nbits + 7) // 8
+        raw = _transpose_bits(bits, step).tobytes()
+        out = np.empty(batch, dtype=object)
+        out[:] = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+        return out
 
     def lane_bits(self, word) -> np.ndarray:
         """One packed word (or ``(K,)`` plane row) split into per-lane
@@ -311,15 +344,6 @@ class ExecutionEngine:
             return (bits << self.lane_shifts[None, :]).sum(axis=1, dtype=np.uint64)
         planes = bits.reshape(nbits, self.words, WORD_LANES)
         return (planes << self.lane_shifts[None, None, :]).sum(axis=2, dtype=np.uint64)
-
-    def bit_planes(self, arr: np.ndarray) -> np.ndarray:
-        """Per-lane bit matrix of a packed state array, shape
-        ``(n, batch)`` uint8 — the per-lane digest / scrub view."""
-        if self.words == 1:
-            bits = (arr[:, None] >> self.lane_shifts[None, :]) & _ONE
-            return bits.astype(np.uint8)
-        bits = (arr[:, :, None] >> self.lane_shifts[None, None, :]) & _ONE
-        return bits.reshape(arr.shape[0], self.batch).astype(np.uint8)
 
     # -- deferred-write commit ------------------------------------------------
 

@@ -50,6 +50,7 @@ see :func:`decode_cache_stats`.
 from __future__ import annotations
 
 import logging
+import operator
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -66,7 +67,7 @@ from repro.core.fused import (
     count_legacy_array_ops,
     fused_program,
 )
-from repro.errors import BitstreamError
+from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 
@@ -336,6 +337,16 @@ class GemInterpreter:
             name: np.asarray(indices, dtype=np.int64)
             for name, indices in self.meta.po_index.items()
         }
+        # Lane I/O plan: every port's indices concatenated, so the per-lane
+        # inject clears all PIs in one scatter and a cycle's all-lane
+        # readback is one gather and one unpack, then one slice (lo, hi)
+        # of the unpacked bit rows per PO.  (The empty tail keeps the
+        # concatenation defined for a design without inputs or outputs.)
+        no_bits = np.zeros(0, dtype=np.int64)
+        self._pi_gidx = np.concatenate([*self._pi_tables.values(), no_bits])
+        self._po_gidx = np.concatenate([*self._po_tables.values(), no_bits])
+        ends = np.cumsum([idx.size for idx in self._po_tables.values()]).tolist()
+        self._po_slices = list(zip(self._po_tables, [0, *ends], ends))
 
         self.global_state = self.engine.zeros(self.global_bits)
         self.global_state[self._reset_ones] = self.engine.lane_mask
@@ -512,17 +523,72 @@ class GemInterpreter:
             value = (inputs or {}).get(name, 0)
             gstate[idx] = engine.broadcast_int(value, idx.size)
 
-    def _inject_lanes(self, vecs: Sequence[Mapping[str, int]]) -> None:
-        """Write one input vector per lane."""
-        gstate = self.global_state
+    def _inject_lanes(
+        self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None
+    ) -> None:
+        """The dict adapter's inject: one mapping (broadcast) or one per
+        lane.  Tolerant like :meth:`step`: a missing name is 0, values
+        are masked to the port width, unknown names are ignored."""
+        if inputs is None or isinstance(inputs, Mapping):
+            self._inject_broadcast(inputs)
+            return
+        if len(inputs) != self.batch:
+            raise ValueError(
+                f"expected {self.batch} per-lane input vectors, got {len(inputs)}"
+            )
+        # one pass over the lane dicts finds the PIs any lane drives; only
+        # those get a per-lane column, every other PI is 0 on all lanes
+        driven = set().union(*filter(None, inputs))
         engine = self.engine
+        words = {}
         for name, idx in self._pi_tables.items():
-            values = [(vec or {}).get(name, 0) for vec in vecs]
-            first = values[0]
-            if all(v == first for v in values):
-                gstate[idx] = engine.broadcast_int(first, idx.size)
+            if name not in driven:
+                continue
+            column = [(vec or {}).get(name, 0) for vec in inputs]
+            value = column[0]
+            if column.count(value) == len(column):
+                words[name] = engine.broadcast_int(value, idx.size)
             else:
-                gstate[idx] = engine.pack_lanes(values, idx.size)
+                words[name] = engine.pack_lanes(column, idx.size)
+        self._write_inputs(words)
+
+    def _inject_arrays(self, inputs: Mapping[str, np.ndarray] | None) -> None:
+        """The array API's inject: one ``(batch,)`` integer column per
+        PI (a missing PI is 0), validated before any state is written."""
+        words = {}
+        for name, column in (inputs or {}).items():
+            idx = self._pi_tables.get(name)
+            if idx is None:
+                raise LaneConfigError(
+                    f"unknown primary input {name!r}; have {sorted(self._pi_tables)}"
+                )
+            column = np.asarray(column)
+            if column.shape != (self.batch,):
+                raise LaneConfigError(
+                    f"input {name!r}: expected one value per lane, shape "
+                    f"({self.batch},), got {column.shape}"
+                )
+            if column.dtype.kind == "O":
+                # Python ints, for ports wider than a machine word
+                try:
+                    column = [operator.index(v) for v in column]
+                except TypeError:
+                    raise LaneConfigError(
+                        f"input {name!r}: object array holds non-integer values"
+                    ) from None
+            elif column.dtype.kind not in "iub":
+                raise LaneConfigError(
+                    f"input {name!r}: expected an integer array, got dtype {column.dtype}"
+                )
+            words[name] = self.engine.pack_lanes(column, idx.size)
+        self._write_inputs(words)
+
+    def _write_inputs(self, words: Mapping[str, np.ndarray]) -> None:
+        """Scatter packed PI words; every PI not named is cleared."""
+        gstate = self.global_state
+        gstate[self._pi_gidx] = 0
+        for name, value in words.items():
+            gstate[self._pi_tables[name]] = value
 
     # -- the cycle ------------------------------------------------------------
 
@@ -564,65 +630,76 @@ class GemInterpreter:
         self.counters.cycles += 1
         self.cycle += 1
 
+    def _cycle(self, inject, inputs, readback):
+        """One simulated cycle: ``inject(inputs)``, evaluate, sample
+        ``readback()`` at the settled point, commit.  When the global
+        tracer is enabled the cycle is recorded as a span with per-phase
+        children (the only hot-loop cost while it is disabled is this
+        one check)."""
+        if TRACER.enabled:
+            return _trace_cycle(self, inject, inputs, readback)
+        return self._cycle_impl(inject, inputs, readback)
+
+    def _cycle_impl(self, inject, inputs, readback):
+        if self.profile:
+            t0 = time.perf_counter()
+            inject(inputs)
+            self.phase_times["inject"] += time.perf_counter() - t0
+        else:
+            inject(inputs)
+        deferred = self._run_cycle()
+        if self._probe_tap is not None:
+            self._probe_tap.capture(self)
+        outs = readback()
+        self._commit(deferred)
+        return outs
+
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
         """Simulate one cycle; returns the settled primary output words.
 
         With ``batch > 1`` the inputs are broadcast to every lane and the
         returned outputs are lane 0's (all lanes see identical stimulus
-        unless :meth:`step_lanes` is used).  When the global tracer is
-        enabled the cycle is recorded as a span with per-phase children
-        (the only hot-loop cost while it is disabled is this one check).
+        unless the lane API is used).
         """
-        if TRACER.enabled:
-            return _trace_cycle(self, self._step_impl, inputs)
-        return self._step_impl(inputs)
+        return self._cycle(self._inject_broadcast, inputs, self.outputs)
 
-    def _step_impl(self, inputs: Mapping[str, int] | None) -> dict[str, int]:
-        if self.profile:
-            t0 = time.perf_counter()
-            self._inject_broadcast(inputs)
-            self.phase_times["inject"] += time.perf_counter() - t0
-        else:
-            self._inject_broadcast(inputs)
-        deferred = self._run_cycle()
-        if self._probe_tap is not None:
-            self._probe_tap.capture(self)
-        outs = self.outputs()
-        self._commit(deferred)
-        return outs
+    def step_arrays(
+        self, inputs: Mapping[str, np.ndarray] | None = None
+    ) -> dict[str, np.ndarray]:
+        """Simulate one cycle on every lane, arrays in and out.
+
+        ``inputs`` maps PI names to ``(batch,)`` integer arrays, one
+        value per lane (object dtype with Python ints for ports wider
+        than 64 bits; a PI left out is 0 on every lane).  Returns
+        :meth:`outputs_arrays`.  A wrong lane count, an unknown PI name
+        or a non-integer dtype raises :class:`~repro.errors.LaneConfigError`
+        before any state is touched.
+        """
+        return self._cycle(self._inject_arrays, inputs, self.outputs_arrays)
 
     def step_lanes(
         self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None = None
     ) -> list[dict[str, int]]:
         """Simulate one cycle with per-lane stimulus; returns per-lane outputs.
 
-        ``inputs`` is either one mapping (broadcast to all lanes) or a
-        sequence of exactly ``batch`` mappings, one per lane.
+        The dict adapter over the array path: ``inputs`` is either one
+        mapping (broadcast to all lanes) or a sequence of exactly
+        ``batch`` mappings, one per lane.
         """
-        if TRACER.enabled:
-            return _trace_cycle(self, self._step_lanes_impl, inputs)
-        return self._step_lanes_impl(inputs)
+        return self._cycle(self._inject_lanes, inputs, self.outputs_lanes)
 
-    def _step_lanes_impl(
-        self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None
-    ) -> list[dict[str, int]]:
-        t0 = time.perf_counter() if self.profile else 0.0
-        if inputs is None or isinstance(inputs, Mapping):
-            self._inject_broadcast(inputs)
-        else:
-            if len(inputs) != self.batch:
-                raise ValueError(
-                    f"expected {self.batch} per-lane input vectors, got {len(inputs)}"
-                )
-            self._inject_lanes(inputs)
-        if self.profile:
-            self.phase_times["inject"] += time.perf_counter() - t0
-        deferred = self._run_cycle()
-        if self._probe_tap is not None:
-            self._probe_tap.capture(self)
-        outs = self.outputs_lanes()
-        self._commit(deferred)
-        return outs
+    def advance_lanes(
+        self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None = None
+    ) -> None:
+        """:meth:`step_lanes` without the readback.
+
+        Primary outputs live in their own global-state slots, written
+        during evaluation and never by the commit, so after this call
+        :meth:`outputs` / :meth:`outputs_arrays` / :meth:`outputs_lanes`
+        read the cycle's settled outputs — pay only for the lanes and
+        the form you need.
+        """
+        self._cycle(self._inject_lanes, inputs, _no_readback)
 
     # -- observation ----------------------------------------------------------
 
@@ -653,15 +730,21 @@ class GemInterpreter:
             for name, idx in self._po_tables.items()
         }
 
-    def outputs_lanes(self) -> list[dict[str, int]]:
-        """Primary output words of every lane."""
-        gstate = self.global_state
+    def outputs_arrays(self) -> dict[str, np.ndarray]:
+        """Every lane's primary outputs, one ``(batch,)`` column per PO:
+        ``uint64`` for ports of up to 64 bits, object dtype (Python ints)
+        for wider ones.  One gather and one unpack for the whole cycle,
+        one pack per port."""
         engine = self.engine
-        gathered = {name: gstate[idx] for name, idx in self._po_tables.items()}
-        return [
-            {name: engine.lane_int(words, lane) for name, words in gathered.items()}
-            for lane in range(self.batch)
-        ]
+        bits = engine.unpack_lanes(self.global_state[self._po_gidx])
+        return {name: engine.lane_ints(bits[lo:hi]) for name, lo, hi in self._po_slices}
+
+    def outputs_lanes(self) -> list[dict[str, int]]:
+        """Primary output words of every lane (the dict adapter over
+        :meth:`outputs_arrays`)."""
+        columns = self.outputs_arrays()
+        rows = zip(*(column.tolist() for column in columns.values()))
+        return [dict(zip(columns, row)) for row in rows]
 
     def run(self, stimuli: Iterable[Mapping[str, int]]) -> list[dict[str, int]]:
         return [self.step(vec) for vec in stimuli]
@@ -673,8 +756,12 @@ class GemInterpreter:
         return [self.step_lanes(vec) for vec in stimuli]
 
 
-def _trace_cycle(interp: GemInterpreter, impl, inputs):
-    """Run one ``step``/``step_lanes`` under the span tracer.
+def _no_readback() -> None:
+    """:meth:`GemInterpreter.advance_lanes` reads nothing back."""
+
+
+def _trace_cycle(interp: GemInterpreter, inject, inputs, readback):
+    """Run one cycle under the span tracer.
 
     Tracing implies per-phase timing: the profile timers are forced on
     for the cycle so the emitted span carries inject/gather/fold/commit
@@ -687,7 +774,7 @@ def _trace_cycle(interp: GemInterpreter, impl, inputs):
     prev_profile = interp.profile
     interp.profile = True
     try:
-        out = impl(inputs)
+        out = interp._cycle_impl(inject, inputs, readback)
     finally:
         interp.profile = prev_profile
     dur = time.perf_counter() - t0

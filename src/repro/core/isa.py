@@ -76,6 +76,12 @@ WB_CAPACITY = SIZE_CLASS_WORDS[1] - 1  # 1 word per entry
 GWRITE_CAPACITY = (SIZE_CLASS_WORDS[1] - 1) // 2  # 2 words per entry
 
 
+#: widest boomerang tree one FOLD instruction can program: its payload
+#: holds three constant bit-vectors of ``2**w - 1`` bits (XOR.A, XOR.B,
+#: OR.B over all fold steps) in 1023 words
+MAX_WIDTH_LOG2 = 13
+
+
 def instruction_words(opcode: Opcode) -> int:
     return SIZE_CLASS_WORDS[_OPCODE_SIZE_CLASS[opcode]]
 

@@ -10,7 +10,9 @@ The hierarchy::
 
     GemError
     ├── BitstreamError        malformed / corrupted bitstream container
-    ├── LaneConfigError       unsupported batch / lane-plane geometry
+    ├── ConfigError           compile configuration outside the supported space
+    ├── LaneConfigError       unsupported batch / lane-plane geometry, or
+    │                         malformed per-lane stimulus arrays
     ├── BackendUnavailableError  requested execution backend cannot load
     ├── StateCorruptionError  runtime state failed an integrity check
     │   └── LaneDivergenceError   ...localized to specific stimulus lanes
@@ -21,8 +23,8 @@ The hierarchy::
     ├── ProbeError            a probe plan names nets the design lacks
     └── UnmappableError       partition state demand exceeds core width
 
-:class:`BitstreamError` and :class:`LaneConfigError` additionally
-subclass :class:`ValueError` because those paths historically raised
+:class:`BitstreamError`, :class:`ConfigError` and :class:`LaneConfigError`
+additionally subclass :class:`ValueError` because those paths historically raised
 bare ``ValueError``; existing ``except ValueError`` callers keep
 working.
 """
@@ -42,14 +44,27 @@ class BitstreamError(GemError, ValueError):
     """
 
 
+class ConfigError(GemError, ValueError):
+    """A compile configuration lies outside the supported space.
+
+    Raised by ``GemConfig.validate()`` when a compile starts, e.g. for a
+    boomerang ``width_log2`` whose fold constants do not fit one FOLD
+    instruction — a rejection at the boundary instead of a crash deep in
+    bitstream assembly.
+    """
+
+
 class LaneConfigError(GemError, ValueError):
     """The requested batch / lane-plane geometry is unsupported.
 
     Raised by :class:`repro.core.engine.ExecutionEngine` for a
     non-positive batch, a batch beyond 64 that is not a whole number of
-    64-lane words, or a lane-plane word count past the engine limit.
-    Subclasses :class:`ValueError` because engine construction
-    historically raised bare ``ValueError`` for out-of-range batches.
+    64-lane words, or a lane-plane word count past the engine limit; and
+    by ``GemInterpreter.step_arrays`` for per-lane stimulus arrays that
+    do not fit the batch (wrong lane count, unknown input name,
+    non-integer dtype).  Subclasses :class:`ValueError` because engine
+    construction historically raised bare ``ValueError`` for
+    out-of-range batches.
     """
 
 

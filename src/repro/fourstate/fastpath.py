@@ -123,14 +123,17 @@ def make_fourstate_simulator_class(gem_simulator_cls):
             super().__init__(program, **kwargs)
 
         # -- raw stepping (2-state rails), stimulus-encoded ---------------
+        # Encoding sits in the interpreter's two dict-inject hooks, so
+        # step / step_lanes / advance_lanes / run all accept 4-state
+        # stimuli; step_arrays takes raw rail columns as they are.
 
-        def step(self, inputs=None):
-            return super().step(_encode_stimulus(self.dual, inputs or {}))
+        def _inject_broadcast(self, inputs) -> None:
+            super()._inject_broadcast(_encode_stimulus(self.dual, inputs or {}))
 
-        def step_lanes(self, lane_inputs: Sequence[Mapping[str, object]]):
-            return super().step_lanes(
-                [_encode_stimulus(self.dual, vec) for vec in lane_inputs]
-            )
+        def _inject_lanes(self, inputs) -> None:
+            if inputs is not None and not isinstance(inputs, Mapping):
+                inputs = [_encode_stimulus(self.dual, vec or {}) for vec in inputs]
+            super()._inject_lanes(inputs)
 
         # -- 4-state API ---------------------------------------------------
 
@@ -140,20 +143,34 @@ def make_fourstate_simulator_class(gem_simulator_cls):
         def step_lanes4(
             self, lane_inputs: Sequence[Mapping[str, object]]
         ) -> list[dict[str, FourState]]:
-            return [
-                self.dual.decode_outputs(out) for out in self.step_lanes(lane_inputs)
-            ]
+            self.advance_lanes(lane_inputs)
+            return self.outputs_lanes4()
 
         def outputs4(self) -> dict[str, FourState]:
             return self.dual.decode_outputs(self.outputs())
 
         def outputs_lanes4(self) -> list[dict[str, FourState]]:
-            return [self.dual.decode_outputs(out) for out in self.outputs_lanes()]
+            """Every lane's outputs as 4-state words, decoded per PO
+            column from :meth:`outputs_arrays` (no per-lane rail dicts)."""
+            rails = self.outputs_arrays()
+            columns = {
+                name: [
+                    FourState(data, unknown, self.dual.output_widths[name])
+                    for data, unknown in zip(
+                        rails[d_name].tolist(), rails[x_name].tolist()
+                    )
+                ]
+                for name, (d_name, x_name) in self.dual.output_rails.items()
+            }
+            return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
         def unknown_output_bits(self, lane: int = 0) -> int:
             """Total X bits visible on lane ``lane``'s outputs."""
-            outs = self.outputs_lanes4()[lane] if self.batch > 1 else self.outputs4()
-            return sum(bin(v.unknown).count("1") for v in outs.values())
+            rails = self.outputs_arrays()
+            return sum(
+                int(rails[x_name][lane]).bit_count()
+                for _, x_name in self.dual.output_rails.values()
+            )
 
     _FourStateSimulator.__name__ = "FourStateSimulator"
     _FourStateSimulator.__qualname__ = "FourStateSimulator"

@@ -61,7 +61,7 @@ from repro.fourstate.fastpath import validate_values
 from repro.fourstate.semantics import FourState
 from repro.fourstate.sim import FourStateSim
 from repro.fuzz.designgen import DesignSpec
-from repro.harness.cosim import output_mismatches
+from repro.harness.cosim import divergent_lanes, lane_outputs, output_mismatches
 from repro.rtl.netlist import Netlist, WordSim
 from repro.simref.gate_sim import GateLevelSim
 
@@ -546,8 +546,9 @@ def run_oracle(
             lane_streams = [_rotated(stimuli, lane) for lane in range(batch)]
             for cycle in range(len(stimuli)):
                 vecs = [lane_streams[lane][cycle] for lane in range(batch)]
-                outs_a = sim_a.step_lanes(vecs)
-                signals, symbols = cmp_ref(ref_trace[cycle], outs_a[0])
+                sim_a.advance_lanes(vecs)
+                cols_a = sim_a.outputs_arrays()
+                signals, symbols = cmp_ref(ref_trace[cycle], lane_outputs(cols_a, 0))
                 if signals:
                     return finish(
                         diverged(
@@ -555,31 +556,28 @@ def run_oracle(
                             cycle=cycle, engine=primary, batch=batch, lane=0,
                         )
                     )
+                # Every other engine at this batch against the primary,
+                # column-wise: (engine, reference, reference cols, engine cols)
+                checks = []
                 for bk, sim_bk in backend_sims:
-                    outs_bk = sim_bk.step_lanes(vecs)
-                    for lane in range(batch):
-                        signals, symbols = cmp_raw(outs_a[lane], outs_bk[lane])
+                    sim_bk.advance_lanes(vecs)
+                    checks.append((f"fused[{bk}]", primary, cols_a, sim_bk.outputs_arrays()))
+                if sim_b is not None:
+                    sim_b.advance_lanes(vecs)
+                    checks.append((primary, secondary, sim_b.outputs_arrays(), cols_a))
+                for engine, ref_name, ref_cols, dut_cols in checks:
+                    for lane in divergent_lanes(ref_cols, dut_cols):
+                        signals, symbols = cmp_raw(
+                            lane_outputs(ref_cols, lane), lane_outputs(dut_cols, lane)
+                        )
                         if signals:
                             return finish(
                                 diverged(
                                     signals, symbols,
-                                    cycle=cycle, engine=f"fused[{bk}]",
-                                    reference=primary, batch=batch, lane=lane,
+                                    cycle=cycle, engine=engine,
+                                    reference=ref_name, batch=batch, lane=lane,
                                 )
                             )
-                if sim_b is None:
-                    continue
-                outs_b = sim_b.step_lanes(vecs)
-                for lane in range(batch):
-                    signals, symbols = cmp_raw(outs_b[lane], outs_a[lane])
-                    if signals:
-                        return finish(
-                            diverged(
-                                signals, symbols,
-                                cycle=cycle, engine=primary,
-                                reference=secondary, batch=batch, lane=lane,
-                            )
-                        )
 
     return finish(None)
 

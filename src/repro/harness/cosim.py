@@ -13,8 +13,11 @@ equivalence tests are the same loop with asserts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
+
+import numpy as np
 
 
 class Steppable(Protocol):
@@ -22,12 +25,16 @@ class Steppable(Protocol):
 
 
 class LaneSteppable(Protocol):
-    """A batched engine advancing many stimulus lanes per step
-    (:meth:`repro.core.interpreter.GemInterpreter.step_lanes`)."""
+    """A batched engine advancing many stimulus lanes per step, read back
+    as one ``(batch,)`` column per output
+    (:meth:`repro.core.interpreter.GemInterpreter.advance_lanes` /
+    :meth:`~repro.core.interpreter.GemInterpreter.outputs_arrays`)."""
 
-    def step_lanes(
+    def advance_lanes(
         self, inputs: Mapping[str, int] | Sequence[Mapping[str, int]] | None = None
-    ) -> list[dict[str, int]]: ...
+    ) -> None: ...
+
+    def outputs_arrays(self) -> dict[str, np.ndarray]: ...
 
 
 def output_mismatches(
@@ -48,6 +55,35 @@ def output_mismatches(
         for name in watch
         if ref_out.get(name) != dut_out.get(name)
     }
+
+
+def divergent_lanes(
+    ref_cols: Mapping[str, Sequence[int]],
+    dut_cols: Mapping[str, np.ndarray],
+    signals: Sequence[str] | None = None,
+) -> list[int]:
+    """Lanes on which two engines' per-output columns disagree, ascending.
+
+    The lane-batched form of :func:`output_mismatches`, same rule: one
+    ``!=`` per output over all lanes at once, so lockstep consumers build
+    per-lane dicts (:func:`lane_outputs`) for a divergent lane only.
+    """
+    watch = signals if signals is not None else ref_cols.keys() & dut_cols.keys()
+    differ: np.ndarray | bool = False
+    for name in watch:
+        ref, dut = ref_cols.get(name), dut_cols.get(name)
+        if ref is None or dut is None:
+            if ref is dut:
+                continue
+            # a watched signal only one engine produces: every lane differs
+            return list(range(len(dut if ref is None else ref)))
+        differ = differ | (np.asarray(ref, dtype=dut.dtype) != dut)
+    return np.flatnonzero(differ).tolist()
+
+
+def lane_outputs(columns: Mapping[str, Sequence[int]], lane: int) -> dict[str, int]:
+    """One lane's output dict out of per-output columns."""
+    return {name: int(column[lane]) for name, column in columns.items()}
 
 
 @dataclass
@@ -143,11 +179,12 @@ def cosim_lanes(
 ) -> CosimResult:
     """Lane-batched cosim: B independent stimulus streams, one DUT.
 
-    The DUT advances every lane with a single :meth:`step_lanes` call per
+    The DUT advances every lane with a single ``advance_lanes`` call per
     cycle while ``reference_factory()`` builds one fresh single-instance
     reference per lane, stepped with that lane's own stimuli — so each
     packed lane of the batched engine is certified against an
-    independently-driven golden run.  The divergence report carries the
+    independently-driven golden run.  Lanes are compared column-wise
+    (:func:`divergent_lanes`); the divergence report carries the
     offending lane.
     """
     lanes = len(lane_stimuli)
@@ -158,27 +195,30 @@ def cosim_lanes(
     if any(len(stream) != length for stream in lane_stimuli):
         raise ValueError("all lane stimulus streams must have the same length")
     refs = [reference_factory() for _ in range(lanes)]
-    recent: list[list[dict[str, int]]] = [[] for _ in range(lanes)]
+    recent: deque[list[dict[str, int]]] = deque(maxlen=history)
     for cycle in range(length):
         vecs = [dict(stream[cycle]) for stream in lane_stimuli]
-        dut_outs = dut.step_lanes(vecs)
+        dut.advance_lanes(vecs)
+        dut_cols = dut.outputs_arrays()
+        ref_outs = [ref.step(vec) for ref, vec in zip(refs, vecs)]
         result.cycles = cycle + 1
-        for lane, (ref, vec) in enumerate(zip(refs, vecs)):
-            ref_out = ref.step(vec)
-            mismatches = output_mismatches(ref_out, dut_outs[lane], signals)
-            if mismatches and result.divergence is None:
+        if result.divergence is None:
+            ref_cols = {name: [out[name] for out in ref_outs] for name in ref_outs[0]}
+            diverged = divergent_lanes(ref_cols, dut_cols, signals)
+            if diverged:
+                lane = diverged[0]
                 result.divergence = Divergence(
                     cycle=cycle,
-                    signals=mismatches,
-                    inputs=vec,
-                    recent_inputs=list(recent[lane]),
+                    signals=output_mismatches(
+                        ref_outs[lane], lane_outputs(dut_cols, lane), signals
+                    ),
+                    inputs=vecs[lane],
+                    recent_inputs=[past[lane] for past in recent],
                     lane=lane,
                 )
                 if stop_on_divergence:
                     return result
-            recent[lane].append(vec)
-            if len(recent[lane]) > history:
-                recent[lane].pop(0)
+        recent.append(vecs)
     return result
 
 

@@ -424,15 +424,19 @@ def measure_batch_throughput(
     config_label: str | None = None,
     values: int = 2,
 ) -> dict:
-    """Wall-clock lane throughput of the packed-lane engine on a workload.
+    """Wall-clock lane throughput of the packed-lane *kernel* on a workload.
 
     Drives a ``batch``-lane simulator with the workload's stimuli
-    (broadcast to every lane — the shape of a seed sweep where all lanes
-    share a stimulus program) and reports cycles×lanes per second, the
-    metric ``BENCH_batch.json`` tracks.  Running batch=1 B times
-    sequentially yields exactly the batch=1 ``lane_cycles_per_s``, so the
-    batched-vs-sequential speedup is the ratio of this metric across
-    batch sizes.
+    broadcast to every lane through ``step()`` and reads back lane 0
+    only, so the rows this writes to ``BENCH_batch.json`` are
+    **kernel-only**: cycles×lanes per second with no per-lane inject and
+    no per-lane readback.  Running batch=1 B times sequentially yields
+    exactly the batch=1 ``lane_cycles_per_s``, so the ratio of this
+    metric across batch sizes is the kernel's batched-vs-sequential
+    speedup.  What a user with distinct per-lane stimuli and full
+    readback gets is ``lane_cycles_per_s`` of ``benchmarks/e2e``
+    (``kernel.cycles_per_s`` there is this series; ``lane_io_overhead_x``
+    is the ratio between the two).
     """
     import time
 

@@ -107,7 +107,7 @@ def state_digest_lanes(interp: GemInterpreter) -> list[int]:
     lanes are quarantined (the whole-word digest is then unusable).
     """
     batch = interp.batch
-    planes = interp.engine.bit_planes(interp.global_state)
+    planes = interp.engine.unpack_lanes(interp.global_state)
     digests = []
     for lane in range(batch):
         h = zlib.crc32(np.packbits(planes[:, lane], bitorder="little").tobytes())
@@ -528,7 +528,9 @@ class Supervisor:
                     out = lane_outs[0]
                     lane_outputs.append(lane_outs)
                     if shadow is not None and redundant:
-                        shadow_out = shadow.step_lanes(vec)[0]
+                        # advance every lane, read back lane 0 only
+                        shadow.advance_lanes(vec)
+                        shadow_out = shadow.outputs()
                     elif shadow is not None:
                         shadow_out = shadow.step(vec)
                     else:

@@ -93,6 +93,38 @@ class TestCompile:
         with pytest.raises(UnmappableError, match="could not find"):
             GemCompiler(cfg).compile(circuit)
 
+    @pytest.mark.parametrize("width_log2", [14, 15, 0])
+    def test_unsupported_core_width_rejected_at_compile_start(self, width_log2, tmp_path):
+        """A core wider than one FOLD instruction can program used to die
+        with an IndexError in bitstream assembly; it is now a typed error
+        raised before any compile work, and the autotuner's sweep records
+        the candidate from it instead of from a crash."""
+        from repro.core.autotune import AutotuneConfig, KnobSpace, autotune
+        from repro.errors import ConfigError, GemError
+
+        circuit = random_circuit(15, n_ops=30)
+        message = rf"width_log2={width_log2} is outside \[1, 13\]"
+        with pytest.raises(ConfigError, match=message) as exc:
+            GemCompiler(_config(width_log2=width_log2)).compile(circuit)
+        assert isinstance(exc.value, GemError)
+        if width_log2 != 14:
+            return
+        result = autotune(
+            synthesize(circuit),
+            name="wide-core",
+            base=_config(),
+            space=KnobSpace(
+                gates_per_partition=(300,),
+                num_stages=(1,),
+                width_log2=(10, 14),
+                sa_iterations=(0,),
+            ),
+            opts=AutotuneConfig(budget=4, measure_cycles=0, cache_dir=str(tmp_path)),
+        )
+        rejected = [c for c in result.candidates if c.knobs.get("width_log2") == 14]
+        assert rejected and all(c.status == "error" for c in rejected)
+        assert all("ConfigError" in c.error for c in rejected)
+
     def test_simulator_instances_independent(self):
         circuit = random_circuit(17, n_ops=40)
         design = GemCompiler(_config()).compile(circuit)

@@ -54,8 +54,7 @@ class TestEngineHelpers:
     def test_pack_lanes_roundtrip(self, values, lane):
         eng = ExecutionEngine(len(values))
         words = eng.pack_lanes(values, 20)
-        for i, value in enumerate(values):
-            assert eng.lane_int(words, i) == value
+        assert eng.lane_ints(eng.unpack_lanes(words)).tolist() == values
 
     @given(
         st.integers(1, WORD_LANES),
@@ -76,6 +75,43 @@ class TestEngineHelpers:
             bits = int_to_bits(value & ((1 << nbits) - 1), nbits)
             reference |= np.where(bits, np.uint64(1), np.uint64(0)) << np.uint64(lane)
         assert (eng.pack_lanes(values, nbits) == reference).all()
+
+    @given(
+        st.sampled_from([1, 3, 64, 128, 1024]),
+        st.integers(1, 130),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unpack_lanes_inverts_pack_lanes(self, batch, nbits, seed):
+        """``unpack_lanes(pack_lanes(v, n))`` is ``v``'s bit matrix and
+        ``lane_ints`` brings the integers back — single word and K-word
+        planes, list and array inputs, ports wider than a machine word."""
+        import random
+
+        rng = random.Random(seed)
+        values = [rng.getrandbits(nbits) for _ in range(batch)]
+        eng = ExecutionEngine(batch)
+        words = eng.pack_lanes(values, nbits)
+        assert words.dtype == np.uint64
+        assert words.shape == ((nbits,) if eng.words == 1 else (nbits, eng.words))
+        bits = eng.unpack_lanes(words)
+        assert bits.shape == (nbits, batch) and bits.dtype == np.uint8
+        for lane in (0, batch // 2, batch - 1):  # the per-lane loop reference
+            assert bits_to_int(bits[:, lane]) == values[lane]
+        ints = eng.lane_ints(bits)
+        assert ints.dtype == (np.uint64 if nbits <= 64 else object)
+        assert ints.tolist() == values
+        if nbits <= 64:  # the array-native input form packs identically
+            column = np.array(values, dtype=np.uint64)
+            assert np.array_equal(eng.pack_lanes(column, nbits), words)
+
+    def test_pack_lanes_masks_to_port_width(self):
+        eng = ExecutionEngine(3)
+        for values in ([-1, 0x1FF, 5], np.array([-1, 0x1FF, 5], dtype=np.int64)):
+            words = eng.pack_lanes(values, 8)
+            assert eng.lane_ints(eng.unpack_lanes(words)).tolist() == [0xFF, 0xFF, 5]
+        wide = eng.pack_lanes([-1, 1 << 70, 7], 66)
+        assert eng.lane_ints(eng.unpack_lanes(wide)).tolist() == [(1 << 66) - 1, 0, 7]
 
     def test_batch_bounds(self):
         with pytest.raises(ValueError):
@@ -391,12 +427,14 @@ class TestBatchedCosim:
             def __init__(self, sim, bad_lane):
                 self.sim, self.bad_lane = sim, bad_lane
 
-            def step_lanes(self, vecs):
-                outs = self.sim.step_lanes(vecs)
-                outs[self.bad_lane] = {
-                    k: v ^ 1 for k, v in outs[self.bad_lane].items()
-                }
-                return outs
+            def advance_lanes(self, vecs):
+                self.sim.advance_lanes(vecs)
+
+            def outputs_arrays(self):
+                cols = self.sim.outputs_arrays()
+                for col in cols.values():
+                    col[self.bad_lane] ^= 1
+                return cols
 
         result = cosim_lanes(
             lambda: WordSim(Netlist(circuit)),
@@ -454,8 +492,7 @@ class TestLanePlanes:
         values = [int(v) for v in rng.integers(0, 1 << 20, 192)]
         words = eng.pack_lanes(values, 20)
         assert words.shape == (20, 3)
-        for lane, value in enumerate(values):
-            assert eng.lane_int(words, lane) == value
+        assert eng.lane_ints(eng.unpack_lanes(words)).tolist() == values
 
     def test_quarantine_is_lane_exact(self):
         eng = ExecutionEngine(256)
@@ -524,3 +561,151 @@ class TestLanePlanes:
         shadow_rows = shadow.run_lanes(vecs)
         assert np.array_equal(dirty.global_state, shadow.global_state)
         assert shadow_rows == dirty_rows
+
+
+def _rotated_lanes(stimuli, batch, cycles):
+    """Per cycle, one vector per lane: lane ``l`` runs ``l`` cycles ahead."""
+    n = len(stimuli)
+    return [[stimuli[(c + lane) % n] for lane in range(batch)] for c in range(cycles)]
+
+
+def _columns(sim, vecs):
+    """The array-API form of one cycle's per-lane dicts."""
+    return {
+        name: np.array(
+            [vec.get(name, 0) for vec in vecs],
+            dtype=np.uint64 if idx.size <= 64 else object,
+        )
+        for name, idx in sim._pi_tables.items()
+    }
+
+
+class TestArrayLaneIO:
+    """The array-native lane API and the dict adapter over it."""
+
+    @pytest.mark.parametrize("batch", [3, 64, 256])
+    def test_outputs_lanes_matches_loop_reference_on_rocketchip(self, batch):
+        """``outputs_lanes()`` against the per-lane ``bits_to_int`` loop
+        it replaced (``ExecutionEngine.lane_int``, kept here as the
+        reference), with one lane quarantined mid-run."""
+        from repro.harness.runner import compile_design, design_workloads
+
+        design = compile_design("rocketchip")
+        stimuli = next(iter(design_workloads("rocketchip").values())).stimuli
+        sim = design.simulator(batch=batch)
+        one = np.uint64(1)
+        for cycle, vecs in enumerate(_rotated_lanes(stimuli, batch, 24)):
+            if cycle == 8:
+                sim.quarantine_lanes([batch // 2])
+            outs = sim.step_lanes(vecs)
+            assert outs == sim.outputs_lanes()
+            assert outs[0] == sim.outputs()
+            for lane in range(batch):
+                word, bit = divmod(lane, WORD_LANES)
+                for name, idx in sim._po_tables.items():
+                    words = sim.global_state[idx]
+                    column = words if sim.engine.words == 1 else words[:, word]
+                    assert outs[lane][name] == bits_to_int((column >> np.uint64(bit)) & one)
+        assert sim.quarantined_lanes == [batch // 2]
+
+    @pytest.mark.parametrize("batch", [8, 128])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            n if n in ("rocketchip", "gemmini", "openpiton1")
+            else pytest.param(n, marks=pytest.mark.slow)
+            for n in ("gemmini", "nvdla", "openpiton1", "openpiton8", "rocketchip")
+        ],
+    )
+    def test_step_arrays_equals_step_lanes_on_designs(self, name, batch):
+        """Every registered design, its stock stimuli: arrays in / arrays
+        out is the dict adapter's result column for column, state for
+        state."""
+        from repro.harness.runner import DESIGNS, compile_design, design_workloads
+
+        assert name in DESIGNS
+        design = compile_design(name)
+        stimuli = next(iter(design_workloads(name).values())).stimuli
+        by_dict = design.simulator(batch=batch)
+        by_array = design.simulator(batch=batch)
+        for vecs in _rotated_lanes(stimuli, batch, min(16, len(stimuli))):
+            rows = by_dict.step_lanes(vecs)
+            columns = by_array.step_arrays(_columns(by_array, vecs))
+            assert list(columns) == list(rows[0])
+            for po, column in columns.items():
+                assert column.shape == (batch,)
+                assert column.tolist() == [row[po] for row in rows]
+        assert np.array_equal(by_dict.global_state, by_array.global_state)
+
+    def test_wide_ports_travel_as_object_columns(self):
+        b = CircuitBuilder("wide")
+        x = b.input("x", 100)
+        acc = b.reg("acc", 100)
+        acc.next = acc ^ x
+        b.output("y", acc ^ x)
+        b.output("lo", x.trunc(8))
+        design = _compile(b.build())
+        sim = design.simulator(batch=5)
+        values = [(0xDEADBEEF << 68) | lane for lane in range(5)]
+        cols = sim.step_arrays({"x": np.array(values, dtype=object)})
+        assert cols["y"].dtype == object and cols["y"].tolist() == values
+        assert cols["lo"].dtype == np.uint64 and cols["lo"].tolist() == [0, 1, 2, 3, 4]
+        assert sim.step_lanes([{"x": v} for v in values])[3]["y"] == 0
+
+    def test_step_arrays_rejects_malformed_stimulus(self, memory_design):
+        from repro.errors import LaneConfigError
+
+        circuit, design = memory_design
+        sim = design.simulator(batch=4)
+        name = circuit.inputs[0].name
+        with pytest.raises(LaneConfigError, match=r"shape \(4,\), got \(3,\)"):
+            sim.step_arrays({name: np.zeros(3, dtype=np.uint64)})
+        with pytest.raises(LaneConfigError, match="unknown primary input .nope."):
+            sim.step_arrays({"nope": np.zeros(4, dtype=np.uint64)})
+        with pytest.raises(LaneConfigError, match="integer array, got dtype float64"):
+            sim.step_arrays({name: np.zeros(4)})
+        with pytest.raises(LaneConfigError, match="non-integer values"):
+            sim.step_arrays({name: np.array([1, 2.5, 3, 4], dtype=object)})
+        assert sim.cycle == 0  # nothing above advanced the simulation
+        sim.step_arrays({name: [1, 2, 3, 4]})  # plain sequences are fine
+        sim.step_arrays()  # every PI 0 on every lane
+        assert sim.cycle == 2
+
+    def test_dict_adapter_stays_tolerant(self, memory_design):
+        """Missing name -> 0, values masked to the port width, unknown
+        names ignored, wrong list length -> the historical ValueError."""
+        circuit, design = memory_design
+        sig = circuit.inputs[0]
+        vec = random_vectors(circuit, 5, 1)[0]
+        strict = design.simulator(batch=2)
+        loose = design.simulator(batch=2)
+        want = strict.step_lanes([vec, {**vec, sig.name: 0}])
+        got = loose.step_lanes(
+            [
+                {**vec, sig.name: vec[sig.name] | (1 << (sig.width + 3)), "nope": 7},
+                {k: v for k, v in vec.items() if k != sig.name},
+            ]
+        )
+        assert got == want
+        with pytest.raises(ValueError, match="expected 2 per-lane input vectors, got 3"):
+            loose.step_lanes([vec, vec, vec])
+
+    def test_supervisor_shadow_reads_back_lane_zero_only(self, memory_design, monkeypatch):
+        """Per cycle the primary materialises every lane once; the
+        redundant shadow advances all lanes and reads lane 0 only."""
+        from repro.core.compiler import GemSimulator
+        from repro.runtime.supervisor import Supervisor
+
+        circuit, design = memory_design
+        calls = []
+        original = GemSimulator.outputs_arrays
+        monkeypatch.setattr(
+            GemSimulator,
+            "outputs_arrays",
+            lambda self: calls.append(self) or original(self),
+        )
+        stimuli = random_vectors(circuit, 9, 12)
+        result = Supervisor(design, batch=4).run(stimuli)
+        assert not result.degraded and result.faults_detected == 0
+        assert len(calls) == len(stimuli) and len(set(map(id, calls))) == 1
+        assert [rows[0] for rows in result.lane_outputs] == result.outputs

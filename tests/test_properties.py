@@ -311,3 +311,75 @@ class TestFourStateProperties:
             got = {name: v.value() for name, v in got4.items()}
             assert got == expect, (cycle, vec)
             assert dual.unknown_output_bits() == 0
+
+
+class TestLaneMetamorphicProperties:
+    """Metamorphic properties of the packed lanes, through the array API
+    (``step_arrays``): which lane a stimulus stream rides in, and how the
+    streams are split over runs, must not change any stream's results."""
+
+    CYCLES = 10
+    _design = None
+
+    @classmethod
+    def _compiled(cls):
+        if cls._design is None:
+            from repro.core.compiler import GemCompiler, GemConfig
+
+            circuit = random_circuit(977, n_ops=60, n_regs=4, with_memory=True)
+            config = GemConfig(
+                partition=PartitionConfig(gates_per_partition=400),
+                boomerang=BoomerangConfig(width_log2=10),
+            )
+            cls._design = (circuit, GemCompiler(config).compile(circuit))
+        return cls._design
+
+    @classmethod
+    def _stimulus_columns(cls, seed, lanes):
+        """Per cycle ``{pi: (lanes,) uint64}`` of seeded random values."""
+        circuit, _ = cls._compiled()
+        rng = np.random.default_rng(seed)
+        return [
+            {
+                sig.name: rng.integers(0, 1 << sig.width, lanes, dtype=np.uint64)
+                for sig in circuit.inputs
+            }
+            for _ in range(cls.CYCLES)
+        ]
+
+    @staticmethod
+    def _run(design, batch, stimulus):
+        sim = design.simulator(batch=batch)
+        return [sim.step_arrays(cols) for cols in stimulus], sim
+
+    @given(seed=st.integers(0, 10_000), batch=st.sampled_from([5, 64, 128]))
+    @settings(max_examples=8, deadline=None)
+    def test_lane_permutation_invariance(self, seed, batch):
+        _, design = self._compiled()
+        stimulus = self._stimulus_columns(seed, batch)
+        perm = np.random.default_rng(seed + 1).permutation(batch)
+        straight, _ = self._run(design, batch, stimulus)
+        shuffled, _ = self._run(
+            design, batch, [{k: v[perm] for k, v in cols.items()} for cols in stimulus]
+        )
+        for want, got in zip(straight, shuffled):
+            for name in want:
+                assert np.array_equal(got[name], want[name][perm]), name
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=6, deadline=None)
+    def test_batch_split_invariance(self, seed):
+        """One 128-lane run is two 64-lane runs, column for column, and
+        the halves' RAM images stack into the whole's."""
+        _, design = self._compiled()
+        stimulus = self._stimulus_columns(seed, 128)
+        whole, big = self._run(design, 128, stimulus)
+        for half in (slice(0, 64), slice(64, 128)):
+            part, small = self._run(
+                design, 64, [{k: v[half] for k, v in cols.items()} for cols in stimulus]
+            )
+            for want, got in zip(whole, part):
+                for name in want:
+                    assert np.array_equal(got[name], want[name][half]), name
+            for big_ram, small_ram in zip(big.ram_arrays, small.ram_arrays):
+                assert np.array_equal(big_ram[half], small_ram)
