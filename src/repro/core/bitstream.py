@@ -160,21 +160,6 @@ def allocate_global_state(eaig: EAIG, merge: MergeResult, synth: SynthesisResult
     )
 
 
-def _effective_width_log2(placed: PlacedPartition, layer_index: int) -> int:
-    """Trimmed tree width: the placement cursor packs leaves leftwards, so
-    folding only the occupied power-of-two prefix is equivalent and much
-    cheaper to execute (the interpreter honours this per-layer width)."""
-    layer = placed.layers[layer_index]
-    occupied = np.nonzero(layer.perm >= 0)[0]
-    eff = 1
-    if occupied.size:
-        eff = max(eff, int(occupied[-1]).bit_length())
-    for step, wbs in enumerate(layer.writebacks):
-        for pos, _slot in wbs:
-            eff = max(eff, step + 1 + pos.bit_length())
-    return min(max(eff, 1), placed.config.width_log2)
-
-
 def assemble_partition(
     eaig: EAIG, placed: PlacedPartition, meta: ProgramMeta, synth: SynthesisResult
 ) -> _PartitionCode:
@@ -205,15 +190,14 @@ def assemble_partition(
     code.extend(
         isa.encode_init(
             stage=spec.stage,
-            num_layers=len(placed.layers),
+            num_layers=placed.num_layers,
             state_slots=placed.num_slots,
             num_reads=len(read_entries),
             num_ramops=len(ramops),
         )
     )
     code.extend(isa.encode_read(read_entries))
-    for li, layer in enumerate(placed.layers):
-        eff = _effective_width_log2(placed, li)
+    for layer, eff in zip(placed.layers, placed.effective_widths_log2()):
         code.extend(isa.encode_perm(layer.perm))
         code.extend(isa.encode_fold(eff, layer.xor_a, layer.xor_b, layer.or_b))
         wb_entries = [
@@ -258,7 +242,7 @@ def assemble(
             with TRACER.span(
                 f"assemble:p{pi}",
                 cat="compile.partition",
-                args={"stage": placed.spec.stage, "layers": len(placed.layers)},
+                args={"stage": placed.spec.stage, "layers": placed.num_layers},
             ):
                 codes.append(assemble_partition(eaig, placed, meta, synth))
     else:

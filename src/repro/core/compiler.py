@@ -260,7 +260,7 @@ class GemCompiler:
             gates=eaig.num_gates(),
             levels=eaig.depth(),
             stages=merge.plan.num_stages,
-            layers=max((len(p.layers) for p in merge.placements), default=0),
+            layers=max((p.num_layers for p in merge.placements), default=0),
             partitions=merge.plan.num_partitions,
             bitstream_bytes=program.num_bytes,
             replication_cost=merge.plan.replication_cost(),

@@ -190,10 +190,14 @@ def decode_perm(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack_bits(bits: np.ndarray, words: np.ndarray, bit_offset: int) -> int:
-    for i, b in enumerate(bits):
-        if b:
-            pos = bit_offset + i
-            words[pos >> 5] |= np.uint32(1 << (pos & 31))
+    """OR ``bits`` into ``words`` starting at ``bit_offset`` (bit ``p`` lives
+    in word ``p >> 5`` at position ``p & 31``); returns the next offset."""
+    shift = bit_offset & 31
+    padded = np.zeros(-(-(shift + len(bits)) // 32) * 32, dtype=bool)
+    padded[shift : shift + len(bits)] = bits
+    chunk = np.packbits(padded, bitorder="little").view("<u4")
+    first = bit_offset >> 5
+    words[first : first + len(chunk)] |= chunk
     return bit_offset + len(bits)
 
 

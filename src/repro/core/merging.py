@@ -30,7 +30,6 @@ from repro.core.placement import (
     RefineConfig,
     UnmappableError,
     place_partition,
-    placement_cost,
 )
 
 
@@ -108,7 +107,11 @@ def merge_partitions(
         placements.extend(stage_placements)
 
     if refine is not None and refine.iterations > 0:
-        placements = [_refine_placement(eaig, p, config, refine) for p in placements]
+        # SA starts from the greedy placement the probes already produced
+        # and only ever replaces it with a strictly cheaper one.
+        placements = [
+            place_partition(eaig, p.spec, config, refine=refine, start=p) for p in placements
+        ]
 
     merged_plan = PartitionPlan(
         eaig=eaig,
@@ -125,16 +128,6 @@ def merge_partitions(
         partitions_before=before,
         partitions_after=merged_plan.num_partitions,
     )
-
-
-def _refine_placement(
-    eaig: EAIG,
-    placed: PlacedPartition,
-    config: BoomerangConfig,
-    refine: RefineConfig,
-) -> PlacedPartition:
-    refined = place_partition(eaig, placed.spec, config, refine=refine)
-    return refined if placement_cost(refined) < placement_cost(placed) else placed
 
 
 def _merge_stage(

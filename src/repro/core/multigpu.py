@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.bitstream import _effective_width_log2
 from repro.core.compiler import CompiledDesign
 from repro.core.perfmodel import A100, GpuProfile
 
@@ -118,8 +117,8 @@ def block_workloads(design: CompiledDesign) -> list[BlockWork]:
     table_base = 8 + num_stages
     for bi, placed in enumerate(design.merge.placements):
         bits = 0
-        for li in range(len(placed.layers)):
-            width = 1 << _effective_width_log2(placed, li)
+        for eff in placed.effective_widths_log2():
+            width = 1 << eff
             bits += 2 * width - 1
         inst_words = int(header[table_base + 2 * bi + 1])
         spec = placed.spec

@@ -112,12 +112,10 @@ def gem_metrics(design: CompiledDesign) -> GemMetrics:
     stage_work = [0] * num_stages
     stage_max = [0] * num_stages
     global_traffic = 0
-    from repro.core.bitstream import _effective_width_log2
-
     for placed in design.merge.placements:
         bits = 0
-        for li in range(len(placed.layers)):
-            width = 1 << _effective_width_log2(placed, li)
+        for eff in placed.effective_widths_log2():
+            width = 1 << eff
             # One gather of `width` bits plus folds halving from width.
             bits += width + (width - 1)
         s = placed.spec.stage

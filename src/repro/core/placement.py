@@ -22,6 +22,34 @@ Each partition's AIG is mapped onto a sequence of boomerang layers:
 A partition is **mappable** iff its state demand — constant slot + sources
 + written-back values — fits the core's state (8192 bits).  This predicate
 is exactly what Algorithm 1 (:mod:`repro.core.merging`) probes.
+
+Data structures
+---------------
+Algorithm 1 runs this module once per mappability probe, so its cost is
+multiplied, not paid once; the bookkeeping is kept flat:
+
+* The fold tree is a binary **heap**: position ``(level, i)`` is heap number
+  ``k = (width >> level) + i`` — root 1, leaves ``width + i``, parent
+  ``k >> 1``, children ``2k`` / ``2k + 1``, bypass chain ``k, 2k, 4k, …``.
+  Occupancy is one ``bytearray``, ``free[k]`` (unoccupied positions in
+  ``k``'s subtree) one list, contents one ``dict`` from heap number to a
+  small int (leaf: state slot; AND: its two invert bits; bypass positions
+  need no entry — they are the fold constants' default).
+* ``free`` is **cone-local** while a placement attempt runs (see
+  :class:`_LayerBuilder`): exact between attempts, which is the only time
+  anything outside the attempt's cone is read.
+* A finished layer is kept **packed** (:class:`PackedLayer`: leaf
+  permutation, one fold constant per interior position, the writebacks); :attr:`PlacedPartition.layers` builds the
+  :class:`~repro.core.boomerang.Layer` arrays on demand, which for a probe
+  that Algorithm 1 supersedes is never.
+
+Which orders are part of the bitstream: the iteration order of the
+``remaining`` *set* (it is the tie order within a level, so the set must be
+built and shrunk exactly as it is — ``set(nodes)``, then ``-= set(mapped)``
+per layer), the insertion order of ``mapped`` (it numbers the writeback
+slots), the stable sorts on criticality, the cursor advance, and the limits
+``max_attempts=8`` / ``max_consecutive_failures=20``.  The golden sha256
+pins in ``tests/test_placement.py`` hold all of them in place.
 """
 
 from __future__ import annotations
@@ -29,15 +57,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from repro.core.boomerang import BoomerangConfig, Layer
 from repro.core.eaig import EAIG, NodeKind, lit_neg, lit_node
 from repro.core.partition import PartitionSpec
-from repro.errors import UnmappableError
+from repro.errors import PlacementStallError, UnmappableError
 
 __all__ = [
+    "PackedLayer",
     "PlacedPartition",
     "RefineConfig",
     "UnmappableError",
@@ -84,9 +114,9 @@ def placement_cost(placed: PlacedPartition) -> tuple[int, int, int]:
     Layer count dominates (each layer is a device-wide sync per cycle,
     paper §III-D); writeback traffic breaks ties (each writeback is a
     state-store the fused executor must scatter); slot footprint last.
+    Read off the packed form, so costing an SA candidate builds no arrays.
     """
-    writebacks = sum(len(wb) for layer in placed.layers for wb in layer.writebacks)
-    return (len(placed.layers), writebacks, placed.num_slots)
+    return (placed.num_layers, placed.num_writebacks, placed.num_slots)
 
 
 def _scalar_cost(cost: tuple[int, int, int], config: BoomerangConfig) -> float:
@@ -94,16 +124,83 @@ def _scalar_cost(cost: tuple[int, int, int], config: BoomerangConfig) -> float:
     return layers + writebacks / (4.0 * config.width)
 
 
+#: Interior tree positions hold a 3-bit fold constant ``xor_a | xor_b << 1 |
+#: or_b << 2``: AND positions carry their two invert bits (0..3), a bypass
+#: position — and every unoccupied one — is the pass-through ``_ROUTE``.
+_ROUTE = 4
+
+
+@dataclass
+class PackedLayer:
+    """One finished layer at two arrays instead of a :class:`Layer`'s 3 per
+    fold step: the leaf permutation and one fold constant per interior heap
+    position, plus the writebacks."""
+
+    #: state slot per leaf; -1 means "load constant 0"
+    perm: np.ndarray
+    #: fold constant by heap number (entry 0 is unused)
+    fold: np.ndarray
+    #: (level, position, state slot), in slot-allocation order
+    writebacks: list[tuple[int, int, int]]
+
+    def unpack(self, config: BoomerangConfig) -> Layer:
+        layer = Layer(config=config, perm=self.perm.copy())
+        for level in range(1, config.width_log2 + 1):
+            row = self.fold[config.width >> level : config.width >> (level - 1)]
+            layer.xor_a.append((row & 1).astype(bool))
+            layer.xor_b.append((row & 2).astype(bool))
+            layer.or_b.append(row >= _ROUTE)
+            layer.writebacks.append([])
+        for level, pos, slot in self.writebacks:
+            layer.writebacks[level - 1].append((pos, slot))
+        return layer
+
+    def effective_width_log2(self, config: BoomerangConfig) -> int:
+        """Trimmed tree width: the placement cursor packs leaves leftwards, so
+        folding only the occupied power-of-two prefix is equivalent and much
+        cheaper to execute (the interpreter honours this per-layer width)."""
+        eff = 1
+        occupied = np.nonzero(self.perm >= 0)[0]
+        if occupied.size:
+            eff = max(eff, int(occupied[-1]).bit_length())
+        for level, pos, _slot in self.writebacks:
+            eff = max(eff, level + pos.bit_length())
+        return min(eff, config.width_log2)
+
+
 @dataclass
 class PlacedPartition:
-    """A partition mapped onto boomerang layers plus its state layout."""
+    """A partition mapped onto boomerang layers plus its state layout.
+
+    Placement hands over the layers packed, and packed is how they are
+    kept: :attr:`layers` builds the :class:`Layer` arrays afresh on every
+    read (bitstream assembly reads it once), so an Algorithm 1 probe that
+    gets superseded never pays for them and a cached design does not hold
+    them.
+    """
 
     spec: PartitionSpec
     config: BoomerangConfig
-    layers: list[Layer]
     #: node -> state slot (sources and written-back values; node 0 -> 0)
     slot_of: dict[int, int]
     num_slots: int
+    packed: list[PackedLayer] = field(repr=False)
+
+    @property
+    def layers(self) -> list[Layer]:
+        return [p.unpack(self.config) for p in self.packed]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.packed)
+
+    @property
+    def num_writebacks(self) -> int:
+        return sum(len(p.writebacks) for p in self.packed)
+
+    def effective_widths_log2(self) -> list[int]:
+        """Per layer, the trimmed tree width the bitstream folds."""
+        return [p.effective_width_log2(self.config) for p in self.packed]
 
     def slot_and_invert(self, literal: int) -> tuple[int, bool]:
         """Locate a literal's value in block state."""
@@ -112,184 +209,179 @@ class PlacedPartition:
         return slot, lit_neg(literal)
 
     def stats(self) -> dict:
-        occupancy = sum(int((layer.perm >= 0).sum()) for layer in self.layers)
         return {
-            "layers": len(self.layers),
+            "layers": self.num_layers,
             "slots": self.num_slots,
             "nodes": len(self.spec.nodes),
-            "leaf_bits_used": occupancy,
+            "leaf_bits_used": sum(int((p.perm >= 0).sum()) for p in self.packed),
         }
 
 
-# Content tags for occupied tree positions.
-_AND = 0
-_ROUTE = 1
-_LEAF = 2
+def _full_tree_free(config: BoomerangConfig) -> list[int]:
+    """``free`` of an empty tree: position ``k`` at level ``l`` roots a
+    subtree of ``2^(l+1) - 1`` positions (index 0 is unused)."""
+    free = [0]
+    for level in range(config.width_log2, -1, -1):
+        free += [(1 << (level + 1)) - 1] * (config.width >> level)
+    return free
 
 
 class _LayerBuilder:
-    """Occupancy-tracked construction of one boomerang layer."""
+    """Occupancy-tracked construction of one boomerang layer.
 
-    def __init__(self, config: BoomerangConfig) -> None:
-        self.config = config
-        L = config.width_log2
-        self.num_levels = L
-        self.occupied: list[list[bool]] = [
-            [False] * (config.width >> l) for l in range(L + 1)
-        ]
-        #: free positions in the subtree rooted at each position
-        self.freecnt: list[list[int]] = [
-            [(1 << (l + 1)) - 1] * (config.width >> l) for l in range(L + 1)
-        ]
-        self.free_at_level: list[int] = [config.width >> l for l in range(L + 1)]
-        self.cursor: list[int] = [0] * (L + 1)
-        #: (level, index) -> (tag, payload); payload: _AND -> (node, na, nb),
-        #: _LEAF -> slot
-        self.content: dict[tuple[int, int], tuple[int, object]] = {}
-        self.writeback_slots: list[tuple[int, int, int]] = []  # (level, pos, slot)
-        self.mapped: dict[int, tuple[int, int]] = {}  # node -> first position
+    The fold tree is a flat binary heap: position ``(level, i)`` has heap
+    number ``k = (width >> level) + i`` (root 1, leaves ``width + i``), its
+    parent is ``k >> 1`` and its children ``2k`` / ``2k + 1``, so the bypass
+    chain under ``k`` is ``k, 2k, 4k, …``.  ``free[k]`` counts the
+    unoccupied positions in ``k``'s subtree.
 
-    # -- occupancy ---------------------------------------------------------
+    One :meth:`try_map_node` attempt only ever touches the cone under its
+    root position, and it reads ``free`` of a child *before* claiming
+    anything below that child.  So while an attempt runs, counts are kept
+    cone-local: each claimed subtree settles its own ``free`` entries on
+    the way out of the recursion, the attempt's total is charged once to
+    the root's ancestors when it succeeds, and a failed attempt recounts
+    just the positions it journalled.  Between attempts every ``free[k]``
+    is exact, so every accept/reject matches eager root-ward bookkeeping.
+    """
 
-    def _occupy(self, level: int, i: int, tag: int, payload, journal: list) -> None:
-        self.occupied[level][i] = True
-        self.free_at_level[level] -= 1
-        self.content[(level, i)] = (tag, payload)
-        idx = i
-        for m in range(level, self.num_levels + 1):
-            self.freecnt[m][idx] -= 1
-            idx >>= 1
-        journal.append((level, i))
+    def __init__(
+        self,
+        config: BoomerangConfig,
+        free: list[int],
+        fan: dict[int, tuple[int, int, int]],
+        slot_of: dict[int, int],
+        need: dict[int, int],
+    ) -> None:
+        self.width = config.width
+        self.top = config.width_log2 + 1  # level of k = top - k.bit_length()
+        self.free = free
+        self.occ = bytearray(2 * config.width)
+        self.free_at_level: list[int] = [config.width >> l for l in range(self.top)]
+        self.cursor: list[int] = [0] * self.top
+        #: heap number -> state slot (leaves) / AND invert bits (interior)
+        self.content: dict[int, int] = {}
+        #: node -> heap number of its first copy; insertion order numbers
+        #: the writeback slots
+        self.mapped: dict[int, int] = {}
+        self.fan = fan
+        self.slot_of = slot_of
+        #: cone-size lower bound of every node this layer may still place
+        self.need = need
+        self.journal: list[int] = []
+        self.mapped_added: list[int] = []
 
-    def _rollback(self, journal: list, mapped_added: list[int]) -> None:
-        for level, i in journal:
-            self.occupied[level][i] = False
-            self.free_at_level[level] += 1
-            del self.content[(level, i)]
-            idx = i
-            for m in range(level, self.num_levels + 1):
-                self.freecnt[m][idx] += 1
-                idx >>= 1
-        for node in mapped_added:
+    def _rollback(self) -> None:
+        occ, free, content, top = self.occ, self.free, self.content, self.top
+        free_at_level = self.free_at_level
+        width = self.width
+        # Journal order is parent-before-child; recount bottom-up.
+        for k in reversed(self.journal):
+            occ[k] = 0
+            content.pop(k, None)
+            free_at_level[top - k.bit_length()] += 1
+            free[k] = 1 if k >= width else 1 + free[2 * k] + free[2 * k + 1]
+        for node in self.mapped_added:
             del self.mapped[node]
 
-    # -- mapping primitives --------------------------------------------------
-
-    def _route(self, slot: int, level: int, i: int, journal: list) -> bool:
-        """Bypass chain carrying a state slot from a leaf to (level, i)."""
-        m, j = level, i
-        chain: list[tuple[int, int]] = []
-        while m > 0:
-            if self.occupied[m][j]:
+    def _route(self, slot: int, k: int, level: int) -> bool:
+        """Bypass chain carrying a state slot from a leaf up to ``k``."""
+        occ = self.occ
+        j = k
+        for _ in range(level + 1):
+            if occ[j]:
                 return False
-            chain.append((m, j))
-            j *= 2
-            m -= 1
-        if self.occupied[0][j]:
-            return False
-        for mm, jj in chain:
-            self._occupy(mm, jj, _ROUTE, None, journal)
-        self._occupy(0, j, _LEAF, slot, journal)
+            j <<= 1
+        free, free_at_level, journal = self.free, self.free_at_level, self.journal
+        below = level + 1  # chain positions in the subtree of the current one
+        for m in range(level, 0, -1):
+            occ[k] = 1
+            free[k] -= below
+            free_at_level[m] -= 1
+            journal.append(k)
+            below -= 1
+            k <<= 1
+        occ[k] = 1
+        free[k] = 0
+        free_at_level[0] -= 1
+        journal.append(k)
+        self.content[k] = slot
         return True
 
-    def _map_rec(
-        self,
-        eaig: EAIG,
-        n: int,
-        level: int,
-        i: int,
-        remaining: set[int],
-        slot_of: dict[int, int],
-        need: dict[int, int],
-        journal: list,
-        mapped_added: list[int],
-    ) -> bool:
-        if self.occupied[level][i] or level < 1:
-            return False
-        fa = eaig.fanin0[n]
-        fb = eaig.fanin1[n]
-        self._occupy(level, i, _AND, (n, fa & 1, fb & 1), journal)
+    def _map_rec(self, n: int, k: int, level: int) -> int:
+        """Claim ``k`` for node ``n`` and, below it, ``n``'s fan-in cone.
+        Returns the number of positions claimed; 0 means it did not fit."""
+        occ = self.occ
+        if occ[k]:
+            return 0
+        f0, f1, inverts = self.fan[n]
+        occ[k] = 1
+        self.content[k] = inverts
+        self.free_at_level[level] -= 1
+        self.journal.append(k)
         if n not in self.mapped:
-            self.mapped[n] = (level, i)
-            mapped_added.append(n)
-        freecnt_child = self.freecnt[level - 1]
-        for child_i, fanin in ((2 * i, fa), (2 * i + 1, fb)):
-            f = fanin >> 1
-            if f == 0 or f in slot_of:
+            self.mapped[n] = k
+            self.mapped_added.append(n)
+        free, slot_of, need = self.free, self.slot_of, self.need
+        claimed = 1
+        child = 2 * k
+        for f in (f0, f1):
+            slot = slot_of.get(f, -1) if f else 0
+            if slot >= 0:
                 # Route needs one position per level down to the leaf.
-                if freecnt_child[child_i] < level:
-                    return False
-                slot = 0 if f == 0 else slot_of[f]
-                if not self._route(slot, level - 1, child_i, journal):
-                    return False
-            elif f in remaining:
+                if free[child] < level or not self._route(slot, child, level - 1):
+                    return 0
+                claimed += level
+            elif f in need:  # still to be computed: place it right here
                 # Fail fast when the child subtree lacks capacity for the
                 # (duplicate-counting) cone of f.
-                if freecnt_child[child_i] < need[f]:
-                    return False
-                if not self._map_rec(
-                    eaig, f, level - 1, child_i, remaining, slot_of, need, journal, mapped_added
-                ):
-                    return False
+                if free[child] < need[f]:
+                    return 0
+                sub = self._map_rec(f, child, level - 1)
+                if not sub:
+                    return 0
+                claimed += sub
             else:  # pragma: no cover - guarded by PartitionPlan.validate
                 raise AssertionError(f"node {n}: fanin {f} neither available nor local")
-        return True
+            child += 1
+        free[k] -= claimed
+        return claimed
 
-    def try_map_node(
-        self,
-        eaig: EAIG,
-        n: int,
-        level: int,
-        remaining: set[int],
-        slot_of: dict[int, int],
-        need: dict[int, int],
-        max_attempts: int = 8,
-    ) -> bool:
+    def try_map_node(self, n: int, level: int, max_attempts: int = 8) -> bool:
         """Place ``n`` at tree level ``level``; first-fit with capacity filter."""
-        size = self.config.width >> level
-        min_need = need[n]
-        i = self.cursor[level]
+        size = self.width >> level  # also the heap number of (level, 0)
+        min_need = self.need[n]
+        occ, free = self.occ, self.free
+        start = size + self.cursor[level] % size
         attempts = 0
-        scanned = 0
-        occupied = self.occupied[level]
-        freecnt = self.freecnt[level]
-        while scanned < size and attempts < max_attempts:
-            if i >= size:
-                i = 0
-            if not occupied[i] and freecnt[i] >= min_need:
-                journal: list = []
-                mapped_added: list[int] = []
-                if self._map_rec(eaig, n, level, i, remaining, slot_of, need, journal, mapped_added):
-                    self.cursor[level] = i + 1
+        for k in chain(range(start, 2 * size), range(size, start)):
+            if free[k] >= min_need and not occ[k]:
+                self.journal = []
+                self.mapped_added = []
+                claimed = self._map_rec(n, k, level)
+                if claimed:
+                    self.cursor[level] = k - size + 1
+                    k >>= 1
+                    while k:
+                        free[k] -= claimed
+                        k >>= 1
                     return True
-                self._rollback(journal, mapped_added)
+                self._rollback()
                 attempts += 1
-            i += 1
-            scanned += 1
+                if attempts >= max_attempts:
+                    break
         return False
 
-    # -- finishing -------------------------------------------------------------
-
-    def add_writeback(self, level: int, pos: int, slot: int) -> None:
-        self.writeback_slots.append((level, pos, slot))
-
-    def compile(self) -> Layer:
-        layer = Layer.empty(self.config)
-        for (level, i), (tag, payload) in self.content.items():
-            if level == 0:
-                if tag == _LEAF:
-                    layer.perm[i] = payload
-                continue
-            step = level - 1
-            if tag == _AND:
-                _, na, nb = payload
-                layer.xor_a[step][i] = na
-                layer.xor_b[step][i] = nb
-                layer.or_b[step][i] = False
-            # _ROUTE keeps defaults: or_b=1, xor_a=0 (pass-through of a).
-        for level, pos, slot in self.writeback_slots:
-            layer.writebacks[level - 1].append((pos, slot))
-        return layer
+    def pack(self, writebacks: list[tuple[int, int, int]]) -> PackedLayer:
+        width, count = self.width, len(self.content)
+        keys = np.fromiter(self.content.keys(), dtype=np.int32, count=count)
+        codes = np.fromiter(self.content.values(), dtype=np.int32, count=count)
+        leaf = keys >= width
+        perm = np.full(width, -1, dtype=np.int32)
+        perm[keys[leaf] - width] = codes[leaf]
+        fold = np.full(width, _ROUTE, dtype=np.uint8)
+        fold[keys[~leaf]] = codes[~leaf]
+        return PackedLayer(perm=perm, fold=fold, writebacks=writebacks)
 
 
 def _place_once(
@@ -307,142 +399,132 @@ def _place_once(
     height).  With both empty/None the pass is byte-identical to the
     unperturbed placement.
     """
+    where = f"partition s{spec.stage}p{spec.index}"
     slot_of: dict[int, int] = {}
     next_slot = 1  # slot 0 is the constant-0 slot
     for s in spec.sources:
         slot_of[s] = next_slot
         next_slot += 1
-    if next_slot > config.state_size:
+    state_size = config.state_size
+    if next_slot > state_size:
         raise UnmappableError(
-            f"partition s{spec.stage}p{spec.index}: {len(spec.sources)} sources "
-            f"exceed state size {config.state_size}"
+            f"{where}: {len(spec.sources)} sources exceed state size {state_size}"
         )
 
     remaining = set(spec.nodes)
+    # node -> (fan-in node 0, fan-in node 1, invert bits as a fold constant)
+    fan = {
+        n: (a >> 1, b >> 1, (a & 1) | ((b & 1) << 1))
+        for n, a, b in ((n, eaig.fanin0[n], eaig.fanin1[n]) for n in spec.nodes)
+    }
     consumers: dict[int, list[int]] = {n: [] for n in spec.nodes}
-    for n in spec.nodes:
-        for fanin in (eaig.fanin0[n], eaig.fanin1[n]):
-            f = lit_node(fanin)
-            if f in consumers:
-                consumers[f].append(n)
+    for n, (f0, f1, _) in fan.items():
+        if f0 in consumers:
+            consumers[f0].append(n)
+        if f1 in consumers:
+            consumers[f1].append(n)
     root_nodes = {
         lit_node(r) for r in spec.root_literals() if lit_node(r) in remaining
     }
 
-    layers: list[Layer] = []
+    depth = config.width_log2
+    empty_free = _full_tree_free(config)
+    packed: list[PackedLayer] = []
     order = sorted(spec.nodes)  # ascending node index = topological
     while remaining:
-        # Local logic level over the remaining subgraph.
+        # ``order`` holds exactly the remaining nodes, so in the passes below
+        # a fan-in / consumer is "remaining" iff it already has an entry.
+        # Local logic level over the remaining subgraph, and the duplicate-
+        # counting cone size: a lower bound on the tree positions mapping a
+        # node takes (duplicates counted, routes as leaves), used to prune
+        # placement attempts that cannot possibly fit.
         local: dict[int, int] = {}
-        for n in order:
-            if n not in remaining:
-                continue
-            best = 0
-            for fanin in (eaig.fanin0[n], eaig.fanin1[n]):
-                f = lit_node(fanin)
-                if f in remaining:
-                    lf = local[f]
-                    if lf > best:
-                        best = lf
-            local[n] = best + 1
-        # Timing criticality: reverse depth over the remaining subgraph.
-        crit: dict[int, int] = {}
-        if timing_driven:
-            for n in reversed(order):
-                if n not in remaining:
-                    continue
-                c = 0
-                for m in consumers[n]:
-                    if m in remaining:
-                        cm = crit[m] + 1
-                        if cm > c:
-                            c = cm
-                crit[n] = c
-        else:
-            for n in remaining:
-                crit[n] = 0  # FIFO ablation: no priority
-
-        # Duplicate-counting cone size: a lower bound on the tree positions
-        # mapping each node takes (duplicates counted, routes as leaves).
-        # Used to prune placement attempts that cannot possibly fit.
         need: dict[int, int] = {}
         for n in order:
-            if n not in remaining:
-                continue
-            total = 1
-            for fanin in (eaig.fanin0[n], eaig.fanin1[n]):
-                f = fanin >> 1
-                total += need.get(f, 1) if f in remaining else 1
-            need[n] = total
+            f0, f1, _ = fan[n]
+            l0 = local.get(f0, 0)
+            l1 = local.get(f1, 0)
+            local[n] = (l0 if l0 > l1 else l1) + 1
+            need[n] = 1 + need.get(f0, 1) + need.get(f1, 1)
+        # Timing criticality: reverse depth over the remaining subgraph.
+        crit: dict[int, float] = {}
+        if timing_driven:
+            for n in reversed(order):
+                c = 0
+                for m in consumers[n]:
+                    cm = crit.get(m, -1) + 1
+                    if cm > c:
+                        c = cm
+                crit[n] = c
+        else:
+            crit = dict.fromkeys(order, 0)  # FIFO ablation: no priority
 
         if bias:
             for n, b in bias.items():
                 if n in crit:
                     crit[n] = crit[n] + b
+        most_critical_first = {n: -c for n, c in crit.items()}.__getitem__
 
-        builder = _LayerBuilder(config)
+        builder = _LayerBuilder(config, empty_free.copy(), fan, slot_of, need)
+        mapped = builder.mapped
+        free_at_level = builder.free_at_level
         by_level: dict[int, list[int]] = {}
+        # Set iteration order fixes the tie order within a level — part of
+        # the bitstream contract, like the ``remaining -= set(...)`` below.
         for n in remaining:
             lvl = local[n]
-            if promote and lvl <= config.width_log2:
-                lvl = min(config.width_log2, lvl + promote.get(n, 0))
+            if promote and lvl <= depth:
+                lvl = min(depth, lvl + promote.get(n, 0))
             by_level.setdefault(lvl, []).append(n)
         max_consecutive_failures = 20
-        for level in range(1, config.width_log2 + 1):
-            exact = sorted(by_level.get(level, ()), key=lambda n: -crit[n])
+        shallower: list[int] = []  # unmapped nodes of the levels below, in level order
+        for level in range(1, depth + 1):
             failures = 0
-            for n in exact:
-                if builder.free_at_level[level] == 0 or failures >= max_consecutive_failures:
+            for n in sorted(by_level.get(level, ()), key=most_critical_first):
+                if free_at_level[level] == 0 or failures >= max_consecutive_failures:
                     break
-                if n in builder.mapped:
+                if n in mapped:
                     continue
-                if builder.try_map_node(eaig, n, level, remaining, slot_of, need):
+                if builder.try_map_node(n, level):
                     failures = 0
                 else:
                     failures += 1
             # Stretch: fill leftover capacity with shallower unmapped nodes.
-            if builder.free_at_level[level] > 0:
-                stretch = sorted(
-                    (
-                        n
-                        for shallower in range(1, level)
-                        for n in by_level.get(shallower, ())
-                        if n not in builder.mapped
-                    ),
-                    key=lambda n: -crit[n],
-                )
+            if free_at_level[level] > 0:
+                shallower = [n for n in shallower if n not in mapped]
                 failures = 0
-                for n in stretch:
-                    if builder.free_at_level[level] == 0 or failures >= max_consecutive_failures:
+                for n in sorted(shallower, key=most_critical_first):
+                    if free_at_level[level] == 0 or failures >= max_consecutive_failures:
                         break
-                    if builder.try_map_node(eaig, n, level, remaining, slot_of, need):
+                    if builder.try_map_node(n, level):
                         failures = 0
                     else:
                         failures += 1
+            shallower += by_level.get(level, ())
 
-        if not builder.mapped:
-            raise RuntimeError(
-                f"partition s{spec.stage}p{spec.index}: placement made no progress"
+        if not mapped:
+            raise PlacementStallError(
+                f"{where}: placement made no progress", stage=spec.stage, index=spec.index
             )
         # Write back values needed by later layers or endpoint roots.
-        for n, (level, pos) in builder.mapped.items():
+        writebacks: list[tuple[int, int, int]] = []
+        for n, k in mapped.items():
             needed = n in root_nodes or any(
-                c in remaining and c not in builder.mapped for c in consumers[n]
+                c in remaining and c not in mapped for c in consumers[n]
             )
             if needed:
-                if next_slot >= config.state_size:
-                    raise UnmappableError(
-                        f"partition s{spec.stage}p{spec.index}: state overflow at "
-                        f"{next_slot} slots"
-                    )
+                if next_slot >= state_size:
+                    raise UnmappableError(f"{where}: state overflow at {next_slot} slots")
                 slot_of[n] = next_slot
-                builder.add_writeback(level, pos, next_slot)
+                level = builder.top - k.bit_length()
+                writebacks.append((level, k - (config.width >> level), next_slot))
                 next_slot += 1
-        layers.append(builder.compile())
-        remaining -= set(builder.mapped)
+        packed.append(builder.pack(writebacks))
+        remaining -= set(mapped)
+        order = [n for n in order if n in remaining]
 
     return PlacedPartition(
-        spec=spec, config=config, layers=layers, slot_of=slot_of, num_slots=next_slot
+        spec=spec, config=config, slot_of=slot_of, num_slots=next_slot, packed=packed
     )
 
 
@@ -486,6 +568,7 @@ def place_partition(
     config: BoomerangConfig | None = None,
     timing_driven: bool = True,
     refine: RefineConfig | None = None,
+    start: PlacedPartition | None = None,
 ) -> PlacedPartition:
     """Algorithm 2: iterative multi-boomerang-layer mapping of one partition.
 
@@ -497,10 +580,12 @@ def place_partition(
     loop on top of the greedy pass: each iteration re-places the partition
     under a perturbed criticality ordering / level assignment and keeps the
     best placement seen under :func:`placement_cost`.  The result is never
-    worse than the unrefined placement.
+    worse than the unrefined placement.  ``start`` hands in that unrefined
+    placement when the caller already holds it (Algorithm 1 does), so the
+    SA budget is spent on candidates only.
     """
     config = config or BoomerangConfig()
-    best = _place_once(eaig, spec, config, timing_driven)
+    best = start if start is not None else _place_once(eaig, spec, config, timing_driven)
     if refine is None or refine.iterations <= 0:
         return best
 

@@ -21,12 +21,14 @@ The hierarchy::
     ├── GemTimeoutError       a watchdog deadline (wall clock or cycle
     │                         budget) expired before the run finished
     ├── ProbeError            a probe plan names nets the design lacks
-    └── UnmappableError       partition state demand exceeds core width
+    ├── UnmappableError       partition state demand exceeds core width
+    └── PlacementStallError   a placement layer could not map a single node
 
 :class:`BitstreamError`, :class:`ConfigError` and :class:`LaneConfigError`
 additionally subclass :class:`ValueError` because those paths historically raised
 bare ``ValueError``; existing ``except ValueError`` callers keep
-working.
+working.  :class:`PlacementStallError` keeps :class:`RuntimeError` in its
+bases for the same reason.
 """
 
 from __future__ import annotations
@@ -143,3 +145,17 @@ class UnmappableError(GemError):
     The mappability predicate of Algorithm 1: partition merging probes
     placements and catches this to reject a merge.
     """
+
+
+class PlacementStallError(GemError, RuntimeError):
+    """Algorithm 2 built a whole layer without mapping a single node.
+
+    Every remaining node failed every attempt on an empty tree, so another
+    layer would fail the same way; raised instead of looping.  Carries the
+    partition's coordinates so a caller can re-partition around it.
+    """
+
+    def __init__(self, message: str, stage: int, index: int) -> None:
+        super().__init__(message)
+        self.stage = stage
+        self.index = index

@@ -45,7 +45,8 @@ CACHE_DIR = os.environ.get("GEM_CACHE_DIR", os.path.join(os.getcwd(), ".gem_cach
 #: ``{"format": CACHE_FORMAT, "key": key, "value": value}``; entries with
 #: a different format (or written before the envelope existed) are
 #: deleted and rebuilt instead of being unpickled into stale objects.
-CACHE_FORMAT = 2
+#: 3: ``PlacedPartition`` keeps its layers packed instead of as ``Layer`` arrays.
+CACHE_FORMAT = 3
 
 
 def _build_nvdla() -> Circuit:

@@ -186,3 +186,38 @@ class TestRamOp:
         )
         with pytest.raises(ValueError):
             isa.encode_ramop(op)
+
+
+def _pack_bits_loop(bits, words, bit_offset):
+    """The per-bit loop ``isa._pack_bits`` replaced, kept as its reference."""
+    for i, b in enumerate(bits):
+        if b:
+            pos = bit_offset + i
+            words[pos >> 5] |= np.uint32(1 << (pos & 31))
+    return bit_offset + len(bits)
+
+
+class TestPackBits:
+    @given(
+        offset=st.integers(0, 200),
+        n=st.integers(1, 8192),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_roundtrip_at_any_offset(self, offset, n, seed):
+        rng = np.random.default_rng(seed)
+        bits = rng.random(n) < 0.5
+        # packing ORs into the payload: start from random bits outside the span
+        background = rng.random(((offset + n + 63) // 32) * 32) < 0.5
+        background[offset : offset + n] = False
+        words = np.packbits(background, bitorder="little").view("<u4").copy()
+        reference = words.copy()
+        end = isa._pack_bits(bits, words, offset)
+        assert end == _pack_bits_loop(bits, reference, offset) == offset + n
+        assert (words == reference).all()
+        got, nxt = isa._unpack_bits(words, offset, n)
+        assert nxt == end
+        assert (got == bits).all()
+        expect = background.copy()
+        expect[offset:end] = bits
+        assert (isa._unpack_bits(words, 0, len(expect))[0] == expect).all()

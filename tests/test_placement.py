@@ -1,18 +1,27 @@
 """Boomerang layers and Algorithm 2 placement (paper §III-A/D)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.core import placement
 from repro.core.boomerang import BoomerangConfig, Layer, count_layer_work
-from repro.core.eaig import EAIGSim, NodeKind
-from repro.core.partition import PartitionConfig, partition_design
+from repro.core.compiler import GemConfig, compile_circuit
+from repro.core.eaig import EAIG, EAIGSim, NodeKind
+from repro.core.partition import PartitionConfig, PartitionSpec, partition_design
 from repro.core.placement import (
+    RefineConfig,
     UnmappableError,
     is_mappable,
     naive_levelized_layers,
     place_partition,
+    placement_cost,
 )
 from repro.core.synthesis import synthesize
+from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
+from repro.errors import GemError, PlacementStallError
+from repro.harness.runner import DESIGNS
 from tests.helpers import random_circuit
 
 
@@ -157,3 +166,139 @@ class TestPlacement:
         plan = partition_design(eaig, PartitionConfig())
         pp = place_partition(eaig, plan.partitions[0], BoomerangConfig(width_log2=6))
         assert pp.layers == []
+
+
+def _bitstream_sha256(design) -> str:
+    return hashlib.sha256(np.ascontiguousarray(design.program.words).tobytes()).hexdigest()
+
+
+_SA_REFINE = RefineConfig(iterations=6, seed=3)
+
+
+class TestGoldenBitstreams:
+    """sha256 of ``program.words`` for cold default-config compiles, recorded
+    on the commit before the flat-heap builder.  Placement speed-ups must
+    leave every decision — and so every byte — where it was."""
+
+    def test_openpiton1(self):
+        design = compile_circuit(DESIGNS["openpiton1"].build())
+        assert _bitstream_sha256(design) == (
+            "e4467ea17001656be986b3638e219ffabe2b0b12a581a487ea2dea5a86ad256e"
+        )
+
+    def test_openpiton3_and_which_partition_moved(self):
+        design = compile_circuit(build_openpiton_like(OpenPitonScale(cores=3)))
+        # (layers, writebacks, slots) per partition first: a mismatch here
+        # names the partition whose placement changed.
+        assert [placement_cost(p) for p in design.merge.placements] == [
+            (4, 3199, 4967),
+            (3, 1084, 2411),
+            (10, 5859, 7574),
+            (8, 3688, 4878),
+        ]
+        assert [p.num_slots for p in design.merge.placements] == [4967, 2411, 7574, 4878]
+        assert _bitstream_sha256(design) == (
+            "bc8ae3552e75ba5b7174c2616e789de94dfc3149f3f225a7cf06ef3f336bdb61"
+        )
+
+    def test_sa_refined_openpiton1_spends_budget_on_candidates_only(self, monkeypatch):
+        """``sa_iterations=N`` is N placements per surviving partition on top
+        of the greedy compile: SA starts from the placement Algorithm 1
+        already holds instead of re-placing it."""
+        calls = []
+        real = placement._place_once
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("bias") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(placement, "_place_once", counting)
+        circuit = DESIGNS["openpiton1"].build()
+        greedy = compile_circuit(circuit)
+        greedy_calls = len(calls)
+        assert not any(calls)
+        del calls[:]
+        refined = compile_circuit(circuit, GemConfig(refine=_SA_REFINE))
+        survivors = len(refined.merge.placements)
+        assert survivors == len(greedy.merge.placements)
+        assert sum(calls) == _SA_REFINE.iterations * survivors
+        assert len(calls) == greedy_calls + _SA_REFINE.iterations * survivors
+        assert [placement_cost(p) for p in refined.merge.placements] == [(10, 4009, 4769)]
+        assert _bitstream_sha256(refined) == (
+            "1a1b3ac62879df17100130c497c3143e4af718a6ac592fe0d1cec9bc9e2c3bf9"
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["rocketchip", "gemmini", "nvdla"])
+    def test_registered_designs(self, name):
+        assert _bitstream_sha256(compile_circuit(DESIGNS[name].build())) == {
+            "rocketchip": "99297b9fa6a66d72356085c9eec29c81ada219dc674d1ec205a3601283a56b13",
+            "gemmini": "bd103acd7238785be51f748fc243ecc51857d6bb40e69185e2e1df5921630e64",
+            "nvdla": "5e338a53afaea7255c525f97047c5365635d3fda0d348a535112616afcd15cb4",
+        }[name]
+
+
+class TestPackedLayers:
+    def test_cost_and_stats_read_the_packed_form(self, monkeypatch):
+        eaig, plan, placed, cfg = _placed_design()
+        pp = placed[0]
+        layers = pp.layers
+        monkeypatch.setattr(placement.PackedLayer, "unpack", None)  # any unpack now raises
+        assert placement_cost(pp) == (len(layers), pp.num_writebacks, pp.num_slots)
+        assert pp.num_writebacks == sum(layer.num_writebacks() for layer in layers)
+        assert pp.stats()["layers"] == len(layers)
+        assert pp.stats()["leaf_bits_used"] == sum(int((l.perm >= 0).sum()) for l in layers)
+
+    def test_unpacked_layers_have_the_shape_of_empty_ones(self):
+        eaig, plan, placed, cfg = _placed_design()
+        blank = Layer.empty(cfg)
+        for layer in placed[0].layers:
+            assert layer.perm.dtype == blank.perm.dtype and layer.perm.shape == blank.perm.shape
+            for mine, ref in zip(
+                layer.xor_a + layer.xor_b + layer.or_b, blank.xor_a + blank.xor_b + blank.or_b
+            ):
+                assert mine.dtype == ref.dtype and mine.shape == ref.shape
+            assert len(layer.writebacks) == cfg.width_log2
+
+
+def _one_and_partition() -> tuple[EAIG, PartitionSpec]:
+    from repro.rtl import CircuitBuilder
+
+    b = CircuitBuilder()
+    x = b.input("x", 1)
+    y = b.input("y", 1)
+    b.output("q", x & y)
+    eaig = synthesize(b.build()).eaig
+    plan = partition_design(eaig, PartitionConfig())
+    (spec,) = plan.partitions
+    assert len(spec.nodes) == 1
+    return eaig, spec
+
+
+class TestSmallestCore:
+    def test_one_node_partition_places_or_raises_typed(self):
+        """``width_log2=1``: one AND position over two leaves.  The flow
+        must terminate — with a placement, or a typed error."""
+        eaig, spec = _one_and_partition()
+        # 2 state bits cannot even hold constant + two sources
+        with pytest.raises(UnmappableError):
+            place_partition(eaig, spec, BoomerangConfig(width_log2=1))
+        pp = place_partition(eaig, spec, BoomerangConfig(width_log2=1, state_bits=8))
+        assert pp.num_layers == 1 and pp.num_writebacks == 1
+        state = np.zeros(8, dtype=bool)
+        for src in spec.sources:
+            state[pp.slot_of[src]] = True
+        pp.layers[0].execute(state)
+        slot, inv = pp.slot_and_invert(spec.root_literals()[0])
+        assert bool(state[slot]) ^ inv
+
+    def test_no_progress_is_a_typed_error(self, monkeypatch):
+        eaig, spec = _one_and_partition()
+        monkeypatch.setattr(
+            placement._LayerBuilder, "try_map_node", lambda self, n, level: False
+        )
+        with pytest.raises(PlacementStallError) as info:
+            place_partition(eaig, spec, BoomerangConfig(width_log2=1, state_bits=8))
+        assert (info.value.stage, info.value.index) == (spec.stage, spec.index)
+        assert isinstance(info.value, GemError)
+        assert isinstance(info.value, RuntimeError)  # pre-existing except sites

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro.core.boomerang import BoomerangConfig
 from repro.core.eaig import EAIG, EAIGSim, TRUE
 from repro.core.partition import PartitionConfig, partition_design
+from repro.core import placement
 from repro.core.placement import UnmappableError, place_partition
+from repro.errors import PlacementStallError
 from repro.partition.repcut import repcut_partition
 from tests.helpers import random_circuit
 
@@ -86,6 +88,65 @@ class TestPlacementProperty:
             assert len(pp.layers) <= max(1, len(spec.nodes))
             for literal in spec.root_literals():
                 pp.slot_and_invert(literal)  # resolvable
+
+
+def _assert_occupancy_exact(builder) -> None:
+    """Recount the tree from ``occ`` alone and compare every counter."""
+    width, occ = builder.width, builder.occ
+    count = [0] * (2 * width)
+    for k in range(2 * width - 1, 0, -1):
+        below = count[2 * k] + count[2 * k + 1] if k < width else 0
+        count[k] = (0 if occ[k] else 1) + below
+    assert builder.free[1:] == count[1:]
+    for level, free_here in enumerate(builder.free_at_level):
+        row = occ[width >> level : (width >> level) * 2]
+        assert free_here == len(row) - sum(row), level
+    # AND positions and leaves carry content; bypass positions only occupy
+    assert all(occ[k] for k in builder.content)
+    assert all(occ[k] for k in builder.mapped.values())
+
+
+class TestOccupancyInvariant:
+    @given(
+        seed=st.integers(0, 10_000),
+        width_log2=st.integers(4, 6),
+        n_gates=st.integers(5, 60),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_counts_exact_after_every_attempt(self, seed, width_log2, n_gates):
+        """After every ``try_map_node`` — success or failure — ``free`` and
+        ``free_at_level`` equal a brute-force recount, and a failure leaves
+        ``occ`` / ``content`` / ``mapped`` exactly as it found them."""
+        rng = random.Random(seed)
+        eaig = random_eaig(rng, n_pis=4, n_ffs=3, n_gates=n_gates)
+        plan = partition_design(eaig, PartitionConfig(gates_per_partition=1000, num_stages=1))
+        outcomes = {True: 0, False: 0}
+        real = placement._LayerBuilder.try_map_node
+
+        def checked(builder, n, level):
+            before = (bytes(builder.occ), dict(builder.content), list(builder.mapped.items()))
+            ok = real(builder, n, level)
+            _assert_occupancy_exact(builder)
+            after = (bytes(builder.occ), dict(builder.content), list(builder.mapped.items()))
+            if ok:
+                assert n in builder.mapped and after != before
+            else:
+                assert after == before
+            outcomes[ok] += 1
+            return ok
+
+        placement._LayerBuilder.try_map_node = checked
+        try:
+            # a narrow tree over a roomy state: many layers, many failed attempts
+            cfg = BoomerangConfig(width_log2=width_log2, state_bits=4096)
+            for spec in plan.partitions:
+                try:
+                    place_partition(eaig, spec, cfg)
+                except (UnmappableError, PlacementStallError):
+                    pass
+        finally:
+            placement._LayerBuilder.try_map_node = real
+        assert outcomes[True] > 0 or not any(spec.nodes for spec in plan.partitions)
 
 
 class TestRepcutProperty:
