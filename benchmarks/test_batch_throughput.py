@@ -40,9 +40,7 @@ def test_batch_throughput(benchmark, record_experiment):
     # Warm the compile cache and interpreter code paths so the batch=1
     # row is not penalized by first-touch costs.
     measure_batch_throughput(DESIGN, batch=1, max_cycles=5)
-    extra_backends = tuple(
-        b for b in available_backends() if b not in ("numpy", "cupy")
-    )
+    extra_backends = tuple(b for b in available_backends() if b != "numpy")
     if "numba" in extra_backends:
         # pay the one-time JIT compile outside the measured region
         measure_batch_throughput(DESIGN, batch=256, max_cycles=2, backend="numba")

@@ -1,7 +1,8 @@
 """Experiment C1 — stage-fused single-instance cycle latency.
 
 The tentpole acceptance of the stage-fused executor: at batch=1 the
-per-cycle cost of the legacy interpreter is dominated by NumPy dispatch
+per-cycle cost of an ISA-literal per-partition walk (the reference
+interpreter, row label ``legacy``) is dominated by NumPy dispatch
 (thousands of tiny kernels per cycle — the software analogue of the
 kernel-launch tax GEM's megakernel avoids, PAPER §III-E).  Fusing each
 stage into a handful of whole-stage array ops (constant-folded, CSE'd,
@@ -38,6 +39,7 @@ never gated.
 
 import json
 import os
+import time
 
 from benchmarks.conftest import run_once, write_run_reports
 from repro.core.autotune import AutotuneConfig, KnobSpace
@@ -47,12 +49,12 @@ from repro.harness.runner import (
     design_workloads,
     measure_batch_throughput,
 )
+from repro.simref.isa_interp import ReferenceInterpreter
 
 BENCH_PATH = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "BENCH_cycle.json")
 )
 DESIGNS = ("rocketchip", "gemmini")
-MODES = ("legacy", "fused")
 CYCLES = 40
 WALL_FLOOR = {"rocketchip": 5.0, "gemmini": 3.0}
 OP_FLOOR = {"rocketchip": 10.0, "gemmini": 6.0}
@@ -73,26 +75,46 @@ def _assert_outputs_identical(design: str, tuned_config, cycles: int = CYCLES) -
     tuned = compile_design(design, tuned_config)
     wls = design_workloads(design)
     stimuli = wls[next(iter(wls))].stimuli[:cycles]
-    sim_d = default.simulator(batch=1, mode="fused")
-    sim_t = tuned.simulator(batch=1, mode="fused")
+    sim_d = default.simulator(batch=1)
+    sim_t = tuned.simulator(batch=1)
     for i, vec in enumerate(stimuli):
         out_d, out_t = sim_d.step(vec), sim_t.step(vec)
         assert out_d == out_t, f"{design}: tuned outputs diverge at cycle {i}"
 
 
+def _measure_pair(design: str, cycles: int) -> list[dict]:
+    """The per-partition baseline row and the executor row of one design.
+
+    The baseline is the reference interpreter driven exactly like
+    ``measure_batch_throughput`` drives the executor (broadcast ``step``,
+    lane 0 read back); its row keeps the historical ``legacy`` label so
+    BENCH_cycle.json history stays comparable."""
+    fused = measure_batch_throughput(design, batch=1, max_cycles=cycles)
+    wls = design_workloads(design)
+    stimuli = wls[next(iter(wls))].stimuli[:cycles]
+    reference = ReferenceInterpreter(compile_design(design).program)
+    t0 = time.perf_counter()
+    for vec in stimuli:
+        reference.step(vec)
+    elapsed = max(time.perf_counter() - t0, 1e-9)
+    legacy = {
+        **fused,
+        "engine_mode": "legacy",
+        "elapsed_s": elapsed,
+        "cycles_per_s": len(stimuli) / elapsed,
+        "lane_cycles_per_s": len(stimuli) / elapsed,
+    }
+    return [legacy, fused]
+
+
 def test_cycle_latency(benchmark, record_experiment):
     # Warm the compile cache and both engines' first-touch costs (decode,
-    # fusion, allocation) so neither mode pays them inside the timed run.
+    # fusion, allocation) so neither pays them inside the timed run.
     for design in DESIGNS:
-        for mode in MODES:
-            measure_batch_throughput(design, batch=1, max_cycles=5, engine_mode=mode)
+        _measure_pair(design, 5)
 
     def measure():
-        return [
-            measure_batch_throughput(design, batch=1, max_cycles=CYCLES, engine_mode=mode)
-            for design in DESIGNS
-            for mode in MODES
-        ]
+        return [row for design in DESIGNS for row in _measure_pair(design, CYCLES)]
 
     rows = run_once(benchmark, measure)
     by_key = {(row["design"], row["engine_mode"]): row for row in rows}
@@ -149,13 +171,13 @@ def test_cycle_latency(benchmark, record_experiment):
     # not a latency claim (docs/ENGINE.md §7).
     for values in (2, 4):  # warm compiles/decode outside the timing
         measure_batch_throughput(
-            "openpiton1", batch=1, max_cycles=5, engine_mode="fused", values=values
+            "openpiton1", batch=1, max_cycles=5, values=values
         )
     plain_row = measure_batch_throughput(
-        "openpiton1", batch=1, max_cycles=CYCLES, engine_mode="fused", values=2
+        "openpiton1", batch=1, max_cycles=CYCLES, values=2
     )
     four_row = measure_batch_throughput(
-        "openpiton1", batch=1, max_cycles=CYCLES, engine_mode="fused", values=4
+        "openpiton1", batch=1, max_cycles=CYCLES, values=4
     )
     # Kept out of ``rows``: consumers of that list (the perf-model
     # calibration test, gem-perf gates) expect legacy/fused pairs per

@@ -1,42 +1,41 @@
-"""Pluggable execution backends for the stage-fused hot loop.
+"""Pluggable execution backends for the stage-fused executor.
 
-:class:`repro.core.fused.FusedProgram` was designed as "the kernel
-schedule a CuPy/Numba backend would consume" — fixed index arrays and
-constant vectors, no per-element Python control flow.  This module is
-the seam that cashes that check: an :class:`ArrayBackend` protocol over
-the primitives the executor needs (buffer allocation, gather / xor /
-and / scatter, the boomerang fold) plus a whole-stage compilation hook,
-with three implementations:
+:func:`repro.core.fused.fuse` emits one :class:`StagePlan` per stage —
+fixed index arrays and constant vectors, no per-element Python control
+flow — and :class:`~repro.core.fused.FusedExecutor` turns each plan into
+a callable through the one seam a backend implements::
 
-* :class:`NumpyBackend` — the default; the executor keeps its
-  hand-tuned bound-method ``take`` loop (extracted alongside this
-  protocol from the historical ``FusedExecutor`` hot path), so numpy
-  runs are byte-identical to the pre-backend engine.
-* :class:`NumbaBackend` — JIT-compiles each stage's wave schedule into
-  **one fused native kernel per stage**: the read gather, every wave's
-  gather+flip+AND, and all terminal scatters run as a single nopython
-  loop nest with no per-wave NumPy dispatch and no intermediate
-  temporaries.  One generic kernel is compiled once per process (numba
-  caches it on disk) and parameterized by each stage's index tables.
-* :class:`CupyBackend` — a GPU drop-in stub: the same stage schedule
-  executed with CuPy ufuncs, staging state to and from the device per
-  stage.  It exists to pin the protocol shape for a real GPU port; the
-  per-stage transfers make it a correctness backend, not a fast one.
+    run = backend.compile_stage(plan, buffers)   # once, at load
+    run(times)                                   # once per stage per cycle
 
-Backends whose runtime dependency is missing (no numba; no cupy or no
-visible GPU) resolve to numpy with a single warning per process —
-mirroring the ``FusionError`` → legacy fallback pattern — so
-``--backend numba`` never hard-fails a run on a machine without it.
+``buffers`` (:class:`StageBuffers`) are the executor-owned arrays the
+stage reads and writes; ``times`` is the interpreter's ``phase_times``
+dict while profiling, else ``None``.  Two backends implement the seam:
 
-Lane planes: every kernel here is written against the 2-D ``(n, K)``
-plane layout of :mod:`repro.core.engine`.  Single-word batches
-(``K == 1``) pass zero-copy ``(n, 1)`` reshape views, so one kernel
-serves every batch size.
+* :class:`NumpyBackend` — the default, and *the* hot loop: presliced
+  buffer views, bound-method ``take`` into preallocated outputs, XORs by
+  all-zero constants elided at compile time.
+* :class:`NumbaBackend` — the same plan run by **one fused native
+  kernel per stage**: the read gather, every wave's gather+flip+AND, and
+  all terminal stores in a single nopython loop nest.  One generic
+  kernel is compiled once per process (numba caches it on disk) and
+  parameterized by each stage's tables.
+
+A backend whose runtime dependency is missing resolves to numpy with a
+single warning per process, so ``--backend numba`` never hard-fails a
+run on a machine without it.  A GPU backend slots in here when there is
+a GPU to measure it on.
+
+Lane planes: single-word batches keep 1-D ``(n,)`` buffers, K-word
+batches ``(n, K)`` planes (:mod:`repro.core.engine`).  The numpy stage
+works in whichever layout it is handed; the numba kernel always sees
+``(n, K)`` (``K == 1`` through zero-copy reshape views).
 """
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,178 +45,163 @@ from repro.errors import BackendUnavailableError
 logger = logging.getLogger(__name__)
 
 #: selectable backend names, in preference order
-BACKEND_NAMES = ("numpy", "numba", "cupy")
+BACKEND_NAMES = ("numpy", "numba")
 
 
 @dataclass
 class StagePlan:
-    """One fused stage's schedule, flattened for kernel consumption.
+    """One fused stage's schedule: the only schedule format there is.
 
-    The per-wave tables of :class:`repro.core.fused._FusedStage` are
-    concatenated into flat arrays with per-wave ``(count, out, start)``
-    descriptors so a single compiled kernel can run any stage.  Elided
-    constants (``None`` inversion vectors) are materialized as zeros —
-    a compiled kernel XORs them for free, unlike a NumPy dispatch.
+    Per-wave tables are concatenated into flat arrays with per-wave
+    ``(count, out, start)`` descriptors so a single compiled kernel can
+    run any stage.  Every flip / inversion vector is materialized, zeros
+    included: a native kernel XORs them for free, and the numpy backend
+    elides the all-zero ones when it compiles the stage.
     """
 
     trace_size: int
+    #: deduped global bits feeding the stage: ``trace[:n] = gstate[read_gidx]``
     read_gidx: np.ndarray  # int64 (nread,)
     wave_count: np.ndarray  # int64 (nwaves,) nodes per wave
     wave_out: np.ndarray  # int64 (nwaves,) trace offset of the outputs
     wave_start: np.ndarray  # int64 (nwaves,) offset into gather/flips
     gather: np.ndarray  # int64, all waves' operand positions (A then B)
     flips: np.ndarray  # uint64, matching edge-flip words
-    gwn_gidx: np.ndarray  # int64, immediate GWRITE targets (dyn + const)
+    #: immediate GWRITE table — dynamic prefix, constant tail
+    gwn_gidx: np.ndarray  # int64, targets (dyn + const)
     gwn_src: np.ndarray  # int64, trace positions of the dynamic prefix
     gwn_inv: np.ndarray  # uint64 (ndyn,)
     gwn_const: np.ndarray  # uint64, the constant tail's words
-    ram_slots: np.ndarray  # int64, dynamic RAM-port arena slots
+    #: dynamic RAM-port inputs: ``arena[ram_slots] = trace[ram_src] ^ ram_inv``
+    ram_slots: np.ndarray  # int64
     ram_src: np.ndarray  # int64
     ram_inv: np.ndarray  # uint64
-    def_src: np.ndarray  # int64, deferred-GWRITE trace positions
+    #: deferred GWRITEs sampled from this stage's trace (dynamic only)
+    def_gidx: np.ndarray  # int64, commit targets
+    def_src: np.ndarray  # int64, trace positions
     def_inv: np.ndarray  # uint64
+    #: RAM ports as (partition index, decoded op), run by the executor at
+    #: stage end on per-partition arena views
+    ramops: list
 
 
-def stage_plan(stage) -> StagePlan:
-    """Flatten one ``_FusedStage`` into a :class:`StagePlan`."""
-    counts, outs, starts, gathers, flips = [], [], [], [], []
-    off = 0
-    for wave in stage.waves:
-        counts.append(wave.count)
-        outs.append(wave.out_offset)
-        starts.append(off)
-        gathers.append(wave.gather.astype(np.int64))
-        flips.append(
-            wave.flips
-            if wave.flips is not None
-            else np.zeros(2 * wave.count, dtype=np.uint64)
-        )
-        off += 2 * wave.count
+@dataclass
+class StageBuffers:
+    """The executor-owned arrays one compiled stage reads and writes."""
 
-    def _zeros_like(inv, n):
-        return inv if inv is not None else np.zeros(n, dtype=np.uint64)
-
-    return StagePlan(
-        trace_size=stage.trace_size,
-        read_gidx=stage.read_gidx.astype(np.int64),
-        wave_count=np.array(counts, dtype=np.int64),
-        wave_out=np.array(outs, dtype=np.int64),
-        wave_start=np.array(starts, dtype=np.int64),
-        gather=(
-            np.concatenate(gathers) if gathers else np.zeros(0, dtype=np.int64)
-        ),
-        flips=(
-            np.concatenate(flips) if flips else np.zeros(0, dtype=np.uint64)
-        ),
-        gwn_gidx=stage.gwn_gidx.astype(np.int64),
-        gwn_src=stage.gwn_src.astype(np.int64),
-        gwn_inv=_zeros_like(stage.gwn_inv, stage.gwn_src.size),
-        gwn_const=stage.gwn_const,
-        ram_slots=stage.ram_slots.astype(np.int64),
-        ram_src=stage.ram_src.astype(np.int64),
-        ram_inv=_zeros_like(stage.ram_inv, stage.ram_src.size),
-        def_src=stage.def_src.astype(np.int64),
-        def_inv=_zeros_like(stage.def_inv, stage.def_src.size),
-    )
+    gstate: np.ndarray  # the interpreter's global state (never rebound)
+    trace: np.ndarray  # [stage reads][wave 1][wave 2]…, shared by all stages
+    arena: np.ndarray  # RAM-port input slots of every partition
+    def_buf: np.ndarray  # receives this stage's deferred-GWRITE values
 
 
 class ArrayBackend:
-    """Protocol for the executor's array primitives (numpy semantics).
+    """What the executor needs from a backend: a name and the stage seam."""
 
-    The base class *is* the numpy implementation of the individual
-    primitives; subclasses override :meth:`compile_stage` to replace the
-    per-stage schedule with a fused kernel (and may override the
-    primitives for device-resident arrays).  All stage-level arrays are
-    2-D ``(n, K)`` lane planes — ``K == 1`` callers pass reshape views.
-    """
+    name = "abstract"
 
-    name = "numpy"
+    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
+        """Compile one stage; returns ``run(times) -> None``.
 
-    # -- buffer allocation ----------------------------------------------------
-
-    def zeros(self, shape) -> np.ndarray:
-        """A zeroed uint64 buffer the backend's kernels can target."""
-        return np.zeros(shape, dtype=np.uint64)
-
-    # -- primitives (one fused-schedule step each) ----------------------------
-
-    def gather(self, src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-        """``out[:] = src[idx]`` along axis 0 (clip mode, preallocated)."""
-        src.take(idx, 0, out, "clip")
-
-    def scatter(self, dst: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-        """``dst[idx] = values`` along axis 0."""
-        dst[idx] = values
-
-    def xor(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.bitwise_xor(a, b, out=out)
-
-    def and_(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        np.bitwise_and(a, b, out=out)
-
-    def fold(self, vec, xor_a, xor_b, or_b) -> np.ndarray:
-        """One boomerang fold step over packed lane words."""
-        return (vec[0::2] ^ xor_a) & ((vec[1::2] ^ xor_b) | or_b)
-
-    # -- whole-stage compilation ----------------------------------------------
-
-    def compile_stage(self, plan: StagePlan):
-        """Compile one stage schedule; returns
-        ``run(gstate, trace, arena, def_buf) -> None`` over ``(n, K)``
-        planes.  The returned callable performs the stage's read gather,
-        every wave, and the gwn/ram/deferred terminal stores
-        (``def_buf`` receives the deferred values; the caller commits
-        them at the cycle boundary)."""
-        ndyn = plan.gwn_src.size
-        gwn_const = plan.gwn_const[:, None]
-        gwn_inv = plan.gwn_inv[:, None]
-        ram_inv = plan.ram_inv[:, None]
-        def_inv = plan.def_inv[:, None]
-        flips = plan.flips[:, None]
-        waves = [
-            (
-                plan.gather[s : s + 2 * n],
-                flips[s : s + 2 * n],
-                n,
-                out,
-            )
-            for n, out, s in zip(
-                plan.wave_count.tolist(),
-                plan.wave_out.tolist(),
-                plan.wave_start.tolist(),
-            )
-        ]
-
-        def run(gstate, trace, arena, def_buf):
-            if plan.read_gidx.size:
-                trace[: plan.read_gidx.size] = gstate[plan.read_gidx]
-            for gather, wflips, n, out in waves:
-                ab = trace[gather] ^ wflips
-                np.bitwise_and(ab[:n], ab[n:], out=trace[out : out + n])
-            if plan.gwn_gidx.size:
-                if ndyn:
-                    gstate[plan.gwn_gidx[:ndyn]] = trace[plan.gwn_src] ^ gwn_inv
-                if plan.gwn_const.size:
-                    gstate[plan.gwn_gidx[ndyn:]] = gwn_const
-            if plan.ram_slots.size:
-                arena[plan.ram_slots] = trace[plan.ram_src] ^ ram_inv
-            if plan.def_src.size:
-                np.bitwise_xor(trace[plan.def_src], def_inv, out=def_buf)
-
-        return run
+        ``run`` performs the stage's read gather, every wave, and the
+        gwn / ram / deferred terminal stores into ``buffers`` (the
+        executor commits ``def_buf`` at the cycle boundary and runs the
+        RAM ports).  ``times`` is ``None`` or the ``phase_times`` dict to
+        add this call's wall time to.
+        """
+        raise NotImplementedError
 
 
 class NumpyBackend(ArrayBackend):
     """The default backend: plain NumPy ufuncs on host memory.
 
-    ``FusedExecutor`` special-cases this backend to keep its historical
-    presliced bound-method hot loop (see the executor docstring), so a
-    numpy run is byte-identical to the pre-backend engine; the
-    :meth:`ArrayBackend.compile_stage` path above is the generic
-    reference implementation the other backends mirror.
+    Every per-cycle call targets a presliced view of a preallocated
+    buffer (zero allocation apart from the in-place fancy-index
+    scatters), and the gathers go through the bound ``ndarray.take``,
+    which skips ~2.5us of ``np.take`` wrapper dispatch per call.
     """
 
     name = "numpy"
+
+    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
+        gstate, trace, arena = buffers.gstate, buffers.trace, buffers.arena
+        def_buf = buffers.def_buf
+        lane_shape = trace.shape[1:]  # () or (K,)
+
+        def col(vec):
+            """A constant vector broadcastable across the lane plane."""
+            return vec[:, None] if lane_shape else vec
+
+        def flip(vec):
+            """``col(vec)``, or ``None`` when all zero: the XOR is elided."""
+            return col(vec) if vec.any() else None
+
+        read_gidx = plan.read_gidx
+        read_view = trace[: read_gidx.size]
+        counts = plan.wave_count.tolist()
+        wave_buf = np.zeros((2 * max(counts, default=0), *lane_shape), dtype=np.uint64)
+        waves = []
+        for n, out, s in zip(counts, plan.wave_out.tolist(), plan.wave_start.tolist()):
+            ab = wave_buf[: 2 * n]
+            waves.append(
+                (
+                    plan.gather[s : s + 2 * n],
+                    flip(plan.flips[s : s + 2 * n]),
+                    ab,
+                    ab[:n],
+                    ab[n:],
+                    trace[out : out + n],
+                )
+            )
+
+        gwn_gidx, gwn_src, gwn_inv = plan.gwn_gidx, plan.gwn_src, flip(plan.gwn_inv)
+        gwn_buf = np.zeros((gwn_gidx.size, *lane_shape), dtype=np.uint64)
+        gwn_buf[gwn_src.size :] = col(plan.gwn_const)  # constant tail, once
+        gwn_dyn = gwn_buf[: gwn_src.size]
+        ram_slots, ram_src, ram_inv = plan.ram_slots, plan.ram_src, flip(plan.ram_inv)
+        ram_buf = np.zeros((ram_slots.size, *lane_shape), dtype=np.uint64)
+        def_src, def_inv = plan.def_src, flip(plan.def_inv)
+        take = trace.take
+        xor, and_ = np.bitwise_xor, np.bitwise_and
+        clock = time.perf_counter
+
+        def run(times):
+            if times is not None:
+                t0 = clock()
+            if read_gidx.size:
+                gstate.take(read_gidx, 0, read_view, "clip")
+            if times is not None:
+                t1 = clock()
+                times["gather"] += t1 - t0
+                t0 = t1
+            for gather, flips, ab, a, b, out in waves:
+                take(gather, 0, ab, "clip")
+                if flips is not None:
+                    xor(ab, flips, out=ab)
+                and_(a, b, out=out)
+            if times is not None:
+                t1 = clock()
+                times["fold"] += t1 - t0
+                t0 = t1
+            if gwn_gidx.size:
+                if gwn_src.size:
+                    take(gwn_src, 0, gwn_dyn, "clip")
+                    if gwn_inv is not None:
+                        xor(gwn_dyn, gwn_inv, out=gwn_dyn)
+                gstate[gwn_gidx] = gwn_buf
+            if ram_slots.size:
+                take(ram_src, 0, ram_buf, "clip")
+                if ram_inv is not None:
+                    xor(ram_buf, ram_inv, out=ram_buf)
+                arena[ram_slots] = ram_buf
+            if def_src.size:
+                take(def_src, 0, def_buf, "clip")
+                if def_inv is not None:
+                    xor(def_buf, def_inv, out=def_buf)
+            if times is not None:
+                times["commit"] += clock() - t0
+
+        return run
 
 
 def _build_numba_kernel(numba):
@@ -311,122 +295,45 @@ class NumbaBackend(ArrayBackend):
             ) from exc
         self._kernel = _build_numba_kernel(numba)
 
-    def compile_stage(self, plan: StagePlan):
+    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
         kernel = self._kernel
-
-        def run(gstate, trace, arena, def_buf):  # pragma: no cover - needs numba
-            kernel(
-                gstate,
-                trace,
-                arena,
-                def_buf,
-                plan.read_gidx,
-                plan.wave_count,
-                plan.wave_out,
-                plan.wave_start,
-                plan.gather,
-                plan.flips,
-                plan.gwn_gidx,
-                plan.gwn_src,
-                plan.gwn_inv,
-                plan.gwn_const,
-                plan.ram_slots,
-                plan.ram_src,
-                plan.ram_inv,
-                plan.def_src,
-                plan.def_inv,
-            )
-
-        return run
-
-
-class CupyBackend(ArrayBackend):
-    """GPU stage execution via CuPy — correctness stub.
-
-    Uploads the stage's inputs, runs the generic schedule with CuPy
-    ufuncs, and downloads the results, once per stage.  A real port
-    would keep ``gstate``/``trace``/``arena`` device-resident across the
-    whole run (the protocol's ``zeros`` hook is where that starts); the
-    stub keeps state on the host so checkpoints, scrubbing, and fault
-    injection work unchanged.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        try:
-            import cupy
-        except ImportError as exc:
-            raise BackendUnavailableError(
-                "cupy is not installed (pip install cupy-cuda12x)"
-            ) from exc
-        try:
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                raise BackendUnavailableError("cupy found no CUDA device")
-        except BackendUnavailableError:
-            raise
-        except Exception as exc:
-            raise BackendUnavailableError(f"CUDA unavailable ({exc})") from exc
-        self._cp = cupy
-
-    def compile_stage(self, plan: StagePlan):  # pragma: no cover - needs a GPU
-        cp = self._cp
-        ndyn = plan.gwn_src.size
-        d = {
-            name: cp.asarray(getattr(plan, name))
-            for name in (
-                "read_gidx",
-                "gather",
-                "flips",
-                "gwn_gidx",
-                "gwn_src",
-                "gwn_inv",
-                "gwn_const",
-                "ram_slots",
-                "ram_src",
-                "ram_inv",
-                "def_src",
-                "def_inv",
-            )
-        }
-        waves = list(
-            zip(
-                plan.wave_count.tolist(),
-                plan.wave_out.tolist(),
-                plan.wave_start.tolist(),
-            )
+        # the kernel's (n, K) planes; K == 1 buffers are 1-D, viewed once here
+        planes = tuple(
+            buf if buf.ndim == 2 else buf.reshape(-1, 1)
+            for buf in (buffers.gstate, buffers.trace, buffers.arena, buffers.def_buf)
+        )
+        args = planes + (
+            plan.read_gidx,
+            plan.wave_count,
+            plan.wave_out,
+            plan.wave_start,
+            plan.gather,
+            plan.flips,
+            plan.gwn_gidx,
+            plan.gwn_src,
+            plan.gwn_inv,
+            plan.gwn_const,
+            plan.ram_slots,
+            plan.ram_src,
+            plan.ram_inv,
+            plan.def_src,
+            plan.def_inv,
         )
 
-        def run(gstate, trace, arena, def_buf):
-            d_trace = cp.zeros(trace.shape, dtype=cp.uint64)
-            d_gstate = cp.asarray(gstate)
-            if plan.read_gidx.size:
-                d_trace[: plan.read_gidx.size] = d_gstate[d["read_gidx"]]
-            for n, out, s in waves:
-                ab = d_trace[d["gather"][s : s + 2 * n]] ^ d["flips"][s : s + 2 * n, None]
-                d_trace[out : out + n] = ab[:n] & ab[n:]
-            if plan.gwn_gidx.size:
-                if ndyn:
-                    d_gstate[d["gwn_gidx"][:ndyn]] = (
-                        d_trace[d["gwn_src"]] ^ d["gwn_inv"][:, None]
-                    )
-                if plan.gwn_const.size:
-                    d_gstate[d["gwn_gidx"][ndyn:]] = d["gwn_const"][:, None]
-                gstate[plan.gwn_gidx] = cp.asnumpy(d_gstate[d["gwn_gidx"]])
-            if plan.ram_slots.size:
-                arena[plan.ram_slots] = cp.asnumpy(
-                    d_trace[d["ram_src"]] ^ d["ram_inv"][:, None]
-                )
-            if plan.def_src.size:
-                def_buf[:] = cp.asnumpy(d_trace[d["def_src"]] ^ d["def_inv"][:, None])
-            trace[:] = cp.asnumpy(d_trace)
+        def run(times):
+            t0 = time.perf_counter()
+            kernel(*args)
+            if times is not None:
+                # a fused native stage has no gather/fold boundary: its
+                # whole wall time lands in ``fold``
+                times["fold"] += time.perf_counter() - t0
 
         return run
 
 
 # -- resolution ---------------------------------------------------------------
 
-_CLASSES = {"numpy": NumpyBackend, "numba": NumbaBackend, "cupy": CupyBackend}
+_CLASSES = {"numpy": NumpyBackend, "numba": NumbaBackend}
 _INSTANCES: dict[str, ArrayBackend] = {}
 _FALLBACK_WARNED: set[str] = set()
 
@@ -436,8 +343,7 @@ def resolve_backend(name=None, *, strict: bool = False) -> ArrayBackend:
 
     ``None`` means numpy.  A backend whose dependency is missing falls
     back to numpy with one warning per process (``strict=True`` raises
-    :class:`BackendUnavailableError` instead) — the same shape as the
-    ``FusionError`` → legacy fallback.
+    :class:`BackendUnavailableError` instead).
     """
     if name is None:
         name = "numpy"

@@ -325,10 +325,11 @@ def mutate_fold_constant(program: GemProgram, fold_index: int, bit: int) -> GemP
     """A copy of ``program`` with one boomerang fold-constant bit flipped.
 
     The differential fuzzer's canonical *semantics* bug: both GEM
-    execution paths (stage-fused and legacy) decode the same instruction
-    stream, so the mutation mis-simulates identically on both while the
-    gate-level and word-level references stay correct — exactly the kind
-    of defect only cross-engine checking can catch.  The mutated
+    engines (the stage-fused executor and the ISA-literal reference
+    interpreter) decode the same instruction stream, so the mutation
+    mis-simulates identically on both while the gate-level and
+    word-level references stay correct — exactly the kind of defect
+    only cross-engine checking can catch.  The mutated
     container is resealed (section CRCs recomputed), so it loads cleanly;
     this is a wrong *program*, not a corrupt one (contrast the SEU
     campaigns of :mod:`repro.runtime.faults`, which flip resident bits

@@ -137,7 +137,6 @@ class CompiledDesign:
     def simulator(
         self,
         batch: int = 1,
-        mode: str = "fused",
         profile: bool = False,
         backend: str | None = None,
     ) -> "GemSimulator":
@@ -145,10 +144,9 @@ class CompiledDesign:
         independent stimulus lanes into every state word (docs/ENGINE.md).
         Batches beyond 64 must be a whole number of 64-lane words.
 
-        ``mode`` selects the stage-fused executor (default) or the legacy
-        per-partition interpreter; ``profile`` enables per-phase timers;
-        ``backend`` picks the fused path's array backend
-        (``numpy``/``numba``/``cupy``, with warn-once numpy fallback).
+        ``profile`` enables per-phase timers; ``backend`` picks the
+        executor's array backend (``numpy``/``numba``, with warn-once
+        numpy fallback).
 
         Designs compiled for ``values=4`` return a
         :class:`~repro.fourstate.fastpath.FourStateSimulator` — the same
@@ -159,13 +157,10 @@ class CompiledDesign:
                 self.program,
                 dual=self.fourstate,
                 batch=batch,
-                mode=mode,
                 profile=profile,
                 backend=backend,
             )
-        return GemSimulator(
-            self.program, batch=batch, mode=mode, profile=profile, backend=backend
-        )
+        return GemSimulator(self.program, batch=batch, profile=profile, backend=backend)
 
 
 class GemSimulator(GemInterpreter):

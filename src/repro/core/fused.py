@@ -1,16 +1,17 @@
 """Decode-time stage fusion: the per-partition interpreter flattened into
 level-synchronous whole-stage array ops.
 
-The legacy execution path (:meth:`GemInterpreter._run_partition`) walks a
-Python loop over every partition and every boomerang layer each cycle,
-issuing thousands of tiny NumPy kernels whose dispatch overhead dwarfs
-the bitwise work.  The paper's CUDA interpreter wins precisely by being a
+Executing the ISA literally (:class:`repro.simref.isa_interp.ReferenceInterpreter`)
+walks a Python loop over every partition and every boomerang layer each
+cycle, issuing thousands of tiny NumPy kernels whose dispatch overhead
+dwarfs the bitwise work.  The paper's CUDA interpreter wins precisely by being a
 *fixed-shape* kernel — coalesced loads, one device sync per stage (§III-E)
 — and GATSPI's fused gate-evaluation kernels / Parendi's BSP-style
 level-synchronous execution make the same move for word-packed
 simulators.  This module is that move at decode time: it compiles the
-decoded program into a :class:`FusedProgram` whose per-cycle execution is
-a short, fixed sequence of large vector ops.
+decoded program into a :class:`FusedProgram` — one
+:class:`~repro.core.backend.StagePlan` per stage — whose per-cycle
+execution is a short, fixed sequence of large vector ops.
 
 The fused execution model
 -------------------------
@@ -41,13 +42,13 @@ and extracts the *dynamic dataflow DAG* of the stage:
   the edge flips).  Reads stay per stage — they observe earlier stages'
   immediate writes — and fusion verifies the compiler's concurrency
   contract (no partition reads a global bit another partition of the
-  *same* stage writes immediately), refusing to fuse otherwise
-  (``FusionError``).
+  *same* stage writes immediately), refusing to load the program
+  otherwise (``FusionError``).
 * **Coalesced terminal scatters.**  Immediate GWRITEs, deferred GWRITEs
   and RAM-port input slots become per-stage index tables, each entry
   either *dynamic* (a trace position + flip) or *constant* (a
-  precomputed word).  Constant tails are prefilled once at executor
-  init; each cycle pays one gather (+ optional XOR) for the dynamic
+  precomputed word).  Constant tails are prefilled once when the stage
+  is compiled; each cycle pays one gather (+ optional XOR) for the dynamic
   prefix and one scatter for the whole table.  Constant RAM inputs are
   preset directly into the arena; constant deferred writes are one
   shared, read-only commit tuple.
@@ -62,10 +63,9 @@ executor cooperation.
 
 :class:`FusedProgram` is pure static tables (shared across interpreter
 instances via the fusion cache, keyed by bitstream CRC — see
-:func:`fused_program`); :class:`FusedExecutor` owns the mutable trace,
-arena and scatter buffers of one interpreter.  The tables are exactly
-the form a Numba/CuPy backend would consume: fixed index arrays and
-constant vectors, no Python control flow per element.
+:func:`fused_program`); :class:`FusedExecutor` owns the mutable trace and
+arena of one interpreter and runs each stage through the callable its
+backend compiled from the plan (:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.backend import StageBuffers, StagePlan
 from repro.errors import GemError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -85,52 +86,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class FusionError(GemError):
-    """The decoded program violates an assumption stage fusion relies on."""
+    """The decoded program violates an assumption stage fusion relies on.
+
+    No compiler-produced bitstream does (EXPERIMENTS.md); the check
+    guards bitstreams from outside the compiler, and the interpreter
+    refuses to load one that fails it.
+    """
 
 
 # -- fused program tables -----------------------------------------------------
 
 
 @dataclass
-class _Wave:
-    """All AND nodes of one DAG depth: take + (xor) + and."""
-
-    #: trace positions of the operands, A-halves then B-halves
-    gather: np.ndarray
-    #: per-operand edge-flip lane masks, or ``None`` if all zero
-    flips: np.ndarray | None
-    #: node count (gather.size == 2 * count)
-    count: int
-    #: where this wave's output lands in the trace
-    out_offset: int
-
-
-@dataclass
-class _FusedStage:
-    #: deduped global bits feeding the stage: ``trace[:n] = gstate[read_gidx]``
-    read_gidx: np.ndarray
-    waves: list[_Wave]
-    trace_size: int
-    #: immediate GWRITE table — dynamic prefix, constant tail
-    gwn_gidx: np.ndarray
-    gwn_src: np.ndarray  # trace positions of the gwn_ndyn dynamic entries
-    gwn_inv: np.ndarray | None
-    gwn_const: np.ndarray  # precomputed words for the constant tail
-    #: dynamic RAM-port input slots: ``arena[ram_slots] = trace[ram_src] ^ inv``
-    ram_slots: np.ndarray
-    ram_src: np.ndarray
-    ram_inv: np.ndarray | None
-    #: deferred GWRITEs sampled from this stage's trace (dynamic only)
-    def_gidx: np.ndarray
-    def_src: np.ndarray
-    def_inv: np.ndarray | None
-    #: RAM ports in (partition order), run at stage end on arena views
-    ramops: list[tuple[int, object]]
-
-
-@dataclass
 class _StaticWork:
-    """Per-cycle counter deltas, fixed by the program (mode-independent)."""
+    """Per-cycle counter deltas, fixed by the program."""
 
     instruction_words: int = 0
     fold_steps: int = 0
@@ -139,9 +108,9 @@ class _StaticWork:
     device_syncs: int = 0
     global_reads: int = 0
     global_writes: int = 0
-    #: NumPy dispatches the legacy per-partition path issues per cycle
+    #: NumPy dispatches an ISA-literal per-partition cycle issues
     array_ops: int = 0
-    #: NumPy dispatches the fused path issues per cycle
+    #: NumPy dispatches the fused numpy stages issue per cycle
     fused_array_ops: int = 0
 
 
@@ -153,17 +122,13 @@ class FusedProgram:
     #: per-partition arena base offsets and sizes (for RAM-op views)
     arena_base: list[int]
     arena_span: list[int]
-    #: constant RAM-port inputs, written into the arena once at init
+    #: constant-1 RAM-port inputs, written into the arena once at init
     preset_slots: np.ndarray
-    preset_vals: np.ndarray
-    stages: list[_FusedStage]
+    stages: list[StagePlan]
     #: constant deferred GWRITEs — one shared read-only commit tuple
     def_const_gidx: np.ndarray
     def_const_vals: np.ndarray
     static: _StaticWork = field(default_factory=_StaticWork)
-    #: buffer high-water marks for the executor's preallocations
-    max_trace: int = 0
-    max_wave: int = 0
 
 
 # -- fusion cache -------------------------------------------------------------
@@ -219,16 +184,11 @@ def fused_program(
 
 # -- fusion pass --------------------------------------------------------------
 
-_EMPTY = np.zeros(0, dtype=np.int64)
-_EMPTY_P = np.zeros(0, dtype=np.intp)
-_EMPTY_U = np.zeros(0, dtype=np.uint64)
-
-
 def _keep_last(dst: list[int]) -> list[int]:
     """Indices that survive keep-last dedup of a scatter-target list.
 
     NumPy fancy assignment with repeated indices has no defined order;
-    legacy execution overwrites sequentially, so keep-last reproduces it
+    the ISA overwrites sequentially, so keep-last reproduces it
     deterministically.
     """
     seen: dict[int, int] = {}
@@ -237,21 +197,32 @@ def _keep_last(dst: list[int]) -> list[int]:
     return sorted(seen.values())
 
 
-def _maybe(inv: np.ndarray) -> np.ndarray | None:
-    """Constant vectors that are all-zero elide their ufunc entirely."""
-    return inv if inv.size and bool(inv.any()) else None
+def _nonzero(vec: np.ndarray) -> bool:
+    """An all-zero flip vector costs the numpy stage no XOR dispatch."""
+    return bool(vec.any())
+
+
+def _dynamic(pos: list[int], entries: list[tuple[int, int]], mask: int):
+    """Trace positions and inversion words of dynamic ``(sym, inv)`` terminals
+    (the symbol's edge flip folds into the inversion)."""
+    src = np.array([pos[(sym - 4) >> 1] for sym, _ in entries], dtype=np.int64)
+    inv = np.array(
+        [iv ^ (mask if sym & 1 else 0) for sym, iv in entries], dtype=np.uint64
+    )
+    return src, inv
 
 
 def count_legacy_array_ops(partitions: list, stage_indices: list[list[int]]) -> int:
-    """NumPy dispatches per cycle of the legacy per-partition path.
+    """NumPy dispatches per cycle of an ISA-literal per-partition walk.
 
-    Counts every array-producing/consuming call of ``_run_partition`` /
-    ``_run_cycle`` / ``_commit``: the per-cycle local zeroing, the READ
-    gather+xor+scatter, each layer's gather, the four ufuncs of every
-    fold step, writeback gathers+scatters, GWRITE gather+xor(+scatter at
-    commit), and the deferred-value xor.  Host-side stimulus injection
-    and output extraction are excluded (they are DMA, not kernels), as
-    are the dynamically-gated RAM port ops (identical in both modes).
+    Counts every array-producing/consuming call of the reference
+    interpreter's ``_run_partition`` and of ``_commit``: the per-cycle
+    local zeroing, the READ gather+xor+scatter, each layer's gather, the
+    four ufuncs of every fold step, writeback gathers+scatters, GWRITE
+    gather+xor(+scatter at commit), and the deferred-value xor.
+    Host-side stimulus injection and output extraction are excluded
+    (they are DMA, not kernels), as are the dynamically-gated RAM port
+    ops (identical in the executor).
     """
     ops = 0
     for part in partitions:
@@ -305,13 +276,13 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
                 static.permutation_bits += int(layer.gather.size)
 
     fused_ops = 0
-    stages: list[_FusedStage] = []
+    stages: list[StagePlan] = []
     preset_slots: list[int] = []
-    preset_vals: list[int] = []
-    #: (gidx, stage, symbolic value, inv word) in legacy order
+    #: (gidx, stage, symbolic value, inv word) in ISA order
     all_deferred: list[tuple[int, int, int, int]] = []
     stage_pos: list[list[int]] = []
-    max_trace = max_wave = 0
+    no_words = np.zeros(0, dtype=np.uint64)
+    no_index = np.zeros(0, dtype=np.int64)
 
     for si, stage_parts in enumerate(stage_indices):
         # ---- symbolic walk of every partition, in partition order -------
@@ -468,28 +439,31 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
         if off:
             fused_ops += 1  # the stage read gather
 
-        waves: list[_Wave] = []
-        for d in sorted(by_depth):
-            wnodes = by_depth[d]
-            n = len(wnodes)
-            gather = np.empty(2 * n, dtype=np.intp)
-            flips = np.zeros(2 * n, dtype=np.uint64)
-            for i, nid in enumerate(wnodes):
+        depths = sorted(by_depth)
+        counts = [len(by_depth[d]) for d in depths]
+        outs: list[int] = []
+        starts: list[int] = []
+        gather = np.empty(2 * sum(counts), dtype=np.int64)
+        flips = np.zeros(2 * sum(counts), dtype=np.uint64)
+        start = 0
+        for d, n in zip(depths, counts):
+            # the wave's slice of gather/flips: n A-operands, then n B-operands
+            for i, nid in enumerate(by_depth[d]):
                 a, b = ands[nid]  # type: ignore[misc]
-                gather[i] = pos[(a - 4) >> 1]
-                gather[n + i] = pos[(b - 4) >> 1]
+                gather[start + i] = pos[(a - 4) >> 1]
+                gather[start + n + i] = pos[(b - 4) >> 1]
                 if a & 1:
-                    flips[i] = mask
+                    flips[start + i] = mask
                 if b & 1:
-                    flips[n + i] = mask
+                    flips[start + n + i] = mask
                 pos[nid] = off + i
-            fl = _maybe(flips)
-            waves.append(_Wave(gather=gather, flips=fl, count=n, out_offset=off))
-            fused_ops += 2 + (fl is not None)
-            max_wave = max(max_wave, 2 * n)
+            outs.append(off)
+            starts.append(start)
+            # gather (+ xor) + and
+            fused_ops += 2 + _nonzero(flips[start : start + 2 * n])
             off += n
+            start += 2 * n
         trace_size = off
-        max_trace = max(max_trace, trace_size)
 
         # ---- terminal tables --------------------------------------------
         def _split(entries):
@@ -498,49 +472,40 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
             dyn = [e for e in entries if e[1] >= 4]
             const = [e for e in entries if e[1] < 4]
             tgt = np.array([e[0] for e in dyn + const], dtype=np.int64)
-            src = np.array(
-                [pos[(sym - 4) >> 1] for _, sym, _ in dyn], dtype=np.intp
-            )
-            inv = np.array(
-                [iv ^ (mask if sym & 1 else 0) for _, sym, iv in dyn],
-                dtype=np.uint64,
-            )
+            src, inv = _dynamic(pos, [(sym, iv) for _, sym, iv in dyn], mask)
             cvals = np.array(
                 [(mask if sym else 0) ^ iv for _, sym, iv in const],
                 dtype=np.uint64,
             )
-            return tgt, src, _maybe(inv), cvals
+            return tgt, src, inv, cvals
 
         gwn_gidx, gwn_src, gwn_inv, gwn_const = _split(gw_entries)
         if gwn_gidx.size:
             fused_ops += 1  # scatter
             if gwn_src.size:
-                fused_ops += 1 + (gwn_inv is not None)  # gather (+ xor)
+                fused_ops += 1 + _nonzero(gwn_inv)  # gather (+ xor)
 
         ram_keep = [ram_entries[i] for i in _keep_last([e[0] for e in ram_entries])]
-        ram_slots_l, ram_src_l, ram_inv_l = [], [], []
-        for slot, sym in ram_keep:
-            if sym >= 4:
-                ram_slots_l.append(slot)
-                ram_src_l.append(pos[(sym - 4) >> 1])
-                ram_inv_l.append(mask if sym & 1 else 0)
-            elif sym == 1:
-                preset_slots.append(slot)
-                preset_vals.append(mask)
-            # sym == 0: the arena is zero-allocated, nothing to do
-        ram_slots = np.array(ram_slots_l, dtype=np.int64)
-        ram_src = np.array(ram_src_l, dtype=np.intp)
-        ram_inv = _maybe(np.array(ram_inv_l, dtype=np.uint64))
+        ram_dyn = [(slot, sym) for slot, sym in ram_keep if sym >= 4]
+        # constant-1 inputs are preset once; the arena is zero-allocated,
+        # so constant-0 inputs need nothing
+        preset_slots.extend(slot for slot, sym in ram_keep if sym == 1)
+        ram_slots = np.array([slot for slot, _ in ram_dyn], dtype=np.int64)
+        ram_src, ram_inv = _dynamic(pos, [(sym, 0) for _, sym in ram_dyn], mask)
         if ram_slots.size:
-            fused_ops += 2 + (ram_inv is not None)  # gather (+ xor) + scatter
+            fused_ops += 2 + _nonzero(ram_inv)  # gather (+ xor) + scatter
 
         all_deferred.extend((g, si, sym, iv) for g, sym, iv in stage_def)
         stage_pos.append(pos)
         stages.append(
-            _FusedStage(
-                read_gidx=np.array(read_gidx, dtype=np.int64),
-                waves=waves,
+            StagePlan(
                 trace_size=trace_size,
+                read_gidx=np.array(read_gidx, dtype=np.int64),
+                wave_count=np.array(counts, dtype=np.int64),
+                wave_out=np.array(outs, dtype=np.int64),
+                wave_start=np.array(starts, dtype=np.int64),
+                gather=gather,
+                flips=flips,
                 gwn_gidx=gwn_gidx,
                 gwn_src=gwn_src,
                 gwn_inv=gwn_inv,
@@ -548,9 +513,9 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
                 ram_slots=ram_slots,
                 ram_src=ram_src,
                 ram_inv=ram_inv,
-                def_gidx=_EMPTY.copy(),  # filled below after global dedup
-                def_src=_EMPTY_P.copy(),
-                def_inv=None,
+                def_gidx=no_index,  # filled below, after the global dedup
+                def_src=no_index,
+                def_inv=no_words,
                 ramops=ramops,
             )
         )
@@ -566,19 +531,12 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
         else:
             const_def.append((g, sym, iv))
     for si, entries in per_stage.items():
-        pos = stage_pos[si]
         st = stages[si]
         st.def_gidx = np.array([g for g, _, _ in entries], dtype=np.int64)
-        st.def_src = np.array(
-            [pos[(sym - 4) >> 1] for _, sym, _ in entries], dtype=np.intp
+        st.def_src, st.def_inv = _dynamic(
+            stage_pos[si], [(sym, iv) for _, sym, iv in entries], mask
         )
-        st.def_inv = _maybe(
-            np.array(
-                [iv ^ (mask if sym & 1 else 0) for _, sym, iv in entries],
-                dtype=np.uint64,
-            )
-        )
-        fused_ops += 2 + (st.def_inv is not None)  # gather (+ xor) + commit
+        fused_ops += 2 + _nonzero(st.def_inv)  # gather (+ xor) + commit
     def_const_gidx = np.array([g for g, _, _ in const_def], dtype=np.int64)
     def_const_vals = np.array(
         [(mask if sym else 0) ^ iv for _, sym, iv in const_def], dtype=np.uint64
@@ -592,13 +550,10 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
         arena_base=arena_base,
         arena_span=arena_span,
         preset_slots=np.array(preset_slots, dtype=np.int64),
-        preset_vals=np.array(preset_vals, dtype=np.uint64),
         stages=stages,
         def_const_gidx=def_const_gidx,
         def_const_vals=def_const_vals,
         static=static,
-        max_trace=max_trace,
-        max_wave=max_wave,
     )
 
 
@@ -608,196 +563,66 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
 class FusedExecutor:
     """Per-interpreter runtime of one :class:`FusedProgram`.
 
-    Owns the trace, the RAM-slot arena and every terminal scatter buffer;
-    ``run_cycle`` issues only fixed-shape ufuncs with ``out=`` into them
-    (zero allocation in the hot loop, apart from the fancy-index scatters
-    NumPy performs in place).  The single trace buffer is reused across
-    stages — nothing reads a stage's trace after its deferred values are
-    sampled — and the arena carries no live state across cycles beyond
-    the constant presets.
+    Owns the trace, the RAM-slot arena and each stage's deferred-value
+    buffer, and hands them to the interpreter's backend once, at
+    construction, to compile every :class:`StagePlan` into a callable;
+    ``run_cycle`` is then one loop over those callables.  The single
+    trace buffer is reused across stages — nothing reads a stage's trace
+    after its deferred values are sampled — and the arena carries no
+    live state across cycles beyond the constant presets.
     """
 
     def __init__(self, fused: FusedProgram, interp: "GemInterpreter") -> None:
         self.fused = fused
         self.interp = interp
         eng = interp.engine
-        backend = interp.backend
-        #: multi-word lane plane? buffers then carry a trailing (K,) axis
-        #: and per-element constants broadcast as (n, 1) columns
-        self._plane = eng.words > 1
-
-        def col(arr):
-            """Constant vectors broadcastable across the lane plane."""
-            if arr is None or not self._plane:
-                return arr
-            return arr[:, None]
-
         self.arena = eng.zeros(fused.arena_size)
-        if fused.preset_slots.size:
-            self.arena[fused.preset_slots] = col(fused.preset_vals)
-        self.trace = eng.zeros(fused.max_trace)
-        self._views = [
+        self.arena[fused.preset_slots] = eng.lane_mask
+        # one trace buffer, sized for the largest stage, serves them all
+        self.trace = eng.zeros(max((plan.trace_size for plan in fused.stages), default=0))
+        views = [
             self.arena[base : base + span]
             for base, span in zip(fused.arena_base, fused.arena_span)
         ]
-        self._def_const = (
-            (fused.def_const_gidx, col(fused.def_const_vals), None)
-            if fused.def_const_gidx.size
-            else None
-        )
-        self._compiled: list | None = None
-        if backend.name != "numpy":
-            # Whole-stage kernels compiled by the backend from the
-            # flattened schedule; the numpy buffers below are unused.
-            from repro.core.backend import stage_plan
-
-            self._compiled = [
-                backend.compile_stage(stage_plan(stage)) for stage in fused.stages
-            ]
-            self._def_bufs2d = [
-                np.zeros((stage.def_gidx.size, eng.words), dtype=np.uint64)
-                for stage in fused.stages
-            ]
-            # merge() needs 1-D values when the state itself is 1-D
-            self._def_flat = [
-                buf if self._plane else buf.reshape(-1)
-                for buf in self._def_bufs2d
-            ]
-            return
-        self._wave_buf = eng.zeros(fused.max_wave)
-        self._gwn_bufs: list[np.ndarray] = []
-        self._ram_bufs: list[np.ndarray] = []
-        self._def_bufs: list[np.ndarray] = []
-        #: per-stage constant vectors, plane-broadcastable
-        self._gwn_invs: list[np.ndarray | None] = []
-        self._ram_invs: list[np.ndarray | None] = []
-        self._def_invs: list[np.ndarray | None] = []
-        # Per-wave execution tuples with the buffer views presliced: the
-        # hot loop then touches no Python-level slicing or the np.take
-        # wrapper (the bound ndarray.take skips ~2.5us of dispatch per
-        # call, and every view below aliases a preallocated buffer).
-        self._read_views: list[np.ndarray] = []
-        self._wave_exec: list[list[tuple]] = []
-        for stage in fused.stages:
-            buf = eng.zeros(stage.gwn_gidx.size)
-            buf[stage.gwn_src.size :] = col(stage.gwn_const)
-            self._gwn_bufs.append(buf)
-            self._ram_bufs.append(eng.zeros(stage.ram_slots.size))
-            self._def_bufs.append(eng.zeros(stage.def_gidx.size))
-            self._gwn_invs.append(col(stage.gwn_inv))
-            self._ram_invs.append(col(stage.ram_inv))
-            self._def_invs.append(col(stage.def_inv))
-            self._read_views.append(self.trace[: stage.read_gidx.size])
-            waves = []
-            for wave in stage.waves:
-                n = wave.count
-                ab = self._wave_buf[: 2 * n]
-                waves.append(
-                    (
-                        wave.gather,
-                        col(wave.flips),
-                        ab,
-                        ab[:n],
-                        ab[n:],
-                        self.trace[wave.out_offset : wave.out_offset + n],
-                    )
+        #: per stage: (compiled stage, its deferred commit or None,
+        #: its RAM ports paired with their partition's arena view)
+        self._stages = []
+        for plan in fused.stages:
+            def_buf = eng.zeros(plan.def_gidx.size)
+            run = interp.backend.compile_stage(
+                plan, StageBuffers(interp.global_state, self.trace, self.arena, def_buf)
+            )
+            self._stages.append(
+                (
+                    run,
+                    (plan.def_gidx, def_buf, None) if plan.def_gidx.size else None,
+                    [(op, views[pidx]) for pidx, op in plan.ramops],
                 )
-            self._wave_exec.append(waves)
-
-    def _run_cycle_compiled(self):
-        """One cycle through the backend's per-stage kernels.
-
-        The kernels see 2-D ``(n, K)`` planes; single-word batches pass
-        zero-copy reshape views.  Phase attribution is coarser than the
-        numpy path — a fused native stage has no gather/fold boundary —
-        so kernel time lands in ``fold``.
-        """
-        fused = self.fused
-        interp = self.interp
-        profile = interp.profile
-        times = interp.phase_times
-        gstate = interp.global_state
-        if self._plane:
-            g2, t2, a2 = gstate, self.trace, self.arena
-        else:
-            g2 = gstate.reshape(-1, 1)
-            t2 = self.trace.reshape(-1, 1)
-            a2 = self.arena.reshape(-1, 1)
-        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        for sidx, stage in enumerate(fused.stages):
-            if profile:
-                t0 = time.perf_counter()
-            self._compiled[sidx](g2, t2, a2, self._def_bufs2d[sidx])
-            if profile:
-                t1 = time.perf_counter()
-                times["fold"] += t1 - t0
-                t0 = t1
-            if stage.def_gidx.size:
-                deferred.append((stage.def_gidx, self._def_flat[sidx], None))
-            for pidx, op in stage.ramops:
-                deferred.extend(interp._run_ramop(op, self._views[pidx]))
-            if profile:
-                times["commit"] += time.perf_counter() - t0
-        if self._def_const is not None:
-            deferred.append(self._def_const)
-        return deferred
+            )
+        self._def_const = None
+        if fused.def_const_gidx.size:
+            vals = fused.def_const_vals
+            # K-word planes: constants broadcast as an (n, 1) column
+            self._def_const = (
+                fused.def_const_gidx, vals[:, None] if eng.words > 1 else vals, None
+            )
 
     def run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        if self._compiled is not None:
-            return self._run_cycle_compiled()
-        fused = self.fused
-        trace = self.trace
-        arena = self.arena
+        """Evaluate every stage; returns the cycle's deferred commits."""
         interp = self.interp
-        gstate = interp.global_state
-        profile = interp.profile
-        times = interp.phase_times
+        times = interp.phase_times if interp.profile else None
+        run_ramop = interp._run_ramop
         deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        for sidx, stage in enumerate(fused.stages):
-            if profile:
+        for run, def_commit, ramops in self._stages:
+            run(times)
+            if def_commit is not None:
+                deferred.append(def_commit)
+            if ramops:
                 t0 = time.perf_counter()
-            if stage.read_gidx.size:
-                gstate.take(stage.read_gidx, 0, self._read_views[sidx], "clip")
-            if profile:
-                t1 = time.perf_counter()
-                times["gather"] += t1 - t0
-                t0 = t1
-            for gather, flips, ab, a, b, out in self._wave_exec[sidx]:
-                trace.take(gather, 0, ab, "clip")
-                if flips is not None:
-                    np.bitwise_xor(ab, flips, out=ab)
-                np.bitwise_and(a, b, out=out)
-            if profile:
-                t1 = time.perf_counter()
-                times["fold"] += t1 - t0
-                t0 = t1
-            if stage.gwn_gidx.size:
-                buf = self._gwn_bufs[sidx]
-                nd = stage.gwn_src.size
-                if nd:
-                    trace.take(stage.gwn_src, 0, buf[:nd], "clip")
-                    inv = self._gwn_invs[sidx]
-                    if inv is not None:
-                        np.bitwise_xor(buf[:nd], inv, out=buf[:nd])
-                gstate[stage.gwn_gidx] = buf
-            if stage.ram_slots.size:
-                buf = self._ram_bufs[sidx]
-                trace.take(stage.ram_src, 0, buf, "clip")
-                inv = self._ram_invs[sidx]
-                if inv is not None:
-                    np.bitwise_xor(buf, inv, out=buf)
-                arena[stage.ram_slots] = buf
-            if stage.def_gidx.size:
-                buf = self._def_bufs[sidx]
-                trace.take(stage.def_src, 0, buf, "clip")
-                inv = self._def_invs[sidx]
-                if inv is not None:
-                    np.bitwise_xor(buf, inv, out=buf)
-                deferred.append((stage.def_gidx, buf, None))
-            for pidx, op in stage.ramops:
-                deferred.extend(interp._run_ramop(op, self._views[pidx]))
-            if profile:
-                times["commit"] += time.perf_counter() - t0
+                for op, view in ramops:
+                    deferred.extend(run_ramop(op, view))
+                if times is not None:
+                    times["commit"] += time.perf_counter() - t0
         if self._def_const is not None:
             deferred.append(self._def_const)
         return deferred

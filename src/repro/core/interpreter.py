@@ -32,14 +32,13 @@ fetched, fold steps, synchronizations, global traffic) that feed the
 analytical GPU timing model in :mod:`repro.core.perfmodel`; the counters
 are lane-aware so amortized per-lane work is reportable.
 
-Two execution modes share those semantics bit-for-bit (docs/ENGINE.md §6):
-
-* ``mode="fused"`` (default) executes the decode-time stage fusion of
-  :mod:`repro.core.fused` — per-stage merged gathers, depth-grouped
-  liveness-compacted folds, coalesced commit tables — cutting the NumPy
-  dispatch count per cycle by an order of magnitude;
-* ``mode="legacy"`` walks the original per-partition loop, kept for
-  differential testing and for subclasses that hook ``_run_partition``.
+A cycle is evaluated by the stage-fused executor of
+:mod:`repro.core.fused` — per-stage merged gathers, depth-grouped
+liveness-compacted waves, coalesced commit tables (docs/ENGINE.md §6).
+The ISA-literal per-partition evaluation of the same bitstream lives in
+:class:`repro.simref.isa_interp.ReferenceInterpreter`, which subclasses
+this class for everything but the evaluate step and is what the
+differential tests and the fuzz oracle hold the executor against.
 
 Decode and fusion results are memoized keyed by the bitstream CRC (plus
 container size and batch), so a Supervisor's primary+shadow pair and
@@ -49,7 +48,6 @@ see :func:`decode_cache_stats`.
 
 from __future__ import annotations
 
-import logging
 import operator
 import time
 from dataclasses import dataclass
@@ -61,17 +59,10 @@ from repro.core import isa
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import MAGIC, VERSION, GemProgram, verify_integrity
 from repro.core.engine import ExecutionEngine, bits_to_int, weights
-from repro.core.fused import (
-    FusedExecutor,
-    FusionError,
-    count_legacy_array_ops,
-    fused_program,
-)
+from repro.core.fused import FusedExecutor, fused_program
 from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-
-logger = logging.getLogger(__name__)
 
 _ONE = np.uint64(1)
 
@@ -142,8 +133,8 @@ class CycleCounters:
     device_syncs: int = 0
     global_reads: int = 0
     global_writes: int = 0
-    #: NumPy dispatches per cycle of the legacy per-partition path — the
-    #: kernel-launch-equivalent count; static, accumulated in both modes
+    #: NumPy dispatches per cycle of an ISA-literal per-partition walk —
+    #: the kernel-launch-equivalent count; static
     array_ops: int = 0
     #: NumPy dispatches per cycle of the fused whole-stage path
     fused_array_ops: int = 0
@@ -206,20 +197,21 @@ class GemInterpreter:
     its inputs to all lanes; the lane API (``step_lanes`` etc.) drives
     and observes every lane individually.
 
-    ``mode`` selects the execution path: ``"fused"`` (default) runs the
-    stage-fused whole-stage array ops of :mod:`repro.core.fused`,
-    ``"legacy"`` the original per-partition loop.  Both are bit-identical
-    in outputs, global state, and work counters.  ``profile=True`` keeps
-    lightweight wall-clock timers per phase in :attr:`phase_times`
-    (``inject`` / ``gather`` / ``fold`` / ``commit``).
+    ``profile=True`` keeps lightweight wall-clock timers per phase in
+    :attr:`phase_times` (``inject`` / ``gather`` / ``fold`` / ``commit``).
 
-    ``backend`` selects the array backend of the fused path
-    (:mod:`repro.core.backend`): ``"numpy"`` (default), ``"numba"``
-    (per-stage JIT kernels), or ``"cupy"``; a name whose dependency is
-    missing falls back to numpy with one warning per process.  The
-    legacy path is numpy-only — a non-numpy backend downgrades with a
-    log line when fusion is unavailable.
+    ``backend`` selects the executor's array backend
+    (:mod:`repro.core.backend`): ``"numpy"`` (default) or ``"numba"``
+    (per-stage JIT kernels); a name whose dependency is missing falls
+    back to numpy with one warning per process.
+
+    A bitstream the executor cannot schedule (a stage that reads a global
+    bit it also writes immediately — no compiler output does) is refused
+    at load with :class:`~repro.core.fused.FusionError`.
     """
+
+    #: how a cycle is evaluated (recorded in run reports)
+    mode = "fused"
 
     #: value system of the executed program: 2 for plain designs, 4 for
     #: dual-rail designs (repro.fourstate.fastpath overrides this) —
@@ -231,17 +223,13 @@ class GemInterpreter:
         self,
         program: GemProgram,
         batch: int = 1,
-        mode: str = "fused",
         profile: bool = False,
         backend: str | None = None,
     ) -> None:
-        if mode not in ("fused", "legacy"):
-            raise ValueError(f"mode must be 'fused' or 'legacy', got {mode!r}")
         self.program = program
         self.meta = program.meta
         self.engine = ExecutionEngine(batch)
         self.batch = batch
-        self.mode = mode
         self.profile = profile
         self.backend = resolve_backend(backend)
         self.phase_times = {"inject": 0.0, "gather": 0.0, "fold": 0.0, "commit": 0.0}
@@ -266,11 +254,10 @@ class GemInterpreter:
         # The 32-bit words CRC alone is a weak identity: two compiles of the
         # same circuit under different GemConfig knobs can, in principle,
         # collide.  Folding the config digest in keys tuned and default
-        # decodes of one design independently (getattr: old pickled caches
-        # predate the field).
+        # decodes of one design independently.
         cache_key = (
             program.digest(),
-            getattr(program.meta, "config_digest", ""),
+            program.meta.config_digest,
             int(words.size),
             batch,
         )
@@ -357,43 +344,12 @@ class GemInterpreter:
         #: mirroring the TRACER.enabled guard.
         self._probe_tap = None
 
-        # Stage fusion (cached alongside the decode).  Fusion is also run
-        # in legacy mode so the fused_array_ops counter — the
-        # dispatch-amortization denominator — is reported either way; if
-        # a program cannot be fused the interpreter falls back to the
-        # legacy path, which has no ordering preconditions.
-        self._fused = None
-        self._executor: FusedExecutor | None = None
-        try:
-            self._fused = fused_program(
-                cache_key, self.partitions, self.stage_indices, self.engine
-            )
-        except FusionError as exc:
-            if self.mode == "fused":
-                logger.warning(
-                    "stage fusion unavailable (%s); running legacy path", exc
-                )
-            self.mode = "legacy"
-        if self.mode == "legacy" and self.backend.name != "numpy":
-            logger.info(
-                "%s backend only accelerates the fused path; "
-                "legacy mode runs on numpy",
-                self.backend.name,
-            )
-            self.backend = resolve_backend("numpy")
-        if self.mode == "fused":
-            self._executor = FusedExecutor(self._fused, self)
-            self._locals: list[np.ndarray] = []
-        else:
-            self._locals = [self.engine.zeros(p.state_slots) for p in self.partitions]
-        self._array_ops_per_cycle = (
-            self._fused.static.array_ops
-            if self._fused is not None
-            else count_legacy_array_ops(self.partitions, self.stage_indices)
+        # Stage fusion (cached alongside the decode); a FusionError
+        # propagates — there is no other way to run the program.
+        self._fused = fused_program(
+            cache_key, self.partitions, self.stage_indices, self.engine
         )
-        self._fused_ops_per_cycle = (
-            self._fused.static.fused_array_ops if self._fused is not None else 0
-        )
+        self._executor = FusedExecutor(self._fused, self)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -446,42 +402,6 @@ class GemInterpreter:
             self.phase_times[phase] = 0.0
 
     # -- execution ------------------------------------------------------------
-
-    def _run_partition(
-        self, part: _DecodedPartition, local: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        """Execute one block; returns deferred (gidx, values, lane mask)
-        scatters (mask ``None`` = unconditional commit)."""
-        gstate = self.global_state
-        local[:] = 0
-        if part.read_gidx.size:
-            local[part.read_slots] = gstate[part.read_gidx] ^ part.read_inv
-        counters = self.counters
-        fold_step = self.engine.fold_step
-        for layer in part.layers:
-            vec = local[layer.gather]
-            for step in range(layer.eff_width_log2):
-                vec = fold_step(vec, layer.xor_a[step], layer.xor_b[step], layer.or_b[step])
-                positions, slots = layer.writebacks[step]
-                if positions.size:
-                    local[slots] = vec[positions]
-            counters.fold_steps += layer.eff_width_log2
-            counters.permutation_bits += layer.gather.size
-        counters.layer_syncs += len(part.layers)
-
-        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        slots, inv, gidx = part.gw_now
-        if gidx.size:
-            gstate[gidx] = local[slots] ^ inv
-        slots, inv, gidx = part.gw_deferred
-        if gidx.size:
-            deferred.append((gidx, local[slots] ^ inv, None))
-        for op in part.ramops:
-            deferred.extend(self._run_ramop(op, local))
-        counters.global_reads += int(part.read_gidx.size)
-        counters.global_writes += int(part.gw_now[2].size + part.gw_deferred[2].size)
-        counters.instruction_words += part.instruction_words
-        return deferred
 
     def _run_ramop(
         self, op: _DecodedRamOp, local: np.ndarray
@@ -593,30 +513,20 @@ class GemInterpreter:
     # -- the cycle ------------------------------------------------------------
 
     def _run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
+        """Evaluate one cycle; returns the deferred (gidx, values, lane
+        mask) scatters for :meth:`_commit` (mask ``None`` = unconditional)."""
+        deferred = self._executor.run_cycle()
         counters = self.counters
-        if self.mode == "fused":
-            deferred = self._executor.run_cycle()
-            work = self._fused.static
-            counters.instruction_words += work.instruction_words
-            counters.fold_steps += work.fold_steps
-            counters.permutation_bits += work.permutation_bits
-            counters.layer_syncs += work.layer_syncs
-            counters.device_syncs += work.device_syncs
-            counters.global_reads += work.global_reads
-            counters.global_writes += work.global_writes
-        else:
-            t0 = time.perf_counter() if self.profile else 0.0
-            deferred = []
-            for stage_parts in self.stage_indices:
-                for idx in stage_parts:
-                    deferred.extend(
-                        self._run_partition(self.partitions[idx], self._locals[idx])
-                    )
-                counters.device_syncs += 1
-            if self.profile:
-                self.phase_times["fold"] += time.perf_counter() - t0
-        counters.array_ops += self._array_ops_per_cycle
-        counters.fused_array_ops += self._fused_ops_per_cycle
+        work = self._fused.static
+        counters.instruction_words += work.instruction_words
+        counters.fold_steps += work.fold_steps
+        counters.permutation_bits += work.permutation_bits
+        counters.layer_syncs += work.layer_syncs
+        counters.device_syncs += work.device_syncs
+        counters.global_reads += work.global_reads
+        counters.global_writes += work.global_writes
+        counters.array_ops += work.array_ops
+        counters.fused_array_ops += work.fused_array_ops
         return deferred
 
     def _commit(self, deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]) -> None:

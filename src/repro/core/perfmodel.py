@@ -231,11 +231,10 @@ def lane_amortized_work(counters) -> dict:
 def dispatch_amortization(counters) -> dict:
     """Kernel-launch amortization of stage fusion from ``CycleCounters``.
 
-    Both execution modes accumulate the per-cycle array-op counts of the
-    legacy per-partition loop (``array_ops``) and the stage-fused DAG
-    executor (``fused_array_ops``); their ratio is how many legacy NumPy
-    dispatches (≈ GPU kernel launches for a CuPy backend) each fused
-    whole-stage op replaces.
+    The counters carry the per-cycle array-op counts of an ISA-literal
+    per-partition walk (``array_ops``) and of the stage-fused executor
+    (``fused_array_ops``); their ratio is how many per-partition NumPy
+    dispatches (≈ GPU kernel launches) each fused whole-stage op replaces.
     """
     per_cycle = counters.per_cycle()
     legacy = per_cycle["array_ops"]

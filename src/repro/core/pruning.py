@@ -16,8 +16,10 @@ inputs (read-first ports lag the array by one cycle).
 On a GPU this is a cheap block-prologue: load the source words, compare
 against the previous-cycle copy kept in global memory, and exit early on
 equality — the comparison is fully coalesced and costs a small fraction
-of the layer pipeline.  Here the same logic runs in the interpreter, and
-the measured skip fraction feeds :func:`gem_pruned_speed`, the pruned
+of the layer pipeline.  Here the same logic runs over the per-partition
+reference interpreter (the fused executor has no per-block granularity;
+pruning is a model-only extension, never a production path), and the
+measured skip fraction feeds :func:`gem_pruned_speed`, the pruned
 performance model used by ``benchmarks/test_pruning_extension.py``.
 """
 
@@ -25,22 +27,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.interpreter import GemInterpreter, _DecodedPartition
+from repro.core.interpreter import _DecodedPartition
 from repro.core.perfmodel import A100, GemMetrics, GpuProfile, gem_cycle_time
+from repro.simref.isa_interp import ReferenceInterpreter
 
 
-class PruningGemInterpreter(GemInterpreter):
-    """GEM interpreter with block-level event pruning.
+class PruningGemInterpreter(ReferenceInterpreter):
+    """Reference interpreter with block-level event pruning.
 
-    Functionally identical to :class:`GemInterpreter` (the test suite runs
-    them in lockstep); additionally counts skipped blocks so the benefit
-    is measurable.
+    Functionally identical to :class:`~repro.core.interpreter.GemInterpreter`
+    (the test suite runs them in lockstep); additionally counts skipped
+    blocks so the benefit is measurable.
     """
 
     def __init__(self, program, batch: int = 1) -> None:
-        # Pruning hooks _run_partition, which only the legacy per-partition
-        # dispatch calls; the fused executor has no per-block granularity.
-        super().__init__(program, batch=batch, mode="legacy")
+        super().__init__(program, batch=batch)
         self._source_cache: list[np.ndarray | None] = [None] * len(self.partitions)
         self._stable_cycles: list[int] = [0] * len(self.partitions)
         self._index_of = {id(p): i for i, p in enumerate(self.partitions)}

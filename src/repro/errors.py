@@ -74,9 +74,9 @@ class BackendUnavailableError(GemError):
     """The requested execution backend cannot be loaded.
 
     Raised by :func:`repro.core.backend.resolve_backend` when a
-    backend's runtime dependency (numba, cupy + a visible GPU) is
-    missing.  Callers that pass ``strict=False`` get the warn-once
-    numpy fallback instead of this error.
+    backend's runtime dependency (numba) is missing.  Callers that
+    pass ``strict=False`` get the warn-once numpy fallback instead of
+    this error.
     """
 
 

@@ -1,8 +1,8 @@
 """Differential fuzzing subsystem (docs/FUZZING.md).
 
 Four independent execution paths implement the same RTL semantics in this
-repository — the stage-fused executor, the legacy per-partition
-interpreter, the levelized gate-level reference, and the word-level
+repository — the stage-fused executor, the ISA-literal per-partition
+reference interpreter, the levelized gate-level reference, and the word-level
 golden model.  This package keeps them honest on *adversarial* structure,
 the way GATSPI and Parendi validate their simulators against reference
 engines over large randomized workloads:

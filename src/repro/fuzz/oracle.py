@@ -7,9 +7,10 @@ repository, and they disagree only when one of them is wrong:
   which never sees the GEM compile flow at all;
 * ``simref`` — the levelized gate-level engine over the synthesized E-AIG
   (catches synthesis/RAM-adapter bugs independent of partitioning);
-* ``legacy`` — the per-partition GEM interpreter over the assembled
-  bitstream;
-* ``fused`` — the stage-fused executor over the same bitstream.
+* ``legacy`` — the ISA-literal per-partition reference interpreter
+  (:class:`repro.simref.isa_interp.ReferenceInterpreter`) over the
+  assembled bitstream (the label is serialized in ``.gemrepro`` files);
+* ``fused`` — the production stage-fused executor over the same bitstream.
 
 :func:`run_oracle` compiles a :class:`~repro.fuzz.designgen.DesignSpec`
 under a named compile profile, runs all requested engines in lockstep at
@@ -51,21 +52,32 @@ from typing import Mapping
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import GemProgram, mutate_fold_constant
 from repro.core.boomerang import BoomerangConfig
-from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig, GemSimulator
+from repro.core.compiler import (
+    CompiledDesign,
+    FourStateSimulator,
+    GemCompiler,
+    GemConfig,
+    GemSimulator,
+)
 from repro.core.partition import PartitionConfig
 from repro.core.ram_mapping import RamMappingConfig
 from repro.core.synthesis import SynthesisConfig
 from repro.errors import BackendUnavailableError
 from repro.fourstate.dualrail import to_dual_rail
-from repro.fourstate.fastpath import validate_values
+from repro.fourstate.fastpath import make_fourstate_simulator_class, validate_values
 from repro.fourstate.semantics import FourState
 from repro.fourstate.sim import FourStateSim
 from repro.fuzz.designgen import DesignSpec
 from repro.harness.cosim import divergent_lanes, lane_outputs, output_mismatches
 from repro.rtl.netlist import Netlist, WordSim
 from repro.simref.gate_sim import GateLevelSim
+from repro.simref.isa_interp import ReferenceInterpreter
 
 logger = logging.getLogger(__name__)
+
+#: the ``legacy`` engine over a dual-rail program: the reference
+#: interpreter with the 4-state stimulus encoding grafted on
+_FourStateReference = make_fourstate_simulator_class(ReferenceInterpreter)
 
 #: every engine the oracle can run, in reference-preference order
 ENGINES = ("word", "simref", "legacy", "fused")
@@ -410,18 +422,14 @@ def run_oracle(
             return WordSim(Netlist(dual.circuit if values == 4 else circuit))
         if name == "simref":
             return GateLevelSim(compiled.synth)
-        if name in ("fused", "legacy"):
+        if name == "legacy":
             if values == 4:
-                from repro.core.compiler import FourStateSimulator
-
-                sim = FourStateSimulator(
-                    program, dual=dual, batch=batch, mode=name, backend=backend
-                )
-            else:
-                sim = GemSimulator(program, batch=batch, mode=name, backend=backend)
-            if name == "fused" and sim.mode != "fused":
-                coverage.add("fallback:legacy")
-            return sim
+                return _FourStateReference(program, dual=dual, batch=batch)
+            return ReferenceInterpreter(program, batch=batch)
+        if name == "fused":
+            if values == 4:
+                return FourStateSimulator(program, dual=dual, batch=batch, backend=backend)
+            return GemSimulator(program, batch=batch, backend=backend)
         raise ValueError(f"unknown engine {name!r}; have {ENGINES}")
 
     # Backends are extra fused-path DUTs; an unavailable one is skipped

@@ -115,15 +115,10 @@ def main_run(argv: list[str] | None = None) -> int:
         "the workload stimuli, outputs report lane 0 (docs/ENGINE.md)",
     )
     parser.add_argument(
-        "--engine-mode", choices=["fused", "legacy"], default="fused",
-        help="fused: stage-fused array executor (default); legacy: "
-        "per-partition interpreter loop (differential reference)",
-    )
-    parser.add_argument(
-        "--backend", choices=["numpy", "numba", "cupy"], default=None,
-        help="array backend for the fused path: numpy (default), numba "
-        "(JIT-compiled stage kernels), cupy (GPU). An unavailable "
-        "backend warns once and falls back to numpy",
+        "--backend", choices=["numpy", "numba"], default=None,
+        help="array backend of the stage executor: numpy (default) or "
+        "numba (JIT-compiled stage kernels). An unavailable backend "
+        "warns once and falls back to numpy",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -387,6 +382,7 @@ def _probe_extras(args, tap) -> dict:
 def _write_run_report(args, wl, **kwargs) -> None:
     """Assemble and write the ``--report-out`` RunReport for a run."""
     from repro.core.backend import resolve_backend
+    from repro.core.compiler import GemSimulator
     from repro.core.engine import validate_batch
     from repro.obs.report import build_run_report, write_report
 
@@ -402,7 +398,7 @@ def _write_run_report(args, wl, **kwargs) -> None:
         design=args.design,
         workload=wl.name,
         batch=args.batch,
-        engine_mode=args.engine_mode,
+        engine_mode=GemSimulator.mode,
         extras=extras,
         **kwargs,
     )
@@ -424,12 +420,7 @@ def _run_plain(args, wl, tap=None) -> int:
         x_reset=args.x_reset,
         x_memory=args.x_reset,
     )
-    sim = design.simulator(
-        batch=args.batch,
-        mode=args.engine_mode,
-        backend=args.backend,
-        profile=args.profile,
-    )
+    sim = design.simulator(batch=args.batch, backend=args.backend, profile=args.profile)
     if tap is not None:
         tap.attach(sim)
     stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
@@ -506,7 +497,6 @@ def _run_supervised(args, wl, tap=None) -> int:
             scrub_every=args.scrub_every if args.scrub_every is not None else 1,
             resume=args.resume if args.resume is not None else False,
             batch=args.batch,
-            engine_mode=args.engine_mode,
             backend=args.backend,
             profile=args.profile,
             deadline_s=args.deadline,
@@ -1029,8 +1019,7 @@ def main_probe(argv: list[str] | None = None) -> int:
             p.add_argument("--max-cycles", type=int, default=None)
             p.add_argument("--batch", type=int, default=1, metavar="N",
                            help="stimulus lanes packed per state word (docs/ENGINE.md)")
-            p.add_argument("--engine-mode", choices=["fused", "legacy"], default="fused")
-            p.add_argument("--backend", choices=["numpy", "numba", "cupy"], default=None)
+            p.add_argument("--backend", choices=["numpy", "numba"], default=None)
         p.add_argument(
             "--nets", default=None, metavar="GLOBS",
             help="comma-separated net-name globs or the group selectors "
@@ -1117,9 +1106,7 @@ def _probe_command(args, json, compile_design, design_workloads) -> int:
     else:  # activity
         acc = ActivityAccumulator(plan, backend=args.backend)
         tap = ProbeTap(plan, [acc])
-    sim = design.simulator(
-        batch=args.batch, mode=args.engine_mode, backend=args.backend
-    )
+    sim = design.simulator(batch=args.batch, backend=args.backend)
     tap.attach(sim)
     for vec in stimuli:
         sim.step(vec)
@@ -1175,10 +1162,6 @@ def main_chaos(argv: list[str] | None = None) -> int:
         help=f"scenarios to run (default: all of {sorted(SCENARIOS)})",
     )
     parser.add_argument(
-        "--engine-mode", choices=["fused", "legacy", "both"], default="fused",
-        help="engine mode(s) the scenarios drive (default fused)",
-    )
-    parser.add_argument(
         "--work-dir", default=None,
         help="scratch directory for checkpoint/cache fixtures "
         "(default: a private temp dir; keep it to inspect failures)",
@@ -1196,41 +1179,31 @@ def main_chaos(argv: list[str] | None = None) -> int:
         tuple(int(s) for s in args.seeds.split(",")) if args.seeds else SMOKE_SEEDS
     )
     scenarios = tuple(args.scenarios.split(",")) if args.scenarios else None
-    modes = ("fused", "legacy") if args.engine_mode == "both" else (args.engine_mode,)
-    outcomes = []
-    passed = True
-    for mode in modes:
-        try:
-            report = run_chaos(
-                seeds=seeds, scenarios=scenarios, engine_mode=mode, work_dir=args.work_dir
-            )
-        except ValueError as exc:  # unknown scenario name
-            print(f"error: {exc}")
-            return EXIT_USAGE
-        passed &= report.passed
-        if args.json:
-            outcomes.extend(
-                {
-                    "scenario": o.scenario,
-                    "seed": o.seed,
-                    "engine_mode": mode,
-                    "ok": o.ok,
-                    "detail": o.detail,
-                    "events": o.events,
-                }
-                for o in report.outcomes
-            )
-        else:
-            print(f"engine mode: {mode}")
-            print(report.summary())
+    try:
+        report = run_chaos(seeds=seeds, scenarios=scenarios, work_dir=args.work_dir)
+    except ValueError as exc:  # unknown scenario name
+        print(f"error: {exc}")
+        return EXIT_USAGE
     if args.json:
-        print(json.dumps({"passed": passed, "outcomes": outcomes}, indent=1))
+        outcomes = [
+            {
+                "scenario": o.scenario,
+                "seed": o.seed,
+                "ok": o.ok,
+                "detail": o.detail,
+                "events": o.events,
+            }
+            for o in report.outcomes
+        ]
+        print(json.dumps({"passed": report.passed, "outcomes": outcomes}, indent=1))
+    else:
+        print(report.summary())
     if args.metrics_out:
         from repro.obs.metrics import REGISTRY
 
         with open(args.metrics_out, "w") as f:
             f.write(REGISTRY.to_prometheus())
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -342,7 +342,6 @@ def run_resilient(
     backoff_base: float = 0.0,
     resume: bool | str = False,
     batch: int = 1,
-    engine_mode: str = "fused",
     backend: str | None = None,
     profile: bool = False,
     deadline_s: float | None = None,
@@ -403,7 +402,6 @@ def run_resilient(
         max_retries=max_retries,
         backoff_base=backoff_base,
         batch=batch,
-        engine_mode=engine_mode,
         backend=backend,
         profile=profile,
         deadline=deadline,
@@ -419,7 +417,6 @@ def measure_batch_throughput(
     *,
     batch: int = 1,
     max_cycles: int | None = None,
-    engine_mode: str = "fused",
     backend: str | None = None,
     config: GemConfig | None = None,
     config_label: str | None = None,
@@ -445,7 +442,7 @@ def measure_batch_throughput(
     workloads = design_workloads(name)
     wl = workloads[workload or next(iter(workloads))]
     stimuli = wl.stimuli[:max_cycles] if max_cycles else wl.stimuli
-    sim = design.simulator(batch=batch, mode=engine_mode, backend=backend)
+    sim = design.simulator(batch=batch, backend=backend)
     t0 = time.perf_counter()
     for vec in stimuli:
         sim.step(vec)

@@ -16,12 +16,12 @@ sinks:
 * :class:`~repro.obs.activity.ActivityAccumulator` — SAIF-style
   T0/T1/TC counters (see :mod:`repro.obs.activity`).
 
-Why probing the global state is always safe in fused mode: every net a
+Why probing the global state is always safe under stage fusion: every net a
 plan can name *is* a global-state terminal (PI bits, FF q bits, PO
 bits), and the fused executor's DCE roots at global writes — probed
 terminals survive CSE/DCE by construction, no re-materialization pass
-needed.  ``tests/test_probe.py`` locks this with a fused-vs-legacy tap
-equality regression.
+needed.  ``tests/test_probe.py`` locks this with an executor-vs-reference
+tap equality regression.
 
 The tap samples at the settled point of the cycle — after the
 combinational waves, before deferred commits — which is bit-identical
@@ -444,7 +444,6 @@ def dump_divergence_waves(
     nets: str | Sequence[str] | None = None,
     before: int = 8,
     after: int = 8,
-    engine_mode: str = "fused",
     backend: str | None = None,
     lane: int = 0,
     batch: int = 1,
@@ -463,7 +462,7 @@ def dump_divergence_waves(
     first = max(0, cycle - before)
     ring = WaveRing(plan, capacity=max(last - first, 1))
     tap = ProbeTap(plan, [ring])
-    sim = compiled.simulator(batch=batch, mode=engine_mode, backend=backend)
+    sim = compiled.simulator(batch=batch, backend=backend)
     tap.attach(sim)
     for vec in stimuli[:last]:
         sim.step(vec)

@@ -149,14 +149,12 @@ def _healthy_identical(result: SupervisedRun, golden: SupervisedRun) -> str | No
 # ---------------------------------------------------------------------------
 
 
-def scenario_torn_checkpoint(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_torn_checkpoint(seed: int, work_dir: str) -> ChaosOutcome:
     """Crash tears the newest checkpoint; resume walks back to its
     predecessor and reproduces the uninterrupted tail bit-exactly."""
     design, stimuli = _compile_small(seed)
     ckpt_dir = os.path.join(work_dir, f"torn-{seed}")
-    golden = Supervisor(
-        design, checkpoint_every=8, checkpoint_dir=ckpt_dir, engine_mode=engine_mode
-    ).run(stimuli)
+    golden = Supervisor(design, checkpoint_every=8, checkpoint_dir=ckpt_dir).run(stimuli)
 
     paths = CheckpointManager(ckpt_dir).paths()
     if len(paths) < 2:
@@ -182,7 +180,7 @@ def scenario_torn_checkpoint(seed: int, engine_mode: str, work_dir: str) -> Chao
         return ChaosOutcome(
             "torn-checkpoint", seed, False, "stale .tmp not swept on recovery"
         )
-    resumed = Supervisor(design, engine_mode=engine_mode).run(
+    resumed = Supervisor(design).run(
         stimuli, resume_from=recovered.checkpoint
     )
     cut = recovered.checkpoint.cycle
@@ -198,7 +196,7 @@ def scenario_torn_checkpoint(seed: int, engine_mode: str, work_dir: str) -> Chao
     )
 
 
-def scenario_corrupt_cache(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_corrupt_cache(seed: int, work_dir: str) -> ChaosOutcome:
     """A corrupted compile-cache envelope is discarded and rebuilt, never
     unpickled into the run."""
     from repro.harness import runner
@@ -235,13 +233,13 @@ def scenario_corrupt_cache(seed: int, engine_mode: str, work_dir: str) -> ChaosO
     )
 
 
-def scenario_save_oserror(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_save_oserror(seed: int, work_dir: str) -> ChaosOutcome:
     """Every on-disk checkpoint write fails; the run completes healthily
     on in-memory recovery points alone."""
     import repro.runtime.checkpoint as ckpt_mod
 
     design, stimuli = _compile_small(seed)
-    golden = Supervisor(design, engine_mode=engine_mode).run(stimuli)
+    golden = Supervisor(design).run(stimuli)
     ckpt_dir = os.path.join(work_dir, f"oserror-{seed}")
     real_write = ckpt_mod._write_atomic
 
@@ -253,7 +251,6 @@ def scenario_save_oserror(seed: int, engine_mode: str, work_dir: str) -> ChaosOu
     with mock.patch.object(ckpt_mod, "_write_atomic", failing_write):
         result = Supervisor(
             design, checkpoint_every=8, checkpoint_dir=ckpt_dir,
-            engine_mode=engine_mode,
         ).run(stimuli)
     problem = _healthy_identical(result, golden)
     if problem:
@@ -269,13 +266,13 @@ def scenario_save_oserror(seed: int, engine_mode: str, work_dir: str) -> ChaosOu
     )
 
 
-def scenario_midcycle_fault(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_midcycle_fault(seed: int, work_dir: str) -> ChaosOutcome:
     """A transient mid-run SEU (state bit flip) is scrubbed out by
     rollback/replay; outputs stay bit-identical."""
     import numpy as np
 
     design, stimuli = _compile_small(seed)
-    golden = Supervisor(design, engine_mode=engine_mode).run(stimuli)
+    golden = Supervisor(design).run(stimuli)
     target = len(stimuli) // 2
     fired = []
 
@@ -286,7 +283,7 @@ def scenario_midcycle_fault(seed: int, engine_mode: str, work_dir: str) -> Chaos
             interp.global_state[idx] ^= np.uint64(1)
 
     result = Supervisor(
-        design, checkpoint_every=6, engine_mode=engine_mode, fault_hook=flip_once
+        design, checkpoint_every=6, fault_hook=flip_once
     ).run(stimuli)
     problem = _healthy_identical(result, golden)
     if problem:
@@ -303,11 +300,11 @@ def scenario_midcycle_fault(seed: int, engine_mode: str, work_dir: str) -> Chaos
     )
 
 
-def scenario_watchdog_hang(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_watchdog_hang(seed: int, work_dir: str) -> ChaosOutcome:
     """A simulated hang trips the wall-clock deadline; grace shrinks,
     exhausts, and the run degrades with outputs intact."""
     design, stimuli = _compile_small(seed)
-    golden = Supervisor(design, engine_mode=engine_mode).run(stimuli)
+    golden = Supervisor(design).run(stimuli)
     clock = FakeClock()
     hang_at = len(stimuli) // 2
 
@@ -323,7 +320,6 @@ def scenario_watchdog_hang(seed: int, engine_mode: str, work_dir: str) -> ChaosO
     result = Supervisor(
         design,
         checkpoint_every=6,
-        engine_mode=engine_mode,
         fault_hook=hang,
         deadline=Deadline(wall_s=5.0, clock=clock, max_extensions=2),
     ).run(stimuli)
@@ -352,7 +348,7 @@ def scenario_watchdog_hang(seed: int, engine_mode: str, work_dir: str) -> ChaosO
     )
 
 
-def scenario_lane_quarantine(seed: int, engine_mode: str, work_dir: str) -> ChaosOutcome:
+def scenario_lane_quarantine(seed: int, work_dir: str) -> ChaosOutcome:
     """A persistently corrupt lane is quarantined; every healthy lane's
     output stream stays bit-identical to the undisturbed batched run."""
     import numpy as np
@@ -360,7 +356,7 @@ def scenario_lane_quarantine(seed: int, engine_mode: str, work_dir: str) -> Chao
     batch = 8
     victim = seed % batch
     design, stimuli = _compile_small(seed)
-    golden = Supervisor(design, batch=batch, engine_mode=engine_mode).run(stimuli)
+    golden = Supervisor(design, batch=batch).run(stimuli)
     start = len(stimuli) // 2
 
     def corrupt_lane(interp, cycle: int) -> None:
@@ -372,7 +368,6 @@ def scenario_lane_quarantine(seed: int, engine_mode: str, work_dir: str) -> Chao
         design,
         batch=batch,
         checkpoint_every=6,
-        engine_mode=engine_mode,
         fault_hook=corrupt_lane,
     ).run(stimuli)
     if result.degraded:
@@ -403,12 +398,12 @@ def scenario_lane_quarantine(seed: int, engine_mode: str, work_dir: str) -> Chao
                 )
     return ChaosOutcome(
         "lane-quarantine", seed, True,
-        f"lane {victim} quarantined ({engine_mode}); {len(healthy)} healthy "
+        f"lane {victim} quarantined; {len(healthy)} healthy "
         "lanes bit-identical",
     )
 
 
-SCENARIOS: dict[str, Callable[[int, str, str], ChaosOutcome]] = {
+SCENARIOS: dict[str, Callable[[int, str], ChaosOutcome]] = {
     "torn-checkpoint": scenario_torn_checkpoint,
     "corrupt-cache": scenario_corrupt_cache,
     "save-oserror": scenario_save_oserror,
@@ -421,7 +416,6 @@ SCENARIOS: dict[str, Callable[[int, str, str], ChaosOutcome]] = {
 def run_chaos(
     seeds: tuple[int, ...] = SMOKE_SEEDS,
     scenarios: tuple[str, ...] | None = None,
-    engine_mode: str = "fused",
     work_dir: str | None = None,
 ) -> ChaosReport:
     """Run the scenario × seed matrix; every outcome lands in the report
@@ -440,7 +434,7 @@ def run_chaos(
             fn = SCENARIOS[name]
             for seed in seeds:
                 try:
-                    outcome = fn(seed, engine_mode, work_dir)
+                    outcome = fn(seed, work_dir)
                 except Exception as exc:  # invariant harness must not crash
                     logger.exception("chaos scenario %s seed %d crashed", name, seed)
                     outcome = ChaosOutcome(

@@ -230,11 +230,6 @@ class Supervisor:
         ``outputs`` stream.  Reference (non-redundant) shadows model a
         single instance and scrub lane 0's outputs only; the state-digest
         scrub of the redundant shadow covers every lane.
-    engine_mode:
-        ``"fused"`` (default) or ``"legacy"`` — forwarded to
-        :meth:`CompiledDesign.simulator` for both primary and redundant
-        shadow.  Both engines share one fusion-cache entry, so the
-        shadow costs no extra decode/fusion work.
     profile:
         Enable the primary engine's per-phase timers; the aggregated
         inject/gather/fold/commit seconds (across every retry attempt)
@@ -267,7 +262,6 @@ class Supervisor:
         scrub_every: int | None = 1,
         shadow: str | Callable[[], Steppable] | None = "redundant",
         batch: int = 1,
-        engine_mode: str = "fused",
         backend: str | None = None,
         profile: bool = False,
         max_retries: int = 3,
@@ -288,7 +282,6 @@ class Supervisor:
         self.scrub_every = scrub_every
         self.shadow_mode = shadow
         self.batch = batch
-        self.engine_mode = engine_mode
         self.backend = backend
         self.profile = profile
         self.max_retries = max_retries
@@ -323,9 +316,8 @@ class Supervisor:
         if self.shadow_mode is None:
             return None
         if self.shadow_mode == "redundant":
-            return self.design.simulator(
-                batch=self.batch, mode=self.engine_mode, backend=self.backend
-            )
+            # shares the primary's decode- and fusion-cache entries
+            return self.design.simulator(batch=self.batch, backend=self.backend)
         return self.shadow_mode()
 
     def _make_fallback(self) -> Steppable:
@@ -427,10 +419,7 @@ class Supervisor:
         stimuli = [dict(vec) for vec in stimuli]
         events: list[str] = []
         primary = self.design.simulator(
-            batch=self.batch,
-            mode=self.engine_mode,
-            backend=self.backend,
-            profile=self.profile,
+            batch=self.batch, backend=self.backend, profile=self.profile
         )
         shadow = self._make_shadow()
         start = 0

@@ -1,0 +1,103 @@
+"""ISA-literal reference interpreter: the executable spec of docs/ISA.md.
+
+:class:`~repro.core.interpreter.GemInterpreter` evaluates a cycle through
+the stage-fused executor, which constant-folds, dedups and reschedules
+the program at load.  This class evaluates the *same decoded bitstream*
+the way the ISA reads — block by block, instruction by instruction:
+
+* INIT — the block's local state starts the cycle at zero;
+* READ — ``local[slots] = global[gidx] ^ inv``;
+* per boomerang layer: PERM gathers ``2**eff`` local slots, each FOLD
+  step halves the vector with ``(a ^ XA) & ((b ^ XB) | OB)``, WB stores
+  selected fold positions back into local state;
+* GWRITE — immediate writes land in global state at once (later stages
+  of the cycle see them), deferred writes are queued for the commit;
+* RAMOP — the block's RAM ports, on its local state;
+* a device-wide synchronization after every stage.
+
+It subclasses the production interpreter for everything that is not
+evaluation — container load and CRC checks, decode, stimulus injection,
+output readback, the RAM port semantics, the cycle-boundary commit,
+checkpoints and probes — and overrides only :meth:`_run_cycle`.  Work
+counters are accumulated dynamically, instruction by instruction, so
+agreeing with the executor's static per-cycle deltas is itself a check.
+
+Slow by construction (thousands of tiny NumPy dispatches per cycle); it
+exists to be compared against: the differential tests, the fuzz oracle's
+``legacy`` engine and :class:`repro.core.pruning.PruningGemInterpreter`
+(which hooks :meth:`_run_partition`) all run it.
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core.bitstream import GemProgram
+from repro.core.interpreter import GemInterpreter, _DecodedPartition
+
+
+class ReferenceInterpreter(GemInterpreter):
+    """Evaluate every partition's instruction stream literally."""
+
+    mode = "reference"
+
+    def __init__(self, program: GemProgram, batch: int = 1, profile: bool = False) -> None:
+        super().__init__(program, batch=batch, profile=profile)
+        #: block-local state, one vector per partition (shared memory)
+        self._locals = [self.engine.zeros(p.state_slots) for p in self.partitions]
+
+    def _run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
+        t0 = time.perf_counter() if self.profile else 0.0
+        counters = self.counters
+        deferred = []
+        for stage_parts in self.stage_indices:
+            for idx in stage_parts:
+                deferred.extend(
+                    self._run_partition(self.partitions[idx], self._locals[idx])
+                )
+            counters.device_syncs += 1
+        if self.profile:
+            self.phase_times["fold"] += time.perf_counter() - t0
+        # the two dispatch counts are properties of the program, not of
+        # who runs it: reported here too so counters compare field by field
+        counters.array_ops += self._fused.static.array_ops
+        counters.fused_array_ops += self._fused.static.fused_array_ops
+        return deferred
+
+    def _run_partition(
+        self, part: _DecodedPartition, local: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
+        """Execute one block; returns its deferred (gidx, values, lane
+        mask) scatters (mask ``None`` = unconditional commit)."""
+        gstate = self.global_state
+        local[:] = 0
+        if part.read_gidx.size:
+            local[part.read_slots] = gstate[part.read_gidx] ^ part.read_inv
+        counters = self.counters
+        fold_step = self.engine.fold_step
+        for layer in part.layers:
+            vec = local[layer.gather]
+            for step in range(layer.eff_width_log2):
+                vec = fold_step(vec, layer.xor_a[step], layer.xor_b[step], layer.or_b[step])
+                positions, slots = layer.writebacks[step]
+                if positions.size:
+                    local[slots] = vec[positions]
+            counters.fold_steps += layer.eff_width_log2
+            counters.permutation_bits += layer.gather.size
+        counters.layer_syncs += len(part.layers)
+
+        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
+        slots, inv, gidx = part.gw_now
+        if gidx.size:
+            gstate[gidx] = local[slots] ^ inv
+        slots, inv, gidx = part.gw_deferred
+        if gidx.size:
+            deferred.append((gidx, local[slots] ^ inv, None))
+        for op in part.ramops:
+            deferred.extend(self._run_ramop(op, local))
+        counters.global_reads += int(part.read_gidx.size)
+        counters.global_writes += int(part.gw_now[2].size + part.gw_deferred[2].size)
+        counters.instruction_words += part.instruction_words
+        return deferred

@@ -68,17 +68,13 @@ class TestScenarios:
         )
         assert report.passed, report.summary()
 
-    def test_lane_quarantine_scenario_legacy_engine(self, tmp_path):
-        """Acceptance: quarantine keeps healthy lanes bit-identical in the
-        legacy engine too (the fused mode runs in the CI smoke job)."""
+    def test_lane_quarantine_scenario(self, tmp_path):
+        """Acceptance: quarantine keeps healthy lanes bit-identical."""
         report = run_chaos(
-            seeds=(11,),
-            scenarios=("lane-quarantine",),
-            engine_mode="legacy",
-            work_dir=str(tmp_path),
+            seeds=(11,), scenarios=("lane-quarantine",), work_dir=str(tmp_path)
         )
         assert report.passed, report.summary()
-        assert "legacy" in report.outcomes[0].detail
+        assert "healthy lanes bit-identical" in report.outcomes[0].detail
 
 
 class TestChaosCLI:

@@ -22,6 +22,7 @@ from repro.errors import CheckpointError
 from repro.harness.cosim import cosim_lanes
 from repro.rtl import Netlist, WordSim
 from repro.rtl.builder import CircuitBuilder
+from repro.simref.isa_interp import ReferenceInterpreter
 from tests.helpers import random_circuit, random_vectors
 
 
@@ -502,19 +503,27 @@ class TestLanePlanes:
         eng.clear_quarantine()
         assert not eng.lane_bits(eng.quarantined).any()
 
+    #: the executor, and the ISA-literal reference interpreter (the
+    #: per-partition loop that used to be ``mode="legacy"``)
+    ENGINES = {
+        "fused": lambda design, batch: design.simulator(batch=batch),
+        "legacy": lambda design, batch: ReferenceInterpreter(design.program, batch=batch),
+    }
+
     @pytest.mark.parametrize("mode", ["fused", "legacy"])
     @pytest.mark.parametrize("batch", [128, 256])
     def test_plane_batch_matches_stacked_batch64(self, memory_design, mode, batch):
         """A K-word run is bit-identical to K independent batch-64 runs
         over the same lane streams — the tentpole's acceptance check."""
         circuit, design = memory_design
+        make = self.ENGINES[mode]
         cycles = 10
         streams = lane_vectors(circuit, batch, cycles, seed=17)
-        big = design.simulator(batch=batch, mode=mode)
+        big = make(design, batch)
         big_rows = big.run_lanes([[s[c] for s in streams] for c in range(cycles)])
         for word in range(batch // WORD_LANES):
             lo = word * WORD_LANES
-            small = design.simulator(batch=WORD_LANES, mode=mode)
+            small = make(design, WORD_LANES)
             small_rows = small.run_lanes(
                 [[s[c] for s in streams[lo : lo + WORD_LANES]] for c in range(cycles)]
             )
@@ -522,13 +531,18 @@ class TestLanePlanes:
                 assert big_rows[cycle][lo : lo + WORD_LANES] == small_rows[cycle]
 
     def test_batch_1024_spot_check_fused(self, memory_design):
-        """1024 lanes (K=16): lane k of word w matches the stacked run."""
+        """1024 lanes (K=16): lane k of word w matches the stacked run,
+        and the whole plane matches the reference interpreter."""
         circuit, design = memory_design
         cycles = 6
         batch = 1024
         streams = lane_vectors(circuit, batch, cycles, seed=23)
+        vecs = [[s[c] for s in streams] for c in range(cycles)]
         big = design.simulator(batch=batch)
-        big_rows = big.run_lanes([[s[c] for s in streams] for c in range(cycles)])
+        big_rows = big.run_lanes(vecs)
+        reference = ReferenceInterpreter(design.program, batch=batch)
+        assert reference.run_lanes(vecs) == big_rows
+        assert np.array_equal(reference.global_state, big.global_state)
         for word in (0, 7, 15):  # first, middle, last plane word
             lo = word * WORD_LANES
             small = design.simulator(batch=WORD_LANES)
@@ -556,7 +570,7 @@ class TestLanePlanes:
             for lane in range(128):
                 if lane not in (5, 100):
                     assert dirty_rows[cycle][lane] == clean_rows[cycle][lane]
-        shadow = design.simulator(batch=128, mode="legacy")
+        shadow = ReferenceInterpreter(design.program, batch=128)
         shadow.quarantine_lanes([5, 100])
         shadow_rows = shadow.run_lanes(vecs)
         assert np.array_equal(dirty.global_state, shadow.global_state)

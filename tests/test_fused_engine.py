@@ -1,11 +1,13 @@
 """Stage-fused executor (repro.core.fused): differential equivalence.
 
-The fused engine replaces the per-partition interpreter loop with a
+The executor replaces the ISA's per-partition walk with a
 constant-folded, CSE'd, wave-scheduled AND-DAG executed as a handful of
 whole-stage array ops (docs/ENGINE.md §6).  Everything here certifies
 that the rewrite is *invisible*: bit-identical outputs and state digests
-against legacy mode over the real designs at batch 1/16/64, identical
-work counters, checkpoint/resume compatibility mid-run, and the
+against the ISA-literal reference interpreter ("legacy" in the test
+names: it is the per-partition loop that used to be ``mode="legacy"``)
+over the real designs at batch 1/16/64, identical work counters,
+checkpoint/resume compatibility mid-run across the two engines, and the
 decode/fusion caches that let Supervisor primary+shadow fuse once.
 """
 
@@ -24,6 +26,7 @@ from repro.core.fused import clear_fusion_cache, fusion_cache_stats
 from repro.core.partition import PartitionConfig
 from repro.harness.runner import DESIGNS, compile_design, design_workloads
 from repro.runtime.supervisor import Supervisor, state_digest
+from repro.simref.isa_interp import ReferenceInterpreter
 from tests.helpers import random_circuit, random_vectors
 
 BATCHES = (1, 16, 64)
@@ -50,9 +53,8 @@ def _lane_streams(stimuli, batch, cycles):
 
 
 def _differential(design, stimuli, batch, cycles):
-    fused = design.simulator(batch=batch, mode="fused")
-    legacy = design.simulator(batch=batch, mode="legacy")
-    assert fused.mode == "fused" and legacy.mode == "legacy"
+    fused = design.simulator(batch=batch)
+    legacy = ReferenceInterpreter(design.program, batch=batch)
     streams = _lane_streams(stimuli, batch, cycles)
     for cycle in range(cycles):
         vecs = [streams[lane][cycle] for lane in range(batch)]
@@ -93,22 +95,25 @@ def test_fused_matches_legacy_random_memory_design(batch):
 
 
 def test_fused_is_the_default_mode():
+    """``mode`` is a constant now — the record field run reports and the
+    frozen benchmark read — not a switch."""
     circuit = random_circuit(31, n_ops=30)
     design = _compile_small(circuit)
     assert design.simulator().mode == "fused"
+    assert ReferenceInterpreter(design.program).mode == "reference"
 
 
 def test_counters_identical_across_modes():
-    """Work accounting is mode-independent: the fused executor reports
-    the per-cycle deltas of the interpreter it replaced, and both modes
-    accumulate both array-op counters."""
+    """Work accounting is engine-independent: the executor's static
+    per-cycle deltas equal what the reference interpreter counts
+    instruction by instruction, and both carry both array-op counters."""
     design = compile_design("rocketchip")
     wl = next(iter(design_workloads("rocketchip").values()))
     fused, legacy = _differential(design, wl.stimuli, batch=1, cycles=16)
     for field in dataclasses.fields(CycleCounters):
         assert getattr(fused.counters, field.name) == getattr(
             legacy.counters, field.name
-        ), f"counter {field.name} diverges between modes"
+        ), f"counter {field.name} diverges between the engines"
     per_cycle = fused.counters.per_cycle()
     assert per_cycle["fused_array_ops"] > 0
     assert per_cycle["array_ops"] >= 10 * per_cycle["fused_array_ops"]
@@ -122,34 +127,39 @@ def test_checkpoint_resume_mid_run_fused():
     design = compile_design("rocketchip")
     wl = next(iter(design_workloads("rocketchip").values()))
     stimuli = wl.stimuli[:32]
-    sim = design.simulator(mode="fused")
+    sim = design.simulator()
     for vec in stimuli[:16]:
         sim.step(vec)
     ckpt = snapshot(sim)
     tail = [sim.step(vec) for vec in stimuli[16:]]
 
-    resumed = restore(design.simulator(mode="fused"), ckpt)
+    resumed = restore(design.simulator(), ckpt)
     assert [resumed.step(vec) for vec in stimuli[16:]] == tail
     assert state_digest(resumed) == state_digest(sim)
 
 
 def test_legacy_checkpoint_loads_into_fused_and_back():
-    """Mode is not part of the checkpoint: a legacy snapshot resumes
-    under fused execution (and vice versa) bit-identically."""
+    """The engine is not part of the checkpoint: a reference-interpreter
+    snapshot resumes under the executor, and the executor's snapshot
+    back under the reference interpreter, bit-identically."""
     from repro.runtime.checkpoint import restore, snapshot
 
     circuit = random_circuit(55, n_ops=50, n_regs=3, with_memory=True)
     design = _compile_small(circuit)
     stimuli = random_vectors(circuit, seed=7, cycles=24)
-    legacy = design.simulator(mode="legacy")
+    legacy = ReferenceInterpreter(design.program)
     for vec in stimuli[:12]:
         legacy.step(vec)
     ckpt = snapshot(legacy)
-    tail = [legacy.step(vec) for vec in stimuli[12:]]
+    tail = [legacy.step(vec) for vec in stimuli[12:18]]
 
-    fused = restore(design.simulator(mode="fused"), ckpt)
-    assert [fused.step(vec) for vec in stimuli[12:]] == tail
+    fused = restore(design.simulator(), ckpt)
+    assert [fused.step(vec) for vec in stimuli[12:18]] == tail
     assert state_digest(fused) == state_digest(legacy)
+
+    back = restore(ReferenceInterpreter(design.program), snapshot(fused))
+    assert [back.step(v) for v in stimuli[18:]] == [fused.step(v) for v in stimuli[18:]]
+    assert state_digest(back) == state_digest(fused)
 
 
 class TestDecodeAndFusionCaches:
@@ -192,18 +202,21 @@ class TestDecodeAndFusionCaches:
 
 
 def test_profile_timers_populate():
-    """--profile's data source: phase_times buckets fill under both
-    modes and cover inject/gather/fold/commit."""
+    """--profile's data source: phase_times buckets fill under the
+    executor (all four) and the reference interpreter (no gather/fold
+    boundary there) and cover inject/gather/fold/commit."""
     circuit = random_circuit(222, n_ops=40, n_regs=3, with_memory=True)
     design = _compile_small(circuit)
     stimuli = random_vectors(circuit, seed=5, cycles=12)
-    for mode, phases in (
-        ("fused", ("inject", "gather", "fold", "commit")),
-        ("legacy", ("inject", "fold", "commit")),
+    for sim, phases in (
+        (design.simulator(profile=True), ("inject", "gather", "fold", "commit")),
+        (
+            ReferenceInterpreter(design.program, profile=True),
+            ("inject", "fold", "commit"),
+        ),
     ):
-        sim = design.simulator(mode=mode, profile=True)
         for vec in stimuli:
             sim.step(vec)
         assert set(sim.phase_times) == {"inject", "gather", "fold", "commit"}
         for phase in phases:
-            assert sim.phase_times[phase] > 0.0, f"{mode}: {phase} never timed"
+            assert sim.phase_times[phase] > 0.0, f"{sim.mode}: {phase} never timed"

@@ -1,10 +1,10 @@
 """Decode/fusion cache behaviour under real sharing patterns (satellite).
 
 Extends the basic cache tests in test_fused_engine with the scenarios
-the observability PR cares about: supervisor primary+shadow sharing in
-both engine modes, eviction past the 8-entry LRU bound, cross-mode
-(fused + legacy) sharing of one decode/fusion entry, and the mirroring
-of cache traffic into the metrics registry.
+the observability PR cares about: supervisor primary+shadow sharing,
+eviction past the 8-entry LRU bound, executor + reference-interpreter
+sharing of one decode/fusion entry, and the mirroring of cache traffic
+into the metrics registry.
 """
 
 import pytest
@@ -21,6 +21,7 @@ from repro.core.interpreter import (
 )
 from repro.obs.metrics import REGISTRY
 from repro.runtime.supervisor import Supervisor
+from repro.simref.isa_interp import ReferenceInterpreter
 from tests.helpers import random_circuit, random_vectors
 from tests.test_fused_engine import _compile_small
 
@@ -42,15 +43,11 @@ def design():
 
 
 class TestSupervisorSharing:
-    @pytest.mark.parametrize("engine_mode", ["fused", "legacy"])
-    def test_primary_and_shadow_share_one_entry(self, design, engine_mode):
-        """Primary + redundant shadow decode and fuse exactly once in
-        either engine mode (legacy still fuses for the work counters)."""
+    def test_primary_and_shadow_share_one_entry(self, design):
+        """Primary + redundant shadow decode and fuse exactly once."""
         circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)
         stimuli = random_vectors(circuit, seed=7, cycles=6)
-        result = Supervisor(
-            design, shadow="redundant", batch=2, engine_mode=engine_mode
-        ).run(stimuli)
+        result = Supervisor(design, shadow="redundant", batch=2).run(stimuli)
         assert result.cycles == len(stimuli)
         assert decode_cache_stats() == {"misses": 1, "hits": 1}
         assert fusion_cache_stats() == {"misses": 1, "hits": 1}
@@ -88,13 +85,14 @@ class TestEviction:
 
 class TestCrossMode:
     def test_fused_and_legacy_share_decode_and_fusion(self, design):
-        """Legacy mode reuses the same decode and fusion entries (fusion
-        runs in legacy mode too, for the work counters) and both modes
-        produce identical outputs from the shared tables."""
+        """The reference interpreter reuses the executor's decode and
+        fusion entries (it reads the fused program's static work
+        counters) and both produce identical outputs from the shared
+        tables."""
         circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)
         stimuli = random_vectors(circuit, seed=11, cycles=8)
-        fused_sim = design.simulator(batch=4, mode="fused")
-        legacy_sim = design.simulator(batch=4, mode="legacy")
+        fused_sim = design.simulator(batch=4)
+        legacy_sim = ReferenceInterpreter(design.program, batch=4)
         assert decode_cache_stats() == {"misses": 1, "hits": 1}
         assert fusion_cache_stats() == {"misses": 1, "hits": 1}
         for vec in stimuli:

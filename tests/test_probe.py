@@ -36,6 +36,7 @@ from repro.obs.probe import (
     probe_catalog,
 )
 from repro.simref.gate_sim import GateLevelSim
+from repro.simref.isa_interp import ReferenceInterpreter
 from repro.waveform.vcd import VcdReader
 
 CORPUS = os.path.join(os.path.dirname(__file__), "corpus")
@@ -56,13 +57,17 @@ def corpus_design(name: str):
     return compiled, stimuli
 
 
-def run_tapped(compiled, stimuli, *, batch=1, mode="fused", nets=None, capacity=None):
-    """Run ``stimuli`` with a full-window ring + activity tap attached."""
+def run_tapped(compiled, stimuli, *, batch=1, reference=False, nets=None, capacity=None):
+    """Run ``stimuli`` with a full-window ring + activity tap attached,
+    on the executor or (``reference=True``) the ISA-literal interpreter."""
     plan = build_probe_plan(compiled, nets)
     ring = WaveRing(plan, capacity=capacity or max(len(stimuli), 1))
     acc = ActivityAccumulator(plan)
     tap = ProbeTap(plan, [ring, acc])
-    sim = compiled.simulator(batch=batch, mode=mode)
+    if reference:
+        sim = ReferenceInterpreter(compiled.program, batch=batch)
+    else:
+        sim = compiled.simulator(batch=batch)
     tap.attach(sim)
     for vec in stimuli:
         sim.step(vec)
@@ -130,8 +135,8 @@ class TestBitIdentity:
     def test_fused_and_legacy_taps_agree(self):
         compiled, stimuli = corpus_design(IDENTITY_DESIGNS[0])
         stimuli = stimuli[:10]
-        _, fused, _ = run_tapped(compiled, stimuli, batch=16, mode="fused")
-        _, legacy, _ = run_tapped(compiled, stimuli, batch=16, mode="legacy")
+        _, fused, _ = run_tapped(compiled, stimuli, batch=16)
+        _, legacy, _ = run_tapped(compiled, stimuli, batch=16, reference=True)
         assert fused.lane_samples(5) == legacy.lane_samples(5)
 
 

@@ -289,14 +289,14 @@ class TestFuzzGeneratorProperties:
         stimuli = random_stimuli(spec, seed, 8)
         design = GemCompiler(compile_profile("small")).compile(spec.build())
 
-        straight = design.simulator(mode="fused")
+        straight = design.simulator()
         full_trace = [straight.step(vec) for vec in stimuli]
 
-        first = design.simulator(mode="fused")
+        first = design.simulator()
         for vec in stimuli[:cut]:
             first.step(vec)
         ckpt = snapshot(first)
-        resumed = design.simulator(mode="fused")
+        resumed = design.simulator()
         restore(resumed, ckpt)
         tail = [resumed.step(vec) for vec in stimuli[cut:]]
         assert tail == full_trace[cut:]
@@ -362,10 +362,10 @@ class TestFourStateProperties:
         stimuli = random_stimuli(spec, seed, 8)
         circuit = spec.build()
         config = compile_profile("small")
-        plain = GemCompiler(config).compile(circuit).simulator(mode="fused")
+        plain = GemCompiler(config).compile(circuit).simulator()
         dual = compile_circuit(
             circuit, config, values=4, x_reset=False, x_memory=False
-        ).simulator(mode="fused")
+        ).simulator()
         for cycle, vec in enumerate(stimuli):
             expect = plain.step(vec)
             got4 = dual.step4(vec)

@@ -28,6 +28,7 @@ class TestCorrectness:
         lockstep(
             {
                 "word": WordSim(Netlist(circuit)),
+                "executor": design.simulator(),
                 "pruned": PruningGemInterpreter(design.program),
             },
             random_vectors(circuit, seed, 40),

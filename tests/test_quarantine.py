@@ -71,22 +71,18 @@ class TestLaneDigests:
 
 
 class TestQuarantine:
-    @pytest.mark.parametrize("engine_mode", ["fused", "legacy"])
-    def test_persistent_lane_fault_quarantined_healthy_bit_identical(
-        self, compiled, engine_mode
-    ):
+    def test_persistent_lane_fault_quarantined_healthy_bit_identical(self, compiled):
         """Acceptance: quarantining lane L leaves every other lane's output
-        stream bit-identical to an undisturbed run, in both engine modes."""
+        stream bit-identical to an undisturbed run."""
         circuit, design, stimuli = compiled
         victim = 3
-        golden = Supervisor(design, batch=BATCH, engine_mode=engine_mode).run(stimuli)
+        golden = Supervisor(design, batch=BATCH).run(stimuli)
         assert not golden.degraded
 
         result = Supervisor(
             design,
             batch=BATCH,
             checkpoint_every=6,
-            engine_mode=engine_mode,
             fault_hook=_persistent_lane_fault(victim, start=15),
         ).run(stimuli)
         assert not result.degraded

@@ -56,7 +56,7 @@ def _lockstep(circuit, stimuli) -> None:
     design = GemCompiler(_config()).compile(circuit)
     golden = WordSim(Netlist(circuit))
     gate = GateLevelSim(design.synth)
-    gem = design.simulator(mode="fused")
+    gem = design.simulator()
     for cycle, vec in enumerate(stimuli):
         want = golden.step(vec)
         got_gate = gate.step(vec)

@@ -5,10 +5,11 @@
    so and exit 0 even under ``--strict`` (an empty comparison is not a
    pass, but it is not a failure either; CI must not go red because a
    bench file rotated).
-2. ``GemInterpreter`` falling back to the legacy path when stage fusion
-   raises ``FusionError``: the fallback must warn exactly once through
-   the ``repro.core.interpreter`` logger, flip ``mode`` to ``"legacy"``,
-   and still simulate correctly.
+2. The ``FusionError`` guard: a stage in which one partition reads a
+   global bit another writes immediately cannot be scheduled reads-first,
+   so ``fuse()`` must refuse it, and — there being no other way to run a
+   program — the refusal must surface from ``GemSimulator(...)`` as a
+   typed load error, not as a warning or a silent change of engine.
 3. Config-aware cache keying (docs/TUNING.md): tuned and default compiles
    of the same design must cache *independently* at both the runner layer
    (disk pickle per ``GemConfig.digest()``) and the interpreter's decode
@@ -23,6 +24,9 @@ from __future__ import annotations
 
 import json
 import logging
+
+import numpy as np
+import pytest
 
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
@@ -82,80 +86,66 @@ class TestPerfCompareVacuousGate:
         assert "no comparable baselines" not in out
 
 
-class TestFusionErrorFallback:
-    def _design(self):
-        circuit = random_circuit(7, n_ops=30)
-        return GemCompiler(
+class TestFusionErrorGuard:
+    @staticmethod
+    def _passthrough(engine, read, write):
+        """A one-instruction-pair block: READ global ``read`` into local
+        slot 1, GWRITE slot 1 immediately to global ``write``."""
+        from repro.core.interpreter import _DecodedPartition
+
+        def index(*values):
+            return np.array(values, dtype=np.int64)
+
+        no_inv = engine.const_mask(np.zeros(1, dtype=bool))
+        none = (index(), engine.const_mask(np.zeros(0, dtype=bool)), index())
+        return _DecodedPartition(
+            stage=0,
+            state_slots=2,
+            read_gidx=index(read),
+            read_slots=index(1),
+            read_inv=no_inv,
+            layers=[],
+            gw_now=(index(1), no_inv, index(write)),
+            gw_deferred=none,
+            ramops=[],
+            instruction_words=4,
+        )
+
+    def test_same_stage_read_of_immediate_write_refuses_to_fuse(self):
+        from repro.core.engine import ExecutionEngine
+        from repro.core.fused import FusionError, fuse
+
+        engine = ExecutionEngine(1)
+        writer = self._passthrough(engine, read=0, write=5)
+        reader = self._passthrough(engine, read=5, write=7)
+        with pytest.raises(FusionError, match=r"stage 0 reads global bits \[5\]"):
+            fuse([writer, reader], [[0, 1]], engine)
+        # a stage apart, the same pair is the ordinary cut-value handoff
+        fused = fuse([writer, reader], [[0], [1]], engine)
+        assert [plan.gwn_gidx.tolist() for plan in fused.stages] == [[5], [7]]
+
+    def test_fusion_error_surfaces_as_typed_load_error(self, monkeypatch, caplog, recwarn):
+        import repro.core.interpreter as interp_mod
+        from repro.core.compiler import GemSimulator
+        from repro.core.fused import FusionError
+        from repro.errors import GemError
+
+        design = GemCompiler(
             GemConfig(
                 partition=PartitionConfig(gates_per_partition=400),
                 boomerang=BoomerangConfig(width_log2=10),
             )
-        ).compile(circuit)
-
-    def test_fallback_warns_and_still_simulates(self, monkeypatch, caplog):
-        import repro.core.interpreter as interp_mod
-        from repro.core.fused import FusionError
-
-        design = self._design()
-        reference = design.simulator(mode="legacy")
+        ).compile(random_circuit(7, n_ops=30))
 
         def boom(*args, **kwargs):
             raise FusionError("deliberately broken for the regression test")
 
         monkeypatch.setattr(interp_mod, "fused_program", boom)
-        with caplog.at_level(logging.WARNING, logger="repro.core.interpreter"):
-            sim = design.simulator(mode="fused")
-        warnings = [
-            r for r in caplog.records
-            if "stage fusion unavailable" in r.getMessage()
-        ]
-        assert len(warnings) == 1, "exactly one fallback warning"
-        assert "deliberately broken" in warnings[0].getMessage()
-        assert sim.mode == "legacy"
-
-        circuit = random_circuit(7, n_ops=30)
-        for vec in random_vectors(circuit, seed=8, cycles=10):
-            assert sim.step(vec) == reference.step(vec)
-
-    def test_legacy_mode_does_not_warn(self, monkeypatch, caplog):
-        """Asking for legacy explicitly must stay silent even when fusion
-        is unavailable (the warning is about a broken *request*)."""
-        import repro.core.interpreter as interp_mod
-        from repro.core.fused import FusionError
-
-        design = self._design()
-
-        def boom(*args, **kwargs):
-            raise FusionError("still broken")
-
-        monkeypatch.setattr(interp_mod, "fused_program", boom)
-        with caplog.at_level(logging.WARNING, logger="repro.core.interpreter"):
-            sim = design.simulator(mode="legacy")
-        assert sim.mode == "legacy"
-        assert not [
-            r for r in caplog.records
-            if "stage fusion unavailable" in r.getMessage()
-        ]
-
-    def test_fallback_counts_as_fuzz_coverage(self):
-        """The oracle surfaces the fallback as a coverage feature so fuzz
-        campaigns notice when fusion silently stops applying."""
-        from repro.fuzz import OracleConfig, random_spec, random_stimuli
-        from repro.fuzz.oracle import run_oracle
-        import repro.core.interpreter as interp_mod
-        from repro.core.fused import FusionError
-        from unittest import mock
-
-        spec = random_spec(11)
-        stimuli = random_stimuli(spec, 11, 4)
-
-        def boom(*args, **kwargs):
-            raise FusionError("no fusion today")
-
-        with mock.patch.object(interp_mod, "fused_program", boom):
-            result = run_oracle(spec, stimuli, OracleConfig(batches=(1,)))
-        assert result.ok, "legacy fallback must still be correct"
-        assert "fallback:legacy" in result.coverage
+        with caplog.at_level(logging.INFO):
+            with pytest.raises(GemError, match="deliberately broken") as exc:
+                GemSimulator(design.program)
+        assert isinstance(exc.value, FusionError)
+        assert not caplog.records and not recwarn.list
 
 
 class TestConfigCacheKeying:
@@ -226,13 +216,13 @@ class TestConfigCacheKeying:
 
         clear_decode_cache()
         vec = random_vectors(circ, 7, cycles=1)[0]
-        design.simulator(mode="legacy").step(vec)
-        twin.simulator(mode="legacy").step(vec)
+        design.simulator().step(vec)
+        twin.simulator().step(vec)
         stats = decode_cache_stats()
         assert stats["misses"] == 2, f"config twin served a stale decode: {stats}"
         assert stats["hits"] == 0
 
-        design.simulator(mode="legacy").step(vec)
+        design.simulator().step(vec)
         assert decode_cache_stats()["hits"] == 1  # true re-use still hits
 
 

@@ -533,12 +533,10 @@ class TestLanePlaneCheckpoints:
             checkpoint_from_words(seal([header, *sections[1:]]))
 
     def test_cross_backend_resume_bit_identical(self, tmp_path):
-        """A checkpoint saved under the numpy hot loop resumes under a
-        compiled backend (and vice versa) with identical state."""
-        from repro.core.backend import ArrayBackend
-
-        class RefBackend(ArrayBackend):
-            name = "ref"
+        """A checkpoint saved under the numpy stages resumes under the
+        numba stage kernel (plain Python through the stub njit) and vice
+        versa, with identical state."""
+        from tests.helpers import stub_numba
 
         circuit, design = _compile(35, with_memory=True)
         batch, cycles = 128, 16
@@ -552,10 +550,11 @@ class TestLanePlaneCheckpoints:
         path = os.path.join(tmp_path, "xback.gemk")
         save_checkpoint(snapshot(saver), path)
 
-        compiled = restore(
-            design.simulator(batch=batch, backend=RefBackend()), load_checkpoint(path)
-        )
-        assert compiled.run_lanes(vecs[9:]) == golden_rows[9:]
+        with stub_numba():
+            compiled = design.simulator(batch=batch, backend="numba")
+            assert compiled.backend.name == "numba"
+            restore(compiled, load_checkpoint(path))
+            assert compiled.run_lanes(vecs[9:]) == golden_rows[9:]
         assert np.array_equal(compiled.global_state, golden.global_state)
 
         # and back: state written under the compiled path resumes on numpy
