@@ -13,9 +13,10 @@ Writes ``BENCH_batch.json`` at the repo root (cycles×lanes/sec for
 batch ∈ {1, 16, 64, 256, 1024} on the rocketchip riscish-core workload,
 one row per available execution backend at the lane-plane batches) so
 the perf trajectory is tracked from this PR onward; the CI smoke job
-runs exactly this file.  Acceptance: numpy batch=64 ≥ 10× the
-sequential lane throughput, and — when numba is installed — the numba
-compiled-kernel backend ≥ 2× numpy fused cycles/s at batch ≥ 256.
+runs exactly this file.  The batch series is pinned to the numpy
+backend (the series BENCH_batch.json has always tracked); the native
+stage kernel, where it resolves, adds its own lane-plane rows.
+Acceptance: numpy batch=64 ≥ 10× the sequential lane throughput.
 """
 
 import json
@@ -41,13 +42,10 @@ def test_batch_throughput(benchmark, record_experiment):
     # row is not penalized by first-touch costs.
     measure_batch_throughput(DESIGN, batch=1, max_cycles=5)
     extra_backends = tuple(b for b in available_backends() if b != "numpy")
-    if "numba" in extra_backends:
-        # pay the one-time JIT compile outside the measured region
-        measure_batch_throughput(DESIGN, batch=256, max_cycles=2, backend="numba")
 
     def measure():
         rows = [
-            measure_batch_throughput(DESIGN, batch=batch, max_cycles=CYCLES)
+            measure_batch_throughput(DESIGN, batch=batch, max_cycles=CYCLES, backend="numpy")
             for batch in BATCHES
         ]
         rows += [
@@ -98,13 +96,3 @@ def test_batch_throughput(benchmark, record_experiment):
             f"batch=64 already delivers {speedup64:.2f}x — planes must not "
             f"lose per-lane ground (>=0.9x the single-word speedup)"
         )
-    if "numba" in extra_backends:
-        for batch in PLANE_BATCHES:
-            numba_row = next(
-                r for r in rows if r["backend"] == "numba" and r["batch"] == batch
-            )
-            ratio = numba_row["cycles_per_s"] / numpy_rows[batch]["cycles_per_s"]
-            assert ratio >= 2.0, (
-                f"numba batch={batch} is only {ratio:.2f}x numpy fused "
-                f"cycles/s (acceptance floor: 2x)"
-            )

@@ -144,9 +144,9 @@ class CompiledDesign:
         independent stimulus lanes into every state word (docs/ENGINE.md).
         Batches beyond 64 must be a whole number of 64-lane words.
 
-        ``profile`` enables per-phase timers; ``backend`` picks the
-        executor's array backend (``numpy``/``numba``, with warn-once
-        numpy fallback).
+        ``profile`` enables per-phase timers; ``backend`` picks how
+        the executor runs a stage (default: the native C kernel where
+        it can be built, else numpy; ``"numpy"`` forces the array loop).
 
         Designs compiled for ``values=4`` return a
         :class:`~repro.fourstate.fastpath.FourStateSimulator` — the same

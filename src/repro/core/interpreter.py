@@ -200,10 +200,11 @@ class GemInterpreter:
     ``profile=True`` keeps lightweight wall-clock timers per phase in
     :attr:`phase_times` (``inject`` / ``gather`` / ``fold`` / ``commit``).
 
-    ``backend`` selects the executor's array backend
-    (:mod:`repro.core.backend`): ``"numpy"`` (default) or ``"numba"``
-    (per-stage JIT kernels); a name whose dependency is missing falls
-    back to numpy with one warning per process.
+    ``backend`` selects how the executor runs a stage
+    (:mod:`repro.core.backend`): ``None`` (default) is the native C
+    stage kernel where a compiler or a cached build exists and the numpy
+    array loop elsewhere; ``"numpy"`` forces the array loop; ``"native"``
+    by name warns once and falls back to numpy when it cannot be built.
 
     A bitstream the executor cannot schedule (a stage that reads a global
     bit it also writes immediately — no compiler output does) is refused
@@ -412,13 +413,13 @@ class GemInterpreter:
         port's write lands, lane by lane.
         """
         eng = self.engine
-        # scalar words for K == 1, (K,) plane rows beyond — np.any gates
+        # scalar words for K == 1, (K,) plane rows beyond — .any() gates
         # both without the ambiguous array truthiness
         ren = (local[op.ren_slot] ^ op.ren_inv) & eng.lane_mask
         wen = (local[op.wen_slot] ^ op.wen_inv) & eng.lane_mask
         array = self.ram_arrays[op.spec.ram_index]
         deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        if bool(np.any(ren)):
+        if ren.any():
             raddr = eng.lane_values(local[op.raddr_slots] ^ op.raddr_inv, op.addr_weights)
             lanes = np.nonzero(eng.lane_bits(ren))[0]
             sampled = np.zeros(eng.batch, dtype=np.uint64)
@@ -426,7 +427,7 @@ class GemInterpreter:
             values = eng.pack_lane_values(sampled, op.spec.data_bits)
             deferred.append((op.rd_gidx, values, ren))
             self.counters.global_writes += op.spec.data_bits
-        if bool(np.any(wen)):
+        if wen.any():
             waddr = eng.lane_values(local[op.waddr_slots] ^ op.waddr_inv, op.addr_weights)
             wdata = eng.lane_values(local[op.wdata_slots] ^ op.wdata_inv, op.data_weights)
             lanes = np.nonzero(eng.lane_bits(wen))[0]

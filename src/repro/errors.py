@@ -73,10 +73,11 @@ class LaneConfigError(GemError, ValueError):
 class BackendUnavailableError(GemError):
     """The requested execution backend cannot be loaded.
 
-    Raised by :func:`repro.core.backend.resolve_backend` when a
-    backend's runtime dependency (numba) is missing.  Callers that
-    pass ``strict=False`` get the warn-once numpy fallback instead of
-    this error.
+    Raised by :func:`repro.core.backend.resolve_backend` for an unknown
+    name, or — under ``strict=True`` — when the native stage kernel has
+    neither a C compiler nor a cached build to load; the message names
+    the reason.  Callers that pass ``strict=False`` get the numpy
+    fallback (logged once) instead of this error.
     """
 
 

@@ -258,7 +258,7 @@ def run_fuzz(
     profiles: list[str] | None = None,
     cycles: int = 24,
     batches: tuple[int, ...] = (1, 16),
-    backends: tuple[str, ...] = ("numpy",),
+    backends: tuple[str, ...] | None = None,
     inject: dict | None = None,
     shrink_failures: bool = True,
     shrink_budget: int = 120,
@@ -324,10 +324,10 @@ def run_fuzz(
         stimuli = random_stimuli(spec, design_seed, cycles, x_rate=x_rate)
         config = OracleConfig(
             batches=batches,
-            backends=backends,
             compile_profile=knobs.compile_profile,
             inject=inject,
             values=effective_values,
+            **({} if backends is None else {"backends": backends}),
         )
         result = run_oracle(spec, stimuli, config)
         stats.iterations += 1

@@ -17,9 +17,11 @@ under a named compile profile, runs all requested engines in lockstep at
 batch 1, then re-runs the two GEM paths at the requested lane batches
 (each lane seeing a rotated stimulus stream) and cross-checks them
 per-lane, with lane 0 additionally pinned to the batch-1 reference.
-Non-default execution backends (``OracleConfig.backends``) enroll as
-additional fused-path engines at those same rotated batches — a numba
-disagreement is a kernel bug, caught by the same lockstep.  The first
+The fused engine runs on the default execution backend; every other
+backend of ``OracleConfig.backends`` (by default all that resolve here)
+enrolls as an additional fused-path engine at those same rotated
+batches — a native/numpy disagreement is a kernel bug, caught by the
+same lockstep.  The first
 disagreement is reported as a :class:`FuzzDivergence` (cycle, signal,
 engine pair, lane).
 
@@ -49,7 +51,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.core.backend import resolve_backend
+from repro.core.backend import available_backends, resolve_backend
 from repro.core.bitstream import GemProgram, mutate_fold_constant
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import (
@@ -137,10 +139,11 @@ class OracleConfig:
     engines: tuple[str, ...] = ENGINES
     #: lane batches beyond 1 run fused-vs-legacy per-lane lockstep
     batches: tuple[int, ...] = (1, 16, 64)
-    #: execution backends enrolled as extra fused-path engines at the
-    #: lane batches ("numpy" is the baseline; unavailable ones skip
-    #: with a coverage marker rather than fall back silently)
-    backends: tuple[str, ...] = ("numpy",)
+    #: execution backends held against each other at the lane batches:
+    #: the fused engine runs the default one, every other enrolls as an
+    #: extra fused-path engine (unavailable ones skip with a coverage
+    #: marker rather than fall back silently)
+    backends: tuple[str, ...] = field(default_factory=available_backends)
     compile_profile: str = "small"
     #: fault descriptor, e.g. ``{"kind": "fold", "index": 0, "bit": 3}``
     #: or ``{"kind": "known_rail", "cycle": 0, "bit": 0}`` (4-value mode)
@@ -175,7 +178,7 @@ class OracleConfig:
         return cls(
             engines=tuple(raw.get("engines", ENGINES)),
             batches=tuple(int(b) for b in raw.get("batches", (1, 16, 64))),
-            backends=tuple(raw.get("backends", ("numpy",))),
+            backends=tuple(raw["backends"]) if "backends" in raw else available_backends(),
             compile_profile=str(raw.get("compile_profile", "small")),
             inject=raw.get("inject"),
             values=int(raw.get("values", 2)),
@@ -432,12 +435,14 @@ def run_oracle(
             return GemSimulator(program, batch=batch, backend=backend)
         raise ValueError(f"unknown engine {name!r}; have {ENGINES}")
 
-    # Backends are extra fused-path DUTs; an unavailable one is skipped
-    # loudly (coverage marker) — a silent numpy fallback would just
-    # cross-check numpy against itself.
+    # Backends other than the one the fused engine already runs on are
+    # extra fused-path DUTs; an unavailable one is skipped loudly
+    # (coverage marker) — a silent fallback would just cross-check the
+    # default against itself.
+    baseline = resolve_backend(None).name
     extra_backends: list[str] = []
     for bk in dict.fromkeys(config.backends):
-        if bk == "numpy":
+        if bk == baseline:
             continue
         try:
             resolve_backend(bk, strict=True)

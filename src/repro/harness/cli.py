@@ -102,6 +102,7 @@ def main_compile(argv: list[str] | None = None) -> int:
 
 
 def main_run(argv: list[str] | None = None) -> int:
+    from repro.core.backend import BACKEND_NAMES
     from repro.harness.runner import DESIGNS, compile_design, design_workloads
 
     parser = argparse.ArgumentParser(prog="gem-run", description="Execute a workload on GEM")
@@ -115,10 +116,11 @@ def main_run(argv: list[str] | None = None) -> int:
         "the workload stimuli, outputs report lane 0 (docs/ENGINE.md)",
     )
     parser.add_argument(
-        "--backend", choices=["numpy", "numba"], default=None,
-        help="array backend of the stage executor: numpy (default) or "
-        "numba (JIT-compiled stage kernels). An unavailable backend "
-        "warns once and falls back to numpy",
+        "--backend", choices=BACKEND_NAMES, default=None,
+        help="how the stage executor runs a stage: native (the C stage "
+        "kernel; the default wherever a C compiler or a cached build "
+        "exists) or numpy (the array loop). native asked for by name "
+        "where it cannot be built warns once and falls back to numpy",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -436,7 +438,7 @@ def _run_plain(args, wl, tap=None) -> int:
     vals = " 4-state" if args.values == 4 else ""
     print(f"{args.design}/{wl.name}: {len(stimuli)} cycles{lanes} in {elapsed:.2f}s "
           f"({len(stimuli) * args.batch / max(elapsed, 1e-9):.0f} lane-cycles/s on this host, "
-          f"{sim.mode}{vals} engine)")
+          f"{sim.mode}{vals} engine, {sim.backend.name} backend)")
     if args.values == 4:
         # Reset-coverage readout: X bits still visible on lane 0's outputs
         # after the workload (0 = the reset sequence fully initialized
@@ -867,10 +869,12 @@ def main_fuzz(argv: list[str] | None = None) -> int:
         "width, 128+ for multi-word lane planes)",
     )
     p_run.add_argument(
-        "--backends", default="numpy", metavar="B1,B2",
-        help="execution backends enrolled as extra fused-path oracle "
-        "engines (default numpy; unavailable ones are skipped with a "
-        "backend-skip coverage marker)",
+        "--backends", default=None, metavar="B1,B2",
+        help="execution backends held against each other: the fused "
+        "engine runs the default one, the others enroll as extra "
+        "fused-path oracle engines (default: every backend available "
+        "here; unavailable ones are skipped with a backend-skip "
+        "coverage marker)",
     )
     p_run.add_argument(
         "--failure-dir", default="fuzz-failures",
@@ -969,7 +973,9 @@ def main_fuzz(argv: list[str] | None = None) -> int:
         profiles=args.profiles.split(",") if args.profiles else None,
         cycles=args.cycles,
         batches=tuple(int(b) for b in args.batches.split(",")),
-        backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
+        backends=tuple(b.strip() for b in args.backends.split(",") if b.strip())
+        if args.backends
+        else None,
         inject=inject,
         shrink_failures=not args.no_shrink,
         shrink_budget=args.shrink_budget,
@@ -1005,6 +1011,7 @@ def main_probe(argv: list[str] | None = None) -> int:
     """Signal-level probes: list nets, watch values, dump waves, profile activity."""
     import json
 
+    from repro.core.backend import BACKEND_NAMES
     from repro.errors import ProbeError
     from repro.harness.runner import DESIGNS, compile_design, design_workloads
 
@@ -1019,7 +1026,7 @@ def main_probe(argv: list[str] | None = None) -> int:
             p.add_argument("--max-cycles", type=int, default=None)
             p.add_argument("--batch", type=int, default=1, metavar="N",
                            help="stimulus lanes packed per state word (docs/ENGINE.md)")
-            p.add_argument("--backend", choices=["numpy", "numba"], default=None)
+            p.add_argument("--backend", choices=BACKEND_NAMES, default=None)
         p.add_argument(
             "--nets", default=None, metavar="GLOBS",
             help="comma-separated net-name globs or the group selectors "
@@ -1104,7 +1111,7 @@ def _probe_command(args, json, compile_design, design_workloads) -> int:
         ring = WaveRing(plan, capacity=max(capacity, 1))
         tap = ProbeTap(plan, [ring])
     else:  # activity
-        acc = ActivityAccumulator(plan, backend=args.backend)
+        acc = ActivityAccumulator(plan)
         tap = ProbeTap(plan, [acc])
     sim = design.simulator(batch=args.batch, backend=args.backend)
     tap.attach(sim)

@@ -12,11 +12,7 @@ three counters over the captured window, summed across active lanes:
 
 The accumulate step is a handful of vectorized popcounts per cycle —
 ``numpy.bitwise_count`` when the installed numpy has it (>= 2.0), a
-byte-LUT fallback otherwise, and an optional numba JIT kernel
-(``backend="numba"``) mirroring the gating style of
-:mod:`repro.core.backend`: numba is never required, and when it is
-missing the accumulator falls back to numpy with a warn-once log unless
-``strict`` is set.
+byte-LUT fallback otherwise.
 
 Export paths: :func:`write_saif` (a minimal SAIF 2.0 file, backward
 direction, DURATION in cycles — see docs/OBSERVABILITY.md for the
@@ -28,7 +24,6 @@ RunReports and ``gem-probe activity``).
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -37,8 +32,6 @@ from repro.obs.metrics import REGISTRY
 
 if TYPE_CHECKING:
     from repro.obs.probe import ProbePlan
-
-logger = logging.getLogger(__name__)
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -55,7 +48,7 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return _BYTE_POPCOUNT[as_bytes].sum(axis=-1)
 
 
-def _accumulate_numpy(
+def _accumulate(
     words: np.ndarray,
     prev: np.ndarray | None,
     mask: np.ndarray,
@@ -70,81 +63,6 @@ def _accumulate_numpy(
     t0 += np.uint64(batch) - ones
     if prev is not None:
         tc += popcount((words ^ prev) & mask).sum(axis=1, dtype=np.uint64)
-
-
-_NUMBA_KERNEL = None
-
-
-def _numba_accumulate():
-    """Build (once) the numba JIT accumulate kernel; raises ImportError
-    when numba is not installed."""
-    global _NUMBA_KERNEL
-    if _NUMBA_KERNEL is None:
-        import numba
-
-        @numba.njit(cache=True)
-        def kernel(words, prev, mask, t0, t1, tc, batch, have_prev):  # pragma: no cover
-            nbits, nwords = words.shape
-            for i in range(nbits):
-                ones = np.uint64(0)
-                toggles = np.uint64(0)
-                for k in range(nwords):
-                    w = words[i, k] & mask[k]
-                    # SWAR popcount (Hacker's Delight fig. 5-2)
-                    x = w - ((w >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                    x = (x & np.uint64(0x3333333333333333)) + (
-                        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                    )
-                    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                    ones += (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-                    if have_prev:
-                        d = (words[i, k] ^ prev[i, k]) & mask[k]
-                        y = d - ((d >> np.uint64(1)) & np.uint64(0x5555555555555555))
-                        y = (y & np.uint64(0x3333333333333333)) + (
-                            (y >> np.uint64(2)) & np.uint64(0x3333333333333333)
-                        )
-                        y = (y + (y >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-                        toggles += (y * np.uint64(0x0101010101010101)) >> np.uint64(56)
-                t1[i] += ones
-                t0[i] += np.uint64(batch) - ones
-                tc[i] += toggles
-
-        _NUMBA_KERNEL = kernel
-    return _NUMBA_KERNEL
-
-
-_warned_numba = False
-
-
-def resolve_activity_backend(name: str | None, strict: bool = False):
-    """Return the accumulate implementation for ``name`` (numpy/numba).
-
-    Mirrors :func:`repro.core.backend.resolve_backend`: unknown names
-    raise, a missing numba falls back to numpy with a warn-once log, or
-    raises when ``strict``.
-    """
-    global _warned_numba
-    if name in (None, "numpy"):
-        return _accumulate_numpy
-    if name != "numba":
-        raise ValueError(f"unknown activity backend {name!r}; have numpy, numba")
-    try:
-        kernel = _numba_accumulate()
-    except ImportError:
-        if strict:
-            raise
-        if not _warned_numba:
-            _warned_numba = True
-            logger.warning("numba unavailable; activity counting falls back to numpy")
-        return _accumulate_numpy
-
-    def run(words, prev, mask, t0, t1, tc, batch):
-        have_prev = prev is not None
-        if prev is None:
-            prev = words
-        kernel(words, prev, mask, t0, t1, tc, batch, have_prev)
-
-    return run
 
 
 def lane_masks(batch: int, words: int) -> np.ndarray:
@@ -167,10 +85,8 @@ class ActivityAccumulator:
     supervisor can rewind it with the engine on checkpoint rollback.
     """
 
-    def __init__(self, plan: "ProbePlan", backend: str | None = None, strict: bool = False) -> None:
+    def __init__(self, plan: "ProbePlan") -> None:
         self.plan = plan
-        self.backend = "numba" if backend == "numba" else "numpy"
-        self._accumulate = resolve_activity_backend(backend, strict=strict)
         n = plan.num_bits
         self.t0 = np.zeros(n, dtype=np.uint64)
         self.t1 = np.zeros(n, dtype=np.uint64)
@@ -187,7 +103,7 @@ class ActivityAccumulator:
 
     def on_cycle(self, cycle: int, words: np.ndarray) -> None:
         w = words.reshape(self.plan.num_bits, -1)
-        self._accumulate(w, self._prev, self._mask, self.t0, self.t1, self.tc, self.batch)
+        _accumulate(w, self._prev, self._mask, self.t0, self.t1, self.tc, self.batch)
         self._prev = w
         self.cycles += 1
 

@@ -98,7 +98,7 @@ def build_run_report(
     ``backend``/``lane_words`` record the execution backend and the
     lane-plane word count K in ``environment`` (and as the
     ``gem_backend_info`` metric) so ``gem-perf diff``/``compare`` can
-    tell a numba run from a numpy run of the same design.
+    tell a native run from a numpy run of the same design.
     """
     elapsed = max(elapsed_s, 1e-9)
     environment = environment_info()
@@ -292,7 +292,7 @@ def compare_to_bench(
 
     Rows are matched on (design, engine_mode, batch) — and on the
     execution backend when both the report environment and the row carry
-    one, so numba rows never gate a numpy run.  Likewise for the compile
+    one, so native rows never gate a numpy run.  Likewise for the compile
     ``config`` label (``default``/``tuned``, docs/TUNING.md): default and
     tuned rows for the same design coexist in one bench file and a run is
     gated only against rows with its own label.  ``config`` overrides the

@@ -55,7 +55,7 @@ the compat matrix in tests/test_regressions.py exercises it).
 
 Checkpoints carry no execution-backend identity: the state layout is
 backend-independent, so a file saved under the numpy backend resumes
-bit-identically under numba (and vice versa).
+bit-identically under the native kernel (and vice versa).
 
 :class:`CheckpointManager` adds the operational layer: periodic rotating
 snapshots with *crash-consistent* writes (temp file + ``fsync`` + atomic

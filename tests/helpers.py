@@ -9,38 +9,10 @@ directed stimuli and require identical output words every cycle.
 
 from __future__ import annotations
 
-import contextlib
 import random
-import sys
-import types
 
-from repro.core.backend import reset_backend_state
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
-
-
-@contextlib.contextmanager
-def stub_numba():
-    """Let ``backend="numba"`` resolve on a host without numba.
-
-    Installs a stub ``numba`` module whose ``njit(**kw)`` is the identity
-    decorator, so :class:`~repro.core.backend.NumbaBackend` builds and its
-    one generic stage kernel runs as plain Python — slow, but the very
-    code numba would compile, fed by the very wrapper that feeds it.
-    """
-    stub = types.ModuleType("numba")
-    stub.njit = lambda **kwargs: lambda fn: fn
-    real = sys.modules.get("numba")
-    sys.modules["numba"] = stub
-    reset_backend_state()  # drop any backend instance resolved before
-    try:
-        yield
-    finally:
-        if real is None:
-            del sys.modules["numba"]
-        else:
-            sys.modules["numba"] = real
-        reset_backend_state()
 
 
 def random_circuit(

@@ -1,27 +1,40 @@
-"""Execution-backend seam: resolution, fallback, and kernel equivalence.
+"""Execution-backend seam: resolution, the native kernel's build cache,
+plan validation, and kernel equivalence.
 
 The contract under test (docs/ENGINE.md §6):
 
-* ``resolve_backend`` maps names to live backends, falls back to numpy
-  with exactly one warning per process when a dependency is missing,
-  and hard-fails only under ``strict=True``;
-* the numba backend's ``compile_stage`` — the wrapper and the one
-  generic stage kernel — is bit-identical to the numpy stage at every
-  lane geometry.  numba is not installed on the development host, so
-  the kernel runs as plain Python through a stub ``njit``
-  (:func:`tests.helpers.stub_numba`); the ``skipif`` variants run the
-  real JIT in the CI backend-smoke job.
+* ``resolve_backend(None)`` is the first backend that resolves — the
+  native C stage kernel where a compiler or a cached build exists, numpy
+  otherwise (reason logged once, no warning); ``"native"`` by name falls
+  back to numpy with exactly one warning per process and hard-fails only
+  under ``strict=True``;
+* the kernel library is built once into the compile cache, atomically,
+  and a warm start spawns no compiler;
+* ``NativeBackend.compile_stage`` rejects a plan with an index the C
+  kernel would follow out of bounds;
+* native ≡ numpy ≡ the ISA-literal reference interpreter, outputs and
+  state, at every lane geometry and across a mid-run checkpoint.
+
+Everything that needs the kernel skips on a host where it cannot be
+built, so the suite passes there on numpy alone.
 """
 
+import dataclasses
 import logging
+import os
+import shutil
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-import repro.core.backend as backend_mod
 from repro.core.backend import (
-    ArrayBackend,
+    NativeBackend,
     NumpyBackend,
+    StageBuffers,
+    StagePlan,
     available_backends,
     resolve_backend,
     reset_backend_state,
@@ -29,15 +42,17 @@ from repro.core.backend import (
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.partition import PartitionConfig
-from repro.errors import BackendUnavailableError, GemError
-from tests.helpers import random_circuit, stub_numba
+from repro.errors import BackendUnavailableError, BitstreamError, GemError
+from repro.runtime.checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
+from repro.runtime.supervisor import state_digest
+from repro.simref.isa_interp import ReferenceInterpreter
+from tests.helpers import random_circuit
 
-try:
-    import numba  # noqa: F401
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+needs_native = pytest.mark.skipif(
+    "native" not in available_backends(), reason="no C compiler and no cached kernel here"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +60,14 @@ def _clean_backend_state():
     reset_backend_state()
     yield
     reset_backend_state()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A host with no C compiler and an empty compile cache."""
+    monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path / "empty-cache"))
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setattr(shutil, "which", lambda name, *a, **kw: None)
 
 
 def _design(seed=7, n_ops=40, with_memory=False):
@@ -72,10 +95,103 @@ def _lockstep(ref, dut, batch, cycles=24):
         assert np.array_equal(a, b)
 
 
+def tiny_stage(planes=1):
+    """A hand-built stage — ``t2 = a & b``, ``t3 = a & ~t2`` — with one
+    store of each terminal kind.  Returns ``(plan, buffers)``."""
+    i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
+    u64 = lambda *v: np.array(v, dtype=np.uint64)  # noqa: E731
+    ones = 0xFFFFFFFFFFFFFFFF
+    plan = StagePlan(
+        trace_size=4,
+        read_gidx=i64(0, 1),
+        wave_count=i64(1, 1),
+        wave_out=i64(2, 3),
+        wave_start=i64(0, 2),
+        gather=i64(0, 1, 0, 2),
+        flips=u64(0, 0, 0, ones),
+        gwn_gidx=i64(2, 3),
+        gwn_src=i64(2),
+        gwn_inv=u64(0),
+        gwn_const=u64(ones),
+        ram_slots=i64(0),
+        ram_src=i64(3),
+        ram_inv=u64(ones),
+        def_gidx=i64(4),
+        def_src=i64(3),
+        def_inv=u64(0),
+        ramops=[],
+    )
+    shape = (lambda n: (n,)) if planes == 1 else (lambda n: (n, planes))
+    buffers = StageBuffers(
+        gstate=np.zeros(shape(5), dtype=np.uint64),
+        trace=np.zeros(shape(4), dtype=np.uint64),
+        arena=np.zeros(shape(1), dtype=np.uint64),
+        def_buf=np.zeros(shape(1), dtype=np.uint64),
+    )
+    return plan, buffers
+
+
+def run_tiny_stage(backend, planes=1):
+    """``a=0b1100, b=0b1010`` through :func:`tiny_stage`; returns
+    ``(gstate, arena, def_buf)`` after one call."""
+    plan, buffers = tiny_stage(planes)
+    buffers.gstate[0] = 0b1100
+    buffers.gstate[1] = 0b1010
+    resolve_backend(backend, strict=True).compile_stage(plan, buffers)(None)
+    return buffers.gstate, buffers.arena, buffers.def_buf
+
+
+def _child_env(cache, **env):
+    return {
+        **os.environ,
+        "PYTHONPATH": os.path.join(ROOT, "src") + os.pathsep + ROOT,
+        "GEM_CACHE_DIR": str(cache),
+        **env,
+    }
+
+
+def _child(code, cache, **env):
+    """Run ``code`` in a fresh interpreter on the given compile cache."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=ROOT,
+        env=_child_env(cache, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+#: resolve the kernel strictly and push one stage through it
+USE_KERNEL = (
+    "from tests.test_backends import run_tiny_stage\n"
+    "g, a, d = run_tiny_stage('native')\n"
+    "assert g[2] == 0b1000 and d[0] == 0b0100, (g, d)\n"
+    "print('kernel ok')\n"
+)
+
+
+def _libraries(cache):
+    return sorted(p for p in os.listdir(cache) if p.startswith("native-") and p.endswith(".so"))
+
+
 class TestResolution:
-    def test_none_means_numpy(self):
-        assert resolve_backend(None).name == "numpy"
-        assert isinstance(resolve_backend(None), NumpyBackend)
+    @needs_native
+    def test_none_means_native(self):
+        assert resolve_backend(None).name == "native"
+        assert isinstance(resolve_backend(None), NativeBackend)
+        assert available_backends() == ("native", "numpy")
+
+    def test_none_means_numpy(self, no_compiler, caplog):
+        """...where there is neither a compiler nor a cached library: the
+        default quietly runs numpy and says why, once, below WARNING."""
+        with caplog.at_level(logging.INFO, logger="repro.core.backend"):
+            assert isinstance(resolve_backend(None), NumpyBackend)
+            assert resolve_backend(None).name == "numpy"
+        records = [r for r in caplog.records if "falling back to numpy" in r.getMessage()]
+        assert len(records) == 1 and records[0].levelno == logging.INFO
+        assert "no C compiler" in records[0].getMessage()
+        assert available_backends() == ("numpy",)
 
     def test_instance_passes_through(self):
         inst = NumpyBackend()
@@ -89,100 +205,319 @@ class TestResolution:
 
     def test_instances_are_cached(self):
         assert resolve_backend("numpy") is resolve_backend("numpy")
+        assert resolve_backend(None) is resolve_backend(None)
 
     def test_available_backends_always_has_numpy(self):
         assert "numpy" in available_backends()
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
-    def test_strict_raises_when_numba_missing(self):
-        with pytest.raises(BackendUnavailableError):
-            resolve_backend("numba", strict=True)
+    def test_strict_raises_when_native_unavailable(self, no_compiler):
+        with pytest.raises(BackendUnavailableError, match="no C compiler"):
+            resolve_backend("native", strict=True)
+        # strict does not forbid the default its own fallback
+        assert resolve_backend(None, strict=True).name == "numpy"
+
+    def test_cc_names_the_only_compiler_tried(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        with pytest.raises(BackendUnavailableError, match="/nonexistent/cc"):
+            resolve_backend("native", strict=True)
 
 
 class TestFallbackWarnsOnce:
-    """A missing dependency downgrades to numpy, loudly, once."""
+    """``native`` asked for by name where it cannot be built downgrades
+    to numpy, loudly, once."""
 
-    class _Unavailable(ArrayBackend):
-        name = "numba"
-
-        def __init__(self):
-            raise BackendUnavailableError("deliberately unavailable for the test")
-
-    def test_fallback_warns_once_and_still_resolves(self, monkeypatch, caplog):
-        monkeypatch.setitem(backend_mod._CLASSES, "numba", self._Unavailable)
-        with caplog.at_level(logging.WARNING, logger="repro.core.backend"):
-            first = resolve_backend("numba")
-            second = resolve_backend("numba")
+    def test_fallback_warns_once_and_still_resolves(self, no_compiler, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.core.backend"):
+            resolve_backend(None)  # the default's own note must not use up the warning
+            first = resolve_backend("native")
+            second = resolve_backend("native")
         warnings = [
-            r for r in caplog.records if "falling back to numpy" in r.getMessage()
+            r
+            for r in caplog.records
+            if r.levelno == logging.WARNING and "falling back to numpy" in r.getMessage()
         ]
         assert len(warnings) == 1, "exactly one fallback warning per process"
-        assert "deliberately unavailable" in warnings[0].getMessage()
+        assert "no C compiler" in warnings[0].getMessage()
         assert first.name == "numpy" and second.name == "numpy"
 
-    def test_simulator_falls_back_and_runs(self, monkeypatch, caplog):
-        monkeypatch.setitem(backend_mod._CLASSES, "numba", self._Unavailable)
+    def test_simulator_falls_back_and_runs(self, no_compiler, caplog):
         design = _design()
         with caplog.at_level(logging.WARNING, logger="repro.core.backend"):
-            sim = design.simulator(batch=4, backend="numba")
+            sim = design.simulator(batch=4, backend="native")
         assert sim.backend.name == "numpy"
         sim.step({})  # and it still simulates
+        assert design.simulator(batch=4).backend.name == "numpy"
 
 
+@needs_native
+class TestBuildCache:
+    """One library per source, built atomically, never rebuilt warm."""
+
+    def test_warm_start_spawns_no_compiler(self, tmp_path):
+        cold = _child(USE_KERNEL, tmp_path)
+        assert cold.returncode == 0, cold.stderr
+        (lib,) = _libraries(tmp_path)
+        assert os.path.exists(tmp_path / (lib[:-3] + ".json")), "compiler identity sidecar"
+        mtime = os.stat(tmp_path / lib).st_mtime_ns
+        forbid = (
+            "import subprocess\n"
+            "def refuse(*a, **kw): raise AssertionError('warm start spawned a process')\n"
+            "subprocess.run = subprocess.Popen = refuse\n"
+        )
+        warm = _child(forbid + USE_KERNEL, tmp_path)
+        assert warm.returncode == 0, warm.stderr
+        assert os.stat(tmp_path / lib).st_mtime_ns == mtime
+        # the same holds with no compiler at all: the cached build is enough
+        bare = _child(forbid + USE_KERNEL, tmp_path, CC="/nonexistent/cc")
+        assert bare.returncode == 0, bare.stderr
+
+    def test_racing_cold_builds_both_load(self, tmp_path):
+        racers = [
+            subprocess.Popen(
+                [sys.executable, "-c", USE_KERNEL],
+                cwd=ROOT,
+                env=_child_env(tmp_path),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        for proc in racers:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            assert "kernel ok" in out
+        assert len(_libraries(tmp_path)) == 1
+        assert not [p for p in os.listdir(tmp_path) if p.startswith("native-build-")]
+
+    def test_truncated_library_is_rebuilt(self, tmp_path):
+        assert _child(USE_KERNEL, tmp_path).returncode == 0
+        (lib,) = _libraries(tmp_path)
+        path = tmp_path / lib
+        whole = path.read_bytes()
+        path.write_bytes(whole[:100])
+        again = _child(USE_KERNEL, tmp_path)
+        assert again.returncode == 0, again.stderr
+        assert len(path.read_bytes()) == len(whole)
+
+    def test_truncated_library_without_compiler_falls_back(self, tmp_path):
+        assert _child(USE_KERNEL, tmp_path).returncode == 0
+        (lib,) = _libraries(tmp_path)
+        (tmp_path / lib).write_bytes(b"\x7fELF")
+        code = (
+            "from repro.core.backend import resolve_backend\n"
+            "assert resolve_backend(None).name == 'numpy'\n"
+        )
+        fallback = _child(code, tmp_path, CC="/nonexistent/cc")
+        assert fallback.returncode == 0, fallback.stderr
+
+
+@needs_native
+class TestPlanValidation:
+    """numpy survives a bad index table (``take(..., "clip")``, fancy-index
+    ``IndexError``); C would not, so ``compile_stage`` checks them all."""
+
+    def test_tiny_stage_agrees_with_numpy(self):
+        for planes in (1, 3):
+            for got, want in zip(run_tiny_stage("native", planes), run_tiny_stage("numpy", planes)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "table, position, value",
+        [
+            ("gather", 2, 3),  # wave 2 reading its own output row
+            ("gather", 0, -1),
+            ("read_gidx", 1, 5),
+            ("ram_slots", 0, 1),
+            ("gwn_gidx", 0, 5),
+            ("gwn_src", 0, 4),
+            ("ram_src", 0, 4),
+            ("def_src", 0, 4),
+            ("wave_out", 1, 4),  # output row past the trace
+            ("wave_start", 1, 1),
+        ],
+    )
+    def test_out_of_range_entry_raises_before_any_call(self, table, position, value):
+        plan, buffers = tiny_stage()
+        bad = getattr(plan, table).copy()
+        bad[position] = value
+        with pytest.raises(BitstreamError, match=table):
+            resolve_backend("native").compile_stage(
+                dataclasses.replace(plan, **{table: bad}), buffers
+            )
+
+    def test_wrong_dtype_layout_or_size_raises(self):
+        plan, buffers = tiny_stage()
+        native = resolve_backend("native")
+        with pytest.raises(BitstreamError, match="gather"):
+            native.compile_stage(
+                dataclasses.replace(plan, gather=plan.gather.astype(np.int32)), buffers
+            )
+        with pytest.raises(BitstreamError, match="flips"):
+            native.compile_stage(dataclasses.replace(plan, flips=plan.flips[:-1]), buffers)
+        with pytest.raises(BitstreamError, match="gwn_const"):
+            native.compile_stage(dataclasses.replace(plan, gwn_const=plan.gwn_const[:0]), buffers)
+        strided = np.zeros(8, dtype=np.uint64)[::2]
+        with pytest.raises(BitstreamError, match="trace"):
+            native.compile_stage(plan, dataclasses.replace(buffers, trace=strided))
+        with pytest.raises(BitstreamError, match="def_buf"):
+            native.compile_stage(
+                plan, dataclasses.replace(buffers, def_buf=np.zeros(0, dtype=np.uint64))
+            )
+        with pytest.raises(BitstreamError, match="arena"):
+            native.compile_stage(
+                plan, dataclasses.replace(buffers, arena=np.zeros((1, 2), dtype=np.uint64))
+            )
+
+
+@needs_native
 class TestCompiledKernelEquivalence:
-    """compile_stage kernels must match the numpy stage bit-for-bit."""
+    """The native kernel must match the numpy stage bit-for-bit."""
 
     @pytest.mark.parametrize("batch", [1, 3, 64, 128, 256])
     def test_generic_compile_stage_matches_numpy(self, batch):
-        """The numba backend's generic stage kernel, run as plain Python
-        under the stub ``njit``, in lockstep with numpy on a RAM-bearing
-        design: single-word batches through the ``(n, 1)`` reshape views,
-        K-word planes as they are."""
+        """The one generic stage kernel in lockstep with numpy on a
+        RAM-bearing design: single-word batches through the ``K == 1``
+        fast path, K-word planes through the plane path."""
         design = _design(seed=11, n_ops=60, with_memory=True)
-        with stub_numba():
-            dut = design.simulator(batch=batch, backend="numba")
-            assert dut.backend.name == "numba"
-            ref = design.simulator(batch=batch, backend="numpy")
-            assert ref.ram_arrays, "the design must exercise the RAM-port path"
-            _lockstep(ref, dut, batch)
-
-    def test_numba_stage_reports_its_time_as_fold(self):
-        design = _design(seed=11, n_ops=60, with_memory=True)
-        with stub_numba():
-            sim = design.simulator(backend="numba", profile=True)
-            sim.step({})
-        assert sim.phase_times["fold"] > 0.0
-        assert sim.phase_times["gather"] == 0.0
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    @pytest.mark.parametrize("batch", [1, 64, 128])
-    def test_numba_matches_numpy(self, batch):
-        design = _design(seed=13, n_ops=60, with_memory=True)
+        dut = design.simulator(batch=batch, backend="native")
+        assert dut.backend.name == "native"
         ref = design.simulator(batch=batch, backend="numpy")
-        dut = design.simulator(batch=batch, backend="numba")
-        assert dut.backend.name == "numba"
+        assert ref.ram_arrays, "the design must exercise the RAM-port path"
         _lockstep(ref, dut, batch)
+
+    def test_native_profile_splits_gather_fold_commit(self):
+        """``clock_gettime`` inside the kernel: every phase is non-zero and
+        together they fit inside the wall time measured around the run."""
+        design = _design(seed=11, n_ops=60, with_memory=True)
+        for batch in (1, 128):
+            sim = design.simulator(batch=batch, backend="native", profile=True)
+            t0 = time.perf_counter()
+            for _ in range(20):
+                sim.step({})
+            wall = time.perf_counter() - t0
+            times = sim.phase_times
+            assert times["gather"] > 0.0 and times["fold"] > 0.0 and times["commit"] > 0.0
+            assert sum(times.values()) <= wall
+
+
+def _registry_case(name):
+    slow = name in ("nvdla", "openpiton8")
+    return pytest.param(name, marks=pytest.mark.slow) if slow else name
+
+
+def _stimulus_table(sim, stimuli):
+    """The workload as one value array per value-rail PI (object dtype
+    for ports wider than a word)."""
+    return {
+        name: np.array(
+            [vec.get(name, 0) for vec in stimuli], dtype=np.uint64 if idx.size <= 64 else object
+        )
+        for name, idx in sim._pi_tables.items()
+        if not name.endswith("__x")
+    }
+
+
+def _lane_columns(sim, table, cycle, rng):
+    """Cycle ``cycle`` of the workload with lane ``l`` running ``l`` cycles
+    ahead, as ``step_arrays`` columns; ``name__x`` rails (4-state designs)
+    float random bits on every fifth lane."""
+    lanes = np.arange(sim.batch)
+    columns = {}
+    for name, idx in sim._pi_tables.items():
+        if name in table:
+            columns[name] = table[name][(cycle + lanes) % len(table[name])]
+        else:
+            column = rng.integers(0, 1 << min(idx.size, 16), sim.batch, dtype=np.uint64)
+            column[lanes % 5 != 3] = 0
+            columns[name] = column
+    return columns
+
+
+@needs_native
+class TestRegistryDesigns:
+    """native ≡ numpy ≡ ReferenceInterpreter on the registered designs."""
+
+    CYCLES = 14
+    SWAP_AT = 6
+
+    def _run(self, design, stimuli, batch, tmp_path):
+        sims = {
+            "reference": ReferenceInterpreter(design.program, batch=batch),
+            "native": design.simulator(batch=batch, backend="native"),
+            "numpy": design.simulator(batch=batch, backend="numpy"),
+        }
+        assert sims["native"].backend.name == "native"
+        rng = np.random.default_rng(batch)
+        table = _stimulus_table(sims["reference"], stimuli)
+        for cycle in range(self.CYCLES):
+            if cycle == self.SWAP_AT and batch <= 128:
+                # mid-run checkpoints change hands: each backend resumes
+                # from the file the other one saved (1024 lanes x every
+                # RAM image makes the files the cost of the test; one- and
+                # two-word planes cover both layouts)
+                for saver, resumer in (("native", "numpy"), ("numpy", "native")):
+                    path = os.path.join(tmp_path, f"{saver}.gemk")
+                    save_checkpoint(snapshot(sims[saver]), path)
+                    fresh = design.simulator(batch=batch, backend=resumer)
+                    sims[f"{resumer}<-{saver}"] = restore(fresh, load_checkpoint(path))
+                del sims["native"], sims["numpy"]
+            columns = _lane_columns(sims["reference"], table, cycle, rng)
+            want = sims["reference"].step_arrays(columns)
+            for label, sim in sims.items():
+                if label == "reference":
+                    continue
+                got = sim.step_arrays(columns)
+                for po, column in want.items():
+                    assert np.array_equal(got[po], column), (label, cycle, po)
+        digest = state_digest(sims["reference"])
+        for label, sim in sims.items():
+            assert sim.cycle == self.CYCLES
+            assert state_digest(sim) == digest, label
+
+    @pytest.mark.parametrize("batch", [1, 16, 64, 128, 1024])
+    @pytest.mark.parametrize(
+        "name",
+        [_registry_case(n) for n in ("gemmini", "nvdla", "openpiton1", "openpiton8", "rocketchip")],
+    )
+    def test_native_numpy_reference_agree(self, name, batch, tmp_path):
+        from repro.harness.runner import compile_design, design_workloads
+
+        stimuli = next(iter(design_workloads(name).values())).stimuli
+        self._run(compile_design(name), stimuli, batch, tmp_path)
+
+    @pytest.mark.parametrize("batch", [1, 64, 128])
+    def test_four_state_rails_agree(self, batch, tmp_path):
+        """``values=4``: the dual-rail program is ordinary plan data to
+        the kernel; X bits float on some lanes' known rails."""
+        from repro.harness.runner import compile_design, design_workloads
+
+        design = compile_design("openpiton1", values=4)
+        assert design.simulator().values == 4
+        stimuli = next(iter(design_workloads("openpiton1").values())).stimuli
+        self._run(design, stimuli, batch, tmp_path)
 
 
 class TestOracleEnrollment:
     """Backends ride the differential oracle at rotated lane batches."""
 
     def test_backend_runs_as_extra_oracle_engine(self):
+        """By default every backend that resolves here is held against
+        the others: the fused engine runs the default one, the rest
+        enroll as extra engines."""
         from repro.fuzz.designgen import generate_design, random_stimuli
         from repro.fuzz.oracle import OracleConfig, run_oracle
 
+        config = OracleConfig(batches=(1, 128))
+        assert config.backends == available_backends()
         gen = generate_design(1234, "mixed")
         stimuli = random_stimuli(gen.spec, 1234, 12)
-        # the stub njit runs the backend-DUT lockstep without the real
-        # dependency
-        with stub_numba():
-            result = run_oracle(
-                gen.spec,
-                stimuli,
-                OracleConfig(batches=(1, 128), backends=("numpy", "numba")),
-            )
+        result = run_oracle(gen.spec, stimuli, config)
         assert result.ok
-        assert "backend:numba" in result.coverage
+        default = resolve_backend(None).name
+        for name in available_backends():
+            assert (f"backend:{name}" in result.coverage) == (name != default)
 
     def test_unavailable_backend_skips_with_marker(self):
         from repro.fuzz.designgen import generate_design, random_stimuli
@@ -198,12 +533,25 @@ class TestOracleEnrollment:
         assert result.ok
         assert "backend-skip:tpu" in result.coverage
 
+    def test_native_skips_with_marker_without_a_compiler(self, no_compiler):
+        from repro.fuzz.designgen import generate_design, random_stimuli
+        from repro.fuzz.oracle import OracleConfig, run_oracle
+
+        gen = generate_design(99, "mixed")
+        stimuli = random_stimuli(gen.spec, 99, 8)
+        result = run_oracle(
+            gen.spec, stimuli, OracleConfig(batches=(1, 16), backends=("native", "numpy"))
+        )
+        assert result.ok
+        assert "backend-skip:native" in result.coverage
+
     def test_config_round_trips_backends(self):
         from repro.fuzz.oracle import OracleConfig
 
-        config = OracleConfig(backends=("numpy", "numba"))
+        config = OracleConfig(backends=("numpy", "native"))
         back = OracleConfig.from_json(config.to_json())
-        assert back.backends == ("numpy", "numba")
+        assert back.backends == ("numpy", "native")
         # older configs without the key hydrate with the default
         legacy = OracleConfig.from_json({"batches": [1, 4]})
-        assert legacy.backends == ("numpy",)
+        assert legacy.backends == available_backends()
+
