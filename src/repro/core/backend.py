@@ -2,27 +2,37 @@
 
 :func:`repro.core.fused.fuse` emits one :class:`StagePlan` per stage —
 fixed index arrays and constant vectors, no per-element Python control
-flow — and :class:`~repro.core.fused.FusedExecutor` turns each plan into
-a callable through the one seam a backend implements::
+flow — and the interpreter turns the whole
+:class:`~repro.core.fused.FusedProgram` into one compiled *cycle*
+through the one seam a backend implements::
 
-    run = backend.compile_stage(plan, buffers)   # once, at load
-    run(times)                                   # once per stage per cycle
+    cycle = backend.compile_cycle(fused, buffers)   # once, at load
+    writes = cycle.evaluate(times)                  # once per cycle
+    cycle.commit(times)                             # once per cycle
 
-``buffers`` (:class:`StageBuffers`) are the executor-owned arrays the
-stage reads and writes; ``times`` is the interpreter's ``phase_times``
-dict while profiling, else ``None``.  Two backends implement the seam:
+``buffers`` (:class:`CycleBuffers`) are the interpreter-owned arrays the
+cycle reads and writes; ``times`` is the interpreter's ``phase_times``
+dict while profiling, else ``None``.  ``evaluate`` runs every stage —
+read gather, waves, terminal stores, then that stage's RAM ports, in
+(stage, partition) order — and returns the cycle's dynamic
+``global_writes`` increment (the data bits of every RAM port some lane
+read); ``commit`` applies the deferred writes at the cycle boundary:
+each stage's sampled deferred GWRITEs, then that stage's RAM read data
+merged under its read-enable lane plane, finally the shared constant
+tuple.  Between the two the interpreter samples probes and outputs.
+Two backends implement the seam:
 
 * :class:`NativeBackend` — the default wherever a C compiler (or an
   already-built library) exists: the paper's §III-E shape, **one fixed
-  kernel with the bitstream as data**.  The read gather, every wave's
-  gather+flip+AND and all terminal stores of a stage are one call into
-  one C function (:data:`KERNEL_SOURCE`), built once with the host
-  compiler into the compile cache and loaded through ``ctypes``.  The
-  library is generic — every design, batch and stage passes its plan
-  arrays as arguments; nothing is generated per design.
+  resident kernel with the bitstream as data**.  A cycle is exactly two
+  calls into one C library (:data:`KERNEL_SOURCE`), built once with the
+  host compiler into the compile cache and loaded through ``ctypes``.
+  The library is generic — every design and batch passes its plan arrays
+  as arguments; nothing is generated per design.
 * :class:`NumpyBackend` — the same plan as a dispatch-bound array loop:
   presliced buffer views, bound-method ``take`` into preallocated
-  outputs, XORs by all-zero constants elided at compile time.  It runs
+  outputs, XORs by all-zero constants elided at compile time, RAM ports
+  through :meth:`~repro.core.engine.ExecutionEngine.ram_port`.  It runs
   everywhere and is what the oracle holds the kernel against.
 
 ``resolve_backend(None)`` returns the first of :data:`BACKEND_NAMES`
@@ -32,7 +42,7 @@ and falls back, ``strict=True`` raises.  A GPU backend slots in here
 when there is a GPU to measure it on.
 
 Lane planes: single-word batches keep 1-D ``(n,)`` buffers, K-word
-batches ``(n, K)`` planes (:mod:`repro.core.engine`).  The numpy stage
+batches ``(n, K)`` planes (:mod:`repro.core.engine`).  The numpy cycle
 works in whichever layout it is handed; the kernel sees row-major
 ``(n, K)`` either way and has a ``K == 1`` fast path.
 """
@@ -47,10 +57,15 @@ import os
 import platform
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import BackendUnavailableError, BitstreamError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import ExecutionEngine
+    from repro.core.fused import FusedProgram
 
 logger = logging.getLogger(__name__)
 
@@ -90,36 +105,93 @@ class StagePlan:
     def_gidx: np.ndarray  # int64, commit targets
     def_src: np.ndarray  # int64, trace positions
     def_inv: np.ndarray  # uint64
-    #: RAM ports as (partition index, decoded op), run by the executor at
-    #: stage end on per-partition arena views
+    #: RAM ports as (partition index, decoded op), run at stage end on the
+    #: partition's span of the arena
     ramops: list
 
 
 @dataclass
-class StageBuffers:
-    """The executor-owned arrays one compiled stage reads and writes."""
+class CycleBuffers:
+    """The interpreter-owned arrays one compiled cycle reads and writes.
 
-    gstate: np.ndarray  # the interpreter's global state (never rebound)
+    None of them is ever rebound: ``reset``, checkpoint restore, lane
+    quarantine and the fault injectors all write in place, so a backend
+    may hold raw addresses into them for its lifetime.
+    """
+
+    engine: "ExecutionEngine"  # lane geometry: batch, K, the active-lane mask
+    gstate: np.ndarray  # the interpreter's global state
     trace: np.ndarray  # [stage reads][wave 1][wave 2]…, shared by all stages
     arena: np.ndarray  # RAM-port input slots of every partition
-    def_buf: np.ndarray  # receives this stage's deferred-GWRITE values
+    rams: list  # per RAM block, the (batch, depth) uint32 lane images
 
 
 class ArrayBackend:
-    """What the executor needs from a backend: a name and the stage seam."""
+    """What the interpreter needs from a backend: a name and the cycle seam."""
 
     name = "abstract"
 
-    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
-        """Compile one stage; returns ``run(times) -> None``.
+    def compile_cycle(self, fused: "FusedProgram", buffers: CycleBuffers):
+        """Compile one program; returns a cycle object with
 
-        ``run`` performs the stage's read gather, every wave, and the
-        gwn / ram / deferred terminal stores into ``buffers`` (the
-        executor commits ``def_buf`` at the cycle boundary and runs the
-        RAM ports).  ``times`` is ``None`` or the ``phase_times`` dict to
-        add this call's wall time to.
+        * ``evaluate(times) -> int`` — every stage's read gather, waves
+          and terminal stores, then that stage's RAM ports, in (stage,
+          partition) order; returns the cycle's dynamic ``global_writes``
+          increment;
+        * ``commit(times) -> None`` — the deferred writes, in order: each
+          stage's sampled deferred GWRITEs, then that stage's RAM read
+          data under its read-enable lane plane, finally the shared
+          constant tuple.
+
+        ``times`` is ``None`` or the ``phase_times`` dict to add the
+        call's wall time to (``gather`` / ``fold`` / ``commit``).
         """
         raise NotImplementedError
+
+
+class _NumpyCycle:
+    """One cycle as a loop over compiled numpy stages and the engine's
+    RAM-port and merge primitives."""
+
+    def __init__(self, stages, def_const, buffers: CycleBuffers) -> None:
+        #: per stage: (compiled stage, its deferred commit or None,
+        #: its RAM ports as (op, partition arena view, lane images))
+        self._stages = stages
+        self._def_const = def_const
+        self._gstate = buffers.gstate
+        self._engine = buffers.engine
+        #: this cycle's deferred (gidx, values, lane mask) commits
+        self._deferred: list = []
+
+    def evaluate(self, times) -> int:
+        deferred = self._deferred = []
+        ram_port = self._engine.ram_port
+        writes = 0
+        for run, def_commit, ports in self._stages:
+            run(times)
+            if def_commit is not None:
+                deferred.append(def_commit)
+            if ports:
+                t0 = time.perf_counter()
+                for op, view, image in ports:
+                    read = ram_port(op, view, image)
+                    if read is not None:
+                        deferred.append(read)
+                        writes += op.spec.data_bits
+                if times is not None:
+                    times["commit"] += time.perf_counter() - t0
+        if self._def_const is not None:
+            deferred.append(self._def_const)
+        return writes
+
+    def commit(self, times) -> None:
+        t0 = time.perf_counter() if times is not None else 0.0
+        gstate = self._gstate
+        merge = self._engine.merge
+        for gidx, values, mask in self._deferred:
+            merge(gstate, gidx, values, mask)
+        if times is not None:
+            times["commit"] += time.perf_counter() - t0
 
 
 class NumpyBackend(ArrayBackend):
@@ -133,9 +205,38 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
 
-    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
+    def compile_cycle(self, fused: "FusedProgram", buffers: CycleBuffers):
+        eng = buffers.engine
+        views = [
+            buffers.arena[base : base + span]
+            for base, span in zip(fused.arena_base, fused.arena_span)
+        ]
+        stages = []
+        for plan in fused.stages:
+            def_buf = eng.zeros(plan.def_gidx.size)
+            stages.append(
+                (
+                    self._compile_stage(plan, buffers, def_buf),
+                    (plan.def_gidx, def_buf, None) if plan.def_gidx.size else None,
+                    [
+                        (op, views[pidx], buffers.rams[op.spec.ram_index])
+                        for pidx, op in plan.ramops
+                    ],
+                )
+            )
+        def_const = None
+        if fused.def_const_gidx.size:
+            vals = fused.def_const_vals
+            # K-word planes: constants broadcast as an (n, 1) column
+            def_const = (fused.def_const_gidx, vals[:, None] if eng.words > 1 else vals, None)
+        return _NumpyCycle(stages, def_const, buffers)
+
+    @staticmethod
+    def _compile_stage(plan: StagePlan, buffers: CycleBuffers, def_buf: np.ndarray):
+        """One stage as ``run(times)``: the read gather, every wave, and
+        the gwn / ram / deferred terminal stores (the sampled deferred
+        values land in ``def_buf`` for the commit)."""
         gstate, trace, arena = buffers.gstate, buffers.trace, buffers.arena
-        def_buf = buffers.def_buf
         lane_shape = trace.shape[1:]  # () or (K,)
 
         def col(vec):
@@ -214,26 +315,52 @@ class NumpyBackend(ArrayBackend):
         return run
 
 
-#: The one generic stage kernel.  Everything a stage does — read gather,
+#: The one generic cycle kernel.  Everything a stage does — read gather,
 #: each wave's gather + flip + AND, terminal gwn/ram/deferred stores — is
 #: a single loop nest over the plan's arrays: no per-wave dispatch, no
 #: operand buffer, no constant-elision branches (zero XORs are free in
 #: native code).  Within a wave every operand position is strictly below
 #: the wave's output offset, so the in-place trace update is safe and the
-#: ``restrict`` on the output row is honest.  The kernel is unchecked:
-#: :meth:`NativeBackend.compile_stage` proves every index in range first.
+#: ``restrict`` on the output row is honest.  A RAM port is the literal
+#: per-lane loop of :meth:`~repro.core.engine.ExecutionEngine.ram_port`.
+#: The kernel is unchecked: :meth:`NativeBackend.compile_cycle` proves
+#: every index in range first.
 KERNEL_SOURCE = r"""
 #include <stdint.h>
 #include <time.h>
 
+#define MAX_PORT_BITS 32 /* widest RAM address / data word */
+
+/* One RAM port.  Rows are absolute arena rows, inversion words are 0 or
+   the active-lane mask; image is the block's (batch, depth) contents. */
 typedef struct {
-    int64_t K; /* words per lane plane: buffers are (rows, K), row-major */
-    uint64_t *gstate, *trace, *arena, *def_buf;
-    int64_t nread, nwaves, ngwn, ngwn_dyn, nram, ndef;
+    int64_t addr_bits, data_bits, depth, ren_row, wen_row, rd_base;
+    uint64_t ren_inv, wen_inv;
+    const int64_t *raddr_rows, *waddr_rows, *wdata_rows;
+    const uint64_t *raddr_inv, *waddr_inv, *wdata_inv;
+    uint32_t *image;
+    uint64_t *rd_data; /* (data_bits, K): read data sampled this cycle */
+    uint64_t *rd_en;   /* (K,): the lanes that read this cycle */
+} gem_ramop;
+
+typedef struct {
+    int64_t nread, nwaves, ngwn, ngwn_dyn, nram, ndef, nports;
+    uint64_t *def_buf; /* (ndef, K): deferred values sampled this cycle */
+    const gem_ramop *ports;
     const int64_t *read_gidx, *wave_count, *wave_out, *wave_start, *gather,
-        *gwn_gidx, *gwn_src, *ram_slots, *ram_src, *def_src;
+        *gwn_gidx, *gwn_src, *ram_slots, *ram_src, *def_src, *def_gidx;
     const uint64_t *flips, *gwn_inv, *gwn_const, *ram_inv, *def_inv;
 } gem_stage;
+
+typedef struct {
+    int64_t K; /* words per lane plane: buffers are (rows, K), row-major */
+    int64_t nstages, nconst;
+    uint64_t lane_mask;
+    uint64_t *gstate, *trace, *arena;
+    const gem_stage *stages;
+    const int64_t *const_gidx; /* the shared constant deferred tuple */
+    const uint64_t *const_vals;
+} gem_program;
 
 static double now(void)
 {
@@ -257,10 +384,10 @@ INLINE void store_rows(uint64_t *dst, const int64_t *idx, const uint64_t *trace,
 }
 
 /* Written once over (n, K) planes; inlined with K == 1 it is the scalar
-   fast path (the k loops fold away), with K = s->K the plane path. */
-INLINE void run_stage(const gem_stage *s, double *ticks, const int64_t K)
+   fast path (the k loops fold away), with K = prog->K the plane path. */
+INLINE void run_stage(const gem_program *prog, const gem_stage *s, double *ticks, const int64_t K)
 {
-    uint64_t *const trace = s->trace, *const gstate = s->gstate;
+    uint64_t *const trace = prog->trace, *const gstate = prog->gstate;
     double t0 = ticks ? now() : 0.0, t1;
 
     for (int64_t i = 0; i < s->nread; i++) {
@@ -271,7 +398,7 @@ INLINE void run_stage(const gem_stage *s, double *ticks, const int64_t K)
     }
     if (ticks) {
         t1 = now();
-        ticks[0] = t1 - t0;
+        ticks[0] += t1 - t0;
         t0 = t1;
     }
     for (int64_t w = 0; w < s->nwaves; w++) {
@@ -288,50 +415,192 @@ INLINE void run_stage(const gem_stage *s, double *ticks, const int64_t K)
     }
     if (ticks) {
         t1 = now();
-        ticks[1] = t1 - t0;
-        t0 = t1;
+        ticks[1] += t1 - t0;
     }
     store_rows(gstate, s->gwn_gidx, trace, s->gwn_src, s->gwn_inv, s->ngwn_dyn, K);
     for (int64_t i = s->ngwn_dyn; i < s->ngwn; i++)
         for (int64_t k = 0; k < K; k++)
             gstate[s->gwn_gidx[i] * K + k] = s->gwn_const[i - s->ngwn_dyn];
-    store_rows(s->arena, s->ram_slots, trace, s->ram_src, s->ram_inv, s->nram, K);
+    store_rows(prog->arena, s->ram_slots, trace, s->ram_src, s->ram_inv, s->nram, K);
     store_rows(s->def_buf, 0, trace, s->def_src, s->def_inv, s->ndef, K);
-    if (ticks)
-        ticks[2] = now() - t0;
 }
 
-/* ticks: NULL, or three doubles that receive the seconds this call spent
-   in the read gather, the waves and the terminal stores */
-void gem_stage_run(const gem_stage *s, double *ticks)
+/* words[b] = word k of arena row rows[b], inverted: bit b of every lane */
+INLINE void port_words(uint64_t *words, const uint64_t *arena, const int64_t *rows,
+                       const uint64_t *inv, int64_t n, const int64_t K, int64_t k)
 {
-    if (s->K == 1)
-        run_stage(s, ticks, 1);
+    for (int64_t b = 0; b < n; b++)
+        words[b] = arena[rows[b] * K + k] ^ inv[b];
+}
+
+INLINE uint64_t lane_value(const uint64_t *words, int64_t n, int lane)
+{
+    uint64_t v = 0;
+    for (int64_t b = 0; b < n; b++)
+        v |= ((words[b] >> lane) & 1) << b;
+    return v;
+}
+
+/* One RAM port, lane by lane, read-first: the read samples the image
+   before this port's write lands.  Returns 1 when any lane read. */
+INLINE int run_port(const gem_program *prog, const gem_ramop *r, const int64_t K)
+{
+    const uint64_t *arena = prog->arena;
+    int reads = 0;
+    for (int64_t k = 0; k < K; k++) {
+        const uint64_t ren = (arena[r->ren_row * K + k] ^ r->ren_inv) & prog->lane_mask;
+        const uint64_t wen = (arena[r->wen_row * K + k] ^ r->wen_inv) & prog->lane_mask;
+        uint64_t raddr[MAX_PORT_BITS], waddr[MAX_PORT_BITS], wdata[MAX_PORT_BITS];
+        uint64_t rdata[MAX_PORT_BITS] = {0};
+        if (ren)
+            port_words(raddr, arena, r->raddr_rows, r->raddr_inv, r->addr_bits, K, k);
+        if (wen) {
+            port_words(waddr, arena, r->waddr_rows, r->waddr_inv, r->addr_bits, K, k);
+            port_words(wdata, arena, r->wdata_rows, r->wdata_inv, r->data_bits, K, k);
+        }
+        for (uint64_t todo = ren | wen; todo; todo &= todo - 1) {
+            const int lane = __builtin_ctzll(todo);
+            uint32_t *image = r->image + (k * 64 + lane) * r->depth;
+            if ((ren >> lane) & 1) {
+                const uint64_t v = image[lane_value(raddr, r->addr_bits, lane)];
+                for (int64_t b = 0; b < r->data_bits; b++)
+                    rdata[b] |= ((v >> b) & 1) << lane;
+            }
+            if ((wen >> lane) & 1)
+                image[lane_value(waddr, r->addr_bits, lane)] =
+                    (uint32_t)lane_value(wdata, r->data_bits, lane);
+        }
+        for (int64_t b = 0; b < r->data_bits; b++)
+            r->rd_data[b * K + k] = rdata[b];
+        r->rd_en[k] = ren;
+        reads |= ren != 0;
+    }
+    return reads;
+}
+
+INLINE int64_t cycle_eval(const gem_program *prog, double *ticks, const int64_t K)
+{
+    int64_t writes = 0;
+    double t0 = 0.0;
+    if (ticks)
+        ticks[0] = ticks[1] = ticks[2] = 0.0;
+    for (int64_t i = 0; i < prog->nstages; i++) {
+        const gem_stage *s = prog->stages + i;
+        if (ticks)
+            t0 = now();
+        run_stage(prog, s, ticks, K);
+        for (int64_t j = 0; j < s->nports; j++)
+            if (run_port(prog, s->ports + j, K))
+                writes += s->ports[j].data_bits;
+        if (ticks) /* everything of the stage that is not gather or fold */
+            ticks[2] += now() - t0;
+    }
+    if (ticks)
+        ticks[2] -= ticks[0] + ticks[1];
+    return writes;
+}
+
+INLINE void cycle_commit(const gem_program *prog, const int64_t K)
+{
+    uint64_t *const gstate = prog->gstate;
+    for (int64_t i = 0; i < prog->nstages; i++) {
+        const gem_stage *s = prog->stages + i;
+        for (int64_t j = 0; j < s->ndef; j++)
+            for (int64_t k = 0; k < K; k++)
+                gstate[s->def_gidx[j] * K + k] = s->def_buf[j * K + k];
+        for (int64_t j = 0; j < s->nports; j++) {
+            const gem_ramop *r = s->ports + j;
+            for (int64_t b = 0; b < r->data_bits; b++)
+                for (int64_t k = 0; k < K; k++) {
+                    uint64_t *g = gstate + (r->rd_base + b) * K + k;
+                    *g = (*g & ~r->rd_en[k]) | (r->rd_data[b * K + k] & r->rd_en[k]);
+                }
+        }
+    }
+    for (int64_t i = 0; i < prog->nconst; i++)
+        for (int64_t k = 0; k < K; k++)
+            gstate[prog->const_gidx[i] * K + k] = prog->const_vals[i];
+}
+
+/* Evaluate one cycle: every stage, then that stage's RAM ports.  Returns
+   the data bits of every port some lane read (the cycle's dynamic
+   global-write count).  ticks: NULL, or three doubles that receive the
+   seconds spent in the read gathers, the waves, and everything else
+   (terminal stores + RAM ports). */
+int64_t gem_cycle_eval(const gem_program *prog, double *ticks)
+{
+    return prog->K == 1 ? cycle_eval(prog, ticks, 1) : cycle_eval(prog, ticks, prog->K);
+}
+
+/* The cycle boundary: per stage the sampled deferred GWRITEs, then its
+   ports' read data under their read-enable planes; finally the constant
+   tuple.  ticks: NULL, or one double that receives the seconds spent. */
+void gem_cycle_commit(const gem_program *prog, double *ticks)
+{
+    const double t0 = ticks ? now() : 0.0;
+    if (prog->K == 1)
+        cycle_commit(prog, 1);
     else
-        run_stage(s, ticks, s->K);
+        cycle_commit(prog, prog->K);
+    if (ticks)
+        ticks[0] = now() - t0;
 }
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
+_U32 = ctypes.POINTER(ctypes.c_uint32)
+
+#: widest RAM address / data word the kernel's port loop holds
+#: (``MAX_PORT_BITS`` of :data:`KERNEL_SOURCE`)
+MAX_PORT_BITS = 32
 
 #: the plan's index and word tables, in ``gem_stage`` order
 _INDEX_TABLES = (
     "read_gidx", "wave_count", "wave_out", "wave_start", "gather",
-    "gwn_gidx", "gwn_src", "ram_slots", "ram_src", "def_src",
+    "gwn_gidx", "gwn_src", "ram_slots", "ram_src", "def_src", "def_gidx",
 )  # fmt: skip
 _WORD_TABLES = ("flips", "gwn_inv", "gwn_const", "ram_inv", "def_inv")
+#: a decoded RAM port's slot / inversion tables, in ``gem_ramop`` order
+_PORT_TABLES = ("raddr", "waddr", "wdata")
+
+
+class _RamOp(ctypes.Structure):
+    """``gem_ramop`` of :data:`KERNEL_SOURCE`, field for field."""
+
+    _fields_ = [
+        *((n, ctypes.c_int64) for n in ("addr_bits", "data_bits", "depth", "ren_row", "wen_row", "rd_base")),
+        *((n, ctypes.c_uint64) for n in ("ren_inv", "wen_inv")),
+        *((f"{n}_rows", _I64) for n in _PORT_TABLES),
+        *((f"{n}_inv", _U64) for n in _PORT_TABLES),
+        ("image", _U32),
+        ("rd_data", _U64),
+        ("rd_en", _U64),
+    ]  # fmt: skip
 
 
 class _Stage(ctypes.Structure):
     """``gem_stage`` of :data:`KERNEL_SOURCE`, field for field."""
 
     _fields_ = [
-        ("K", ctypes.c_int64),
-        *((name, _U64) for name in ("gstate", "trace", "arena", "def_buf")),
-        *((n, ctypes.c_int64) for n in ("nread", "nwaves", "ngwn", "ngwn_dyn", "nram", "ndef")),
+        *((n, ctypes.c_int64) for n in ("nread", "nwaves", "ngwn", "ngwn_dyn", "nram", "ndef", "nports")),
+        ("def_buf", _U64),
+        ("ports", ctypes.POINTER(_RamOp)),
         *((name, _I64) for name in _INDEX_TABLES),
         *((name, _U64) for name in _WORD_TABLES),
+    ]  # fmt: skip
+
+
+class _Program(ctypes.Structure):
+    """``gem_program`` of :data:`KERNEL_SOURCE`, field for field."""
+
+    _fields_ = [
+        *((n, ctypes.c_int64) for n in ("K", "nstages", "nconst")),
+        ("lane_mask", ctypes.c_uint64),
+        *((name, _U64) for name in ("gstate", "trace", "arena")),
+        ("stages", ctypes.POINTER(_Stage)),
+        ("const_gidx", _I64),
+        ("const_vals", _U64),
     ]
 
 
@@ -379,7 +648,7 @@ def _build_library(source: str, path: str) -> None:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 raise BackendUnavailableError(
-                    f"{' '.join(compiler)} could not build the stage kernel: "
+                    f"{' '.join(compiler)} could not build the cycle kernel: "
                     f"{proc.stderr.strip()[-300:]}"
                 )
             version = subprocess.run(
@@ -390,19 +659,25 @@ def _build_library(source: str, path: str) -> None:
             os.replace(note, os.path.splitext(path)[0] + ".json")
             os.replace(lib, path)
     except (OSError, subprocess.SubprocessError) as exc:
-        raise BackendUnavailableError(f"cannot build the stage kernel: {exc}") from exc
+        raise BackendUnavailableError(f"cannot build the cycle kernel: {exc}") from exc
 
 
 def _open_library(path: str):
-    kernel = ctypes.CDLL(path).gem_stage_run
-    kernel.argtypes = [ctypes.POINTER(_Stage), ctypes.POINTER(ctypes.c_double)]
-    kernel.restype = None
-    return kernel
+    lib = ctypes.CDLL(path)
+    evaluate, commit = lib.gem_cycle_eval, lib.gem_cycle_commit
+    evaluate.argtypes = commit.argtypes = [
+        ctypes.POINTER(_Program),
+        ctypes.POINTER(ctypes.c_double),
+    ]
+    evaluate.restype = ctypes.c_int64
+    commit.restype = None
+    return evaluate, commit
 
 
 def load_kernel(source: str = KERNEL_SOURCE):
-    """``gem_stage_run`` of ``source`` as a ``ctypes`` function (the GIL
-    is released while it runs), built on first use and cached.
+    """``(gem_cycle_eval, gem_cycle_commit)`` of ``source`` as ``ctypes``
+    functions (the GIL is released while they run), built on first use
+    and cached.
 
     The library lives in the compile-cache directory (``GEM_CACHE_DIR``,
     default ``.gem_cache/``) as
@@ -416,7 +691,7 @@ def load_kernel(source: str = KERNEL_SOURCE):
         try:
             return _open_library(path)
         except (OSError, AttributeError) as exc:
-            logger.warning("rebuilding the stage kernel: %s does not load (%s)", path, exc)
+            logger.warning("rebuilding the cycle kernel: %s does not load (%s)", path, exc)
     _build_library(source, path)
     try:
         return _open_library(path)
@@ -465,82 +740,177 @@ def _plane(buf: np.ndarray, name: str, rows: int, planes: int | None = None) -> 
     return k
 
 
+class _NativeCycle:
+    """One bound ``gem_program``: a cycle is exactly two library calls."""
+
+    def __init__(self, kernel, program: _Program, keepalive: list) -> None:
+        self._eval, self._commit = kernel
+        self._ref = ctypes.byref(program)
+        self._ticks = (ctypes.c_double * 3)()
+        # the structs hold raw addresses: the arrays (and nested structs)
+        # behind them must live exactly as long as this object does
+        self._keepalive = (program, keepalive)
+
+    def evaluate(self, times) -> int:
+        if times is None:
+            return self._eval(self._ref, None)
+        ticks = self._ticks
+        writes = self._eval(self._ref, ticks)
+        times["gather"] += ticks[0]
+        times["fold"] += ticks[1]
+        times["commit"] += ticks[2]
+        return writes
+
+    def commit(self, times) -> None:
+        if times is None:
+            self._commit(self._ref, None)
+            return
+        self._commit(self._ref, self._ticks)
+        times["commit"] += self._ticks[0]
+
+
 class NativeBackend(ArrayBackend):
-    """Every stage through the one C kernel: the bitstream is its data."""
+    """Every cycle through the one C kernel: the bitstream is its data."""
 
     name = "native"
 
     def __init__(self) -> None:
         self._kernel = load_kernel()
 
-    def compile_stage(self, plan: StagePlan, buffers: StageBuffers):
-        """Prove every index of ``plan`` in range of ``buffers``, then bind
-        both into one ``gem_stage``.  numpy's ``take(..., "clip")`` and
-        fancy-index ``IndexError`` would survive a bad table; C would not,
-        so a plan that fails here (:class:`BitstreamError`) never reaches
-        the kernel."""
+    def compile_cycle(self, fused: "FusedProgram", buffers: CycleBuffers):
+        """Prove every index of ``fused`` in range of ``buffers``, then
+        bind both into one ``gem_program``.  numpy's ``take(..., "clip")``
+        and fancy-index ``IndexError`` would survive a bad table; C would
+        not, so a program that fails here (:class:`BitstreamError`) never
+        reaches the kernel."""
         gstate, trace, arena = buffers.gstate, buffers.trace, buffers.arena
-        def_buf = buffers.def_buf
-        size = plan.trace_size
-        planes = _plane(trace, "trace", size)
+        size = max((plan.trace_size for plan in fused.stages), default=0)
+        planes = _plane(trace, "trace", size, buffers.engine.words)
         _plane(gstate, "gstate", 0, planes)
-        _plane(arena, "arena", 0, planes)
-        _plane(def_buf, "def_buf", plan.def_src.size, planes)
-        count, out = plan.wave_count, plan.wave_out
-        _index(plan.read_gidx, "read_gidx", gstate.shape[0])
-        if plan.read_gidx.size > size:
-            raise BitstreamError("stage plan: more reads than trace rows")
-        _index(count, "wave_count", size + 1)
-        _index(out, "wave_out", size + 1 - count, count.size)
-        ends = np.cumsum(2 * count)
-        _table(plan.wave_start, "wave_start", np.int64, count.size)
-        if not np.array_equal(plan.wave_start, ends - 2 * count):
-            raise BitstreamError("stage plan: wave_start is not the running operand count")
-        operands = int(ends[-1]) if ends.size else 0
-        _index(plan.gather, "gather", np.repeat(out, 2 * count), operands)
-        _table(plan.flips, "flips", np.uint64, operands)
-        _index(plan.gwn_gidx, "gwn_gidx", gstate.shape[0])
-        _index(plan.gwn_src, "gwn_src", size)
-        _table(plan.gwn_inv, "gwn_inv", np.uint64, plan.gwn_src.size)
-        _table(plan.gwn_const, "gwn_const", np.uint64, plan.gwn_gidx.size - plan.gwn_src.size)
-        _index(plan.ram_slots, "ram_slots", arena.shape[0])
-        _index(plan.ram_src, "ram_src", size, plan.ram_slots.size)
-        _table(plan.ram_inv, "ram_inv", np.uint64, plan.ram_slots.size)
-        _index(plan.def_src, "def_src", size)
-        _table(plan.def_inv, "def_inv", np.uint64, plan.def_src.size)
-
-        stage = _Stage(
+        _plane(arena, "arena", fused.arena_size, planes)
+        _index(fused.def_const_gidx, "def_const_gidx", gstate.shape[0])
+        _table(fused.def_const_vals, "def_const_vals", np.uint64, fused.def_const_gidx.size)
+        keep: list = [fused, buffers]
+        stages = (_Stage * len(fused.stages))()
+        for stage, plan in zip(stages, fused.stages):
+            _bind_stage(stage, plan, fused, buffers, keep)
+        program = _Program(
             K=planes,
-            nread=plan.read_gidx.size,
-            nwaves=count.size,
-            ngwn=plan.gwn_gidx.size,
-            ngwn_dyn=plan.gwn_src.size,
-            nram=plan.ram_slots.size,
-            ndef=plan.def_src.size,
+            nstages=len(stages),
+            nconst=fused.def_const_gidx.size,
+            lane_mask=int(buffers.engine.lane_mask),
             gstate=gstate.ctypes.data_as(_U64),
             trace=trace.ctypes.data_as(_U64),
             arena=arena.ctypes.data_as(_U64),
-            def_buf=def_buf.ctypes.data_as(_U64),
-            **{name: getattr(plan, name).ctypes.data_as(_I64) for name in _INDEX_TABLES},
-            **{name: getattr(plan, name).ctypes.data_as(_U64) for name in _WORD_TABLES},
+            stages=stages,
+            const_gidx=fused.def_const_gidx.ctypes.data_as(_I64),
+            const_vals=fused.def_const_vals.ctypes.data_as(_U64),
         )
-        # the struct holds raw addresses: the arrays behind them must live
-        # exactly as long as it does
-        stage.keepalive = (plan, buffers)
-        ref = ctypes.byref(stage)
-        ticks = (ctypes.c_double * 3)()
-        kernel = self._kernel
+        keep.append(stages)
+        return _NativeCycle(self._kernel, program, keep)
 
-        def run(times):
-            if times is None:
-                kernel(ref, None)
-                return
-            kernel(ref, ticks)
-            times["gather"] += ticks[0]
-            times["fold"] += ticks[1]
-            times["commit"] += ticks[2]
 
-        return run
+def _bind_stage(stage: _Stage, plan: StagePlan, fused, buffers: CycleBuffers, keep: list) -> None:
+    """Validate one :class:`StagePlan` against the buffers and fill its
+    ``gem_stage`` (arrays the struct points into are appended to ``keep``)."""
+    gstate, arena = buffers.gstate, buffers.arena
+    size = plan.trace_size
+    count, out = plan.wave_count, plan.wave_out
+    _index(plan.read_gidx, "read_gidx", gstate.shape[0])
+    if plan.read_gidx.size > size:
+        raise BitstreamError("stage plan: more reads than trace rows")
+    _index(count, "wave_count", size + 1)
+    _index(out, "wave_out", size + 1 - count, count.size)
+    ends = np.cumsum(2 * count)
+    _table(plan.wave_start, "wave_start", np.int64, count.size)
+    if not np.array_equal(plan.wave_start, ends - 2 * count):
+        raise BitstreamError("stage plan: wave_start is not the running operand count")
+    operands = int(ends[-1]) if ends.size else 0
+    _index(plan.gather, "gather", np.repeat(out, 2 * count), operands)
+    _table(plan.flips, "flips", np.uint64, operands)
+    _index(plan.gwn_gidx, "gwn_gidx", gstate.shape[0])
+    _index(plan.gwn_src, "gwn_src", size)
+    _table(plan.gwn_inv, "gwn_inv", np.uint64, plan.gwn_src.size)
+    _table(plan.gwn_const, "gwn_const", np.uint64, plan.gwn_gidx.size - plan.gwn_src.size)
+    _index(plan.ram_slots, "ram_slots", arena.shape[0])
+    _index(plan.ram_src, "ram_src", size, plan.ram_slots.size)
+    _table(plan.ram_inv, "ram_inv", np.uint64, plan.ram_slots.size)
+    _index(plan.def_src, "def_src", size)
+    _table(plan.def_inv, "def_inv", np.uint64, plan.def_src.size)
+    _index(plan.def_gidx, "def_gidx", gstate.shape[0], plan.def_src.size)
+
+    def_buf = buffers.engine.zeros(plan.def_src.size)
+    ports = (_RamOp * len(plan.ramops))()
+    for port, (pidx, op) in zip(ports, plan.ramops):
+        if not 0 <= pidx < len(fused.arena_base):
+            raise BitstreamError(f"RAM port: partition {pidx} has no arena span")
+        base, span = fused.arena_base[pidx], fused.arena_span[pidx]
+        _bind_port(port, op, base, min(span, arena.shape[0] - base), buffers, keep)
+    keep += [def_buf, ports]
+    stage.nread = plan.read_gidx.size
+    stage.nwaves = count.size
+    stage.ngwn = plan.gwn_gidx.size
+    stage.ngwn_dyn = plan.gwn_src.size
+    stage.nram = plan.ram_slots.size
+    stage.ndef = plan.def_src.size
+    stage.nports = len(ports)
+    stage.def_buf = def_buf.ctypes.data_as(_U64)
+    stage.ports = ports
+    for name in _INDEX_TABLES:
+        setattr(stage, name, getattr(plan, name).ctypes.data_as(_I64))
+    for name in _WORD_TABLES:
+        setattr(stage, name, getattr(plan, name).ctypes.data_as(_U64))
+
+
+def _bind_port(port: _RamOp, op, base: int, span: int, buffers: CycleBuffers, keep: list) -> None:
+    """Validate one decoded RAM port (slots local to the arena span
+    ``[base, base + span)``) and fill its ``gem_ramop``."""
+    eng, spec = buffers.engine, op.spec
+    addr_bits, data_bits = spec.addr_bits, spec.data_bits
+    if not (0 <= addr_bits <= MAX_PORT_BITS and 0 <= data_bits <= MAX_PORT_BITS):
+        raise BitstreamError(
+            f"RAM port: {addr_bits} address / {data_bits} data bits exceed the "
+            f"kernel's {MAX_PORT_BITS}-bit port words"
+        )
+    if not 0 <= spec.ram_index < len(buffers.rams):
+        raise BitstreamError(
+            f"RAM port: ram_index {spec.ram_index} but the program has {len(buffers.rams)} blocks"
+        )
+    image = buffers.rams[spec.ram_index]
+    if (
+        image.dtype != np.uint32
+        or not image.flags.c_contiguous
+        or image.shape != (eng.batch, 1 << addr_bits)
+    ):
+        raise BitstreamError(
+            f"RAM port: image of block {spec.ram_index} must be contiguous uint32 "
+            f"({eng.batch}, {1 << addr_bits}), got {image.dtype}{image.shape}"
+        )
+    if not 0 <= spec.rd_global_base <= buffers.gstate.shape[0] - data_bits:
+        raise BitstreamError("RAM port: rd_global_base puts read data outside the global state")
+    for name in ("ren_slot", "wen_slot"):
+        if not 0 <= getattr(op, name) < span:
+            raise BitstreamError(f"RAM port: {name} outside its partition's arena span")
+    for name, nbits in zip(_PORT_TABLES, (addr_bits, addr_bits, data_bits)):
+        slots = getattr(op, f"{name}_slots")
+        _index(slots, f"{name}_slots", span, nbits)
+        rows = slots + base
+        # decoded inversions are (n,) words or (n, 1) plane columns
+        inv = np.ascontiguousarray(np.ravel(getattr(op, f"{name}_inv")))
+        _table(inv, f"{name}_inv", np.uint64, nbits)
+        keep += [rows, inv]
+        setattr(port, f"{name}_rows", rows.ctypes.data_as(_I64))
+        setattr(port, f"{name}_inv", inv.ctypes.data_as(_U64))
+    rd_data = eng.zeros(data_bits)
+    rd_en = np.zeros(eng.words, dtype=np.uint64)
+    keep += [rd_data, rd_en]
+    port.addr_bits, port.data_bits, port.depth = addr_bits, data_bits, image.shape[1]
+    port.ren_row, port.wen_row = base + op.ren_slot, base + op.wen_slot
+    port.ren_inv, port.wen_inv = int(op.ren_inv), int(op.wen_inv)
+    port.rd_base = spec.rd_global_base
+    port.image = image.ctypes.data_as(_U32)
+    port.rd_data = rd_data.ctypes.data_as(_U64)
+    port.rd_en = rd_en.ctypes.data_as(_U64)
 
 
 # -- resolution ---------------------------------------------------------------

@@ -321,29 +321,42 @@ class ExecutionEngine:
         bits = (row[:, None] >> self.lane_shifts[None, :]) & _ONE
         return bits.reshape(self.batch).astype(np.uint8)
 
-    def lane_values(self, words: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-lane small integers (RAM addresses/data) from bit planes.
+    def lane_values(self, words: np.ndarray) -> np.ndarray:
+        """Per-lane small integers (RAM addresses/data) from bit planes:
+        ``words[i]`` carries bit ``i`` of every lane.  Returns shape
+        ``(batch,)`` ``uint64``; the inverse is :meth:`pack_lanes`."""
+        return self.lane_ints(self.unpack_lanes(words))
 
-        ``words[i]`` carries bit ``i`` of every lane; ``weights[i]`` is
-        ``2**i`` as ``uint64``.  Returns shape ``(batch,)``.  This is the
-        vectorized replacement for the per-bit ``bits_value`` helper.
+    # -- RAM ports --------------------------------------------------------------
+
+    def ram_port(self, op, local: np.ndarray, image: np.ndarray):
+        """One RAM port, all lanes at once, addresses computed per lane.
+
+        ``op`` is a decoded RAMOP (slot / inversion tables into ``local``,
+        the block-local state or its arena view), ``image`` the block's
+        ``(batch, depth)`` per-lane contents.  Read-first semantics: the
+        read samples the array *before* this port's write lands, lane by
+        lane.  Returns the deferred read-data commit ``(gidx, values,
+        read-enable lane mask)`` for :meth:`merge`, or ``None`` when no
+        lane reads this cycle.
         """
-        if self.words == 1:
-            lane_bits = (words[:, None] >> self.lane_shifts[None, :]) & _ONE
-        else:
-            lane_bits = (
-                (words[:, :, None] >> self.lane_shifts[None, None, :]) & _ONE
-            ).reshape(words.shape[0], self.batch)
-        return (lane_bits * weights[:, None]).sum(axis=0, dtype=np.uint64)
-
-    def pack_lane_values(self, values: np.ndarray, nbits: int) -> np.ndarray:
-        """Per-lane small integers back into bit-plane words
-        (``(nbits,)`` single-word, ``(nbits, K)`` planes)."""
-        bits = (values[None, :] >> np.arange(nbits, dtype=np.uint64)[:, None]) & _ONE
-        if self.words == 1:
-            return (bits << self.lane_shifts[None, :]).sum(axis=1, dtype=np.uint64)
-        planes = bits.reshape(nbits, self.words, WORD_LANES)
-        return (planes << self.lane_shifts[None, None, :]).sum(axis=2, dtype=np.uint64)
+        # scalar words for K == 1, (K,) plane rows beyond -- .any() gates
+        # both without the ambiguous array truthiness
+        ren = (local[op.ren_slot] ^ op.ren_inv) & self.lane_mask
+        wen = (local[op.wen_slot] ^ op.wen_inv) & self.lane_mask
+        read = None
+        if ren.any():
+            raddr = self.lane_values(local[op.raddr_slots] ^ op.raddr_inv)
+            lanes = np.nonzero(self.lane_bits(ren))[0]
+            sampled = np.zeros(self.batch, dtype=np.uint64)
+            sampled[lanes] = image[lanes, raddr[lanes]]  # before the write
+            read = (op.rd_gidx, self.pack_lanes(sampled, op.spec.data_bits), ren)
+        if wen.any():
+            waddr = self.lane_values(local[op.waddr_slots] ^ op.waddr_inv)
+            wdata = self.lane_values(local[op.wdata_slots] ^ op.wdata_inv)
+            lanes = np.nonzero(self.lane_bits(wen))[0]
+            image[lanes, waddr[lanes]] = wdata[lanes].astype(image.dtype)
+        return read
 
     # -- deferred-write commit ------------------------------------------------
 
@@ -358,7 +371,3 @@ class ExecutionEngine:
         else:
             dst[gidx] = (dst[gidx] & ~mask) | (values & mask)
 
-
-def weights(nbits: int) -> np.ndarray:
-    """``[1, 2, 4, ...]`` as ``uint64``, precomputed once per RAM port."""
-    return _ONE << np.arange(nbits, dtype=np.uint64)

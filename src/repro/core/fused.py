@@ -53,30 +53,31 @@ and extracts the *dynamic dataflow DAG* of the stage:
   preset directly into the arena; constant deferred writes are one
   shared, read-only commit tuple.
 
-RAM ports keep their dynamic per-lane semantics: the fused cycle calls
-the interpreter's ``_run_ramop`` on per-partition arena views, in
-(stage, partition) order at the end of each stage — after every arena
-slot they reference has been scattered, before any later stage runs.
-The arena carries no other live state: apart from the preset constants
-it is written before read every cycle, so checkpoint restore needs no
+RAM ports keep their dynamic per-lane semantics: the compiled cycle runs
+each port on its partition's span of the arena, in (stage, partition)
+order at the end of each stage — after every arena slot it references
+has been scattered, before any later stage runs — and holds the sampled
+read data, with its read-enable lane plane, for the commit.  The arena
+carries no other live state: apart from the preset constants it is
+written before read every cycle, so checkpoint restore needs no
 executor cooperation.
 
 :class:`FusedProgram` is pure static tables (shared across interpreter
 instances via the fusion cache, keyed by bitstream CRC — see
-:func:`fused_program`); :class:`FusedExecutor` owns the mutable trace and
-arena of one interpreter and runs each stage through the callable its
-backend compiled from the plan (:mod:`repro.core.backend`).
+:func:`fused_program`); :func:`cycle_buffers` allocates the mutable trace
+and arena of one interpreter, and the interpreter's backend compiles
+program + buffers into the executor — one ``evaluate`` and one ``commit``
+per cycle (:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.backend import StageBuffers, StagePlan
+from repro.core.backend import CycleBuffers, StagePlan
 from repro.errors import GemError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -560,69 +561,21 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
 # -- executor -----------------------------------------------------------------
 
 
-class FusedExecutor:
-    """Per-interpreter runtime of one :class:`FusedProgram`.
+def cycle_buffers(fused: FusedProgram, interp: "GemInterpreter") -> CycleBuffers:
+    """The mutable arrays one interpreter's compiled cycle runs on.
 
-    Owns the trace, the RAM-slot arena and each stage's deferred-value
-    buffer, and hands them to the interpreter's backend once, at
-    construction, to compile every :class:`StagePlan` into a callable;
-    ``run_cycle`` is then one loop over those callables.  The single
-    trace buffer is reused across stages — nothing reads a stage's trace
-    after its deferred values are sampled — and the arena carries no
-    live state across cycles beyond the constant presets.
+    Allocates the trace and the RAM-slot arena and pairs them with the
+    interpreter's global state and RAM lane images for
+    ``backend.compile_cycle(fused, buffers)`` — which returns the
+    executor: ``evaluate(times)`` runs every stage and its RAM ports,
+    ``commit(times)`` applies the deferred writes at the cycle boundary.
+    The single trace buffer is sized for the largest stage and reused
+    across stages — nothing reads a stage's trace after its deferred
+    values are sampled — and the arena carries no live state across
+    cycles beyond the constant presets written here.
     """
-
-    def __init__(self, fused: FusedProgram, interp: "GemInterpreter") -> None:
-        self.fused = fused
-        self.interp = interp
-        eng = interp.engine
-        self.arena = eng.zeros(fused.arena_size)
-        self.arena[fused.preset_slots] = eng.lane_mask
-        # one trace buffer, sized for the largest stage, serves them all
-        self.trace = eng.zeros(max((plan.trace_size for plan in fused.stages), default=0))
-        views = [
-            self.arena[base : base + span]
-            for base, span in zip(fused.arena_base, fused.arena_span)
-        ]
-        #: per stage: (compiled stage, its deferred commit or None,
-        #: its RAM ports paired with their partition's arena view)
-        self._stages = []
-        for plan in fused.stages:
-            def_buf = eng.zeros(plan.def_gidx.size)
-            run = interp.backend.compile_stage(
-                plan, StageBuffers(interp.global_state, self.trace, self.arena, def_buf)
-            )
-            self._stages.append(
-                (
-                    run,
-                    (plan.def_gidx, def_buf, None) if plan.def_gidx.size else None,
-                    [(op, views[pidx]) for pidx, op in plan.ramops],
-                )
-            )
-        self._def_const = None
-        if fused.def_const_gidx.size:
-            vals = fused.def_const_vals
-            # K-word planes: constants broadcast as an (n, 1) column
-            self._def_const = (
-                fused.def_const_gidx, vals[:, None] if eng.words > 1 else vals, None
-            )
-
-    def run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        """Evaluate every stage; returns the cycle's deferred commits."""
-        interp = self.interp
-        times = interp.phase_times if interp.profile else None
-        run_ramop = interp._run_ramop
-        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        for run, def_commit, ramops in self._stages:
-            run(times)
-            if def_commit is not None:
-                deferred.append(def_commit)
-            if ramops:
-                t0 = time.perf_counter()
-                for op, view in ramops:
-                    deferred.extend(run_ramop(op, view))
-                if times is not None:
-                    times["commit"] += time.perf_counter() - t0
-        if self._def_const is not None:
-            deferred.append(self._def_const)
-        return deferred
+    eng = interp.engine
+    arena = eng.zeros(fused.arena_size)
+    arena[fused.preset_slots] = eng.lane_mask
+    trace = eng.zeros(max((plan.trace_size for plan in fused.stages), default=0))
+    return CycleBuffers(eng, interp.global_state, trace, arena, interp.ram_arrays)

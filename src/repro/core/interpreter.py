@@ -34,10 +34,15 @@ are lane-aware so amortized per-lane work is reportable.
 
 A cycle is evaluated by the stage-fused executor of
 :mod:`repro.core.fused` — per-stage merged gathers, depth-grouped
-liveness-compacted waves, coalesced commit tables (docs/ENGINE.md §6).
-The ISA-literal per-partition evaluation of the same bitstream lives in
+liveness-compacted waves, RAM ports, coalesced commit tables — compiled
+by the backend into one ``evaluate`` and one ``commit`` call per cycle
+(docs/ENGINE.md §6); on the native backend those are the only two calls
+that leave Python.  The scalar API moves its I/O the same way: ``step``
+packs all primary inputs into one Python int for a single scatter and
+reads all primary outputs back through a single gather.  The
+ISA-literal per-partition evaluation of the same bitstream lives in
 :class:`repro.simref.isa_interp.ReferenceInterpreter`, which subclasses
-this class for everything but the evaluate step and is what the
+this class for everything but the evaluate/commit pair and is what the
 differential tests and the fuzz oracle hold the executor against.
 
 Decode and fusion results are memoized keyed by the bitstream CRC (plus
@@ -58,8 +63,8 @@ import numpy as np
 from repro.core import isa
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import MAGIC, VERSION, GemProgram, verify_integrity
-from repro.core.engine import ExecutionEngine, bits_to_int, weights
-from repro.core.fused import FusedExecutor, fused_program
+from repro.core.engine import ExecutionEngine
+from repro.core.fused import cycle_buffers, fused_program
 from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -95,8 +100,6 @@ class _DecodedRamOp:
     ren_inv: np.uint64
     wen_slot: int
     wen_inv: np.uint64
-    addr_weights: np.ndarray
-    data_weights: np.ndarray
     rd_gidx: np.ndarray
 
 
@@ -200,15 +203,17 @@ class GemInterpreter:
     ``profile=True`` keeps lightweight wall-clock timers per phase in
     :attr:`phase_times` (``inject`` / ``gather`` / ``fold`` / ``commit``).
 
-    ``backend`` selects how the executor runs a stage
+    ``backend`` selects how the executor runs a cycle
     (:mod:`repro.core.backend`): ``None`` (default) is the native C
-    stage kernel where a compiler or a cached build exists and the numpy
+    cycle kernel where a compiler or a cached build exists and the numpy
     array loop elsewhere; ``"numpy"`` forces the array loop; ``"native"``
     by name warns once and falls back to numpy when it cannot be built.
 
     A bitstream the executor cannot schedule (a stage that reads a global
     bit it also writes immediately — no compiler output does) is refused
-    at load with :class:`~repro.core.fused.FusionError`.
+    at load with :class:`~repro.core.fused.FusionError`; one whose RAM
+    ports disagree with its RAM section or reach outside the state they
+    index, with :class:`~repro.errors.BitstreamError`.
     """
 
     #: how a cycle is evaluated (recorded in run reports)
@@ -304,10 +309,16 @@ class GemInterpreter:
         #: pristine per-block images (depth,), kept for :meth:`reset`
         self._ram_init: list[np.ndarray] = []
         pos = ram_base
-        for _ in range(num_rams):
+        for index in range(num_rams):
             shape = int(words[pos])
             depth = int(words[pos + 1])
-            self.ram_shapes.append((shape >> 16, shape & 0xFFFF))
+            addr_bits, data_bits = shape >> 16, shape & 0xFFFF
+            if depth != 1 << addr_bits or data_bits > 32:
+                raise BitstreamError(
+                    f"RAM block {index}: {depth} words of {data_bits} bits behind "
+                    f"{addr_bits} address bits (want 2**addr_bits words of <= 32 bits)"
+                )
+            self.ram_shapes.append((addr_bits, data_bits))
             image = words[pos + 2 : pos + 2 + depth].astype(np.uint32)
             self._ram_init.append(image)
             self.ram_arrays.append(np.repeat(image[None, :], batch, axis=0).copy())
@@ -315,6 +326,7 @@ class GemInterpreter:
         # Reset section: flip-flop init values as global bit indices.
         reset_count = int(words[pos])
         self._reset_ones = words[pos + 1 : pos + 1 + reset_count].astype(np.int64)
+        self._check_ram_ports()
 
         # Decode-time index tables for vectorized PI scatter / PO gather.
         self._pi_tables = {
@@ -338,6 +350,20 @@ class GemInterpreter:
 
         self.global_state = self.engine.zeros(self.global_bits)
         self.global_state[self._reset_ones] = self.engine.lane_mask
+        # Scalar I/O plan: step() moves every PI / PO as one packed Python
+        # int each way.  Port ``name`` owns bits [shift, shift + width) of
+        # the word, in _pi_gidx / _po_gidx order; a stimulus bit becomes a
+        # word through the two-entry table, and lane 0 of every PO bit is
+        # one flat index into the state's words.
+        starts = np.cumsum([0, *(idx.size for idx in self._pi_tables.values())]).tolist()
+        self._pi_fields = {
+            name: (shift, (1 << idx.size) - 1)
+            for (name, idx), shift in zip(self._pi_tables.items(), starts)
+        }
+        self._bit_words = np.array([0, self.engine.lane_mask], dtype=np.uint64)
+        self._po_fields = [(name, lo, (1 << (hi - lo)) - 1) for name, lo, hi in self._po_slices]
+        self._state_words = self.global_state.reshape(-1)
+        self._po_lane0 = self._po_gidx * self.engine.words
         self.counters = CycleCounters(lanes=batch)
         self.cycle = 0
         #: optional per-cycle signal tap (repro.obs.probe.ProbeTap); the
@@ -350,7 +376,33 @@ class GemInterpreter:
         self._fused = fused_program(
             cache_key, self.partitions, self.stage_indices, self.engine
         )
-        self._executor = FusedExecutor(self._fused, self)
+        self._executor = self.backend.compile_cycle(
+            self._fused, cycle_buffers(self._fused, self)
+        )
+
+    def _check_ram_ports(self) -> None:
+        """Hold every RAMOP against the RAM section, the global state and
+        its own block's local state: an executor indexes all three
+        unchecked (the C kernel) or fails mid-run (numpy)."""
+        for pidx, part in enumerate(self.partitions):
+            for op in part.ramops:
+                spec = op.spec
+                if spec.ram_index >= len(self.ram_shapes):
+                    problem = f"names RAM block {spec.ram_index} of {len(self.ram_shapes)}"
+                elif (spec.addr_bits, spec.data_bits) != self.ram_shapes[spec.ram_index]:
+                    problem = (
+                        f"is {spec.addr_bits} x {spec.data_bits} bits, RAM block "
+                        f"{spec.ram_index} is {self.ram_shapes[spec.ram_index]}"
+                    )
+                elif spec.rd_global_base + spec.data_bits > self.global_bits:
+                    problem = f"reads into global bits past {self.global_bits}"
+                elif part.state_slots <= max(
+                    slot for slot, _ in (*spec.raddr, spec.ren, *spec.waddr, *spec.wdata, spec.wen)
+                ):
+                    problem = f"references a slot past its block's {part.state_slots}"
+                else:
+                    continue
+                raise BitstreamError(f"partition {pidx}: RAMOP {problem}")
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -404,45 +456,24 @@ class GemInterpreter:
 
     # -- execution ------------------------------------------------------------
 
-    def _run_ramop(
-        self, op: _DecodedRamOp, local: np.ndarray
-    ) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        """One RAM port, all lanes at once, addresses computed per lane.
-
-        Read-first semantics: the read samples the array *before* this
-        port's write lands, lane by lane.
-        """
-        eng = self.engine
-        # scalar words for K == 1, (K,) plane rows beyond — .any() gates
-        # both without the ambiguous array truthiness
-        ren = (local[op.ren_slot] ^ op.ren_inv) & eng.lane_mask
-        wen = (local[op.wen_slot] ^ op.wen_inv) & eng.lane_mask
-        array = self.ram_arrays[op.spec.ram_index]
-        deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-        if ren.any():
-            raddr = eng.lane_values(local[op.raddr_slots] ^ op.raddr_inv, op.addr_weights)
-            lanes = np.nonzero(eng.lane_bits(ren))[0]
-            sampled = np.zeros(eng.batch, dtype=np.uint64)
-            sampled[lanes] = array[lanes, raddr[lanes]]  # before the write
-            values = eng.pack_lane_values(sampled, op.spec.data_bits)
-            deferred.append((op.rd_gidx, values, ren))
-            self.counters.global_writes += op.spec.data_bits
-        if wen.any():
-            waddr = eng.lane_values(local[op.waddr_slots] ^ op.waddr_inv, op.addr_weights)
-            wdata = eng.lane_values(local[op.wdata_slots] ^ op.wdata_inv, op.data_weights)
-            lanes = np.nonzero(eng.lane_bits(wen))[0]
-            array[lanes, waddr[lanes]] = wdata[lanes].astype(array.dtype)
-        return deferred
-
     # -- stimulus injection ---------------------------------------------------
 
     def _inject_broadcast(self, inputs: Mapping[str, int] | None) -> None:
-        """Write one input vector to every lane (vectorized scatter)."""
-        gstate = self.global_state
-        engine = self.engine
-        for name, idx in self._pi_tables.items():
-            value = (inputs or {}).get(name, 0)
-            gstate[idx] = engine.broadcast_int(value, idx.size)
+        """Write one input vector to every lane: the values packed into
+        one word (masked to their ports; a missing name is 0, an unknown
+        one ignored), one unpack, one scatter over every PI bit."""
+        word = 0
+        if inputs:
+            fields = self._pi_fields
+            index = operator.index  # a NumPy integer must not do the shift
+            for name, value in inputs.items():
+                field = fields.get(name)
+                if field is not None:
+                    word |= (index(value) & field[1]) << field[0]
+        nbits = self._pi_gidx.size
+        raw = np.frombuffer(word.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
+        words = self._bit_words.take(np.unpackbits(raw, bitorder="little")[:nbits])
+        self.global_state[self._pi_gidx] = words if self.engine.words == 1 else words[:, None]
 
     def _inject_lanes(
         self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None
@@ -513,10 +544,11 @@ class GemInterpreter:
 
     # -- the cycle ------------------------------------------------------------
 
-    def _run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
-        """Evaluate one cycle; returns the deferred (gidx, values, lane
-        mask) scatters for :meth:`_commit` (mask ``None`` = unconditional)."""
-        deferred = self._executor.run_cycle()
+    def _evaluate(self) -> None:
+        """Evaluate one cycle up to the settled point: every stage and its
+        RAM ports.  The deferred writes wait in the executor for
+        :meth:`_commit`."""
+        writes = self._executor.evaluate(self.phase_times if self.profile else None)
         counters = self.counters
         work = self._fused.static
         counters.instruction_words += work.instruction_words
@@ -525,21 +557,14 @@ class GemInterpreter:
         counters.layer_syncs += work.layer_syncs
         counters.device_syncs += work.device_syncs
         counters.global_reads += work.global_reads
-        counters.global_writes += work.global_writes
+        counters.global_writes += work.global_writes + writes
         counters.array_ops += work.array_ops
         counters.fused_array_ops += work.fused_array_ops
-        return deferred
 
-    def _commit(self, deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]) -> None:
-        t0 = time.perf_counter() if self.profile else 0.0
-        gstate = self.global_state
-        merge = self.engine.merge
-        for gidx, values, mask in deferred:
-            merge(gstate, gidx, values, mask)
-        if self.profile:
-            self.phase_times["commit"] += time.perf_counter() - t0
-        self.counters.cycles += 1
-        self.cycle += 1
+    def _commit(self) -> None:
+        """The cycle boundary: land the deferred writes (FF next states,
+        RAM read data)."""
+        self._executor.commit(self.phase_times if self.profile else None)
 
     def _cycle(self, inject, inputs, readback):
         """One simulated cycle: ``inject(inputs)``, evaluate, sample
@@ -558,11 +583,13 @@ class GemInterpreter:
             self.phase_times["inject"] += time.perf_counter() - t0
         else:
             inject(inputs)
-        deferred = self._run_cycle()
+        self._evaluate()
         if self._probe_tap is not None:
             self._probe_tap.capture(self)
         outs = readback()
-        self._commit(deferred)
+        self._commit()
+        self.counters.cycles += 1
+        self.cycle += 1
         return outs
 
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
@@ -570,7 +597,10 @@ class GemInterpreter:
 
         With ``batch > 1`` the inputs are broadcast to every lane and the
         returned outputs are lane 0's (all lanes see identical stimulus
-        unless the lane API is used).
+        unless the lane API is used).  Scalar I/O moves as one packed
+        word each way — all inputs in one scatter, all outputs in one
+        gather — and is tolerant: values are masked to their port, a
+        missing name is 0, an unknown name is ignored.
         """
         return self._cycle(self._inject_broadcast, inputs, self.outputs)
 
@@ -629,17 +659,11 @@ class GemInterpreter:
         self._probe_tap = None
 
     def outputs(self) -> dict[str, int]:
-        """Lane 0's primary output words (vectorized gather)."""
-        gstate = self.global_state
-        if self.engine.words > 1:
-            return {
-                name: bits_to_int(gstate[idx, 0] & _ONE)
-                for name, idx in self._po_tables.items()
-            }
-        return {
-            name: bits_to_int(gstate[idx] & _ONE)
-            for name, idx in self._po_tables.items()
-        }
+        """Lane 0's primary output words: one gather over every PO bit,
+        packed into one word, one shift and mask per port."""
+        bits = (self._state_words.take(self._po_lane0) & _ONE).astype(np.uint8)
+        word = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+        return {name: (word >> shift) & mask for name, shift, mask in self._po_fields}
 
     def outputs_arrays(self) -> dict[str, np.ndarray]:
         """Every lane's primary outputs, one ``(batch,)`` column per PO:
@@ -717,8 +741,6 @@ def _decode_ramop(op: isa.RamOp, engine: ExecutionEngine) -> _DecodedRamOp:
         ren_inv=engine.scalar_mask(op.ren[1]),
         wen_slot=op.wen[0],
         wen_inv=engine.scalar_mask(op.wen[1]),
-        addr_weights=weights(op.addr_bits),
-        data_weights=weights(op.data_bits),
         rd_gidx=np.arange(op.rd_global_base, op.rd_global_base + op.data_bits),
     )
 

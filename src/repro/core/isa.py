@@ -345,6 +345,10 @@ def decode_ramop(inst: np.ndarray) -> RamOp:
     data_bits = int(inst[2]) & 0xFFFF
     rd_global_base = int(inst[3])
     total = 2 * addr_bits + data_bits + 2
+    if 4 + (total + 1) // 2 > len(inst):
+        raise BitstreamError(
+            f"RAMOP with {addr_bits} address / {data_bits} data bits does not fit one instruction"
+        )
     refs = []
     for i in range(total):
         word = int(inst[4 + (i >> 1)])

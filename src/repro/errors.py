@@ -74,7 +74,7 @@ class BackendUnavailableError(GemError):
     """The requested execution backend cannot be loaded.
 
     Raised by :func:`repro.core.backend.resolve_backend` for an unknown
-    name, or — under ``strict=True`` — when the native stage kernel has
+    name, or — under ``strict=True`` — when the native cycle kernel has
     neither a C compiler nor a cached build to load; the message names
     the reason.  Callers that pass ``strict=False`` get the numpy
     fallback (logged once) instead of this error.

@@ -12,15 +12,19 @@ the way the ISA reads — block by block, instruction by instruction:
   selected fold positions back into local state;
 * GWRITE — immediate writes land in global state at once (later stages
   of the cycle see them), deferred writes are queued for the commit;
-* RAMOP — the block's RAM ports, on its local state;
-* a device-wide synchronization after every stage.
+* RAMOP — the block's RAM ports, on its local state
+  (:meth:`~repro.core.engine.ExecutionEngine.ram_port`, the one numpy
+  port the numpy backend also runs);
+* a device-wide synchronization after every stage;
+* at the cycle boundary the queued writes land in ISA order.
 
 It subclasses the production interpreter for everything that is not
 evaluation — container load and CRC checks, decode, stimulus injection,
-output readback, the RAM port semantics, the cycle-boundary commit,
-checkpoints and probes — and overrides only :meth:`_run_cycle`.  Work
-counters are accumulated dynamically, instruction by instruction, so
-agreeing with the executor's static per-cycle deltas is itself a check.
+output readback, checkpoints and probes — and overrides only the
+:meth:`_evaluate` / :meth:`_commit` pair the compiled cycle otherwise
+serves.  Work counters are accumulated dynamically, instruction by
+instruction, so agreeing with the executor's static per-cycle deltas is
+itself a check.
 
 Slow by construction (thousands of tiny NumPy dispatches per cycle); it
 exists to be compared against: the differential tests, the fuzz oracle's
@@ -47,11 +51,14 @@ class ReferenceInterpreter(GemInterpreter):
         super().__init__(program, batch=batch, profile=profile)
         #: block-local state, one vector per partition (shared memory)
         self._locals = [self.engine.zeros(p.state_slots) for p in self.partitions]
+        #: this cycle's deferred (gidx, values, lane mask) scatters, in
+        #: ISA order (mask ``None`` = unconditional commit)
+        self._deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
 
-    def _run_cycle(self) -> list[tuple[np.ndarray, np.ndarray, np.uint64 | None]]:
+    def _evaluate(self) -> None:
         t0 = time.perf_counter() if self.profile else 0.0
         counters = self.counters
-        deferred = []
+        deferred = self._deferred = []
         for stage_parts in self.stage_indices:
             for idx in stage_parts:
                 deferred.extend(
@@ -64,7 +71,15 @@ class ReferenceInterpreter(GemInterpreter):
         # who runs it: reported here too so counters compare field by field
         counters.array_ops += self._fused.static.array_ops
         counters.fused_array_ops += self._fused.static.fused_array_ops
-        return deferred
+
+    def _commit(self) -> None:
+        t0 = time.perf_counter() if self.profile else 0.0
+        gstate = self.global_state
+        merge = self.engine.merge
+        for gidx, values, mask in self._deferred:
+            merge(gstate, gidx, values, mask)
+        if self.profile:
+            self.phase_times["commit"] += time.perf_counter() - t0
 
     def _run_partition(
         self, part: _DecodedPartition, local: np.ndarray
@@ -96,7 +111,10 @@ class ReferenceInterpreter(GemInterpreter):
         if gidx.size:
             deferred.append((gidx, local[slots] ^ inv, None))
         for op in part.ramops:
-            deferred.extend(self._run_ramop(op, local))
+            read = self.engine.ram_port(op, local, self.ram_arrays[op.spec.ram_index])
+            if read is not None:
+                deferred.append(read)
+                counters.global_writes += op.spec.data_bits
         counters.global_reads += int(part.read_gidx.size)
         counters.global_writes += int(part.gw_now[2].size + part.gw_deferred[2].size)
         counters.instruction_words += part.instruction_words

@@ -4,14 +4,15 @@ plan validation, and kernel equivalence.
 The contract under test (docs/ENGINE.md §6):
 
 * ``resolve_backend(None)`` is the first backend that resolves — the
-  native C stage kernel where a compiler or a cached build exists, numpy
+  native C cycle kernel where a compiler or a cached build exists, numpy
   otherwise (reason logged once, no warning); ``"native"`` by name falls
   back to numpy with exactly one warning per process and hard-fails only
   under ``strict=True``;
 * the kernel library is built once into the compile cache, atomically,
   and a warm start spawns no compiler;
-* ``NativeBackend.compile_stage`` rejects a plan with an index the C
-  kernel would follow out of bounds;
+* ``NativeBackend.compile_cycle`` rejects a program with an index the C
+  kernel would follow out of bounds — stage, RAM-port and commit tables
+  alike;
 * native ≡ numpy ≡ the ISA-literal reference interpreter, outputs and
   state, at every lane geometry and across a mid-run checkpoint.
 
@@ -30,10 +31,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import isa
 from repro.core.backend import (
+    CycleBuffers,
     NativeBackend,
     NumpyBackend,
-    StageBuffers,
     StagePlan,
     available_backends,
     resolve_backend,
@@ -41,6 +43,9 @@ from repro.core.backend import (
 )
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
+from repro.core.engine import ExecutionEngine
+from repro.core.fused import FusedProgram
+from repro.core.interpreter import _decode_ramop
 from repro.core.partition import PartitionConfig
 from repro.errors import BackendUnavailableError, BitstreamError, GemError
 from repro.runtime.checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
@@ -95,12 +100,28 @@ def _lockstep(ref, dut, batch, cycles=24):
         assert np.array_equal(a, b)
 
 
-def tiny_stage(planes=1):
-    """A hand-built stage — ``t2 = a & b``, ``t3 = a & ~t2`` — with one
-    store of each terminal kind.  Returns ``(plan, buffers)``."""
+def tiny_program(planes=1, ram=True):
+    """A hand-built one-stage program — ``t2 = a & b``, ``t3 = a & ~t2`` —
+    with one store of each terminal kind and, with ``ram``, one constant
+    deferred write and one RAM port (a 4 x 3-bit block: ``ren`` is
+    ``t3``'s arena slot, the address and write-side inputs rest at
+    constant 0).  Without it the program is the bare stage: five global
+    rows, one arena row.  Returns ``(fused, buffers)``."""
     i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
     u64 = lambda *v: np.array(v, dtype=np.uint64)  # noqa: E731
     ones = 0xFFFFFFFFFFFFFFFF
+    engine = ExecutionEngine(64 * planes)
+    port = isa.RamOp(
+        ram_index=0,
+        addr_bits=2,
+        data_bits=3,
+        rd_global_base=6,
+        raddr=[(1, False), (1, False)],
+        ren=(0, True),
+        waddr=[(1, False), (1, False)],
+        wdata=[(1, False), (1, True), (1, False)],
+        wen=(1, False),
+    )
     plan = StagePlan(
         trace_size=4,
         read_gidx=i64(0, 1),
@@ -119,26 +140,39 @@ def tiny_stage(planes=1):
         def_gidx=i64(4),
         def_src=i64(3),
         def_inv=u64(0),
-        ramops=[],
+        ramops=[(0, _decode_ramop(port, engine))] if ram else [],
     )
-    shape = (lambda n: (n,)) if planes == 1 else (lambda n: (n, planes))
-    buffers = StageBuffers(
-        gstate=np.zeros(shape(5), dtype=np.uint64),
-        trace=np.zeros(shape(4), dtype=np.uint64),
-        arena=np.zeros(shape(1), dtype=np.uint64),
-        def_buf=np.zeros(shape(1), dtype=np.uint64),
+    arena_rows = 2 if ram else 1
+    fused = FusedProgram(
+        arena_size=arena_rows,
+        arena_base=[0],
+        arena_span=[arena_rows],
+        preset_slots=i64(),
+        stages=[plan],
+        def_const_gidx=i64(5) if ram else i64(),
+        def_const_vals=u64(0b0110) if ram else u64(),
     )
-    return plan, buffers
+    image = np.tile(np.array([5, 1, 2, 3], dtype=np.uint32), (engine.batch, 1))
+    buffers = CycleBuffers(
+        engine=engine,
+        gstate=engine.zeros(9 if ram else 5),
+        trace=engine.zeros(4),
+        arena=engine.zeros(arena_rows),
+        rams=[image] if ram else [],
+    )
+    return fused, buffers
 
 
-def run_tiny_stage(backend, planes=1):
-    """``a=0b1100, b=0b1010`` through :func:`tiny_stage`; returns
-    ``(gstate, arena, def_buf)`` after one call."""
-    plan, buffers = tiny_stage(planes)
+def run_tiny_program(backend, planes=1):
+    """``a=0b1100, b=0b1010`` through :func:`tiny_program`, one evaluate
+    and one commit; returns ``(gstate, arena, RAM image, global writes)``."""
+    fused, buffers = tiny_program(planes)
     buffers.gstate[0] = 0b1100
     buffers.gstate[1] = 0b1010
-    resolve_backend(backend, strict=True).compile_stage(plan, buffers)(None)
-    return buffers.gstate, buffers.arena, buffers.def_buf
+    cycle = resolve_backend(backend, strict=True).compile_cycle(fused, buffers)
+    writes = cycle.evaluate(None)
+    cycle.commit(None)
+    return buffers.gstate, buffers.arena, buffers.rams[0], writes
 
 
 def _child_env(cache, **env):
@@ -162,11 +196,11 @@ def _child(code, cache, **env):
     )
 
 
-#: resolve the kernel strictly and push one stage through it
+#: resolve the kernel strictly and push one cycle through it
 USE_KERNEL = (
-    "from tests.test_backends import run_tiny_stage\n"
-    "g, a, d = run_tiny_stage('native')\n"
-    "assert g[2] == 0b1000 and d[0] == 0b0100, (g, d)\n"
+    "from tests.test_backends import run_tiny_program\n"
+    "g, arena, image, writes = run_tiny_program('native')\n"
+    "assert g[2] == 0b1000 and g[4] == 0b0100 and writes == 3, (g, writes)\n"
     "print('kernel ok')\n"
 )
 
@@ -316,12 +350,21 @@ class TestBuildCache:
 @needs_native
 class TestPlanValidation:
     """numpy survives a bad index table (``take(..., "clip")``, fancy-index
-    ``IndexError``); C would not, so ``compile_stage`` checks them all."""
+    ``IndexError``); C would not, so ``compile_cycle`` checks them all."""
 
     def test_tiny_stage_agrees_with_numpy(self):
         for planes in (1, 3):
-            for got, want in zip(run_tiny_stage("native", planes), run_tiny_stage("numpy", planes)):
-                assert np.array_equal(got, want)
+            got, want = run_tiny_program("native", planes), run_tiny_program("numpy", planes)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            gstate, arena, image, writes = got
+            word = gstate[:, 0] if planes > 1 else gstate
+            # t3 = a & ~(a & b) = 0b0100 is the deferred write and, inverted
+            # twice on its way through the arena, the port's read enable:
+            # lane 2 alone reads word 0 (0b101) into global bits 6..8
+            assert word[2] == 0b1000 and word[4] == 0b0100 and word[5] == 0b0110
+            assert [int(w) for w in word[6:9]] == [0b0100, 0, 0b0100]
+            assert writes == 3 and np.array_equal(image[0], [5, 1, 2, 3])
 
     @pytest.mark.parametrize(
         "table, position, value",
@@ -336,39 +379,96 @@ class TestPlanValidation:
             ("def_src", 0, 4),
             ("wave_out", 1, 4),  # output row past the trace
             ("wave_start", 1, 1),
+            ("def_gidx", 0, 5),
         ],
     )
     def test_out_of_range_entry_raises_before_any_call(self, table, position, value):
-        plan, buffers = tiny_stage()
+        fused, buffers = tiny_program(ram=False)
+        (plan,) = fused.stages
         bad = getattr(plan, table).copy()
         bad[position] = value
+        fused.stages = [dataclasses.replace(plan, **{table: bad})]
         with pytest.raises(BitstreamError, match=table):
-            resolve_backend("native").compile_stage(
-                dataclasses.replace(plan, **{table: bad}), buffers
-            )
+            resolve_backend("native").compile_cycle(fused, buffers)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("raddr_slots", np.array([1, 2], dtype=np.int64), "raddr_slots"),
+            ("waddr_slots", np.array([-1, 1], dtype=np.int64), "waddr_slots"),
+            ("wdata_slots", np.array([1, 1], dtype=np.int64), "wdata_slots"),  # one bit short
+            ("wdata_inv", np.zeros(2, dtype=np.uint64), "wdata_inv"),
+            ("ren_slot", 2, "ren_slot"),
+            ("wen_slot", 7, "wen_slot"),
+        ],
+    )
+    def test_out_of_range_ram_port_raises(self, field, value, match):
+        fused, buffers = tiny_program()
+        ((pidx, op),) = fused.stages[0].ramops
+        fused.stages[0].ramops = [(pidx, dataclasses.replace(op, **{field: value}))]
+        with pytest.raises(BitstreamError, match=match):
+            resolve_backend("native").compile_cycle(fused, buffers)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"ram_index": 1}, "ram_index"),
+            ({"rd_global_base": 7}, "rd_global_base"),  # 3 data bits from row 7 of 9
+            ({"addr_bits": 3}, "image"),  # the block holds 4 words, not 8
+            ({"data_bits": 33}, "33 data bits"),
+        ],
+    )
+    def test_ram_port_disagreeing_with_its_block_raises(self, change, match):
+        fused, buffers = tiny_program()
+        ((pidx, op),) = fused.stages[0].ramops
+        spec = dataclasses.replace(op.spec, **change)
+        fused.stages[0].ramops = [(pidx, dataclasses.replace(op, spec=spec))]
+        with pytest.raises(BitstreamError, match=match):
+            resolve_backend("native").compile_cycle(fused, buffers)
+
+    def test_out_of_range_commit_and_arena_tables_raise(self):
+        native = resolve_backend("native")
+        fused, buffers = tiny_program()
+        fused.def_const_gidx = np.array([9], dtype=np.int64)
+        with pytest.raises(BitstreamError, match="def_const_gidx"):
+            native.compile_cycle(fused, buffers)
+        fused, buffers = tiny_program()
+        fused.def_const_vals = fused.def_const_vals[:0]
+        with pytest.raises(BitstreamError, match="def_const_vals"):
+            native.compile_cycle(fused, buffers)
+        fused, buffers = tiny_program()
+        fused.arena_base = [1]  # the port's span now ends past the arena
+        with pytest.raises(BitstreamError, match="arena span"):
+            native.compile_cycle(fused, buffers)
 
     def test_wrong_dtype_layout_or_size_raises(self):
-        plan, buffers = tiny_stage()
         native = resolve_backend("native")
+
+        def compile_with(plan_change=None, **buffer_change):
+            fused, buffers = tiny_program()
+            if plan_change:
+                fused.stages = [dataclasses.replace(fused.stages[0], **plan_change)]
+            native.compile_cycle(fused, dataclasses.replace(buffers, **buffer_change))
+
+        plan = tiny_program()[0].stages[0]
         with pytest.raises(BitstreamError, match="gather"):
-            native.compile_stage(
-                dataclasses.replace(plan, gather=plan.gather.astype(np.int32)), buffers
-            )
+            compile_with({"gather": plan.gather.astype(np.int32)})
         with pytest.raises(BitstreamError, match="flips"):
-            native.compile_stage(dataclasses.replace(plan, flips=plan.flips[:-1]), buffers)
+            compile_with({"flips": plan.flips[:-1]})
         with pytest.raises(BitstreamError, match="gwn_const"):
-            native.compile_stage(dataclasses.replace(plan, gwn_const=plan.gwn_const[:0]), buffers)
-        strided = np.zeros(8, dtype=np.uint64)[::2]
+            compile_with({"gwn_const": plan.gwn_const[:0]})
+        with pytest.raises(BitstreamError, match="def_gidx"):
+            compile_with({"def_gidx": plan.def_gidx[:0]})
         with pytest.raises(BitstreamError, match="trace"):
-            native.compile_stage(plan, dataclasses.replace(buffers, trace=strided))
-        with pytest.raises(BitstreamError, match="def_buf"):
-            native.compile_stage(
-                plan, dataclasses.replace(buffers, def_buf=np.zeros(0, dtype=np.uint64))
-            )
+            compile_with(trace=np.zeros(8, dtype=np.uint64)[::2])
+        with pytest.raises(BitstreamError, match="trace"):
+            compile_with(trace=np.zeros(3, dtype=np.uint64))
         with pytest.raises(BitstreamError, match="arena"):
-            native.compile_stage(
-                plan, dataclasses.replace(buffers, arena=np.zeros((1, 2), dtype=np.uint64))
-            )
+            compile_with(arena=np.zeros((2, 2), dtype=np.uint64))
+        with pytest.raises(BitstreamError, match="image"):
+            compile_with(rams=[np.zeros((64, 4), dtype=np.uint64)])
+        with pytest.raises(BitstreamError, match="image"):
+            compile_with(rams=[np.zeros((63, 4), dtype=np.uint32)])
 
 
 @needs_native
@@ -377,7 +477,7 @@ class TestCompiledKernelEquivalence:
 
     @pytest.mark.parametrize("batch", [1, 3, 64, 128, 256])
     def test_generic_compile_stage_matches_numpy(self, batch):
-        """The one generic stage kernel in lockstep with numpy on a
+        """The one generic cycle kernel in lockstep with numpy on a
         RAM-bearing design: single-word batches through the ``K == 1``
         fast path, K-word planes through the plane path."""
         design = _design(seed=11, n_ops=60, with_memory=True)
@@ -400,6 +500,72 @@ class TestCompiledKernelEquivalence:
             times = sim.phase_times
             assert times["gather"] > 0.0 and times["fold"] > 0.0 and times["commit"] > 0.0
             assert sum(times.values()) <= wall
+
+
+@needs_native
+class TestTwoCallsPerCycle:
+    """The Python shell around the kernel is gone: a cycle is one evaluate
+    and one commit call into the library, and the settled point between
+    them is still where probes and readback look."""
+
+    @staticmethod
+    def counting_backend(calls):
+        backend = NativeBackend()
+        evaluate, commit = backend._kernel
+
+        def counted(name, call):
+            def wrapper(program, ticks):
+                calls.append(name)
+                return call(program, ticks)
+
+            return wrapper
+
+        backend._kernel = (counted("evaluate", evaluate), counted("commit", commit))
+        return backend
+
+    @pytest.mark.parametrize("batch", [1, 128])
+    def test_exactly_two_native_calls_per_cycle(self, batch):
+        calls = []
+        design = _design(seed=11, n_ops=60, with_memory=True)
+        sim = design.simulator(batch=batch, backend=self.counting_backend(calls))
+        ref = design.simulator(batch=batch, backend="numpy")
+        assert sim.ram_arrays and not calls, "building the simulator runs nothing"
+        _lockstep(ref, sim, batch, cycles=10)
+        for _ in range(3):
+            assert sim.step({}) == ref.step({})
+            sim.step_arrays()
+            ref.step_arrays()
+            sim.advance_lanes()
+            ref.advance_lanes()
+        assert calls == ["evaluate", "commit"] * sim.cycle
+        assert sim.cycle == 19 and sim.counters == ref.counters
+
+    def test_probe_tap_sits_between_the_two_calls(self):
+        """A counter: at the tap the register still holds the value that
+        entered the cycle while the outputs have settled to this cycle's."""
+        from repro.obs.probe import ProbeTap, WaveRing, build_probe_plan
+        from repro.rtl.builder import CircuitBuilder
+
+        b = CircuitBuilder("counter")
+        tick = b.reg("tick", 3)
+        tick.next = tick + 1
+        b.output("n", tick + 1)
+        design = GemCompiler(GemConfig()).compile(b.build())
+        calls = []
+        sim = design.simulator(backend=self.counting_backend(calls))
+        plan = build_probe_plan(design)
+        ring = WaveRing(plan, capacity=8)
+
+        class Order:
+            def on_cycle(self, cycle, words):
+                calls.append("tap")
+
+        ProbeTap(plan, [ring, Order()]).attach(sim)
+        outs = [sim.step()["n"] for _ in range(5)]
+        assert calls == ["evaluate", "tap", "commit"] * 5
+        samples = [values for _, values in ring.lane_samples(0)]
+        assert [s["tick"] for s in samples] == [0, 1, 2, 3, 4], "FF bits before the commit"
+        assert [s["n"] for s in samples] == outs == [1, 2, 3, 4, 5], "outputs after the waves"
 
 
 def _registry_case(name):

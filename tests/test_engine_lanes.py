@@ -15,7 +15,6 @@ from repro.core.engine import (
     ExecutionEngine,
     bits_to_int,
     int_to_bits,
-    weights,
 )
 from repro.core.partition import PartitionConfig
 from repro.errors import CheckpointError
@@ -26,13 +25,15 @@ from repro.simref.isa_interp import ReferenceInterpreter
 from tests.helpers import random_circuit, random_vectors
 
 
+def _config():
+    return GemConfig(
+        partition=PartitionConfig(gates_per_partition=400),
+        boomerang=BoomerangConfig(width_log2=10),
+    )
+
+
 def _compile(circuit):
-    return GemCompiler(
-        GemConfig(
-            partition=PartitionConfig(gates_per_partition=400),
-            boomerang=BoomerangConfig(width_log2=10),
-        )
-    ).compile(circuit)
+    return GemCompiler(_config()).compile(circuit)
 
 
 def lane_vectors(circuit, batch: int, cycles: int, seed: int = 0):
@@ -133,8 +134,11 @@ class TestEngineHelpers:
     def test_lane_values_roundtrip(self):
         eng = ExecutionEngine(4)
         values = np.array([3, 14, 0, 9], dtype=np.uint64)
-        words = eng.pack_lane_values(values, 4)
-        assert (eng.lane_values(words, weights(4)) == values).all()
+        words = eng.pack_lanes(values, 4)
+        assert (eng.lane_values(words) == values).all()
+        planes = ExecutionEngine(128)
+        values = np.arange(128, dtype=np.uint64) * 3 % 61
+        assert (planes.lane_values(planes.pack_lanes(values, 6)) == values).all()
 
     def test_merge_respects_lane_mask(self):
         dst = np.array([0b1010], dtype=np.uint64)
@@ -723,3 +727,93 @@ class TestArrayLaneIO:
         assert not result.degraded and result.faults_detected == 0
         assert len(calls) == len(stimuli) and len(set(map(id, calls))) == 1
         assert [rows[0] for rows in result.lane_outputs] == result.outputs
+
+
+def _scalar_io_design(values=2):
+    """A 1-bit, an 8-bit and a 100-bit input; a 1-bit, an 8-bit and a
+    100-bit output."""
+    b = CircuitBuilder("scalario")
+    en, k, x = b.input("en", 1), b.input("k", 8), b.input("x", 100)
+    acc = b.reg("acc", 100)
+    acc.next = acc ^ x
+    b.output("y", acc ^ x)
+    b.output("lo", x.trunc(8) ^ k)
+    b.output("flag", en ^ k[0])
+    if values == 4:
+        from repro.fourstate.fastpath import compile_fourstate
+
+        return compile_fourstate(b.build(), _config())
+    return _compile(b.build())
+
+
+def _reference_inject(sim, inputs):
+    """``step()``'s inject before the packed word: one ``int_to_bits`` and
+    one scatter per port."""
+    for name, idx in sim._pi_tables.items():
+        bits = int_to_bits((inputs or {}).get(name, 0), idx.size)
+        words = np.where(bits, sim.engine.lane_mask, np.uint64(0))
+        sim.global_state[idx] = words if sim.engine.words == 1 else words[:, None]
+
+
+def _reference_outputs(sim):
+    """``outputs()`` before the packed word: one ``bits_to_int`` per port."""
+    lane0 = sim.global_state if sim.engine.words == 1 else sim.global_state[:, 0]
+    return {name: bits_to_int(lane0[idx] & np.uint64(1)) for name, idx in sim._po_tables.items()}
+
+
+_port_value = st.integers(-(1 << 110), (1 << 110))
+_scalar_inputs = st.one_of(
+    st.none(),
+    st.dictionaries(
+        st.sampled_from(["en", "k", "x", "nope", "x__x", "k__x"]), _port_value, max_size=6
+    ),
+)
+
+
+class TestScalarPackedIO:
+    """``step()`` moves its stimulus in as one packed word and its outputs
+    back as one packed word; both must equal the per-port forms they
+    replaced, tolerance included: negative values and values wider than
+    the port are masked, a missing name is 0, an unknown name is ignored,
+    ``None`` is the all-zero vector."""
+
+    @pytest.fixture(scope="class")
+    def designs(self):
+        return {2: _scalar_io_design(), 4: _scalar_io_design(values=4)}
+
+    @pytest.mark.parametrize("values, batch", [(2, 1), (2, 64), (2, 128), (4, 1), (4, 128)])
+    @given(stream=st.lists(_scalar_inputs, min_size=1, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_step_equals_per_port_reference(self, designs, values, batch, stream):
+        from repro.fourstate.fastpath import _encode_stimulus
+
+        sim = designs[values].simulator(batch=batch)
+        assert sim.values == values
+        assert {idx.size for idx in sim._pi_tables.values()} >= {1, 8, 100}
+        for inputs in stream:
+            sim._inject_broadcast(inputs)
+            injected = sim.global_state.copy()
+            sim.global_state[sim._pi_gidx] = np.uint64(0xDEAD)  # every PI bit is rewritten
+            encoded = _encode_stimulus(sim.dual, inputs or {}) if values == 4 else inputs
+            _reference_inject(sim, encoded)
+            assert np.array_equal(sim.global_state, injected)
+            outs = sim.step(inputs)
+            assert outs == _reference_outputs(sim) == sim.outputs()
+            assert all(type(value) is int for value in outs.values())
+
+    def test_numpy_integers_and_bools_are_values_too(self, designs):
+        """The word is built with Python ints: a NumPy scalar's own shift
+        would wrap at 64 bits on its way to the 100-bit port's field."""
+        got = designs[2].simulator().step({"x": np.uint64(7), "k": np.int64(-1), "en": True})
+        assert got == designs[2].simulator().step({"x": 7, "k": 255, "en": 1})
+        with pytest.raises(TypeError):
+            designs[2].simulator().step({"k": 1.5})
+
+    def test_a_design_without_ports_still_steps(self):
+        b = CircuitBuilder("closed")
+        tick = b.reg("tick", 3)
+        tick.next = tick + 1
+        b.output("t", tick)
+        sim = _compile(b.build()).simulator()
+        assert [sim.step()["t"] for _ in range(3)] == [0, 1, 2]
+        assert sim.step({"nope": 1}) == {"t": 3}

@@ -534,7 +534,7 @@ class TestLanePlaneCheckpoints:
 
     def test_cross_backend_resume_bit_identical(self, tmp_path):
         """A checkpoint saved under the numpy stages resumes under every
-        other backend that resolves here (the native stage kernel where a
+        other backend that resolves here (the native cycle kernel where a
         compiler exists) and back, with identical state."""
         from repro.core.backend import available_backends
 
