@@ -25,8 +25,14 @@ Format version 2 split the container into four CRC32-protected sections
 (header, instruction stream, RAM data, reset) so that any single-bit
 corruption — a GPU soft error in the resident bitstream, a truncated
 file — is detected at load instead of silently mis-simulating.
-:class:`~repro.core.interpreter.GemInterpreter` verifies the footer
-before decoding and raises :class:`~repro.errors.BitstreamError`.
+
+This module owns the format in both directions: :func:`assemble` writes
+it, and :func:`parse_container`, its inverse, is the only code that
+indexes container words by position.  Parsing verifies the CRCs, then
+holds every count, offset and index against the section it lives in: a
+container that is intact but *wrong* is a
+:class:`~repro.errors.BitstreamError` at load, not an ``IndexError`` or
+an empty partition mid-run.
 
 Global state layout: ``[const0 | PIs | FF q | RAM read data | stage-cut
 values | PO bits]``.  Host-side name→bit-index maps live in
@@ -68,6 +74,114 @@ def verify_integrity(words: np.ndarray) -> list[np.ndarray]:
             f"bitstream: expected {len(SECTION_NAMES)} sections, found {len(sections)}"
         )
     return sections
+
+
+@dataclass(frozen=True)
+class Container:
+    """A parsed and validated bitstream container (:func:`parse_container`)."""
+
+    width_log2: int
+    global_bits: int
+    #: total instruction words: every partition's stream, back to back
+    inst_words: int
+    #: partitions per stage (partition order is stage-major)
+    stage_counts: list[int]
+    #: one instruction-word slice per partition, views into the container
+    partitions: list[np.ndarray]
+    #: per RAM block: (addr_bits, data_bits, initial ``2**addr_bits``-word image)
+    rams: list[tuple[int, int, np.ndarray]]
+    #: global bit indices that power up as 1 (flip-flop init values)
+    reset_ones: np.ndarray
+
+
+def parse_container(words: np.ndarray) -> Container:
+    """The inverse of :func:`assemble`: verify and take apart a container.
+
+    Magic and version are read off the raw leading words (a file that is
+    not a bitstream should say so, not report a CRC); everything else is
+    read from CRC-verified sections and checked against them.  Raises
+    :class:`~repro.errors.BitstreamError`.
+    """
+    words = np.asarray(words)
+    if words.size < 8 or int(words[0]) != MAGIC:
+        raise BitstreamError("not a GEM bitstream (bad magic)")
+    if int(words[1]) != VERSION:
+        raise BitstreamError(
+            f"unsupported bitstream format version {int(words[1])} "
+            f"(interpreter supports {VERSION})"
+        )
+    header, inst, ram, reset = verify_integrity(words)
+    if header.size < 8:
+        raise BitstreamError(f"header: {header.size} words, the fixed fields alone take 8")
+    width_log2, global_bits, num_parts, num_stages, num_rams, inst_words = header[2:8].tolist()
+    if header.size != 8 + num_stages + 2 * num_parts:
+        raise BitstreamError(
+            f"header: {header.size} words cannot hold {num_stages} stage counts "
+            f"and a {num_parts}-entry offset table"
+        )
+    stage_counts = header[8 : 8 + num_stages].tolist()
+    if sum(stage_counts) != num_parts:
+        raise BitstreamError(
+            f"header: stage counts {stage_counts} do not sum to {num_parts} partitions"
+        )
+    if inst_words != inst.size:
+        raise BitstreamError(
+            f"header: {inst_words} instruction words declared, section holds {inst.size}"
+        )
+    # Offsets are container-absolute and the partitions tile the
+    # instruction section in order: no gap, no overlap, nothing past it —
+    # so partition i is inst[cuts[i] : cuts[i + 1]].
+    starts, lengths = header[8 + num_stages :].reshape(-1, 2).T.tolist()
+    cuts = np.cumsum([0, *lengths]).tolist()
+    for index, (start, cut) in enumerate(zip(starts, cuts)):
+        if start != header.size + cut:
+            raise BitstreamError(
+                f"partition {index}: starts at word {start}, where the instruction "
+                f"stream stands at {header.size + cut}"
+            )
+    if cuts[-1] != inst.size:
+        raise BitstreamError(
+            f"offset table: partitions cover {cuts[-1]} instruction words, "
+            f"the section holds {inst.size}"
+        )
+    partitions = [inst[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    rams: list[tuple[int, int, np.ndarray]] = []
+    pos = 0
+    for index in range(num_rams):
+        if pos + 2 > ram.size:
+            raise BitstreamError(f"RAM block {index}: the RAM section ends before its header")
+        shape, depth = ram[pos : pos + 2].tolist()
+        addr_bits, data_bits = shape >> 16, shape & 0xFFFF
+        if depth != 1 << addr_bits or data_bits > 32:
+            raise BitstreamError(
+                f"RAM block {index}: {depth} words of {data_bits} bits behind "
+                f"{addr_bits} address bits (want 2**addr_bits words of <= 32 bits)"
+            )
+        if pos + 2 + depth > ram.size:
+            raise BitstreamError(f"RAM block {index}: the RAM section ends inside its image")
+        rams.append((addr_bits, data_bits, ram[pos + 2 : pos + 2 + depth].astype(np.uint32)))
+        pos += 2 + depth
+    if pos != ram.size:
+        raise BitstreamError(f"RAM section: {ram.size - pos} words past the last block")
+    if reset.size == 0 or int(reset[0]) != reset.size - 1:
+        raise BitstreamError(
+            f"reset section: {reset.size} words do not hold a count and that many indices"
+        )
+    reset_ones = reset[1:].astype(np.int64)
+    if reset_ones.size and int(reset_ones.max()) >= global_bits:
+        raise BitstreamError(
+            f"reset section: bit {int(reset_ones.max())} is outside the "
+            f"{global_bits}-bit global state"
+        )
+    return Container(
+        width_log2=width_log2,
+        global_bits=global_bits,
+        inst_words=inst_words,
+        stage_counts=stage_counts,
+        partitions=partitions,
+        rams=rams,
+        reset_ones=reset_ones,
+    )
 
 
 @dataclass

@@ -41,7 +41,7 @@ are vectorized even at ``batch == 1``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -137,10 +137,12 @@ class ExecutionEngine:
     interpreter holds the decoded program and drives these primitives.
 
     ``batch <= 64`` keeps the historical single-word layout: 1-D
-    ``(n,)`` arrays, a partial :attr:`lane_mask`, scalar quarantine
-    word.  ``batch > 64`` switches to K-word planes: ``(n, K)`` arrays,
-    all-ones :attr:`lane_mask` (every word fully active), and a ``(K,)``
-    quarantine plane.
+    ``(n,)`` arrays and a partial :attr:`lane_mask`.  ``batch > 64``
+    switches to K-word planes: ``(n, K)`` arrays and an all-ones
+    :attr:`lane_mask` (every word fully active).  An engine is pure lane
+    geometry, immutable once built — the loader shares one with every
+    interpreter of a program, and what a run changes (which lanes are
+    quarantined included) lives in the interpreter's ``SimState``.
 
     **Four-state (dual-rail) execution.**  ``values=4`` designs are
     compiled through :func:`repro.fourstate.dualrail.to_dual_rail`, which
@@ -150,80 +152,42 @@ class ExecutionEngine:
     planes, so X/Z propagation costs exactly one extra net per 4-state
     net and zero new fold primitives: lane packing, quarantine keep
     masks, digests and checkpoints treat the known rail like any other
-    state word.  ``values`` is recorded here purely so runtime layers
-    (checkpoints, supervisor, oracle) can tag which value system a lane
-    plane encodes; it never changes the fold math.
+    state word.
     """
 
-    def __init__(self, batch: int = 1, values: int = 2) -> None:
+    def __init__(self, batch: int = 1) -> None:
         #: lane-plane width: state elements are ``(n,)`` words for
         #: ``words == 1`` and ``(n, words)`` rows beyond that
         self.words = validate_batch(batch)
         self.batch = batch
-        #: value system the lane planes encode: 2 (plain) or 4 (dual-rail;
-        #: the compiled program carries value+known rails as paired nets)
-        self.values = validate_values(values)
         if self.words == 1:
             #: active-lane mask: bit ``l`` set for every lane ``l < batch``
             self.lane_mask = (
                 _ALL if batch == WORD_LANES else np.uint64((1 << batch) - 1)
             )
-            #: bit ``l`` set for every lane the runtime has masked out of
-            #: the batch (fault containment — see :meth:`quarantine_lanes`)
-            self.quarantined = _ZERO
             self.lane_shifts = np.arange(batch, dtype=np.uint64)
         else:
             # multi-word planes are always fully populated, so the mask
             # stays a scalar word and broadcasts across the plane
             self.lane_mask = _ALL
-            self.quarantined = np.zeros(self.words, dtype=np.uint64)
             self.lane_shifts = np.arange(WORD_LANES, dtype=np.uint64)
-        self.lane_index = np.arange(batch)
-
-    # -- lane quarantine ------------------------------------------------------
-
-    @property
-    def active_mask(self):
-        """Lanes still in service: :attr:`lane_mask` minus quarantined.
-
-        A scalar word for single-word batches, a ``(K,)`` plane beyond.
-        """
-        return self.lane_mask & ~self.quarantined
 
     @staticmethod
     def lane_coords(lane: int) -> tuple[int, int]:
         """``(word, bit)`` coordinates of a lane in a K-word plane."""
         return divmod(lane, WORD_LANES)
 
-    def quarantine_lanes(self, lanes: Sequence[int]):
-        """Mask ``lanes`` out of the batch; returns the *keep* mask.
-
-        Quarantined lanes stay physically present in every packed word
-        (the decoded program's constants are immutable and still drive
-        them), but the runtime zeroes their state bits with the returned
-        keep mask and stops trusting their outputs.  Because primary and
-        shadow are zeroed identically, the quarantined lane's bits evolve
-        deterministically and whole-word digest scrubs stay valid for the
-        healthy lanes.
-        """
+    def lanes_mask(self, lanes: Iterable[int]):
+        """The packed word — a ``(K,)`` plane beyond 64 lanes — with
+        exactly ``lanes``' bits set (lane quarantine zeroes state under
+        its complement).  A lane outside the batch is a ``ValueError``."""
+        plane = np.zeros(self.words, dtype=np.uint64)
         for lane in lanes:
             if not 0 <= lane < self.batch:
-                raise ValueError(
-                    f"lane {lane} out of range for batch {self.batch}"
-                )
-            if self.words == 1:
-                self.quarantined |= _ONE << np.uint64(lane)
-            else:
-                word, bit = self.lane_coords(lane)
-                self.quarantined[word] |= _ONE << np.uint64(bit)
-        return ~self.quarantined
-
-    def clear_quarantine(self) -> None:
-        """Return every quarantined lane to service (fresh reset)."""
-        if self.words == 1:
-            self.quarantined = _ZERO
-        else:
-            self.quarantined = np.zeros(self.words, dtype=np.uint64)
+                raise ValueError(f"lane {lane} out of range for batch {self.batch}")
+            word, bit = self.lane_coords(lane)
+            plane[word] |= _ONE << np.uint64(bit)
+        return plane[0] if self.words == 1 else plane
 
     # -- state allocation -----------------------------------------------------
 

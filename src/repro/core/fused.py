@@ -79,11 +79,12 @@ import numpy as np
 
 from repro.core.backend import CycleBuffers, StagePlan
 from repro.errors import GemError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import MemoTable
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.interpreter import GemInterpreter
+    from repro.core.engine import ExecutionEngine
+    from repro.core.interpreter import SimState
 
 
 class FusionError(GemError):
@@ -134,20 +135,10 @@ class FusedProgram:
 
 # -- fusion cache -------------------------------------------------------------
 
-_FUSE_CACHE: dict[tuple, FusedProgram] = {}
-_FUSE_CACHE_MAX = 8
-_FUSE_STATS = {"hits": 0, "misses": 0}
-
-
-def fusion_cache_stats() -> dict:
-    """Hit/miss counters of the fusion cache (mirrors the decode cache)."""
-    return dict(_FUSE_STATS)
-
-
-def clear_fusion_cache() -> None:
-    _FUSE_CACHE.clear()
-    _FUSE_STATS["hits"] = 0
-    _FUSE_STATS["misses"] = 0
+_FUSIONS = MemoTable("fusion", "stage-fusion")
+#: hit/miss counters of the fusion cache, and its reset (tests, benchmarks)
+fusion_cache_stats = _FUSIONS.stats
+clear_fusion_cache = _FUSIONS.clear
 
 
 def fused_program(
@@ -155,32 +146,17 @@ def fused_program(
 ) -> FusedProgram:
     """Fuse (or fetch the cached fusion of) one decoded program.
 
-    ``key`` is the interpreter's decode-cache key — (bitstream CRC,
-    container size, batch) — so Supervisor primary+shadow and repeated
-    ``GemSimulator`` instantiations of one design fuse exactly once.
+    ``key`` is the loader's decode-cache key — (bitstream CRC, config
+    digest, container size, batch) — so Supervisor primary+shadow and
+    repeated ``GemSimulator`` instantiations of one design fuse exactly
+    once.
     """
-    cached = _FUSE_CACHE.get(key)
-    if cached is not None:
-        _FUSE_STATS["hits"] += 1
-        REGISTRY.counter(
-            "gem_fusion_cache_hits_total", "stage-fusion cache hits"
-        ).inc()
-        return cached
-    _FUSE_STATS["misses"] += 1
-    REGISTRY.counter(
-        "gem_fusion_cache_misses_total", "stage-fusion cache misses"
-    ).inc()
-    with TRACER.span("fuse", cat="compile", args={"stages": len(stage_indices)}):
-        fused = fuse(partitions, stage_indices, engine)
-    while len(_FUSE_CACHE) >= _FUSE_CACHE_MAX:
-        _FUSE_CACHE.pop(next(iter(_FUSE_CACHE)))
-        REGISTRY.counter(
-            "gem_cache_evictions_total",
-            "LRU evictions per in-process cache",
-            labels={"cache": "fusion"},
-        ).inc()
-    _FUSE_CACHE[key] = fused
-    return fused
+
+    def build() -> FusedProgram:
+        with TRACER.span("fuse", cat="compile", args={"stages": len(stage_indices)}):
+            return fuse(partitions, stage_indices, engine)
+
+    return _FUSIONS.get(key, build)
 
 
 # -- fusion pass --------------------------------------------------------------
@@ -561,11 +537,13 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
 # -- executor -----------------------------------------------------------------
 
 
-def cycle_buffers(fused: FusedProgram, interp: "GemInterpreter") -> CycleBuffers:
+def cycle_buffers(
+    fused: FusedProgram, engine: "ExecutionEngine", state: "SimState"
+) -> CycleBuffers:
     """The mutable arrays one interpreter's compiled cycle runs on.
 
     Allocates the trace and the RAM-slot arena and pairs them with the
-    interpreter's global state and RAM lane images for
+    state's global vector and RAM lane images for
     ``backend.compile_cycle(fused, buffers)`` — which returns the
     executor: ``evaluate(times)`` runs every stage and its RAM ports,
     ``commit(times)`` applies the deferred writes at the cycle boundary.
@@ -574,8 +552,7 @@ def cycle_buffers(fused: FusedProgram, interp: "GemInterpreter") -> CycleBuffers
     values are sampled — and the arena carries no live state across
     cycles beyond the constant presets written here.
     """
-    eng = interp.engine
-    arena = eng.zeros(fused.arena_size)
-    arena[fused.preset_slots] = eng.lane_mask
-    trace = eng.zeros(max((plan.trace_size for plan in fused.stages), default=0))
-    return CycleBuffers(eng, interp.global_state, trace, arena, interp.ram_arrays)
+    arena = engine.zeros(fused.arena_size)
+    arena[fused.preset_slots] = engine.lane_mask
+    trace = engine.zeros(max((plan.trace_size for plan in fused.stages), default=0))
+    return CycleBuffers(engine, state.global_state, trace, arena, state.ram_arrays)

@@ -45,28 +45,38 @@ ISA-literal per-partition evaluation of the same bitstream lives in
 this class for everything but the evaluate/commit pair and is what the
 differential tests and the fuzz oracle hold the executor against.
 
-Decode and fusion results are memoized keyed by the bitstream CRC (plus
-container size and batch), so a Supervisor's primary+shadow pair and
-repeated ``GemSimulator`` instantiations decode and fuse exactly once —
-see :func:`decode_cache_stats`.
+Program and state are two objects.  :func:`load_program` turns a
+bitstream into a :class:`LoadedProgram` — parsed container
+(:func:`repro.core.bitstream.parse_container` owns the format), decoded
+partitions, I/O plans, fused program: everything a load computes and no
+run changes.  Decode and fusion are memoized keyed by the bitstream CRC,
+so a Supervisor's primary+shadow pair and repeated ``GemSimulator``
+instantiations share one decode and one fusion
+(:func:`decode_cache_stats`).  :class:`SimState` is the rest — global
+state vector, RAM lane images, cycle and work counters, quarantined
+lanes — the one thing reset, checkpoints, quarantine and fault injection
+operate on.  :class:`GemInterpreter` joins one of each with a compiled
+cycle.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 import time
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core import isa
 from repro.core.backend import resolve_backend
-from repro.core.bitstream import MAGIC, VERSION, GemProgram, verify_integrity
+from repro.core.bitstream import Container, GemProgram, parse_container
 from repro.core.engine import ExecutionEngine
-from repro.core.fused import cycle_buffers, fused_program
+from repro.core.fused import FusedProgram, cycle_buffers, fused_program
 from repro.errors import BitstreamError, LaneConfigError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import MemoTable
 from repro.obs.trace import TRACER
 
 _ONE = np.uint64(1)
@@ -169,26 +179,237 @@ class CycleCounters:
         return self.cycles * max(1, self.lanes)
 
 
-#: Decoded-partition memoization, keyed by (bitstream CRC, container
-#: size, batch).  The decoded tables are immutable at runtime, so
-#: sharing them across interpreter instances (Supervisor primary+shadow,
-#: repeated GemSimulator construction) is safe; batch is part of the key
-#: because decoded constants embed the engine's active-lane mask.
-_DECODE_CACHE: dict[tuple, list["_DecodedPartition"]] = {}
-_DECODE_CACHE_MAX = 8
-_DECODE_STATS = {"hits": 0, "misses": 0}
+#: Decoded-partition memoization, keyed by (bitstream CRC, config digest,
+#: container size, batch).  The decoded tables are immutable at runtime,
+#: so sharing them across interpreter instances (Supervisor
+#: primary+shadow, repeated GemSimulator construction) is safe; batch is
+#: part of the key because decoded constants embed the engine's
+#: active-lane mask.
+_DECODES = MemoTable("decode", "partition-decode")
+#: hit/miss counters of the decode cache, and its reset (tests, benchmarks)
+decode_cache_stats = _DECODES.stats
+clear_decode_cache = _DECODES.clear
 
 
-def decode_cache_stats() -> dict:
-    """Hit/miss counters of the partition-decode cache."""
-    return dict(_DECODE_STATS)
+@dataclass(frozen=True)
+class LoadedProgram:
+    """A bitstream made ready to run at one batch size — and nothing a
+    run changes.  Pure tables: no reference to a state buffer or a
+    backend, so any number of interpreters share one."""
+
+    program: GemProgram
+    #: the parsed bitstream: global bits, RAM blocks, reset indices
+    container: Container
+    engine: ExecutionEngine
+    partitions: list[_DecodedPartition]
+    #: per stage, the indices of its partitions
+    stage_indices: list[list[int]]
+    #: input port name -> global bit indices, LSB first
+    pi_tables: dict[str, np.ndarray]
+    # Lane I/O plan: every port's indices concatenated, so the per-lane
+    # inject clears all PIs in one scatter and a cycle's all-lane readback
+    # is one gather and one unpack, then one slice (name, lo, hi) of the
+    # unpacked bit rows per PO.
+    pi_gidx: np.ndarray
+    po_gidx: np.ndarray
+    po_slices: list[tuple[str, int, int]]
+    # Scalar I/O plan: step() moves every PI / PO as one packed Python
+    # int each way.  Port ``name`` owns bits [shift, shift + width) of
+    # the word, in pi_gidx / po_gidx order; a stimulus bit becomes a word
+    # through the two-entry table, and lane 0 of every PO bit is one flat
+    # index into the state's words.
+    pi_fields: dict[str, tuple[int, int]]  # name -> (shift, mask)
+    po_fields: list[tuple[str, int, int]]  # (name, shift, mask)
+    bit_words: np.ndarray
+    po_lane0: np.ndarray
+    fused: FusedProgram
 
 
-def clear_decode_cache() -> None:
-    """Drop every memoized decode (tests; frees the tables)."""
-    _DECODE_CACHE.clear()
-    _DECODE_STATS["hits"] = 0
-    _DECODE_STATS["misses"] = 0
+def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
+    """Parse, decode, check, plan and fuse ``program`` for ``batch`` lanes.
+
+    Everything that can be wrong with a bitstream is raised here, before
+    any state exists: :class:`~repro.errors.BitstreamError` from the
+    container parse, the instruction decode or the RAM-port checks,
+    :class:`~repro.core.fused.FusionError` for a program the executor
+    cannot schedule (there is no other way to run it).
+    """
+    engine = ExecutionEngine(batch)
+    container = parse_container(program.words)
+    # The 32-bit words CRC alone is a weak identity: two compiles of the
+    # same circuit under different GemConfig knobs can, in principle,
+    # collide.  Folding the config digest in keys tuned and default
+    # decodes of one design independently.
+    key = (program.digest(), program.meta.config_digest, int(program.words.size), batch)
+
+    def decode() -> list[_DecodedPartition]:
+        with TRACER.span("decode", cat="compile", args={"partitions": len(container.partitions)}):
+            return [_decode_partition(words, engine) for words in container.partitions]
+
+    partitions = _DECODES.get(key, decode)
+    _check_ram_ports(partitions, container)
+    bounds = np.cumsum([0, *container.stage_counts]).tolist()
+    stage_indices = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+    def tables(index: dict[str, list[int]]) -> dict[str, np.ndarray]:
+        return {name: np.asarray(bits, dtype=np.int64) for name, bits in index.items()}
+
+    pi_tables, po_tables = tables(program.meta.pi_index), tables(program.meta.po_index)
+    # (the empty tail keeps the concatenation defined for a design
+    # without inputs or outputs)
+    no_bits = np.zeros(0, dtype=np.int64)
+    pi_gidx = np.concatenate([*pi_tables.values(), no_bits])
+    po_gidx = np.concatenate([*po_tables.values(), no_bits])
+    ends = np.cumsum([idx.size for idx in po_tables.values()]).tolist()
+    po_slices = list(zip(po_tables, [0, *ends], ends))
+    starts = np.cumsum([0, *(idx.size for idx in pi_tables.values())]).tolist()
+    return LoadedProgram(
+        program=program,
+        container=container,
+        engine=engine,
+        partitions=partitions,
+        stage_indices=stage_indices,
+        pi_tables=pi_tables,
+        pi_gidx=pi_gidx,
+        po_gidx=po_gidx,
+        po_slices=po_slices,
+        pi_fields={
+            name: (shift, (1 << idx.size) - 1)
+            for (name, idx), shift in zip(pi_tables.items(), starts)
+        },
+        po_fields=[(name, lo, (1 << (hi - lo)) - 1) for name, lo, hi in po_slices],
+        bit_words=np.array([0, engine.lane_mask], dtype=np.uint64),
+        po_lane0=po_gidx * engine.words,
+        fused=fused_program(key, partitions, stage_indices, engine),
+    )
+
+
+def _check_ram_ports(partitions: list[_DecodedPartition], container: Container) -> None:
+    """Hold every RAMOP against the RAM section, the global state and
+    its own block's local state: an executor indexes all three
+    unchecked (the C kernel) or fails mid-run (numpy)."""
+    rams = container.rams
+    for pidx, part in enumerate(partitions):
+        for op in part.ramops:
+            spec = op.spec
+            if spec.ram_index >= len(rams):
+                problem = f"names RAM block {spec.ram_index} of {len(rams)}"
+            elif (spec.addr_bits, spec.data_bits) != rams[spec.ram_index][:2]:
+                problem = (
+                    f"is {spec.addr_bits} x {spec.data_bits} bits, RAM block "
+                    f"{spec.ram_index} is {rams[spec.ram_index][:2]}"
+                )
+            elif spec.rd_global_base + spec.data_bits > container.global_bits:
+                problem = f"reads into global bits past {container.global_bits}"
+            elif part.state_slots <= max(
+                slot for slot, _ in (*spec.raddr, spec.ren, *spec.waddr, *spec.wdata, spec.wen)
+            ):
+                problem = f"references a slot past its block's {part.state_slots}"
+            else:
+                continue
+            raise BitstreamError(f"partition {pidx}: RAMOP {problem}")
+
+
+@dataclass
+class SimState:
+    """Everything a run changes, and all of it: one struct of arrays.
+
+    The arrays are written in place for the state's whole life — a
+    compiled cycle holds their addresses — so every operation here
+    assigns *into* them and none rebinds them.
+    """
+
+    #: packed lane words, shape (global_bits,) — (global_bits, K) beyond 64 lanes
+    global_state: np.ndarray
+    #: per RAM block, one image per lane: shape (batch, depth), uint32
+    ram_arrays: list[np.ndarray]
+    counters: CycleCounters
+    cycle: int = 0
+    #: lanes masked out of the batch by :meth:`quarantine`
+    quarantined: frozenset[int] = frozenset()
+
+    @classmethod
+    def power_on(cls, loaded: LoadedProgram) -> "SimState":
+        """Allocate the state of ``loaded`` at its reset values."""
+        engine = loaded.engine
+        state = cls(
+            global_state=engine.zeros(loaded.container.global_bits),
+            ram_arrays=[
+                np.empty((engine.batch, image.size), dtype=np.uint32)
+                for _, _, image in loaded.container.rams
+            ],
+            counters=CycleCounters(lanes=engine.batch),
+        )
+        state.reset(loaded)
+        return state
+
+    def reset(self, loaded: LoadedProgram) -> None:
+        """Back to power-on: FF reset values, pristine RAM images, cycle
+        0, fresh work counters, no lane quarantined."""
+        self.global_state[:] = 0
+        self.global_state[loaded.container.reset_ones] = loaded.engine.lane_mask
+        for arr, (_, _, image) in zip(self.ram_arrays, loaded.container.rams):
+            arr[:] = image
+        self.counters = CycleCounters(lanes=self.counters.lanes)
+        self.cycle = 0
+        self.quarantined = frozenset()
+
+    def copy(self) -> "SimState":
+        """A snapshot sharing no array with this state."""
+        return copy.deepcopy(self)
+
+    def assign(self, other: "SimState") -> None:
+        """Overwrite this state with a copy of ``other``'s — after
+        checking every shape, so a state that does not fit
+        (``ValueError``) leaves this one untouched.  The quarantine
+        record stays: it says which lanes the *run* gave up on, and a
+        rollback to an earlier snapshot does not bring them back."""
+        theirs = [other.global_state, *other.ram_arrays]
+        mine = [self.global_state, *self.ram_arrays]
+        if [arr.shape for arr in theirs] != [arr.shape for arr in mine]:
+            raise ValueError(
+                f"state arrays of shape {[arr.shape for arr in theirs]} "
+                f"where the program needs {[arr.shape for arr in mine]}"
+            )
+        for dst, src in zip(mine, theirs):
+            dst[:] = src
+        self.counters = replace(other.counters, lanes=self.counters.lanes)
+        self.cycle = other.cycle
+
+    def quarantine(self, engine: ExecutionEngine, lanes: Iterable[int]) -> None:
+        """Zero ``lanes``' bits of the global state and their RAM images
+        and record them (see :meth:`GemInterpreter.quarantine_lanes`)."""
+        lanes = sorted({int(lane) for lane in lanes})
+        everyone = self.quarantined.union(lanes)
+        self.global_state &= ~engine.lanes_mask(everyone)  # raises before any write
+        self.quarantined = everyone
+        for arr in self.ram_arrays:
+            arr[lanes, :] = 0
+
+    def digest(self) -> int:
+        """CRC32 over every array: the packed global state words (every
+        stimulus lane) and every RAM image — the complete set of bits an
+        SEU can corrupt between cycles.  Inactive lanes are identically
+        zero by the engine's layout invariant, so the digest is
+        deterministic at any batch size."""
+        h = zlib.crc32(np.ascontiguousarray(self.global_state, dtype="<u8").tobytes())
+        for arr in self.ram_arrays:
+            h = zlib.crc32(np.ascontiguousarray(arr, dtype="<u4").tobytes(), h)
+        return h & 0xFFFFFFFF
+
+    def digest_lanes(self, engine: ExecutionEngine) -> list[int]:
+        """Per-lane CRC32 digests: lane ``l``'s covers its bit plane of
+        the global state plus its RAM rows, so comparing two states lane
+        by lane pinpoints which stimulus lanes diverged.  Cost is
+        ``O(batch × state)``."""
+        planes = engine.unpack_lanes(self.global_state)
+        digests = []
+        for lane in range(engine.batch):
+            h = zlib.crc32(np.packbits(planes[:, lane], bitorder="little").tobytes())
+            for arr in self.ram_arrays:
+                h = zlib.crc32(np.ascontiguousarray(arr[lane], dtype="<u4").tobytes(), h)
+            digests.append(h & 0xFFFFFFFF)
+        return digests
 
 
 class GemInterpreter:
@@ -209,11 +430,10 @@ class GemInterpreter:
     array loop elsewhere; ``"numpy"`` forces the array loop; ``"native"``
     by name warns once and falls back to numpy when it cannot be built.
 
-    A bitstream the executor cannot schedule (a stage that reads a global
-    bit it also writes immediately — no compiler output does) is refused
-    at load with :class:`~repro.core.fused.FusionError`; one whose RAM
-    ports disagree with its RAM section or reach outside the state they
-    index, with :class:`~repro.errors.BitstreamError`.
+    An interpreter is a shared, immutable :attr:`loaded` program
+    (:func:`load_program` — which refuses a bitstream that is malformed
+    or that the executor cannot schedule), its own mutable :attr:`state`
+    (:class:`SimState`), and the cycle the backend compiled over the two.
     """
 
     #: how a cycle is evaluated (recorded in run reports)
@@ -232,221 +452,77 @@ class GemInterpreter:
         profile: bool = False,
         backend: str | None = None,
     ) -> None:
-        self.program = program
-        self.meta = program.meta
-        self.engine = ExecutionEngine(batch)
-        self.batch = batch
-        self.profile = profile
         self.backend = resolve_backend(backend)
-        self.phase_times = {"inject": 0.0, "gather": 0.0, "fold": 0.0, "commit": 0.0}
-        words = program.words
-        if words.size < 8 or int(words[0]) != MAGIC:
-            raise BitstreamError("not a GEM bitstream (bad magic)")
-        if int(words[1]) != VERSION:
-            raise BitstreamError(
-                f"unsupported bitstream format version {int(words[1])} "
-                f"(interpreter supports {VERSION})"
-            )
-        # Per-section CRC check before any decode: a corrupted container
-        # must fail loudly at load, never silently mis-simulate.
-        verify_integrity(words)
-        self.width_log2 = int(words[2])
-        self.global_bits = int(words[3])
-        num_parts = int(words[4])
-        num_stages = int(words[5])
-        num_rams = int(words[6])
-        stage_counts = [int(words[8 + s]) for s in range(num_stages)]
-        table_base = 8 + num_stages
-        # The 32-bit words CRC alone is a weak identity: two compiles of the
-        # same circuit under different GemConfig knobs can, in principle,
-        # collide.  Folding the config digest in keys tuned and default
-        # decodes of one design independently.
-        cache_key = (
-            program.digest(),
-            program.meta.config_digest,
-            int(words.size),
-            batch,
+        self._bind(load_program(program, batch), profile)
+        self._executor = self.backend.compile_cycle(
+            self._fused, cycle_buffers(self._fused, self.engine, self.state)
         )
-        cached = _DECODE_CACHE.get(cache_key)
-        if cached is not None:
-            _DECODE_STATS["hits"] += 1
-            REGISTRY.counter(
-                "gem_decode_cache_hits_total", "partition-decode cache hits"
-            ).inc()
-            self.partitions = cached
-        else:
-            _DECODE_STATS["misses"] += 1
-            REGISTRY.counter(
-                "gem_decode_cache_misses_total", "partition-decode cache misses"
-            ).inc()
-            with TRACER.span("decode", cat="compile", args={"partitions": num_parts}):
-                offsets = [
-                    (int(words[table_base + 2 * i]), int(words[table_base + 2 * i + 1]))
-                    for i in range(num_parts)
-                ]
-                self.partitions = [
-                    _decode_partition(words[start : start + length], self.engine)
-                    for start, length in offsets
-                ]
-            while len(_DECODE_CACHE) >= _DECODE_CACHE_MAX:
-                _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
-                REGISTRY.counter(
-                    "gem_cache_evictions_total",
-                    "LRU evictions per in-process cache",
-                    labels={"cache": "decode"},
-                ).inc()
-            _DECODE_CACHE[cache_key] = self.partitions
-        self.stage_indices: list[list[int]] = []
-        cursor = 0
-        for count in stage_counts:
-            self.stage_indices.append(list(range(cursor, cursor + count)))
-            cursor += count
-        # RAM data section follows the instruction stream.  Each block
-        # keeps one image per lane: shape (batch, depth).
-        ram_base = table_base + 2 * num_parts + int(words[7])
-        self.ram_arrays: list[np.ndarray] = []
-        self.ram_shapes: list[tuple[int, int]] = []
-        #: pristine per-block images (depth,), kept for :meth:`reset`
-        self._ram_init: list[np.ndarray] = []
-        pos = ram_base
-        for index in range(num_rams):
-            shape = int(words[pos])
-            depth = int(words[pos + 1])
-            addr_bits, data_bits = shape >> 16, shape & 0xFFFF
-            if depth != 1 << addr_bits or data_bits > 32:
-                raise BitstreamError(
-                    f"RAM block {index}: {depth} words of {data_bits} bits behind "
-                    f"{addr_bits} address bits (want 2**addr_bits words of <= 32 bits)"
-                )
-            self.ram_shapes.append((addr_bits, data_bits))
-            image = words[pos + 2 : pos + 2 + depth].astype(np.uint32)
-            self._ram_init.append(image)
-            self.ram_arrays.append(np.repeat(image[None, :], batch, axis=0).copy())
-            pos += 2 + depth
-        # Reset section: flip-flop init values as global bit indices.
-        reset_count = int(words[pos])
-        self._reset_ones = words[pos + 1 : pos + 1 + reset_count].astype(np.int64)
-        self._check_ram_ports()
 
-        # Decode-time index tables for vectorized PI scatter / PO gather.
-        self._pi_tables = {
-            name: np.asarray(indices, dtype=np.int64)
-            for name, indices in self.meta.pi_index.items()
-        }
-        self._po_tables = {
-            name: np.asarray(indices, dtype=np.int64)
-            for name, indices in self.meta.po_index.items()
-        }
-        # Lane I/O plan: every port's indices concatenated, so the per-lane
-        # inject clears all PIs in one scatter and a cycle's all-lane
-        # readback is one gather and one unpack, then one slice (lo, hi)
-        # of the unpacked bit rows per PO.  (The empty tail keeps the
-        # concatenation defined for a design without inputs or outputs.)
-        no_bits = np.zeros(0, dtype=np.int64)
-        self._pi_gidx = np.concatenate([*self._pi_tables.values(), no_bits])
-        self._po_gidx = np.concatenate([*self._po_tables.values(), no_bits])
-        ends = np.cumsum([idx.size for idx in self._po_tables.values()]).tolist()
-        self._po_slices = list(zip(self._po_tables, [0, *ends], ends))
-
-        self.global_state = self.engine.zeros(self.global_bits)
-        self.global_state[self._reset_ones] = self.engine.lane_mask
-        # Scalar I/O plan: step() moves every PI / PO as one packed Python
-        # int each way.  Port ``name`` owns bits [shift, shift + width) of
-        # the word, in _pi_gidx / _po_gidx order; a stimulus bit becomes a
-        # word through the two-entry table, and lane 0 of every PO bit is
-        # one flat index into the state's words.
-        starts = np.cumsum([0, *(idx.size for idx in self._pi_tables.values())]).tolist()
-        self._pi_fields = {
-            name: (shift, (1 << idx.size) - 1)
-            for (name, idx), shift in zip(self._pi_tables.items(), starts)
-        }
-        self._bit_words = np.array([0, self.engine.lane_mask], dtype=np.uint64)
-        self._po_fields = [(name, lo, (1 << (hi - lo)) - 1) for name, lo, hi in self._po_slices]
-        self._state_words = self.global_state.reshape(-1)
-        self._po_lane0 = self._po_gidx * self.engine.words
-        self.counters = CycleCounters(lanes=batch)
-        self.cycle = 0
+    def _bind(self, loaded: LoadedProgram, profile: bool) -> None:
+        """Join the shared program with a state of this instance's own.
+        What ``step`` reads every cycle — the scalar I/O plan, the state
+        arrays (never rebound) — is bound on the instance, one attribute
+        load away; the rest goes through :attr:`loaded` and :attr:`state`."""
+        self.loaded = loaded
+        self.program = loaded.program
+        self.engine = loaded.engine
+        self.batch = loaded.engine.batch
+        self.profile = profile
+        self.phase_times = {"inject": 0.0, "gather": 0.0, "fold": 0.0, "commit": 0.0}
+        self.state = state = SimState.power_on(loaded)
+        self.global_state = state.global_state
+        self.ram_arrays = state.ram_arrays
+        self._state_words = state.global_state.reshape(-1)
+        self._pi_fields = loaded.pi_fields
+        self._pi_gidx = loaded.pi_gidx
+        self._bit_words = loaded.bit_words
+        self._po_fields = loaded.po_fields
+        self._po_lane0 = loaded.po_lane0
+        self._fused = loaded.fused
         #: optional per-cycle signal tap (repro.obs.probe.ProbeTap); the
         #: hot-loop cost while detached is one attribute check per step,
         #: mirroring the TRACER.enabled guard.
         self._probe_tap = None
 
-        # Stage fusion (cached alongside the decode); a FusionError
-        # propagates — there is no other way to run the program.
-        self._fused = fused_program(
-            cache_key, self.partitions, self.stage_indices, self.engine
-        )
-        self._executor = self.backend.compile_cycle(
-            self._fused, cycle_buffers(self._fused, self)
-        )
+    @property
+    def cycle(self) -> int:
+        return self.state.cycle
 
-    def _check_ram_ports(self) -> None:
-        """Hold every RAMOP against the RAM section, the global state and
-        its own block's local state: an executor indexes all three
-        unchecked (the C kernel) or fails mid-run (numpy)."""
-        for pidx, part in enumerate(self.partitions):
-            for op in part.ramops:
-                spec = op.spec
-                if spec.ram_index >= len(self.ram_shapes):
-                    problem = f"names RAM block {spec.ram_index} of {len(self.ram_shapes)}"
-                elif (spec.addr_bits, spec.data_bits) != self.ram_shapes[spec.ram_index]:
-                    problem = (
-                        f"is {spec.addr_bits} x {spec.data_bits} bits, RAM block "
-                        f"{spec.ram_index} is {self.ram_shapes[spec.ram_index]}"
-                    )
-                elif spec.rd_global_base + spec.data_bits > self.global_bits:
-                    problem = f"reads into global bits past {self.global_bits}"
-                elif part.state_slots <= max(
-                    slot for slot, _ in (*spec.raddr, spec.ren, *spec.waddr, *spec.wdata, spec.wen)
-                ):
-                    problem = f"references a slot past its block's {part.state_slots}"
-                else:
-                    continue
-                raise BitstreamError(f"partition {pidx}: RAMOP {problem}")
+    @property
+    def counters(self) -> CycleCounters:
+        return self.state.counters
 
     # -- lifecycle ------------------------------------------------------------
 
     def reset(self) -> None:
-        """Return to power-on state: FF reset values, pristine RAM images,
-        cycle 0, fresh work counters, zeroed phase timers.
+        """Return to power-on state (:meth:`SimState.reset`) with zeroed
+        phase timers.
 
-        Decoded tables, the fused program, and the executor's constant
-        presets are immutable at runtime and stay shared; only mutable
-        state is touched, so a reset interpreter replays a stimulus
-        stream bit-identically to a freshly constructed one.
+        The loaded program and the compiled cycle are untouched, so a
+        reset interpreter replays a stimulus stream bit-identically to a
+        freshly constructed one.
         """
-        self.engine.clear_quarantine()
-        self.global_state[:] = 0
-        self.global_state[self._reset_ones] = self.engine.lane_mask
-        for arr, init in zip(self.ram_arrays, self._ram_init):
-            arr[:] = init[None, :]
-        self.cycle = 0
-        self.counters = CycleCounters(lanes=self.batch)
+        self.state.reset(self.loaded)
         self.reset_phase_times()
 
     def quarantine_lanes(self, lanes: Sequence[int]) -> None:
         """Mask stimulus lanes out of the batch (fault containment).
 
         Zeroes the quarantined lanes' bits across the global state vector
-        and their per-lane RAM images, and records them on the engine's
-        quarantine mask.  Healthy lanes' bits are untouched, so their
-        simulation continues bit-identically; the quarantined lanes keep
-        executing (the program's fold constants still drive them) but
-        from an all-zero state, deterministically.  Call at a cycle
+        and their per-lane RAM images, and records them in the state.
+        Healthy lanes' bits are untouched, so their simulation continues
+        bit-identically; the quarantined lanes keep executing (the
+        program's fold constants still drive them) but from an all-zero
+        state, deterministically — identically in a primary and its
+        shadow, so whole-word digest scrubs stay valid.  Call at a cycle
         boundary only — deferred writes must be drained.
         """
-        lanes = sorted(set(int(lane) for lane in lanes))
-        keep = self.engine.quarantine_lanes(lanes)
-        self.global_state &= keep
-        for arr in self.ram_arrays:
-            if arr.size:
-                arr[lanes, :] = 0
+        self.state.quarantine(self.engine, lanes)
 
     @property
     def quarantined_lanes(self) -> list[int]:
         """Lane indices currently masked out by :meth:`quarantine_lanes`."""
-        bits = self.engine.lane_bits(self.engine.quarantined)
-        return np.nonzero(bits)[0].tolist()
+        return sorted(self.state.quarantined)
 
     def reset_phase_times(self) -> None:
         """Zero the per-phase wall-clock timers (kept across ``step``
@@ -493,7 +569,7 @@ class GemInterpreter:
         driven = set().union(*filter(None, inputs))
         engine = self.engine
         words = {}
-        for name, idx in self._pi_tables.items():
+        for name, idx in self.loaded.pi_tables.items():
             if name not in driven:
                 continue
             column = [(vec or {}).get(name, 0) for vec in inputs]
@@ -508,11 +584,12 @@ class GemInterpreter:
         """The array API's inject: one ``(batch,)`` integer column per
         PI (a missing PI is 0), validated before any state is written."""
         words = {}
+        pi_tables = self.loaded.pi_tables
         for name, column in (inputs or {}).items():
-            idx = self._pi_tables.get(name)
+            idx = pi_tables.get(name)
             if idx is None:
                 raise LaneConfigError(
-                    f"unknown primary input {name!r}; have {sorted(self._pi_tables)}"
+                    f"unknown primary input {name!r}; have {sorted(pi_tables)}"
                 )
             column = np.asarray(column)
             if column.shape != (self.batch,):
@@ -539,8 +616,9 @@ class GemInterpreter:
         """Scatter packed PI words; every PI not named is cleared."""
         gstate = self.global_state
         gstate[self._pi_gidx] = 0
+        pi_tables = self.loaded.pi_tables
         for name, value in words.items():
-            gstate[self._pi_tables[name]] = value
+            gstate[pi_tables[name]] = value
 
     # -- the cycle ------------------------------------------------------------
 
@@ -549,7 +627,7 @@ class GemInterpreter:
         RAM ports.  The deferred writes wait in the executor for
         :meth:`_commit`."""
         writes = self._executor.evaluate(self.phase_times if self.profile else None)
-        counters = self.counters
+        counters = self.state.counters
         work = self._fused.static
         counters.instruction_words += work.instruction_words
         counters.fold_steps += work.fold_steps
@@ -588,8 +666,9 @@ class GemInterpreter:
             self._probe_tap.capture(self)
         outs = readback()
         self._commit()
-        self.counters.cycles += 1
-        self.cycle += 1
+        state = self.state
+        state.counters.cycles += 1
+        state.cycle += 1
         return outs
 
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
@@ -670,9 +749,9 @@ class GemInterpreter:
         ``uint64`` for ports of up to 64 bits, object dtype (Python ints)
         for wider ones.  One gather and one unpack for the whole cycle,
         one pack per port."""
-        engine = self.engine
-        bits = engine.unpack_lanes(self.global_state[self._po_gidx])
-        return {name: engine.lane_ints(bits[lo:hi]) for name, lo, hi in self._po_slices}
+        engine, loaded = self.engine, self.loaded
+        bits = engine.unpack_lanes(self.global_state[loaded.po_gidx])
+        return {name: engine.lane_ints(bits[lo:hi]) for name, lo, hi in loaded.po_slices}
 
     def outputs_lanes(self) -> list[dict[str, int]]:
         """Primary output words of every lane (the dict adapter over
@@ -759,6 +838,10 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
 
     while pos < len(words):
         opcode, length, count = isa.parse_header(int(words[pos]))
+        if pos + length > len(words):
+            raise BitstreamError(
+                f"{opcode.name} at word {pos} needs {length} words, the partition has {len(words)}"
+            )
         inst = words[pos : pos + length]
         if opcode is isa.Opcode.INIT:
             info = isa.decode_init(inst)

@@ -25,8 +25,9 @@ dominates; small designs are synchronization-bound and do not benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.core.bitstream import parse_container
 from repro.core.compiler import CompiledDesign
 from repro.core.perfmodel import A100, GpuProfile
 
@@ -112,21 +113,18 @@ class MultiGpuPlan:
 def block_workloads(design: CompiledDesign) -> list[BlockWork]:
     """Extract per-block cost terms from a compiled design."""
     blocks: list[BlockWork] = []
-    header = design.program.words
-    num_stages = int(header[5])
-    table_base = 8 + num_stages
-    for bi, placed in enumerate(design.merge.placements):
+    streams = parse_container(design.program.words).partitions
+    for placed, stream in zip(design.merge.placements, streams):
         bits = 0
         for eff in placed.effective_widths_log2():
             width = 1 << eff
             bits += 2 * width - 1
-        inst_words = int(header[table_base + 2 * bi + 1])
         spec = placed.spec
         blocks.append(
             BlockWork(
                 stage=spec.stage,
                 work_bits=bits,
-                inst_words=inst_words,
+                inst_words=stream.size,
                 publish_bits=len(spec.root_literals()),
                 read_bits=len(spec.sources),
             )

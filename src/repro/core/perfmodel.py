@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.bitstream import parse_container
 from repro.core.compiler import CompiledDesign
 
 
@@ -122,11 +123,9 @@ def gem_metrics(design: CompiledDesign) -> GemMetrics:
         stage_work[s] += bits
         stage_max[s] = max(stage_max[s], bits)
         global_traffic += len(placed.spec.sources) + len(placed.spec.root_literals())
-    # Instruction stream length: total instruction words from the binary.
-    inst_words = int(design.program.words[7])
     return GemMetrics(
         stage_partitions=stage_partitions,
-        inst_words=inst_words,
+        inst_words=parse_container(design.program.words).inst_words,
         stage_work_bits=stage_work,
         stage_max_block_bits=stage_max,
         global_traffic=global_traffic,

@@ -42,9 +42,10 @@ class PruningGemInterpreter(ReferenceInterpreter):
 
     def __init__(self, program, batch: int = 1) -> None:
         super().__init__(program, batch=batch)
-        self._source_cache: list[np.ndarray | None] = [None] * len(self.partitions)
-        self._stable_cycles: list[int] = [0] * len(self.partitions)
-        self._index_of = {id(p): i for i, p in enumerate(self.partitions)}
+        partitions = self.loaded.partitions
+        self._source_cache: list[np.ndarray | None] = [None] * len(partitions)
+        self._stable_cycles: list[int] = [0] * len(partitions)
+        self._index_of = {id(p): i for i, p in enumerate(partitions)}
         self.blocks_executed = 0
         self.blocks_skipped = 0
 

@@ -314,6 +314,53 @@ class MetricsRegistry:
 REGISTRY = MetricsRegistry()
 
 
+class MemoTable:
+    """A small first-in-first-out memo whose traffic is counted: the
+    decode cache (:mod:`repro.core.interpreter`) and the fusion cache
+    (:mod:`repro.core.fused`) are one each.  Hits and misses are kept
+    locally (:meth:`stats`) and mirrored into the registry as
+    ``gem_<name>_cache_{hits,misses}_total``, evictions as
+    ``gem_cache_evictions_total{cache=<name>}``."""
+
+    CAPACITY = 8
+
+    def __init__(self, name: str, what: str) -> None:
+        self._name = name
+        self._what = what
+        self._entries: dict = {}
+        self._stats = {"hits": 0, "misses": 0}
+
+    def stats(self) -> dict:
+        """Hit/miss counts since the last :meth:`clear`."""
+        return dict(self._stats)
+
+    def clear(self) -> None:
+        """Drop every entry (frees the tables) and zero the counts."""
+        self._entries.clear()
+        self._stats = {"hits": 0, "misses": 0}
+
+    def get(self, key, build):
+        """The entry under ``key``, built by ``build()`` on a miss (an
+        exception from ``build`` propagates and caches nothing)."""
+        entry = self._entries.get(key)
+        kind = "misses" if entry is None else "hits"
+        self._stats[kind] += 1
+        REGISTRY.counter(
+            f"gem_{self._name}_cache_{kind}_total", f"{self._what} cache {kind}"
+        ).inc()
+        if entry is None:
+            entry = build()
+            while len(self._entries) >= self.CAPACITY:
+                self._entries.pop(next(iter(self._entries)))
+                REGISTRY.counter(
+                    "gem_cache_evictions_total",
+                    "LRU evictions per in-process cache",
+                    labels={"cache": self._name},
+                ).inc()
+            self._entries[key] = entry
+        return entry
+
+
 def publish_fuzz_iteration(
     profile: str, diverged: bool, coverage_size: int, shrink_checks: int = 0
 ) -> None:

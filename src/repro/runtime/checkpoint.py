@@ -1,57 +1,47 @@
 """Checkpoint/restore of live :class:`GemInterpreter` state.
 
 Multi-hour campaigns cannot afford to restart from cycle 0 when a run is
-interrupted or corrupted.  A checkpoint captures everything the
-interpreter needs to continue *bit-identically*:
+interrupted or corrupted.  A checkpoint is a copy of the interpreter's
+:class:`~repro.core.interpreter.SimState` — everything it needs to
+continue *bit-identically*:
 
 * the global state vector — packed ``uint64`` words carrying every
   stimulus lane (GPU global memory image),
 * every RAM block's contents, one image per lane,
-* the cycle counter and the per-cycle work counters (perf-model inputs),
-* any deferred global writes still in flight (always empty at the cycle
-  boundaries where :func:`snapshot` runs — the interpreter drains its
-  deferred queue before returning from ``step`` — but the format carries
-  the section so mid-cycle snapshots remain representable).
+* the cycle counter and the per-cycle work counters (perf-model inputs)
 
-Checkpoints are bound to their bitstream by the container's CRC32 digest:
-restoring against a different program raises
-:class:`~repro.errors.CheckpointError` instead of silently mixing state
-layouts.  They are also bound to the batch size: a lane-batched snapshot
-only restores into an interpreter with the same number of lanes.
+— plus what binds it to where it may be restored: the bitstream's CRC32
+digest, the batch size and the value system.  :func:`restore` checks
+those and every array shape *before* it writes anything, so a
+checkpoint that does not belong raises
+:class:`~repro.errors.CheckpointError` and leaves the target as it was.
 
 On-disk format **v4** (``uint32`` words, sealed by the same per-section
 CRC32 footer as the bitstream — see :mod:`repro.core.integrity`)::
 
     section 0  header: magic 'GEMK', format version, cycle (lo, hi),
-               program digest, global bits, #rams, #deferred writes,
-               batch, lane-plane words K, value system (2 or 4)
+               program digest, global bits, #rams, 0 (reserved), batch,
+               lane-plane words K, value system (2 or 4)
     section 1  counters: fixed-order fields as (lo, hi) u64 pairs
                (``_COUNTER_FIELDS``; older files carry a shorter prefix)
     section 2  global state: K packed uint64 words per bit as (lo, hi)
                pairs, plane-major (bit 0's K words, then bit 1's, ...)
     section 3  RAM images: per block, depth then batch×depth words
                (lane-major)
-    section 4  deferred writes: per entry, count, indices, lane-mask flag
-               plus K mask words as (lo, hi) pairs, then count×K packed
-               values as (lo, hi) pairs
+    section 4  reserved, empty
 
-v4 only adds the value-system header word: a ``values=4`` (dual-rail)
-snapshot carries the known-rail plane as ordinary global-state bits —
-the dual-rail transform makes the known rail part of the 2-state
-program, so sections 2–4 need no new encoding, and a 2-state v4 file's
-non-header sections are byte-identical to what v3 wrote.  Restoring a
-checkpoint into an engine running the other value system raises
-:class:`~repro.errors.CheckpointError` — the bitstream digest check
-would catch it anyway (different programs), but the header word makes
-the failure self-describing.
+Section 4 and header word 7 once described deferred writes in flight;
+snapshots are taken at cycle boundaries, where there are none, and no
+writer ever filled them: a file that does is refused.  A ``values=4``
+(dual-rail) snapshot carries the known-rail plane as ordinary
+global-state bits, so sections 2–3 need no encoding of their own; the
+header word makes restoring into the other value system fail
+self-describingly (the digest check would catch it anyway).
 
-Format **v3** files (no value-system word) load as ``values=2``; format
-**v2** files (single-word batches, ``batch <= 64``) additionally have no
-K in the header and load as ``K=1``; format **v1** files
-(single-instance boolean engine, bit-packed state) still hydrate as
-``batch=1``.  New files are always written as v4
-(:func:`checkpoint_to_words` can still emit v3 for 2-state snapshots —
-the compat matrix in tests/test_regressions.py exercises it).
+Files are always written as v4.  Format **v3** files (no value-system
+word; every other word identical) still load, as ``values=2``; v2 (no K
+word) and v1 (bit-packed single instance) are refused with a
+:class:`~repro.errors.CheckpointError` naming the version.
 
 Checkpoints carry no execution-backend identity: the state layout is
 backend-independent, so a file saved under the numpy backend resumes
@@ -80,7 +70,7 @@ import numpy as np
 
 from repro.core.engine import MAX_LANE_WORDS, WORD_LANES
 from repro.core.integrity import seal, unseal
-from repro.core.interpreter import CycleCounters, GemInterpreter
+from repro.core.interpreter import CycleCounters, GemInterpreter, SimState
 from repro.errors import CheckpointError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
@@ -90,12 +80,7 @@ logger = logging.getLogger(__name__)
 CKPT_MAGIC = 0x47454D4B  # "GEMK"
 CKPT_VERSION = 4
 #: the pre-values format (no value-system header word), still readable
-#: and still writable for 2-state snapshots (compat matrix coverage)
 CKPT_VERSION_V3 = 3
-#: the single-word (batch <= 64) format, still readable
-CKPT_VERSION_V2 = 2
-#: the pre-lane single-instance format, still readable
-CKPT_VERSION_V1 = 1
 
 #: fixed serialization order of the work-counter fields.  Only ever
 #: extended at the tail: the loader hydrates however many fields a file
@@ -134,34 +119,28 @@ class Checkpoint:
     #: value system of the snapshotted engine: 2 (plain) or 4 (dual-rail
     #: — the known-rail plane rides inside ``global_state``)
     values: int = 2
-    #: (global indices, packed values, lane mask or None) scatters not yet
-    #: committed — empty for boundary snapshots
-    deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = field(
-        default_factory=list
-    )
 
 
 def snapshot(interp: GemInterpreter) -> Checkpoint:
     """Capture the interpreter's state between cycles (all lanes)."""
-    counters = CycleCounters(
-        **{name: getattr(interp.counters, name) for name in _COUNTER_FIELDS}
-    )
-    counters.lanes = interp.batch
+    state = interp.state.copy()
     return Checkpoint(
-        cycle=interp.cycle,
+        cycle=state.cycle,
         program_digest=interp.program.digest(),
-        global_state=interp.global_state.copy(),
-        ram_arrays=[arr.copy() for arr in interp.ram_arrays],
-        counters=counters,
+        global_state=state.global_state,
+        ram_arrays=state.ram_arrays,
+        counters=state.counters,
         batch=interp.batch,
         words=interp.engine.words,
-        values=getattr(interp, "values", 2),
+        values=interp.values,
     )
 
 
 def restore(interp: GemInterpreter, ckpt: Checkpoint) -> GemInterpreter:
     """Overwrite ``interp``'s state from ``ckpt``; continuation is
-    bit-identical to the run the snapshot was taken from."""
+    bit-identical to the run the snapshot was taken from.  A checkpoint
+    that does not belong here raises :class:`CheckpointError` with
+    ``interp`` untouched."""
     if ckpt.program_digest != interp.program.digest():
         raise CheckpointError(
             "checkpoint was taken against a different bitstream "
@@ -172,29 +151,17 @@ def restore(interp: GemInterpreter, ckpt: Checkpoint) -> GemInterpreter:
             f"checkpoint carries {ckpt.batch} stimulus lanes, "
             f"interpreter runs {interp.batch}"
         )
-    if ckpt.values != getattr(interp, "values", 2):
+    if ckpt.values != interp.values:
         raise CheckpointError(
             f"checkpoint was taken from a {ckpt.values}-state engine, "
-            f"interpreter runs {getattr(interp, 'values', 2)}-state"
+            f"interpreter runs {interp.values}-state"
         )
-    if ckpt.global_state.size != interp.global_state.size:
-        raise CheckpointError(
-            f"checkpoint global state width {ckpt.global_state.size} != "
-            f"program width {interp.global_state.size}"
+    try:
+        interp.state.assign(
+            SimState(ckpt.global_state, ckpt.ram_arrays, ckpt.counters, ckpt.cycle)
         )
-    if len(ckpt.ram_arrays) != len(interp.ram_arrays):
-        raise CheckpointError(
-            f"checkpoint has {len(ckpt.ram_arrays)} RAM images, "
-            f"program has {len(interp.ram_arrays)}"
-        )
-    interp.global_state[:] = ckpt.global_state
-    for dst, src in zip(interp.ram_arrays, ckpt.ram_arrays):
-        if dst.shape != src.shape:
-            raise CheckpointError("checkpoint RAM image shape mismatch")
-        dst[:] = src
-    interp.cycle = ckpt.cycle
-    for name in _COUNTER_FIELDS:
-        setattr(interp.counters, name, getattr(ckpt.counters, name))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint does not fit the program: {exc}") from None
     return interp
 
 
@@ -220,83 +187,32 @@ def _u32_to_words(words: np.ndarray, count: int) -> np.ndarray:
     return raw.view("<u8").astype(np.uint64)
 
 
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
-    pad = (-packed.size) % 4
-    if pad:
-        packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-    return packed.view("<u4").astype(np.uint32)
-
-
-def _unpack_bits(words: np.ndarray, count: int) -> np.ndarray:
-    raw = np.ascontiguousarray(words, dtype="<u4").view(np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:count].astype(bool)
-
-
-def checkpoint_to_words(ckpt: Checkpoint, version: int = CKPT_VERSION) -> np.ndarray:
-    """Serialize to a sealed ``uint32`` container (see module docstring).
-
-    New files are v4; ``version=3`` emits the pre-values header for a
-    2-state snapshot (the compat tests diff the two encodings — only the
-    header section may differ).
-    """
-    if version not in (CKPT_VERSION, CKPT_VERSION_V3):
-        raise CheckpointError(f"cannot write checkpoint format version {version}")
-    if version == CKPT_VERSION_V3 and ckpt.values != 2:
-        raise CheckpointError(
-            f"checkpoint format v3 cannot carry a {ckpt.values}-state snapshot"
-        )
-    words_k = int(ckpt.words)
-    global_bits = (
-        ckpt.global_state.shape[0] if ckpt.global_state.ndim == 2 else ckpt.global_state.size
+def checkpoint_to_words(ckpt: Checkpoint) -> np.ndarray:
+    """Serialize to a sealed ``uint32`` v4 container (see module docstring)."""
+    header = np.array(
+        [
+            CKPT_MAGIC,
+            CKPT_VERSION,
+            *_u64_pair(ckpt.cycle),
+            ckpt.program_digest & 0xFFFFFFFF,
+            ckpt.global_state.shape[0],
+            len(ckpt.ram_arrays),
+            0,  # reserved (once: deferred writes in flight)
+            ckpt.batch,
+            int(ckpt.words),
+            ckpt.values,
+        ],
+        dtype=np.uint32,
     )
-    header_words = [
-        CKPT_MAGIC,
-        version,
-        *_u64_pair(ckpt.cycle),
-        ckpt.program_digest & 0xFFFFFFFF,
-        global_bits,
-        len(ckpt.ram_arrays),
-        len(ckpt.deferred),
-        ckpt.batch,
-        words_k,
-    ]
-    if version >= CKPT_VERSION:
-        header_words.append(ckpt.values)
-    header = np.array(header_words, dtype=np.uint32)
     counter_words: list[int] = []
     for name in _COUNTER_FIELDS:
         counter_words.extend(_u64_pair(getattr(ckpt.counters, name)))
     ram_words: list[np.ndarray] = []
     for arr in ckpt.ram_arrays:
-        depth = arr.shape[-1] if arr.ndim == 2 else arr.size
-        ram_words.append(np.array([depth], dtype=np.uint32))
+        ram_words.append(np.array([arr.shape[-1]], dtype=np.uint32))
         ram_words.append(np.ascontiguousarray(arr, dtype=np.uint32).reshape(-1))
     ram_section = (
         np.concatenate(ram_words) if ram_words else np.zeros(0, dtype=np.uint32)
-    )
-    deferred_words: list[np.ndarray] = []
-    for gidx, values, mask in ckpt.deferred:
-        count = int(gidx.size)
-        deferred_words.append(np.array([count], dtype=np.uint32))
-        deferred_words.append(gidx.astype(np.uint32))
-        # flag word, then the K-word mask (zeros when unconditional) —
-        # for K == 1 this is the historical (flag, lo, hi) triple
-        if mask is None:
-            mask_plane = np.zeros(words_k, dtype=np.uint64)
-            flag = 0
-        else:
-            mask_plane = np.broadcast_to(
-                np.asarray(mask, dtype=np.uint64), (words_k,)
-            )
-            flag = 1
-        deferred_words.append(np.array([flag], dtype=np.uint32))
-        deferred_words.append(_words_to_u32(mask_plane))
-        shape = (count, words_k) if words_k > 1 else (count,)
-        vals = np.broadcast_to(np.asarray(values, dtype=np.uint64), shape)
-        deferred_words.append(_words_to_u32(vals.reshape(-1)))
-    deferred_section = (
-        np.concatenate(deferred_words) if deferred_words else np.zeros(0, dtype=np.uint32)
     )
     return seal(
         [
@@ -304,101 +220,41 @@ def checkpoint_to_words(ckpt: Checkpoint, version: int = CKPT_VERSION) -> np.nda
             np.array(counter_words, dtype=np.uint32),
             _words_to_u32(ckpt.global_state.reshape(-1)),
             ram_section,
-            deferred_section,
+            np.zeros(0, dtype=np.uint32),  # reserved
         ]
     )
 
 
-def _parse_v1(
-    header: np.ndarray,
-    state_sec: np.ndarray,
-    ram_sec: np.ndarray,
-    deferred_sec: np.ndarray,
-    counters: CycleCounters,
-) -> Checkpoint:
-    """Hydrate a pre-lane (bit-packed, single-instance) checkpoint as
-    ``batch=1`` packed words."""
-    cycle = _from_pair(header[2], header[3])
-    global_bits = int(header[5])
-    num_rams = int(header[6])
-    num_deferred = int(header[7])
-    if state_sec.size * 32 < global_bits:
-        raise CheckpointError("checkpoint: global state section truncated")
-    global_state = _unpack_bits(state_sec, global_bits).astype(np.uint64)
-    ram_arrays: list[np.ndarray] = []
-    pos = 0
-    for _ in range(num_rams):
-        if pos >= ram_sec.size:
-            raise CheckpointError("checkpoint: RAM section truncated")
-        depth = int(ram_sec[pos])
-        image = ram_sec[pos + 1 : pos + 1 + depth].astype(np.uint32)
-        ram_arrays.append(image.reshape(1, -1).copy())
-        pos += 1 + depth
-    deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-    pos = 0
-    for _ in range(num_deferred):
-        count = int(deferred_sec[pos])
-        gidx = deferred_sec[pos + 1 : pos + 1 + count].astype(np.int64)
-        packed_len = ((count + 7) // 8 + 3) // 4
-        packed = deferred_sec[pos + 1 + count : pos + 1 + count + packed_len]
-        deferred.append((gidx, _unpack_bits(packed, count).astype(np.uint64), None))
-        pos += 1 + count + packed_len
-    return Checkpoint(
-        cycle=cycle,
-        program_digest=int(header[4]),
-        global_state=global_state,
-        ram_arrays=ram_arrays,
-        counters=counters,
-        batch=1,
-        deferred=deferred,
-    )
-
-
 def checkpoint_from_words(words: np.ndarray) -> Checkpoint:
-    """Parse and CRC-verify a serialized checkpoint (v4, v3, v2, or v1)."""
+    """Parse and CRC-verify a serialized checkpoint (v4 or v3)."""
     sections = unseal(words, error=CheckpointError, what="checkpoint")
     if len(sections) != 5:
         raise CheckpointError(f"checkpoint: expected 5 sections, found {len(sections)}")
-    header, counter_sec, state_sec, ram_sec, deferred_sec = sections
+    header, counter_sec, state_sec, ram_sec, reserved_sec = sections
     if header.size < 8 or int(header[0]) != CKPT_MAGIC:
         raise CheckpointError("not a GEM checkpoint (bad magic)")
     version = int(header[1])
-    if version not in (CKPT_VERSION, CKPT_VERSION_V3, CKPT_VERSION_V2, CKPT_VERSION_V1):
+    if version not in (CKPT_VERSION, CKPT_VERSION_V3):
         raise CheckpointError(
             f"unsupported checkpoint format version {version} "
-            f"(supported: {CKPT_VERSION_V1}, {CKPT_VERSION_V2}, "
-            f"{CKPT_VERSION_V3}, {CKPT_VERSION})"
+            f"(supported: {CKPT_VERSION_V3}, {CKPT_VERSION})"
+        )
+    if header.size < 7 + version:  # v3: 10 header words, v4: 11
+        raise CheckpointError(f"checkpoint: v{version} header truncated")
+    if int(header[7]) or reserved_sec.size:
+        raise CheckpointError(
+            f"checkpoint: reserved section 4 must be empty (header claims {int(header[7])} "
+            f"entries, section holds {reserved_sec.size} words)"
         )
     if counter_sec.size % 2 or counter_sec.size > 2 * len(_COUNTER_FIELDS):
         raise CheckpointError("checkpoint: counter section has wrong size")
     counters = CycleCounters()
     for i, name in enumerate(_COUNTER_FIELDS[: counter_sec.size // 2]):
         setattr(counters, name, _from_pair(counter_sec[2 * i], counter_sec[2 * i + 1]))
-    if version == CKPT_VERSION_V1:
-        return _parse_v1(header, state_sec, ram_sec, deferred_sec, counters)
-
-    if header.size < 9:
-        raise CheckpointError("checkpoint: v2 header truncated")
-    cycle = _from_pair(header[2], header[3])
-    digest = int(header[4])
-    global_bits = int(header[5])
-    num_rams = int(header[6])
-    num_deferred = int(header[7])
-    batch = int(header[8])
-    if version >= CKPT_VERSION_V3:
-        if header.size < 10:
-            raise CheckpointError("checkpoint: v3 header truncated")
-        words_k = int(header[9])
-    else:
-        words_k = 1  # v2 never carried multi-word planes
-    if version >= CKPT_VERSION:
-        if header.size < 11:
-            raise CheckpointError("checkpoint: v4 header truncated")
-        values = int(header[10])
-        if values not in (2, 4):
-            raise CheckpointError(f"checkpoint: invalid value system {values}")
-    else:
-        values = 2  # pre-v4 files were all 2-state
+    global_bits, num_rams, batch, words_k = (int(header[i]) for i in (5, 6, 8, 9))
+    values = int(header[10]) if version >= CKPT_VERSION else 2  # v3 files were all 2-state
+    if values not in (2, 4):
+        raise CheckpointError(f"checkpoint: invalid value system {values}")
     if words_k == 1:
         if not 1 <= batch <= 64:
             raise CheckpointError(f"checkpoint: invalid lane count {batch}")
@@ -423,37 +279,15 @@ def checkpoint_from_words(words: np.ndarray) -> Checkpoint:
         image = ram_sec[pos + 1 : pos + 1 + span].astype(np.uint32)
         ram_arrays.append(image.reshape(batch, depth).copy())
         pos += 1 + span
-    deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
-    pos = 0
-    for _ in range(num_deferred):
-        count = int(deferred_sec[pos])
-        gidx = deferred_sec[pos + 1 : pos + 1 + count].astype(np.int64)
-        pos += 1 + count
-        has_mask = int(deferred_sec[pos])
-        pos += 1
-        mask_plane = _u32_to_words(deferred_sec[pos : pos + 2 * words_k], words_k)
-        pos += 2 * words_k
-        mask: np.uint64 | np.ndarray | None
-        if not has_mask:
-            mask = None
-        elif words_k == 1:
-            mask = np.uint64(mask_plane[0])
-        else:
-            mask = mask_plane
-        flat_vals = _u32_to_words(deferred_sec[pos : pos + 2 * count * words_k], count * words_k)
-        values = flat_vals if words_k == 1 else flat_vals.reshape(count, words_k)
-        deferred.append((gidx, values, mask))
-        pos += 2 * count * words_k
     return Checkpoint(
-        cycle=cycle,
-        program_digest=digest,
+        cycle=_from_pair(header[2], header[3]),
+        program_digest=int(header[4]),
         global_state=global_state,
         ram_arrays=ram_arrays,
         counters=counters,
         batch=batch,
         words=words_k,
         values=values,
-        deferred=deferred,
     )
 
 
@@ -629,7 +463,7 @@ class CheckpointManager:
                 "crc32": crc,
                 "batch": interp.batch,
                 "words": interp.engine.words,
-                "values": getattr(interp, "values", 2),
+                "values": interp.values,
                 "program_digest": interp.program.digest(),
             }
         )

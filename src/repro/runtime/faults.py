@@ -98,18 +98,13 @@ class FaultInjector:
         upset (default: a random active lane), modelling an SEU that hits
         one simulated instance of a batched run.
         """
-        index = self.rng.randrange(interp.global_state.shape[0])
+        gstate = interp.state.global_state
+        index = self.rng.randrange(gstate.shape[0])
         if lane is None:
             lane = self.rng.randrange(interp.batch) if interp.batch > 1 else 0
         word, bit = interp.engine.lane_coords(lane)
-        if interp.global_state.ndim == 2:
-            interp.global_state[index, word] = np.uint64(
-                int(interp.global_state[index, word]) ^ (1 << bit)
-            )
-        else:
-            interp.global_state[index] = np.uint64(
-                int(interp.global_state[index]) ^ (1 << bit)
-            )
+        at = (index, word) if gstate.ndim == 2 else index
+        gstate[at] = np.uint64(int(gstate[at]) ^ (1 << bit))
         return self._register(
             FaultRecord(
                 kind="state", location=f"global bit {index} lane {lane}", cycle=cycle
@@ -123,17 +118,16 @@ class FaultInjector:
 
         Returns ``None`` when the design has no RAM blocks.
         """
-        candidates = [
-            i for i, arr in enumerate(interp.ram_arrays) if arr.size > 0
-        ]
+        ram_arrays = interp.state.ram_arrays
+        candidates = [i for i, arr in enumerate(ram_arrays) if arr.size > 0]
         if not candidates:
             return None
         ram = self.rng.choice(candidates)
-        arr = interp.ram_arrays[ram]  # lane-major: (batch, depth)
+        arr = ram_arrays[ram]  # lane-major: (batch, depth)
         if lane is None:
             lane = self.rng.randrange(arr.shape[0]) if arr.shape[0] > 1 else 0
         word = self.rng.randrange(arr.shape[1])
-        data_bits = max(1, interp.ram_shapes[ram][1])
+        data_bits = max(1, interp.loaded.container.rams[ram][1])
         bit = self.rng.randrange(data_bits)
         arr[lane, word] = np.uint32(int(arr[lane, word]) ^ (1 << bit))
         return self._register(

@@ -59,11 +59,8 @@ from __future__ import annotations
 import copy
 import logging
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.core.compiler import CompiledDesign
 from repro.core.interpreter import GemInterpreter
@@ -84,38 +81,15 @@ logger = logging.getLogger(__name__)
 
 
 def state_digest(interp: GemInterpreter) -> int:
-    """CRC32 over the interpreter's full mutable state.
-
-    Covers the packed global state words (every stimulus lane) and every
-    RAM image — the complete set of bits an SEU can corrupt between
-    cycles.  Inactive lanes are identically zero by the engine's layout
-    invariant, so the digest is deterministic at any batch size.
-    """
-    h = zlib.crc32(np.ascontiguousarray(interp.global_state, dtype="<u8").tobytes())
-    for arr in interp.ram_arrays:
-        h = zlib.crc32(np.ascontiguousarray(arr, dtype="<u4").tobytes(), h)
-    return h & 0xFFFFFFFF
+    """CRC32 over everything a run can change (:meth:`SimState.digest`)."""
+    return interp.state.digest()
 
 
 def state_digest_lanes(interp: GemInterpreter) -> list[int]:
-    """Per-lane CRC32 digests — the localization primitive.
-
-    Lane ``l``'s digest covers its bit plane of the global state plus
-    its RAM rows, so comparing two interpreters lane-by-lane pinpoints
-    exactly which stimulus lanes diverged.  Cost is ``O(batch × state)``
-    — paid only when a whole-state digest already mismatched, or while
-    lanes are quarantined (the whole-word digest is then unusable).
-    """
-    batch = interp.batch
-    planes = interp.engine.unpack_lanes(interp.global_state)
-    digests = []
-    for lane in range(batch):
-        h = zlib.crc32(np.packbits(planes[:, lane], bitorder="little").tobytes())
-        for arr in interp.ram_arrays:
-            row = arr[lane] if arr.ndim == 2 else arr
-            h = zlib.crc32(np.ascontiguousarray(row, dtype="<u4").tobytes(), h)
-        digests.append(h & 0xFFFFFFFF)
-    return digests
+    """One digest per lane, the localization primitive (:meth:`SimState.digest_lanes`):
+    paid only once a whole-state digest mismatched, or while lanes are
+    quarantined (the whole-word digest is then unusable)."""
+    return interp.state.digest_lanes(interp.engine)
 
 
 #: per-lane outcome classes, in increasing order of damage

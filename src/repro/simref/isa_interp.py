@@ -18,13 +18,16 @@ the way the ISA reads — block by block, instruction by instruction:
 * a device-wide synchronization after every stage;
 * at the cycle boundary the queued writes land in ISA order.
 
-It subclasses the production interpreter for everything that is not
-evaluation — container load and CRC checks, decode, stimulus injection,
-output readback, checkpoints and probes — and overrides only the
+It runs the very :class:`~repro.core.interpreter.LoadedProgram` the
+executor runs (:func:`~repro.core.interpreter.load_program`: container
+parse and checks, decode, I/O plans) over a
+:class:`~repro.core.interpreter.SimState` of its own, and subclasses the
+production interpreter for everything that is not evaluation — stimulus
+injection, output readback, checkpoints, probes — overriding only the
 :meth:`_evaluate` / :meth:`_commit` pair the compiled cycle otherwise
-serves.  Work counters are accumulated dynamically, instruction by
-instruction, so agreeing with the executor's static per-cycle deltas is
-itself a check.
+serves: it resolves no backend and compiles no cycle.  Work counters are
+accumulated dynamically, instruction by instruction, so agreeing with
+the executor's static per-cycle deltas is itself a check.
 
 Slow by construction (thousands of tiny NumPy dispatches per cycle); it
 exists to be compared against: the differential tests, the fuzz oracle's
@@ -39,7 +42,7 @@ import time
 import numpy as np
 
 from repro.core.bitstream import GemProgram
-from repro.core.interpreter import GemInterpreter, _DecodedPartition
+from repro.core.interpreter import GemInterpreter, _DecodedPartition, load_program
 
 
 class ReferenceInterpreter(GemInterpreter):
@@ -48,9 +51,9 @@ class ReferenceInterpreter(GemInterpreter):
     mode = "reference"
 
     def __init__(self, program: GemProgram, batch: int = 1, profile: bool = False) -> None:
-        super().__init__(program, batch=batch, profile=profile)
+        self._bind(load_program(program, batch), profile)
         #: block-local state, one vector per partition (shared memory)
-        self._locals = [self.engine.zeros(p.state_slots) for p in self.partitions]
+        self._locals = [self.engine.zeros(p.state_slots) for p in self.loaded.partitions]
         #: this cycle's deferred (gidx, values, lane mask) scatters, in
         #: ISA order (mask ``None`` = unconditional commit)
         self._deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
@@ -59,11 +62,10 @@ class ReferenceInterpreter(GemInterpreter):
         t0 = time.perf_counter() if self.profile else 0.0
         counters = self.counters
         deferred = self._deferred = []
-        for stage_parts in self.stage_indices:
+        partitions = self.loaded.partitions
+        for stage_parts in self.loaded.stage_indices:
             for idx in stage_parts:
-                deferred.extend(
-                    self._run_partition(self.partitions[idx], self._locals[idx])
-                )
+                deferred.extend(self._run_partition(partitions[idx], self._locals[idx]))
             counters.device_syncs += 1
         if self.profile:
             self.phase_times["fold"] += time.perf_counter() - t0

@@ -88,7 +88,7 @@ def _design(seed=7, n_ops=40, with_memory=False):
 def _lockstep(ref, dut, batch, cycles=24):
     """Random per-lane stimuli through both; outputs, state, RAMs equal."""
     rng = np.random.default_rng(batch)
-    names = list(ref._pi_tables)
+    names = list(ref.loaded.pi_tables)
     for _ in range(cycles):
         vecs = [
             {n: int(v) for n, v in zip(names, rng.integers(0, 1 << 12, len(names)))}
@@ -580,7 +580,7 @@ def _stimulus_table(sim, stimuli):
         name: np.array(
             [vec.get(name, 0) for vec in stimuli], dtype=np.uint64 if idx.size <= 64 else object
         )
-        for name, idx in sim._pi_tables.items()
+        for name, idx in sim.loaded.pi_tables.items()
         if not name.endswith("__x")
     }
 
@@ -591,7 +591,7 @@ def _lane_columns(sim, table, cycle, rng):
     float random bits on every fifth lane."""
     lanes = np.arange(sim.batch)
     columns = {}
-    for name, idx in sim._pi_tables.items():
+    for name, idx in sim.loaded.pi_tables.items():
         if name in table:
             columns[name] = table[name][(cycle + lanes) % len(table[name])]
         else:

@@ -270,67 +270,18 @@ class TestBatchedCheckpoint:
             assert a.shape == b.shape == (6, b.shape[1])
             assert (a == b).all()
 
-    def test_v1_checkpoint_still_loads(self, memory_design):
-        """Acceptance: pre-lane (v1, bit-packed) files hydrate as batch=1
-        and resume bit-identically."""
-        from repro.core.integrity import seal
-        from repro.runtime.checkpoint import (
-            _COUNTER_FIELDS,
-            CKPT_MAGIC,
-            _pack_bits,
-            _u64_pair,
-            checkpoint_from_words,
-            restore,
-        )
+    def test_v1_checkpoint_is_refused(self, memory_design):
+        """Pre-lane (v1, bit-packed) files are a retired format: a sealed,
+        intact one is refused with its version in the message."""
+        from repro.runtime.checkpoint import checkpoint_from_words, snapshot
+        from tests.test_runtime_checkpoint import _v1_words
 
         circuit, design = memory_design
-        stimuli = random_vectors(circuit, 83, 30)
-        golden = design.simulator().run(stimuli)
         sim = design.simulator()
-        for vec in stimuli[:14]:
+        for vec in random_vectors(circuit, 83, 14):
             sim.step(vec)
-
-        # Serialize sim's state exactly as the seed's v1 writer did:
-        # bit-packed global state, flat single-image RAM sections.
-        header = np.array(
-            [
-                CKPT_MAGIC,
-                1,
-                *_u64_pair(sim.cycle),
-                sim.program.digest() & 0xFFFFFFFF,
-                sim.global_state.size,
-                len(sim.ram_arrays),
-                0,
-            ],
-            dtype=np.uint32,
-        )
-        counter_words = []
-        for name in _COUNTER_FIELDS:
-            counter_words.extend(_u64_pair(getattr(sim.counters, name)))
-        state_sec = _pack_bits(sim.global_state.astype(bool))
-        ram_words = []
-        for arr in sim.ram_arrays:
-            flat = arr.reshape(-1)
-            ram_words.append(np.array([flat.size], dtype=np.uint32))
-            ram_words.append(flat.astype(np.uint32))
-        ram_sec = (
-            np.concatenate(ram_words) if ram_words else np.zeros(0, dtype=np.uint32)
-        )
-        v1_words = seal(
-            [
-                header,
-                np.array(counter_words, dtype=np.uint32),
-                state_sec,
-                ram_sec,
-                np.zeros(0, dtype=np.uint32),
-            ]
-        )
-
-        ckpt = checkpoint_from_words(v1_words)
-        assert ckpt.batch == 1
-        assert ckpt.cycle == 14
-        resumed = restore(design.simulator(), ckpt)
-        assert resumed.run(stimuli[14:]) == golden[14:]
+        with pytest.raises(CheckpointError, match="format version 1"):
+            checkpoint_from_words(_v1_words(snapshot(sim)))
 
 
 class TestRamReadFirst:
@@ -501,11 +452,11 @@ class TestLanePlanes:
 
     def test_quarantine_is_lane_exact(self):
         eng = ExecutionEngine(256)
-        eng.quarantine_lanes([3, 70, 255])
-        bits = eng.lane_bits(eng.quarantined)
-        assert sorted(np.nonzero(bits)[0].tolist()) == [3, 70, 255]
-        eng.clear_quarantine()
-        assert not eng.lane_bits(eng.quarantined).any()
+        bits = eng.lane_bits(eng.lanes_mask([3, 70, 255]))
+        assert np.nonzero(bits)[0].tolist() == [3, 70, 255]
+        assert not eng.lane_bits(eng.lanes_mask([])).any()
+        with pytest.raises(ValueError, match="lane 256 out of range"):
+            eng.lanes_mask([3, 256])
 
     #: the executor, and the ISA-literal reference interpreter (the
     #: per-partition loop that used to be ``mode="legacy"``)
@@ -594,7 +545,7 @@ def _columns(sim, vecs):
             [vec.get(name, 0) for vec in vecs],
             dtype=np.uint64 if idx.size <= 64 else object,
         )
-        for name, idx in sim._pi_tables.items()
+        for name, idx in sim.loaded.pi_tables.items()
     }
 
 
@@ -620,7 +571,7 @@ class TestArrayLaneIO:
             assert outs[0] == sim.outputs()
             for lane in range(batch):
                 word, bit = divmod(lane, WORD_LANES)
-                for name, idx in sim._po_tables.items():
+                for name, idx in sim.program.meta.po_index.items():
                     words = sim.global_state[idx]
                     column = words if sim.engine.words == 1 else words[:, word]
                     assert outs[lane][name] == bits_to_int((column >> np.uint64(bit)) & one)
@@ -749,7 +700,7 @@ def _scalar_io_design(values=2):
 def _reference_inject(sim, inputs):
     """``step()``'s inject before the packed word: one ``int_to_bits`` and
     one scatter per port."""
-    for name, idx in sim._pi_tables.items():
+    for name, idx in sim.loaded.pi_tables.items():
         bits = int_to_bits((inputs or {}).get(name, 0), idx.size)
         words = np.where(bits, sim.engine.lane_mask, np.uint64(0))
         sim.global_state[idx] = words if sim.engine.words == 1 else words[:, None]
@@ -758,7 +709,8 @@ def _reference_inject(sim, inputs):
 def _reference_outputs(sim):
     """``outputs()`` before the packed word: one ``bits_to_int`` per port."""
     lane0 = sim.global_state if sim.engine.words == 1 else sim.global_state[:, 0]
-    return {name: bits_to_int(lane0[idx] & np.uint64(1)) for name, idx in sim._po_tables.items()}
+    po_index = sim.program.meta.po_index
+    return {name: bits_to_int(lane0[idx] & np.uint64(1)) for name, idx in po_index.items()}
 
 
 _port_value = st.integers(-(1 << 110), (1 << 110))
@@ -789,7 +741,7 @@ class TestScalarPackedIO:
 
         sim = designs[values].simulator(batch=batch)
         assert sim.values == values
-        assert {idx.size for idx in sim._pi_tables.values()} >= {1, 8, 100}
+        assert {idx.size for idx in sim.loaded.pi_tables.values()} >= {1, 8, 100}
         for inputs in stream:
             sim._inject_broadcast(inputs)
             injected = sim.global_state.copy()

@@ -9,17 +9,9 @@ into the metrics registry.
 
 import pytest
 
-from repro.core.fused import (
-    _FUSE_CACHE_MAX,
-    clear_fusion_cache,
-    fusion_cache_stats,
-)
-from repro.core.interpreter import (
-    _DECODE_CACHE_MAX,
-    clear_decode_cache,
-    decode_cache_stats,
-)
-from repro.obs.metrics import REGISTRY
+from repro.core.fused import clear_fusion_cache, fusion_cache_stats
+from repro.core.interpreter import clear_decode_cache, decode_cache_stats
+from repro.obs.metrics import REGISTRY, MemoTable
 from repro.runtime.supervisor import Supervisor
 from repro.simref.isa_interp import ReferenceInterpreter
 from tests.helpers import random_circuit, random_vectors
@@ -65,19 +57,20 @@ class TestEviction:
     def test_lru_eviction_past_capacity(self, design):
         """Distinct batch sizes are distinct keys; pushing past the
         8-entry bound evicts the oldest and re-keying it re-misses."""
-        assert _DECODE_CACHE_MAX == _FUSE_CACHE_MAX == 8
-        for batch in range(1, _DECODE_CACHE_MAX + 2):  # 9 distinct keys
+        capacity = MemoTable.CAPACITY  # both caches are one MemoTable each
+        assert capacity == 8
+        for batch in range(1, capacity + 2):  # 9 distinct keys
             design.simulator(batch=batch)
         stats = decode_cache_stats()
-        assert stats["misses"] == _DECODE_CACHE_MAX + 1
+        assert stats["misses"] == capacity + 1
         assert stats["hits"] == 0
         # batch=1 was the oldest entry: it must have been evicted.
         design.simulator(batch=1)
-        assert decode_cache_stats()["misses"] == _DECODE_CACHE_MAX + 2
+        assert decode_cache_stats()["misses"] == capacity + 2
         # The newest key is still resident.
-        design.simulator(batch=_DECODE_CACHE_MAX + 1)
+        design.simulator(batch=capacity + 1)
         assert decode_cache_stats()["hits"] == 1
-        assert fusion_cache_stats()["misses"] == _DECODE_CACHE_MAX + 2
+        assert fusion_cache_stats()["misses"] == capacity + 2
         snap = REGISTRY.snapshot()
         assert snap['gem_cache_evictions_total{cache="decode"}'] >= 2
         assert snap['gem_cache_evictions_total{cache="fusion"}'] >= 2

@@ -12,11 +12,16 @@ backend and the ISA-literal reference through the one numpy port of
   lane geometries;
 * the load-time gate — a RAMOP that disagrees with the RAM section, or
   reaches outside the state it indexes, is a :class:`BitstreamError` at
-  construction on every backend, never an ``IndexError`` mid-run.
+  construction on every backend, never an ``IndexError`` mid-run;
+* the load boundary — a sealed container whose header, offset table or
+  reset section is wrong is a :class:`BitstreamError` from
+  ``parse_container`` for every engine, never a crash or an empty
+  partition.
 
 Without a C compiler the differential runs numpy against the reference.
 """
 
+import functools
 import os
 
 import numpy as np
@@ -26,7 +31,7 @@ from repro.core import isa
 from repro.core.backend import available_backends
 from repro.core.bitstream import GemProgram, seal, verify_integrity
 from repro.core.boomerang import BoomerangConfig
-from repro.core.compiler import GemCompiler, GemConfig
+from repro.core.compiler import GemCompiler, GemConfig, GemSimulator
 from repro.core.interpreter import GemInterpreter
 from repro.core.partition import PartitionConfig
 from repro.core.ram_mapping import RamMappingConfig
@@ -36,6 +41,7 @@ from repro.rtl import CircuitBuilder
 from repro.runtime.checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
 from repro.runtime.supervisor import state_digest
 from repro.simref.isa_interp import ReferenceInterpreter
+from tests.helpers import random_circuit, random_vectors
 
 BACKENDS = available_backends()  # ("native", "numpy") or ("numpy",)
 
@@ -169,14 +175,13 @@ class TestRamPortDifferential:
 # -- load-time RAM validation ---------------------------------------------------
 
 
-def reseal(program, instructions=None, ram=None):
-    """``program`` with a hand-mutated instruction stream or RAM section,
-    section CRCs recomputed (``mutate_fold_constant`` does the same): a
-    wrong program, not a corrupt container."""
-    header, inst, ram_words, reset = verify_integrity(program.words)
-    words = seal(
-        [header, inst if instructions is None else instructions, ram_words if ram is None else ram, reset]
-    )
+def reseal(program, header=None, instructions=None, ram=None, reset=None):
+    """``program`` with hand-mutated sections, section CRCs recomputed
+    (``mutate_fold_constant`` does the same): a wrong program, not a
+    corrupt container."""
+    sections = verify_integrity(program.words)
+    mutated = [header, instructions, ram, reset]
+    words = seal([old if new is None else new for old, new in zip(sections, mutated)])
     return GemProgram(words=words, meta=program.meta)
 
 
@@ -248,3 +253,75 @@ class TestLoadTimeRamValidation:
         _set_word(1, 9)(instructions, ramop_offsets(instructions)[0])
         with pytest.raises(BitstreamError, match="names RAM block 9"):
             ReferenceInterpreter(reseal(program, instructions=instructions))
+
+
+# -- the load boundary ------------------------------------------------------------
+
+
+def _header(word, change):
+    def mutate(header, inst, reset):
+        header[word] = change(header, inst)
+        return {"header": header}
+
+    return mutate
+
+
+def _reset(change):
+    return lambda header, inst, reset: {"reset": np.array(change(header, reset), dtype=np.uint32)}
+
+
+#: (id, mutation, what parse_container says) of a 2-stage, 4-partition
+#: container — header words: [3] global bits, [4] partitions, [8], [9]
+#: partitions per stage, [10..17] four (start, length) pairs
+BAD_CONTAINERS = [
+    ("reset-index-past-global-bits", _reset(lambda h, r: [r[0] + 1, *r[1:], h[3]]), "outside the"),
+    ("reset-count-past-entries", _reset(lambda h, r: [r[0] + 1, *r[1:]]), "reset section"),
+    ("stage-counts-do-not-sum", _header(9, lambda h, i: h[9] + 1), "do not sum"),
+    ("partition-cut-short", _header(13, lambda h, i: 3), "partition 2: starts at"),
+    ("partition-starts-past-stream", _header(16, lambda h, i: 1 << 30), "partition 3"),
+    ("partition-reaches-into-ram", _header(17, lambda h, i: h[17] + 4), "partitions cover"),
+    ("more-partitions-than-offsets", _header(4, lambda h, i: h[4] + 1), "cannot hold"),
+]
+
+
+class TestLoadBoundary:
+    """Sealed, CRC-valid, wrong.  Before ``parse_container``, on this
+    design: three died with a bare ``IndexError`` somewhere in the
+    constructor (reset index, stage counts, cut partition), two *loaded
+    and ran* (a reset count reaching into the footer; a partition start
+    past the container — an empty partition), and the last two were
+    caught only by what the stray words happened to decode to."""
+
+    ENGINES = [
+        *((name, functools.partial(GemSimulator, backend=name)) for name in BACKENDS),
+        ("reference", ReferenceInterpreter),
+    ]
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        circuit = random_circuit(711, n_ops=120, n_regs=3, with_memory=True)
+        config = GemConfig(
+            partition=PartitionConfig(gates_per_partition=64),
+            boomerang=BoomerangConfig(width_log2=8),
+        )
+        design = GemCompiler(config).compile(circuit)
+        assert design.program.meta.stage_partition_counts == [3, 1]
+        assert design.simulator().ram_arrays
+        return circuit, design
+
+    @pytest.mark.parametrize("engine", [e[1] for e in ENGINES], ids=[e[0] for e in ENGINES])
+    @pytest.mark.parametrize(
+        "mutate, match", [row[1:] for row in BAD_CONTAINERS], ids=[row[0] for row in BAD_CONTAINERS]
+    )
+    def test_wrong_container_is_rejected_by_the_parser(self, compiled, engine, mutate, match):
+        program = compiled[1].program
+        header, inst, _, reset = (sec.copy() for sec in verify_integrity(program.words))
+        with pytest.raises(BitstreamError, match=match) as caught:
+            engine(reseal(program, **mutate(header, inst, reset)))
+        assert caught.traceback[-1].name == "parse_container"
+
+    @pytest.mark.parametrize("engine", [e[1] for e in ENGINES], ids=[e[0] for e in ENGINES])
+    def test_unmutated_reseal_loads_and_matches_golden(self, compiled, engine):
+        circuit, design = compiled
+        stimuli = random_vectors(circuit, 5, 24)
+        assert engine(reseal(design.program)).run(stimuli) == design.simulator().run(stimuli)

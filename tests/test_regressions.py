@@ -301,12 +301,13 @@ print(json.dumps({
 class TestFourStateRegressions:
     """Pins for the v4 checkpoint container and dual-rail observability.
 
-    5. Checkpoint format v4 added a ``values`` header word.  The compat
-       matrix must hold forever: a 2-state snapshot written as v3 is
-       *section-identical* to the v4 image outside the header, v3 images
-       still load (v2/v1 loading is pinned in test_runtime_checkpoint /
-       test_engine_lanes), a 4-state snapshot refuses the v3 container,
-       and restore refuses to mix value systems.
+    5. Checkpoint format v4 added a ``values`` header word, and nothing
+       else: a v3 image is the v4 image of a 2-state snapshot minus that
+       word (the writer only writes v4, so the tests build v3 images that
+       way), v3 images still load — as ``values=2``, so one cut from a
+       4-state snapshot is refused at restore — and restore refuses to
+       mix value systems.  (v2/v1 refusal is pinned in
+       test_runtime_checkpoint / test_engine_lanes.)
     6. Probe taps attach to a dual-rail (``values=4``) run unchanged:
        the catalog exposes both rails of every 4-state register and a
        ring capture of value-rail words completes without crashing.
@@ -318,41 +319,47 @@ class TestFourStateRegressions:
         circuit = random_circuit(seed, n_ops=25, n_regs=3)
         return circuit, compile_circuit(circuit, values=4)
 
+    @staticmethod
+    def _as_v3(v4_words):
+        """The v3 image of a v4 one: the values word dropped, the version
+        restamped, every other section untouched."""
+        from repro.core.integrity import seal, unseal
+
+        header, *rest = unseal(v4_words)
+        assert int(header[1]) == 4 and header.size == 11
+        header = header[:-1].copy()
+        header[1] = 3
+        return seal([header, *rest])
+
     def test_ckpt_v4_v3_section_identity_for_2state(self):
-        from repro.core.integrity import unseal
         from repro.runtime.checkpoint import (
-            CKPT_VERSION_V3,
             checkpoint_from_words,
             checkpoint_to_words,
+            restore,
             snapshot,
         )
 
         circuit = random_circuit(905, n_ops=20, n_regs=2)
         design = GemCompiler().compile(circuit)
+        stimuli = random_vectors(circuit, 3, 15)
+        golden = design.simulator().run(stimuli)
         sim = design.simulator()
-        for vec in random_vectors(circuit, 3, 9):
-            sim.step(vec)
+        sim.run(stimuli[:9])
         ckpt = snapshot(sim)
-        v4 = unseal(checkpoint_to_words(ckpt))
-        v3 = unseal(checkpoint_to_words(ckpt, version=CKPT_VERSION_V3))
-        # header: v4 appends exactly one word (values) and bumps version
-        assert v4[0].size == v3[0].size + 1
-        assert int(v4[0][-1]) == 2 and int(v4[0][1]) == 4 and int(v3[0][1]) == 3
-        assert (v4[0][2:-1] == v3[0][2:]).all()
-        # every non-header section is byte-identical
-        for a, b in zip(v4[1:], v3[1:]):
-            assert a.size == b.size and (a == b).all()
-        # and the v3 image still loads to the same checkpoint
-        back = checkpoint_from_words(checkpoint_to_words(ckpt, version=CKPT_VERSION_V3))
-        assert back.cycle == ckpt.cycle and back.values == 2
+        assert ckpt.values == 2
+        # the v3 reader hydrates the same checkpoint from the same sections
+        back = checkpoint_from_words(self._as_v3(checkpoint_to_words(ckpt)))
+        assert back.cycle == ckpt.cycle and back.values == 2 and back.batch == ckpt.batch
         assert (back.global_state == ckpt.global_state).all()
+        assert back.counters == ckpt.counters
+        assert restore(design.simulator(), back).run(stimuli[9:]) == golden[9:]
 
     def test_ckpt_v3_refuses_4state_and_restore_refuses_mixed_values(self):
         import pytest
 
         from repro.errors import CheckpointError
         from repro.runtime.checkpoint import (
-            CKPT_VERSION_V3,
+            checkpoint_from_words,
             checkpoint_to_words,
             restore,
             snapshot,
@@ -364,8 +371,12 @@ class TestFourStateRegressions:
             sim.step(vec)
         ckpt = snapshot(sim)
         assert ckpt.values == 4
-        with pytest.raises(CheckpointError, match="v3 cannot carry"):
-            checkpoint_to_words(ckpt, version=CKPT_VERSION_V3)
+        # v3 has nowhere to say "4-state": the image loads as values=2 and
+        # the engine it came from refuses it
+        as_v3 = checkpoint_from_words(self._as_v3(checkpoint_to_words(ckpt)))
+        assert as_v3.values == 2
+        with pytest.raises(CheckpointError, match="2-state engine"):
+            restore(design.simulator(), as_v3)
         two_state = GemCompiler().compile(circuit).simulator()
         with pytest.raises(CheckpointError):
             restore(two_state, ckpt)

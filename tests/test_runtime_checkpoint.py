@@ -16,11 +16,9 @@ from repro.errors import CheckpointError
 from repro.harness.runner import compile_design, design_workloads
 from repro.runtime.checkpoint import (
     CKPT_MAGIC,
-    CKPT_VERSION_V1,
     JOURNAL_VERSION,
     CheckpointManager,
     _COUNTER_FIELDS,
-    _pack_bits,
     _u64_pair,
     checkpoint_from_words,
     checkpoint_to_words,
@@ -30,6 +28,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
     snapshot,
 )
+from repro.runtime.supervisor import state_digest
 from tests.helpers import random_circuit, random_vectors
 
 
@@ -75,6 +74,34 @@ class TestSnapshotRestore:
         sim.run(random_vectors(circuit_a, 0, 5))
         with pytest.raises(CheckpointError, match="different bitstream"):
             restore(design_b.simulator(), snapshot(sim))
+
+    @pytest.mark.parametrize(
+        "field, spoil",
+        [
+            ("ram_arrays", lambda images: [*images[:-1], images[-1][:, :-1]]),  # wrong depth
+            ("global_state", lambda words: words[:-1]),
+            ("batch", lambda _: 3),
+            ("values", lambda _: 4),
+            ("program_digest", lambda digest: digest ^ 1),
+        ],
+    )
+    def test_rejected_restore_leaves_the_target_untouched(self, field, spoil):
+        """Every check runs before the first write: restore used to
+        overwrite the global state and the leading RAM images, then raise
+        on a later image's shape."""
+        circuit, design = _compile(21, with_memory=True)
+        stimuli = random_vectors(circuit, 5, 20)
+        source, target = design.simulator(batch=2), design.simulator(batch=2)
+        golden = source.run(stimuli)
+        target.run(stimuli[:7])
+        ckpt = snapshot(source)
+        assert ckpt.ram_arrays
+        setattr(ckpt, field, spoil(getattr(ckpt, field)))
+        before = state_digest(target), target.cycle, target.counters.fold_steps
+        with pytest.raises(CheckpointError):
+            restore(target, ckpt)
+        assert (state_digest(target), target.cycle, target.counters.fold_steps) == before
+        assert target.run(stimuli[7:]) == golden[7:]
 
 
 class TestBinaryFormat:
@@ -193,14 +220,20 @@ class TestRegistryDesignResume:
 # -- crash consistency: journal, corruption matrix, resume resolution --------
 
 
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    packed = np.concatenate([packed, np.zeros((-packed.size) % 4, dtype=np.uint8)])
+    return packed.view("<u4").astype(np.uint32)
+
+
 def _v1_words(ckpt) -> np.ndarray:
-    """Serialize a ``batch=1`` snapshot in the legacy v1 (bit-packed,
+    """Serialize a ``batch=1`` snapshot in the retired v1 (bit-packed,
     single-instance) container, as the pre-lane code wrote it."""
     assert ckpt.batch == 1
     header = np.array(
         [
             CKPT_MAGIC,
-            CKPT_VERSION_V1,
+            1,
             *_u64_pair(ckpt.cycle),
             ckpt.program_digest & 0xFFFFFFFF,
             ckpt.global_state.size,
@@ -245,17 +278,20 @@ def _mid_run_words(design, stimuli, cut=17):
 
 
 class TestCorruptionMatrix:
-    """Every torn/corrupt variant of both on-disk formats must be
-    *rejected* (CheckpointError) — never silently mis-restored."""
+    """Every torn/corrupt variant of an on-disk image must be *rejected*
+    (CheckpointError) — never silently mis-restored, never a crash.
+    ``v2`` is what ``checkpoint_to_words`` writes (the id dates from when
+    v2 was the current format); ``v1`` is a hand-built image of a retired
+    format, the kind an old checkpoint directory may still hold: recovery
+    walks past it on ``CheckpointError``, torn or intact."""
 
     @pytest.fixture(scope="class")
     def images(self, ckpt_design):
         circuit, design, stimuli, _ = ckpt_design
         v2 = _mid_run_words(design, stimuli)
-        v1 = _v1_words(checkpoint_from_words(v2))
-        return {"v1": v1, "v2": v2}
+        return {"v1": _v1_words(checkpoint_from_words(v2)), "v2": v2}
 
-    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    @pytest.mark.parametrize("fmt", ["v2"])
     def test_intact_image_loads(self, images, fmt, ckpt_design):
         circuit, design, stimuli, golden = ckpt_design
         ckpt = checkpoint_from_words(images[fmt])
@@ -302,6 +338,28 @@ class TestCorruptionMatrix:
         words.tofile(path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_retired_v1_image_is_refused_by_name(self, images):
+        """Intact, sealed, and in a format no longer read: the error says
+        which, rather than parsing bit-packed state as lane words."""
+        with pytest.raises(CheckpointError, match="format version 1"):
+            checkpoint_from_words(images["v1"])
+
+    @pytest.mark.parametrize(
+        "claim, section4",
+        [(1, []), (0, [0]), (1, [1, 5, 0, 0, 0, 1, 0])],
+        ids=["header-claims-an-entry", "section-not-empty", "both"],
+    )
+    def test_deferred_section_must_be_empty(self, images, claim, section4):
+        """Header word 7 and section 4 are reserved-empty; a sealed image
+        that fills either died with an IndexError in a parser nothing
+        ever fed."""
+        sections = unseal(images["v2"], error=CheckpointError)
+        header = sections[0].copy()
+        header[7] = claim
+        sealed = seal([header, *sections[1:4], np.array(section4, dtype=np.uint32)])
+        with pytest.raises(CheckpointError, match="reserved section 4"):
+            checkpoint_from_words(sealed)
 
     def test_zero_length_file(self, tmp_path):
         path = str(tmp_path / "empty.gemk")
@@ -474,7 +532,7 @@ class TestResolveResume:
 
 
 class TestLanePlaneCheckpoints:
-    """Format v3: multi-word lane planes, v2 compatibility, and
+    """Multi-word lane planes, the retired single-word format, and
     backend-independence of the on-disk state."""
 
     def _lane_vectors(self, circuit, batch, cycles, seed=0):
@@ -504,23 +562,18 @@ class TestLanePlaneCheckpoints:
         assert resumed.run_lanes(vecs[11:]) == golden_rows[11:]
         assert np.array_equal(resumed.global_state, golden.global_state)
 
-    def test_v2_file_loads_as_single_word(self):
-        """A v2 container (9-word header, no K) hydrates as K=1 — the
-        K==1 v3 layout is byte-identical past the header."""
+    def test_v2_file_is_refused(self):
+        """A v2 container (9-word header, no K word) is a retired format:
+        refused by name, not hydrated as K=1."""
         circuit, design = _compile(33, with_memory=True)
         sim = design.simulator(batch=6)
         for vec in random_vectors(circuit, 9, 14):
             sim.step(vec)
         sections = unseal(checkpoint_to_words(snapshot(sim)), error=CheckpointError)
-        header = sections[0][:9].copy()  # drop the K word
+        header = sections[0][:9].copy()  # drop the K and values words
         header[1] = 2  # rewrite the version stamp to v2
-        v2_words = seal([header, *sections[1:]])
-        back = checkpoint_from_words(v2_words)
-        assert back.words == 1
-        assert back.batch == 6
-        assert np.array_equal(back.global_state, sim.global_state)
-        resumed = restore(design.simulator(batch=6), back)
-        assert np.array_equal(resumed.global_state, sim.global_state)
+        with pytest.raises(CheckpointError, match="format version 2"):
+            checkpoint_from_words(seal([header, *sections[1:]]))
 
     def test_v3_rejects_bad_lane_geometry(self):
         circuit, design = _compile(33)
