@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.cachefile import cache_dir
 from repro.errors import BackendUnavailableError, BitstreamError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -555,12 +556,14 @@ _U32 = ctypes.POINTER(ctypes.c_uint32)
 #: (``MAX_PORT_BITS`` of :data:`KERNEL_SOURCE`)
 MAX_PORT_BITS = 32
 
-#: the plan's index and word tables, in ``gem_stage`` order
-_INDEX_TABLES = (
+#: a :class:`StagePlan`'s ``int64`` index tables and ``uint64`` word
+#: tables — all sixteen of its arrays — in ``gem_stage`` order (the plan
+#: store writes them in this order too)
+INDEX_TABLES = (
     "read_gidx", "wave_count", "wave_out", "wave_start", "gather",
     "gwn_gidx", "gwn_src", "ram_slots", "ram_src", "def_src", "def_gidx",
 )  # fmt: skip
-_WORD_TABLES = ("flips", "gwn_inv", "gwn_const", "ram_inv", "def_inv")
+WORD_TABLES = ("flips", "gwn_inv", "gwn_const", "ram_inv", "def_inv")
 #: a decoded RAM port's slot / inversion tables, in ``gem_ramop`` order
 _PORT_TABLES = ("raddr", "waddr", "wdata")
 
@@ -586,8 +589,8 @@ class _Stage(ctypes.Structure):
         *((n, ctypes.c_int64) for n in ("nread", "nwaves", "ngwn", "ngwn_dyn", "nram", "ndef", "nports")),
         ("def_buf", _U64),
         ("ports", ctypes.POINTER(_RamOp)),
-        *((name, _I64) for name in _INDEX_TABLES),
-        *((name, _U64) for name in _WORD_TABLES),
+        *((name, _I64) for name in INDEX_TABLES),
+        *((name, _U64) for name in WORD_TABLES),
     ]  # fmt: skip
 
 
@@ -679,14 +682,13 @@ def load_kernel(source: str = KERNEL_SOURCE):
     functions (the GIL is released while they run), built on first use
     and cached.
 
-    The library lives in the compile-cache directory (``GEM_CACHE_DIR``,
-    default ``.gem_cache/``) as
+    The library lives in the compile-cache directory
+    (:func:`~repro.core.cachefile.cache_dir`) as
     ``native-<sha256(source + machine + pointer size)>.so``; a cached
     file that does not load (truncated, foreign) is rebuilt once.
     """
     key = f"{source}\0{platform.machine()}\0{ctypes.sizeof(ctypes.c_void_p)}"
-    cache = os.environ.get("GEM_CACHE_DIR", os.path.join(os.getcwd(), ".gem_cache"))
-    path = os.path.join(cache, f"native-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
+    path = os.path.join(cache_dir(), f"native-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
     if os.path.exists(path):
         try:
             return _open_library(path)
@@ -856,9 +858,9 @@ def _bind_stage(stage: _Stage, plan: StagePlan, fused, buffers: CycleBuffers, ke
     stage.nports = len(ports)
     stage.def_buf = def_buf.ctypes.data_as(_U64)
     stage.ports = ports
-    for name in _INDEX_TABLES:
+    for name in INDEX_TABLES:
         setattr(stage, name, getattr(plan, name).ctypes.data_as(_I64))
-    for name in _WORD_TABLES:
+    for name in WORD_TABLES:
         setattr(stage, name, getattr(plan, name).ctypes.data_as(_U64))
 
 

@@ -41,11 +41,15 @@ are vectorized even at ``batch == 1``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import LaneConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core import isa
 
 #: lanes carried by one packed word (the GPU register width GEM targets)
 WORD_LANES = 64
@@ -335,3 +339,55 @@ class ExecutionEngine:
         else:
             dst[gidx] = (dst[gidx] & ~mask) | (values & mask)
 
+
+# -- decoded RAM ports ----------------------------------------------------------
+#
+# The table form of a RAMOP that :meth:`ExecutionEngine.ram_port` and the
+# backends run.  It is a function of the port's spec and the lane geometry
+# alone, so the instruction decoder and the plan store (which persists
+# specs, :mod:`repro.core.fused`) both build it here.
+
+
+@dataclass
+class _DecodedRamOp:
+    """A RAM port with decode-time index/weight tables (no per-bit loops)."""
+
+    spec: isa.RamOp
+    raddr_slots: np.ndarray
+    raddr_inv: np.ndarray  # uint64 lane masks, one per address bit
+    waddr_slots: np.ndarray
+    waddr_inv: np.ndarray
+    wdata_slots: np.ndarray
+    wdata_inv: np.ndarray
+    ren_slot: int
+    ren_inv: np.uint64
+    wen_slot: int
+    wen_inv: np.uint64
+    rd_gidx: np.ndarray
+
+
+def _decode_ramop(op: isa.RamOp, engine: ExecutionEngine) -> _DecodedRamOp:
+    """Precompute index/inversion/weight tables for one RAM port."""
+
+    def refs(pairs: list[tuple[int, bool]]) -> tuple[np.ndarray, np.ndarray]:
+        slots = np.array([slot for slot, _ in pairs], dtype=np.int64)
+        inv = engine.const_mask(np.array([inv for _, inv in pairs], dtype=bool))
+        return slots, inv
+
+    raddr_slots, raddr_inv = refs(op.raddr)
+    waddr_slots, waddr_inv = refs(op.waddr)
+    wdata_slots, wdata_inv = refs(op.wdata)
+    return _DecodedRamOp(
+        spec=op,
+        raddr_slots=raddr_slots,
+        raddr_inv=raddr_inv,
+        waddr_slots=waddr_slots,
+        waddr_inv=waddr_inv,
+        wdata_slots=wdata_slots,
+        wdata_inv=wdata_inv,
+        ren_slot=op.ren[0],
+        ren_inv=engine.scalar_mask(op.ren[1]),
+        wen_slot=op.wen[0],
+        wen_inv=engine.scalar_mask(op.wen[1]),
+        rd_gidx=np.arange(op.rd_global_base, op.rd_global_base + op.data_bits),
+    )

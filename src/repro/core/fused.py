@@ -62,29 +62,44 @@ carries no other live state: apart from the preset constants it is
 written before read every cycle, so checkpoint restore needs no
 executor cooperation.
 
-:class:`FusedProgram` is pure static tables (shared across interpreter
-instances via the fusion cache, keyed by bitstream CRC — see
-:func:`fused_program`); :func:`cycle_buffers` allocates the mutable trace
-and arena of one interpreter, and the interpreter's backend compiles
-program + buffers into the executor — one ``evaluate`` and one ``commit``
-per cycle (:mod:`repro.core.backend`).
+:class:`FusedProgram` is pure static tables, a function of the bitstream
+words and the lane geometry alone — so it is computed at most once:
+:func:`fused_program` serves it from an in-process memo (shared across
+interpreter instances), else from a plan file persisted beside the
+compile cache, and only then runs :func:`fuse` (and stores the result
+when it is big enough to be worth a disk round trip).  All three tiers
+share one key, :func:`plan_key`; a stored plan is verified before a byte
+of it is interpreted and rebuilt if anything is wrong with it.
+:func:`cycle_buffers` allocates the mutable trace and arena of one
+interpreter, and the interpreter's backend compiles program + buffers
+into the executor — one ``evaluate`` and one ``commit`` per cycle
+(:mod:`repro.core.backend`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import hashlib
+import logging
+import os
+from dataclasses import astuple, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.backend import CycleBuffers, StagePlan
+from repro.core import isa
+from repro.core.backend import INDEX_TABLES, WORD_TABLES, CycleBuffers, StagePlan
+from repro.core.cachefile import cache_dir, write_atomic
+from repro.core.engine import _decode_ramop
 from repro.errors import GemError
-from repro.obs.metrics import MemoTable
+from repro.obs.metrics import REGISTRY, MemoTable
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ExecutionEngine
     from repro.core.interpreter import SimState
+
+logger = logging.getLogger(__name__)
 
 
 class FusionError(GemError):
@@ -133,30 +148,212 @@ class FusedProgram:
     static: _StaticWork = field(default_factory=_StaticWork)
 
 
-# -- fusion cache -------------------------------------------------------------
+# -- fusion cache: memory, then the plan store, then fuse() ---------------------
 
 _FUSIONS = MemoTable("fusion", "stage-fusion")
-#: hit/miss counters of the fusion cache, and its reset (tests, benchmarks)
+#: hit/miss counters of the in-process tier, and its reset (tests,
+#: benchmarks: clearing it stands in for a fresh process, so it never
+#: touches the plan store)
 fusion_cache_stats = _FUSIONS.stats
 clear_fusion_cache = _FUSIONS.clear
 
+#: Fewest AND nodes a plan must schedule to be worth a disk round trip.
+#: Fusing costs ~6 us per node, reading a plan back ~2 ms plus ~1.5 ms per
+#: MB.  Below this size the saving is a few milliseconds at best, so fuzz
+#: campaigns, hypothesis runs and unit tests (9-2066 nodes, <= 45 ms to
+#: load) never write a file, and every registry design (9.6k nodes and
+#: up, 60-650 ms to fuse) does (EXPERIMENTS.md L1, nodes vs fuse time).
+PERSIST_MIN_NODES = 4096
+
+_PLAN_MAGIC = b"GEMPLAN\n"
+#: the modules that define what a plan holds and how its bytes are laid
+#: out: their source is part of every key, so editing one retires every
+#: stored plan without a format constant anyone has to remember to bump
+_PLAN_SOURCES = ("backend.py", "bitstream.py", "engine.py", "fused.py", "interpreter.py", "isa.py")
+
+
+@functools.cache
+def _loader_digest() -> str:
+    """SHA-256 over :data:`_PLAN_SOURCES`, read once per process."""
+    h = hashlib.sha256()
+    for name in _PLAN_SOURCES:
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+def plan_key(words: np.ndarray, batch: int) -> tuple[str, int, str]:
+    """What a decode and a fused plan are functions of: the bitstream's
+    words (SHA-256 — the identity has to outlive the process), the lane
+    geometry the tables embed, and the code that builds them.  The one
+    key of the in-process memos and of the plan store."""
+    image = np.ascontiguousarray(words, dtype="<u4")
+    return hashlib.sha256(image).hexdigest(), batch, _loader_digest()
+
 
 def fused_program(
-    key: tuple, partitions: list, stage_indices: list[list[int]], engine
+    key: tuple[str, int, str], decode, stage_indices: list[list[int]], engine
 ) -> FusedProgram:
-    """Fuse (or fetch the cached fusion of) one decoded program.
+    """The fused plan under ``key`` (:func:`plan_key`): the in-process
+    memo, else the plan file in the cache directory, else
+    ``fuse(decode(), ...)`` — written back when it schedules
+    :data:`PERSIST_MIN_NODES` nodes or more.
 
-    ``key`` is the loader's decode-cache key — (bitstream CRC, config
-    digest, container size, batch) — so Supervisor primary+shadow and
-    repeated ``GemSimulator`` instantiations of one design fuse exactly
-    once.
+    So a Supervisor's primary + shadow and repeated ``GemSimulator``
+    instantiations fuse at most once per process, and a design that was
+    ever loaded from this cache directory is not fused — nor decoded —
+    again at all.  A plan file that is torn, corrupted, foreign or
+    written by other sources is deleted with one warning and rebuilt,
+    never interpreted; a cache directory that cannot be written costs
+    one warning and nothing else.
     """
+    path = os.path.join(cache_dir(), f"plan-{key[0][:16]}-b{key[1]}.bin")
+    served = {"tier": "memory", "bytes": 0}
+
+    def fetch() -> FusedProgram | None:
+        return _read_plan(path, key, engine, served)
 
     def build() -> FusedProgram:
+        served["tier"] = "fuse"
+        partitions = decode()
         with TRACER.span("fuse", cat="compile", args={"stages": len(stage_indices)}):
-            return fuse(partitions, stage_indices, engine)
+            fused = fuse(partitions, stage_indices, engine)
+        if sum(plan.gather.size for plan in fused.stages) >= 2 * PERSIST_MIN_NODES:
+            _write_plan(path, key, fused, served)
+        return fused
 
-    return _FUSIONS.get(key, build)
+    with TRACER.span("plan", cat="compile", args=served):
+        return _FUSIONS.get(key, build, fetch)
+
+
+# -- the plan file ------------------------------------------------------------
+#
+# ``GEMPLAN\n`` | SHA-256 of the key | SHA-256 of the payload | payload.
+# The payload is 8-byte words throughout: a directory (array count, then
+# each array's length) followed by the arrays back to back — a header of
+# scalars, the program-level tables, then per stage its sixteen tables
+# (:data:`INDEX_TABLES` as int64, :data:`WORD_TABLES` as uint64) and its
+# RAM ports.  A port is stored as its partition index and its RAMOP
+# instruction (:func:`repro.core.isa.encode_ramop`), and comes back the
+# way it came out of the bitstream: ``decode_ramop``, then the engine's
+# table form for the lane geometry at hand.
+
+_PORT_WORDS = 1 + isa.instruction_words(isa.Opcode.RAMOP)
+
+
+def _plan_arrays(fused: FusedProgram) -> list[np.ndarray]:
+    """The payload of ``fused``, array by array (directory first)."""
+
+    def ints(values) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    head = [fused.arena_size, *astuple(fused.static), *(plan.trace_size for plan in fused.stages)]
+    arrays = [
+        ints(head),
+        ints(fused.arena_base),
+        ints(fused.arena_span),
+        fused.preset_slots,
+        fused.def_const_gidx,
+        fused.def_const_vals,
+    ]
+    for plan in fused.stages:
+        arrays += [getattr(plan, name) for name in INDEX_TABLES + WORD_TABLES]
+        arrays.append(ints([[pidx, *isa.encode_ramop(op.spec)] for pidx, op in plan.ramops]))
+    return [ints([len(arrays), *(arr.size for arr in arrays)]), *arrays]
+
+
+def _plan_from_payload(payload, engine) -> FusedProgram:
+    """The inverse of :func:`_plan_arrays`; every array is a copy that
+    owns its memory, as :func:`fuse` would have made it.  Raises
+    :class:`ValueError` for a payload whose directory does not describe
+    it."""
+    words = np.frombuffer(payload, dtype=np.int64)
+    count = int(words[0]) if words.size else -1
+    sizes = words[1 : 1 + max(count, 0)]
+    if count < 0 or sizes.size != count or (sizes < 0).any() or 1 + count + sizes.sum() != words.size:
+        raise ValueError("directory does not match the payload size")
+    ends = (1 + count + np.cumsum(sizes)).tolist()
+    chunks = (words[end - size : end] for size, end in zip(sizes.tolist(), ends))
+
+    def table(dtype=np.int64) -> np.ndarray:
+        chunk = next(chunks, None)
+        if chunk is None:
+            raise ValueError("fewer arrays than the header's stage count needs")
+        return chunk.astype(dtype)
+
+    head = table().tolist()
+    nstatic = len(fields(_StaticWork))
+    arena_base, arena_span = table().tolist(), table().tolist()
+    preset_slots, def_const_gidx, def_const_vals = table(), table(), table(np.uint64)
+    stages = []
+    for trace_size in head[1 + nstatic :]:
+        tables = {name: table() for name in INDEX_TABLES}
+        tables.update((name, table(np.uint64)) for name in WORD_TABLES)
+        ports = [
+            (int(pidx), _decode_ramop(isa.decode_ramop(inst), engine))
+            for pidx, *inst in table().reshape(-1, _PORT_WORDS).tolist()
+        ]
+        stages.append(StagePlan(trace_size=trace_size, ramops=ports, **tables))
+    if next(chunks, None) is not None:
+        raise ValueError("arrays left over after the last stage")
+    return FusedProgram(
+        arena_size=head[0],
+        arena_base=arena_base,
+        arena_span=arena_span,
+        preset_slots=preset_slots,
+        stages=stages,
+        def_const_gidx=def_const_gidx,
+        def_const_vals=def_const_vals,
+        static=_StaticWork(*head[1 : 1 + nstatic]),
+    )
+
+
+def _key_digest(key: tuple[str, int, str]) -> bytes:
+    return hashlib.sha256("\0".join(map(str, key)).encode()).digest()
+
+
+def _read_plan(path: str, key: tuple, engine, served: dict) -> FusedProgram | None:
+    """The plan stored at ``path`` if it is whole and is ``key``'s;
+    ``None`` — after deleting whatever else was there — otherwise."""
+    try:
+        with open(path, "rb") as f:
+            blob = memoryview(f.read())
+        header, digest, payload = blob[:40], blob[40:72], blob[72:]
+        if header != _PLAN_MAGIC + _key_digest(key):
+            raise ValueError("not this loader's plan of this bitstream and batch")
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError("payload digest mismatch (torn or corrupted)")
+        fused = _plan_from_payload(payload, engine)
+    except (FileNotFoundError, NotADirectoryError):  # nothing stored (or nowhere to)
+        return None
+    except (OSError, ValueError, IndexError) as problem:
+        logger.warning("discarding plan file %s: %s", path, problem)
+        REGISTRY.counter(
+            "gem_cache_discards_total",
+            "cache files found unusable, deleted and rebuilt",
+            labels={"cache": "plan"},
+        ).inc()
+        try:
+            os.rmdir(path) if os.path.isdir(path) else os.remove(path)
+        except OSError:
+            pass
+        return None
+    served.update(tier="disk", bytes=len(blob))
+    return fused
+
+
+def _write_plan(path: str, key: tuple, fused: FusedProgram, served: dict) -> None:
+    arrays = _plan_arrays(fused)
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(arr)
+    envelope = [_PLAN_MAGIC, _key_digest(key), digest.digest(), *arrays]
+    try:
+        write_atomic(path, lambda f: f.writelines(envelope))
+    except OSError as exc:
+        logger.warning("cannot store the fused plan at %s (%s); it will be rebuilt", path, exc)
+    else:
+        served["bytes"] = 72 + sum(arr.nbytes for arr in arrays)
 
 
 # -- fusion pass --------------------------------------------------------------

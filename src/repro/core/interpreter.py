@@ -47,21 +47,31 @@ differential tests and the fuzz oracle hold the executor against.
 
 Program and state are two objects.  :func:`load_program` turns a
 bitstream into a :class:`LoadedProgram` — parsed container
-(:func:`repro.core.bitstream.parse_container` owns the format), decoded
-partitions, I/O plans, fused program: everything a load computes and no
-run changes.  Decode and fusion are memoized keyed by the bitstream CRC,
-so a Supervisor's primary+shadow pair and repeated ``GemSimulator``
-instantiations share one decode and one fusion
-(:func:`decode_cache_stats`).  :class:`SimState` is the rest — global
-state vector, RAM lane images, cycle and work counters, quarantined
-lanes — the one thing reset, checkpoints, quarantine and fault injection
-operate on.  :class:`GemInterpreter` joins one of each with a compiled
-cycle.
+(:func:`repro.core.bitstream.parse_container` owns the format), I/O
+plans, fused program: everything a load computes and no run changes.
+The fused program is looked up before it is computed
+(:func:`repro.core.fused.fused_program`: in-process memo, then the plan
+file stored beside the compile cache, then decode + ``fuse()``), keyed
+by the SHA-256 of the bitstream words, the batch and the loader's own
+sources — so a Supervisor's primary+shadow pair and repeated
+``GemSimulator`` instantiations share one fusion, and a process that
+loads a design some earlier process loaded reads the plan instead of
+re-deriving it.  Decoding is demand-driven: the instruction streams are
+decoded (memoized under the same key, :func:`decode_cache_stats`) when
+a fusion miss needs them or when someone reads
+:attr:`LoadedProgram.partitions` — the reference interpreters do, the
+executor never does.  The container parse, the RAM-port checks and the
+backend's table validation run on every load, whichever tier serves the
+plan.  :class:`SimState` is the rest — global state vector, RAM lane
+images, cycle and work counters, quarantined lanes — the one thing
+reset, checkpoints, quarantine and fault injection operate on.
+:class:`GemInterpreter` joins one of each with a compiled cycle.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import operator
 import time
 import zlib
@@ -73,8 +83,8 @@ import numpy as np
 from repro.core import isa
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import Container, GemProgram, parse_container
-from repro.core.engine import ExecutionEngine
-from repro.core.fused import FusedProgram, cycle_buffers, fused_program
+from repro.core.engine import ExecutionEngine, _DecodedRamOp, _decode_ramop
+from repro.core.fused import FusedProgram, cycle_buffers, fused_program, plan_key
 from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import MemoTable
 from repro.obs.trace import TRACER
@@ -93,24 +103,6 @@ class _DecodedLayer:
     or_b: list[np.ndarray]
     #: per fold step: (positions, slots) arrays
     writebacks: list[tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
-class _DecodedRamOp:
-    """A RAM port with decode-time index/weight tables (no per-bit loops)."""
-
-    spec: isa.RamOp
-    raddr_slots: np.ndarray
-    raddr_inv: np.ndarray  # uint64 lane masks, one per address bit
-    waddr_slots: np.ndarray
-    waddr_inv: np.ndarray
-    wdata_slots: np.ndarray
-    wdata_inv: np.ndarray
-    ren_slot: int
-    ren_inv: np.uint64
-    wen_slot: int
-    wen_inv: np.uint64
-    rd_gidx: np.ndarray
 
 
 @dataclass
@@ -179,16 +171,33 @@ class CycleCounters:
         return self.cycles * max(1, self.lanes)
 
 
-#: Decoded-partition memoization, keyed by (bitstream CRC, config digest,
-#: container size, batch).  The decoded tables are immutable at runtime,
-#: so sharing them across interpreter instances (Supervisor
-#: primary+shadow, repeated GemSimulator construction) is safe; batch is
-#: part of the key because decoded constants embed the engine's
-#: active-lane mask.
+#: Decoded-partition memoization, keyed like the fused plan
+#: (:func:`repro.core.fused.plan_key`: bitstream SHA-256, batch, loader
+#: sources).  The decoded tables are immutable at runtime, so sharing
+#: them across interpreter instances (Supervisor primary+shadow, repeated
+#: GemSimulator construction) is safe; batch is part of the key because
+#: decoded constants embed the engine's active-lane mask.
 _DECODES = MemoTable("decode", "partition-decode")
 #: hit/miss counters of the decode cache, and its reset (tests, benchmarks)
 decode_cache_stats = _DECODES.stats
 clear_decode_cache = _DECODES.clear
+
+
+def _decoded(key: tuple, container: Container, engine: ExecutionEngine) -> list[_DecodedPartition]:
+    """``container``'s partitions decoded for ``engine`` (memoized), their
+    RAM ports held against the container before anyone runs or fuses them."""
+
+    def decode() -> list[_DecodedPartition]:
+        with TRACER.span("decode", cat="compile", args={"partitions": len(container.partitions)}):
+            partitions = [_decode_partition(words, engine) for words in container.partitions]
+        _check_ram_ports(
+            [(pidx, op) for pidx, part in enumerate(partitions) for op in part.ramops],
+            [part.state_slots for part in partitions],
+            container,
+        )
+        return partitions
+
+    return _DECODES.get(key, decode)
 
 
 @dataclass(frozen=True)
@@ -201,7 +210,8 @@ class LoadedProgram:
     #: the parsed bitstream: global bits, RAM blocks, reset indices
     container: Container
     engine: ExecutionEngine
-    partitions: list[_DecodedPartition]
+    #: what decode and fusion are memoized (and the plan stored) under
+    key: tuple[str, int, str]
     #: per stage, the indices of its partitions
     stage_indices: list[list[int]]
     #: input port name -> global bit indices, LSB first
@@ -224,9 +234,25 @@ class LoadedProgram:
     po_lane0: np.ndarray
     fused: FusedProgram
 
+    @functools.cached_property
+    def partitions(self) -> list[_DecodedPartition]:
+        """The decoded instruction streams, for whoever executes them
+        literally (the reference and pruning interpreters).  The
+        executor runs :attr:`fused` and never asks, so a load served
+        from the fusion cache or the plan store decodes nothing; the
+        first read decodes (through the shared memo) and can raise
+        :class:`~repro.errors.BitstreamError`."""
+        return _decoded(self.key, self.container, self.engine)
+
 
 def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
-    """Parse, decode, check, plan and fuse ``program`` for ``batch`` lanes.
+    """Parse, check, plan and fuse ``program`` for ``batch`` lanes.
+
+    The fused plan comes from :func:`~repro.core.fused.fused_program` —
+    the in-process memo, the plan store, or decode + ``fuse()``, in that
+    order — and whichever tier serves it, the container is parsed and
+    CRC-checked and the plan's RAM ports are held against it here, as
+    the backend will hold the plan's tables against the buffers.
 
     Everything that can be wrong with a bitstream is raised here, before
     any state exists: :class:`~repro.errors.BitstreamError` from the
@@ -236,20 +262,15 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
     """
     engine = ExecutionEngine(batch)
     container = parse_container(program.words)
-    # The 32-bit words CRC alone is a weak identity: two compiles of the
-    # same circuit under different GemConfig knobs can, in principle,
-    # collide.  Folding the config digest in keys tuned and default
-    # decodes of one design independently.
-    key = (program.digest(), program.meta.config_digest, int(program.words.size), batch)
-
-    def decode() -> list[_DecodedPartition]:
-        with TRACER.span("decode", cat="compile", args={"partitions": len(container.partitions)}):
-            return [_decode_partition(words, engine) for words in container.partitions]
-
-    partitions = _DECODES.get(key, decode)
-    _check_ram_ports(partitions, container)
+    key = plan_key(program.words, batch)
     bounds = np.cumsum([0, *container.stage_counts]).tolist()
     stage_indices = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    fused = fused_program(
+        key, lambda: _decoded(key, container, engine), stage_indices, engine
+    )
+    _check_ram_ports(
+        [port for plan in fused.stages for port in plan.ramops], fused.arena_span, container
+    )
 
     def tables(index: dict[str, list[int]]) -> dict[str, np.ndarray]:
         return {name: np.asarray(bits, dtype=np.int64) for name, bits in index.items()}
@@ -267,7 +288,7 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
         program=program,
         container=container,
         engine=engine,
-        partitions=partitions,
+        key=key,
         stage_indices=stage_indices,
         pi_tables=pi_tables,
         pi_gidx=pi_gidx,
@@ -280,34 +301,34 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
         po_fields=[(name, lo, (1 << (hi - lo)) - 1) for name, lo, hi in po_slices],
         bit_words=np.array([0, engine.lane_mask], dtype=np.uint64),
         po_lane0=po_gidx * engine.words,
-        fused=fused_program(key, partitions, stage_indices, engine),
+        fused=fused,
     )
 
 
-def _check_ram_ports(partitions: list[_DecodedPartition], container: Container) -> None:
-    """Hold every RAMOP against the RAM section, the global state and
-    its own block's local state: an executor indexes all three
-    unchecked (the C kernel) or fails mid-run (numpy)."""
+def _check_ram_ports(ports: list, state_slots: list[int], container: Container) -> None:
+    """Hold every RAMOP — ``(partition index, decoded port)`` pairs, of
+    decoded partitions or of a fused plan — against the RAM section, the
+    global state and its own block's local state: an executor indexes
+    all three unchecked (the C kernel) or fails mid-run (numpy)."""
     rams = container.rams
-    for pidx, part in enumerate(partitions):
-        for op in part.ramops:
-            spec = op.spec
-            if spec.ram_index >= len(rams):
-                problem = f"names RAM block {spec.ram_index} of {len(rams)}"
-            elif (spec.addr_bits, spec.data_bits) != rams[spec.ram_index][:2]:
-                problem = (
-                    f"is {spec.addr_bits} x {spec.data_bits} bits, RAM block "
-                    f"{spec.ram_index} is {rams[spec.ram_index][:2]}"
-                )
-            elif spec.rd_global_base + spec.data_bits > container.global_bits:
-                problem = f"reads into global bits past {container.global_bits}"
-            elif part.state_slots <= max(
-                slot for slot, _ in (*spec.raddr, spec.ren, *spec.waddr, *spec.wdata, spec.wen)
-            ):
-                problem = f"references a slot past its block's {part.state_slots}"
-            else:
-                continue
-            raise BitstreamError(f"partition {pidx}: RAMOP {problem}")
+    for pidx, op in ports:
+        spec = op.spec
+        if spec.ram_index >= len(rams):
+            problem = f"names RAM block {spec.ram_index} of {len(rams)}"
+        elif (spec.addr_bits, spec.data_bits) != rams[spec.ram_index][:2]:
+            problem = (
+                f"is {spec.addr_bits} x {spec.data_bits} bits, RAM block "
+                f"{spec.ram_index} is {rams[spec.ram_index][:2]}"
+            )
+        elif spec.rd_global_base + spec.data_bits > container.global_bits:
+            problem = f"reads into global bits past {container.global_bits}"
+        elif state_slots[pidx] <= max(
+            slot for slot, _ in (*spec.raddr, spec.ren, *spec.waddr, *spec.wdata, spec.wen)
+        ):
+            problem = f"references a slot past its block's {state_slots[pidx]}"
+        else:
+            continue
+        raise BitstreamError(f"partition {pidx}: RAMOP {problem}")
 
 
 @dataclass
@@ -795,33 +816,6 @@ def _trace_cycle(interp: GemInterpreter, inject, inputs, readback):
     phases = {k: interp.phase_times[k] - before[k] for k in before}
     TRACER.cycle(interp.cycle - 1, t0, dur, phases)
     return out
-
-
-def _decode_ramop(op: isa.RamOp, engine: ExecutionEngine) -> _DecodedRamOp:
-    """Precompute index/inversion/weight tables for one RAM port."""
-
-    def refs(pairs: list[tuple[int, bool]]) -> tuple[np.ndarray, np.ndarray]:
-        slots = np.array([slot for slot, _ in pairs], dtype=np.int64)
-        inv = engine.const_mask(np.array([inv for _, inv in pairs], dtype=bool))
-        return slots, inv
-
-    raddr_slots, raddr_inv = refs(op.raddr)
-    waddr_slots, waddr_inv = refs(op.waddr)
-    wdata_slots, wdata_inv = refs(op.wdata)
-    return _DecodedRamOp(
-        spec=op,
-        raddr_slots=raddr_slots,
-        raddr_inv=raddr_inv,
-        waddr_slots=waddr_slots,
-        waddr_inv=waddr_inv,
-        wdata_slots=wdata_slots,
-        wdata_inv=wdata_inv,
-        ren_slot=op.ren[0],
-        ren_inv=engine.scalar_mask(op.ren[1]),
-        wen_slot=op.wen[0],
-        wen_inv=engine.scalar_mask(op.wen[1]),
-        rd_gidx=np.arange(op.rd_global_base, op.rd_global_base + op.data_bits),
-    )
 
 
 def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPartition:

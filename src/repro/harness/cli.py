@@ -464,6 +464,9 @@ def _run_plain(args, wl, tap=None) -> int:
             extras={
                 "config": "tuned" if getattr(args, "tuned_config", None) else "default",
                 "config_digest": design.report.config_digest,
+                # where the run ended up: two runs of one workload agree on it
+                # whatever tier their fused plan came from
+                "state_digest": f"{sim.state.digest():08x}",
                 **probe_extras,
             },
         )

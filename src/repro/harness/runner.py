@@ -24,6 +24,7 @@ import pickle
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
+from repro.core.cachefile import write_atomic
 from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig
 from repro.core.depth_opt import optimize
 from repro.core.synthesis import SynthesisResult, synthesize
@@ -118,7 +119,7 @@ def _load_cached(path: str, key: str):
     try:
         with open(path, "rb") as f:
             envelope = pickle.load(f)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # nothing cached (or nowhere to)
         return None
     except Exception as exc:
         _discard_cache_file(path, f"unreadable pickle ({type(exc).__name__}: {exc})")
@@ -161,11 +162,13 @@ def _cached(key: str, make: Callable[[], object], use_disk: bool = True):
     value = make()
     _memory_cache[key] = value
     if use_disk:
-        os.makedirs(CACHE_DIR, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            pickle.dump({"format": CACHE_FORMAT, "key": key, "value": value}, f)
-        os.replace(tmp, path)
+        envelope = {"format": CACHE_FORMAT, "key": key, "value": value}
+        try:
+            write_atomic(path, lambda f: pickle.dump(envelope, f))
+        except OSError as exc:
+            # the build may have taken minutes: a cache that cannot be
+            # written costs the next process a rebuild, not this one its result
+            logger.warning("cannot cache %s at %s (%s); it will be rebuilt", kind, path, exc)
     return value
 
 

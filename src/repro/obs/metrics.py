@@ -318,9 +318,13 @@ class MemoTable:
     """A small first-in-first-out memo whose traffic is counted: the
     decode cache (:mod:`repro.core.interpreter`) and the fusion cache
     (:mod:`repro.core.fused`) are one each.  Hits and misses are kept
-    locally (:meth:`stats`) and mirrored into the registry as
-    ``gem_<name>_cache_{hits,misses}_total``, evictions as
-    ``gem_cache_evictions_total{cache=<name>}``."""
+    locally (:meth:`stats` — the memory tier's view: anything not
+    resident is a miss, whoever ends up serving it) and mirrored into
+    the registry as ``gem_<name>_cache_{hits,misses}_total``, evictions
+    as ``gem_cache_evictions_total{cache=<name>}``.  A lookup that names
+    a second tier (``fetch``) labels its registry hits
+    ``tier="memory"`` / ``tier="disk"``, and a registry miss then means
+    what it means for the compile cache: the value was rebuilt."""
 
     CAPACITY = 8
 
@@ -339,25 +343,38 @@ class MemoTable:
         self._entries.clear()
         self._stats = {"hits": 0, "misses": 0}
 
-    def get(self, key, build):
-        """The entry under ``key``, built by ``build()`` on a miss (an
-        exception from ``build`` propagates and caches nothing)."""
-        entry = self._entries.get(key)
-        kind = "misses" if entry is None else "hits"
-        self._stats[kind] += 1
+    def _count(self, kind: str, tier: str | None = None) -> None:
         REGISTRY.counter(
-            f"gem_{self._name}_cache_{kind}_total", f"{self._what} cache {kind}"
+            f"gem_{self._name}_cache_{kind}_total",
+            f"{self._what} cache {kind}",
+            labels={"tier": tier} if tier else None,
         ).inc()
-        if entry is None:
+
+    def get(self, key, build, fetch=None):
+        """The entry under ``key``: resident, else whatever ``fetch()``
+        finds in the tier below (``None`` = not there), else built by
+        ``build()``.  An exception from either propagates and caches
+        nothing."""
+        entry = self._entries.get(key)
+        self._stats["misses" if entry is None else "hits"] += 1
+        if entry is not None:
+            self._count("hits", "memory" if fetch else None)
+            return entry
+        if fetch is not None:
+            entry = fetch()
+        if entry is not None:
+            self._count("hits", "disk")
+        else:
+            self._count("misses")
             entry = build()
-            while len(self._entries) >= self.CAPACITY:
-                self._entries.pop(next(iter(self._entries)))
-                REGISTRY.counter(
-                    "gem_cache_evictions_total",
-                    "LRU evictions per in-process cache",
-                    labels={"cache": self._name},
-                ).inc()
-            self._entries[key] = entry
+        while len(self._entries) >= self.CAPACITY:
+            self._entries.pop(next(iter(self._entries)))
+            REGISTRY.counter(
+                "gem_cache_evictions_total",
+                "FIFO evictions per in-process cache",
+                labels={"cache": self._name},
+            ).inc()
+        self._entries[key] = entry
         return entry
 
 

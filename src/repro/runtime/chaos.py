@@ -28,6 +28,10 @@ Scenarios (each deterministic per seed):
 ``corrupt-cache``
     Scribble over a compile-cache pickle; the cache must discard and
     rebuild instead of crashing or serving garbage.
+``corrupt-plan``
+    Scribble over a persisted fused plan, then put another batch's plan
+    in its place; both must be discarded and re-fused, and the
+    supervised run must stay bit-identical.
 ``save-oserror``
     Make every on-disk checkpoint write raise :class:`OSError`; the run
     must complete healthily on in-memory recovery points alone.
@@ -233,6 +237,71 @@ def scenario_corrupt_cache(seed: int, work_dir: str) -> ChaosOutcome:
     )
 
 
+def scenario_corrupt_plan(seed: int, work_dir: str) -> ChaosOutcome:
+    """A corrupted or misfiled plan file is discarded and re-fused, never
+    handed to the executor: the supervised run stays bit-identical."""
+    import glob
+    import random
+    import shutil
+
+    from repro.core import fused
+
+    design, stimuli = _compile_small(seed)
+    store = os.path.join(work_dir, f"plan-{seed}")
+
+    def discards() -> float:
+        return REGISTRY.snapshot().get('gem_cache_discards_total{cache="plan"}', 0.0)
+
+    before = discards()
+
+    def fresh_run(batch: int = 1) -> SupervisedRun:
+        fused.clear_fusion_cache()  # what a new process would see
+        return Supervisor(design, batch=batch).run(stimuli)
+
+    # the chaos designs are far below the persistence threshold: lower it
+    # for the scenario so that they are stored at all
+    with mock.patch.object(fused, "PERSIST_MIN_NODES", 0), mock.patch.dict(
+        os.environ, {"GEM_CACHE_DIR": store}
+    ):
+        golden = fresh_run()
+        paths = glob.glob(os.path.join(store, "plan-*.bin"))
+        if len(paths) != 1:
+            return ChaosOutcome("corrupt-plan", seed, False, f"expected 1 plan file, found {paths}")
+        (path,) = paths
+        with open(path, "rb") as f:
+            good = f.read()
+        # Crash- or disk-corrupted file: seeded garbage over the middle.
+        rng = random.Random(seed)
+        cut = rng.randrange(len(good))
+        with open(path, "wb") as f:
+            f.write(good[:cut] + rng.randbytes(64))
+        scribbled = fresh_run()
+        # Misfiled flavour: a whole, valid plan — of another batch.
+        fresh_run(batch=2)
+        (other,) = set(glob.glob(os.path.join(store, "plan-*.bin"))) - {path}
+        shutil.copyfile(other, path)
+        misfiled = fresh_run()
+        with open(path, "rb") as f:
+            healed = f.read() == good
+    fused.clear_fusion_cache()
+    for result, what in ((scribbled, "scribbled"), (misfiled, "misfiled")):
+        problem = _healthy_identical(result, golden)
+        if problem:
+            return ChaosOutcome(
+                "corrupt-plan", seed, False, f"{what} plan: {problem}", events=result.events
+            )
+    if discards() - before != 2:
+        return ChaosOutcome(
+            "corrupt-plan", seed, False,
+            f"expected 2 plan discards, counted {discards() - before:g}",
+        )
+    if not healed:
+        return ChaosOutcome("corrupt-plan", seed, False, "the rebuilt plan file differs")
+    return ChaosOutcome(
+        "corrupt-plan", seed, True, "scribbled + misfiled plans both discarded and re-fused"
+    )
+
+
 def scenario_save_oserror(seed: int, work_dir: str) -> ChaosOutcome:
     """Every on-disk checkpoint write fails; the run completes healthily
     on in-memory recovery points alone."""
@@ -406,6 +475,7 @@ def scenario_lane_quarantine(seed: int, work_dir: str) -> ChaosOutcome:
 SCENARIOS: dict[str, Callable[[int, str], ChaosOutcome]] = {
     "torn-checkpoint": scenario_torn_checkpoint,
     "corrupt-cache": scenario_corrupt_cache,
+    "corrupt-plan": scenario_corrupt_plan,
     "save-oserror": scenario_save_oserror,
     "midcycle-fault": scenario_midcycle_fault,
     "watchdog-hang": scenario_watchdog_hang,

@@ -18,6 +18,7 @@ class TestRegistry:
         assert set(SCENARIOS) == {
             "torn-checkpoint",
             "corrupt-cache",
+            "corrupt-plan",
             "save-oserror",
             "midcycle-fault",
             "watchdog-hang",
@@ -67,6 +68,11 @@ class TestScenarios:
             seeds=(11,), scenarios=("torn-checkpoint",), work_dir=str(tmp_path)
         )
         assert report.passed, report.summary()
+
+    def test_corrupt_plan_scenario(self, tmp_path):
+        report = run_chaos(seeds=(11,), scenarios=("corrupt-plan",), work_dir=str(tmp_path))
+        assert report.passed, report.summary()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_lane_quarantine_scenario(self, tmp_path):
         """Acceptance: quarantine keeps healthy lanes bit-identical."""

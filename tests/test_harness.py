@@ -58,6 +58,60 @@ class TestCache:
             f.write(b"not a pickle")
         assert runner._cached("test:bad", lambda: 7) == 7
 
+    def test_unwritable_cache_keeps_the_built_value(self, tmp_path, monkeypatch, caplog):
+        """A finished build (minutes, for nvdla) is returned even when its
+        cache write fails; the next process rebuilds.  (A regular file
+        where the directory should be is unwritable for root too.)"""
+        import logging
+
+        import repro.harness.runner as runner
+
+        blocker = tmp_path / "blocker"
+        blocker.write_text("in the way")
+        monkeypatch.setattr(runner, "CACHE_DIR", str(blocker / "cache"))
+        monkeypatch.setattr(runner, "_memory_cache", {})
+        calls = []
+
+        def make():
+            calls.append(1)
+            return {"v": 42}
+
+        with caplog.at_level(logging.WARNING):
+            assert runner._cached("test:key", make) == {"v": 42}
+        assert len(caplog.records) == 1 and "cannot cache test" in caplog.text
+        monkeypatch.setattr(runner, "_memory_cache", {})
+        assert runner._cached("test:key", make) == {"v": 42}
+        assert len(calls) == 2
+        assert blocker.read_text() == "in the way"
+
+    def test_failed_or_racing_writes_leave_no_temp_file(self, tmp_path, monkeypatch):
+        """Writers go through a uniquely named temp file: one that fails
+        mid-stream removes it, and two writers of one key never share it."""
+        import pickle
+
+        import repro.harness.runner as runner
+        from repro.core.cachefile import write_atomic
+
+        monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(runner, "_memory_cache", {})
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            runner._cached("test:unpicklable", lambda: (lambda: None))
+        assert not list(tmp_path.iterdir())
+
+        path = str(tmp_path / "test-shared.pkl")
+        seen = []
+
+        def outer(f):
+            f.write(b"outer")
+            # a second writer of the same path finishes while this one is mid-stream
+            write_atomic(path, lambda g: g.write(b"inner"))
+            seen.extend(sorted(p.name for p in tmp_path.iterdir()))
+
+        write_atomic(path, outer)
+        assert len(seen) == 2 and seen[0] == "test-shared.pkl" and seen[1].endswith(".tmp")
+        assert (tmp_path / "test-shared.pkl").read_bytes() == b"outer"
+        assert [p.name for p in tmp_path.iterdir()] == ["test-shared.pkl"]
+
 
 class TestPaperData:
     def test_table1_complete(self):

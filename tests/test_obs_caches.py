@@ -2,9 +2,16 @@
 
 Extends the basic cache tests in test_fused_engine with the scenarios
 the observability PR cares about: supervisor primary+shadow sharing,
-eviction past the 8-entry LRU bound, executor + reference-interpreter
+eviction past the 8-entry FIFO bound, executor + reference-interpreter
 sharing of one decode/fusion entry, and the mirroring of cache traffic
 into the metrics registry.
+
+Decode is demand-driven: a fusion miss decodes (fuse() reads the
+partitions), a fusion hit does not, and otherwise only the reference
+interpreter asks for partitions.  Every count here is taken against an
+empty cache directory of the test's own, so none depends on what an
+earlier run left in the plan store (tests/test_plan_store.py covers
+that tier).
 """
 
 import pytest
@@ -19,7 +26,8 @@ from tests.test_fused_engine import _compile_small
 
 
 @pytest.fixture(autouse=True)
-def _clean_caches():
+def _clean_caches(tmp_path, monkeypatch):
+    monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path / "cache"))
     clear_decode_cache()
     clear_fusion_cache()
     REGISTRY.clear()
@@ -36,12 +44,13 @@ def design():
 
 class TestSupervisorSharing:
     def test_primary_and_shadow_share_one_entry(self, design):
-        """Primary + redundant shadow decode and fuse exactly once."""
+        """Primary + redundant shadow decode and fuse exactly once: the
+        shadow's fusion hit never asks for the partitions."""
         circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)
         stimuli = random_vectors(circuit, seed=7, cycles=6)
         result = Supervisor(design, shadow="redundant", batch=2).run(stimuli)
         assert result.cycles == len(stimuli)
-        assert decode_cache_stats() == {"misses": 1, "hits": 1}
+        assert decode_cache_stats() == {"misses": 1, "hits": 0}
         assert fusion_cache_stats() == {"misses": 1, "hits": 1}
 
     def test_consecutive_supervised_runs_hit(self, design):
@@ -49,8 +58,8 @@ class TestSupervisorSharing:
         stimuli = random_vectors(circuit, seed=8, cycles=4)
         for _ in range(2):
             Supervisor(design, shadow="redundant", batch=2).run(stimuli)
-        stats = decode_cache_stats()
-        assert stats["misses"] == 1 and stats["hits"] == 3
+        assert fusion_cache_stats() == {"misses": 1, "hits": 3}
+        assert decode_cache_stats() == {"misses": 1, "hits": 0}
 
 
 class TestEviction:
@@ -67,10 +76,10 @@ class TestEviction:
         # batch=1 was the oldest entry: it must have been evicted.
         design.simulator(batch=1)
         assert decode_cache_stats()["misses"] == capacity + 2
-        # The newest key is still resident.
+        # The newest key is still resident (and its fusion hit decodes nothing).
         design.simulator(batch=capacity + 1)
-        assert decode_cache_stats()["hits"] == 1
-        assert fusion_cache_stats()["misses"] == capacity + 2
+        assert fusion_cache_stats() == {"misses": capacity + 2, "hits": 1}
+        assert decode_cache_stats() == {"misses": capacity + 2, "hits": 0}
         snap = REGISTRY.snapshot()
         assert snap['gem_cache_evictions_total{cache="decode"}'] >= 2
         assert snap['gem_cache_evictions_total{cache="fusion"}'] >= 2
@@ -95,12 +104,13 @@ class TestCrossMode:
 class TestRegistryMirroring:
     def test_cache_traffic_lands_in_registry(self, design):
         design.simulator(batch=2)
-        design.simulator(batch=2)
+        ReferenceInterpreter(design.program, batch=2)  # reads the partitions: a decode hit
         snap = REGISTRY.snapshot()
         assert snap["gem_decode_cache_misses_total"] == 1.0
         assert snap["gem_decode_cache_hits_total"] == 1.0
         assert snap["gem_fusion_cache_misses_total"] == 1.0
-        assert snap["gem_fusion_cache_hits_total"] == 1.0
+        assert snap['gem_fusion_cache_hits_total{tier="memory"}'] == 1.0
+        assert 'gem_fusion_cache_hits_total{tier="disk"}' not in snap
         assert snap["gem_decode_cache_misses_total"] == decode_cache_stats()[
             "misses"
         ]
@@ -109,7 +119,7 @@ class TestRegistryMirroring:
         design.simulator(batch=2)
         REGISTRY.reset()
         design.simulator(batch=2)
-        assert REGISTRY.snapshot()["gem_decode_cache_hits_total"] == 1.0
+        assert REGISTRY.snapshot()['gem_fusion_cache_hits_total{tier="memory"}'] == 1.0
 
     def test_registry_clear_does_not_break_counting(self, design):
         """Call sites fetch metrics get-or-create, so clear() between
@@ -117,4 +127,4 @@ class TestRegistryMirroring:
         design.simulator(batch=2)
         REGISTRY.clear()
         design.simulator(batch=2)
-        assert REGISTRY.snapshot()["gem_decode_cache_hits_total"] == 1.0
+        assert REGISTRY.snapshot()['gem_fusion_cache_hits_total{tier="memory"}'] == 1.0

@@ -185,6 +185,32 @@ def reseal(program, header=None, instructions=None, ram=None, reset=None):
     return GemProgram(words=words, meta=program.meta)
 
 
+@pytest.fixture
+def beside_a_stored_plan(tmp_path, monkeypatch):
+    """``store(program, batch)``: the plan of the *unmutated* program on
+    disk (every plan is stored, whatever its size) and nothing in the
+    in-process memos — so whatever the test then loads is loaded the way
+    a fresh process would, next to the original's stored plan, and has to
+    be refused (or fused anew) on its own words."""
+    from repro.core import fused
+    from repro.core.interpreter import clear_decode_cache, load_program
+
+    monkeypatch.setattr(fused, "PERSIST_MIN_NODES", 0)
+    monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path / "cache"))
+
+    def fresh_process():
+        fused.clear_fusion_cache()
+        clear_decode_cache()
+
+    def store(program, batch):
+        fresh_process()
+        load_program(program, batch)
+        assert len(list((tmp_path / "cache").glob("plan-*.bin"))) == 1
+        fresh_process()
+
+    return store
+
+
 def ramop_offsets(instructions):
     """Stream offsets of every RAMOP instruction."""
     offsets, pos = [], 0
@@ -214,6 +240,10 @@ class TestLoadTimeRamValidation:
     @pytest.fixture(scope="class")
     def program(self):
         return two_port_design().program
+
+    @pytest.fixture(autouse=True)
+    def _warm_store(self, program, beside_a_stored_plan):
+        beside_a_stored_plan(program, 4)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize(
@@ -252,7 +282,7 @@ class TestLoadTimeRamValidation:
         instructions = verify_integrity(program.words)[1].copy()
         _set_word(1, 9)(instructions, ramop_offsets(instructions)[0])
         with pytest.raises(BitstreamError, match="names RAM block 9"):
-            ReferenceInterpreter(reseal(program, instructions=instructions))
+            ReferenceInterpreter(reseal(program, instructions=instructions), batch=4)
 
 
 # -- the load boundary ------------------------------------------------------------
@@ -308,6 +338,10 @@ class TestLoadBoundary:
         assert design.program.meta.stage_partition_counts == [3, 1]
         assert design.simulator().ram_arrays
         return circuit, design
+
+    @pytest.fixture(autouse=True)
+    def _warm_store(self, compiled, beside_a_stored_plan):
+        beside_a_stored_plan(compiled[1].program, 1)
 
     @pytest.mark.parametrize("engine", [e[1] for e in ENGINES], ids=[e[0] for e in ENGINES])
     @pytest.mark.parametrize(

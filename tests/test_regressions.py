@@ -201,29 +201,44 @@ class TestConfigCacheKeying:
         )
         assert sorted(p.name for p in tmp_path.glob("compile-*.pkl")) == pickles
 
-    def test_decode_cache_is_config_keyed(self):
+    def test_decode_cache_is_config_keyed(self, tmp_path, monkeypatch):
+        """Decode and fusion are keyed by what they are functions of: the
+        SHA-256 of the bitstream words (plus batch and loader sources).
+        Two configs share an entry exactly when they assembled identical
+        words — the old CRC32 key needed the config digest folded in to
+        tell near-collisions apart; a cryptographic hash does not."""
         import copy
 
+        from repro.core.fused import clear_fusion_cache, fusion_cache_stats
         from repro.core.interpreter import clear_decode_cache, decode_cache_stats
 
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
         circ = random_circuit(33, n_ops=200, max_width=10, with_memory=False)
         design = GemCompiler(self._tiny_base()).compile(circ)
+        retuned = GemCompiler(
+            GemConfig(
+                partition=PartitionConfig(gates_per_partition=300, num_stages=1),
+                boomerang=BoomerangConfig(width_log2=9),
+            )
+        ).compile(circ)
+        assert retuned.program.digest() != design.program.digest()
+        # same words under another config label: the same program
         twin = copy.deepcopy(design)
-        # Same words, different effective config: exactly the collision the
-        # meta digest exists to prevent (a words CRC alone cannot see it).
         twin.program.meta.config_digest = "f" * 16
-        assert twin.program.digest() == design.program.digest()
 
         clear_decode_cache()
+        clear_fusion_cache()
         vec = random_vectors(circ, 7, cycles=1)[0]
-        design.simulator().step(vec)
-        twin.simulator().step(vec)
-        stats = decode_cache_stats()
-        assert stats["misses"] == 2, f"config twin served a stale decode: {stats}"
-        assert stats["hits"] == 0
+        want = design.simulator().step(vec)
+        assert retuned.simulator().step(vec) == want
+        assert decode_cache_stats() == {"misses": 2, "hits": 0}
+        assert fusion_cache_stats() == {"misses": 2, "hits": 0}
 
+        assert twin.simulator().step(vec) == want
         design.simulator().step(vec)
-        assert decode_cache_stats()["hits"] == 1  # true re-use still hits
+        assert fusion_cache_stats() == {"misses": 2, "hits": 2}  # true re-use hits
+        assert decode_cache_stats() == {"misses": 2, "hits": 0}  # and decodes nothing
+        assert not list(tmp_path.iterdir())  # far too small to persist
 
 
 class TestAutotuneSeedDeterminism:

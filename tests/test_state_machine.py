@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.compiler import compile_circuit
+from repro.obs.trace import TRACER
 from repro.runtime.checkpoint import checkpoint_from_words, checkpoint_to_words, restore, snapshot
 from repro.runtime.supervisor import Supervisor, state_digest, state_digest_lanes
 from repro.simref.isa_interp import ReferenceInterpreter
@@ -190,26 +191,41 @@ def reachable_digest(obj, h=0):
     return zlib.crc32(repr(obj).encode(), h)
 
 
-def test_a_run_never_writes_the_loaded_program():
+def test_a_run_never_writes_the_loaded_program(tmp_path, monkeypatch):
+    """Whether the program was fused in this process or read back from
+    the plan store (every plan is stored here, whatever its size)."""
+    from repro.core import fused
+
+    monkeypatch.setattr(fused, "PERSIST_MIN_NODES", 0)
+    monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
     circuit = random_circuit(711, n_ops=40, n_regs=3, with_memory=True)
     design = compile_circuit(circuit)
-    sim = design.simulator(batch=6)
-    other = design.simulator(batch=6)  # shares partitions and the fused program
     stimuli = random_vectors(circuit, 3, 12)
-    before = reachable_digest(sim.loaded)
-    assert before != reachable_digest(design.simulator(batch=7).loaded)  # it sees the tables
+    for tier in ("fuse", "disk"):
+        fused.clear_fusion_cache()  # the second pass starts like a new process
+        TRACER.clear()
+        TRACER.enable()
+        try:
+            sim = design.simulator(batch=6)
+        finally:
+            TRACER.disable()
+        assert [ev["args"]["tier"] for ev in TRACER.events() if ev["name"] == "plan"] == [tier]
+        other = design.simulator(batch=6)  # shares partitions and the fused program
+        assert sim.loaded.partitions is other.loaded.partitions  # decoded: the digest sees them
+        before = reachable_digest(sim.loaded)
+        assert before != reachable_digest(design.simulator(batch=7).loaded)  # it sees the tables
 
-    sim.run(stimuli[:5])
-    ckpt = snapshot(sim)
-    sim.quarantine_lanes([1, 4])
-    sim.run_lanes([[vec] * 6 for vec in stimuli[5:9]])
-    restore(sim, ckpt)
-    sim.step_arrays({name: np.arange(6) for name in sim.loaded.pi_tables})
-    sim.reset()
-    sim.run(stimuli)
+        sim.run(stimuli[:5])
+        ckpt = snapshot(sim)
+        sim.quarantine_lanes([1, 4])
+        sim.run_lanes([[vec] * 6 for vec in stimuli[5:9]])
+        restore(sim, ckpt)
+        sim.step_arrays({name: np.arange(6) for name in sim.loaded.pi_tables})
+        sim.reset()
+        sim.run(stimuli)
 
-    assert reachable_digest(sim.loaded) == before == reachable_digest(other.loaded)
-    assert other.cycle == 0 and state_digest(other) == state_digest(design.simulator(batch=6))
+        assert reachable_digest(sim.loaded) == before == reachable_digest(other.loaded)
+        assert other.cycle == 0 and state_digest(other) == state_digest(design.simulator(batch=6))
 
 
 def test_supervisor_primary_and_shadow_share_one_program(monkeypatch):
