@@ -3,7 +3,9 @@
 Each ``benchmarks/test_*`` file regenerates one paper artifact (see the
 per-experiment index in DESIGN.md).  Results are printed as paper-vs-
 measured tables and appended to ``benchmarks/results.json`` so
-EXPERIMENTS.md can be refreshed from a run.
+EXPERIMENTS.md can be refreshed from a run.  Wall-clock performance of
+the simulator itself is not measured here: that is ``benchmarks/e2e``
+(``BENCHMARK.json``), whose records ``gem-perf compare`` judges.
 
 Compiled designs are cached under ``.gem_cache/`` — the first full run
 takes a few minutes, later runs are seconds.
@@ -17,59 +19,6 @@ import os
 import pytest
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.json")
-REPORTS_DIR = os.path.join(os.path.dirname(__file__), "reports")
-
-#: row keys that map onto first-class RunReport fields; everything else
-#: (array-op counts, speedup ratios, ...) rides along in ``extras``.
-_REPORT_FIELDS = frozenset(
-    {"design", "workload", "batch", "engine_mode", "cycles", "elapsed_s",
-     "cycles_per_s", "lane_cycles_per_s"}
-)
-
-
-def write_run_reports(experiment_id: str, rows: list[dict]) -> list[str]:
-    """Write one ``RunReport`` per measured row under ``benchmarks/reports/``.
-
-    The rows are the dicts ``measure_batch_throughput`` returns — the
-    same shape the ``BENCH_*.json`` history stores — so the emitted
-    reports feed straight into ``gem-perf show``/``diff``/``compare``.
-    """
-    from repro.obs.report import build_run_report, write_report
-
-    os.makedirs(REPORTS_DIR, exist_ok=True)
-    paths: list[str] = []
-    for row in rows:
-        extras = {
-            k: v
-            for k, v in row.items()
-            if k not in _REPORT_FIELDS and k not in ("backend", "lane_words")
-        }
-        extras["experiment"] = experiment_id
-        report = build_run_report(
-            design=row["design"],
-            workload=row.get("workload", ""),
-            batch=int(row.get("batch", 1)),
-            engine_mode=row.get("engine_mode", "fused"),
-            cycles=int(row["cycles"]),
-            elapsed_s=float(row["elapsed_s"]),
-            backend=row.get("backend"),
-            lane_words=row.get("lane_words"),
-            extras=extras,
-            kind=f"benchmark/{experiment_id}",
-        )
-        backend_tag = row.get("backend")
-        suffix = f"_{backend_tag}" if backend_tag and backend_tag != "numpy" else ""
-        config_tag = row.get("config")
-        if config_tag and config_tag != "default":
-            suffix += f"_{config_tag}"
-        name = (
-            f"{experiment_id}_{report.design}_{report.engine_mode}"
-            f"_b{report.batch}{suffix}.json"
-        )
-        path = os.path.join(REPORTS_DIR, name)
-        write_report(report, path)
-        paths.append(path)
-    return paths
 
 
 def _load() -> dict:

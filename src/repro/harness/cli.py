@@ -28,7 +28,8 @@ Observability (docs/OBSERVABILITY.md): every command takes
 Perfetto, ring-buffered via ``--trace-buffer``), ``--report-out``
 (per-run :class:`~repro.obs.report.RunReport` JSON), and
 ``--metrics-out`` (Prometheus text).  ``gem-perf`` renders and diffs
-reports and gates them against the ``BENCH_*.json`` history.
+reports and judges two sets of ``benchmarks/e2e`` records by the
+benchmark's own bounds.
 
 Signal-level probes (docs/OBSERVABILITY.md): ``gem-run --probe [NETS]``
 compiles named nets into per-cycle engine taps; ``--vcd-out`` streams
@@ -426,17 +427,17 @@ def _run_plain(args, wl, tap=None) -> int:
     if tap is not None:
         tap.attach(sim)
     stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
-    t0 = time.time()
+    t0 = time.perf_counter()
     observed = []
     last = {}
     for vec in stimuli:
         last = sim.step(vec)
         if wl.valid_port in last and last.get(wl.valid_port):
             observed.append(last[wl.out_port])
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lanes = f" x {args.batch} lanes" if args.batch > 1 else ""
     vals = " 4-state" if args.values == 4 else ""
-    print(f"{args.design}/{wl.name}: {len(stimuli)} cycles{lanes} in {elapsed:.2f}s "
+    print(f"{args.design}/{wl.name}: {len(stimuli)} cycles{lanes} in {elapsed:.3f}s "
           f"({len(stimuli) * args.batch / max(elapsed, 1e-9):.0f} lane-cycles/s on this host, "
           f"{sim.mode}{vals} engine, {sim.backend.name} backend)")
     if args.values == 4:
@@ -470,15 +471,30 @@ def _run_plain(args, wl, tap=None) -> int:
                 **probe_extras,
             },
         )
-    if wl.expected_out is not None and not (args.values == 4 and args.x_reset):
-        status = "MATCH" if observed == wl.expected_out else "MISMATCH"
-        print(f"observable output stream: {observed} [{status}]")
-    else:
-        # With --values 4 under x-reset the expected 2-state stream does
-        # not apply (outputs may legitimately carry X), so just show state.
-        shown = {k: v for k, v in list(last.items())[:6]}
-        print(f"final outputs: {shown}")
-    return 0
+    if wl.expected_out is None:
+        print(f"final outputs: {dict(list(last.items())[:6])}")
+    return _output_verdict(args, wl, observed)
+
+
+def _output_verdict(args, wl, observed: list[int]) -> int:
+    """Show the workload's observable stream and judge it when it can be.
+
+    Only a complete, known-value run from reset is held against
+    ``wl.expected_out``: it prints ``[MATCH]`` or ``[MISMATCH]`` and a
+    mismatch exits ``EXIT_MISMATCH``.  A truncated (``--max-cycles``),
+    resumed or x-reset run shows the stream it saw with no verdict — the
+    expected stream is the whole workload's, from known power-on state.
+    """
+    if wl.expected_out is None:
+        return EXIT_OK
+    whole_workload = not args.max_cycles or args.max_cycles >= len(wl.stimuli)
+    known_run = not (args.values == 4 and args.x_reset)
+    if not (whole_workload and known_run and args.resume is None):
+        print(f"observable output stream: {observed}")
+        return EXIT_OK
+    matched = observed == wl.expected_out
+    print(f"observable output stream: {observed} [{'MATCH' if matched else 'MISMATCH'}]")
+    return EXIT_OK if matched else EXIT_MISMATCH
 
 
 def _run_supervised(args, wl, tap=None) -> int:
@@ -491,7 +507,7 @@ def _run_supervised(args, wl, tap=None) -> int:
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir is None and (args.checkpoint_every or args.resume is not None):
         checkpoint_dir = os.path.join(".gem_checkpoints", args.design)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result = run_resilient(
             args.design,
@@ -515,10 +531,10 @@ def _run_supervised(args, wl, tap=None) -> int:
     except CheckpointError as exc:
         print(f"cannot resume: {exc}")
         return EXIT_CORRUPT_RESUME
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     probe_extras = _probe_extras(args, tap) if tap is not None else {}
     print(f"{args.design}/{wl.name}: {result.report()}")
-    print(f"  {result.cycles} cycles x {result.lanes} lanes in {elapsed:.2f}s "
+    print(f"  {result.cycles} cycles x {result.lanes} lanes in {elapsed:.3f}s "
           f"({result.cycles * result.lanes / max(elapsed, 1e-9):.0f} "
           f"supervised lane-cycles/s on this host)")
     if args.profile and any(result.phase_times.values()):
@@ -550,13 +566,8 @@ def _run_supervised(args, wl, tap=None) -> int:
         for out in result.outputs
         if wl.valid_port in out and out.get(wl.valid_port)
     ]
-    whole_workload = args.max_cycles is None or args.max_cycles >= len(wl.stimuli)
-    known_run = not (args.values == 4 and args.x_reset)
-    if wl.expected_out is not None and whole_workload and args.resume is None and known_run:
-        status = "MATCH" if observed == wl.expected_out else "MISMATCH"
-        print(f"observable output stream: {observed} [{status}]")
-        if status == "MISMATCH":
-            return EXIT_MISMATCH
+    if _output_verdict(args, wl, observed) == EXIT_MISMATCH:
+        return EXIT_MISMATCH
     if result.degraded:
         return EXIT_TIMEOUT if result.timeouts else EXIT_DEGRADED
     return EXIT_OK
@@ -579,11 +590,6 @@ def main_faultcampaign(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkpoint-every", type=int, default=8)
     parser.add_argument("--scrub-every", type=int, default=1)
     parser.add_argument("--max-retries", type=int, default=3)
-    parser.add_argument(
-        "--sequential", action="store_true",
-        help="one supervised run per trial (legacy) instead of lane-batched "
-        "trials sharing a single run per fault class",
-    )
     _add_log_level(parser)
     args = parser.parse_args(argv)
     _setup_logging(args)
@@ -600,7 +606,6 @@ def main_faultcampaign(argv: list[str] | None = None) -> int:
         checkpoint_every=args.checkpoint_every,
         scrub_every=args.scrub_every,
         max_retries=args.max_retries,
-        batched=not args.sequential,
     )
     print(report.summary())
     return 0 if report.passed else 1
@@ -746,13 +751,14 @@ def main_cosim(argv: list[str] | None = None) -> int:
 
 
 def main_perf(argv: list[str] | None = None) -> int:
-    """Render, diff, and regression-gate run telemetry (docs/OBSERVABILITY.md)."""
+    """Render and diff run reports, compare benchmark records (docs/OBSERVABILITY.md)."""
     import json
 
     from repro.obs.report import (
-        compare_to_bench,
+        compare_e2e,
         diff_reports,
         format_report,
+        load_e2e_records,
         load_report,
     )
     from repro.obs.trace import validate_trace
@@ -769,23 +775,15 @@ def main_perf(argv: list[str] | None = None) -> int:
     p_diff.add_argument("report_b")
 
     p_cmp = sub.add_parser(
-        "compare", help="gate a RunReport against BENCH_*.json history"
+        "compare",
+        help="judge two files or directories of benchmarks/e2e records by the "
+        "benchmark's own bounds (exit 1 = something is WORSE, 2 = nothing compared)",
     )
-    p_cmp.add_argument("report")
-    p_cmp.add_argument("bench", nargs="+", help="one or more BENCH_*.json files")
+    p_cmp.add_argument("parent")
+    p_cmp.add_argument("change")
     p_cmp.add_argument(
-        "--threshold", type=float, default=0.10, metavar="FRAC",
-        help="throughput-drop fraction that counts as a regression (default 0.10)",
-    )
-    p_cmp.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 on any regression (default: warn only)",
-    )
-    p_cmp.add_argument(
-        "--config", default=None, metavar="LABEL",
-        help="compare only against bench rows with this config label "
-        "(e.g. 'default' or 'tuned'); default: match the report's own "
-        "config label, or any row when neither side is labelled",
+        "benchmark", nargs="?", default="BENCHMARK.json",
+        help="the benchmark declaration naming each metric's direction and bound",
     )
 
     p_val = sub.add_parser(
@@ -817,34 +815,17 @@ def main_perf(argv: list[str] | None = None) -> int:
         return 0
 
     # compare
-    report = load_report(args.report)
-    regressions = 0
-    compared = 0
-    import os
-
-    for bench_path in args.bench:
-        with open(bench_path) as f:
-            bench = json.load(f)
-        comparisons, notes = compare_to_bench(
-            report, bench,
-            threshold=args.threshold,
-            source=os.path.basename(bench_path),
-            config=args.config,
+    try:
+        with open(args.benchmark) as f:
+            declaration = json.load(f)
+        lines, worse = compare_e2e(
+            load_e2e_records(args.parent), load_e2e_records(args.change), declaration
         )
-        for note in notes:
-            print(f"note: {note}")
-        for cmp in comparisons:
-            compared += 1
-            regressions += cmp.regressed
-            print(f"{cmp.source}: {cmp.render()}")
-    if compared == 0:
-        print("no comparable baselines found (gate is vacuous)")
-    verdict = f"{regressions} regression(s) over {compared} comparison(s)"
-    if regressions and not args.strict:
-        print(f"WARNING: {verdict} (warn-only; pass --strict to gate)")
-        return 0
-    print(verdict)
-    return 1 if (regressions and args.strict) else 0
+    except (OSError, ValueError) as exc:
+        print(f"gem-perf compare: {exc}")
+        return EXIT_USAGE
+    print("\n".join(lines))
+    return 1 if worse else 0
 
 
 def main_fuzz(argv: list[str] | None = None) -> int:

@@ -9,6 +9,10 @@ Benchmarks regenerate the paper's tables from three kinds of data:
    reports events/toggles per cycle;
 3. **model speeds** — :mod:`repro.core.perfmodel` converts 1+2 into Hz.
 
+How fast the simulator itself runs on this host is not measured here:
+that is ``benchmarks/e2e`` (repeated samples, quartiles, host stamp),
+whose records ``gem-perf compare`` judges.
+
 Compiles of the full-scale designs take minutes, so results are cached in
 ``.gem_cache/`` (pickles keyed by design name and scale signature); delete
 the directory to force a rebuild.
@@ -412,60 +416,3 @@ def run_resilient(
         probe=probe,
     )
     return supervisor.run(stimuli, resume_from=resume_from)
-
-
-def measure_batch_throughput(
-    name: str,
-    workload: str | None = None,
-    *,
-    batch: int = 1,
-    max_cycles: int | None = None,
-    backend: str | None = None,
-    config: GemConfig | None = None,
-    config_label: str | None = None,
-    values: int = 2,
-) -> dict:
-    """Wall-clock lane throughput of the packed-lane *kernel* on a workload.
-
-    Drives a ``batch``-lane simulator with the workload's stimuli
-    broadcast to every lane through ``step()`` and reads back lane 0
-    only, so the rows this writes to ``BENCH_batch.json`` are
-    **kernel-only**: cycles×lanes per second with no per-lane inject and
-    no per-lane readback.  Running batch=1 B times sequentially yields
-    exactly the batch=1 ``lane_cycles_per_s``, so the ratio of this
-    metric across batch sizes is the kernel's batched-vs-sequential
-    speedup.  What a user with distinct per-lane stimuli and full
-    readback gets is ``lane_cycles_per_s`` of ``benchmarks/e2e``
-    (``kernel.cycles_per_s`` there is this series; ``lane_io_overhead_x``
-    is the ratio between the two).
-    """
-    import time
-
-    design = compile_design(name, config, values=values)
-    workloads = design_workloads(name)
-    wl = workloads[workload or next(iter(workloads))]
-    stimuli = wl.stimuli[:max_cycles] if max_cycles else wl.stimuli
-    sim = design.simulator(batch=batch, backend=backend)
-    t0 = time.perf_counter()
-    for vec in stimuli:
-        sim.step(vec)
-    elapsed = max(time.perf_counter() - t0, 1e-9)
-    cycles = len(stimuli)
-    per_cycle = sim.counters.per_cycle()
-    return {
-        "design": name,
-        "workload": wl.name,
-        "batch": batch,
-        "values": values,
-        "engine_mode": sim.mode,
-        "backend": sim.backend.name,
-        "config": config_label or ("default" if config is None else "custom"),
-        "config_digest": design.report.config_digest,
-        "lane_words": sim.engine.words,
-        "cycles": cycles,
-        "elapsed_s": elapsed,
-        "cycles_per_s": cycles / elapsed,
-        "lane_cycles_per_s": cycles * batch / elapsed,
-        "array_ops_per_cycle": per_cycle["array_ops"],
-        "fused_array_ops_per_cycle": per_cycle["fused_array_ops"],
-    }

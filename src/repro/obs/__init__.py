@@ -14,8 +14,9 @@ probe layer only *receives* core objects, it never imports them):
   compile cache, decode/fusion caches, supervisor, checkpoint manager
   and fault campaigns all publish here.
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` (rates,
-  counters, metric snapshot, environment) plus report diffing and the
-  ``BENCH_*.json`` regression gate behind ``gem-perf``.
+  counters, metric snapshot, environment), report diffing, and the
+  parent-vs-change judgement of ``benchmarks/e2e`` records behind
+  ``gem-perf compare``.
 * :mod:`repro.obs.probe` — signal-level taps: named nets resolved to
   engine state slots, captured per cycle as packed lane planes into a
   bounded waveform ring (``gem-run --vcd-out``) and activity sinks.
@@ -47,10 +48,11 @@ from repro.obs.probe import (
 from repro.obs.report import (
     RunReport,
     build_run_report,
-    compare_to_bench,
+    compare_e2e,
     diff_reports,
     environment_info,
     format_report,
+    load_e2e_records,
     load_report,
     write_report,
 )
@@ -72,7 +74,7 @@ __all__ = [
     "WaveRing",
     "build_probe_plan",
     "build_run_report",
-    "compare_to_bench",
+    "compare_e2e",
     "diff_reports",
     "dump_divergence_waves",
     "environment_info",
@@ -80,6 +82,7 @@ __all__ = [
     "format_report",
     "hot_nets",
     "list_nets",
+    "load_e2e_records",
     "load_report",
     "probe_catalog",
     "publish_net_activity",

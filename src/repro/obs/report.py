@@ -1,19 +1,18 @@
-"""Per-run :class:`RunReport` and the perf-regression gate.
+"""Per-run :class:`RunReport`, and the judgement of benchmark records.
 
-Every measured execution — ``gem-run`` (plain or supervised),
-:func:`repro.harness.runner.run_resilient`, and the benchmark harness —
-can write one JSON ``RunReport``: what ran (design/workload/batch/engine
-mode), how fast (wall seconds, cycles/s, lane-cycles/s), the work
-counters and phase timers behind the rates, a full metric-registry
-snapshot, and the environment that produced the numbers (python/numpy
-versions, platform, CPU count).  Reports are the currency of ``gem-perf``:
+Every measured execution — ``gem-run`` (plain or supervised) and
+:func:`repro.harness.runner.run_resilient` — can write one JSON
+``RunReport``: what ran (design/workload/batch/engine mode), how fast
+(wall seconds, cycles/s, lane-cycles/s), the work counters and phase
+timers behind the rates, a full metric-registry snapshot, and the
+environment that produced the numbers (python/numpy versions, platform,
+CPU count).  A report is one sample of one run; ``gem-perf show`` renders
+it and ``gem-perf diff a.json b.json`` sets two side by side.
 
-* ``gem-perf show report.json`` renders one;
-* ``gem-perf diff a.json b.json`` compares two field by field;
-* ``gem-perf compare report.json BENCH_cycle.json`` matches the report
-  against the benchmark history rows (same design + engine mode + batch)
-  and flags throughput regressions beyond a configurable threshold —
-  warn-only by default, a hard gate with ``--strict``.
+Whether a change made the simulator faster or slower is decided from
+repeated samples, not from a report: ``gem-perf compare PARENT CHANGE``
+reads two sets of ``benchmarks/e2e`` records and applies the benchmark's
+own bounds to their medians and spread (:func:`judge`).
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ from typing import Mapping
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
 SCHEMA_VERSION = 1
-
-#: throughput fields the regression gate compares (higher is better)
-RATE_FIELDS = ("cycles_per_s", "lane_cycles_per_s")
 
 
 def environment_info() -> dict:
@@ -97,7 +93,7 @@ def build_run_report(
 
     ``backend``/``lane_words`` record the execution backend and the
     lane-plane word count K in ``environment`` (and as the
-    ``gem_backend_info`` metric) so ``gem-perf diff``/``compare`` can
+    ``gem_backend_info`` metric) so ``gem-perf show``/``diff`` can
     tell a native run from a numpy run of the same design.
     """
     elapsed = max(elapsed_s, 1e-9)
@@ -241,111 +237,138 @@ def diff_reports(a: RunReport, b: RunReport) -> list[FieldDiff]:
     return diffs
 
 
-# -- the BENCH_*.json regression gate -----------------------------------------
+# -- gem-perf compare: two sets of benchmarks/e2e records, one rule -----------
 
 
-@dataclass
-class BenchComparison:
-    """One report-vs-baseline rate comparison."""
+def _e2e_records(doc, depth: int = 4):
+    """Records are known by shape wherever they sit in ``doc``: whole (a
+    ``detail-*.json``) or inside the ``sets`` of a ``results.json``."""
+    result = doc.get("result") if isinstance(doc, dict) else None
+    if (
+        isinstance(result, dict)
+        and {"workload", "comparable"} <= doc.keys()
+        and {"metrics", "attempted", "failed"} <= result.keys()
+    ):
+        yield doc
+    elif depth and isinstance(doc, (dict, list)):
+        for child in doc.values() if isinstance(doc, dict) else doc:
+            yield from _e2e_records(child, depth - 1)
 
-    metric: str
-    baseline: float
-    current: float
-    threshold: float
-    source: str
 
-    @property
-    def ratio(self) -> float:
-        return self.current / self.baseline if self.baseline else float("inf")
+def load_e2e_records(path: str) -> list[dict]:
+    """Every ``benchmarks/e2e`` record in a JSON file, or in the ``*.json``
+    of a directory in name order (pairs are formed by position, so name
+    the files of alternating runs in run order).  Other JSON (trace spans,
+    cache sidecars) holds no record and is skipped; a record met twice —
+    a detail file and the results.json embedding it — counts once."""
+    names = [path]
+    if os.path.isdir(path):
+        names = sorted(os.path.join(path, n) for n in os.listdir(path) if n.endswith(".json"))
+    found: dict[str, dict] = {}
+    for name in names:
+        with open(name) as f:
+            for record in _e2e_records(json.load(f)):
+                found.setdefault(json.dumps(record, sort_keys=True), record)
+    return list(found.values())
 
-    @property
-    def regressed(self) -> bool:
-        return self.baseline > 0 and self.ratio < (1.0 - self.threshold)
 
-    def render(self) -> str:
-        verdict = "REGRESSION" if self.regressed else "ok"
-        return (
-            f"{self.metric:20s} baseline {self.baseline:>14,.0f}  "
-            f"current {self.current:>14,.0f}  ({self.ratio:6.2f}x)  [{verdict}]"
+def judge(parent: list[float], change: list[float], better: str, bound: float | None) -> dict:
+    """Both medians, the oriented change and the parent's IQR (fractions of
+    the parent's median, the change positive when better), the pairs won
+    and the verdict for one metric on one workload.  The rule is the
+    pipeline's: ``WORSE`` = median worse than the parent's by more than
+    ``bound``; ``better`` = median beyond the spread of the parent's own
+    runs (their interquartile distance) with nine tenths of the pairs won,
+    ties counting for neither — or every change run better than every
+    parent run; otherwise ``unresolved`` when that spread is wider than the
+    bound or a side has one run, else ``inside bound``.  A metric without a
+    bound (the per-layer ones) is ``recorded``, not judged."""
+    from statistics import median, quantiles  # not on the simulator's import path
+
+    sign = 1.0 if better == "higher" else -1.0
+    p_med, c_med = median(parent), median(change)
+    scale = abs(p_med) or 1.0
+    gain = sign * (c_med - p_med) / scale
+    q1, _, q3 = quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else [p_med] * 3
+    iqr = (q3 - q1) / scale
+    wins = None
+    if len(parent) == len(change):
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if bound is None:
+        verdict = "recorded"
+    elif gain < -bound:
+        verdict = "WORSE"
+    elif min(len(parent), len(change)) < 2:
+        verdict = "unresolved"
+    elif min(sign * c for c in change) > max(sign * p for p in parent) or (
+        gain > iqr and wins is not None and 10 * wins >= 9 * len(parent)
+    ):
+        verdict = "better"
+    else:
+        verdict = "unresolved" if iqr > bound else "inside bound"
+    return dict(parent=p_med, change=c_med, gain=gain, iqr=iqr, wins=wins, verdict=verdict)
+
+
+def _by_workload(side: str, records: list[dict]) -> dict[str, dict]:
+    """``{workload: {"failed", "attempted", "runs": {metric: values in read
+    order}}}``; refuses records that say they are not comparable."""
+    quick = sum(not record["comparable"] for record in records)
+    if quick:
+        raise ValueError(
+            f"{side}: {quick} of {len(records)} records are marked comparable: false "
+            f"(written by a --quick run); nothing compared"
         )
+    workloads: dict[str, dict] = {}
+    for record in records:
+        result = record["result"]
+        entry = workloads.setdefault(record["workload"], {"failed": 0, "attempted": 0, "runs": {}})
+        entry["failed"] += result["failed"]
+        entry["attempted"] += result["attempted"]
+        for name, reading in result["metrics"].items():
+            entry["runs"].setdefault(name, []).append(reading["value"])
+    return workloads
 
 
-def _bench_rows(bench: dict) -> list[dict]:
-    """Both ``BENCH_cycle.json`` and ``BENCH_batch.json`` carry their
-    measurements as a ``rows`` list of ``measure_batch_throughput``
-    dicts; tolerate a bare list too."""
-    if isinstance(bench, list):
-        return [r for r in bench if isinstance(r, dict)]
-    rows = bench.get("rows", [])
-    return [r for r in rows if isinstance(r, dict)]
-
-
-def compare_to_bench(
-    report: RunReport,
-    bench: dict,
-    *,
-    threshold: float = 0.10,
-    source: str = "bench",
-    config: str | None = None,
-) -> tuple[list[BenchComparison], list[str]]:
-    """Match ``report`` against the benchmark-history rows.
-
-    Rows are matched on (design, engine_mode, batch) — and on the
-    execution backend when both the report environment and the row carry
-    one, so native rows never gate a numpy run.  Likewise for the compile
-    ``config`` label (``default``/``tuned``, docs/TUNING.md): default and
-    tuned rows for the same design coexist in one bench file and a run is
-    gated only against rows with its own label.  ``config`` overrides the
-    report's label to diff explicitly against the other side.  Each
-    throughput field present on both sides becomes one
-    :class:`BenchComparison`.  Returns ``(comparisons, notes)`` — notes
-    explain silent non-matches so a gate never passes just because
-    nothing lined up.
-    """
-    backend = report.environment.get("backend") if report.environment else None
-    config_label = config or (report.extras or {}).get("config")
-    matches = [
-        row
-        for row in _bench_rows(bench)
-        if row.get("design") == report.design
-        and row.get("engine_mode", report.engine_mode) == report.engine_mode
-        and int(row.get("batch", report.batch)) == report.batch
-        and (
-            backend is None
-            or row.get("backend") is None
-            or row.get("backend") == backend
+def compare_e2e(parent: list[dict], change: list[dict], declaration: dict) -> tuple[list[str], bool]:
+    """The table ``gem-perf compare`` prints — per workload both sides ran,
+    its failed share and one row per metric both recorded — and whether
+    anything is ``WORSE`` (an end-to-end metric beyond its bound, or a
+    failed share that rose).  Directions and bounds are ``declaration``'s
+    (``BENCHMARK.json``).  Raises ``ValueError``, in words, when there is
+    nothing to compare."""
+    try:
+        declared = {m["name"]: m for m in declaration["end_to_end"] + declaration["per_layer"]}
+    except (KeyError, TypeError):
+        raise ValueError("the benchmark declaration lists no end_to_end / per_layer metrics") from None
+    parents, changes = _by_workload("parent", parent), _by_workload("change", change)
+    lines, worse = [], False
+    for workload, p in parents.items():
+        c = changes.get(workload)
+        if c is None:
+            continue
+        rose = c["failed"] * p["attempted"] > p["failed"] * c["attempted"]
+        worse |= rose
+        lines.append(
+            f"{workload}: failed {p['failed']}/{p['attempted']} -> "
+            f"{c['failed']}/{c['attempted']} checked lane-cycles"
+            + ("  [failed share WORSE]" if rose else "")
         )
-        and (
-            config_label is None
-            or row.get("config") is None
-            or row.get("config") == config_label
+        for name, p_runs in p["runs"].items():
+            c_runs = c["runs"].get(name)
+            if c_runs is None:
+                continue
+            spec = declared.get(name, {})
+            row = judge(p_runs, c_runs, spec.get("better", "lower"), spec.get("bound"))
+            worse |= row["verdict"] == "WORSE"
+            wins = "-" if row["wins"] is None else f"{row['wins']}/{len(p_runs)}"
+            lines.append(
+                f"  {name:34s} n {len(p_runs)}/{len(c_runs)}  "
+                f"{row['parent']:>12.6g} -> {row['change']:>12.6g} {spec.get('unit', ''):6s} "
+                f"IQR {row['iqr']:6.1%}  change {row['gain']:+7.1%}  wins {wins:>5s}  {row['verdict']}"
+            )
+    if not lines:
+        raise ValueError(
+            f"nothing in common: parent has {sorted(parents) or 'no records'}, "
+            f"change has {sorted(changes) or 'no records'}; nothing compared"
         )
-    ]
-    notes: list[str] = []
-    if not matches:
-        label = f"/{backend}" if backend else ""
-        if config_label:
-            label += f"/{config_label}"
-        notes.append(
-            f"{source}: no baseline row for {report.design}/"
-            f"{report.engine_mode}/batch={report.batch}{label}"
-        )
-        return [], notes
-    comparisons: list[BenchComparison] = []
-    for row in matches:
-        for metric in RATE_FIELDS:
-            baseline = row.get(metric)
-            current = getattr(report, metric, None)
-            if isinstance(baseline, (int, float)) and baseline > 0 and current:
-                comparisons.append(
-                    BenchComparison(
-                        metric=metric,
-                        baseline=float(baseline),
-                        current=float(current),
-                        threshold=threshold,
-                        source=source,
-                    )
-                )
-    if not comparisons:
-        notes.append(f"{source}: matching rows carry no comparable rate fields")
-    return comparisons, notes
+    return lines, worse

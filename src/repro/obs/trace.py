@@ -15,8 +15,8 @@ Design constraints, in order:
 1. **Zero cost when off.**  ``TRACER.enabled`` is a plain attribute;
    instrumented hot paths check it once and skip everything else.  The
    interpreter's fused cycle loop pays exactly one such check per
-   ``step`` when tracing is disabled (<5% overhead budget — enforced by
-   the ``gem-perf compare`` gate against ``BENCH_cycle.json``).
+   ``step`` when tracing is disabled; what tracing costs when it is on
+   is the ``trace.overhead_frac`` metric of ``benchmarks/e2e``.
 2. **Bounded memory.**  Events land in a ring buffer
    (``collections.deque`` with ``maxlen``): a multi-hour traced run
    keeps the newest ``capacity`` events and counts the rest in

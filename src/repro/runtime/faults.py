@@ -225,7 +225,6 @@ def run_campaign(
     checkpoint_every: int = 8,
     scrub_every: int = 1,
     max_retries: int = 3,
-    batched: bool = True,
 ) -> CampaignReport:
     """Run a full SEU campaign against one compiled design.
 
@@ -235,12 +234,10 @@ def run_campaign(
     *recovered* only if the supervised run finishes undegraded with
     outputs bit-identical to the golden ones.
 
-    With ``batched`` (the default) the state/RAM trials of each fault
-    class share a single lane-batched supervised run: trial ``t``'s
-    upset lands in stimulus lane ``t`` at its own cycle, and recovery is
-    judged per lane against the golden stream.  ``trials`` beyond 64 run
-    in word-sized chunks.  ``batched=False`` keeps the legacy
-    one-supervised-run-per-trial loop.
+    The state/RAM trials of each fault class share a single lane-batched
+    supervised run: trial ``t``'s upset lands in stimulus lane ``t`` at
+    its own cycle, and recovery is judged per lane against the golden
+    stream.  ``trials`` beyond 64 run in word-sized chunks.
     """
     stimuli = [dict(vec) for vec in stimuli]
     report = CampaignReport(design=name, cycles=len(stimuli), seed=seed)
@@ -270,38 +267,9 @@ def run_campaign(
         max_retries=max_retries,
     )
     for kind in kinds:
-        if batched:
-            _run_batched_trials(
-                design, stimuli, golden, kind, trials, injector, supervisor_args
-            )
-            continue
-        for _ in range(trials):
-            inject_at = injector.rng.randrange(1, max(2, len(stimuli)))
-            armed: dict[str, FaultRecord | None] = {"record": None}
-
-            def hook(interp: GemInterpreter, cycle: int, _kind=kind, _at=inject_at, _armed=armed) -> None:
-                if cycle == _at and _armed["record"] is None:
-                    if _kind == "state":
-                        _armed["record"] = injector.flip_state_bit(interp, cycle)
-                    else:
-                        _armed["record"] = injector.flip_ram_bit(interp, cycle)
-
-            supervisor = Supervisor(design, fault_hook=hook, **supervisor_args)
-            result = supervisor.run(stimuli)
-            record = armed["record"]
-            if record is None:  # pragma: no cover - defensive
-                continue
-            record.detected = result.faults_detected > 0
-            record.recovered = (
-                not result.degraded and result.outputs == golden
-            )
-            if record.recovered:
-                record.outcome = "recovered"
-            else:
-                record.outcome = "degraded" if result.degraded else "missed"
-                record.detail = (
-                    "degraded" if result.degraded else "outputs differ from golden"
-                )
+        _run_batched_trials(
+            design, stimuli, golden, kind, trials, injector, supervisor_args
+        )
     _publish_campaign(report)
     return report
 

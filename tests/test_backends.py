@@ -664,6 +664,21 @@ class TestRegistryDesigns:
         stimuli = next(iter(design_workloads("openpiton1").values())).stimuli
         self._run(design, stimuli, batch, tmp_path)
 
+    def test_four_state_costs_under_twice_the_fused_ops(self):
+        """The price of X/Z on the executor, as a count: the dual-rail
+        program has both rails and the x-prop glue in one schedule, and
+        dispatches 260 fused array ops a cycle where the 2-state compile
+        of the same design dispatches 137 (1.90x)."""
+        from repro.harness.runner import compile_design, design_workloads
+
+        stimulus = next(iter(design_workloads("openpiton1").values())).stimuli[0]
+        fused_ops = {}
+        for values in (2, 4):
+            sim = compile_design("openpiton1", values=values).simulator()
+            sim.step(stimulus)
+            fused_ops[values] = sim.counters.per_cycle()["fused_array_ops"]
+        assert fused_ops == {2: 137, 4: 260}
+
 
 class TestOracleEnrollment:
     """Backends ride the differential oracle at rotated lane batches."""

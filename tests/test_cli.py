@@ -30,7 +30,27 @@ class TestRunCommand:
     def test_run_reports_match(self, capsys):
         assert cli.main_run(["openpiton1", "ldst_quad2"]) == 0
         out = capsys.readouterr().out
-        assert "MATCH" in out
+        assert "[MATCH]" in out
+
+    def test_complete_run_off_the_expected_stream_exits_mismatch(self, capsys, monkeypatch):
+        import dataclasses
+
+        from repro.harness import runner
+
+        workloads = dict(runner.design_workloads("openpiton1"))
+        wl = workloads["ldst_quad2"]
+        workloads["ldst_quad2"] = dataclasses.replace(wl, expected_out=[*wl.expected_out, 0])
+        monkeypatch.setattr(runner, "design_workloads", lambda name: workloads)
+        assert cli.main_run(["openpiton1", "ldst_quad2"]) == cli.EXIT_MISMATCH
+        assert "[MISMATCH]" in capsys.readouterr().out
+
+    def test_truncated_run_shows_the_stream_without_a_verdict(self, capsys):
+        """The expected stream is the whole workload's: a run cut short by
+        --max-cycles cannot be held against it."""
+        assert cli.main_run(["openpiton1", "ldst_quad2", "--max-cycles", "30"]) == 0
+        out = capsys.readouterr().out
+        assert "observable output stream: [" in out
+        assert "MATCH]" not in out
 
     def test_run_default_workload(self, capsys):
         assert cli.main_run(["openpiton1"]) == 0
@@ -52,7 +72,7 @@ class TestRunCommand:
         """Lane 0 of a broadcast batched run reproduces the workload's
         expected observable stream exactly."""
         assert cli.main_run(["openpiton1", "ldst_quad2", "--batch", "8"]) == 0
-        assert "MATCH" in capsys.readouterr().out
+        assert "[MATCH]" in capsys.readouterr().out
 
 
 class TestCosimCommand:
@@ -125,7 +145,7 @@ class TestFaultCampaignCommand:
 class TestDispatcher:
     def test_main_routes_commands(self, capsys):
         assert cli.main(["run", "openpiton1", "ldst_quad2"]) == 0
-        assert "MATCH" in capsys.readouterr().out
+        assert "[MATCH]" in capsys.readouterr().out
 
     def test_main_routes_faultcampaign(self, capsys):
         assert cli.main([

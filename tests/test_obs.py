@@ -1,8 +1,9 @@
 """The repro.obs telemetry subsystem: tracer, metrics, reports, gem-perf.
 
 Covers the tracer's ring buffer and Chrome trace-event output, the
-metrics registry and its exporters, RunReport build/write/load/diff and
-the BENCH regression gate, interpreter reset semantics, and the CLI
+metrics registry and its exporters, RunReport build/write/load/diff,
+the parent-vs-change judgement of e2e records, interpreter reset
+semantics, and the CLI
 surface end to end (``gem-run --trace-out/--report-out/--metrics-out``,
 ``gem-perf show|diff|compare|validate-trace``, ``--log-level``).
 """
@@ -15,7 +16,6 @@ from repro.harness import cli
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.report import (
     build_run_report,
-    compare_to_bench,
     diff_reports,
     format_report,
     load_report,
@@ -228,7 +228,7 @@ class TestMetrics:
         assert snap["gem_interp_fold_steps"] == 100.0
 
 
-# -- reports and the regression gate ------------------------------------------
+# -- reports ------------------------------------------------------------------
 
 
 def _report(**overrides):
@@ -289,39 +289,6 @@ class TestRunReport:
         names = [d.name for d in diff_reports(a, b)]
         assert "cycles_per_s" in names
         assert "counters.array_ops" in names and "phase.fold" in names
-
-    def test_compare_to_bench_flags_regression(self):
-        bench = {
-            "rows": [
-                {
-                    "design": "rocketchip",
-                    "engine_mode": "fused",
-                    "batch": 1,
-                    "cycles_per_s": 1000.0,
-                    "lane_cycles_per_s": 1000.0,
-                }
-            ]
-        }
-        rep = _report()  # 200 cycles/s vs 1000 baseline: an 80% drop
-        comparisons, notes = compare_to_bench(rep, bench, threshold=0.10)
-        assert notes == []
-        assert len(comparisons) == 2
-        assert all(c.regressed for c in comparisons)
-        ok, _ = compare_to_bench(rep, bench, threshold=0.9)
-        assert not any(c.regressed for c in ok)
-
-    def test_compare_to_bench_notes_non_matches(self):
-        comparisons, notes = compare_to_bench(
-            _report(design="nvdla"), {"rows": [{"design": "rocketchip"}]}
-        )
-        assert comparisons == [] and any("no baseline row" in n for n in notes)
-
-    def test_compare_tolerates_engine_modeless_rows(self):
-        """BENCH_batch.json rows predate engine_mode; they still match."""
-        bench = [{"design": "rocketchip", "batch": 1, "cycles_per_s": 150.0}]
-        comparisons, notes = compare_to_bench(_report(), bench)
-        assert notes == [] and len(comparisons) == 1
-        assert not comparisons[0].regressed
 
 
 # -- interpreter reset + traced cycles ----------------------------------------
@@ -521,22 +488,163 @@ class TestPerfCommand:
         json.dump({"traceEvents": [{"ph": "Q"}]}, open(bad, "w"))
         assert cli.main_perf(["validate-trace", bad]) == 1
 
-    def test_compare_warn_only_vs_strict(self, capsys, reports, tmp_path):
-        a, _ = reports
-        bench = str(tmp_path / "bench.json")
-        json.dump({"rows": [{
-            "design": "rocketchip", "engine_mode": "fused", "batch": 1,
-            "cycles_per_s": 1e9, "lane_cycles_per_s": 1e9,
-        }]}, open(bench, "w"))
-        assert cli.main_perf(["compare", a, bench]) == 0  # warn-only
-        assert "WARNING" in capsys.readouterr().out
-        assert cli.main_perf(["compare", a, bench, "--strict"]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
 
-    def test_compare_vacuous_gate_is_explicit(self, capsys, reports, tmp_path):
-        a, _ = reports
-        bench = str(tmp_path / "bench.json")
-        json.dump({"rows": []}, open(bench, "w"))
-        assert cli.main_perf(["compare", a, bench]) == 0
-        out = capsys.readouterr().out
-        assert "no comparable baselines" in out
+# -- gem-perf compare: two sets of e2e records, the pipeline's rule ------------
+
+DECLARATION = {
+    "end_to_end": [
+        {"name": "load_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "lane_cycles_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ],
+    "per_layer": [{"name": "fused.fold_ms", "unit": "ms", "better": "lower"}],
+}
+UNITS = {m["name"]: m["unit"] for m in DECLARATION["end_to_end"] + DECLARATION["per_layer"]}
+
+
+def _e2e_record(metrics, *, workload="w", failed=0, comparable=True, measured_s=12.0):
+    """One detail record, field for field as ``run_workload`` in
+    ``benchmarks/e2e/run.py`` writes it: the measurement's own detail,
+    then ``comparable``, ``stamp``, ``failed_frac``, ``prime``, ``result``."""
+    attempted = 1000
+    return {
+        "workload": workload,
+        "seed": 11,
+        "trace": 0,
+        "rounds": 3,
+        "measured_s": measured_s,  # a clock reading: no two runs write the same record
+        "host_slowdown": 1.0,
+        "lane_cycles_per_pass": 486,
+        "samples": {"pass_s": {"median": 0.03, "q1": 0.03, "q3": 0.03, "n": 3}},
+        "setup_phases": {"import_s": 0.2},
+        "exact": {"outputs_sha256": "00", "counters_per_cycle": {"array_ops": 2893.0}},
+        "backend": "native",
+        "engine_mode": "fused",
+        "comparable": comparable,
+        "stamp": {"host": {"cpus": 2}, "git_sha": "unknown", "source_digest": "0" * 16},
+        "failed_frac": failed / attempted,
+        "prime": None,
+        "result": {
+            "correct": failed == 0,
+            "attempted": attempted,
+            "failed": failed,
+            "metrics": {k: {"value": v, "unit": UNITS[k]} for k, v in metrics.items()},
+        },
+    }
+
+
+def _write_side(directory, metric, values, **record_fields):
+    """One detail file per run, named in run order."""
+    directory.mkdir()
+    for run, value in enumerate(values):
+        with open(directory / f"detail-w-trace0-run{run:02d}.json", "w") as f:
+            json.dump(_e2e_record({metric: value}, measured_s=12.0 + run, **record_fields), f)
+    return str(directory)
+
+
+TEN = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]  # IQR 2%
+WIDE = [1.0, 1.6, 0.7, 1.3, 0.9, 1.5, 0.8, 1.2]  # IQR 50%, wider than the 25% bound
+
+#: id -> (metric, parent runs, change runs, verdict on the row, exit code)
+VERDICTS = {
+    "better-lower-10-of-10": ("load_s", TEN, [v * 0.5 for v in TEN], "better", 0),
+    "better-higher-10-of-10": ("lane_cycles_per_s", TEN, [v * 2 for v in TEN], "better", 0),
+    "nine-of-ten-wins-is-enough": ("load_s", TEN, [v * 0.9 for v in TEN[:9]] + [1.2], "better", 0),
+    "eight-of-ten-wins-is-not": (
+        "load_s", TEN, [v * 0.9 for v in TEN[:8]] + [1.2, 1.2], "inside bound", 0,
+    ),
+    "inside-the-parents-spread": ("load_s", TEN, [v * 0.99 for v in TEN], "inside bound", 0),
+    "worse-inside-bound": ("load_s", TEN, [v * 1.2 for v in TEN], "inside bound", 0),
+    "worse-lower-beyond-bound": ("load_s", TEN, [v * 1.3 for v in TEN], "WORSE", 1),
+    "worse-higher-beyond-bound": ("lane_cycles_per_s", TEN, [v * 0.7 for v in TEN], "WORSE", 1),
+    "spread-wider-than-bound": ("load_s", WIDE, [v * 0.95 for v in WIDE], "unresolved", 0),
+    "wide-but-every-run-better": ("load_s", WIDE, [0.5] * 8, "better", 0),
+    "wide-and-beyond-bound": ("load_s", WIDE, [v * 1.5 for v in WIDE], "WORSE", 1),
+    "one-run-a-side-never-better": ("load_s", [1.0], [0.1], "unresolved", 0),
+    "one-run-a-side-still-worse": ("load_s", [1.0], [2.0], "WORSE", 1),
+    "unequal-counts-no-pairs": ("load_s", TEN, [v * 0.5 for v in TEN[:7]], "better", 0),
+    "per-layer-has-no-bound": ("fused.fold_ms", TEN, [v * 3 for v in TEN], "recorded", 0),
+}
+
+
+class TestCompareCommand:
+    @pytest.fixture()
+    def declaration(self, tmp_path):
+        path = tmp_path / "BENCHMARK.json"
+        path.write_text(json.dumps(DECLARATION))
+        return str(path)
+
+    def _compare(self, capsys, *argv):
+        rc = cli.main_perf(["compare", *argv])
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", VERDICTS)
+    def test_verdict_table(self, case, tmp_path, capsys, declaration):
+        metric, parent, change, verdict, exit_code = VERDICTS[case]
+        rc, out = self._compare(
+            capsys,
+            _write_side(tmp_path / "parent", metric, parent),
+            _write_side(tmp_path / "change", metric, change),
+            declaration,
+        )
+        (row,) = [line for line in out.splitlines() if line.split()[0] == metric]
+        assert row.endswith(f"  {verdict}"), out
+        assert f"n {len(parent)}/{len(change)}" in row
+        assert (row.split("wins")[1].split()[0] == "-") == (len(parent) != len(change))
+        assert rc == exit_code
+
+    def test_risen_failed_share_exits_one(self, tmp_path, capsys, declaration):
+        parent = _write_side(tmp_path / "parent", "load_s", TEN)
+        change = _write_side(tmp_path / "change", "load_s", TEN, failed=3)
+        rc, out = self._compare(capsys, parent, change, declaration)
+        assert rc == 1 and "failed 0/10000 -> 30/10000" in out and "failed share WORSE" in out
+        rc, out = self._compare(capsys, change, change, declaration)
+        assert rc == 0 and "failed share WORSE" not in out  # as bad as before is not worse
+
+    def test_nothing_in_common_exits_two(self, tmp_path, capsys, declaration):
+        parent = _write_side(tmp_path / "parent", "load_s", TEN, workload="a")
+        change = _write_side(tmp_path / "change", "load_s", TEN, workload="b")
+        rc, out = self._compare(capsys, parent, change, declaration)
+        assert rc == cli.EXIT_USAGE and "nothing in common" in out
+        (tmp_path / "empty").mkdir()
+        rc, out = self._compare(capsys, parent, str(tmp_path / "empty"), declaration)
+        assert rc == cli.EXIT_USAGE and "no records" in out
+
+    @pytest.mark.parametrize("quick_side", ["parent", "change"])
+    def test_not_comparable_record_exits_two(self, quick_side, tmp_path, capsys, declaration):
+        sides = {
+            side: _write_side(tmp_path / side, "load_s", TEN, comparable=side != quick_side)
+            for side in ("parent", "change")
+        }
+        rc, out = self._compare(capsys, sides["parent"], sides["change"], declaration)
+        assert rc == cli.EXIT_USAGE
+        assert f"{quick_side}: 10 of 10 records are marked comparable: false" in out
+
+    def test_missing_or_wrong_declaration_exits_two(self, tmp_path, capsys):
+        side = _write_side(tmp_path / "parent", "load_s", TEN)
+        rc, out = self._compare(capsys, side, side, str(tmp_path / "absent.json"))
+        assert rc == cli.EXIT_USAGE and "absent.json" in out
+        rc, out = self._compare(capsys, side, side, side + "/detail-w-trace0-run00.json")
+        assert rc == cli.EXIT_USAGE and "declaration lists no" in out
+
+    def test_results_json_and_detail_files_give_the_same_table(self, tmp_path, capsys, declaration):
+        """Two ``sets`` of a results.json are two runs; spans and other JSON
+        beside the records are skipped; a detail file that the results.json
+        embeds counts once."""
+        change = _write_side(tmp_path / "change", "load_s", [0.5, 0.6])
+        runs = [_e2e_record({"load_s": v}, measured_s=12 + v) for v in (1.0, 1.1)]
+        layers = [_e2e_record({"fused.fold_ms": v}, measured_s=v) | {"trace": 1} for v in (0.03, 0.04)]
+        results = {
+            "benchmark": "benchmarks/e2e",
+            "comparable": True,
+            "sets": [{"w": {"end_to_end": r, "trace": t}} for r, t in zip(runs, layers)],
+        }
+        parent = tmp_path / "parent"
+        parent.mkdir()
+        (parent / "results.json").write_text(json.dumps(results))
+        _, from_results = self._compare(capsys, str(parent / "results.json"), change, declaration)
+        (parent / "detail-w-trace0.json").write_text(json.dumps(runs[1]))
+        (parent / "trace-w.json").write_text(json.dumps({"traceEvents": [{"name": "a", "ph": "i"}]}))
+        (parent / "native-0.json").write_text(json.dumps(["cc", "-O2"]))
+        rc, from_directory = self._compare(capsys, str(parent), change, declaration)
+        assert rc == 0 and from_directory == from_results
+        assert "n 2/2" in from_results and "better" in from_results

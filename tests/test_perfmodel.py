@@ -1,8 +1,5 @@
 """Performance model behaviour (repro.core.perfmodel + calibration)."""
 
-import json
-import os
-
 import pytest
 
 from repro.core.boomerang import BoomerangConfig
@@ -184,40 +181,3 @@ class TestTuningScoreSanity:
         assert score["stages"] == 2
         assert score["partitions"] == 8
         assert score["work_bits"] == sum(m.stage_work_bits)
-
-
-class TestBenchCalibration:
-    """The analytical fused-vs-legacy ranking must agree in *direction*
-    with the measured BENCH_cycle.json rows — the same sanity the
-    autotuner relies on when its model filter picks finalists."""
-
-    BENCH = os.path.join(
-        os.path.dirname(__file__), os.pardir, "BENCH_cycle.json"
-    )
-
-    def _default_rows(self):
-        with open(self.BENCH) as f:
-            payload = json.load(f)
-        # tuned rows carry a config label (docs/TUNING.md); the calibration
-        # pin compares the plain default-config pairs only.
-        return [
-            r for r in payload["rows"] if r.get("config") in (None, "default")
-        ]
-
-    def test_fused_direction_agrees_with_measurement(self):
-        rows = self._default_rows()
-        by_key = {(r["design"], r["engine_mode"]): r for r in rows}
-        designs = sorted({r["design"] for r in rows})
-        assert designs, "BENCH_cycle.json has no default rows"
-        for design in designs:
-            legacy = by_key[(design, "legacy")]
-            fused = by_key[(design, "fused")]
-            measured_fused_wins = fused["cycles_per_s"] > legacy["cycles_per_s"]
-            # the analytical proxy: fusion wins iff it dispatches fewer
-            # array ops per cycle than the legacy interpreter
-            model_fused_wins = (
-                fused["fused_array_ops_per_cycle"] < fused["array_ops_per_cycle"]
-            )
-            assert measured_fused_wins == model_fused_wins, (
-                f"{design}: model and measurement disagree on fused-vs-legacy"
-            )

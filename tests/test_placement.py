@@ -237,6 +237,20 @@ class TestGoldenBitstreams:
             "nvdla": "5e338a53afaea7255c525f97047c5365635d3fda0d348a535112616afcd15cb4",
         }[name]
 
+    @pytest.mark.slow
+    def test_gemmini_array_ops_per_cycle(self):
+        """What that gemmini bitstream costs to run, as the two counts its
+        schedule fixes: the per-partition walk dispatches 2628 array ops a
+        cycle, the fused program 291 (9.03x fewer — on the deepest design
+        fusion amortises least; rocketchip's >= 10x is asserted in
+        tests/test_fused_engine.py)."""
+        from repro.harness.runner import compile_design, design_workloads
+
+        sim = compile_design("gemmini").simulator()
+        sim.step(next(iter(design_workloads("gemmini").values())).stimuli[0])
+        per_cycle = sim.counters.per_cycle()
+        assert (per_cycle["array_ops"], per_cycle["fused_array_ops"]) == (2628, 291)
+
 
 class TestPackedLayers:
     def test_cost_and_stats_read_the_packed_form(self, monkeypatch):

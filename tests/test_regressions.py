@@ -1,21 +1,16 @@
-"""Regression pins for two quiet behaviors that previously had no tests.
+"""Regression pins for quiet behaviors that previously had no tests.
 
-1. ``gem-perf compare`` with baselines that share no (design, workload,
-   batch, mode) key with the report: the gate is *vacuous* — it must say
-   so and exit 0 even under ``--strict`` (an empty comparison is not a
-   pass, but it is not a failure either; CI must not go red because a
-   bench file rotated).
-2. The ``FusionError`` guard: a stage in which one partition reads a
+1. The ``FusionError`` guard: a stage in which one partition reads a
    global bit another writes immediately cannot be scheduled reads-first,
    so ``fuse()`` must refuse it, and — there being no other way to run a
    program — the refusal must surface from ``GemSimulator(...)`` as a
    typed load error, not as a warning or a silent change of engine.
-3. Config-aware cache keying (docs/TUNING.md): tuned and default compiles
+2. Config-aware cache keying (docs/TUNING.md): tuned and default compiles
    of the same design must cache *independently* at both the runner layer
    (disk pickle per ``GemConfig.digest()``) and the interpreter's decode
    cache (``ProgramMeta.config_digest`` in the key) — before this keying a
    tuned compile could silently serve a default-config artifact.
-4. The autotuner seed-determinism pin: same seed + same design CRC must
+3. The autotuner seed-determinism pin: same seed + same design CRC must
    pick the identical winning config and produce a bit-identical
    bitstream across two fresh processes, regardless of PYTHONHASHSEED.
 """
@@ -31,59 +26,7 @@ import pytest
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.partition import PartitionConfig
-from repro.harness.cli import main_perf
-from repro.obs.report import build_run_report, write_report
 from tests.helpers import random_circuit, random_vectors
-
-
-def _report(tmp_path, design="nvdla", workload="idle", batch=1, mode="fused"):
-    report = build_run_report(
-        design=design,
-        workload=workload,
-        batch=batch,
-        engine_mode=mode,
-        cycles=1000,
-        elapsed_s=0.5,
-        registry=None,
-    )
-    path = str(tmp_path / "report.json")
-    write_report(report, path)
-    return path
-
-
-class TestPerfCompareVacuousGate:
-    def _bench(self, tmp_path, rows):
-        path = str(tmp_path / "BENCH_x.json")
-        with open(path, "w") as f:
-            json.dump(rows, f)
-        return path
-
-    def test_no_comparable_baselines_exits_zero_even_strict(self, tmp_path, capsys):
-        report = _report(tmp_path, design="nvdla")
-        bench = self._bench(
-            tmp_path,
-            [{"design": "rocketchip", "workload": "idle", "batch": 1,
-              "engine_mode": "fused", "lane_cycles_per_s": 1e6}],
-        )
-        rc = main_perf(["compare", report, bench, "--strict"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "no comparable baselines found (gate is vacuous)" in out
-        assert "0 regression(s) over 0 comparison(s)" in out
-
-    def test_matching_baseline_still_gates(self, tmp_path, capsys):
-        """Counter-case: with a comparable baseline 10x faster, --strict
-        exits 1 — proving the vacuous path is not swallowing regressions."""
-        report = _report(tmp_path)
-        bench = self._bench(
-            tmp_path,
-            [{"design": "nvdla", "workload": "idle", "batch": 1,
-              "engine_mode": "fused", "lane_cycles_per_s": 2000 * 10}],
-        )
-        rc = main_perf(["compare", report, bench, "--strict"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "no comparable baselines" not in out
 
 
 class TestFusionErrorGuard:

@@ -258,12 +258,3 @@ class TestCampaign:
             if r.kind == "state"
         ]
         assert sorted(state_lanes) == ["0", "1", "2"]
-
-    def test_sequential_mode_still_passes(self, compiled):
-        """Legacy one-run-per-trial path stays available behind a flag."""
-        _, design, stimuli, _ = compiled
-        report = run_campaign(
-            design, stimuli[:20], trials=2, seed=7, batched=False
-        )
-        assert report.passed
-        assert report.count("state", detected=True, recovered=True) == 2

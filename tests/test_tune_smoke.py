@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.core.autotune import AutotuneConfig, KnobSpace, autotune
+from repro.core.autotune import AutotuneConfig, KnobSpace, apply_knobs, autotune
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemConfig
 from repro.core.depth_opt import optimize
@@ -88,3 +88,32 @@ def test_bounded_measured_autotune(tmp_path):
     )
     assert rerun.cache_hit, "second autotune of the same design must not re-sweep"
     assert rerun.winner_knobs == result.winner_knobs
+
+
+def test_every_candidate_of_a_registry_sweep_simulates_like_the_default(tmp_path):
+    """Tuning changes how fast a design simulates, never what: on a registry
+    design, every config the stage-count sweep compiled — the winner among
+    them — reproduces the default config's outputs cycle for cycle over the
+    whole workload."""
+    import numpy as np
+
+    from repro.harness.runner import autotune_design, compile_design, design_workloads
+
+    result = autotune_design(
+        "openpiton1",
+        space=KnobSpace(gates_per_partition=(3072,), num_stages=(None, 2), sa_iterations=(0,)),
+        opts=AutotuneConfig(
+            budget=4, top_k=2, measure_cycles=24, repeats=2, seed=0, cache_dir=str(tmp_path)
+        ),
+    )
+    stimuli = next(iter(design_workloads("openpiton1").values())).stimuli
+    default = compile_design("openpiton1")
+    expected = default.simulator().run(stimuli)
+    swept = [c for c in result.candidates if c.status == "ok"]
+    assert result.winner_digest in {c.digest for c in swept}
+    distinct = 0
+    for candidate in swept:
+        design = compile_design("openpiton1", apply_knobs(GemConfig(), candidate.knobs))
+        distinct += not np.array_equal(design.program.words, default.program.words)
+        assert design.simulator().run(stimuli) == expected, candidate.knobs
+    assert distinct, "the sweep compiled nothing but the default bitstream"
