@@ -379,12 +379,13 @@ class SimState:
         """A snapshot sharing no array with this state."""
         return copy.deepcopy(self)
 
-    def assign(self, other: "SimState") -> None:
+    def assign(self, other: "SimState", engine: ExecutionEngine) -> None:
         """Overwrite this state with a copy of ``other``'s — after
         checking every shape, so a state that does not fit
         (``ValueError``) leaves this one untouched.  The quarantine
-        record stays: it says which lanes the *run* gave up on, and a
-        rollback to an earlier snapshot does not bring them back."""
+        record stays, and so does what it promises: it says which lanes
+        the *run* gave up on, a rollback to an earlier snapshot does not
+        bring them back, and their bits are zero afterwards."""
         theirs = [other.global_state, *other.ram_arrays]
         mine = [self.global_state, *self.ram_arrays]
         if [arr.shape for arr in theirs] != [arr.shape for arr in mine]:
@@ -396,16 +397,18 @@ class SimState:
             dst[:] = src
         self.counters = replace(other.counters, lanes=self.counters.lanes)
         self.cycle = other.cycle
+        if self.quarantined:
+            self.quarantine(engine, ())
 
     def quarantine(self, engine: ExecutionEngine, lanes: Iterable[int]) -> None:
-        """Zero ``lanes``' bits of the global state and their RAM images
-        and record them (see :meth:`GemInterpreter.quarantine_lanes`)."""
-        lanes = sorted({int(lane) for lane in lanes})
-        everyone = self.quarantined.union(lanes)
+        """Zero ``lanes``' bits — and those of every lane already on
+        record — in the global state and the RAM images, and record them
+        (see :meth:`GemInterpreter.quarantine_lanes`)."""
+        everyone = self.quarantined.union(int(lane) for lane in lanes)
         self.global_state &= ~engine.lanes_mask(everyone)  # raises before any write
         self.quarantined = everyone
         for arr in self.ram_arrays:
-            arr[lanes, :] = 0
+            arr[sorted(everyone), :] = 0
 
     def digest(self) -> int:
         """CRC32 over every array: the packed global state words (every

@@ -20,7 +20,7 @@ the recovery invariants end to end:
   retries under tightened grace, and degrades cleanly instead of
   spinning forever.
 
-Scenarios (each deterministic per seed):
+I/O scenarios (each deterministic per seed):
 
 ``torn-checkpoint``
     Truncate the newest checkpoint file and drop a stale ``*.tmp``;
@@ -35,24 +35,22 @@ Scenarios (each deterministic per seed):
 ``save-oserror``
     Make every on-disk checkpoint write raise :class:`OSError`; the run
     must complete healthily on in-memory recovery points alone.
-``midcycle-fault``
-    Flip a state bit mid-run (transient SEU); scrub must catch it and
-    rollback/replay must restore bit identity.
-``watchdog-hang``
-    Freeze progress against a fake clock; the deadline must trip,
-    retry with tightened grace, then degrade with outputs intact.
-``lane-quarantine``
-    Persistently corrupt one lane of a batched run; that lane must be
-    quarantined while every other lane stays bit-identical.
+
+The supervisor's own ladder is *enumerated*: :data:`LADDER` has one row
+per path through :func:`repro.runtime.supervisor.decide` — the fault to
+inject, the exact transition sequence the run must record, and how it
+must end (``midcycle-fault``, ``watchdog-hang``, ``lane-quarantine``,
+``retries-exhausted``, ``every-lane-quarantined``, ``transient-hang``).
 
 Every scenario outcome is counted in
 ``gem_chaos_scenarios_total{scenario,outcome}``
-(:mod:`repro.obs.metrics`).  The ``gem-chaos`` CLI (and the CI
-``chaos-smoke`` job) runs the full matrix over a handful of seeds.
+(:mod:`repro.obs.metrics`).  The ``gem-chaos`` CLI runs the full matrix
+over a handful of seeds; so does tier-1 (``tests/test_chaos.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import pickle
@@ -61,7 +59,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 from unittest import mock
 
-from repro.errors import StateCorruptionError
+import numpy as np
+
 from repro.obs.metrics import REGISTRY
 from repro.runtime.checkpoint import CheckpointManager, resolve_resume
 from repro.runtime.supervisor import SupervisedRun, Supervisor
@@ -99,7 +98,7 @@ class ChaosOutcome:
 
     def render(self) -> str:
         status = "ok  " if self.ok else "FAIL"
-        return f"{status} {self.scenario:18s} seed={self.seed:<4d} {self.detail}"
+        return f"{status} {self.scenario:22s} seed={self.seed:<4d} {self.detail}"
 
 
 @dataclass
@@ -335,141 +334,106 @@ def scenario_save_oserror(seed: int, work_dir: str) -> ChaosOutcome:
     )
 
 
-def scenario_midcycle_fault(seed: int, work_dir: str) -> ChaosOutcome:
-    """A transient mid-run SEU (state bit flip) is scrubbed out by
-    rollback/replay; outputs stay bit-identical."""
-    import numpy as np
+@dataclass(frozen=True)
+class LadderRow:
+    """One path through the supervisor's recovery ladder: what to inject
+    from the middle of the run on, and what the run must then record."""
 
+    batch: int
+    #: seed -> the lanes whose bit of one state word is flipped; ``None``: the
+    #: fake clock jumps 100 s instead (a hang)
+    lanes: Callable[[int], list[int]] | None
+    #: every cycle from the middle on — or that one cycle, the first time only
+    persistent: bool
+    #: the recorded transition kinds, in order (a fault with what
+    #: :func:`~repro.runtime.supervisor.decide` made of it, a degrade with why)
+    expect: tuple[str, ...]
+    #: ends on the gate-level fallback with the undisturbed outputs — or on
+    #: GEM, every lane not quarantined bit-identical to the undisturbed run
+    degraded: bool = False
+    #: :class:`Deadline` arguments (the fake clock is added)
+    deadline: dict | None = None
+
+
+_RETRY, _TIGHTEN = ("fault:retry", "rollback"), ("fault:tighten", "rollback")
+LADDER = {
+    "midcycle-fault": LadderRow(batch=1, lanes=lambda seed: [0], persistent=False, expect=_RETRY),
+    "watchdog-hang": LadderRow(
+        batch=1, lanes=None, persistent=True, degraded=True,
+        deadline={"wall_s": 5.0, "max_extensions": 2},
+        expect=("deadline", *_TIGHTEN * 2, "fault:degrade", "degrade:grace-exhausted"),
+    ),
+    "lane-quarantine": LadderRow(
+        batch=8, lanes=lambda seed: [seed % 8], persistent=True,
+        expect=(*_RETRY, "fault:quarantine", "quarantine", "rollback"),
+    ),
+    "retries-exhausted": LadderRow(
+        batch=1, lanes=lambda seed: [0], persistent=True, degraded=True,
+        expect=(*_RETRY * 3, "fault:degrade", "degrade:retries-exhausted"),
+    ),
+    "every-lane-quarantined": LadderRow(
+        batch=4, lanes=lambda seed: [0, 1, 2, 3], persistent=True, degraded=True,
+        expect=(*_RETRY, "fault:degrade", "quarantine", "degrade:every-lane-quarantined"),
+    ),
+    "transient-hang": LadderRow(
+        batch=1, lanes=None, persistent=False, deadline={"wall_s": 5.0},
+        expect=("deadline", *_TIGHTEN),
+    ),
+}
+
+
+def _label(transition) -> str:
+    """A transition's kind — a fault's with what ``decide`` made of it, a
+    degrade's with why."""
+    detail = transition.detail
+    qualifier = detail["action"].kind if transition.kind == "fault" else detail.get("reason")
+    return f"{transition.kind}:{qualifier}" if qualifier else transition.kind
+
+
+def scenario_ladder(name: str, seed: int, work_dir: str) -> ChaosOutcome:
+    """Run :data:`LADDER` row ``name``: the recorded transitions are the
+    row's, and the run ends the way the row says."""
+    row = LADDER[name]
     design, stimuli = _compile_small(seed)
-    golden = Supervisor(design).run(stimuli)
-    target = len(stimuli) // 2
-    fired = []
+    golden = Supervisor(design, batch=row.batch).run(stimuli)
+    clock, middle, struck = FakeClock(), len(stimuli) // 2, []
+    lanes = row.lanes(seed) if row.lanes else None
 
-    def flip_once(interp, cycle: int) -> None:
-        if cycle == target and not fired:
-            fired.append(cycle)
-            idx = seed % interp.global_state.size
-            interp.global_state[idx] ^= np.uint64(1)
-
-    result = Supervisor(
-        design, checkpoint_every=6, fault_hook=flip_once
-    ).run(stimuli)
-    problem = _healthy_identical(result, golden)
-    if problem:
-        return ChaosOutcome(
-            "midcycle-fault", seed, False, problem, events=result.events
-        )
-    if result.faults_detected < 1:
-        return ChaosOutcome(
-            "midcycle-fault", seed, False, "injected flip was never detected"
-        )
-    return ChaosOutcome(
-        "midcycle-fault", seed, True,
-        f"flip at cycle {target} detected and replayed away",
-    )
-
-
-def scenario_watchdog_hang(seed: int, work_dir: str) -> ChaosOutcome:
-    """A simulated hang trips the wall-clock deadline; grace shrinks,
-    exhausts, and the run degrades with outputs intact."""
-    design, stimuli = _compile_small(seed)
-    golden = Supervisor(design).run(stimuli)
-    clock = FakeClock()
-    hang_at = len(stimuli) // 2
-
-    def hang(interp, cycle: int) -> None:
-        # Healthy cycles take 10ms of fake time; from hang_at on, every
-        # cycle stalls for 100 fake seconds — progress effectively stops.
-        clock.advance(100.0 if cycle >= hang_at else 0.01)
-
-    timeouts_before = REGISTRY.counter(
-        "gem_supervisor_timeouts_total",
-        help="watchdog deadline expiries hit by supervised runs",
-    ).value
-    result = Supervisor(
-        design,
-        checkpoint_every=6,
-        fault_hook=hang,
-        deadline=Deadline(wall_s=5.0, clock=clock, max_extensions=2),
-    ).run(stimuli)
-    timeouts_after = REGISTRY.counter(
-        "gem_supervisor_timeouts_total",
-        help="watchdog deadline expiries hit by supervised runs",
-    ).value
-    if not result.degraded:
-        return ChaosOutcome(
-            "watchdog-hang", seed, False, "hung run did not degrade",
-            events=result.events,
-        )
-    if result.timeouts < 1 or timeouts_after <= timeouts_before:
-        return ChaosOutcome(
-            "watchdog-hang", seed, False, "timeout was not counted in metrics"
-        )
-    if result.outputs != golden.outputs:
-        return ChaosOutcome(
-            "watchdog-hang", seed, False,
-            "degraded outputs diverged from the healthy run",
-            events=result.events,
-        )
-    return ChaosOutcome(
-        "watchdog-hang", seed, True,
-        f"{result.timeouts} expiries, degraded cleanly with outputs intact",
-    )
-
-
-def scenario_lane_quarantine(seed: int, work_dir: str) -> ChaosOutcome:
-    """A persistently corrupt lane is quarantined; every healthy lane's
-    output stream stays bit-identical to the undisturbed batched run."""
-    import numpy as np
-
-    batch = 8
-    victim = seed % batch
-    design, stimuli = _compile_small(seed)
-    golden = Supervisor(design, batch=batch).run(stimuli)
-    start = len(stimuli) // 2
-
-    def corrupt_lane(interp, cycle: int) -> None:
-        if cycle >= start:
-            idx = (seed // batch) % interp.global_state.size
-            interp.global_state[idx] ^= np.uint64(1) << np.uint64(victim)
+    def hook(interp, cycle: int) -> None:
+        strike = cycle >= middle if row.persistent else cycle == middle and not struck
+        if strike:
+            struck.append(cycle)
+        if lanes is None:
+            # healthy cycles take 10 ms of fake time
+            clock.advance(100.0 if strike else 0.01)
+        elif strike:
+            word = seed % interp.global_state.size
+            interp.global_state[word] ^= np.uint64(sum(1 << lane for lane in lanes))
 
     result = Supervisor(
         design,
-        batch=batch,
+        batch=row.batch,
         checkpoint_every=6,
-        fault_hook=corrupt_lane,
+        fault_hook=hook,
+        deadline=Deadline(clock=clock, **row.deadline) if row.deadline else None,
     ).run(stimuli)
-    if result.degraded:
-        return ChaosOutcome(
-            "lane-quarantine", seed, False,
-            "run degraded instead of quarantining the faulty lane",
-            events=result.events,
-        )
-    if result.quarantined_lanes != [victim]:
-        return ChaosOutcome(
-            "lane-quarantine", seed, False,
-            f"expected lane {victim} quarantined, got {result.quarantined_lanes}",
-            events=result.events,
-        )
-    if result.lane_outcomes.get(victim) != "quarantined":
-        return ChaosOutcome(
-            "lane-quarantine", seed, False,
-            f"lane {victim} outcome is {result.lane_outcomes.get(victim)!r}",
-        )
-    healthy = [lane for lane in range(batch) if lane != victim]
-    for cycle, (got, want) in enumerate(zip(result.lane_outputs, golden.lane_outputs)):
-        for lane in healthy:
-            if got[lane] != want[lane]:
-                return ChaosOutcome(
-                    "lane-quarantine", seed, False,
-                    f"healthy lane {lane} diverged at cycle {cycle}",
-                    events=result.events,
-                )
-    return ChaosOutcome(
-        "lane-quarantine", seed, True,
-        f"lane {victim} quarantined; {len(healthy)} healthy "
-        "lanes bit-identical",
-    )
+    seen = tuple(map(_label, result.transitions))
+    written_off = lanes if "quarantine" in row.expect else []
+    if seen != row.expect:
+        problem = f"recorded {' '.join(seen)}; expected {' '.join(row.expect)}"
+    elif result.quarantined_lanes != written_off:
+        problem = f"expected lanes {written_off} quarantined, got {result.quarantined_lanes}"
+    elif row.degraded and result.outputs != golden.outputs:
+        problem = "degraded outputs differ from the undisturbed run"
+    elif not row.degraded and any(
+        result.lane_stream(lane) != golden.lane_stream(lane)
+        for lane in range(row.batch)
+        if lane not in written_off
+    ):
+        problem = "a healthy lane's outputs differ from the undisturbed run"
+    else:
+        return ChaosOutcome(name, seed, True, " ".join(seen))
+    return ChaosOutcome(name, seed, False, problem, events=result.events)
 
 
 SCENARIOS: dict[str, Callable[[int, str], ChaosOutcome]] = {
@@ -477,9 +441,7 @@ SCENARIOS: dict[str, Callable[[int, str], ChaosOutcome]] = {
     "corrupt-cache": scenario_corrupt_cache,
     "corrupt-plan": scenario_corrupt_plan,
     "save-oserror": scenario_save_oserror,
-    "midcycle-fault": scenario_midcycle_fault,
-    "watchdog-hang": scenario_watchdog_hang,
-    "lane-quarantine": scenario_lane_quarantine,
+    **{name: functools.partial(scenario_ladder, name) for name in LADDER},
 }
 
 
@@ -499,12 +461,14 @@ def run_chaos(
     if work_dir is None:
         own_tmp = tempfile.TemporaryDirectory(prefix="gem-chaos-")
         work_dir = own_tmp.name
+    os.makedirs(work_dir, exist_ok=True)
     try:
         for name in names:
             fn = SCENARIOS[name]
             for seed in seeds:
                 try:
-                    outcome = fn(seed, work_dir)
+                    # a directory of its own: scenarios count the files they find
+                    outcome = fn(seed, tempfile.mkdtemp(prefix=f"{name}-{seed}-", dir=work_dir))
                 except Exception as exc:  # invariant harness must not crash
                     logger.exception("chaos scenario %s seed %d crashed", name, seed)
                     outcome = ChaosOutcome(

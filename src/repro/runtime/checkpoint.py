@@ -158,7 +158,8 @@ def restore(interp: GemInterpreter, ckpt: Checkpoint) -> GemInterpreter:
         )
     try:
         interp.state.assign(
-            SimState(ckpt.global_state, ckpt.ram_arrays, ckpt.counters, ckpt.cycle)
+            SimState(ckpt.global_state, ckpt.ram_arrays, ckpt.counters, ckpt.cycle),
+            interp.engine,
         )
     except ValueError as exc:
         raise CheckpointError(f"checkpoint does not fit the program: {exc}") from None

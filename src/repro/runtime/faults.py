@@ -354,12 +354,8 @@ def _run_batched_trials(
             if record is None:  # pragma: no cover - defensive
                 continue
             record.detected = all_detected
-            if result.lane_outputs is not None:
-                stream = [per_cycle[lane] for per_cycle in result.lane_outputs]
-            else:
-                stream = result.outputs
-            record.recovered = not result.degraded and stream == golden
-            lane_class = (result.lane_outcomes or {}).get(lane, "")
+            record.recovered = not result.degraded and result.lane_stream(lane) == golden
+            lane_class = result.lane_outcomes[lane]
             if record.recovered:
                 record.outcome = "recovered"
             elif lane_class in ("quarantined", "degraded"):

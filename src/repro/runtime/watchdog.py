@@ -145,18 +145,23 @@ class Deadline:
         Both budgets are extended from *now* — wall by the shrinking
         grace seconds, cycles by the shrinking cycle allowance.
         """
-        if self.extensions >= self.max_extensions:
+        if not self.can_extend():
             return False
         self.extensions += 1
         factor = self.grace_factor**self.extensions
         if self.wall_s is not None:
             self._expires_at = self.clock() + self.wall_s * factor
         if self.max_cycles is not None:
-            grace_cycles = int(self.max_cycles * factor)
-            if grace_cycles < 1:
-                return False
-            self._cycle_limit = self.cycles_executed + grace_cycles
+            self._cycle_limit = self.cycles_executed + int(self.max_cycles * factor)
         return True
+
+    def can_extend(self) -> bool:
+        """Whether :meth:`extend` would grant another retry: extensions
+        are left and the next cycle grace is at least one cycle."""
+        if self.extensions >= self.max_extensions:
+            return False
+        factor = self.grace_factor ** (self.extensions + 1)
+        return self.max_cycles is None or int(self.max_cycles * factor) >= 1
 
     def describe(self) -> str:
         parts = []

@@ -5,6 +5,7 @@ import pytest
 
 from repro.harness import cli
 from repro.runtime.chaos import (
+    LADDER,
     SCENARIOS,
     SMOKE_SEEDS,
     ChaosOutcome,
@@ -23,11 +24,14 @@ class TestRegistry:
             "midcycle-fault",
             "watchdog-hang",
             "lane-quarantine",
+            "retries-exhausted",
+            "every-lane-quarantined",
+            "transient-hang",
         }
 
     def test_smoke_seeds_fixed(self):
-        """CI pins these seeds; changing them silently would change what
-        the chaos-smoke job actually covers."""
+        """Tier-1 pins these seeds; changing them silently would change
+        what the matrix below actually covers."""
         assert SMOKE_SEEDS == (11, 23, 47)
 
     def test_unknown_scenario_rejected(self):
@@ -51,36 +55,31 @@ class TestReport:
 
 
 class TestScenarios:
-    """One full scenario per class of injection — the complete matrix runs
-    in the CI chaos-smoke job, not here."""
-
-    def test_midcycle_fault_scenario(self, tmp_path):
-        report = run_chaos(
-            seeds=(11,), scenarios=("midcycle-fault",), work_dir=str(tmp_path)
-        )
+    @pytest.mark.parametrize("seed", SMOKE_SEEDS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_matrix(self, scenario, seed, tmp_path):
+        """The whole matrix ``gem-chaos`` runs by default."""
+        report = run_chaos(seeds=(seed,), scenarios=(scenario,), work_dir=str(tmp_path))
         assert report.passed, report.summary()
         (outcome,) = report.outcomes
-        assert outcome.scenario == "midcycle-fault"
-        assert outcome.seed == 11
-
-    def test_torn_checkpoint_scenario(self, tmp_path):
-        report = run_chaos(
-            seeds=(11,), scenarios=("torn-checkpoint",), work_dir=str(tmp_path)
-        )
-        assert report.passed, report.summary()
-
-    def test_corrupt_plan_scenario(self, tmp_path):
-        report = run_chaos(seeds=(11,), scenarios=("corrupt-plan",), work_dir=str(tmp_path))
-        assert report.passed, report.summary()
+        assert (outcome.scenario, outcome.seed) == (scenario, seed)
         assert not list(tmp_path.rglob("*.tmp"))
 
-    def test_lane_quarantine_scenario(self, tmp_path):
-        """Acceptance: quarantine keeps healthy lanes bit-identical."""
-        report = run_chaos(
-            seeds=(11,), scenarios=("lane-quarantine",), work_dir=str(tmp_path)
-        )
-        assert report.passed, report.summary()
-        assert "healthy lanes bit-identical" in report.outcomes[0].detail
+    def test_ladder_rows_reach_every_action_and_degrade_reason(self):
+        """Enumerated, not sampled: the rows' expected transitions name every
+        action ``decide`` can return, and a row ends on each way to degrade."""
+        from repro.runtime.supervisor import DEGRADE_REASONS
+
+        seen = {label for row in LADDER.values() for label in row.expect}
+        assert {"fault:retry", "fault:tighten", "fault:quarantine", "fault:degrade"} <= seen
+        assert {f"degrade:{reason}" for reason in DEGRADE_REASONS} <= seen
+
+    def test_a_kept_work_dir_can_be_reused(self, tmp_path):
+        """``--work-dir DIR`` twice: a scenario that counts the files it
+        finds must not see the previous run's."""
+        for _ in range(2):
+            report = run_chaos(seeds=(11,), scenarios=("corrupt-plan",), work_dir=str(tmp_path))
+            assert report.passed, report.summary()
 
 
 class TestChaosCLI:

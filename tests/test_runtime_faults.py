@@ -10,7 +10,6 @@ from repro.core.partition import PartitionConfig
 from repro.errors import BitstreamError
 from repro.runtime.faults import FaultInjector, run_campaign
 from repro.runtime.supervisor import Supervisor, state_digest
-from repro.simref.gate_sim import GateLevelSim
 from tests.helpers import random_circuit, random_vectors
 
 
@@ -142,16 +141,6 @@ class TestSupervisor:
         assert result.outputs == golden  # fallback still correct
         assert any("degrading" in e for e in result.events)
 
-    def test_reference_shadow_clean_run(self, compiled):
-        _, design, stimuli, golden = compiled
-        result = Supervisor(
-            design,
-            shadow=lambda: GateLevelSim(design.synth),
-            checkpoint_every=16,
-        ).run(stimuli)
-        assert not result.degraded
-        assert result.outputs == golden
-
     def test_no_shadow_means_no_detection(self, compiled):
         """Scrubbing is the detection mechanism: without a shadow a state
         flip silently corrupts the run (motivates the default)."""
@@ -180,11 +169,6 @@ class TestSupervisor:
         )
         assert result.outputs == golden[15:]
         assert any("resumed" in e for e in result.events)
-
-    def test_backoff_is_bounded(self, compiled):
-        _, design, stimuli, _ = compiled
-        sup = Supervisor(design, backoff_base=0.5, backoff_cap=1.0)
-        assert min(sup.backoff_cap, sup.backoff_base * 2**5) == 1.0
 
 
 class TestBatchedSupervisor:
