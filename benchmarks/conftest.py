@@ -5,7 +5,7 @@ per-experiment index in DESIGN.md).  Results are printed as paper-vs-
 measured tables and appended to ``benchmarks/results.json`` so
 EXPERIMENTS.md can be refreshed from a run.  Wall-clock performance of
 the simulator itself is not measured here: that is ``benchmarks/e2e``
-(``BENCHMARK.json``), whose records ``gem-perf compare`` judges.
+(``BENCHMARK.json``), whose records ``gem perf compare`` judges.
 
 Compiled designs are cached under ``.gem_cache/`` — the first full run
 takes a few minutes, later runs are seconds.

@@ -10,7 +10,7 @@ for a design that already fits one device's residency.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.multigpu import plan_multi_gpu
+from repro.extensions.multigpu import plan_multi_gpu
 from repro.harness.runner import compile_design
 from repro.harness.tables import format_table, paper_scale_ratio
 

@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.perfmodel import A100
-from repro.core.pruning import PruningGemInterpreter, gem_pruned_speed
+from repro.extensions.pruning import PruningGemInterpreter, gem_pruned_speed
 from repro.harness.runner import compile_design, design_workloads, measure_activity
 from repro.harness.tables import (
     _scale_activity,

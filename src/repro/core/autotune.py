@@ -37,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.cachefile import write_atomic
 from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig
 from repro.core.perfmodel import tuning_score
 from repro.core.synthesis import SynthesisResult
@@ -222,6 +223,27 @@ class AutotuneResult:
             return self.winner_measured / self.default_measured
         return None
 
+    def summary(self) -> str:
+        """The sweep as text: one line per candidate, then the verdict."""
+        hit = "tuning-cache hit" if self.cache_hit else "sweep ran"
+        lines = [f"{self.design} (crc {self.crc}): {hit}, winner = {self.winner_label}"]
+        for cand in self.candidates:
+            label = ", ".join(f"{k}={v}" for k, v in cand.knobs.items()) or "default"
+            measured = (
+                f"  measured {cand.measured_cycles_per_s:8.0f} c/s"
+                if cand.measured_cycles_per_s
+                else ""
+            )
+            model = f"model {cand.model_hz:9.0f} Hz" if cand.score else cand.status
+            marker = " <== winner" if cand.digest == self.winner_digest else ""
+            lines.append(f"  [{cand.status:10s}] {model}{measured}  {label}{marker}")
+        gain = self.measured_gain
+        if gain is not None:
+            lines.append(f"measured winner/default: {gain:.2f}x")
+        lines.append(f"winning knobs: {self.winner_knobs or '(default config)'}")
+        lines.append(f"cache: {self.cache_path}")
+        return "\n".join(lines)
+
     def to_payload(self) -> dict:
         return {
             "version": CACHE_VERSION,
@@ -277,15 +299,36 @@ def _counter(name: str, help: str, **labels):
     return REGISTRY.counter(name, help=help, labels=labels or None)
 
 
-def _load_cache(path: str, key: str) -> dict | None:
+def _load_cache(path: str, **identity: str) -> dict | None:
+    """The payload at ``path`` if it is of this version and agrees with
+    every ``identity`` field, else ``None``."""
     try:
         with open(path) as f:
             payload = json.load(f)
     except (OSError, ValueError):
         return None
-    if payload.get("version") != CACHE_VERSION or payload.get("key") != key:
+    want = {"version": CACHE_VERSION, **identity}
+    if not isinstance(payload, dict) or any(payload.get(k) != v for k, v in want.items()):
         return None
     return payload
+
+
+def _recall_cache(cache_dir: str, design: str, crc: str, base_digest: str) -> tuple | None:
+    """``(path, payload)`` of the newest cached sweep of this design (same
+    netlist, same base config) whatever its search options were."""
+    try:
+        paths = [
+            os.path.join(cache_dir, entry)
+            for entry in os.listdir(cache_dir)
+            if entry.startswith(f"{design}-") and entry.endswith(".json")
+        ]
+    except OSError:
+        return None
+    for path in sorted(paths, key=lambda p: (os.path.getmtime(p), p), reverse=True):
+        payload = _load_cache(path, design=design, crc=crc, base_digest=base_digest)
+        if payload is not None:
+            return path, payload
+    return None
 
 
 def _knob_sort_key(knobs: dict) -> str:
@@ -334,6 +377,7 @@ def autotune(
     space: KnobSpace | None = None,
     opts: AutotuneConfig | None = None,
     compile_fn: Callable[[GemConfig], CompiledDesign] | None = None,
+    recall: bool = False,
 ) -> AutotuneResult:
     """Find (or recall) the best GemConfig for one design.
 
@@ -346,6 +390,13 @@ def autotune(
     ``compile_fn`` overrides how a candidate config becomes a
     :class:`CompiledDesign` — the runner passes its disk-cached
     ``compile_design`` so tuning also warms the compile cache.
+
+    A sweep is recalled when its exact identity (design CRC, knob space,
+    base config *and* search options) is cached.  With ``recall`` the
+    search options stop mattering: the newest cached sweep of this netlist
+    under this base config is the answer, and ``opts`` only says how to
+    sweep when there is none — what ``gem run --tune`` asks for, so it hits
+    whatever budget, seed or repeats ``gem tune`` was given.
     """
     base = base or GemConfig()
     space = space or KnobSpace()
@@ -370,7 +421,11 @@ def autotune(
     cache_dir = opts.cache_dir or default_tune_dir()
     cache_path = os.path.join(cache_dir, f"{design}-{key[:12]}.json")
 
-    cached = _load_cache(cache_path, key)
+    cached = _load_cache(cache_path, key=key)
+    if cached is None and recall:
+        newest = _recall_cache(cache_dir, design, crc, base.digest())
+        if newest is not None:
+            cache_path, cached = newest
     if cached is not None:
         _counter(
             "gem_tune_cache_hits_total", "tuning-cache hits (no sweep re-run)"
@@ -527,9 +582,6 @@ def autotune(
         REGISTRY.gauge(
             "gem_tune_best_gain", help="measured winner/default cycles_per_s ratio"
         ).set(gain)
-    os.makedirs(cache_dir, exist_ok=True)
-    tmp = cache_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(result.to_payload(), f, indent=2, sort_keys=True)
-    os.replace(tmp, cache_path)
+    text = json.dumps(result.to_payload(), indent=2, sort_keys=True)
+    write_atomic(cache_path, lambda f: f.write(text.encode()))
     return result

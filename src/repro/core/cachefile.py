@@ -34,7 +34,7 @@ def write_atomic(path: str, write: Callable[[BinaryIO], None]) -> None:
     be created or written — a cache write is optional, so callers catch
     it and carry on with the value they hold.
     """
-    os.makedirs(os.path.dirname(path), exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     # exclusive create under a name no other process or thread picks:
     # ordinary umask permissions, unlike mkstemp's owner-only files
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"

@@ -35,6 +35,7 @@ from repro.core.partition import PartitionConfig, PartitionPlan, partition_desig
 from repro.core.placement import RefineConfig
 from repro.core.synthesis import SynthesisConfig, SynthesisResult, synthesize
 from repro.errors import UnmappableError
+from repro.fourstate.fastpath import FourStateSimulator
 from repro.obs.trace import TRACER
 from repro.rtl.ir import Circuit
 
@@ -139,7 +140,7 @@ class CompiledDesign:
         batch: int = 1,
         profile: bool = False,
         backend: str | None = None,
-    ) -> "GemSimulator":
+    ) -> GemInterpreter:
         """An execution engine for this design; ``batch`` packs that many
         independent stimulus lanes into every state word (docs/ENGINE.md).
         Batches beyond 64 must be a whole number of 64-lane words.
@@ -163,27 +164,13 @@ class CompiledDesign:
         return GemSimulator(self.program, batch=batch, profile=profile, backend=backend)
 
 
-class GemSimulator(GemInterpreter):
-    """The user-facing execution engine (paper's 'execution stage', §II).
-
-    A thin veneer over :class:`~repro.core.interpreter.GemInterpreter`:
-    word-valued inputs in, word-valued outputs out, with the per-cycle work
-    counters exposed for the performance model.  Construct with
-    ``batch=B`` to simulate up to 64 independent stimulus streams per
-    bitwise op (``step``/``run`` then address lane 0; ``step_lanes`` /
-    ``outputs_lanes`` address every lane).
-    """
-
-
-# Concrete 4-state simulator: GemSimulator over a dual-rail program with
-# stimulus encoding / output decoding grafted on (defined in fastpath to
-# keep the 4-state semantics in one package, instantiated here to keep
-# the import DAG acyclic).
-from repro.fourstate.fastpath import (  # noqa: E402
-    make_fourstate_simulator_class as _make_fourstate_cls,
-)
-
-FourStateSimulator = _make_fourstate_cls(GemSimulator)
+#: The user-facing execution engine (paper's 'execution stage', §II) is the
+#: interpreter itself: word-valued inputs in, word-valued outputs out, with
+#: the per-cycle work counters exposed for the performance model.  Construct
+#: with ``batch=B`` to simulate B independent stimulus streams per bitwise op
+#: (``step``/``run`` then address lane 0; ``step_lanes`` / ``outputs_lanes``
+#: address every lane).  A :class:`FourStateSimulator` is one too.
+GemSimulator = GemInterpreter
 
 
 class GemCompiler:

@@ -18,7 +18,7 @@ simulation the way production 2-state engines do:
 * :mod:`repro.fourstate.fastpath` — ``values=4`` on the fast engines:
   :func:`compile_fourstate` runs the dual-rail transform through the
   full GEM compile so the packed-lane / stage-fused / backend-compiled
-  paths execute both rails natively (``gem-run --values 4``).
+  paths execute both rails natively (``gem run --values 4``).
 """
 
 from repro.fourstate.dualrail import DualRailCircuit, to_dual_rail

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core.engine import SUPPORTED_VALUES, validate_values  # noqa: F401
+from repro.core.interpreter import GemInterpreter
 from repro.fourstate.dualrail import DualRailCircuit, to_dual_rail
 from repro.fourstate.semantics import FourState
 
@@ -95,83 +96,70 @@ def _encode_stimulus(
     return data
 
 
-class FourStateSimulator:
-    """4-state veneer over :class:`~repro.core.compiler.GemSimulator`.
+class FourStateSimulator(GemInterpreter):
+    """The executor over a dual-rail program, with 4-state encode/decode.
 
     Constructed via ``CompiledDesign.simulator()`` on a design compiled
-    with :func:`compile_fourstate`.  This *is* a ``GemSimulator`` (the
-    class is grafted below to avoid a circular import): ``step`` /
-    ``step_lanes`` / checkpoints / probes / quarantine behave exactly
-    like the 2-state engine over the dual-rail program, except stimuli
-    are encoded first, so plain-int vectors, ``FourState`` words, and
-    pre-encoded ``name__x`` masks all work.  The ``*4`` variants decode
-    outputs back to :class:`FourState` words.
+    with :func:`compile_fourstate`.  ``step`` / ``step_lanes`` /
+    checkpoints / probes / quarantine behave exactly like the 2-state
+    engine over the dual-rail program, except stimuli are encoded first,
+    so plain-int vectors, ``FourState`` words, and pre-encoded ``name__x``
+    masks all work.  The ``*4`` variants decode outputs back to
+    :class:`FourState` words.  Mixed in ahead of another interpreter (the
+    fuzz oracle does so with the reference one) it grafts the same
+    encoding onto that engine.
     """
 
-    # Real definition injected in repro.core.compiler to keep the import
-    # DAG acyclic; this placeholder only documents the API.
+    values = 4
 
+    def __init__(self, program, dual: DualRailCircuit, **kwargs) -> None:
+        self.dual = dual
+        super().__init__(program, **kwargs)
 
-def make_fourstate_simulator_class(gem_simulator_cls):
-    """Build the concrete FourStateSimulator over ``GemSimulator``."""
+    # -- raw stepping (2-state rails), stimulus-encoded -------------------
+    # Encoding sits in the interpreter's two dict-inject hooks, so
+    # step / step_lanes / advance_lanes / run all accept 4-state
+    # stimuli; step_arrays takes raw rail columns as they are.
 
-    class _FourStateSimulator(gem_simulator_cls):
-        values = 4
+    def _inject_broadcast(self, inputs) -> None:
+        super()._inject_broadcast(_encode_stimulus(self.dual, inputs or {}))
 
-        def __init__(self, program, dual: DualRailCircuit, **kwargs) -> None:
-            self.dual = dual
-            super().__init__(program, **kwargs)
+    def _inject_lanes(self, inputs) -> None:
+        if inputs is not None and not isinstance(inputs, Mapping):
+            inputs = [_encode_stimulus(self.dual, vec or {}) for vec in inputs]
+        super()._inject_lanes(inputs)
 
-        # -- raw stepping (2-state rails), stimulus-encoded ---------------
-        # Encoding sits in the interpreter's two dict-inject hooks, so
-        # step / step_lanes / advance_lanes / run all accept 4-state
-        # stimuli; step_arrays takes raw rail columns as they are.
+    # -- 4-state API ------------------------------------------------------
 
-        def _inject_broadcast(self, inputs) -> None:
-            super()._inject_broadcast(_encode_stimulus(self.dual, inputs or {}))
+    def step4(self, inputs=None) -> dict[str, FourState]:
+        return self.dual.decode_outputs(self.step(inputs))
 
-        def _inject_lanes(self, inputs) -> None:
-            if inputs is not None and not isinstance(inputs, Mapping):
-                inputs = [_encode_stimulus(self.dual, vec or {}) for vec in inputs]
-            super()._inject_lanes(inputs)
+    def step_lanes4(
+        self, lane_inputs: Sequence[Mapping[str, object]]
+    ) -> list[dict[str, FourState]]:
+        self.advance_lanes(lane_inputs)
+        return self.outputs_lanes4()
 
-        # -- 4-state API ---------------------------------------------------
+    def outputs4(self) -> dict[str, FourState]:
+        return self.dual.decode_outputs(self.outputs())
 
-        def step4(self, inputs=None) -> dict[str, FourState]:
-            return self.dual.decode_outputs(self.step(inputs))
+    def outputs_lanes4(self) -> list[dict[str, FourState]]:
+        """Every lane's outputs as 4-state words, decoded per PO
+        column from :meth:`outputs_arrays` (no per-lane rail dicts)."""
+        rails = self.outputs_arrays()
+        columns = {
+            name: [
+                FourState(data, unknown, self.dual.output_widths[name])
+                for data, unknown in zip(rails[d_name].tolist(), rails[x_name].tolist())
+            ]
+            for name, (d_name, x_name) in self.dual.output_rails.items()
+        }
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
-        def step_lanes4(
-            self, lane_inputs: Sequence[Mapping[str, object]]
-        ) -> list[dict[str, FourState]]:
-            self.advance_lanes(lane_inputs)
-            return self.outputs_lanes4()
-
-        def outputs4(self) -> dict[str, FourState]:
-            return self.dual.decode_outputs(self.outputs())
-
-        def outputs_lanes4(self) -> list[dict[str, FourState]]:
-            """Every lane's outputs as 4-state words, decoded per PO
-            column from :meth:`outputs_arrays` (no per-lane rail dicts)."""
-            rails = self.outputs_arrays()
-            columns = {
-                name: [
-                    FourState(data, unknown, self.dual.output_widths[name])
-                    for data, unknown in zip(
-                        rails[d_name].tolist(), rails[x_name].tolist()
-                    )
-                ]
-                for name, (d_name, x_name) in self.dual.output_rails.items()
-            }
-            return [dict(zip(columns, row)) for row in zip(*columns.values())]
-
-        def unknown_output_bits(self, lane: int = 0) -> int:
-            """Total X bits visible on lane ``lane``'s outputs."""
-            rails = self.outputs_arrays()
-            return sum(
-                int(rails[x_name][lane]).bit_count()
-                for _, x_name in self.dual.output_rails.values()
-            )
-
-    _FourStateSimulator.__name__ = "FourStateSimulator"
-    _FourStateSimulator.__qualname__ = "FourStateSimulator"
-    return _FourStateSimulator
+    def unknown_output_bits(self, lane: int = 0) -> int:
+        """Total X bits visible on lane ``lane``'s outputs."""
+        rails = self.outputs_arrays()
+        return sum(
+            int(rails[x_name][lane]).bit_count()
+            for _, x_name in self.dual.output_rails.values()
+        )

@@ -15,7 +15,7 @@ engines over large randomized workloads:
 * :mod:`repro.fuzz.shrink` — delta-debugs a failing design+stimulus to a
   minimal ``.gemrepro`` repro;
 * :mod:`repro.fuzz.corpus` — the ``.gemrepro`` format, the persisted
-  corpus, and the coverage-guided fuzz loop behind ``gem-fuzz``.
+  corpus, and the coverage-guided fuzz loop behind ``gem fuzz``.
 """
 
 from repro.fuzz.corpus import (

@@ -10,7 +10,7 @@ version, no compiled artifacts.
 
 :class:`Corpus` is a directory of these files (``tests/corpus/`` in this
 repository, replayed by ``tests/test_fuzz_corpus.py`` as ordinary pytest
-cases).  :func:`run_fuzz` is the ``gem-fuzz run`` engine: draw a shape
+cases).  :func:`run_fuzz` is the ``gem fuzz run`` engine: draw a shape
 profile (weighted toward profiles that recently produced *new* structural
 coverage), generate, cross-check, shrink-and-save failures, optionally
 bank passing designs that broke new coverage ground into the corpus.
@@ -24,6 +24,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from repro.core.cachefile import write_atomic
 from repro.fuzz.designgen import (
     PROFILES,
     DesignSpec,
@@ -96,12 +97,8 @@ class Repro:
 
 def write_repro(path: str, repro: Repro) -> str:
     """Serialize a repro (atomic replace; returns the path written)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(repro.to_json(), f, indent=1, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(repro.to_json(), indent=1, sort_keys=True) + "\n"
+    write_atomic(path, lambda f: f.write(text.encode("utf-8")))
     return path
 
 
@@ -194,7 +191,7 @@ class Corpus:
         return write_repro(path, repro)
 
     def summarize(self) -> dict:
-        """Corpus health snapshot (the ``gem-fuzz corpus`` command body)."""
+        """Corpus health snapshot (the ``gem fuzz corpus`` command body)."""
         repros = self.load_all()
         feats: set[str] = set()
         for r in repros:
@@ -210,7 +207,7 @@ class Corpus:
 
 def _dump_divergence_waves(spec, stimuli, divergence, config, path: str) -> str:
     """Probed re-run of a failing case; dumps the VCD window around the
-    first divergent cycle (``gem-fuzz run --wave-dir``)."""
+    first divergent cycle (``gem fuzz run --wave-dir``)."""
     from repro.core.compiler import GemCompiler
     from repro.fuzz.oracle import compile_profile
     from repro.obs.probe import dump_divergence_waves
@@ -269,7 +266,7 @@ def run_fuzz(
     wave_dir: str | None = None,
     values: int | None = None,
 ) -> FuzzStats:
-    """The coverage-guided differential fuzz campaign behind ``gem-fuzz run``.
+    """The coverage-guided differential fuzz campaign behind ``gem fuzz run``.
 
     Deterministic per ``seed`` (generation, stimuli, and profile choice all
     derive from it).  Profiles that produce new coverage get their sampling

@@ -66,7 +66,7 @@ from repro.core.ram_mapping import RamMappingConfig
 from repro.core.synthesis import SynthesisConfig
 from repro.errors import BackendUnavailableError
 from repro.fourstate.dualrail import to_dual_rail
-from repro.fourstate.fastpath import make_fourstate_simulator_class, validate_values
+from repro.fourstate.fastpath import validate_values
 from repro.fourstate.semantics import FourState
 from repro.fourstate.sim import FourStateSim
 from repro.fuzz.designgen import DesignSpec
@@ -77,9 +77,9 @@ from repro.simref.isa_interp import ReferenceInterpreter
 
 logger = logging.getLogger(__name__)
 
-#: the ``legacy`` engine over a dual-rail program: the reference
-#: interpreter with the 4-state stimulus encoding grafted on
-_FourStateReference = make_fourstate_simulator_class(ReferenceInterpreter)
+class _FourStateReference(FourStateSimulator, ReferenceInterpreter):
+    """The ``legacy`` engine over a dual-rail program: the reference
+    interpreter with the 4-state stimulus encoding grafted on."""
 
 #: every engine the oracle can run, in reference-preference order
 ENGINES = ("word", "simref", "legacy", "fused")

@@ -7,7 +7,7 @@ VCD file — and either certify agreement or report the *first* diverging
 cycle with the mismatching signals, recent input history, and an optional
 response waveform dump for offline debugging.
 
-Used by ``gem-cosim`` (CLI) and the examples; the GEM-vs-golden
+Used by ``gem cosim`` (CLI) and the examples; the GEM-vs-golden
 equivalence tests are the same loop with asserts.
 """
 

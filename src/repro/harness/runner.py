@@ -11,7 +11,7 @@ Benchmarks regenerate the paper's tables from three kinds of data:
 
 How fast the simulator itself runs on this host is not measured here:
 that is ``benchmarks/e2e`` (repeated samples, quartiles, host stamp),
-whose records ``gem-perf compare`` judges.
+whose records ``gem perf compare`` judges.
 
 Compiles of the full-scale designs take minutes, so results are cached in
 ``.gem_cache/`` (pickles keyed by design name and scale signature); delete
@@ -265,12 +265,14 @@ def autotune_design(
     base: GemConfig | None = None,
     space: "KnobSpace | None" = None,
     opts: "AutotuneConfig | None" = None,
+    recall: bool = False,
 ) -> "AutotuneResult":
     """Autotune a registry design (see :mod:`repro.core.autotune`).
 
     The synth provider is the config-keyed :func:`design_synth`, so
     candidates that change synthesis knobs get their own netlist; the
-    measured phase uses the named workload's stimuli.
+    measured phase uses the named workload's stimuli.  ``recall`` takes
+    the newest cached sweep of the design whatever its search options.
     """
     from repro.core.autotune import autotune
 
@@ -284,6 +286,7 @@ def autotune_design(
         space=space,
         opts=opts,
         compile_fn=lambda cfg: compile_design(name, cfg),
+        recall=recall,
     )
 
 
@@ -337,60 +340,46 @@ def measure_activity(name: str, workload: Workload, max_cycles: int | None = 400
 
 
 def run_resilient(
-    name: str,
-    workload: str | None = None,
+    design: CompiledDesign,
+    stimuli: list[dict],
     *,
-    max_cycles: int | None = None,
     checkpoint_every: int | None = None,
     checkpoint_dir: str | None = None,
     scrub_every: int | None = 1,
-    shadow: str | None = "redundant",
-    max_retries: int = 3,
-    backoff_base: float = 0.0,
     resume: bool | str = False,
     batch: int = 1,
     backend: str | None = None,
     profile: bool = False,
     deadline_s: float | None = None,
     cycle_budget: int | None = None,
-    quarantine_after: int = 2,
-    config: GemConfig | None = None,
     probe=None,
-    values: int = 2,
-    x_reset: bool = True,
 ) -> "SupervisedRun":
-    """Execute a registry design's workload under the resilience supervisor.
+    """Execute ``stimuli`` on a compiled design under the resilience supervisor.
 
-    The supervised counterpart of the plain ``gem-run`` loop: scrubbed
+    The supervised counterpart of the plain ``gem run`` loop: scrubbed
     against a lockstep shadow, periodically checkpointed, and self-healing
     via checkpoint retry with degradation to the gate-level engine (see
-    :mod:`repro.runtime.supervisor`).  ``resume`` continues a previous
-    run: ``True``/``"latest"`` selects the newest *valid* checkpoint in
-    ``checkpoint_dir`` (journal-guided, walking past torn files), a
-    directory path selects from that directory, and a ``.gemk`` path
-    loads exactly that file; an unresolvable target raises
+    :mod:`repro.runtime.supervisor`; the ladder's constants are
+    :class:`~repro.runtime.supervisor.Policy`'s defaults).  ``resume``
+    continues a previous run: ``True``/``"latest"`` selects the newest
+    *valid* checkpoint in ``checkpoint_dir`` (journal-guided, walking past
+    torn files), a directory path selects from that directory, and a
+    ``.gemk`` path loads exactly that file; an unresolvable target raises
     :class:`~repro.errors.CheckpointError` rather than silently
     restarting from cycle 0.  ``deadline_s``/``cycle_budget`` arm a
     cooperative watchdog; ``batch`` packs that many stimulus lanes per
     state word (the result then carries per-lane output streams — see
     docs/ENGINE.md).  ``probe`` attaches a
     :class:`repro.obs.probe.ProbeTap` to the primary engine with
-    rollback-consistent tap state (docs/OBSERVABILITY.md).  ``values=4``
-    runs the dual-rail 4-state build of the design (``x_reset`` controls
-    unknown power-up); the supervisor machinery — scrub, checkpoint,
-    quarantine — operates on both rails since they are ordinary state
-    words of the transformed program.
+    rollback-consistent tap state (docs/OBSERVABILITY.md).  A design
+    compiled with ``values=4`` runs as any other: scrub, checkpoint and
+    quarantine operate on both rails, which are ordinary state words of
+    the transformed program.
     """
     from repro.runtime.checkpoint import resolve_resume
     from repro.runtime.supervisor import Supervisor
     from repro.runtime.watchdog import Deadline
 
-    design = compile_design(
-        name, config, values=values, x_reset=x_reset, x_memory=x_reset
-    )
-    workloads = design_workloads(name)
-    wl = workloads[workload or next(iter(workloads))]
-    stimuli = wl.stimuli[:max_cycles] if max_cycles else wl.stimuli
     resume_from = None
     if resume:
         recovered = resolve_resume(resume, checkpoint_dir)
@@ -405,14 +394,10 @@ def run_resilient(
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         scrub_every=scrub_every,
-        shadow=shadow,
-        max_retries=max_retries,
-        backoff_base=backoff_base,
         batch=batch,
         backend=backend,
         profile=profile,
         deadline=deadline,
-        quarantine_after=quarantine_after,
         probe=probe,
     )
     return supervisor.run(stimuli, resume_from=resume_from)

@@ -16,10 +16,10 @@ probe layer only *receives* core objects, it never imports them):
 * :mod:`repro.obs.report` — the per-run :class:`RunReport` (rates,
   counters, metric snapshot, environment), report diffing, and the
   parent-vs-change judgement of ``benchmarks/e2e`` records behind
-  ``gem-perf compare``.
+  ``gem perf compare``.
 * :mod:`repro.obs.probe` — signal-level taps: named nets resolved to
   engine state slots, captured per cycle as packed lane planes into a
-  bounded waveform ring (``gem-run --vcd-out``) and activity sinks.
+  bounded waveform ring (``gem run --vcd-out``) and activity sinks.
 * :mod:`repro.obs.activity` — SAIF-style T0/T1/TC toggle counters over
   tap streams, SAIF export, and the hot-net Top-N table.
 

@@ -19,7 +19,7 @@ direction, DURATION in cycles — see docs/OBSERVABILITY.md for the
 multi-lane note), :func:`read_saif` (parser used by tests and CI to
 validate emitted files), ``gem_net_toggles_total`` metrics via
 :func:`publish_net_activity`, and :func:`hot_nets` (the Top-N table in
-RunReports and ``gem-probe activity``).
+RunReports, rendered by ``gem perf show``).
 """
 
 from __future__ import annotations
@@ -319,7 +319,7 @@ def read_saif(path: str) -> dict:
 
 
 def format_hot_nets(rows: list[Mapping]) -> str:
-    """Render a hot-net Top-N table (``gem-perf show`` / ``gem-probe``)."""
+    """Render a hot-net Top-N table (``gem perf show``)."""
     if not rows:
         return "  (no activity data)"
     header = f"  {'net':<28} {'kind':<9} {'width':>5} {'toggles':>12} {'rate':>9}"

@@ -9,7 +9,7 @@ walk.  Two export formats:
 * :meth:`MetricsRegistry.to_prometheus` — the Prometheus text exposition
   format (``# HELP`` / ``# TYPE`` preamble, ``name{labels} value``
   samples), ready for a node scrape or a file sink
-  (``gem-run --metrics-out``);
+  (``gem run --metrics-out``);
 * :meth:`MetricsRegistry.to_json` — a nested snapshot for
   :class:`repro.obs.report.RunReport`.
 

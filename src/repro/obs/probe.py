@@ -221,7 +221,7 @@ def build_probe_plan(
 
 
 def list_nets(design: "CompiledDesign") -> list[dict]:
-    """``gem-probe list`` rows: name, kind, width per probeable net."""
+    """``gem probe list`` rows: name, kind, width per probeable net."""
     return [
         {"net": net.name, "kind": net.kind, "width": net.width}
         for net in probe_catalog(design)
@@ -451,7 +451,7 @@ def dump_divergence_waves(
     """Re-run a failing stimulus with probes on and dump the window
     around the first divergent cycle as a VCD.
 
-    Called by the fuzz campaign and ``gem-cosim --dump-waves`` when an
+    Called by the fuzz campaign and ``gem cosim --dump-waves`` when an
     oracle mismatch is found: the probed re-run is deterministic, so the
     dumped window shows exactly the state the diverging engine computed
     leading into and out of the bad cycle.  Returns the

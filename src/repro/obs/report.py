@@ -1,16 +1,16 @@
 """Per-run :class:`RunReport`, and the judgement of benchmark records.
 
-Every measured execution — ``gem-run`` (plain or supervised) and
+Every measured execution — ``gem run`` (plain or supervised) and
 :func:`repro.harness.runner.run_resilient` — can write one JSON
 ``RunReport``: what ran (design/workload/batch/engine mode), how fast
 (wall seconds, cycles/s, lane-cycles/s), the work counters and phase
 timers behind the rates, a full metric-registry snapshot, and the
 environment that produced the numbers (python/numpy versions, platform,
-CPU count).  A report is one sample of one run; ``gem-perf show`` renders
-it and ``gem-perf diff a.json b.json`` sets two side by side.
+CPU count).  A report is one sample of one run; ``gem perf show`` renders
+it and ``gem perf diff a.json b.json`` sets two side by side.
 
 Whether a change made the simulator faster or slower is decided from
-repeated samples, not from a report: ``gem-perf compare PARENT CHANGE``
+repeated samples, not from a report: ``gem perf compare PARENT CHANGE``
 reads two sets of ``benchmarks/e2e`` records and applies the benchmark's
 own bounds to their medians and spread (:func:`judge`).
 """
@@ -93,7 +93,7 @@ def build_run_report(
 
     ``backend``/``lane_words`` record the execution backend and the
     lane-plane word count K in ``environment`` (and as the
-    ``gem_backend_info`` metric) so ``gem-perf show``/``diff`` can
+    ``gem_backend_info`` metric) so ``gem perf show``/``diff`` can
     tell a native run from a numpy run of the same design.
     """
     elapsed = max(elapsed_s, 1e-9)
@@ -128,10 +128,10 @@ def build_run_report(
 
 
 def write_report(report: RunReport, path: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        json.dump(report.to_json(), f, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    from repro.core.cachefile import write_atomic  # only a writer needs it
+
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    write_atomic(path, lambda f: f.write(text.encode()))
 
 
 def load_report(path: str) -> RunReport:
@@ -152,7 +152,7 @@ def load_report(path: str) -> RunReport:
 
 
 def format_report(report: RunReport) -> str:
-    """Human rendering for ``gem-perf show``."""
+    """Human rendering for ``gem perf show``."""
     lines = [
         f"{report.kind}: {report.design}/{report.workload} "
         f"({report.engine_mode} engine, batch {report.batch})",
@@ -237,7 +237,7 @@ def diff_reports(a: RunReport, b: RunReport) -> list[FieldDiff]:
     return diffs
 
 
-# -- gem-perf compare: two sets of benchmarks/e2e records, one rule -----------
+# -- gem perf compare: two sets of benchmarks/e2e records, one rule -----------
 
 
 def _e2e_records(doc, depth: int = 4):
@@ -330,7 +330,7 @@ def _by_workload(side: str, records: list[dict]) -> dict[str, dict]:
 
 
 def compare_e2e(parent: list[dict], change: list[dict], declaration: dict) -> tuple[list[str], bool]:
-    """The table ``gem-perf compare`` prints — per workload both sides ran,
+    """The table ``gem perf compare`` prints — per workload both sides ran,
     its failed share and one row per metric both recorded — and whether
     anything is ``WORSE`` (an end-to-end metric beyond its bound, or a
     failed share that rose).  Directions and bounds are ``declaration``'s

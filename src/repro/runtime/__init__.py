@@ -8,7 +8,7 @@ checkpoint files without discarding millions of simulated cycles.
   full interpreter state; crash-consistent atomic writes; per-directory
   journal; bit-identical resume; rotating on-disk manager;
 * :mod:`repro.runtime.faults` — seeded SEU injection (bitstream / state /
-  RAM bit flips) and the ``gem-faultcampaign`` driver;
+  RAM bit flips) and the ``gem faultcampaign`` driver;
 * :mod:`repro.runtime.supervisor` — self-healing execution: lockstep
   scrubbing, per-lane fault localization and quarantine, checkpoint
   retry with exponential backoff, and graceful degradation to the
@@ -16,7 +16,7 @@ checkpoint files without discarding millions of simulated cycles.
 * :mod:`repro.runtime.watchdog` — cooperative wall-clock / cycle-budget
   deadlines with exponentially tightening retry grace;
 * :mod:`repro.runtime.chaos` — seeded failure-injection harness
-  (``gem-chaos``) asserting the recovery invariants end to end.
+  (``gem chaos``) asserting the recovery invariants end to end.
 
 See ``docs/RESILIENCE.md`` for the file formats and the degradation
 ladder.

@@ -44,7 +44,7 @@ must end (``midcycle-fault``, ``watchdog-hang``, ``lane-quarantine``,
 
 Every scenario outcome is counted in
 ``gem_chaos_scenarios_total{scenario,outcome}``
-(:mod:`repro.obs.metrics`).  The ``gem-chaos`` CLI runs the full matrix
+(:mod:`repro.obs.metrics`).  The ``gem chaos`` CLI runs the full matrix
 over a handful of seeds; so does tier-1 (``tests/test_chaos.py``).
 """
 

@@ -4,7 +4,7 @@ GPU residency exposes a simulation to soft errors the paper's multi-hour
 campaigns must survive: a flipped bit in the resident *bitstream* (the
 program image), in the *global state* vector, or in a *RAM block*.  This
 module models all three as single-event upsets (SEUs) and provides the
-campaign driver behind ``gem-faultcampaign``:
+campaign driver behind ``gem faultcampaign``:
 
 * **bitstream faults** must be *detected at load* by the container's
   per-section CRC32s (:func:`repro.core.bitstream.verify_integrity`);

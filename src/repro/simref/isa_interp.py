@@ -31,7 +31,7 @@ the executor's static per-cycle deltas is itself a check.
 
 Slow by construction (thousands of tiny NumPy dispatches per cycle); it
 exists to be compared against: the differential tests, the fuzz oracle's
-``legacy`` engine and :class:`repro.core.pruning.PruningGemInterpreter`
+``legacy`` engine and :class:`repro.extensions.pruning.PruningGemInterpreter`
 (which hooks :meth:`_run_partition`) all run it.
 """
 

@@ -13,6 +13,8 @@ Covers the docs/TUNING.md contracts:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.autotune import (
@@ -174,6 +176,50 @@ class TestAutotune:
         # A cache hit runs no sweep: hit counter up, candidate counter flat.
         assert _counter_value("gem_tune_cache_hits_total") == hits0 + 1
         assert _counter_value("gem_tune_candidates_total") == compiled_after_first
+
+    def test_recall_hits_a_sweep_whatever_its_search_options(self, tiny, tmp_path):
+        """What ``gem run --tune`` does after ``gem tune``: the sweep ran with
+        a budget, seed and repeat count of its own; a recall at the default
+        options is still a hit, and only a different netlist or base config
+        sweeps afresh."""
+        _, synth = tiny
+        swept = autotune(
+            synth, name="tiny", base=_tiny_config(), space=self.SPACE,
+            opts=AutotuneConfig(
+                budget=3, repeats=5, seed=9, measure_cycles=0, cache_dir=str(tmp_path)
+            ),
+        )
+        defaults = AutotuneConfig(cache_dir=str(tmp_path))
+        compiled = _counter_value("gem_tune_candidates_total")
+        hits = _counter_value("gem_tune_cache_hits_total")
+
+        recalled = autotune(synth, name="tiny", base=_tiny_config(), opts=defaults, recall=True)
+        assert recalled.cache_hit and recalled.cache_path == swept.cache_path
+        assert recalled.winner_knobs == swept.winner_knobs
+        assert recalled.winner_digest == swept.winner_digest
+        assert _counter_value("gem_tune_candidates_total") == compiled
+        assert _counter_value("gem_tune_cache_hits_total") == hits + 1
+
+        # the newest matching sweep wins
+        newer = autotune(
+            synth, name="tiny", base=_tiny_config(), space=self.SPACE,
+            opts=AutotuneConfig(budget=2, seed=1, measure_cycles=0, cache_dir=str(tmp_path)),
+        )
+        os.utime(newer.cache_path, (2e9, 2e9))
+        again = autotune(synth, name="tiny", base=_tiny_config(), opts=defaults, recall=True)
+        assert again.cache_path == newer.cache_path != swept.cache_path
+
+        # another base config is another question: nothing to recall, so it sweeps
+        model_only = AutotuneConfig(budget=2, measure_cycles=0, cache_dir=str(tmp_path))
+        other = autotune(
+            synth, name="tiny", base=_tiny_config(gates_per_partition=300),
+            space=self.SPACE, opts=model_only, recall=True,
+        )
+        assert not other.cache_hit
+        # and without recall the search options are part of the identity, as before
+        assert not autotune(
+            synth, name="tiny", base=_tiny_config(), space=self.SPACE, opts=model_only
+        ).cache_hit
 
     def test_unmappable_candidates_recorded_not_fatal(self, tiny, tmp_path):
         _, synth = tiny

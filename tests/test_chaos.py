@@ -1,5 +1,5 @@
 """Chaos harness (repro.runtime.chaos): seeded failure injection with
-recovery-invariant assertions, plus the gem-chaos CLI surface."""
+recovery-invariant assertions, plus the gem chaos CLI surface."""
 
 import pytest
 
@@ -58,7 +58,7 @@ class TestScenarios:
     @pytest.mark.parametrize("seed", SMOKE_SEEDS)
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_matrix(self, scenario, seed, tmp_path):
-        """The whole matrix ``gem-chaos`` runs by default."""
+        """The whole matrix ``gem chaos`` runs by default."""
         report = run_chaos(seeds=(seed,), scenarios=(scenario,), work_dir=str(tmp_path))
         assert report.passed, report.summary()
         (outcome,) = report.outcomes
@@ -84,9 +84,9 @@ class TestScenarios:
 
 class TestChaosCLI:
     def test_cli_single_scenario(self, capsys, tmp_path):
-        rc = cli.main_chaos(
+        rc = cli.main(
             [
-                "--seeds", "11",
+                "chaos", "--seeds", "11",
                 "--scenarios", "watchdog-hang",
                 "--work-dir", str(tmp_path),
             ]
@@ -99,9 +99,9 @@ class TestChaosCLI:
     def test_cli_json_output(self, capsys, tmp_path):
         import json
 
-        rc = cli.main_chaos(
+        rc = cli.main(
             [
-                "--seeds", "11",
+                "chaos", "--seeds", "11",
                 "--scenarios", "save-oserror",
                 "--work-dir", str(tmp_path),
                 "--json",
@@ -113,5 +113,5 @@ class TestChaosCLI:
         assert doc["outcomes"][0]["scenario"] == "save-oserror"
 
     def test_cli_rejects_unknown_scenario(self, capsys, tmp_path):
-        rc = cli.main_chaos(["--scenarios", "bogus", "--work-dir", str(tmp_path)])
+        rc = cli.main(["chaos", "--scenarios", "bogus", "--work-dir", str(tmp_path)])
         assert rc == 2

@@ -3,7 +3,7 @@
 The corpus tests replay frozen cases; these run the machinery itself:
 generation determinism, the injected-fold acceptance flow (catch →
 shrink → replay to the same first-divergence site), the campaign loop,
-and the ``gem-fuzz`` CLI entry points.
+and the ``gem fuzz`` CLI entry points.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.corpus import Corpus, Repro, load_repro, replay_repro, write_repro
 from repro.fuzz.oracle import _coerce_stimuli, compile_profile
-from repro.harness.cli import main_fuzz
+from repro.harness.cli import main
 
 
 class TestGeneratorDeterminism:
@@ -141,8 +141,8 @@ class TestRunFuzz:
 class TestFuzzCli:
     def test_run_exit_codes_and_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        rc = main_fuzz(
-            ["run", "--seed", "0", "--iters", "2", "--profiles", "mixed",
+        rc = main(
+            ["fuzz", "run", "--seed", "0", "--iters", "2", "--profiles", "mixed",
              "--cycles", "8", "--batches", "1", "--json"]
         )
         assert rc == 0
@@ -154,8 +154,8 @@ class TestFuzzCli:
         monkeypatch.chdir(tmp_path)
         # Fold bit 2 of instruction 0 is observable on seed-0 "mixed"
         # designs (pinned by TestInjectedBugAcceptance above).
-        rc = main_fuzz(
-            ["run", "--seed", "0", "--iters", "3", "--profiles", "mixed",
+        rc = main(
+            ["fuzz", "run", "--seed", "0", "--iters", "3", "--profiles", "mixed",
              "--inject-fold", "0:0", "--failure-dir", "inj", "--cycles", "16"]
         )
         capsys.readouterr()
@@ -163,12 +163,12 @@ class TestFuzzCli:
             pytest.skip("mutation unobservable on these draws")
         repros = [os.path.join("inj", n) for n in sorted(os.listdir("inj"))]
         assert repros
-        assert main_fuzz(["replay", *repros]) == 0
+        assert main(["fuzz", "replay", *repros]) == 0
         out = capsys.readouterr().out
         assert "reproduced divergence" in out
 
     def test_corpus_summary(self, capsys):
         corpus_dir = os.path.join(os.path.dirname(__file__), "corpus")
-        assert main_fuzz(["corpus", corpus_dir, "--json"]) == 0
+        assert main(["fuzz", "corpus", corpus_dir, "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["entries"] >= 10

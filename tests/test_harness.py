@@ -113,6 +113,53 @@ class TestCache:
         assert [p.name for p in tmp_path.iterdir()] == ["test-shared.pkl"]
 
 
+    @pytest.mark.parametrize("writer", ["run report", "fuzz repro", "tuning cache"])
+    def test_a_failing_writer_leaves_neither_target_nor_temp(self, writer, tmp_path, monkeypatch):
+        """RunReports, .gemrepro files and the tuning cache are written through
+        ``write_atomic`` like the compile cache: when the write fails (here
+        the rename does) there is no target and no temp file to trip over."""
+        from tests.helpers import random_circuit
+
+        if writer == "run report":
+            from repro.obs.report import build_run_report, write_report
+
+            report = build_run_report(
+                design="d", workload="w", batch=1, engine_mode="fused", cycles=1, elapsed_s=0.1
+            )
+
+            def write():
+                write_report(report, str(tmp_path / "report.json"))
+
+        elif writer == "fuzz repro":
+            from repro.fuzz.corpus import Corpus, load_repro, write_repro
+
+            repro = load_repro(Corpus(os.path.join(os.path.dirname(__file__), "corpus")).paths()[0])
+
+            def write():
+                write_repro(str(tmp_path / "case.gemrepro"), repro)
+
+        else:
+            from repro.core.autotune import AutotuneConfig, autotune
+            from repro.core.synthesis import synthesize
+
+            synth = synthesize(random_circuit(5, n_ops=20, with_memory=False))
+
+            def write():
+                opts = AutotuneConfig(budget=1, measure_cycles=0, cache_dir=str(tmp_path))
+                autotune(synth, name="t", opts=opts)
+
+        def broken_replace(src, dst):
+            raise OSError("rename failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", broken_replace)
+            with pytest.raises(OSError, match="rename failed"):
+                write()
+        assert not list(tmp_path.iterdir())
+        write()  # and the same writer, unbroken, leaves exactly its target
+        assert len(list(tmp_path.iterdir())) == 1
+
+
 class TestPaperData:
     def test_table1_complete(self):
         assert set(PAPER_TABLE1) == set(DESIGNS)
@@ -174,9 +221,9 @@ class TestTableFormatting:
 
 class TestCli:
     def test_main_dispatch_tables_help(self, capsys):
-        from repro.harness.cli import main_compile, main_run
+        from repro.harness.cli import main
 
         with pytest.raises(SystemExit):
-            main_compile(["--help"])
+            main(["compile", "--help"])
         with pytest.raises(SystemExit):
-            main_run(["not-a-design"])
+            main(["run", "not-a-design"])

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
-from repro.core.multigpu import (
+from repro.extensions.multigpu import (
     BlockWork,
     Interconnect,
     assign_blocks,
@@ -77,7 +77,7 @@ class TestTimingModel:
     def test_large_design_scales_then_saturates(self):
         """At paper scale (many waves per device), adding devices helps;
         the gain per device shrinks as communication takes over."""
-        from repro.core.multigpu import MultiGpuPlan, assign_blocks
+        from repro.extensions.multigpu import MultiGpuPlan, assign_blocks
         from repro.core.perfmodel import A100
 
         # 2000 heavy blocks in one stage: ~10 fetch-bound waves on one A100.

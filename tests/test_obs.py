@@ -1,11 +1,11 @@
-"""The repro.obs telemetry subsystem: tracer, metrics, reports, gem-perf.
+"""The repro.obs telemetry subsystem: tracer, metrics, reports, gem perf.
 
 Covers the tracer's ring buffer and Chrome trace-event output, the
 metrics registry and its exporters, RunReport build/write/load/diff,
 the parent-vs-change judgement of e2e records, interpreter reset
 semantics, and the CLI
-surface end to end (``gem-run --trace-out/--report-out/--metrics-out``,
-``gem-perf show|diff|compare|validate-trace``, ``--log-level``).
+surface end to end (``gem run --trace-out/--report-out/--metrics-out``,
+``gem perf show|diff|compare|validate-trace``, ``--log-level``).
 """
 
 import json
@@ -411,10 +411,10 @@ class TestRunObservabilityFlags:
         trace = str(tmp_path / "trace.json")
         report = str(tmp_path / "report.json")
         metrics = str(tmp_path / "metrics.prom")
-        assert cli.main_run([
-            "openpiton1", "--max-cycles", "8",
+        assert cli.main([
+            "--log-level", "info", "run", "openpiton1", "--max-cycles", "8",
             "--trace-out", trace, "--report-out", report,
-            "--metrics-out", metrics, "--log-level", "info",
+            "--metrics-out", metrics,
         ]) == 0
         out = capsys.readouterr().out
         assert "trace written" in out and "report written" in out
@@ -441,8 +441,8 @@ class TestRunObservabilityFlags:
     def test_supervised_trace_has_supervisor_events(self, tmp_path):
         trace = str(tmp_path / "trace.json")
         report = str(tmp_path / "report.json")
-        assert cli.main_run([
-            "openpiton1", "--max-cycles", "16",
+        assert cli.main([
+            "run", "openpiton1", "--max-cycles", "16",
             "--checkpoint-every", "4", "--scrub-every", "4",
             "--checkpoint-dir", str(tmp_path / "ckpt"),
             "--trace-out", trace, "--report-out", report, "--profile",
@@ -456,11 +456,11 @@ class TestRunObservabilityFlags:
         assert any(rep.phase_times.values())
 
     def test_log_level_accepted_everywhere(self, capsys):
-        assert cli.main_run([
-            "openpiton1", "--max-cycles", "4", "--log-level", "debug",
+        assert cli.main([
+            "--log-level", "debug", "run", "openpiton1", "--max-cycles", "4",
         ]) == 0
         with pytest.raises(SystemExit):
-            cli.main_run(["openpiton1", "--log-level", "loud"])
+            cli.main(["--log-level", "loud", "run", "openpiton1"])
 
 
 class TestPerfCommand:
@@ -474,22 +474,22 @@ class TestPerfCommand:
 
     def test_show_and_diff(self, capsys, reports):
         a, b = reports
-        assert cli.main_perf(["show", a]) == 0
+        assert cli.main(["perf", "show", a]) == 0
         assert "rocketchip/wl" in capsys.readouterr().out
-        assert cli.main_perf(["diff", a, b]) == 0
+        assert cli.main(["perf", "diff", a, b]) == 0
         assert "cycles_per_s" in capsys.readouterr().out
 
     def test_validate_trace_exit_codes(self, capsys, tmp_path):
         good = str(tmp_path / "good.json")
         json.dump({"traceEvents": [{"name": "a", "ph": "i", "ts": 0.0}]},
                   open(good, "w"))
-        assert cli.main_perf(["validate-trace", good]) == 0
+        assert cli.main(["perf", "validate-trace", good]) == 0
         bad = str(tmp_path / "bad.json")
         json.dump({"traceEvents": [{"ph": "Q"}]}, open(bad, "w"))
-        assert cli.main_perf(["validate-trace", bad]) == 1
+        assert cli.main(["perf", "validate-trace", bad]) == 1
 
 
-# -- gem-perf compare: two sets of e2e records, the pipeline's rule ------------
+# -- gem perf compare: two sets of e2e records, the pipeline's rule ------------
 
 DECLARATION = {
     "end_to_end": [
@@ -574,7 +574,7 @@ class TestCompareCommand:
         return str(path)
 
     def _compare(self, capsys, *argv):
-        rc = cli.main_perf(["compare", *argv])
+        rc = cli.main(["perf", "compare", *argv])
         return rc, capsys.readouterr().out
 
     @pytest.mark.parametrize("case", VERDICTS)

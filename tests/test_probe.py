@@ -276,8 +276,8 @@ class TestRewind:
         acc = ActivityAccumulator(plan)
         tap = ProbeTap(plan, [ring, acc])
         result = run_resilient(
-            "rocketchip",
-            max_cycles=12,
+            design,
+            stimuli,
             checkpoint_every=4,
             checkpoint_dir=str(tmp_path),
             probe=tap,
@@ -304,7 +304,7 @@ class TestDivergenceDump:
 
     def test_fuzz_divergence_dumps_waves(self, tmp_path):
         """A caught oracle divergence must leave a readable VCD window
-        behind (the ``gem-fuzz run --wave-dir`` path)."""
+        behind (the ``gem fuzz run --wave-dir`` path)."""
         from repro.fuzz.corpus import _dump_divergence_waves
         from repro.fuzz.designgen import generate_design, random_stimuli
         from repro.fuzz.oracle import OracleConfig, run_oracle
@@ -330,28 +330,28 @@ class TestCli:
     def test_gem_probe_list_json(self, capsys):
         import json
 
-        from repro.harness.cli import main_probe
+        from repro.harness.cli import main
 
-        assert main_probe(["list", "rocketchip", "--json"]) == 0
+        assert main(["probe", "list", "rocketchip", "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert rows and {"net", "kind", "width"} <= set(rows[0])
 
     def test_gem_probe_bad_net_is_usage_error(self, capsys):
-        from repro.harness.cli import main_probe
+        from repro.harness.cli import main
 
-        assert main_probe(["list", "rocketchip", "--nets", "nope*"]) == 2
+        assert main(["probe", "list", "rocketchip", "--nets", "nope*"]) == 2
         assert "probe error" in capsys.readouterr().out
 
     def test_gem_run_probe_outputs(self, tmp_path, capsys):
         import json
 
-        from repro.harness.cli import main_run
+        from repro.harness.cli import main
 
         vcd = str(tmp_path / "run.vcd")
         saif = str(tmp_path / "run.saif")
         report = str(tmp_path / "run.json")
-        rc = main_run([
-            "rocketchip", "--max-cycles", "10", "--batch", "4", "--lane", "2",
+        rc = main([
+            "run", "rocketchip", "--max-cycles", "10", "--batch", "4", "--lane", "2",
             "--probe", "outputs", "--vcd-out", vcd, "--saif-out", saif,
             "--report-out", report,
         ])
@@ -365,9 +365,9 @@ class TestCli:
         assert activity["hot_nets"]
 
     def test_gem_run_lane_out_of_range(self, capsys):
-        from repro.harness.cli import main_run
+        from repro.harness.cli import main
 
-        assert main_run(["rocketchip", "--probe", "--lane", "5"]) == 2
+        assert main(["run", "rocketchip", "--probe", "--lane", "5"]) == 2
         assert "out of range" in capsys.readouterr().out
 
     def test_perf_show_handles_reports_without_activity(self):

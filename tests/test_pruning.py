@@ -6,7 +6,7 @@ from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.partition import PartitionConfig
 from repro.core.perfmodel import A100, gem_metrics, gem_speed
-from repro.core.pruning import PruningGemInterpreter, gem_pruned_speed
+from repro.extensions.pruning import PruningGemInterpreter, gem_pruned_speed
 from repro.rtl import CircuitBuilder, Netlist, WordSim
 from tests.helpers import lockstep, random_circuit, random_vectors
 

@@ -9,7 +9,7 @@ a drop-in replacement for the reference simulator on real programs.
 
 import pytest
 
-from repro.core.pruning import PruningGemInterpreter
+from repro.extensions.pruning import PruningGemInterpreter
 from repro.harness.runner import compile_design, design_workloads
 
 
