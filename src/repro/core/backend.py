@@ -6,26 +6,20 @@ flow — and the interpreter turns the whole
 :class:`~repro.core.fused.FusedProgram` into one compiled *cycle*
 through the one seam a backend implements::
 
-    cycle = backend.compile_cycle(fused, buffers)   # once, at load
-    writes = cycle.evaluate(times)                  # once per cycle
-    cycle.commit(times)                             # once per cycle
+    cycle = backend.compile_cycle(fused, buffers)        # once, at load
+    writes = cycle.run(n, pi_block, po_block, times)     # once per block
 
 ``buffers`` (:class:`CycleBuffers`) are the interpreter-owned arrays the
-cycle reads and writes; ``times`` is the interpreter's ``phase_times``
-dict while profiling, else ``None``.  ``evaluate`` runs every stage —
-read gather, waves, terminal stores, then that stage's RAM ports, in
-(stage, partition) order — and returns the cycle's dynamic
-``global_writes`` increment (the data bits of every RAM port some lane
-read); ``commit`` applies the deferred writes at the cycle boundary:
-each stage's sampled deferred GWRITEs, then that stage's RAM read data
-merged under its read-enable lane plane, finally the shared constant
-tuple.  Between the two the interpreter samples probes and outputs.
-Two backends implement the seam:
+cycle reads and writes and the two row tables that tie a block to them;
+``times`` is the interpreter's ``phase_times`` dict while profiling,
+else ``None``; :meth:`ArrayBackend.compile_cycle` says what ``run``
+does each of its ``n`` cycles.  Two backends implement the seam:
 
 * :class:`NativeBackend` — the default wherever a C compiler (or an
   already-built library) exists: the paper's §III-E shape, **one fixed
-  resident kernel with the bitstream as data**.  A cycle is exactly two
-  calls into one C library (:data:`KERNEL_SOURCE`), built once with the
+  resident kernel with the bitstream as data** that loops over cycles
+  and does not return to the host in between.  A block is exactly one
+  call into one C library (:data:`KERNEL_SOURCE`), built once with the
   host compiler into the compile cache and loaded through ``ctypes``.
   The library is generic — every design and batch passes its plan arrays
   as arguments; nothing is generated per design.
@@ -62,7 +56,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.cachefile import cache_dir
-from repro.errors import BackendUnavailableError, BitstreamError
+from repro.errors import BackendUnavailableError, BitstreamError, LaneConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import ExecutionEngine
@@ -122,6 +116,8 @@ class CycleBuffers:
 
     engine: "ExecutionEngine"  # lane geometry: batch, K, the active-lane mask
     gstate: np.ndarray  # the interpreter's global state
+    pi_rows: np.ndarray  # int64: the gstate row each PI row of a block lands in
+    sample_rows: np.ndarray  # int64: the gstate rows a block samples, per cycle
     trace: np.ndarray  # [stage reads][wave 1][wave 2]…, shared by all stages
     arena: np.ndarray  # RAM-port input slots of every partition
     rams: list  # per RAM block, the (batch, depth) uint32 lane images
@@ -133,66 +129,92 @@ class ArrayBackend:
     name = "abstract"
 
     def compile_cycle(self, fused: "FusedProgram", buffers: CycleBuffers):
-        """Compile one program; returns a cycle object with
-
-        * ``evaluate(times) -> int`` — every stage's read gather, waves
-          and terminal stores, then that stage's RAM ports, in (stage,
-          partition) order; returns the cycle's dynamic ``global_writes``
-          increment;
-        * ``commit(times) -> None`` — the deferred writes, in order: each
-          stage's sampled deferred GWRITEs, then that stage's RAM read
-          data under its read-enable lane plane, finally the shared
-          constant tuple.
-
-        ``times`` is ``None`` or the ``phase_times`` dict to add the
-        call's wall time to (``gather`` / ``fold`` / ``commit``).
+        """Compile one program; returns a cycle object with the one
+        entry ``run(n, pi_block, po_block, times) -> int``.  Each of its
+        ``n`` cycles scatters ``pi_block[c]`` over ``buffers.pi_rows``,
+        runs every stage — read gather, waves, terminal stores, then
+        that stage's RAM ports, in (stage, partition) order — gathers
+        ``buffers.sample_rows`` into ``po_block[c]`` at the settled
+        point (outputs and probed nets alike), and applies the deferred
+        writes: each stage's sampled deferred GWRITEs, then its RAM read
+        data under its read-enable lane plane, finally the shared
+        constant tuple.  Returns the block's dynamic ``global_writes``
+        increment (the data bits of every RAM port some lane read).
+        The blocks are writable contiguous ``uint64``, ``(n, rows[,
+        K])`` — anything else is a :class:`~repro.errors.LaneConfigError`
+        before a cycle runs; ``times`` is ``None`` or the ``phase_times``
+        dict to add the call's ``gather`` / ``fold`` / ``commit`` to.
         """
         raise NotImplementedError
 
 
+_UINT64 = np.dtype(np.uint64)
+
+
+def _slab(rows: np.ndarray, name: str, gstate: np.ndarray) -> tuple:
+    """Hold a block's row table against the global state -> one cycle's slab."""
+    _index(rows, name, gstate.shape[0])
+    return (rows.size, *gstate.shape[1:])
+
+
+def _check_block(block: np.ndarray, name: str, shape: tuple) -> None:
+    if not (
+        isinstance(block, np.ndarray)
+        and block.dtype == _UINT64
+        and block.shape == shape
+        and block.flags.c_contiguous
+        and block.flags.writeable
+    ):
+        got = f"{getattr(block, 'dtype', type(block).__name__)}{getattr(block, 'shape', '')}"
+        raise LaneConfigError(
+            f"{name} must be a writable contiguous uint64 array of shape {shape}, got {got}"
+        )
+
+
 class _NumpyCycle:
-    """One cycle as a loop over compiled numpy stages and the engine's
-    RAM-port and merge primitives."""
+    """A block as a Python loop over cycles, a cycle as a loop over
+    compiled numpy stages and the engine's RAM-port and merge primitives."""
 
     def __init__(self, stages, def_const, buffers: CycleBuffers) -> None:
         #: per stage: (compiled stage, its deferred commit or None,
         #: its RAM ports as (op, partition arena view, lane images))
         self._stages = stages
         self._def_const = def_const
-        self._gstate = buffers.gstate
-        self._engine = buffers.engine
-        #: this cycle's deferred (gidx, values, lane mask) commits
-        self._deferred: list = []
+        self._buffers = buffers
+        self._pi_shape = _slab(buffers.pi_rows, "pi_rows", buffers.gstate)
+        self._po_shape = _slab(buffers.sample_rows, "sample_rows", buffers.gstate)
 
-    def evaluate(self, times) -> int:
-        deferred = self._deferred = []
-        ram_port = self._engine.ram_port
-        writes = 0
-        for run, def_commit, ports in self._stages:
-            run(times)
-            if def_commit is not None:
-                deferred.append(def_commit)
-            if ports:
-                t0 = time.perf_counter()
+    def run(self, n: int, pi_block: np.ndarray, po_block: np.ndarray, times) -> int:
+        _check_block(pi_block, "pi_block", (n, *self._pi_shape))
+        _check_block(po_block, "po_block", (n, *self._po_shape))
+        buffers = self._buffers
+        gstate, pi_rows, sample_rows = buffers.gstate, buffers.pi_rows, buffers.sample_rows
+        ram_port, merge = buffers.engine.ram_port, buffers.engine.merge
+        clock, writes = time.perf_counter, 0
+        for c in range(n):
+            gstate[pi_rows] = pi_block[c]
+            deferred = []  # this cycle's (gidx, values, lane mask) commits
+            for run, def_commit, ports in self._stages:
+                run(times)
+                if def_commit is not None:
+                    deferred.append(def_commit)
+                t0 = clock()
                 for op, view, image in ports:
                     read = ram_port(op, view, image)
                     if read is not None:
                         deferred.append(read)
                         writes += op.spec.data_bits
                 if times is not None:
-                    times["commit"] += time.perf_counter() - t0
-        if self._def_const is not None:
-            deferred.append(self._def_const)
+                    times["commit"] += clock() - t0
+            if self._def_const is not None:
+                deferred.append(self._def_const)
+            gstate.take(sample_rows, 0, po_block[c], "clip")  # the settled point
+            t0 = clock()
+            for gidx, values, mask in deferred:
+                merge(gstate, gidx, values, mask)
+            if times is not None:
+                times["commit"] += clock() - t0
         return writes
-
-    def commit(self, times) -> None:
-        t0 = time.perf_counter() if times is not None else 0.0
-        gstate = self._gstate
-        merge = self._engine.merge
-        for gidx, values, mask in self._deferred:
-            merge(gstate, gidx, values, mask)
-        if times is not None:
-            times["commit"] += time.perf_counter() - t0
 
 
 class NumpyBackend(ArrayBackend):
@@ -316,7 +338,8 @@ class NumpyBackend(ArrayBackend):
         return run
 
 
-#: The one generic cycle kernel.  Everything a stage does — read gather,
+#: The one generic block kernel: ``gem_run`` loops over cycles and returns
+#: to the host once per block.  Everything a stage does — read gather,
 #: each wave's gather + flip + AND, terminal gwn/ram/deferred stores — is
 #: a single loop nest over the plan's arrays: no per-wave dispatch, no
 #: operand buffer, no constant-elision branches (zero XORs are free in
@@ -355,12 +378,13 @@ typedef struct {
 
 typedef struct {
     int64_t K; /* words per lane plane: buffers are (rows, K), row-major */
-    int64_t nstages, nconst;
+    int64_t nstages, nconst, npi, nsample;
     uint64_t lane_mask;
     uint64_t *gstate, *trace, *arena;
     const gem_stage *stages;
     const int64_t *const_gidx; /* the shared constant deferred tuple */
     const uint64_t *const_vals;
+    const int64_t *pi_rows, *sample_rows; /* a block's rows -> gstate rows */
 } gem_program;
 
 static double now(void)
@@ -479,28 +503,23 @@ INLINE int run_port(const gem_program *prog, const gem_ramop *r, const int64_t K
     return reads;
 }
 
+/* One cycle up to the settled point: every stage, then its RAM ports.
+   Returns the data bits of every port some lane read. */
 INLINE int64_t cycle_eval(const gem_program *prog, double *ticks, const int64_t K)
 {
     int64_t writes = 0;
-    double t0 = 0.0;
-    if (ticks)
-        ticks[0] = ticks[1] = ticks[2] = 0.0;
     for (int64_t i = 0; i < prog->nstages; i++) {
         const gem_stage *s = prog->stages + i;
-        if (ticks)
-            t0 = now();
         run_stage(prog, s, ticks, K);
         for (int64_t j = 0; j < s->nports; j++)
             if (run_port(prog, s->ports + j, K))
                 writes += s->ports[j].data_bits;
-        if (ticks) /* everything of the stage that is not gather or fold */
-            ticks[2] += now() - t0;
     }
-    if (ticks)
-        ticks[2] -= ticks[0] + ticks[1];
     return writes;
 }
 
+/* The cycle boundary: per stage the sampled deferred GWRITEs, then its ports'
+   read data under their read-enable planes; finally the constant tuple. */
 INLINE void cycle_commit(const gem_program *prog, const int64_t K)
 {
     uint64_t *const gstate = prog->gstate;
@@ -523,31 +542,43 @@ INLINE void cycle_commit(const gem_program *prog, const int64_t K)
             gstate[prog->const_gidx[i] * K + k] = prog->const_vals[i];
 }
 
-/* Evaluate one cycle: every stage, then that stage's RAM ports.  Returns
-   the data bits of every port some lane read (the cycle's dynamic
-   global-write count).  ticks: NULL, or three doubles that receive the
-   seconds spent in the read gathers, the waves, and everything else
-   (terminal stores + RAM ports). */
-int64_t gem_cycle_eval(const gem_program *prog, double *ticks)
+INLINE int64_t run_cycles(const gem_program *prog, int64_t n, const uint64_t *pi, uint64_t *po,
+                          double *ticks, const int64_t K)
 {
-    return prog->K == 1 ? cycle_eval(prog, ticks, 1) : cycle_eval(prog, ticks, prog->K);
+    uint64_t *const gstate = prog->gstate;
+    const double t0 = ticks ? now() : 0.0;
+    int64_t writes = 0;
+    if (ticks)
+        ticks[0] = ticks[1] = 0.0;
+    for (int64_t c = 0; c < n; c++, pi += prog->npi * K, po += prog->nsample * K) {
+        for (int64_t i = 0; i < prog->npi; i++)
+            for (int64_t k = 0; k < K; k++)
+                gstate[prog->pi_rows[i] * K + k] = pi[i * K + k];
+        writes += cycle_eval(prog, ticks, K);
+        for (int64_t i = 0; i < prog->nsample; i++) /* the settled point */
+            for (int64_t k = 0; k < K; k++)
+                po[i * K + k] = gstate[prog->sample_rows[i] * K + k];
+        cycle_commit(prog, K);
+    }
+    if (ticks) /* the rest of the block */
+        ticks[2] = now() - t0 - ticks[0] - ticks[1];
+    return writes;
 }
 
-/* The cycle boundary: per stage the sampled deferred GWRITEs, then its
-   ports' read data under their read-enable planes; finally the constant
-   tuple.  ticks: NULL, or one double that receives the seconds spent. */
-void gem_cycle_commit(const gem_program *prog, double *ticks)
+/* Simulate n cycles.  pi is (n, npi, K): cycle c's row i goes to gstate
+   row pi_rows[i] before the stages run; po is (n, nsample, K): gstate
+   row sample_rows[i] is read into cycle c's row i after the stages and
+   before the commit.  Returns the block's dynamic global-write count.
+   ticks: NULL, or three doubles that receive the seconds spent in the
+   read gathers, the waves, and everything else. */
+int64_t gem_run(const gem_program *prog, int64_t n, const uint64_t *pi, uint64_t *po, double *ticks)
 {
-    const double t0 = ticks ? now() : 0.0;
-    if (prog->K == 1)
-        cycle_commit(prog, 1);
-    else
-        cycle_commit(prog, prog->K);
-    if (ticks)
-        ticks[0] = now() - t0;
+    return prog->K == 1 ? run_cycles(prog, n, pi, po, ticks, 1)
+                        : run_cycles(prog, n, pi, po, ticks, prog->K);
 }
 """
 
+_BYTE = ctypes.c_char
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U64 = ctypes.POINTER(ctypes.c_uint64)
 _U32 = ctypes.POINTER(ctypes.c_uint32)
@@ -598,12 +629,14 @@ class _Program(ctypes.Structure):
     """``gem_program`` of :data:`KERNEL_SOURCE`, field for field."""
 
     _fields_ = [
-        *((n, ctypes.c_int64) for n in ("K", "nstages", "nconst")),
+        *((n, ctypes.c_int64) for n in ("K", "nstages", "nconst", "npi", "nsample")),
         ("lane_mask", ctypes.c_uint64),
         *((name, _U64) for name in ("gstate", "trace", "arena")),
         ("stages", ctypes.POINTER(_Stage)),
         ("const_gidx", _I64),
         ("const_vals", _U64),
+        ("pi_rows", _I64),
+        ("sample_rows", _I64),
     ]
 
 
@@ -666,21 +699,22 @@ def _build_library(source: str, path: str) -> None:
 
 
 def _open_library(path: str):
-    lib = ctypes.CDLL(path)
-    evaluate, commit = lib.gem_cycle_eval, lib.gem_cycle_commit
-    evaluate.argtypes = commit.argtypes = [
+    run = ctypes.CDLL(path).gem_run
+    # the blocks go in as plain addresses: run() has checked the arrays
+    run.argtypes = [
         ctypes.POINTER(_Program),
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
         ctypes.POINTER(ctypes.c_double),
     ]
-    evaluate.restype = ctypes.c_int64
-    commit.restype = None
-    return evaluate, commit
+    run.restype = ctypes.c_int64
+    return run
 
 
 def load_kernel(source: str = KERNEL_SOURCE):
-    """``(gem_cycle_eval, gem_cycle_commit)`` of ``source`` as ``ctypes``
-    functions (the GIL is released while they run), built on first use
-    and cached.
+    """``gem_run`` of ``source`` as a ``ctypes`` function (the GIL is
+    released while it runs), built on first use and cached.
 
     The library lives in the compile-cache directory
     (:func:`~repro.core.cachefile.cache_dir`) as
@@ -743,32 +777,29 @@ def _plane(buf: np.ndarray, name: str, rows: int, planes: int | None = None) -> 
 
 
 class _NativeCycle:
-    """One bound ``gem_program``: a cycle is exactly two library calls."""
+    """One bound ``gem_program``: a block is exactly one library call."""
 
-    def __init__(self, kernel, program: _Program, keepalive: list) -> None:
-        self._eval, self._commit = kernel
+    def __init__(self, kernel, program: _Program, shapes, keepalive: list) -> None:
+        self._run = kernel
         self._ref = ctypes.byref(program)
+        self._pi_shape, self._po_shape = shapes
         self._ticks = (ctypes.c_double * 3)()
         # the structs hold raw addresses: the arrays (and nested structs)
         # behind them must live exactly as long as this object does
         self._keepalive = (program, keepalive)
 
-    def evaluate(self, times) -> int:
+    def run(self, n: int, pi_block: np.ndarray, po_block: np.ndarray, times) -> int:
+        _check_block(pi_block, "pi_block", (n, *self._pi_shape))
+        _check_block(po_block, "po_block", (n, *self._po_shape))
+        # (a third of .ctypes.data's cost at n = 1; wants at least one byte)
+        pi = ctypes.addressof(_BYTE.from_buffer(pi_block)) if pi_block.size else 0
+        po = ctypes.addressof(_BYTE.from_buffer(po_block)) if po_block.size else 0
         if times is None:
-            return self._eval(self._ref, None)
-        ticks = self._ticks
-        writes = self._eval(self._ref, ticks)
-        times["gather"] += ticks[0]
-        times["fold"] += ticks[1]
-        times["commit"] += ticks[2]
+            return self._run(self._ref, n, pi, po, None)
+        writes = self._run(self._ref, n, pi, po, self._ticks)
+        for phase, seconds in zip(("gather", "fold", "commit"), self._ticks):
+            times[phase] += seconds
         return writes
-
-    def commit(self, times) -> None:
-        if times is None:
-            self._commit(self._ref, None)
-            return
-        self._commit(self._ref, self._ticks)
-        times["commit"] += self._ticks[0]
 
 
 class NativeBackend(ArrayBackend):
@@ -792,6 +823,10 @@ class NativeBackend(ArrayBackend):
         _plane(arena, "arena", fused.arena_size, planes)
         _index(fused.def_const_gidx, "def_const_gidx", gstate.shape[0])
         _table(fused.def_const_vals, "def_const_vals", np.uint64, fused.def_const_gidx.size)
+        shapes = (
+            _slab(buffers.pi_rows, "pi_rows", gstate),
+            _slab(buffers.sample_rows, "sample_rows", gstate),
+        )
         keep: list = [fused, buffers]
         stages = (_Stage * len(fused.stages))()
         for stage, plan in zip(stages, fused.stages):
@@ -800,6 +835,8 @@ class NativeBackend(ArrayBackend):
             K=planes,
             nstages=len(stages),
             nconst=fused.def_const_gidx.size,
+            npi=buffers.pi_rows.size,
+            nsample=buffers.sample_rows.size,
             lane_mask=int(buffers.engine.lane_mask),
             gstate=gstate.ctypes.data_as(_U64),
             trace=trace.ctypes.data_as(_U64),
@@ -807,9 +844,11 @@ class NativeBackend(ArrayBackend):
             stages=stages,
             const_gidx=fused.def_const_gidx.ctypes.data_as(_I64),
             const_vals=fused.def_const_vals.ctypes.data_as(_U64),
+            pi_rows=buffers.pi_rows.ctypes.data_as(_I64),
+            sample_rows=buffers.sample_rows.ctypes.data_as(_I64),
         )
         keep.append(stages)
-        return _NativeCycle(self._kernel, program, keep)
+        return _NativeCycle(self._kernel, program, shapes, keep)
 
 
 def _bind_stage(stage: _Stage, plan: StagePlan, fused, buffers: CycleBuffers, keep: list) -> None:

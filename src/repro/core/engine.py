@@ -35,14 +35,16 @@ Layout invariants the rest of the runtime relies on:
   single-word path is byte-identical to the pre-plane engine.
 
 The conversion helpers use ``int.to_bytes``/``np.unpackbits`` rather than
-per-bit Python loops, so primary-input injection and output extraction
-are vectorized even at ``batch == 1``.
+per-bit Python loops and accept leading axes, so the **pack layer** over
+them (``pack_block`` / ``unpack_block``: integer columns to and from the
+``(cycles, rows[, K])`` blocks a backend runs) converts a block per call.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +62,7 @@ MAX_LANE_WORDS = 64
 
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
+_LE64 = np.dtype("<u8")
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
@@ -103,33 +106,54 @@ def validate_values(values: int) -> int:
     return values
 
 
-def int_to_bits(value: int, nbits: int) -> np.ndarray:
-    """Little-endian bit vector of ``value`` (bool, vectorized, any width)."""
-    nbytes = (nbits + 7) // 8
-    raw = np.frombuffer(
-        (value & ((1 << nbits) - 1)).to_bytes(nbytes, "little"), dtype=np.uint8
-    )
-    return np.unpackbits(raw, bitorder="little")[:nbits].astype(bool)
+class Port(NamedTuple):
+    """Where a port sits in a block whose rows are every port's bits
+    concatenated — rows ``[lo, hi)`` — and in its unpacked form, each
+    port padded to whole 64-bit fields: ``[field, field + nfields)``."""
+
+    lo: int
+    hi: int
+    mask: int  # (1 << width) - 1
+    field: int
+    nfields: int
+
+    @classmethod
+    def after(cls, prev: "Port | None", width: int) -> "Port":
+        lo, field = (prev.hi, prev.field + prev.nfields) if prev else (0, 0)
+        return cls(lo, lo + width, (1 << width) - 1, field, max(1, -(-width // 64)))
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    """Inverse of :func:`int_to_bits` (accepts any 0/1 integer array)."""
-    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+def port_slices(tables: Mapping[str, np.ndarray]) -> dict[str, Port]:
+    """The block layout of ``tables`` (port name -> global bit indices), in order."""
+    ports, prev = {}, None
+    for name, idx in tables.items():
+        ports[name] = prev = Port.after(prev, idx.size)
+    return ports
 
 
-def _transpose_bits(bits: np.ndarray, row_bytes: int) -> np.ndarray:
-    """Transpose a 0/1 ``uint8`` matrix and pack each row of the result
-    into ``row_bytes`` little-endian bytes (zero padded): the one step
-    both directions of the lane <-> integer conversion share."""
-    # a contiguous copy first: packbits along a strided axis is several
-    # times slower than copy + pack
-    packed = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-    if packed.shape[1] == row_bytes:
-        return packed
-    rows = np.zeros((packed.shape[0], row_bytes), dtype=np.uint8)
-    rows[:, : packed.shape[1]] = packed
-    return rows
+def _last(ports: Mapping[str, Port]) -> Port:
+    """The last port: its ``hi`` / ``field + nfields`` size a block."""
+    return next(reversed(ports.values()), Port(0, 0, 0, 0, 0))
+
+
+def _port_ints(ports: Mapping[str, Port], bits: np.ndarray) -> dict[str, np.ndarray]:
+    """One ``(n, lanes)`` integer column per port from a block's
+    lanes-major bits ``(n, lanes, rows)``: one strided copy per port into
+    a matrix padding it to whole 64-bit fields, one ``np.packbits``."""
+    last = _last(ports)
+    padded = np.zeros((*bits.shape[:2], (last.field + last.nfields) * 64), dtype=np.uint8)
+    for lo, hi, _, field, _ in ports.values():
+        padded[:, :, field * 64 : field * 64 + hi - lo] = bits[:, :, lo:hi]
+    values = np.packbits(padded, axis=-1, bitorder="little").view(_LE64)
+    values = values.astype(np.uint64, copy=False)  # (n, lanes, fields)
+    columns = {}
+    for name, port in ports.items():
+        if port.nfields == 1:
+            columns[name] = values[:, :, port.field]
+        else:  # wider than a word: Python ints, field by field
+            parts = values[:, :, port.field : port.field + port.nfields].astype(object)
+            columns[name] = sum(parts[:, :, i] << (64 * i) for i in range(port.nfields))
+    return columns
 
 
 class ExecutionEngine:
@@ -164,17 +188,11 @@ class ExecutionEngine:
         #: ``words == 1`` and ``(n, words)`` rows beyond that
         self.words = validate_batch(batch)
         self.batch = batch
-        if self.words == 1:
-            #: active-lane mask: bit ``l`` set for every lane ``l < batch``
-            self.lane_mask = (
-                _ALL if batch == WORD_LANES else np.uint64((1 << batch) - 1)
-            )
-            self.lane_shifts = np.arange(batch, dtype=np.uint64)
-        else:
-            # multi-word planes are always fully populated, so the mask
-            # stays a scalar word and broadcasts across the plane
-            self.lane_mask = _ALL
-            self.lane_shifts = np.arange(WORD_LANES, dtype=np.uint64)
+        #: active-lane mask: bit ``l`` set for every lane ``l < batch`` (planes
+        #: are fully populated: a scalar word that broadcasts across them)
+        self.lane_mask = _ALL if batch >= WORD_LANES else np.uint64((1 << batch) - 1)
+        #: a stimulus bit every lane shares, as a packed word
+        self._bit_words = np.array([0, self.lane_mask], dtype=np.uint64)
 
     @staticmethod
     def lane_coords(lane: int) -> tuple[int, int]:
@@ -226,73 +244,152 @@ class ExecutionEngine:
 
     # -- integers <-> packed bit-plane words ----------------------------------
 
-    def broadcast_int(self, value: int, nbits: int) -> np.ndarray:
-        """``value``'s bits replicated across every active lane."""
-        bits = np.where(int_to_bits(value, nbits), self.lane_mask, _ZERO)
-        return bits if self.words == 1 else bits[:, None]
-
     def pack_lanes(self, values: "Sequence[int] | np.ndarray", nbits: int) -> np.ndarray:
         """Per-lane integers to packed words (arbitrary width).
 
-        ``values`` is one integer per lane — a sequence of Python ints
-        of any size or an integer array — masked to ``nbits``.  All lanes
-        become one ``(batch, nbytes)`` byte matrix, one ``np.unpackbits``
-        yields the per-lane bits, and one ``np.packbits`` along the lane
-        axis turns each bit's lane row into its little-endian words — the
-        inverse of :meth:`unpack_lanes`.  Returns ``(nbits,)`` words for
-        single-word batches, ``(nbits, K)`` planes beyond.
+        ``values`` holds one integer per lane along its last axis —
+        ``(batch,)`` for one cycle, ``(n, batch)`` for a block — as an
+        integer array or (nested) sequence of Python ints of any size,
+        masked to ``nbits``.  The one integer rule of every stimulus
+        entry point: a value is what ``operator.index`` accepts (NumPy
+        integers and bools included), anything else a
+        :class:`~repro.errors.LaneConfigError`.  One ``np.unpackbits``
+        and one ``np.packbits`` along the lane axis — the inverse of
+        :meth:`unpack_lanes`.  Returns ``(..., nbits)`` words,
+        ``(..., nbits, K)`` planes beyond 64 lanes.
         """
-        column = np.asarray(values) if nbits <= 64 else None
-        if column is not None and column.dtype.kind in "iub":
+        column = np.asarray(values)
+        if column.dtype.kind not in "iub" and not isinstance(values, np.ndarray):
+            # (a sequence mixing magnitudes must not pass through float64)
+            column = np.asarray(values, dtype=object)
+        if column.dtype.kind not in "iubO":
+            raise LaneConfigError(f"expected an integer array, got dtype {column.dtype}")
+        if column.shape[-1:] != (self.batch,):
+            raise LaneConfigError(
+                f"expected one value per lane, shape ({self.batch},), got {column.shape[-1:]}"
+            )
+        nbytes = (nbits + 7) // 8
+        if column.dtype != object and nbits <= 64:
             # two's-complement wrap then the bit slice below = the mask
-            mat = column.astype("<u8").view(np.uint8).reshape(len(column), 8)
+            mat = column.astype(_LE64).view(np.uint8).reshape(*column.shape, 8)[..., :nbytes]
         else:  # wider than a machine word, or ints beyond 64 bits to mask
-            nbytes = (nbits + 7) // 8
             vmask = (1 << nbits) - 1
-            raw = b"".join((int(v) & vmask).to_bytes(nbytes, "little") for v in values)
-            mat = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), nbytes)
-        bits = np.unpackbits(mat, axis=1, bitorder="little")[:, :nbits]
-        words = _transpose_bits(bits, 8 * self.words).view("<u8").astype(np.uint64, copy=False)
-        return words.reshape(nbits) if self.words == 1 else words
+            try:
+                raw = b"".join(
+                    (operator.index(v) & vmask).to_bytes(nbytes, "little")
+                    for v in column.ravel().tolist()
+                )
+            except TypeError as exc:
+                raise LaneConfigError(f"holds non-integer values ({exc})") from None
+            mat = np.frombuffer(raw, dtype=np.uint8).reshape(*column.shape, nbytes)
+        bits = np.unpackbits(mat, axis=-1, bitorder="little")[..., :nbits]
+        # a contiguous copy first: packbits along a strided axis is several
+        # times slower than copy + pack
+        lanes = np.ascontiguousarray(np.swapaxes(bits, -1, -2))
+        rows = np.zeros((*lanes.shape[:-1], 8 * self.words), dtype=np.uint8)
+        packed = np.packbits(lanes, axis=-1, bitorder="little")
+        rows[..., : packed.shape[-1]] = packed
+        words = rows.view(_LE64).astype(np.uint64, copy=False)
+        return words[..., 0] if self.words == 1 else words
 
     def unpack_lanes(self, words: np.ndarray) -> np.ndarray:
-        """Packed words to the per-lane bit matrix, shape ``(n, batch)``
-        uint8: row ``i`` holds element ``i``'s bit in every lane.  One
+        """Packed words to the per-lane bit matrix, shape ``(..., batch)``
+        uint8: the last axis holds one element's bit in every lane.  One
         ``np.unpackbits`` over the words' bytes — no per-lane shift, the
         same lines for a single word and a K-word plane."""
-        raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-        bits = np.unpackbits(
-            raw.reshape(len(words), 8 * self.words), axis=1, bitorder="little"
-        )
-        return bits[:, : self.batch]
+        lead = words.shape if self.words == 1 else words.shape[:-1]
+        raw = np.ascontiguousarray(words, dtype=_LE64).view(np.uint8)
+        bits = np.unpackbits(raw.reshape(*lead, 8 * self.words), axis=-1, bitorder="little")
+        return bits[..., : self.batch]
 
     @staticmethod
     def lane_ints(bits: np.ndarray) -> np.ndarray:
         """Per-lane integers of one port from its rows of
         :meth:`unpack_lanes`, shape ``(batch,)``: ``uint64`` for ports of
         up to 64 bits, object dtype (Python ints) for wider ones."""
-        nbits, batch = bits.shape
-        if nbits <= 64:
-            return _transpose_bits(bits, 8).view("<u8").astype(np.uint64, copy=False).reshape(batch)
-        step = (nbits + 7) // 8
-        raw = _transpose_bits(bits, step).tobytes()
-        out = np.empty(batch, dtype=object)
-        out[:] = [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+        return _port_ints({"": Port.after(None, bits.shape[0])}, bits.T[None])[""][0]
+
+    # -- the pack layer: integers <-> (cycles, rows[, K]) blocks ----------------
+
+    def pack_block(
+        self, ports: Mapping[str, Port], columns: Mapping[str, object], n: int
+    ) -> np.ndarray:
+        """``n`` cycles of stimulus as one block of packed words, ``(n,
+        rows)`` — ``(n, rows, K)`` beyond 64 lanes — whose rows are
+        ``ports``' bits (:func:`port_slices`).  ``columns`` maps port
+        names to ``(n, batch)`` integers in any form :meth:`pack_lanes`
+        takes; a port left out is 0 everywhere.  A name that is no port,
+        a shape that does not fit or a value that is no integer is a
+        :class:`~repro.errors.LaneConfigError` naming the port."""
+        rows = _last(ports).hi
+        block = np.zeros((n, rows) if self.words == 1 else (n, rows, self.words), dtype=np.uint64)
+        for name, column in columns.items():
+            if name not in ports:
+                raise LaneConfigError(f"unknown primary input {name!r}; have {sorted(ports)}")
+            lo, hi = ports[name][:2]
+            try:
+                words = self.pack_lanes(column, hi - lo)
+            except LaneConfigError as exc:
+                raise LaneConfigError(f"input {name!r}: {exc}") from None
+            if words.shape[0] != n or words.ndim != block.ndim:
+                raise LaneConfigError(f"input {name!r}: {np.shape(column)} is not ({n}, lanes)")
+            block[:, lo:hi] = words
+        return block
+
+    def unpack_block(self, ports: Mapping[str, Port], block: np.ndarray) -> dict[str, np.ndarray]:
+        """The inverse of :meth:`pack_block` for a sampled block: one
+        ``(n, batch)`` integer column per port.  One ``np.unpackbits``
+        for the block, one ``np.packbits`` for all ports — the number of
+        NumPy calls does not depend on ``n``."""
+        return _port_ints(ports, self.unpack_lanes(block).transpose(0, 2, 1))
+
+    def pack_scalars(
+        self, ports: Mapping[str, Port], rows: Sequence[Mapping[str, int] | None]
+    ) -> np.ndarray:
+        """:meth:`pack_block` for stimulus every lane shares: one ``port
+        -> value`` mapping per cycle (``None``: all zero; a name that is
+        no port is ignored).  A cycle travels as one Python int — masked
+        per port, any width, the same integer rule — and the block is one
+        ``np.unpackbits``, each bit widened to the active-lane mask."""
+        rows_bits = _last(ports).hi
+        nbytes = (rows_bits + 7) // 8
+        index, raw = operator.index, []
+        try:
+            for row in rows:
+                word = 0
+                for name, value in (row or {}).items():
+                    if name in ports:
+                        lo, _, mask, _, _ = ports[name]
+                        word |= (index(value) & mask) << lo
+                raw.append(word.to_bytes(nbytes, "little"))
+        except TypeError as exc:
+            raise LaneConfigError(f"input {name!r}: holds non-integer values ({exc})") from None
+        mat = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(rows), nbytes)
+        words = self._bit_words[np.unpackbits(mat, axis=1, bitorder="little")[:, :rows_bits]]
+        return words if self.words == 1 else np.repeat(words[..., None], self.words, axis=2)
+
+    def unpack_scalars(self, ports: Mapping[str, Port], block: np.ndarray) -> list[dict[str, int]]:
+        """Lane 0's words of a sampled block, one ``port -> value`` dict
+        per cycle: one mask over each row's first word, one ``np.packbits``
+        per block, one Python int per cycle, a shift and mask per port."""
+        first = block if self.words == 1 else block[..., 0]
+        packed = np.packbits((first & _ONE).astype(np.uint8), axis=1, bitorder="little")
+        nbytes, raw = packed.shape[1], packed.tobytes()
+        fields = [(name, port.lo, port.mask) for name, port in ports.items()]
+        out = []
+        for i in range(len(block)):
+            word = int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
+            out.append({name: (word >> lo) & mask for name, lo, mask in fields})
         return out
 
     def lane_bits(self, word) -> np.ndarray:
         """One packed word (or ``(K,)`` plane row) split into per-lane
         bits, shape ``(batch,)``."""
-        if self.words == 1:
-            return ((word >> self.lane_shifts) & _ONE).astype(np.uint8)
-        row = np.asarray(word, dtype=np.uint64)
-        bits = (row[:, None] >> self.lane_shifts[None, :]) & _ONE
-        return bits.reshape(self.batch).astype(np.uint8)
+        return self.unpack_lanes(np.asarray(word, dtype=np.uint64))
 
     def lane_values(self, words: np.ndarray) -> np.ndarray:
-        """Per-lane small integers (RAM addresses/data) from bit planes:
-        ``words[i]`` carries bit ``i`` of every lane.  Returns shape
-        ``(batch,)`` ``uint64``; the inverse is :meth:`pack_lanes`."""
+        """Per-lane small integers (RAM addresses/data) from bit planes
+        (``words[i]`` = bit ``i`` of every lane); inverse: :meth:`pack_lanes`."""
         return self.lane_ints(self.unpack_lanes(words))
 
     # -- RAM ports --------------------------------------------------------------

@@ -72,7 +72,7 @@ share one key, :func:`plan_key`; a stored plan is verified before a byte
 of it is interpreted and rebuilt if anything is wrong with it.
 :func:`cycle_buffers` allocates the mutable trace and arena of one
 interpreter, and the interpreter's backend compiles program + buffers
-into the executor — one ``evaluate`` and one ``commit`` per cycle
+into the executor — one ``run`` per block of cycles
 (:mod:`repro.core.backend`).
 """
 
@@ -390,7 +390,7 @@ def count_legacy_array_ops(partitions: list, stage_indices: list[list[int]]) -> 
     """NumPy dispatches per cycle of an ISA-literal per-partition walk.
 
     Counts every array-producing/consuming call of the reference
-    interpreter's ``_run_partition`` and of ``_commit``: the per-cycle
+    interpreter's ``_run_partition`` and of its commit: the per-cycle
     local zeroing, the READ gather+xor+scatter, each layer's gather, the
     four ufuncs of every fold step, writeback gathers+scatters, GWRITE
     gather+xor(+scatter at commit), and the deferred-value xor.
@@ -735,21 +735,21 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
 
 
 def cycle_buffers(
-    fused: FusedProgram, engine: "ExecutionEngine", state: "SimState"
+    fused: FusedProgram, engine: "ExecutionEngine", state: "SimState", pi_rows, sample_rows
 ) -> CycleBuffers:
     """The mutable arrays one interpreter's compiled cycle runs on.
 
     Allocates the trace and the RAM-slot arena and pairs them with the
-    state's global vector and RAM lane images for
-    ``backend.compile_cycle(fused, buffers)`` — which returns the
-    executor: ``evaluate(times)`` runs every stage and its RAM ports,
-    ``commit(times)`` applies the deferred writes at the cycle boundary.
-    The single trace buffer is sized for the largest stage and reused
-    across stages — nothing reads a stage's trace after its deferred
-    values are sampled — and the arena carries no live state across
-    cycles beyond the constant presets written here.
+    state's global vector and RAM lane images — and the two row tables
+    of a block: where its PI rows land in the global vector, which rows
+    it samples — for ``backend.compile_cycle(fused, buffers)``.  The
+    single trace buffer is sized for the largest stage and reused across
+    stages — nothing reads a stage's trace after its deferred values are
+    sampled — and the arena carries no live state across cycles beyond
+    the constant presets written here.
     """
     arena = engine.zeros(fused.arena_size)
     arena[fused.preset_slots] = engine.lane_mask
     trace = engine.zeros(max((plan.trace_size for plan in fused.stages), default=0))
-    return CycleBuffers(engine, state.global_state, trace, arena, state.ram_arrays)
+    rams = state.ram_arrays
+    return CycleBuffers(engine, state.global_state, pi_rows, sample_rows, trace, arena, rams)

@@ -32,17 +32,20 @@ fetched, fold steps, synchronizations, global traffic) that feed the
 analytical GPU timing model in :mod:`repro.core.perfmodel`; the counters
 are lane-aware so amortized per-lane work is reportable.
 
-A cycle is evaluated by the stage-fused executor of
-:mod:`repro.core.fused` — per-stage merged gathers, depth-grouped
+Cycles are evaluated a **block** at a time by the stage-fused executor
+of :mod:`repro.core.fused` — per-stage merged gathers, depth-grouped
 liveness-compacted waves, RAM ports, coalesced commit tables — compiled
-by the backend into one ``evaluate`` and one ``commit`` call per cycle
-(docs/ENGINE.md §6); on the native backend those are the only two calls
-that leave Python.  The scalar API moves its I/O the same way: ``step``
-packs all primary inputs into one Python int for a single scatter and
-reads all primary outputs back through a single gather.  The
-ISA-literal per-partition evaluation of the same bitstream lives in
+by the backend into one entry, ``run(n, pi_block, po_block, times)``
+(docs/ENGINE.md §6): ``n`` cycles of *scatter the PI rows, evaluate,
+gather the sample rows at the settled point, commit*, one call that
+leaves Python on the native backend.  Every entry point is the same
+three steps around it — pack the stimulus into ``pi_block``, run the
+block, unpack the sampled ``po_block`` (the engine's pack layer) — with
+``run`` / ``run_lanes`` cutting their stream into blocks of
+:func:`block_cycles` and ``step*`` being the block of one.
+The ISA-literal per-partition evaluation of the same bitstream lives in
 :class:`repro.simref.isa_interp.ReferenceInterpreter`, which subclasses
-this class for everything but the evaluate/commit pair and is what the
+this class for everything but the block entry and is what the
 differential tests and the fuzz oracle hold the executor against.
 
 Program and state are two objects.  :func:`load_program` turns a
@@ -72,24 +75,35 @@ from __future__ import annotations
 
 import copy
 import functools
-import operator
+import itertools
 import time
 import zlib
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from repro.core import isa
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import Container, GemProgram, parse_container
-from repro.core.engine import ExecutionEngine, _DecodedRamOp, _decode_ramop
-from repro.core.fused import FusedProgram, cycle_buffers, fused_program, plan_key
+from repro.core.engine import ExecutionEngine, Port, _DecodedRamOp, _decode_ramop, port_slices
+from repro.core.fused import FusedProgram, _StaticWork, cycle_buffers, fused_program, plan_key
 from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import MemoTable
 from repro.obs.trace import TRACER
 
-_ONE = np.uint64(1)
+#: What one block — one call into the backend — may cover: operand words
+#: gathered by the waves (about one per nanosecond natively, so a call
+#: stays in the low milliseconds and interrupts are served in between),
+#: lane-cycles through the pack layer (bounds the buffers), and cycles.
+BLOCK_OPERAND_WORDS, BLOCK_LANE_CYCLES, BLOCK_MAX_CYCLES = 1 << 22, 4096, 256
+
+
+def block_cycles(fused: FusedProgram, engine: ExecutionEngine) -> int:
+    """Cycles per block of ``run`` / ``run_lanes`` for this plan."""
+    operands = max(1, engine.words * sum(plan.gather.size for plan in fused.stages))
+    lanes = BLOCK_LANE_CYCLES // engine.batch
+    return max(1, min(BLOCK_MAX_CYCLES, lanes, BLOCK_OPERAND_WORDS // operands))
 
 
 @dataclass
@@ -147,18 +161,9 @@ class CycleCounters:
     lanes: int = 1
 
     def per_cycle(self) -> dict:
+        """The work fields — the ones a program fixes per cycle — per cycle."""
         c = max(1, self.cycles)
-        return {
-            "instruction_words": self.instruction_words / c,
-            "fold_steps": self.fold_steps / c,
-            "permutation_bits": self.permutation_bits / c,
-            "layer_syncs": self.layer_syncs / c,
-            "device_syncs": self.device_syncs / c,
-            "global_reads": self.global_reads / c,
-            "global_writes": self.global_writes / c,
-            "array_ops": self.array_ops / c,
-            "fused_array_ops": self.fused_array_ops / c,
-        }
+        return {f.name: getattr(self, f.name) / c for f in fields(_StaticWork)}
 
     def per_lane_cycle(self) -> dict:
         """Per-cycle work amortized over the packed stimulus lanes."""
@@ -216,22 +221,13 @@ class LoadedProgram:
     stage_indices: list[list[int]]
     #: input port name -> global bit indices, LSB first
     pi_tables: dict[str, np.ndarray]
-    # Lane I/O plan: every port's indices concatenated, so the per-lane
-    # inject clears all PIs in one scatter and a cycle's all-lane readback
-    # is one gather and one unpack, then one slice (name, lo, hi) of the
-    # unpacked bit rows per PO.
+    # Block I/O plan: the rows of a ``pi_block`` are every input port's
+    # bits concatenated (``pi_gidx``: where each lands in the global
+    # state), the leading rows of a ``po_block`` every output port's.
     pi_gidx: np.ndarray
     po_gidx: np.ndarray
-    po_slices: list[tuple[str, int, int]]
-    # Scalar I/O plan: step() moves every PI / PO as one packed Python
-    # int each way.  Port ``name`` owns bits [shift, shift + width) of
-    # the word, in pi_gidx / po_gidx order; a stimulus bit becomes a word
-    # through the two-entry table, and lane 0 of every PO bit is one flat
-    # index into the state's words.
-    pi_fields: dict[str, tuple[int, int]]  # name -> (shift, mask)
-    po_fields: list[tuple[str, int, int]]  # (name, shift, mask)
-    bit_words: np.ndarray
-    po_lane0: np.ndarray
+    pi_slices: dict[str, Port]
+    po_slices: dict[str, Port]
     fused: FusedProgram
 
     @functools.cached_property
@@ -279,11 +275,6 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
     # (the empty tail keeps the concatenation defined for a design
     # without inputs or outputs)
     no_bits = np.zeros(0, dtype=np.int64)
-    pi_gidx = np.concatenate([*pi_tables.values(), no_bits])
-    po_gidx = np.concatenate([*po_tables.values(), no_bits])
-    ends = np.cumsum([idx.size for idx in po_tables.values()]).tolist()
-    po_slices = list(zip(po_tables, [0, *ends], ends))
-    starts = np.cumsum([0, *(idx.size for idx in pi_tables.values())]).tolist()
     return LoadedProgram(
         program=program,
         container=container,
@@ -291,16 +282,10 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
         key=key,
         stage_indices=stage_indices,
         pi_tables=pi_tables,
-        pi_gidx=pi_gidx,
-        po_gidx=po_gidx,
-        po_slices=po_slices,
-        pi_fields={
-            name: (shift, (1 << idx.size) - 1)
-            for (name, idx), shift in zip(pi_tables.items(), starts)
-        },
-        po_fields=[(name, lo, (1 << (hi - lo)) - 1) for name, lo, hi in po_slices],
-        bit_words=np.array([0, engine.lane_mask], dtype=np.uint64),
-        po_lane0=po_gidx * engine.words,
+        pi_gidx=np.concatenate([*pi_tables.values(), no_bits]),
+        po_gidx=np.concatenate([*po_tables.values(), no_bits]),
+        pi_slices=port_slices(pi_tables),
+        po_slices=port_slices(po_tables),
         fused=fused,
     )
 
@@ -446,11 +431,12 @@ class GemInterpreter:
     and observes every lane individually.
 
     ``profile=True`` keeps lightweight wall-clock timers per phase in
-    :attr:`phase_times` (``inject`` / ``gather`` / ``fold`` / ``commit``).
+    :attr:`phase_times`: ``inject`` is the pack layer's time,
+    ``gather`` / ``fold`` / ``commit`` the backend's split of a block.
 
-    ``backend`` selects how the executor runs a cycle
+    ``backend`` selects how the executor runs a block of cycles
     (:mod:`repro.core.backend`): ``None`` (default) is the native C
-    cycle kernel where a compiler or a cached build exists and the numpy
+    block kernel where a compiler or a cached build exists and the numpy
     array loop elsewhere; ``"numpy"`` forces the array loop; ``"native"``
     by name warns once and falls back to numpy when it cannot be built.
 
@@ -478,15 +464,14 @@ class GemInterpreter:
     ) -> None:
         self.backend = resolve_backend(backend)
         self._bind(load_program(program, batch), profile)
-        self._executor = self.backend.compile_cycle(
-            self._fused, cycle_buffers(self._fused, self.engine, self.state)
+        self._buffers = cycle_buffers(
+            self._fused, self.engine, self.state, self.loaded.pi_gidx, self.loaded.po_gidx
         )
+        self._sample(self.loaded.po_gidx)
 
     def _bind(self, loaded: LoadedProgram, profile: bool) -> None:
-        """Join the shared program with a state of this instance's own.
-        What ``step`` reads every cycle — the scalar I/O plan, the state
-        arrays (never rebound) — is bound on the instance, one attribute
-        load away; the rest goes through :attr:`loaded` and :attr:`state`."""
+        """Join the shared program with a state of this instance's own;
+        the state arrays are bound on the instance too (never rebound)."""
         self.loaded = loaded
         self.program = loaded.program
         self.engine = loaded.engine
@@ -496,17 +481,24 @@ class GemInterpreter:
         self.state = state = SimState.power_on(loaded)
         self.global_state = state.global_state
         self.ram_arrays = state.ram_arrays
-        self._state_words = state.global_state.reshape(-1)
-        self._pi_fields = loaded.pi_fields
-        self._pi_gidx = loaded.pi_gidx
-        self._bit_words = loaded.bit_words
-        self._po_fields = loaded.po_fields
-        self._po_lane0 = loaded.po_lane0
         self._fused = loaded.fused
-        #: optional per-cycle signal tap (repro.obs.probe.ProbeTap); the
-        #: hot-loop cost while detached is one attribute check per step,
-        #: mirroring the TRACER.enabled guard.
+        #: the per-cycle counter deltas a block adds ``n`` times
+        self._static = tuple(vars(loaded.fused.static).items())
+        #: cycles per block of :meth:`run` / :meth:`run_lanes`
+        self.block_cycles = block_cycles(loaded.fused, loaded.engine)
+        #: optional signal tap (repro.obs.probe.ProbeTap): its rows ride
+        #: behind the PO rows of every sampled block
         self._probe_tap = None
+
+    def _sample(self, rows: np.ndarray) -> None:
+        """Bind the block entry over ``rows``, the global-state rows a
+        block samples each cycle at the settled point."""
+        self._sample_rows = rows
+        #: the sampled block's buffer, allocated by the first block and reused
+        self._po_buffer: np.ndarray | None = None
+        if self.backend is not None:  # (the reference interpreter is its own entry)
+            buffers = replace(self._buffers, sample_rows=rows)
+            self._run_block = self.backend.compile_cycle(self._fused, buffers).run
 
     @property
     def cycle(self) -> int:
@@ -527,7 +519,8 @@ class GemInterpreter:
         freshly constructed one.
         """
         self.state.reset(self.loaded)
-        self.reset_phase_times()
+        for phase in self.phase_times:
+            self.phase_times[phase] = 0.0
 
     def quarantine_lanes(self, lanes: Sequence[int]) -> None:
         """Mask stimulus lanes out of the batch (fault containment).
@@ -548,164 +541,114 @@ class GemInterpreter:
         """Lane indices currently masked out by :meth:`quarantine_lanes`."""
         return sorted(self.state.quarantined)
 
-    def reset_phase_times(self) -> None:
-        """Zero the per-phase wall-clock timers (kept across ``step``
-        calls so a run accumulates; call between measured runs)."""
-        for phase in self.phase_times:
-            self.phase_times[phase] = 0.0
-
     # -- execution ------------------------------------------------------------
 
-    # -- stimulus injection ---------------------------------------------------
+    #: what the dict adapter passes every stimulus mapping through first
+    #: (:class:`~repro.fourstate.fastpath.FourStateSimulator` encodes)
+    _encode = None
 
-    def _inject_broadcast(self, inputs: Mapping[str, int] | None) -> None:
-        """Write one input vector to every lane: the values packed into
-        one word (masked to their ports; a missing name is 0, an unknown
-        one ignored), one unpack, one scatter over every PI bit."""
-        word = 0
-        if inputs:
-            fields = self._pi_fields
-            index = operator.index  # a NumPy integer must not do the shift
-            for name, value in inputs.items():
-                field = fields.get(name)
-                if field is not None:
-                    word |= (index(value) & field[1]) << field[0]
-        nbits = self._pi_gidx.size
-        raw = np.frombuffer(word.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8)
-        words = self._bit_words.take(np.unpackbits(raw, bitorder="little")[:nbits])
-        self.global_state[self._pi_gidx] = words if self.engine.words == 1 else words[:, None]
-
-    def _inject_lanes(
-        self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None
-    ) -> None:
-        """The dict adapter's inject: one mapping (broadcast) or one per
-        lane.  Tolerant like :meth:`step`: a missing name is 0, values
-        are masked to the port width, unknown names are ignored."""
-        if inputs is None or isinstance(inputs, Mapping):
-            self._inject_broadcast(inputs)
-            return
-        if len(inputs) != self.batch:
-            raise ValueError(
-                f"expected {self.batch} per-lane input vectors, got {len(inputs)}"
-            )
-        # one pass over the lane dicts finds the PIs any lane drives; only
-        # those get a per-lane column, every other PI is 0 on all lanes
-        driven = set().union(*filter(None, inputs))
-        engine = self.engine
-        words = {}
-        for name, idx in self.loaded.pi_tables.items():
-            if name not in driven:
-                continue
-            column = [(vec or {}).get(name, 0) for vec in inputs]
-            value = column[0]
-            if column.count(value) == len(column):
-                words[name] = engine.broadcast_int(value, idx.size)
+    def _pack(self, rows: Sequence) -> np.ndarray:
+        """The dict adapter: cycles of stimulus — each one mapping for
+        every lane (``None``: all zero) or exactly ``batch`` mappings —
+        as a ``pi_block``.  Tolerant: a missing name is 0, an unknown
+        one ignored, values are masked to their port.  Cycles every lane
+        shares are ``pack_scalars``'; one per-lane cycle makes the block
+        ``pack_block`` columns of the ports some cycle drives."""
+        encode, ports, batch = self._encode, self.loaded.pi_slices, self.batch
+        shared = [row is None or isinstance(row, Mapping) for row in rows]
+        if encode is not None:
+            rows = [
+                encode(row) if every else [encode(vec) for vec in row]
+                for row, every in zip(rows, shared)
+            ]
+        if all(shared):
+            return self.engine.pack_scalars(ports, rows)
+        driven = set()
+        for row, every in zip(rows, shared):
+            if every:
+                driven.update(row or ())
+            elif len(row) != batch:
+                raise LaneConfigError(f"expected {batch} per-lane input vectors, got {len(row)}")
             else:
-                words[name] = engine.pack_lanes(column, idx.size)
-        self._write_inputs(words)
+                driven.update(*filter(None, row))
+        columns = {
+            name: [
+                [(row or {}).get(name, 0)] * batch
+                if every
+                else [(vec or {}).get(name, 0) for vec in row]
+                for row, every in zip(rows, shared)
+            ]
+            for name in driven.intersection(ports)
+        }
+        return self.engine.pack_block(ports, columns, len(rows))
 
-    def _inject_arrays(self, inputs: Mapping[str, np.ndarray] | None) -> None:
-        """The array API's inject: one ``(batch,)`` integer column per
-        PI (a missing PI is 0), validated before any state is written."""
-        words = {}
-        pi_tables = self.loaded.pi_tables
-        for name, column in (inputs or {}).items():
-            idx = pi_tables.get(name)
-            if idx is None:
-                raise LaneConfigError(
-                    f"unknown primary input {name!r}; have {sorted(pi_tables)}"
-                )
-            column = np.asarray(column)
-            if column.shape != (self.batch,):
-                raise LaneConfigError(
-                    f"input {name!r}: expected one value per lane, shape "
-                    f"({self.batch},), got {column.shape}"
-                )
-            if column.dtype.kind == "O":
-                # Python ints, for ports wider than a machine word
-                try:
-                    column = [operator.index(v) for v in column]
-                except TypeError:
-                    raise LaneConfigError(
-                        f"input {name!r}: object array holds non-integer values"
-                    ) from None
-            elif column.dtype.kind not in "iub":
-                raise LaneConfigError(
-                    f"input {name!r}: expected an integer array, got dtype {column.dtype}"
-                )
-            words[name] = self.engine.pack_lanes(column, idx.size)
-        self._write_inputs(words)
-
-    def _write_inputs(self, words: Mapping[str, np.ndarray]) -> None:
-        """Scatter packed PI words; every PI not named is cleared."""
-        gstate = self.global_state
-        gstate[self._pi_gidx] = 0
-        pi_tables = self.loaded.pi_tables
-        for name, value in words.items():
-            gstate[pi_tables[name]] = value
-
-    # -- the cycle ------------------------------------------------------------
-
-    def _evaluate(self) -> None:
-        """Evaluate one cycle up to the settled point: every stage and its
-        RAM ports.  The deferred writes wait in the executor for
-        :meth:`_commit`."""
-        writes = self._executor.evaluate(self.phase_times if self.profile else None)
-        counters = self.state.counters
-        work = self._fused.static
-        counters.instruction_words += work.instruction_words
-        counters.fold_steps += work.fold_steps
-        counters.permutation_bits += work.permutation_bits
-        counters.layer_syncs += work.layer_syncs
-        counters.device_syncs += work.device_syncs
-        counters.global_reads += work.global_reads
-        counters.global_writes += work.global_writes + writes
-        counters.array_ops += work.array_ops
-        counters.fused_array_ops += work.fused_array_ops
-
-    def _commit(self) -> None:
-        """The cycle boundary: land the deferred writes (FF next states,
-        RAM read data)."""
-        self._executor.commit(self.phase_times if self.profile else None)
-
-    def _cycle(self, inject, inputs, readback):
-        """One simulated cycle: ``inject(inputs)``, evaluate, sample
-        ``readback()`` at the settled point, commit.  When the global
-        tracer is enabled the cycle is recorded as a span with per-phase
-        children (the only hot-loop cost while it is disabled is this
-        one check)."""
-        if TRACER.enabled:
-            return _trace_cycle(self, inject, inputs, readback)
-        return self._cycle_impl(inject, inputs, readback)
-
-    def _cycle_impl(self, inject, inputs, readback):
-        if self.profile:
-            t0 = time.perf_counter()
-            inject(inputs)
-            self.phase_times["inject"] += time.perf_counter() - t0
-        else:
-            inject(inputs)
-        self._evaluate()
-        if self._probe_tap is not None:
-            self._probe_tap.capture(self)
-        outs = readback()
-        self._commit()
+    def _advance(self, n: int, pack, *stimulus) -> np.ndarray:
+        """Simulate ``n`` cycles on ``pack(*stimulus)`` — pack, one block
+        call, count — and return the PO rows of the sampled block (a
+        view of a buffer the next block overwrites; an attached probe's
+        rows, sampled behind them, go to the tap).  Whatever is wrong
+        with the stimulus is raised by the pack, before any state is
+        written.  With the global tracer enabled the block is one span
+        carrying ``n`` and the phase seconds."""
+        tracing = TRACER.enabled
+        times = self.phase_times if self.profile or tracing else None
+        t0 = time.perf_counter()
+        before = dict(times) if tracing else None
+        pi_block = pack(*stimulus)
+        if times is not None:
+            times["inject"] += time.perf_counter() - t0
+        buffer = self._po_buffer
+        if buffer is None or len(buffer) < n:
+            shape = (max(n, self.block_cycles), self._sample_rows.size, *self.global_state.shape[1:])
+            buffer = self._po_buffer = np.empty(shape, dtype=np.uint64)
+        po_block, outputs = buffer[:n], self.loaded.po_gidx.size
+        writes = self._run_block(n, pi_block, po_block, times)
         state = self.state
-        state.counters.cycles += 1
-        state.cycle += 1
-        return outs
+        counters, first = state.counters, state.cycle
+        for name, per_cycle in self._static:  # the program's static work, n times
+            setattr(counters, name, getattr(counters, name) + n * per_cycle)
+        counters.global_writes += writes
+        counters.cycles += n
+        state.cycle += n
+        if self._probe_tap is not None:
+            self._probe_tap.on_block(po_block[:, outputs:])
+        if tracing:
+            phases = {phase: times[phase] - before[phase] for phase in before}
+            TRACER.complete("block", t0, cat="runtime", args={"cycle": first, "n": n, **phases})
+        return po_block[:, :outputs]
+
+    def _scalars(self, po_rows: np.ndarray) -> list[dict[str, int]]:
+        return self.engine.unpack_scalars(self.loaded.po_slices, po_rows)
+
+    def _arrays(self, po_rows: np.ndarray) -> dict[str, np.ndarray]:
+        return self.engine.unpack_block(self.loaded.po_slices, po_rows)
+
+    def _lanes(self, po_rows: np.ndarray) -> list[list[dict[str, int]]]:
+        """The dict adapter over :meth:`_arrays`: per cycle, per lane."""
+        columns = self._arrays(po_rows)
+        if not columns:
+            return [[{} for _ in range(self.batch)] for _ in range(len(po_rows))]
+        # zip hands each lane's row to dict() in a tuple it reuses: the
+        # only container allocated per lane-cycle is the dict that is kept
+        lists = [column.tolist() for column in columns.values()]
+        return [[dict(zip(columns, row)) for row in zip(*cycle)] for cycle in zip(*lists)]
+
+    def _settled(self) -> np.ndarray:
+        """The PO rows as a block of one cycle: primary outputs own their
+        global-state slots, written during evaluation and never by the
+        commit, so after a step they still hold its settled outputs."""
+        return self.global_state[self.loaded.po_gidx][None]
 
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
         """Simulate one cycle; returns the settled primary output words.
 
         With ``batch > 1`` the inputs are broadcast to every lane and the
-        returned outputs are lane 0's (all lanes see identical stimulus
-        unless the lane API is used).  Scalar I/O moves as one packed
-        word each way — all inputs in one scatter, all outputs in one
-        gather — and is tolerant: values are masked to their port, a
-        missing name is 0, an unknown name is ignored.
+        returned outputs are lane 0's.  Tolerant like every dict entry
+        point — values are masked to their port, a missing name is 0, an
+        unknown name is ignored — but a value that is not an integer is
+        a :class:`~repro.errors.LaneConfigError` before anything runs.
         """
-        return self._cycle(self._inject_broadcast, inputs, self.outputs)
+        return self._scalars(self._advance(1, self._pack, (inputs,)))[0]
 
     def step_arrays(
         self, inputs: Mapping[str, np.ndarray] | None = None
@@ -714,111 +657,81 @@ class GemInterpreter:
 
         ``inputs`` maps PI names to ``(batch,)`` integer arrays, one
         value per lane (object dtype with Python ints for ports wider
-        than 64 bits; a PI left out is 0 on every lane).  Returns
-        :meth:`outputs_arrays`.  A wrong lane count, an unknown PI name
-        or a non-integer dtype raises :class:`~repro.errors.LaneConfigError`
-        before any state is touched.
+        than 64 bits; a PI left out is 0 on every lane).  Returns that
+        cycle's :meth:`outputs_arrays`.  A wrong lane count, an unknown
+        PI name or a non-integer value raises
+        :class:`~repro.errors.LaneConfigError` before any state is touched.
         """
-        return self._cycle(self._inject_arrays, inputs, self.outputs_arrays)
+        columns = {name: np.asarray(column)[None] for name, column in (inputs or {}).items()}
+        po_rows = self._advance(1, self.engine.pack_block, self.loaded.pi_slices, columns, 1)
+        return {name: column[0] for name, column in self._arrays(po_rows).items()}
 
     def step_lanes(
         self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None = None
     ) -> list[dict[str, int]]:
-        """Simulate one cycle with per-lane stimulus; returns per-lane outputs.
-
-        The dict adapter over the array path: ``inputs`` is either one
-        mapping (broadcast to all lanes) or a sequence of exactly
-        ``batch`` mappings, one per lane.
-        """
-        return self._cycle(self._inject_lanes, inputs, self.outputs_lanes)
+        """Simulate one cycle with per-lane stimulus; returns per-lane
+        outputs.  ``inputs`` is either one mapping (broadcast to all
+        lanes) or a sequence of exactly ``batch`` mappings, one per lane."""
+        return self._lanes(self._advance(1, self._pack, (inputs,)))[0]
 
     def advance_lanes(
         self, inputs: Sequence[Mapping[str, int]] | Mapping[str, int] | None = None
     ) -> None:
-        """:meth:`step_lanes` without the readback.
-
-        Primary outputs live in their own global-state slots, written
-        during evaluation and never by the commit, so after this call
+        """:meth:`step_lanes` without the unpack: afterwards
         :meth:`outputs` / :meth:`outputs_arrays` / :meth:`outputs_lanes`
         read the cycle's settled outputs — pay only for the lanes and
-        the form you need.
-        """
-        self._cycle(self._inject_lanes, inputs, _no_readback)
-
-    # -- observation ----------------------------------------------------------
-
-    def attach_probe(self, tap) -> None:
-        """Bind a signal tap (:class:`repro.obs.probe.ProbeTap`).
-
-        The tap's ``capture`` runs once per cycle at the settled point:
-        after the combinational waves (POs and cut values hold cycle-t
-        results) but before deferred commits land (FF bits still hold the
-        state that *entered* the cycle) — the exact observation point of
-        the gate-level reference right after its first settle.
-        """
-        self._probe_tap = tap
-
-    def detach_probe(self) -> None:
-        self._probe_tap = None
-
-    def outputs(self) -> dict[str, int]:
-        """Lane 0's primary output words: one gather over every PO bit,
-        packed into one word, one shift and mask per port."""
-        bits = (self._state_words.take(self._po_lane0) & _ONE).astype(np.uint8)
-        word = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        return {name: (word >> shift) & mask for name, shift, mask in self._po_fields}
-
-    def outputs_arrays(self) -> dict[str, np.ndarray]:
-        """Every lane's primary outputs, one ``(batch,)`` column per PO:
-        ``uint64`` for ports of up to 64 bits, object dtype (Python ints)
-        for wider ones.  One gather and one unpack for the whole cycle,
-        one pack per port."""
-        engine, loaded = self.engine, self.loaded
-        bits = engine.unpack_lanes(self.global_state[loaded.po_gidx])
-        return {name: engine.lane_ints(bits[lo:hi]) for name, lo, hi in loaded.po_slices}
-
-    def outputs_lanes(self) -> list[dict[str, int]]:
-        """Primary output words of every lane (the dict adapter over
-        :meth:`outputs_arrays`)."""
-        columns = self.outputs_arrays()
-        rows = zip(*(column.tolist() for column in columns.values()))
-        return [dict(zip(columns, row)) for row in rows]
+        the form you need."""
+        self._advance(1, self._pack, (inputs,))
 
     def run(self, stimuli: Iterable[Mapping[str, int]]) -> list[dict[str, int]]:
-        return [self.step(vec) for vec in stimuli]
+        """:meth:`step` over a stream, a block at a time (see :meth:`run_lanes`)."""
+        return self._run(stimuli, self._scalars)
 
     def run_lanes(
         self, stimuli: Iterable[Sequence[Mapping[str, int]] | Mapping[str, int]]
     ) -> list[list[dict[str, int]]]:
-        """Per-cycle, per-lane outputs for a stream of (per-lane) stimuli."""
-        return [self.step_lanes(vec) for vec in stimuli]
+        """Per-cycle, per-lane outputs for a stream of (per-lane) stimuli.
 
+        ``stimuli`` is any iterable (its length is never asked for),
+        consumed in blocks of :attr:`block_cycles` cycles, each validated
+        and packed whole before it runs: a malformed vector raises with
+        the state on a block boundary — the blocks before it simulated,
+        none of its own — and :attr:`cycle` says which.
+        """
+        return self._run(stimuli, self._lanes)
 
-def _no_readback() -> None:
-    """:meth:`GemInterpreter.advance_lanes` reads nothing back."""
+    def _run(self, stimuli: Iterable, unpack) -> list:
+        outputs: list = []
+        stream = iter(stimuli)
+        while chunk := list(itertools.islice(stream, self.block_cycles)):
+            outputs += unpack(self._advance(len(chunk), self._pack, chunk))
+        return outputs
 
+    # -- observation ----------------------------------------------------------
 
-def _trace_cycle(interp: GemInterpreter, inject, inputs, readback):
-    """Run one cycle under the span tracer.
+    def attach_probe(self, tap) -> None:
+        """Bind a signal tap (:class:`repro.obs.probe.ProbeTap`): its
+        rows join the sample table, so every block samples them with the
+        primary outputs at the settled point of each cycle — after the
+        combinational waves (POs and cut values hold cycle-t results),
+        before deferred commits land (FF bits still hold the state that
+        *entered* the cycle): where the gate-level reference looks."""
+        self._probe_tap = tap
+        self._sample(np.concatenate([self.loaded.po_gidx, tap.plan.all_gidx]))
 
-    Tracing implies per-phase timing: the profile timers are forced on
-    for the cycle so the emitted span carries inject/gather/fold/commit
-    children derived from the ``phase_times`` deltas.  The timers keep
-    their accumulated totals (tracing surfaces them, it never hides
-    work), and ``profile`` is restored afterwards.
-    """
-    t0 = time.perf_counter()
-    before = dict(interp.phase_times)
-    prev_profile = interp.profile
-    interp.profile = True
-    try:
-        out = interp._cycle_impl(inject, inputs, readback)
-    finally:
-        interp.profile = prev_profile
-    dur = time.perf_counter() - t0
-    phases = {k: interp.phase_times[k] - before[k] for k in before}
-    TRACER.cycle(interp.cycle - 1, t0, dur, phases)
-    return out
+    def outputs(self) -> dict[str, int]:
+        """Lane 0's primary output words."""
+        return self._scalars(self._settled())[0]
+
+    def outputs_arrays(self) -> dict[str, np.ndarray]:
+        """Every lane's primary outputs, one ``(batch,)`` column per PO:
+        ``uint64`` for ports of up to 64 bits, object dtype (Python ints)
+        for wider ones."""
+        return {name: column[0] for name, column in self._arrays(self._settled()).items()}
+
+    def outputs_lanes(self) -> list[dict[str, int]]:
+        """Primary output words of every lane."""
+        return self._lanes(self._settled())[0]
 
 
 def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPartition:

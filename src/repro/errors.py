@@ -56,17 +56,17 @@ class ConfigError(GemError, ValueError):
     """
 
 
-class LaneConfigError(GemError, ValueError):
-    """The requested batch / lane-plane geometry is unsupported.
+class LaneConfigError(GemError, ValueError, TypeError):
+    """The batch / lane-plane geometry is unsupported, or lane data misfits it.
 
     Raised by :class:`repro.core.engine.ExecutionEngine` for a
     non-positive batch, a batch beyond 64 that is not a whole number of
-    64-lane words, or a lane-plane word count past the engine limit; and
-    by ``GemInterpreter.step_arrays`` for per-lane stimulus arrays that
-    do not fit the batch (wrong lane count, unknown input name,
-    non-integer dtype).  Subclasses :class:`ValueError` because engine
-    construction historically raised bare ``ValueError`` for
-    out-of-range batches.
+    64-lane words, or a lane-plane word count past the engine limit; by
+    the pack layer, on every stimulus entry point, for stimulus that
+    does not fit the batch (wrong lane count, unknown input name on the
+    array API, a value that is not an integer); and by a backend's
+    ``run`` for a block it was not compiled for.  A :class:`ValueError` and
+    a :class:`TypeError`: what those cases historically raised.
     """
 
 

@@ -83,14 +83,14 @@ def _encode_stimulus(
         if rails is None:
             # An explicit rail name (an __x mask, or an input the
             # transform does not know): pass through verbatim.
-            masks[name] = int(value)
+            masks[name] = value
             continue
         d_name, x_name = rails
         if isinstance(value, FourState):
             data[d_name] = value.data
             masks[x_name] = value.unknown
         else:
-            data[d_name] = int(value)
+            data[d_name] = value  # the pack layer holds it to the integer rule
             masks.setdefault(x_name, 0)
     data.update(masks)  # explicit masks win over implicit known-0
     return data
@@ -116,18 +116,11 @@ class FourStateSimulator(GemInterpreter):
         self.dual = dual
         super().__init__(program, **kwargs)
 
-    # -- raw stepping (2-state rails), stimulus-encoded -------------------
-    # Encoding sits in the interpreter's two dict-inject hooks, so
-    # step / step_lanes / advance_lanes / run all accept 4-state
-    # stimuli; step_arrays takes raw rail columns as they are.
-
-    def _inject_broadcast(self, inputs) -> None:
-        super()._inject_broadcast(_encode_stimulus(self.dual, inputs or {}))
-
-    def _inject_lanes(self, inputs) -> None:
-        if inputs is not None and not isinstance(inputs, Mapping):
-            inputs = [_encode_stimulus(self.dual, vec or {}) for vec in inputs]
-        super()._inject_lanes(inputs)
+    def _encode(self, vec) -> dict[str, int]:
+        """The dict adapter's hook: step / step_lanes / advance_lanes /
+        run / run_lanes all accept 4-state stimuli; step_arrays takes
+        raw rail columns as they are."""
+        return _encode_stimulus(self.dual, vec or {})
 
     # -- 4-state API ------------------------------------------------------
 

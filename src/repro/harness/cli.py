@@ -391,13 +391,10 @@ def _run_plain(args, design, wl, stimuli, tap) -> int:
     if tap is not None:
         tap.attach(sim)
     t0 = time.perf_counter()
-    observed = []
-    last = {}
-    for vec in stimuli:
-        last = sim.step(vec)
-        if wl.valid_port in last and last.get(wl.valid_port):
-            observed.append(last[wl.out_port])
+    outputs = sim.run(stimuli)
     elapsed = time.perf_counter() - t0
+    observed = [out[wl.out_port] for out in outputs if out.get(wl.valid_port)]
+    last = outputs[-1] if outputs else {}
     lanes = f" x {args.batch} lanes" if args.batch > 1 else ""
     vals = " 4-state" if args.values == 4 else ""
     print(f"{args.design}/{wl.name}: {len(stimuli)} cycles{lanes} in {elapsed:.3f}s "
@@ -903,8 +900,7 @@ def _probe(args) -> int:
     ring = WaveRing(plan, capacity=max(len(stimuli), 1))
     sim = _engine_sim(args, design)
     ProbeTap(plan, [ring]).attach(sim)
-    for vec in stimuli:
-        sim.step(vec)
+    sim.run(stimuli)
     for cycle, values in ring.lane_samples(args.lane):
         rendered = "  ".join(f"{net}={value}" for net, value in values.items())
         print(f"cycle {cycle:6d}: {rendered}")

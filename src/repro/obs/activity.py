@@ -10,7 +10,8 @@ three counters over the captured window, summed across active lanes:
 * ``TC`` — toggle count (popcount of the XOR between consecutive tap
   words — the classic SAIF transition count).
 
-The accumulate step is a handful of vectorized popcounts per cycle —
+The accumulate step is a handful of vectorized popcounts per block of
+cycles, an XOR down the cycle axis for the toggles —
 ``numpy.bitwise_count`` when the installed numpy has it (>= 2.0), a
 byte-LUT fallback otherwise.
 
@@ -48,31 +49,11 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return _BYTE_POPCOUNT[as_bytes].sum(axis=-1)
 
 
-def _accumulate(
-    words: np.ndarray,
-    prev: np.ndarray | None,
-    mask: np.ndarray,
-    t0: np.ndarray,
-    t1: np.ndarray,
-    tc: np.ndarray,
-    batch: int,
-) -> None:
-    masked = words & mask
-    ones = popcount(masked).sum(axis=1, dtype=np.uint64)
-    t1 += ones
-    t0 += np.uint64(batch) - ones
-    if prev is not None:
-        tc += popcount((words ^ prev) & mask).sum(axis=1, dtype=np.uint64)
-
-
 def lane_masks(batch: int, words: int) -> np.ndarray:
     """Active-lane mask per lane-plane word (partial final word)."""
-    masks = np.zeros(words, dtype=np.uint64)
-    remaining = batch
-    for k in range(words):
-        lanes = min(64, remaining)
-        masks[k] = np.uint64(0xFFFFFFFFFFFFFFFF) if lanes >= 64 else np.uint64((1 << lanes) - 1)
-        remaining -= lanes
+    masks = np.full(words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    if batch < 64 * words:
+        masks[-1] = (1 << (batch - 64 * (words - 1))) - 1
     return masks
 
 
@@ -80,8 +61,9 @@ class ActivityAccumulator:
     """Streaming T0/T1/TC counters over a probe-tap word stream.
 
     A probe-tap *sink* (see :class:`repro.obs.probe.ProbeTap`): receives
-    each cycle's gathered tap words and folds them into per-net-bit
-    counters.  Supports :meth:`snapshot` / :meth:`restore` so the
+    each block's sampled tap words and folds them into per-net-bit
+    counters, carrying the last cycle's row across blocks for the
+    toggle count.  Supports :meth:`snapshot` / :meth:`restore` so the
     supervisor can rewind it with the engine on checkpoint rollback.
     """
 
@@ -101,11 +83,18 @@ class ActivityAccumulator:
         self.batch = batch
         self._mask = lane_masks(batch, words)
 
-    def on_cycle(self, cycle: int, words: np.ndarray) -> None:
-        w = words.reshape(self.plan.num_bits, -1)
-        _accumulate(w, self._prev, self._mask, self.t0, self.t1, self.tc, self.batch)
-        self._prev = w
-        self.cycles += 1
+    def on_block(self, first_cycle: int, words: np.ndarray) -> None:
+        n = len(words)
+        if not n:
+            return
+        w = words.reshape(n, self.plan.num_bits, -1)
+        ones = popcount(w & self._mask).sum(axis=(0, 2), dtype=np.uint64)
+        self.t1 += ones
+        self.t0 += np.uint64(n * self.batch) - ones
+        rows = w if self._prev is None else np.concatenate([self._prev[None], w])
+        self.tc += popcount((rows[1:] ^ rows[:-1]) & self._mask).sum(axis=(0, 2), dtype=np.uint64)
+        self._prev = w[-1].copy()
+        self.cycles += n
 
     # -- rewind support (supervisor rollback) -------------------------------
 

@@ -6,9 +6,9 @@ user-facing net names — input words, registers, output words — through
 the synthesis name maps (``SynthesisResult.input_bits`` /
 ``output_bits``, the E-AIG flip-flop names, and the
 :class:`~repro.core.bitstream.ProgramMeta` global-state layout) down to
-global state word indices.  A :class:`ProbeTap` then gathers those words
-once per cycle, packed uint64 lane planes and all, and feeds them to
-sinks:
+global state word indices.  A :class:`ProbeTap` then has those words
+sampled with the primary outputs — its rows ride behind the PO rows of
+every block the engine runs — and feeds each sampled block to sinks:
 
 * :class:`WaveRing` — a bounded per-cycle window (dropped-window
   accounting when it overflows) that can stream any single lane of a
@@ -30,9 +30,9 @@ to the gate-level reference observed right after its first settle
 is the probe acceptance gate and what makes divergence wave dumps
 (:func:`dump_divergence_waves`) trustworthy.
 
-Cost model: detached, one ``is None`` check per cycle (mirroring
-``TRACER.enabled``); attached, one fancy-index gather of the probed
-bits plus whatever the sinks do.
+Cost model: detached, one ``is None`` check per block (mirroring
+``TRACER.enabled``); attached, the block is wider by the probed rows —
+a probe selects no other path — plus whatever the sinks do.
 """
 
 from __future__ import annotations
@@ -234,13 +234,14 @@ def list_nets(design: "CompiledDesign") -> list[dict]:
 
 
 class ProbeTap:
-    """Per-cycle probe gather, fanned out to sinks.
+    """Per-block probe samples, fanned out to sinks.
 
     Attach to a :class:`~repro.core.interpreter.GemInterpreter` (any
-    mode, any backend, any batch); each cycle the probed global-state
-    words — ``(num_bits,)`` for one lane word, ``(num_bits, K)`` lane
-    planes beyond batch 64 — are gathered once and handed to every sink's
-    ``on_cycle(cycle, words)``.  :meth:`snapshot` / :meth:`restore` give
+    mode, any backend, any batch); each block of ``n`` cycles the probed
+    words of every cycle — ``(n, num_bits)``, ``(n, num_bits, K)`` lane
+    planes beyond batch 64 — arrive sampled at the settled point and go
+    to every sink's ``on_block(first_cycle, words)`` (a view of the
+    engine's buffer: keep a copy).  :meth:`snapshot` / :meth:`restore` give
     the supervisor probe continuity across checkpoint rollbacks: rewind
     the tap exactly when the engine rewinds, so a recovered run's tap
     stream is bit-identical to an undisturbed one.
@@ -256,7 +257,6 @@ class ProbeTap:
         #: set when a supervised run degraded to the gate-level fallback
         #: (the tap stops; captured data up to the degrade point is valid)
         self.detached_reason: str | None = None
-        self._gidx = plan.all_gidx
 
     def attach(self, interp: "GemInterpreter") -> "ProbeTap":
         digest = interp.program.digest()
@@ -275,14 +275,12 @@ class ProbeTap:
         interp.attach_probe(self)
         return self
 
-    def capture(self, interp: "GemInterpreter") -> None:
-        """Hot path: called by the interpreter at the settled point."""
-        words = interp.global_state[self._gidx]
-        cycle = self.cycle
+    def on_block(self, words: np.ndarray) -> None:
+        """Called by the interpreter with every block's probed rows."""
         for sink in self.sinks:
-            sink.on_cycle(cycle, words)
-        self.cycle = cycle + 1
-        self.captured += 1
+            sink.on_block(self.cycle, words)
+        self.cycle += len(words)
+        self.captured += len(words)
 
     def snapshot(self) -> tuple:
         return (self.cycle, self.captured, [sink.snapshot() for sink in self.sinks])
@@ -338,10 +336,9 @@ class WaveRing:
         self.batch = batch
         self.words = words
 
-    def on_cycle(self, cycle: int, words: np.ndarray) -> None:
-        if len(self._entries) == self.capacity:
-            self.dropped += 1
-        self._entries.append((cycle, words))
+    def on_block(self, first_cycle: int, words: np.ndarray) -> None:
+        self.dropped += max(0, len(self._entries) + len(words) - self.capacity)
+        self._entries.extend(enumerate(words.copy(), first_cycle))
 
     # -- rewind support -----------------------------------------------------
 
@@ -464,8 +461,7 @@ def dump_divergence_waves(
     tap = ProbeTap(plan, [ring])
     sim = compiled.simulator(batch=batch, backend=backend)
     tap.attach(sim)
-    for vec in stimuli[:last]:
-        sim.step(vec)
+    sim.run(stimuli[:last])
     summary = ring.dump_vcd(path, lane=lane)
     summary["path"] = path
     summary["divergence_cycle"] = cycle

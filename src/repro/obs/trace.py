@@ -47,7 +47,8 @@ from collections import deque
 from typing import Any, Callable, Mapping
 
 _US = 1_000_000.0  # seconds → microseconds
-#: fixed order of the per-cycle phase children (matches ``phase_times``)
+#: the phases a traced block's span carries seconds of, in its ``args``
+#: beside ``cycle`` (its first) and ``n`` (matches ``phase_times``)
 CYCLE_PHASES = ("inject", "gather", "fold", "commit")
 
 
@@ -212,28 +213,6 @@ class Tracer:
             return wrapper
 
         return decorate
-
-    def cycle(
-        self, index: int, t0: float, dur_s: float, phases: Mapping[str, float]
-    ) -> None:
-        """One simulated cycle: a parent ``cycle`` span plus sequential
-        inject/gather/fold/commit children laid out from ``t0``.
-
-        The children are rendered from the interpreter's per-phase timer
-        deltas; phases genuinely interleave per stage inside a cycle, so
-        the children summarize where the cycle went rather than the exact
-        stage-by-stage schedule (the sum of children ≤ the parent).
-        """
-        if not self.enabled:
-            return
-        tid = threading.get_ident()
-        base = (t0 - self._t0) * _US
-        self._push(("X", "cycle", "runtime", base, dur_s * _US, tid, {"cycle": index}))
-        offset = base
-        for phase in CYCLE_PHASES:
-            d = max(0.0, phases.get(phase, 0.0)) * _US
-            self._push(("X", phase, "runtime.phase", offset, d, tid, None))
-            offset += d
 
     # -- export ---------------------------------------------------------------
 

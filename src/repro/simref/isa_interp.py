@@ -22,10 +22,10 @@ It runs the very :class:`~repro.core.interpreter.LoadedProgram` the
 executor runs (:func:`~repro.core.interpreter.load_program`: container
 parse and checks, decode, I/O plans) over a
 :class:`~repro.core.interpreter.SimState` of its own, and subclasses the
-production interpreter for everything that is not evaluation — stimulus
-injection, output readback, checkpoints, probes — overriding only the
-:meth:`_evaluate` / :meth:`_commit` pair the compiled cycle otherwise
-serves: it resolves no backend and compiles no cycle.  Work counters are
+production interpreter for everything that is not evaluation — the pack
+layer, blocks, checkpoints, probes — supplying only the block entry a
+backend's compiled cycle otherwise serves (:meth:`_run_block`): it
+resolves no backend and compiles no cycle.  Work counters are
 accumulated dynamically, instruction by instruction, so agreeing with
 the executor's static per-cycle deltas is itself a check.
 
@@ -49,39 +49,39 @@ class ReferenceInterpreter(GemInterpreter):
     """Evaluate every partition's instruction stream literally."""
 
     mode = "reference"
+    backend = None
 
     def __init__(self, program: GemProgram, batch: int = 1, profile: bool = False) -> None:
         self._bind(load_program(program, batch), profile)
+        self._sample(self.loaded.po_gidx)
+        # work is counted as it is done; the two dispatch counts are the
+        # program's, not the runner's: kept so counters compare field by field
+        self._static = tuple(kv for kv in self._static if kv[0] in ("array_ops", "fused_array_ops"))
         #: block-local state, one vector per partition (shared memory)
         self._locals = [self.engine.zeros(p.state_slots) for p in self.loaded.partitions]
-        #: this cycle's deferred (gidx, values, lane mask) scatters, in
-        #: ISA order (mask ``None`` = unconditional commit)
-        self._deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
 
-    def _evaluate(self) -> None:
-        t0 = time.perf_counter() if self.profile else 0.0
-        counters = self.counters
-        deferred = self._deferred = []
+    def _run_block(self, n: int, pi_block: np.ndarray, po_block: np.ndarray, times) -> int:
+        """The block entry (:meth:`repro.core.backend.ArrayBackend.compile_cycle`)
+        over the per-partition loop; its dynamic writes are already counted."""
+        gstate, merge = self.global_state, self.engine.merge
         partitions = self.loaded.partitions
-        for stage_parts in self.loaded.stage_indices:
-            for idx in stage_parts:
-                deferred.extend(self._run_partition(partitions[idx], self._locals[idx]))
-            counters.device_syncs += 1
-        if self.profile:
-            self.phase_times["fold"] += time.perf_counter() - t0
-        # the two dispatch counts are properties of the program, not of
-        # who runs it: reported here too so counters compare field by field
-        counters.array_ops += self._fused.static.array_ops
-        counters.fused_array_ops += self._fused.static.fused_array_ops
-
-    def _commit(self) -> None:
-        t0 = time.perf_counter() if self.profile else 0.0
-        gstate = self.global_state
-        merge = self.engine.merge
-        for gidx, values, mask in self._deferred:
-            merge(gstate, gidx, values, mask)
-        if self.profile:
-            self.phase_times["commit"] += time.perf_counter() - t0
+        for c in range(n):
+            gstate[self.loaded.pi_gidx] = pi_block[c]
+            t0 = time.perf_counter()
+            #: this cycle's deferred (gidx, values, lane mask | None) scatters, in ISA order
+            deferred: list[tuple[np.ndarray, np.ndarray, np.uint64 | None]] = []
+            for stage_parts in self.loaded.stage_indices:
+                for idx in stage_parts:
+                    deferred.extend(self._run_partition(partitions[idx], self._locals[idx]))
+                self.counters.device_syncs += 1
+            t1 = time.perf_counter()
+            po_block[c] = gstate[self._sample_rows]  # the settled point
+            for gidx, values, mask in deferred:
+                merge(gstate, gidx, values, mask)
+            if times is not None:
+                times["fold"] += t1 - t0
+                times["commit"] += time.perf_counter() - t1
+        return 0
 
     def _run_partition(
         self, part: _DecodedPartition, local: np.ndarray

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
 
@@ -148,3 +150,21 @@ def lockstep(engines: dict[str, object], stimuli: list[dict[str, int]]) -> None:
                 f"cycle {cycle}: {name} diverged from {names[0]}: "
                 f"{outs[name]} != {reference} on inputs {vec}"
             )
+
+
+# -- per-bit reference conversions the lane and pack-layer tests compare against --
+
+
+def int_to_bits(value: int, nbits: int) -> np.ndarray:
+    """Little-endian bit vector of ``value`` (bool, vectorized, any width)."""
+    nbytes = (nbits + 7) // 8
+    raw = np.frombuffer(
+        (value & ((1 << nbits) - 1)).to_bytes(nbytes, "little"), dtype=np.uint8
+    )
+    return np.unpackbits(raw, bitorder="little")[:nbits].astype(bool)
+
+
+def bits_to_int(bits: np.ndarray) -> int:
+    """Inverse of :func:`int_to_bits` (accepts any 0/1 integer array)."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")

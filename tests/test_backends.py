@@ -4,15 +4,17 @@ plan validation, and kernel equivalence.
 The contract under test (docs/ENGINE.md §6):
 
 * ``resolve_backend(None)`` is the first backend that resolves — the
-  native C cycle kernel where a compiler or a cached build exists, numpy
+  native C block kernel where a compiler or a cached build exists, numpy
   otherwise (reason logged once, no warning); ``"native"`` by name falls
   back to numpy with exactly one warning per process and hard-fails only
   under ``strict=True``;
 * the kernel library is built once into the compile cache, atomically,
   and a warm start spawns no compiler;
 * ``NativeBackend.compile_cycle`` rejects a program with an index the C
-  kernel would follow out of bounds — stage, RAM-port and commit tables
-  alike;
+  kernel would follow out of bounds — stage, RAM-port, commit and block
+  row tables alike — and ``run`` a block that is not the array it was
+  compiled for, before the library is entered;
+* a block of ``n`` cycles is one call into the library;
 * native ≡ numpy ≡ the ISA-literal reference interpreter, outputs and
   state, at every lane geometry and across a mid-run checkpoint.
 
@@ -47,7 +49,7 @@ from repro.core.engine import ExecutionEngine
 from repro.core.fused import FusedProgram
 from repro.core.interpreter import _decode_ramop
 from repro.core.partition import PartitionConfig
-from repro.errors import BackendUnavailableError, BitstreamError, GemError
+from repro.errors import BackendUnavailableError, BitstreamError, GemError, LaneConfigError
 from repro.runtime.checkpoint import load_checkpoint, restore, save_checkpoint, snapshot
 from repro.runtime.supervisor import state_digest
 from repro.simref.isa_interp import ReferenceInterpreter
@@ -106,7 +108,9 @@ def tiny_program(planes=1, ram=True):
     deferred write and one RAM port (a 4 x 3-bit block: ``ren`` is
     ``t3``'s arena slot, the address and write-side inputs rest at
     constant 0).  Without it the program is the bare stage: five global
-    rows, one arena row.  Returns ``(fused, buffers)``."""
+    rows, one arena row.  A block's two PI rows are ``a`` and ``b``, its
+    three sample rows ``t2``, the constant store and ``t3``'s deferred
+    target.  Returns ``(fused, buffers)``."""
     i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
     u64 = lambda *v: np.array(v, dtype=np.uint64)  # noqa: E731
     ones = 0xFFFFFFFFFFFFFFFF
@@ -156,6 +160,8 @@ def tiny_program(planes=1, ram=True):
     buffers = CycleBuffers(
         engine=engine,
         gstate=engine.zeros(9 if ram else 5),
+        pi_rows=i64(0, 1),
+        sample_rows=i64(2, 3, 4),
         trace=engine.zeros(4),
         arena=engine.zeros(arena_rows),
         rams=[image] if ram else [],
@@ -163,16 +169,24 @@ def tiny_program(planes=1, ram=True):
     return fused, buffers
 
 
+def tiny_blocks(buffers, n=1):
+    """``a=0b1100, b=0b1010`` on each of ``n`` cycles, and the block
+    their samples land in."""
+    engine = buffers.engine
+    pi_block = engine.zeros(n * 2).reshape(n, 2, *buffers.gstate.shape[1:])
+    pi_block[:, 0] = 0b1100
+    pi_block[:, 1] = 0b1010
+    return pi_block, engine.zeros(n * 3).reshape(n, 3, *buffers.gstate.shape[1:])
+
+
 def run_tiny_program(backend, planes=1):
-    """``a=0b1100, b=0b1010`` through :func:`tiny_program`, one evaluate
-    and one commit; returns ``(gstate, arena, RAM image, global writes)``."""
+    """One cycle of :func:`tiny_blocks` through :func:`tiny_program`;
+    returns ``(gstate, arena, RAM image, global writes, sampled block)``."""
     fused, buffers = tiny_program(planes)
-    buffers.gstate[0] = 0b1100
-    buffers.gstate[1] = 0b1010
     cycle = resolve_backend(backend, strict=True).compile_cycle(fused, buffers)
-    writes = cycle.evaluate(None)
-    cycle.commit(None)
-    return buffers.gstate, buffers.arena, buffers.rams[0], writes
+    pi_block, po_block = tiny_blocks(buffers)
+    writes = cycle.run(1, pi_block, po_block, None)
+    return buffers.gstate, buffers.arena, buffers.rams[0], writes, po_block
 
 
 def _child_env(cache, **env):
@@ -199,7 +213,7 @@ def _child(code, cache, **env):
 #: resolve the kernel strictly and push one cycle through it
 USE_KERNEL = (
     "from tests.test_backends import run_tiny_program\n"
-    "g, arena, image, writes = run_tiny_program('native')\n"
+    "g, arena, image, writes, po_block = run_tiny_program('native')\n"
     "assert g[2] == 0b1000 and g[4] == 0b0100 and writes == 3, (g, writes)\n"
     "print('kernel ok')\n"
 )
@@ -357,8 +371,12 @@ class TestPlanValidation:
             got, want = run_tiny_program("native", planes), run_tiny_program("numpy", planes)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
-            gstate, arena, image, writes = got
+            gstate, arena, image, writes, po_block = got
             word = gstate[:, 0] if planes > 1 else gstate
+            # the samples are the settled point's: t2 and the constant store
+            # have landed, t3's deferred write has not
+            sampled = po_block[0, :, 0] if planes > 1 else po_block[0]
+            assert sampled.tolist() == [0b1000, 0xFFFFFFFFFFFFFFFF, 0]
             # t3 = a & ~(a & b) = 0b0100 is the deferred write and, inverted
             # twice on its way through the arena, the port's read enable:
             # lane 2 alone reads word 0 (0b101) into global bits 6..8
@@ -470,6 +488,40 @@ class TestPlanValidation:
         with pytest.raises(BitstreamError, match="image"):
             compile_with(rams=[np.zeros((63, 4), dtype=np.uint32)])
 
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    @pytest.mark.parametrize("table", ["pi_rows", "sample_rows"])
+    def test_block_row_tables_are_held_against_the_global_state(self, backend, table):
+        for bad in ([0, 9], [-1, 1], np.array([0, 1], dtype=np.int32)):
+            fused, buffers = tiny_program()
+            change = {table: np.asarray(bad, dtype=getattr(bad, "dtype", np.int64))}
+            with pytest.raises(BitstreamError, match=table):
+                resolve_backend(backend).compile_cycle(fused, dataclasses.replace(buffers, **change))
+
+    @pytest.mark.parametrize("backend", ["native", "numpy"])
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_a_block_of_the_wrong_shape_dtype_or_layout_never_runs(self, backend, planes):
+        fused, buffers = tiny_program(planes)
+        backend = resolve_backend(backend)
+        cycle = backend.compile_cycle(fused, buffers)
+        if backend.name == "native":
+            cycle._run = lambda *args: pytest.fail("the library was entered")
+        pi_block, po_block = tiny_blocks(buffers, n=2)
+        before = buffers.gstate.copy()
+        lane_axis = (slice(None),) * (planes > 1)
+        for name, bad in [
+            ("pi_block", pi_block[:1]),  # one cycle short
+            ("pi_block", pi_block.astype(np.int64)),
+            ("pi_block", np.concatenate([pi_block, pi_block], axis=1)[:, ::2]),  # strided rows
+            ("pi_block", pi_block.tolist()),
+            ("po_block", po_block[:, :2]),  # one sample row short
+            ("po_block", po_block.astype(np.uint32)),
+            ("po_block", po_block[(slice(None), slice(None), *lane_axis, None)]),  # a rank too many
+        ]:
+            blocks = {"pi_block": pi_block, "po_block": po_block, name: bad}
+            with pytest.raises(LaneConfigError, match=name):
+                cycle.run(2, blocks["pi_block"], blocks["po_block"], None)
+        assert np.array_equal(buffers.gstate, before)
+
 
 @needs_native
 class TestCompiledKernelEquivalence:
@@ -503,28 +555,25 @@ class TestCompiledKernelEquivalence:
 
 
 @needs_native
-class TestTwoCallsPerCycle:
-    """The Python shell around the kernel is gone: a cycle is one evaluate
-    and one commit call into the library, and the settled point between
-    them is still where probes and readback look."""
+class TestOneCallPerBlock:
+    """The cycle loop is inside the library: a block of cycles is one
+    call, whatever its length, and the settled point — inside that call
+    now — is still where probes and readback look."""
 
     @staticmethod
     def counting_backend(calls):
         backend = NativeBackend()
-        evaluate, commit = backend._kernel
+        kernel = backend._kernel
 
-        def counted(name, call):
-            def wrapper(program, ticks):
-                calls.append(name)
-                return call(program, ticks)
+        def counted(program, n, pi, po, ticks):
+            calls.append(n)
+            return kernel(program, n, pi, po, ticks)
 
-            return wrapper
-
-        backend._kernel = (counted("evaluate", evaluate), counted("commit", commit))
+        backend._kernel = counted
         return backend
 
     @pytest.mark.parametrize("batch", [1, 128])
-    def test_exactly_two_native_calls_per_cycle(self, batch):
+    def test_exactly_one_native_call_per_step(self, batch):
         calls = []
         design = _design(seed=11, n_ops=60, with_memory=True)
         sim = design.simulator(batch=batch, backend=self.counting_backend(calls))
@@ -537,12 +586,37 @@ class TestTwoCallsPerCycle:
             ref.step_arrays()
             sim.advance_lanes()
             ref.advance_lanes()
-        assert calls == ["evaluate", "commit"] * sim.cycle
+        assert calls == [1] * sim.cycle
         assert sim.cycle == 19 and sim.counters == ref.counters
 
-    def test_probe_tap_sits_between_the_two_calls(self):
+    @pytest.mark.parametrize("batch, driver", [(1, "run"), (3, "run_lanes"), (128, "run_lanes")])
+    def test_a_run_is_one_native_call_per_block(self, batch, driver):
+        """The deterministic form of the block kernel's gain: N cycles
+        make ceil(N / block_cycles) calls into the library, not 2 N."""
+        calls = []
+        design = _design(seed=11, n_ops=60, with_memory=True)
+        sim = design.simulator(batch=batch, backend=self.counting_backend(calls))
+        ref = design.simulator(batch=batch, backend="numpy")
+        block = sim.block_cycles
+        assert 1 < block == ref.block_cycles, "a small design runs many cycles per block"
+        cycles = 2 * block + 3
+        rng = np.random.default_rng(batch)
+        names = list(sim.loaded.pi_tables)
+        stimuli = [
+            {n: int(v) for n, v in zip(names, rng.integers(0, 1 << 12, len(names)))}
+            for _ in range(cycles)
+        ]
+        if driver == "run_lanes":
+            stimuli = [[vec] * batch for vec in stimuli]
+        assert getattr(sim, driver)(iter(stimuli)) == getattr(ref, driver)(stimuli)
+        assert calls == [block, block, 3]
+        assert sim.cycle == cycles and sim.counters == ref.counters
+        assert sim.state.digest() == ref.state.digest()
+
+    def test_probe_tap_samples_inside_the_call(self):
         """A counter: at the tap the register still holds the value that
-        entered the cycle while the outputs have settled to this cycle's."""
+        entered the cycle while the outputs have settled to this cycle's —
+        and the tap costs no call of its own."""
         from repro.obs.probe import ProbeTap, WaveRing, build_probe_plan
         from repro.rtl.builder import CircuitBuilder
 
@@ -557,12 +631,12 @@ class TestTwoCallsPerCycle:
         ring = WaveRing(plan, capacity=8)
 
         class Order:
-            def on_cycle(self, cycle, words):
-                calls.append("tap")
+            def on_block(self, first_cycle, words):
+                calls.append(("tap", first_cycle, len(words)))
 
         ProbeTap(plan, [ring, Order()]).attach(sim)
-        outs = [sim.step()["n"] for _ in range(5)]
-        assert calls == ["evaluate", "tap", "commit"] * 5
+        outs = [sim.step()["n"] for _ in range(2)] + [out["n"] for out in sim.run([{}] * 3)]
+        assert calls == [1, ("tap", 0, 1), 1, ("tap", 1, 1), 3, ("tap", 2, 3)]
         samples = [values for _, values in ring.lane_samples(0)]
         assert [s["tick"] for s in samples] == [0, 1, 2, 3, 4], "FF bits before the commit"
         assert [s["n"] for s in samples] == outs == [1, 2, 3, 4, 5], "outputs after the waves"

@@ -74,7 +74,6 @@ class TestTracer:
             pass
         t.instant("mark")
         t.complete("x", t.now())
-        t.cycle(0, t.now(), 0.0, {})
         assert len(t) == 0
 
     def test_ring_buffer_evicts_and_counts_dropped(self):
@@ -91,15 +90,6 @@ class TestTracer:
         t = Tracer(capacity=2)
         t.enable(capacity=16)
         assert t.capacity == 16
-
-    def test_cycle_emits_parent_and_phase_children(self):
-        t = Tracer()
-        t.enable()
-        t.cycle(5, t.now(), 0.01, {p: 0.001 for p in CYCLE_PHASES})
-        evs = t.events()
-        assert evs[0]["name"] == "cycle" and evs[0]["args"] == {"cycle": 5}
-        assert [e["name"] for e in evs[1:]] == list(CYCLE_PHASES)
-        assert sum(e["dur"] for e in evs[1:]) <= evs[0]["dur"] + 1e-6
 
     def test_write_produces_valid_chrome_trace(self, tmp_path):
         t = Tracer()
@@ -309,23 +299,23 @@ class TestInterpreterTelemetry:
         second = [sim.step(vec) for vec in stimuli]
         assert first == second
 
-    def test_traced_step_emits_cycle_spans(self):
+    def test_traced_blocks_emit_one_span_each(self):
         circuit = random_circuit(322, n_ops=40, n_regs=2)
         design = _compile_small(circuit)
-        stimuli = random_vectors(circuit, seed=2, cycles=3)
+        stimuli = random_vectors(circuit, seed=2, cycles=7)
         sim = design.simulator()
         TRACER.enable()
         TRACER.clear()
         try:
-            baseline = [sim.step(vec) for vec in stimuli]
+            baseline = [sim.step(vec) for vec in stimuli[:3]] + sim.run(stimuli[3:])
         finally:
             TRACER.disable()
-        evs = TRACER.events()
-        cycles = [e for e in evs if e["name"] == "cycle"]
-        assert len(cycles) == 3
-        assert [c["args"]["cycle"] for c in cycles] == [0, 1, 2]
-        phase_names = {e["name"] for e in evs if e.get("cat") == "runtime.phase"}
-        assert phase_names == set(CYCLE_PHASES)
+        blocks = [e for e in TRACER.events() if e["name"] == "block"]
+        assert [(b["args"]["cycle"], b["args"]["n"]) for b in blocks] == [(0, 1), (1, 1), (2, 1), (3, 4)]
+        for block in blocks:
+            phases = [block["args"][phase] for phase in CYCLE_PHASES]
+            assert all(seconds > 0.0 for seconds in phases)
+            assert sum(phases) * 1e6 <= block["dur"]
         # Tracing must not have perturbed simulation results.
         sim2 = design.simulator()
         assert [sim2.step(vec) for vec in stimuli] == baseline
@@ -422,16 +412,12 @@ class TestRunObservabilityFlags:
         doc = json.load(open(trace))
         names = [e["name"] for e in doc["traceEvents"]]
         assert any(n.startswith("compile:") for n in names)
-        cycle_evs = [
+        blocks = [
             e for e in doc["traceEvents"]
-            if e["name"] == "cycle" and e.get("cat") == "runtime"
+            if e["name"] == "block" and e.get("cat") == "runtime"
         ]
-        assert len(cycle_evs) >= 1
-        phase_names = {
-            e["name"] for e in doc["traceEvents"]
-            if e.get("cat") == "runtime.phase"
-        }
-        assert phase_names == set(CYCLE_PHASES)
+        assert sum(e["args"]["n"] for e in blocks) == 8
+        assert all(set(CYCLE_PHASES) < set(e["args"]) for e in blocks)
         rep = load_report(report)
         assert rep.design == "openpiton1" and rep.cycles == 8
         assert rep.extras["trace_out"] == trace

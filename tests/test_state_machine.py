@@ -7,7 +7,8 @@
   hypothesis state machine drives the executor (whatever backend resolves
   here: the C kernel, or numpy without a compiler) and the ISA-literal
   :class:`ReferenceInterpreter` through the same interleaving of scalar
-  steps, per-lane-distinct array steps, snapshots, restores into the same
+  steps, per-lane-distinct array steps, blocks of cycles (the executor in
+  one backend call, the reference a cycle at a time), snapshots, restores into the same
   or a fresh instance, serialisation round trips, lane quarantine and
   reset; after every rule their outputs, cycle, work counters and
   ``state_digest`` are equal.  The state operations are code the two
@@ -93,6 +94,24 @@ class EngineVsReference(RuleBasedStateMachine):
         }
         got, want = self.sut.step_arrays(columns), self.model.step_arrays(columns)
         assert all(np.array_equal(got[name], want[name]) for name in want)
+
+    @rule(seed=SEEDS, n=st.integers(0, 9), per_lane=st.booleans())
+    def run_block(self, seed, n, per_lane):
+        """``n`` cycles as one block on the executor (``block_cycles`` is
+        far beyond 9 on these designs) against ``n`` single steps of the
+        reference."""
+        rng = np.random.default_rng(seed)
+
+        def vec():
+            return {name: int(rng.integers(1 << min(w, 62))) for name, w in self.widths.items()}
+
+        assert self.sut.block_cycles > 9
+        if per_lane:
+            stimuli = [[vec() for _ in range(self.batch)] for _ in range(n)]
+            assert self.sut.run_lanes(iter(stimuli)) == [self.model.step_lanes(v) for v in stimuli]
+        else:
+            stimuli = [vec() for _ in range(n)]
+            assert self.sut.run(iter(stimuli)) == [self.model.step(v) for v in stimuli]
 
     # -- checkpoints ------------------------------------------------------------
 
