@@ -14,6 +14,7 @@ from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.partition import PartitionConfig
 from repro.core.ram_mapping import RamMappingConfig
 from repro.core.synthesis import SynthesisConfig
+from repro.harness.cosim import cosim
 from repro.rtl import CircuitBuilder, Netlist, WordSim
 
 
@@ -61,17 +62,17 @@ def main() -> None:
 
     # Execute on the GEM interpreter and on the golden model, in lockstep.
     gem = design.simulator()
-    golden = WordSim(Netlist(circuit))
     rng = random.Random(0)
-    for cycle in range(200):
+    stimuli = []
+    for _ in range(200):
         stimulus = {"x": rng.getrandbits(16), "sel": rng.getrandbits(3)}
         if rng.random() < 0.1:
             stimulus.update(coeff_wen=1, coeff_data=rng.getrandbits(16))
-        expect = golden.step(stimulus)
-        got = gem.step(stimulus)
-        assert got == expect, (cycle, stimulus, got, expect)
-    print(f"200 random cycles: GEM output bit-exact against the golden model ✓")
-    print(f"final accumulator: {got['acc']:#010x}")
+        stimuli.append(stimulus)
+    result = cosim(WordSim(Netlist(circuit)), gem, stimuli)
+    assert result.passed, result.report()
+    print("200 random cycles: GEM output bit-exact against the golden model ✓")
+    print(f"final accumulator: {result.trace[-1]['acc']:#010x}")
     print("per-cycle interpreter work:", gem.counters.per_cycle())
 
 

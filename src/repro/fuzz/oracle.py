@@ -21,9 +21,11 @@ The fused engine runs on the default execution backend; every other
 backend of ``OracleConfig.backends`` (by default all that resolve here)
 enrolls as an additional fused-path engine at those same rotated
 batches — a native/numpy disagreement is a kernel bug, caught by the
-same lockstep.  The first
-disagreement is reported as a :class:`FuzzDivergence` (cycle, signal,
-engine pair, lane).
+same lockstep.  Both phases are calls of the one loop,
+:func:`repro.harness.cosim.lockstep` (a block of cycles per engine call,
+one rule for the first divergence); this module builds the engines,
+injects the faults and reports the site as a :class:`FuzzDivergence`
+(cycle, signal, engine pair, lane).
 
 An ``inject`` descriptor swaps in a deliberately mutated bitstream
 (:func:`repro.core.bitstream.mutate_fold_constant`) so the fuzzer's own
@@ -70,7 +72,7 @@ from repro.fourstate.fastpath import validate_values
 from repro.fourstate.semantics import FourState
 from repro.fourstate.sim import FourStateSim
 from repro.fuzz.designgen import DesignSpec
-from repro.harness.cosim import divergent_lanes, lane_outputs, output_mismatches
+from repro.harness.cosim import Site, first_site, lockstep
 from repro.rtl.netlist import Netlist, WordSim
 from repro.simref.gate_sim import GateLevelSim
 from repro.simref.isa_interp import ReferenceInterpreter
@@ -318,18 +320,25 @@ def _rotated(stimuli: list[dict[str, int]], lane: int) -> list[dict[str, int]]:
     return stimuli[k:] + stimuli[:k]
 
 
-def _mismatches4(
-    ref4: Mapping[str, FourState], dut4: Mapping[str, FourState]
-) -> tuple[dict[str, tuple[int, int]], dict[str, tuple[str, str]]]:
-    """4-value output comparison: (data-word mismatches, symbol strings)."""
-    signals: dict[str, tuple[int, int]] = {}
-    symbols: dict[str, tuple[str, str]] = {}
-    for name, rv in ref4.items():
-        dv = dut4.get(name)
-        if dv is None or dv != rv:
-            signals[name] = (rv.data, 0 if dv is None else dv.data)
-            symbols[name] = (str(rv), "<missing>" if dv is None else str(dv))
-    return signals, symbols
+class _Golden:
+    """The golden :class:`FourStateSim` as a lockstep participant: raw
+    rail stimulus in, its 4-state outputs out as the canonical rail words
+    ``DualRailCircuit.decode_outputs`` reads them back from — so a block
+    of a dual-rail engine that agrees bit for bit compares ``==``."""
+
+    def __init__(self, sim: FourStateSim, dual, widths: Mapping[str, int]) -> None:
+        self.sim, self.rails, self.widths = sim, dual.output_rails, widths
+
+    def run(self, stimuli) -> list[dict[str, int]]:
+        outputs = self.sim.run(_vec4(self.widths, vec) for vec in stimuli)
+        return [
+            {
+                rail: word
+                for name, value in out.items()
+                for rail, word in zip(self.rails[name], (value.data, value.unknown))
+            }
+            for out in outputs
+        ]
 
 
 def _vec4(widths: Mapping[str, int], vec: Mapping[str, int]) -> dict[str, FourState]:
@@ -460,39 +469,13 @@ def run_oracle(
         # configured engine becomes a dual-rail DUT.
         reference_name = "fourstate"
         duts = engines
-        widths = dict(spec.inputs)
-        reference = FourStateSim(
-            Netlist(circuit), x_reset=config.x_reset, x_memory=config.x_memory
-        )
+        golden = FourStateSim(Netlist(circuit), x_reset=config.x_reset, x_memory=config.x_memory)
+        reference = _Golden(golden, dual, dict(spec.inputs))
     else:
         reference_name, *duts = engines
         reference = make_engine(reference_name)
 
-    def ref_step(vec: dict[str, int]):
-        if values == 4:
-            return reference.step(_vec4(widths, vec))
-        return reference.step(vec)
-
-    def cmp_ref(ref_out, dut_raw):
-        """Reference-domain comparison: (signals, symbols-or-None)."""
-        if values == 4:
-            return _mismatches4(ref_out, dual.decode_outputs(dut_raw))
-        return output_mismatches(ref_out, dut_raw), None
-
-    def cmp_raw(a_raw, b_raw):
-        """DUT-vs-DUT comparison over raw (rail) outputs."""
-        if values == 4:
-            return _mismatches4(dual.decode_outputs(a_raw), dual.decode_outputs(b_raw))
-        return output_mismatches(a_raw, b_raw), None
-
-    def diverged(signals, symbols, *, reference=reference_name, **kw) -> FuzzDivergence:
-        return FuzzDivergence(
-            signals=signals,
-            symbols=symbols,
-            values=values,
-            reference=reference,
-            **kw,
-        )
+    decode = dual.decode_outputs if values == 4 else None
 
     def finish(div: FuzzDivergence | None) -> OracleResult:
         return OracleResult(
@@ -503,94 +486,80 @@ def run_oracle(
             stats=stats,
         )
 
-    # Phase 1: batch-1 lockstep, every engine against the best reference.
-    dut_sims = [(name, make_engine(name)) for name in duts]
-    ref_trace = []
-    for cycle, vec in enumerate(stimuli):
-        if inject_rail is not None and cycle == inject_rail["cycle"]:
+    def diverged(site: Site, engine: str, against: str, batch: int = 1, lane=None) -> OracleResult:
+        signals, symbols = site.signals, None
+        if values == 4:  # FourState pairs: data words for the record, 01x strings to read
+            symbols = {name: (str(ref), str(dut)) for name, (ref, dut) in signals.items()}
+            signals = {name: (ref.data, dut.data) for name, (ref, dut) in signals.items()}
+        return finish(
+            FuzzDivergence(
+                cycle=site.cycle,
+                engine=engine,
+                reference=against,
+                signals=signals,
+                batch=batch,
+                lane=lane,
+                values=values,
+                symbols=symbols,
+            )
+        )
+
+    # Phase 1: batch-1 lockstep, every engine against the best reference,
+    # over the stream cut where the engines are touched between cycles:
+    # before the known-rail inject cycle, after the checkpoint cycle.
+    dut_sims = {name: make_engine(name) for name in duts}
+    gem_duts = [name for name in duts if name in ("fused", "legacy")]
+    inject_at = None if inject_rail is None else inject_rail["cycle"]
+    resume_at = None if config.checkpoint_cycle is None else config.checkpoint_cycle + 1
+    cuts = {at for at in (inject_at, resume_at) if at is not None and 0 < at < len(stimuli)}
+    cuts = sorted(cuts | {0, len(stimuli)})
+    ref_trace: list = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == inject_at:
             # Flip one known-rail state bit in the GEM engines only: the
             # 4-value oracle must notice the references disagreeing.
             coverage.add("inject:known_rail")
-            for name, sim in dut_sims:
-                if name in ("fused", "legacy"):
-                    sim.global_state[inject_rail["gidx"]] ^= 1
-        ref_out = ref_step(vec)
-        ref_trace.append(ref_out)
-        for name, sim in dut_sims:
-            signals, symbols = cmp_ref(ref_out, sim.step(vec))
-            if signals:
-                return finish(
-                    diverged(signals, symbols, cycle=cycle, engine=name)
-                )
-        if config.checkpoint_cycle is not None and cycle == config.checkpoint_cycle:
+            for name in gem_duts:
+                dut_sims[name].global_state[inject_rail["gidx"]] ^= 1
+        site, trace = lockstep(reference, dut_sims, stimuli[lo:hi], start=lo, decode=decode)
+        ref_trace += trace
+        if site is not None:
+            return diverged(site, site.dut, reference_name)
+        if hi == resume_at:
             # Swap every GEM engine for a checkpoint round-trip of itself:
             # the continuation must stay in lockstep (resume correctness,
             # format v4 carrying the known rail in 4-value mode).
             coverage.add("checkpoint:roundtrip")
-            dut_sims = [
-                (
-                    name,
-                    _ckpt_roundtrip(sim, lambda name=name: make_engine(name))
-                    if name in ("fused", "legacy")
-                    else sim,
+            for name in gem_duts:
+                dut_sims[name] = _ckpt_roundtrip(
+                    dut_sims[name], lambda name=name: make_engine(name)
                 )
-                for name, sim in dut_sims
-            ]
 
-    # Phase 2: lane-batched GEM paths (fused vs legacy per lane; lane 0
-    # additionally pinned to the batch-1 reference trace).
+    # Phase 2: the GEM paths at each lane batch, every lane on its own
+    # rotation of the stream — the other GEM engine and every extra
+    # backend against the primary, lane by lane; lane 0 (unrotated)
+    # additionally pinned to the batch-1 reference trace.
     gem_modes = [e for e in engines if e in ("fused", "legacy")]
-    if gem_modes:
+    batches = sorted(b for b in set(config.batches) if b > 1) if gem_modes else []
+    for batch in batches:
         primary = gem_modes[0]
-        secondary = gem_modes[1] if len(gem_modes) > 1 else None
-        for batch in sorted(set(config.batches)):
-            if batch <= 1:
-                continue
-            coverage.add(f"batch:{batch}")
-            sim_a = make_engine(primary, batch=batch)
-            sim_b = make_engine(secondary, batch=batch) if secondary else None
-            backend_sims = [
-                (bk, make_engine("fused", batch=batch, backend=bk))
-                for bk in extra_backends
-                if "fused" in gem_modes
-            ]
-            for bk, _ in backend_sims:
+        coverage.add(f"batch:{batch}")
+        sims = {name: make_engine(name, batch=batch) for name in gem_modes}
+        if "fused" in gem_modes:
+            for bk in extra_backends:
                 coverage.add(f"backend:{bk}")
-            lane_streams = [_rotated(stimuli, lane) for lane in range(batch)]
-            for cycle in range(len(stimuli)):
-                vecs = [lane_streams[lane][cycle] for lane in range(batch)]
-                sim_a.advance_lanes(vecs)
-                cols_a = sim_a.outputs_arrays()
-                signals, symbols = cmp_ref(ref_trace[cycle], lane_outputs(cols_a, 0))
-                if signals:
-                    return finish(
-                        diverged(
-                            signals, symbols,
-                            cycle=cycle, engine=primary, batch=batch, lane=0,
-                        )
-                    )
-                # Every other engine at this batch against the primary,
-                # column-wise: (engine, reference, reference cols, engine cols)
-                checks = []
-                for bk, sim_bk in backend_sims:
-                    sim_bk.advance_lanes(vecs)
-                    checks.append((f"fused[{bk}]", primary, cols_a, sim_bk.outputs_arrays()))
-                if sim_b is not None:
-                    sim_b.advance_lanes(vecs)
-                    checks.append((primary, secondary, sim_b.outputs_arrays(), cols_a))
-                for engine, ref_name, ref_cols, dut_cols in checks:
-                    for lane in divergent_lanes(ref_cols, dut_cols):
-                        signals, symbols = cmp_raw(
-                            lane_outputs(ref_cols, lane), lane_outputs(dut_cols, lane)
-                        )
-                        if signals:
-                            return finish(
-                                diverged(
-                                    signals, symbols,
-                                    cycle=cycle, engine=engine,
-                                    reference=ref_name, batch=batch, lane=lane,
-                                )
-                            )
+                sims[f"fused[{bk}]"] = make_engine("fused", batch=batch, backend=bk)
+        rows = [list(vecs) for vecs in zip(*(_rotated(stimuli, lane) for lane in range(batch)))]
+        site, trace = lockstep(sims.pop(primary), sims, rows, decode=decode)
+        pinned = first_site(
+            ref_trace[: len(trace)], {primary: [row[0] for row in trace]}, decode=decode
+        )
+        # the lower cycle is the first divergence; on a tie, lane 0
+        # against the batch-1 reference (the more trusted witness)
+        if pinned is not None and (site is None or pinned.cycle <= site.cycle):
+            return diverged(pinned, primary, reference_name, batch, lane=0)
+        if site is not None:
+            return diverged(site, site.dut, primary, batch, lane=site.lane)
 
     return finish(None)
 

@@ -120,13 +120,13 @@ def _shared_groups() -> dict[str, argparse.ArgumentParser]:
 
 def _target(args: argparse.Namespace):
     """The target group resolved: ``(design name, Workload, stimuli)``."""
-    from repro.harness import runner
+    from repro.errors import ConfigError
+    from repro.harness.runner import design_workload
 
-    workloads = runner.design_workloads(args.design)
-    name = args.workload or next(iter(workloads))
-    if name not in workloads:
-        raise UsageError(f"unknown workload {name!r}; available: {', '.join(workloads)}")
-    wl = workloads[name]
+    try:
+        wl = design_workload(args.design, args.workload)
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
     stimuli = wl.stimuli[: args.max_cycles] if args.max_cycles else wl.stimuli
     return args.design, wl, stimuli
 

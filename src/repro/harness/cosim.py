@@ -1,40 +1,29 @@
-"""Co-simulation: run two engines in lockstep and localize divergence.
+"""Co-simulation: the one lockstep loop, and the reports built on it.
 
-The workflow every simulator project needs around itself: drive a
-reference engine and a device-under-test engine (any two objects with
-``step(inputs) -> outputs``) with the same stimuli — from a list or from a
-VCD file — and either certify agreement or report the *first* diverging
-cycle with the mismatching signals, recent input history, and an optional
-response waveform dump for offline debugging.
-
-Used by ``gem cosim`` (CLI) and the examples; the GEM-vs-golden
-equivalence tests are the same loop with asserts.
+:func:`lockstep` is the only place where two or more engines are driven
+over one stimulus stream: a reference and any number of devices under
+test, a block of cycles at a time, each through its own ``run`` /
+``run_lanes``.  Whole blocks are compared with ``==``; only a block that
+differs is searched for the *first* divergence, by one rule
+(:func:`first_site`).  Everything that checks engines against each other
+is a caller: :func:`cosim` (``gem cosim``, the examples) reports the site
+with its input history, the fuzz oracle's phases
+(:func:`repro.fuzz.oracle.run_oracle`) turn it into a
+:class:`~repro.fuzz.oracle.FuzzDivergence`, the test helper asserts on
+it.  The resilience supervisor is not a caller: it compares state
+digests, not outputs, and owes its fault hook a call per cycle.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
+#: cycles per block when no participant declares a ``block_cycles`` of its own
+BLOCK_CYCLES = 256
 
-
-class Steppable(Protocol):
-    def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]: ...
-
-
-class LaneSteppable(Protocol):
-    """A batched engine advancing many stimulus lanes per step, read back
-    as one ``(batch,)`` column per output
-    (:meth:`repro.core.interpreter.GemInterpreter.advance_lanes` /
-    :meth:`~repro.core.interpreter.GemInterpreter.outputs_arrays`)."""
-
-    def advance_lanes(
-        self, inputs: Mapping[str, int] | Sequence[Mapping[str, int]] | None = None
-    ) -> None: ...
-
-    def outputs_arrays(self) -> dict[str, np.ndarray]: ...
+#: preceding input vectors a :class:`Divergence` report retains
+HISTORY = 4
 
 
 def output_mismatches(
@@ -42,13 +31,8 @@ def output_mismatches(
     dut_out: Mapping[str, int],
     signals: Sequence[str] | None = None,
 ) -> dict[str, tuple[int, int]]:
-    """Signals on which two engines' outputs disagree this cycle.
-
-    The comparison kernel of the cosim loop, exposed on its own so other
-    lockstep consumers (the resilience supervisor's scrubber) apply the
-    identical rule: compare ``signals`` if given, else every output both
-    engines produce.
-    """
+    """Signals on which two engines' outputs disagree this cycle: of
+    ``signals`` if given, else of every output both engines produce."""
     watch = signals if signals is not None else sorted(set(ref_out) & set(dut_out))
     return {
         name: (ref_out.get(name), dut_out.get(name))
@@ -57,33 +41,127 @@ def output_mismatches(
     }
 
 
-def divergent_lanes(
-    ref_cols: Mapping[str, Sequence[int]],
-    dut_cols: Mapping[str, np.ndarray],
-    signals: Sequence[str] | None = None,
-) -> list[int]:
-    """Lanes on which two engines' per-output columns disagree, ascending.
-
-    The lane-batched form of :func:`output_mismatches`, same rule: one
-    ``!=`` per output over all lanes at once, so lockstep consumers build
-    per-lane dicts (:func:`lane_outputs`) for a divergent lane only.
-    """
-    watch = signals if signals is not None else ref_cols.keys() & dut_cols.keys()
-    differ: np.ndarray | bool = False
-    for name in watch:
-        ref, dut = ref_cols.get(name), dut_cols.get(name)
-        if ref is None or dut is None:
-            if ref is dut:
-                continue
-            # a watched signal only one engine produces: every lane differs
-            return list(range(len(dut if ref is None else ref)))
-        differ = differ | (np.asarray(ref, dtype=dut.dtype) != dut)
-    return np.flatnonzero(differ).tolist()
-
-
 def lane_outputs(columns: Mapping[str, Sequence[int]], lane: int) -> dict[str, int]:
     """One lane's output dict out of per-output columns."""
     return {name: int(column[lane]) for name, column in columns.items()}
+
+
+@dataclass
+class Site:
+    """Where a device under test first disagrees with the reference."""
+
+    cycle: int
+    #: the diverging participant's name in ``duts``
+    dut: str
+    #: stimulus lane (``None`` when every lane shares one stream)
+    lane: int | None
+    #: name -> (reference, dut), in the comparison domain
+    signals: dict[str, tuple]
+
+
+def _shared(row) -> bool:
+    """Is this cycle one mapping every lane shares (``None``: all zero)?"""
+    return row is None or isinstance(row, Mapping)
+
+
+def _lane_row(row, lane: int):
+    return row if _shared(row) else row[lane]
+
+
+def first_site(
+    ref_rows: Sequence,
+    dut_rows: Mapping[str, Sequence],
+    *,
+    start: int = 0,
+    signals: Sequence[str] | None = None,
+    decode: Callable[[Mapping], Mapping] | None = None,
+) -> Site | None:
+    """The first divergence between recorded outputs, by the one rule:
+    lowest cycle, then DUT in the order given, then lowest lane, then
+    :func:`output_mismatches` — over ``decode(outputs)`` when the
+    comparison domain is not the raw one, so outputs that differ raw and
+    agree decoded are no divergence.  A row is one cycle: an output dict,
+    or a list of per-lane dicts; row ``i`` is cycle ``start + i``.
+    Recordings that compare ``==`` whole are not searched at all."""
+    if all(rows == ref_rows for rows in dut_rows.values()):
+        return None
+    for index, ref_row in enumerate(ref_rows):
+        for name, rows in dut_rows.items():
+            if rows[index] == ref_row:
+                continue
+            lanes = not isinstance(ref_row, Mapping)
+            pairs = zip(ref_row, rows[index]) if lanes else [(ref_row, rows[index])]
+            for lane, (ref_out, dut_out) in enumerate(pairs):
+                if ref_out == dut_out:
+                    continue
+                if decode is not None:
+                    ref_out, dut_out = decode(ref_out), decode(dut_out)
+                mismatches = output_mismatches(ref_out, dut_out, signals)
+                if mismatches:
+                    return Site(start + index, name, lane if lanes else None, mismatches)
+    return None
+
+
+def _engines(participant) -> Sequence:
+    return participant if isinstance(participant, Sequence) else (participant,)
+
+
+def _run(participant, block: Sequence, lanes: bool) -> list:
+    """One block through one participant: a row of outputs per cycle."""
+    if isinstance(participant, Sequence):  # one single-instance engine per lane
+        per_lane = (
+            engine.run([_lane_row(row, lane) for row in block])
+            for lane, engine in enumerate(participant)
+        )
+        return [list(outs) for outs in zip(*per_lane)]
+    return participant.run_lanes(block) if lanes else participant.run(block)
+
+
+def lockstep(
+    reference,
+    duts: Mapping[str, object],
+    stimuli: Iterable,
+    *,
+    start: int = 0,
+    signals: Sequence[str] | None = None,
+    decode: Callable[[Mapping], Mapping] | None = None,
+) -> tuple[Site | None, list]:
+    """Drive ``reference`` and every DUT over ``stimuli``, a block at a time.
+
+    A participant is one engine, or a sequence of single-instance
+    engines, one per lane, each fed its lane's stream.  A cycle of
+    stimulus is one mapping every lane shares or a sequence of per-lane
+    mappings (what ``GemInterpreter.run_lanes`` accepts); with a per-lane
+    reference or any per-lane cycle, outputs are compared lane by lane
+    (single engines through ``run_lanes``), otherwise as one dict per
+    cycle (``run``).  The stream is cut into blocks of the smallest
+    ``block_cycles`` any participant declares (:data:`BLOCK_CYCLES` when
+    none does) and every participant runs a block in one call.
+
+    Returns ``(site, trace)``: the first divergence (:func:`first_site`;
+    cycles count from ``start``, so a caller that cuts a stream keeps
+    them absolute) or ``None``, and the reference's outputs, a row per
+    cycle.  The run stops at the end of the block that diverged — every
+    participant stands on that boundary, and ``trace`` ends there.
+    """
+    stimuli = list(stimuli)
+    lanes = isinstance(reference, Sequence) or not all(map(_shared, stimuli))
+    declared = (
+        getattr(engine, "block_cycles", None)
+        for participant in (reference, *duts.values())
+        for engine in _engines(participant)
+    )
+    size = min(filter(None, declared), default=BLOCK_CYCLES)
+    trace: list = []
+    for lo in range(0, len(stimuli), size):
+        block = stimuli[lo : lo + size]
+        ref_rows = _run(reference, block, lanes)
+        dut_rows = {name: _run(dut, block, lanes) for name, dut in duts.items()}
+        trace += ref_rows
+        site = first_site(ref_rows, dut_rows, start=start + lo, signals=signals, decode=decode)
+        if site is not None:
+            return site, trace
+    return None, trace
 
 
 @dataclass
@@ -114,10 +192,14 @@ class Divergence:
 class CosimResult:
     """Outcome of a co-simulation run."""
 
-    cycles: int
     divergence: Divergence | None = None
-    #: per-cycle reference outputs (kept only when recording is on)
-    trace: list[dict[str, int]] = field(default_factory=list)
+    #: the reference's outputs, a row per simulated cycle
+    trace: list = field(default_factory=list)
+
+    @property
+    def cycles(self) -> int:
+        """Cycles simulated: all of them, or up to the end of the diverging block."""
+        return len(self.trace)
 
     @property
     def passed(self) -> bool:
@@ -130,112 +212,55 @@ class CosimResult:
 
 
 def cosim(
-    reference: Steppable,
-    dut: Steppable,
-    stimuli: Iterable[Mapping[str, int]],
+    reference,
+    dut,
+    stimuli: Iterable,
     signals: Sequence[str] | None = None,
-    stop_on_divergence: bool = True,
-    history: int = 4,
-    record_trace: bool = False,
 ) -> CosimResult:
-    """Run ``reference`` and ``dut`` in lockstep.
+    """Run ``reference`` and ``dut`` in lockstep and report the first
+    divergence with the inputs that led to it.
 
+    With one reference engine, ``stimuli`` is a stream of input mappings.
+    With a sequence of references — one single-instance engine per lane
+    of a batched ``dut`` — it is one such stream per lane, all of one
+    length: every packed lane is certified against an independently
+    driven golden run, and the report names the offending lane.
     ``signals`` restricts the comparison (default: every output both
-    engines produce).  ``history`` controls how many preceding input
-    vectors the divergence report retains.
+    engines produce).
     """
-    recent: list[dict[str, int]] = []
-    result = CosimResult(cycles=0)
-    for cycle, vec in enumerate(stimuli):
-        vec = dict(vec)
-        ref_out = reference.step(vec)
-        dut_out = dut.step(vec)
-        mismatches = output_mismatches(ref_out, dut_out, signals)
-        if record_trace:
-            result.trace.append(ref_out)
-        result.cycles = cycle + 1
-        if mismatches and result.divergence is None:
-            result.divergence = Divergence(
-                cycle=cycle,
-                signals=mismatches,
-                inputs=vec,
-                recent_inputs=list(recent),
-            )
-            if stop_on_divergence:
-                return result
-        recent.append(vec)
-        if len(recent) > history:
-            recent.pop(0)
+    if isinstance(reference, Sequence):
+        streams = [list(stream) for stream in stimuli]
+        if len(streams) != len(reference):
+            raise ValueError(f"{len(reference)} reference lanes need as many stimulus streams")
+        if len({len(stream) for stream in streams}) > 1:
+            raise ValueError("all lane stimulus streams must have the same length")
+        stimuli = [list(vecs) for vecs in zip(*streams)]
+    else:
+        stimuli = list(stimuli)
+    site, trace = lockstep(reference, {"dut": dut}, stimuli, signals=signals)
+    result = CosimResult(trace=trace)
+    if site is not None:
+        history = stimuli[max(0, site.cycle - HISTORY) : site.cycle + 1]
+        *recent, inputs = (dict(_lane_row(row, site.lane) or {}) for row in history)
+        result.divergence = Divergence(
+            cycle=site.cycle,
+            signals=site.signals,
+            inputs=inputs,
+            recent_inputs=recent,
+            lane=site.lane,
+        )
     return result
 
 
-def cosim_lanes(
-    reference_factory: "Callable[[], Steppable]",
-    dut: LaneSteppable,
-    lane_stimuli: Sequence[Sequence[Mapping[str, int]]],
-    signals: Sequence[str] | None = None,
-    stop_on_divergence: bool = True,
-    history: int = 4,
-) -> CosimResult:
-    """Lane-batched cosim: B independent stimulus streams, one DUT.
-
-    The DUT advances every lane with a single ``advance_lanes`` call per
-    cycle while ``reference_factory()`` builds one fresh single-instance
-    reference per lane, stepped with that lane's own stimuli — so each
-    packed lane of the batched engine is certified against an
-    independently-driven golden run.  Lanes are compared column-wise
-    (:func:`divergent_lanes`); the divergence report carries the
-    offending lane.
-    """
-    lanes = len(lane_stimuli)
-    result = CosimResult(cycles=0)
-    if lanes == 0:
-        return result
-    length = len(lane_stimuli[0])
-    if any(len(stream) != length for stream in lane_stimuli):
-        raise ValueError("all lane stimulus streams must have the same length")
-    refs = [reference_factory() for _ in range(lanes)]
-    recent: deque[list[dict[str, int]]] = deque(maxlen=history)
-    for cycle in range(length):
-        vecs = [dict(stream[cycle]) for stream in lane_stimuli]
-        dut.advance_lanes(vecs)
-        dut_cols = dut.outputs_arrays()
-        ref_outs = [ref.step(vec) for ref, vec in zip(refs, vecs)]
-        result.cycles = cycle + 1
-        if result.divergence is None:
-            ref_cols = {name: [out[name] for out in ref_outs] for name in ref_outs[0]}
-            diverged = divergent_lanes(ref_cols, dut_cols, signals)
-            if diverged:
-                lane = diverged[0]
-                result.divergence = Divergence(
-                    cycle=cycle,
-                    signals=output_mismatches(
-                        ref_outs[lane], lane_outputs(dut_cols, lane), signals
-                    ),
-                    inputs=vecs[lane],
-                    recent_inputs=[past[lane] for past in recent],
-                    lane=lane,
-                )
-                if stop_on_divergence:
-                    return result
-        recent.append(vecs)
-    return result
-
-
-def cosim_vcd(
-    reference: Steppable,
-    dut: Steppable,
-    vcd_path: str,
-    **kwargs,
-) -> CosimResult:
+def cosim_vcd(reference, dut, vcd_path: str, signals: Sequence[str] | None = None) -> CosimResult:
     """Co-simulate with stimuli replayed from a VCD file."""
     from repro.waveform.vcd import read_vcd_stimuli
 
-    return cosim(reference, dut, read_vcd_stimuli(vcd_path), **kwargs)
+    return cosim(reference, dut, read_vcd_stimuli(vcd_path), signals)
 
 
 def dump_response_vcd(
-    engine: Steppable,
+    engine,
     stimuli: Sequence[Mapping[str, int]],
     path: str,
     widths: Mapping[str, int],
@@ -244,16 +269,12 @@ def dump_response_vcd(
     """Run ``engine`` over ``stimuli`` and dump its outputs as a VCD."""
     from repro.waveform.vcd import VcdWriter
 
-    count = 0
+    outputs = engine.run(stimuli)
     with open(path, "w", encoding="ascii") as f:
-        writer = None
-        for vec in stimuli:
-            outs = engine.step(vec)
-            if writer is None:
-                known = {k: widths[k] for k in widths if k in outs}
-                writer = VcdWriter(f, known, module=module)
-            writer.sample(outs)
-            count += 1
-        if writer is not None:
+        if outputs:
+            known = {k: widths[k] for k in widths if k in outputs[0]}
+            writer = VcdWriter(f, known, module=module)
+            for outs in outputs:
+                writer.sample(outs)
             writer.close()
-    return count
+    return len(outputs)

@@ -28,7 +28,7 @@ import pickle
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.cachefile import write_atomic
+from repro.core.cachefile import cache_dir, write_atomic
 from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig
 from repro.core.depth_opt import optimize
 from repro.core.synthesis import SynthesisResult, synthesize
@@ -36,6 +36,7 @@ from repro.designs.workloads import Workload, workloads_for
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
 from repro.rtl.ir import Circuit
+from repro.errors import ConfigError
 from repro.rtl.netlist import Netlist
 
 if TYPE_CHECKING:
@@ -43,8 +44,6 @@ if TYPE_CHECKING:
     from repro.runtime.supervisor import SupervisedRun
 
 logger = logging.getLogger(__name__)
-
-CACHE_DIR = os.environ.get("GEM_CACHE_DIR", os.path.join(os.getcwd(), ".gem_cache"))
 
 #: On-disk cache envelope version.  Every pickle is wrapped as
 #: ``{"format": CACHE_FORMAT, "key": key, "value": value}``; entries with
@@ -102,7 +101,7 @@ _memory_cache: dict[str, object] = {}
 
 def _cache_path(key: str) -> str:
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return os.path.join(CACHE_DIR, f"{key.split(':')[0]}-{digest}.pkl")
+    return os.path.join(cache_dir(), f"{key.split(':')[0]}-{digest}.pkl")
 
 
 def _discard_cache_file(path: str, reason: str) -> None:
@@ -228,34 +227,26 @@ def compile_design(
     engines carry X/Z; the x-initialization knobs join the cache key
     because they change the transformed circuit.
     """
-    from repro.fourstate.fastpath import validate_values
+    from repro.fourstate.fastpath import compile_fourstate, validate_values
 
-    effective = config or GemConfig()
-    if validate_values(values) == 4:
-        from repro.fourstate.fastpath import compile_fourstate
+    four = validate_values(values) == 4
 
-        # v3: the dual-rail transform keeps sync read ports native
-        # (deferred-bound), structurally changing the compiled circuit.
-        key = (
-            f"compile:{name}:{effective.digest()}:v3"
-            f":values4:xr{int(x_reset)}:xm{int(x_memory)}"
-        )
-        with TRACER.span(
-            f"compile:{name}", cat="compile", args={"design": name, "values": 4}
-        ):
-            return _cached(
-                key,
-                lambda: compile_fourstate(
-                    design_circuit(name), config, x_reset=x_reset, x_memory=x_memory
-                ),
+    def make() -> CompiledDesign:
+        if four:
+            return compile_fourstate(
+                design_circuit(name), config, x_reset=x_reset, x_memory=x_memory
             )
-    key = f"compile:{name}:{effective.digest()}:v2"
+        return GemCompiler(config).compile(design_synth(name, config))
+
+    # values4 is v3: the dual-rail transform keeps sync read ports native
+    # (deferred-bound), structurally changing the compiled circuit.
+    suffix = f"v3:values4:xr{int(x_reset)}:xm{int(x_memory)}" if four else "v2"
+    key = f"compile:{name}:{(config or GemConfig()).digest()}:{suffix}"
     # The span exists even on a cache hit, so every traced run carries a
     # compile span (the child phase spans only appear on real compiles).
-    with TRACER.span(f"compile:{name}", cat="compile", args={"design": name}):
-        return _cached(
-            key, lambda: GemCompiler(config).compile(design_synth(name, config))
-        )
+    args = {"design": name, "values": 4} if four else {"design": name}
+    with TRACER.span(f"compile:{name}", cat="compile", args=args):
+        return _cached(key, make)
 
 
 def autotune_design(
@@ -276,11 +267,9 @@ def autotune_design(
     """
     from repro.core.autotune import autotune
 
-    wls = design_workloads(name)
-    wl = wls[workload or next(iter(wls))]
     return autotune(
         lambda cfg: design_synth(name, cfg),
-        wl.stimuli,
+        design_workload(name, workload).stimuli,
         name=name,
         base=base,
         space=space,
@@ -292,6 +281,17 @@ def autotune_design(
 
 def design_workloads(name: str) -> dict[str, Workload]:
     return workloads_for(DESIGNS[name].workload_design)
+
+
+def design_workload(name: str, workload: str | None = None) -> Workload:
+    """One workload of a registered design: its first when ``workload``
+    is ``None``; an unknown name is a :class:`ConfigError` listing them."""
+    workloads = design_workloads(name)
+    if workload is None:
+        return next(iter(workloads.values()))
+    if workload not in workloads:
+        raise ConfigError(f"unknown workload {workload!r}; available: {', '.join(workloads)}")
+    return workloads[workload]
 
 
 @dataclass
@@ -321,9 +321,8 @@ def measure_activity(name: str, workload: Workload, max_cycles: int | None = 400
             stimuli = stimuli[:max_cycles]
         ev = EventDrivenSim(synth)
         gl = GateLevelSim(synth)
-        for vec in stimuli:
-            ev.step(vec)
-            gl.step(vec)
+        ev.run(stimuli)
+        gl.run(stimuli)
         compiled = CompiledCycleSim(Netlist(design_circuit(name)))
         return ActivityMeasurement(
             design=name,

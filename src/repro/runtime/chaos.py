@@ -207,7 +207,7 @@ def scenario_corrupt_cache(seed: int, work_dir: str) -> ChaosOutcome:
     cache_dir = os.path.join(work_dir, f"cache-{seed}")
     key = f"chaos:{seed}:v1"
     value = {"seed": seed, "payload": list(range(8))}
-    with mock.patch.object(runner, "CACHE_DIR", cache_dir):
+    with mock.patch.dict(os.environ, {"GEM_CACHE_DIR": cache_dir}):
         built = runner._cached(key, lambda: dict(value))
         if built != value:
             return ChaosOutcome("corrupt-cache", seed, False, "initial build wrong")

@@ -23,7 +23,7 @@ CRC32 footer as the bitstream — see :mod:`repro.core.integrity`)::
                program digest, global bits, #rams, 0 (reserved), batch,
                lane-plane words K, value system (2 or 4)
     section 1  counters: fixed-order fields as (lo, hi) u64 pairs
-               (``_COUNTER_FIELDS``; older files carry a shorter prefix)
+               (``_COUNTER_FIELDS``)
     section 2  global state: K packed uint64 words per bit as (lo, hi)
                pairs, plane-major (bit 0's K words, then bit 1's, ...)
     section 3  RAM images: per block, depth then batch×depth words
@@ -38,10 +38,10 @@ global-state bits, so sections 2–3 need no encoding of their own; the
 header word makes restoring into the other value system fail
 self-describingly (the digest check would catch it anyway).
 
-Files are always written as v4.  Format **v3** files (no value-system
-word; every other word identical) still load, as ``values=2``; v2 (no K
-word) and v1 (bit-packed single instance) are refused with a
-:class:`~repro.errors.CheckpointError` naming the version.
+Checkpoints are per-run artefacts, so there is one format: v3 (no
+value-system word), v2 (no K word) and v1 (bit-packed single instance)
+are refused with a :class:`~repro.errors.CheckpointError` naming the
+version.
 
 Checkpoints carry no execution-backend identity: the state layout is
 backend-independent, so a file saved under the numpy backend resumes
@@ -79,13 +79,10 @@ logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = 0x47454D4B  # "GEMK"
 CKPT_VERSION = 4
-#: the pre-values format (no value-system header word), still readable
-CKPT_VERSION_V3 = 3
+#: header words of a v4 file
+_HEADER_WORDS = 11
 
-#: fixed serialization order of the work-counter fields.  Only ever
-#: extended at the tail: the loader hydrates however many fields a file
-#: carries, so snapshots written before ``array_ops``/``fused_array_ops``
-#: existed still restore (the missing counters stay 0).
+#: fixed serialization order of the work-counter fields
 _COUNTER_FIELDS = (
     "cycles",
     "instruction_words",
@@ -227,7 +224,7 @@ def checkpoint_to_words(ckpt: Checkpoint) -> np.ndarray:
 
 
 def checkpoint_from_words(words: np.ndarray) -> Checkpoint:
-    """Parse and CRC-verify a serialized checkpoint (v4 or v3)."""
+    """Parse and CRC-verify a serialized checkpoint."""
     sections = unseal(words, error=CheckpointError, what="checkpoint")
     if len(sections) != 5:
         raise CheckpointError(f"checkpoint: expected 5 sections, found {len(sections)}")
@@ -235,25 +232,24 @@ def checkpoint_from_words(words: np.ndarray) -> Checkpoint:
     if header.size < 8 or int(header[0]) != CKPT_MAGIC:
         raise CheckpointError("not a GEM checkpoint (bad magic)")
     version = int(header[1])
-    if version not in (CKPT_VERSION, CKPT_VERSION_V3):
+    if version != CKPT_VERSION:
         raise CheckpointError(
-            f"unsupported checkpoint format version {version} "
-            f"(supported: {CKPT_VERSION_V3}, {CKPT_VERSION})"
+            f"unsupported checkpoint format version {version} (supported: {CKPT_VERSION})"
         )
-    if header.size < 7 + version:  # v3: 10 header words, v4: 11
+    if header.size < _HEADER_WORDS:
         raise CheckpointError(f"checkpoint: v{version} header truncated")
     if int(header[7]) or reserved_sec.size:
         raise CheckpointError(
             f"checkpoint: reserved section 4 must be empty (header claims {int(header[7])} "
             f"entries, section holds {reserved_sec.size} words)"
         )
-    if counter_sec.size % 2 or counter_sec.size > 2 * len(_COUNTER_FIELDS):
+    if counter_sec.size != 2 * len(_COUNTER_FIELDS):
         raise CheckpointError("checkpoint: counter section has wrong size")
     counters = CycleCounters()
-    for i, name in enumerate(_COUNTER_FIELDS[: counter_sec.size // 2]):
+    for i, name in enumerate(_COUNTER_FIELDS):
         setattr(counters, name, _from_pair(counter_sec[2 * i], counter_sec[2 * i + 1]))
     global_bits, num_rams, batch, words_k = (int(header[i]) for i in (5, 6, 8, 9))
-    values = int(header[10]) if version >= CKPT_VERSION else 2  # v3 files were all 2-state
+    values = int(header[10])
     if values not in (2, 4):
         raise CheckpointError(f"checkpoint: invalid value system {values}")
     if words_k == 1:

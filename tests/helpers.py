@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 
+from repro.harness import cosim
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
 
@@ -139,17 +140,50 @@ def random_vectors(circuit: Circuit, seed: int, cycles: int) -> list[dict[str, i
     ]
 
 
+class Stepped:
+    """A step-only engine (the E-AIG simulators under ``core/``) as a
+    lockstep participant."""
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+
+    def run(self, stimuli) -> list[dict[str, int]]:
+        return list(map(self.engine.step, stimuli))
+
+
 def lockstep(engines: dict[str, object], stimuli: list[dict[str, int]]) -> None:
-    """Drive all engines with the same stimuli; assert identical outputs."""
-    names = list(engines)
-    for cycle, vec in enumerate(stimuli):
-        outs = {name: engines[name].step(vec) for name in names}
-        reference = outs[names[0]]
-        for name in names[1:]:
-            assert outs[name] == reference, (
-                f"cycle {cycle}: {name} diverged from {names[0]}: "
-                f"{outs[name]} != {reference} on inputs {vec}"
-            )
+    """Drive all engines with the same stimuli (the first is the
+    reference); assert identical outputs."""
+    (reference, golden), *duts = (
+        (name, engine if hasattr(engine, "run") else Stepped(engine))
+        for name, engine in engines.items()
+    )
+    site, _ = cosim.lockstep(golden, dict(duts), stimuli)
+    assert site is None, (
+        f"cycle {site.cycle}: {site.dut} diverged from {reference}: "
+        f"{site.signals} on inputs {stimuli[site.cycle]}"
+    )
+
+
+def brute_force_site(reference, duts: dict[str, object], stimuli: list) -> tuple | None:
+    """What :func:`repro.harness.cosim.lockstep` must report, the slow
+    way: every participant driven one cycle per call and every output
+    dict compared — ``(cycle, dut, lane, signals)`` of the first
+    difference (lowest cycle, then DUT in order, then lowest lane; lane
+    ``None`` when the cycle's outputs are one dict)."""
+    lanes = isinstance(reference, list)
+    for cycle, row in enumerate(stimuli):
+        if lanes:
+            want = [engine.run([vec])[0] for engine, vec in zip(reference, row)]
+        else:
+            want = [reference.run([row])[0]]
+        for name, dut in duts.items():
+            got = dut.run_lanes([row])[0] if lanes else dut.run([row])
+            for lane, (ref_out, dut_out) in enumerate(zip(want, got)):
+                if ref_out != dut_out:
+                    differ = sorted(k for k in ref_out if ref_out[k] != dut_out[k])
+                    return cycle, name, lane if lanes else None, differ
+    return None
 
 
 # -- per-bit reference conversions the lane and pack-layer tests compare against --

@@ -181,6 +181,16 @@ class TestTargetGroup:
         assert "unknown workload 'nosuch'" in out
         assert "ldst_quad2, fp_mt_combo0, asi_notused_priv" in out
 
+    def test_the_library_resolves_a_workload_the_same_way(self):
+        """``autotune_design(name, "nope")`` used to be a bare ``KeyError``."""
+        from repro.errors import ConfigError
+        from repro.harness.runner import autotune_design, design_workload, design_workloads
+
+        first = next(iter(design_workloads("openpiton1").values()))
+        assert design_workload("openpiton1") == first
+        with pytest.raises(ConfigError, match="unknown workload 'nope'; available: ldst_quad2"):
+            autotune_design("openpiton1", "nope")
+
     @pytest.mark.parametrize("command", [["compile"], ["run"], ["probe", "list"], ["tune"]])
     def test_unknown_design_exits_2_with_the_names(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,7 +13,7 @@ from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.engine import WORD_LANES, ExecutionEngine
 from repro.core.partition import PartitionConfig
 from repro.errors import CheckpointError
-from repro.harness.cosim import cosim_lanes
+from repro.harness.cosim import cosim
 from repro.rtl import Netlist, WordSim
 from repro.rtl.builder import CircuitBuilder
 from repro.simref.isa_interp import ReferenceInterpreter
@@ -361,13 +361,14 @@ class TestBatchedCosim:
         circuit, design = memory_design
         batch = 4
         streams = lane_vectors(circuit, batch, 20, seed=90)
-        result = cosim_lanes(
-            lambda: WordSim(Netlist(circuit)),
+        result = cosim(
+            [WordSim(Netlist(circuit)) for _ in range(batch)],
             design.simulator(batch=batch),
             streams,
         )
         assert result.passed
         assert result.cycles == 20
+        assert [len(row) for row in result.trace] == [batch] * 20
 
     def test_divergence_names_the_lane(self, memory_design):
         circuit, design = memory_design
@@ -378,34 +379,33 @@ class TestBatchedCosim:
             def __init__(self, sim, bad_lane):
                 self.sim, self.bad_lane = sim, bad_lane
 
-            def advance_lanes(self, vecs):
-                self.sim.advance_lanes(vecs)
+            def run_lanes(self, rows):
+                outputs = self.sim.run_lanes(rows)
+                for row in outputs:
+                    for name in row[self.bad_lane]:
+                        row[self.bad_lane][name] ^= 1
+                return outputs
 
-            def outputs_arrays(self):
-                cols = self.sim.outputs_arrays()
-                for col in cols.values():
-                    col[self.bad_lane] ^= 1
-                return cols
-
-        result = cosim_lanes(
-            lambda: WordSim(Netlist(circuit)),
+        result = cosim(
+            [WordSim(Netlist(circuit)) for _ in range(batch)],
             LyingDut(design.simulator(batch=batch), bad_lane=2),
             streams,
         )
         assert not result.passed
-        assert result.divergence.lane == 2
-        assert "lane 2" in result.divergence.describe()
+        divergence = result.divergence
+        assert (divergence.cycle, divergence.lane) == (0, 2)
+        assert divergence.inputs == streams[2][0] and divergence.recent_inputs == []
+        assert "lane 2" in divergence.describe()
 
     def test_mismatched_stream_lengths_rejected(self, memory_design):
         circuit, design = memory_design
         streams = lane_vectors(circuit, 2, 10, seed=92)
+        references = [WordSim(Netlist(circuit)) for _ in range(2)]
+        with pytest.raises(ValueError, match="as many stimulus streams"):
+            cosim(references, design.simulator(batch=2), streams[:1])
         streams[1] = streams[1][:5]
         with pytest.raises(ValueError, match="same length"):
-            cosim_lanes(
-                lambda: WordSim(Netlist(circuit)),
-                design.simulator(batch=2),
-                streams,
-            )
+            cosim(references, design.simulator(batch=2), streams)
 
 
 class TestLanePlanes:

@@ -31,7 +31,7 @@ class TestCache:
     def test_memory_and_disk_roundtrip(self, tmp_path, monkeypatch):
         import repro.harness.runner as runner
 
-        monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(runner, "_memory_cache", {})
         calls = []
 
@@ -50,7 +50,7 @@ class TestCache:
     def test_corrupt_cache_rebuilds(self, tmp_path, monkeypatch):
         import repro.harness.runner as runner
 
-        monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(runner, "_memory_cache", {})
         path = runner._cache_path("test:bad")
         os.makedirs(tmp_path, exist_ok=True)
@@ -68,7 +68,7 @@ class TestCache:
 
         blocker = tmp_path / "blocker"
         blocker.write_text("in the way")
-        monkeypatch.setattr(runner, "CACHE_DIR", str(blocker / "cache"))
+        monkeypatch.setenv("GEM_CACHE_DIR", str(blocker / "cache"))
         monkeypatch.setattr(runner, "_memory_cache", {})
         calls = []
 
@@ -92,7 +92,7 @@ class TestCache:
         import repro.harness.runner as runner
         from repro.core.cachefile import write_atomic
 
-        monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(runner, "_memory_cache", {})
         with pytest.raises((pickle.PicklingError, AttributeError)):
             runner._cached("test:unpicklable", lambda: (lambda: None))

@@ -113,7 +113,7 @@ class TestConfigCacheKeying:
         from repro.core.placement import RefineConfig
         from repro.harness import runner
 
-        monkeypatch.setattr(runner, "CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(runner, "_memory_cache", {})
         monkeypatch.setitem(runner.DESIGNS, "tinyreg", self._tiny_entry())
 
@@ -143,6 +143,24 @@ class TestConfigCacheKeying:
             == default.report.config_digest
         )
         assert sorted(p.name for p in tmp_path.glob("compile-*.pkl")) == pickles
+
+    def test_one_cache_root_read_at_call_time(self, tmp_path, monkeypatch):
+        """``runner`` used to freeze its directory at import while plans
+        and the kernel followed ``$GEM_CACHE_DIR`` at call time: a process
+        that set the variable after the import split its cache in two.
+        Set it now (``runner`` is long imported): the compile pickle and
+        the plan file land side by side."""
+        import repro.core.fused as fused
+        from repro.harness import runner
+
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path / "late"))
+        monkeypatch.setattr(runner, "_memory_cache", {})
+        monkeypatch.setitem(runner.DESIGNS, "tinyreg", self._tiny_entry())
+        monkeypatch.setattr(fused, "PERSIST_MIN_NODES", 0)
+        fused.clear_fusion_cache()
+        runner.compile_design("tinyreg", self._tiny_base()).simulator()
+        kinds = {p.name.split("-")[0] for p in (tmp_path / "late").iterdir()}
+        assert {"compile", "plan"} <= kinds
 
     def test_decode_cache_is_config_keyed(self, tmp_path, monkeypatch):
         """Decode and fusion are keyed by what they are functions of: the
@@ -259,12 +277,8 @@ print(json.dumps({
 class TestFourStateRegressions:
     """Pins for the v4 checkpoint container and dual-rail observability.
 
-    5. Checkpoint format v4 added a ``values`` header word, and nothing
-       else: a v3 image is the v4 image of a 2-state snapshot minus that
-       word (the writer only writes v4, so the tests build v3 images that
-       way), v3 images still load — as ``values=2``, so one cut from a
-       4-state snapshot is refused at restore — and restore refuses to
-       mix value systems.  (v2/v1 refusal is pinned in
+    5. Checkpoint format v4 added a ``values`` header word, and restore
+       refuses to mix value systems.  (v3/v2/v1 refusal is pinned in
        test_runtime_checkpoint / test_engine_lanes.)
     6. Probe taps attach to a dual-rail (``values=4``) run unchanged:
        the catalog exposes both rails of every 4-state register and a
@@ -277,64 +291,21 @@ class TestFourStateRegressions:
         circuit = random_circuit(seed, n_ops=25, n_regs=3)
         return circuit, compile_circuit(circuit, values=4)
 
-    @staticmethod
-    def _as_v3(v4_words):
-        """The v3 image of a v4 one: the values word dropped, the version
-        restamped, every other section untouched."""
-        from repro.core.integrity import seal, unseal
+    def test_restore_refuses_mixed_value_systems(self):
+        import dataclasses
 
-        header, *rest = unseal(v4_words)
-        assert int(header[1]) == 4 and header.size == 11
-        header = header[:-1].copy()
-        header[1] = 3
-        return seal([header, *rest])
-
-    def test_ckpt_v4_v3_section_identity_for_2state(self):
-        from repro.runtime.checkpoint import (
-            checkpoint_from_words,
-            checkpoint_to_words,
-            restore,
-            snapshot,
-        )
-
-        circuit = random_circuit(905, n_ops=20, n_regs=2)
-        design = GemCompiler().compile(circuit)
-        stimuli = random_vectors(circuit, 3, 15)
-        golden = design.simulator().run(stimuli)
-        sim = design.simulator()
-        sim.run(stimuli[:9])
-        ckpt = snapshot(sim)
-        assert ckpt.values == 2
-        # the v3 reader hydrates the same checkpoint from the same sections
-        back = checkpoint_from_words(self._as_v3(checkpoint_to_words(ckpt)))
-        assert back.cycle == ckpt.cycle and back.values == 2 and back.batch == ckpt.batch
-        assert (back.global_state == ckpt.global_state).all()
-        assert back.counters == ckpt.counters
-        assert restore(design.simulator(), back).run(stimuli[9:]) == golden[9:]
-
-    def test_ckpt_v3_refuses_4state_and_restore_refuses_mixed_values(self):
         import pytest
 
         from repro.errors import CheckpointError
-        from repro.runtime.checkpoint import (
-            checkpoint_from_words,
-            checkpoint_to_words,
-            restore,
-            snapshot,
-        )
+        from repro.runtime.checkpoint import restore, snapshot
 
         circuit, design = self._dual_design()
         sim = design.simulator()
-        for vec in random_vectors(circuit, 5, 4):
-            sim.step(vec)
+        sim.run(random_vectors(circuit, 5, 4))
         ckpt = snapshot(sim)
         assert ckpt.values == 4
-        # v3 has nowhere to say "4-state": the image loads as values=2 and
-        # the engine it came from refuses it
-        as_v3 = checkpoint_from_words(self._as_v3(checkpoint_to_words(ckpt)))
-        assert as_v3.values == 2
         with pytest.raises(CheckpointError, match="2-state engine"):
-            restore(design.simulator(), as_v3)
+            restore(design.simulator(), dataclasses.replace(ckpt, values=2))
         two_state = GemCompiler().compile(circuit).simulator()
         with pytest.raises(CheckpointError):
             restore(two_state, ckpt)

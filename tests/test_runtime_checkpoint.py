@@ -575,7 +575,19 @@ class TestLanePlaneCheckpoints:
         with pytest.raises(CheckpointError, match="format version 2"):
             checkpoint_from_words(seal([header, *sections[1:]]))
 
-    def test_v3_rejects_bad_lane_geometry(self):
+    def test_v3_file_is_refused(self):
+        """A v3 container (10-word header, no value-system word) went the
+        way of v2: every file has been written as v4 since the word exists."""
+        circuit, design = _compile(33)
+        sim = design.simulator()
+        sim.run(random_vectors(circuit, 9, 5))
+        sections = unseal(checkpoint_to_words(snapshot(sim)), error=CheckpointError)
+        header = sections[0][:10].copy()  # drop the values word
+        header[1] = 3
+        with pytest.raises(CheckpointError, match="format version 3"):
+            checkpoint_from_words(seal([header, *sections[1:]]))
+
+    def test_rejects_bad_lane_geometry(self):
         circuit, design = _compile(33)
         sim = design.simulator(batch=128)
         sim.step({})
