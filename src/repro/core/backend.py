@@ -35,10 +35,10 @@ reason is logged once); asking for ``"native"`` by name there warns once
 and falls back, ``strict=True`` raises.  A GPU backend slots in here
 when there is a GPU to measure it on.
 
-Lane planes: single-word batches keep 1-D ``(n,)`` buffers, K-word
-batches ``(n, K)`` planes (:mod:`repro.core.engine`).  The numpy cycle
-works in whichever layout it is handed; the kernel sees row-major
-``(n, K)`` either way and has a ``K == 1`` fast path.
+Buffers and blocks are ``(rows, K)`` lane planes at every batch, ``K = 1``
+up to 64 lanes (:mod:`repro.core.engine`): the numpy cycle broadcasts the
+plan's constant words across the plane, the kernel walks row-major
+``(n, K)`` planes with a ``K == 1`` fast path.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class CycleBuffers:
     may hold raw addresses into them for its lifetime.
     """
 
-    engine: "ExecutionEngine"  # lane geometry: batch, K, the active-lane mask
+    engine: "ExecutionEngine"  # lane geometry: batch, K, the lanes of the batch
     gstate: np.ndarray  # the interpreter's global state
     pi_rows: np.ndarray  # int64: the gstate row each PI row of a block lands in
     sample_rows: np.ndarray  # int64: the gstate rows a block samples, per cycle
@@ -140,8 +140,8 @@ class ArrayBackend:
         data under its read-enable lane plane, finally the shared
         constant tuple.  Returns the block's dynamic ``global_writes``
         increment (the data bits of every RAM port some lane read).
-        The blocks are writable contiguous ``uint64``, ``(n, rows[,
-        K])`` — anything else is a :class:`~repro.errors.LaneConfigError`
+        The blocks are writable contiguous ``uint64``, ``(n, rows,
+        K)`` — anything else is a :class:`~repro.errors.LaneConfigError`
         before a cycle runs; ``times`` is ``None`` or the ``phase_times``
         dict to add the call's ``gather`` / ``fold`` / ``commit`` to.
         """
@@ -154,7 +154,7 @@ _UINT64 = np.dtype(np.uint64)
 def _slab(rows: np.ndarray, name: str, gstate: np.ndarray) -> tuple:
     """Hold a block's row table against the global state -> one cycle's slab."""
     _index(rows, name, gstate.shape[0])
-    return (rows.size, *gstate.shape[1:])
+    return (rows.size, gstate.shape[1])
 
 
 def _check_block(block: np.ndarray, name: str, shape: tuple) -> None:
@@ -248,10 +248,8 @@ class NumpyBackend(ArrayBackend):
                 )
             )
         def_const = None
-        if fused.def_const_gidx.size:
-            vals = fused.def_const_vals
-            # K-word planes: constants broadcast as an (n, 1) column
-            def_const = (fused.def_const_gidx, vals[:, None] if eng.words > 1 else vals, None)
+        if fused.def_const_gidx.size:  # constants broadcast as an (n, 1) column
+            def_const = (fused.def_const_gidx, fused.def_const_vals[:, None], None)
         return _NumpyCycle(stages, def_const, buffers)
 
     @staticmethod
@@ -260,20 +258,17 @@ class NumpyBackend(ArrayBackend):
         the gwn / ram / deferred terminal stores (the sampled deferred
         values land in ``def_buf`` for the commit)."""
         gstate, trace, arena = buffers.gstate, buffers.trace, buffers.arena
-        lane_shape = trace.shape[1:]  # () or (K,)
-
-        def col(vec):
-            """A constant vector broadcastable across the lane plane."""
-            return vec[:, None] if lane_shape else vec
+        planes = trace.shape[1]
 
         def flip(vec):
-            """``col(vec)``, or ``None`` when all zero: the XOR is elided."""
-            return col(vec) if vec.any() else None
+            """``vec`` as a column across the lane plane, or ``None`` when
+            all zero: the XOR is elided."""
+            return vec[:, None] if vec.any() else None
 
         read_gidx = plan.read_gidx
         read_view = trace[: read_gidx.size]
         counts = plan.wave_count.tolist()
-        wave_buf = np.zeros((2 * max(counts, default=0), *lane_shape), dtype=np.uint64)
+        wave_buf = np.zeros((2 * max(counts, default=0), planes), dtype=np.uint64)
         waves = []
         for n, out, s in zip(counts, plan.wave_out.tolist(), plan.wave_start.tolist()):
             ab = wave_buf[: 2 * n]
@@ -289,11 +284,11 @@ class NumpyBackend(ArrayBackend):
             )
 
         gwn_gidx, gwn_src, gwn_inv = plan.gwn_gidx, plan.gwn_src, flip(plan.gwn_inv)
-        gwn_buf = np.zeros((gwn_gidx.size, *lane_shape), dtype=np.uint64)
-        gwn_buf[gwn_src.size :] = col(plan.gwn_const)  # constant tail, once
+        gwn_buf = np.zeros((gwn_gidx.size, planes), dtype=np.uint64)
+        gwn_buf[gwn_src.size :] = plan.gwn_const[:, None]  # constant tail, once
         gwn_dyn = gwn_buf[: gwn_src.size]
         ram_slots, ram_src, ram_inv = plan.ram_slots, plan.ram_src, flip(plan.ram_inv)
-        ram_buf = np.zeros((ram_slots.size, *lane_shape), dtype=np.uint64)
+        ram_buf = np.zeros((ram_slots.size, planes), dtype=np.uint64)
         def_src, def_inv = plan.def_src, flip(plan.def_inv)
         take = trace.take
         xor, and_ = np.bitwise_xor, np.bitwise_and
@@ -356,7 +351,7 @@ KERNEL_SOURCE = r"""
 #define MAX_PORT_BITS 32 /* widest RAM address / data word */
 
 /* One RAM port.  Rows are absolute arena rows, inversion words are 0 or
-   the active-lane mask; image is the block's (batch, depth) contents. */
+   all-ones; image is the block's (batch, depth) contents. */
 typedef struct {
     int64_t addr_bits, data_bits, depth, ren_row, wen_row, rd_base;
     uint64_t ren_inv, wen_inv;
@@ -379,7 +374,7 @@ typedef struct {
 typedef struct {
     int64_t K; /* words per lane plane: buffers are (rows, K), row-major */
     int64_t nstages, nconst, npi, nsample;
-    uint64_t lane_mask;
+    uint64_t lane_mask; /* the lanes of the batch: RAM-port enables are masked to it */
     uint64_t *gstate, *trace, *arena;
     const gem_stage *stages;
     const int64_t *const_gidx; /* the shared constant deferred tuple */
@@ -758,22 +753,19 @@ def _index(arr: np.ndarray, name: str, bound, size: int | None = None) -> None:
         raise BitstreamError(f"stage plan: {name} holds an index out of range")
 
 
-def _plane(buf: np.ndarray, name: str, rows: int, planes: int | None = None) -> int:
-    """A buffer: contiguous ``uint64``, ``(n,)`` or ``(n, K)`` with at
-    least ``rows`` rows (and ``planes`` words per row); returns ``K``."""
-    k = buf.shape[1] if buf.ndim == 2 else 1
+def _plane(buf: np.ndarray, name: str, rows: int, planes: int) -> None:
+    """A buffer: a contiguous ``uint64`` ``(n, planes)`` plane with at
+    least ``rows`` rows."""
     if (
         buf.dtype != np.uint64
-        or buf.ndim not in (1, 2)
+        or buf.shape[1:] != (planes,)
         or not buf.flags.c_contiguous
         or buf.shape[0] < rows
-        or planes not in (None, k)
     ):
         raise BitstreamError(
-            f"stage buffers: {name} must be contiguous uint64 with >= {rows} rows"
-            f"{'' if planes is None else f' of {planes} words'}, got {buf.dtype}{buf.shape}"
+            f"stage buffers: {name} must be contiguous uint64 with >= {rows} rows "
+            f"of {planes} words, got {buf.dtype}{buf.shape}"
         )
-    return k
 
 
 class _NativeCycle:
@@ -818,7 +810,8 @@ class NativeBackend(ArrayBackend):
         reaches the kernel."""
         gstate, trace, arena = buffers.gstate, buffers.trace, buffers.arena
         size = max((plan.trace_size for plan in fused.stages), default=0)
-        planes = _plane(trace, "trace", size, buffers.engine.words)
+        planes = buffers.engine.words
+        _plane(trace, "trace", size, planes)
         _plane(gstate, "gstate", 0, planes)
         _plane(arena, "arena", fused.arena_size, planes)
         _index(fused.def_const_gidx, "def_const_gidx", gstate.shape[0])
@@ -936,7 +929,7 @@ def _bind_port(port: _RamOp, op, base: int, span: int, buffers: CycleBuffers, ke
         slots = getattr(op, f"{name}_slots")
         _index(slots, f"{name}_slots", span, nbits)
         rows = slots + base
-        # decoded inversions are (n,) words or (n, 1) plane columns
+        # decoded inversions are (n, 1) constant columns
         inv = np.ascontiguousarray(np.ravel(getattr(op, f"{name}_inv")))
         _table(inv, f"{name}_inv", np.uint64, nbits)
         keep += [rows, inv]

@@ -11,33 +11,34 @@ and every fold operand is a ``uint64`` word whose bit ``l`` carries lane
 ``l``'s value, so one XOR/AND/OR evaluates up to 64 independent stimulus
 streams at once.
 
-Batches beyond 64 lanes use **K-word lane planes**: state elements
-become shape ``(..., K)`` rows of ``K = batch // 64`` words, lane ``l``
-living in word ``l // 64`` at bit ``l % 64`` (word-major).  Such batches
-must be a whole number of words (``batch = K×64`` exactly), which keeps
-every word fully populated — the active-lane mask stays the scalar
-all-ones word and decoded constant tables stay one word per element,
-broadcasting across the plane via a trailing ``(n, 1)`` axis.
+State is **K-word lane planes** at every batch: an element is a row of
+``K`` words, ``K = 1`` up to 64 lanes and ``K = batch // 64`` beyond,
+lane ``l`` living in word ``l // 64`` at bit ``l % 64`` (word-major).
+Batches beyond 64 must be a whole number of words (``batch = K×64``
+exactly), so only a batch below 64 has lanes beyond the batch.
 
 Layout invariants the rest of the runtime relies on:
 
-* lane ``l`` of element ``i`` is ``(state[i] >> l) & 1`` for ``K == 1``
-  and ``(state[i, l // 64] >> (l % 64)) & 1`` for ``K > 1``;
-* lanes ``>= batch`` (the inactive lanes, ``K == 1`` only) are
-  identically zero — fold constants are masked to
-  :attr:`ExecutionEngine.lane_mask`, so garbage can never propagate into
-  them and whole-word comparisons (state digests, pruning source caches,
-  checkpoints) stay deterministic;
-* at ``batch == 1`` every word is ``0`` or ``1`` and the engine is
-  bit-for-bit the old boolean interpreter (the compatibility the
-  single-instance ``step(dict) -> dict`` API keeps verbatim);
-* at ``batch <= 64`` arrays keep their historical 1-D shape, so the
-  single-word path is byte-identical to the pre-plane engine.
+* global state, trace, arena and blocks are ``(rows, K)`` words, and
+  lane ``l`` of element ``i`` is ``(state[i, l // 64] >> (l % 64)) & 1``;
+* the program is lane-free: every decoded constant is ``0`` or
+  :data:`ALL_ONES` (:func:`constant_column`), the same tables at every
+  batch;
+* lanes ``>= batch`` are lanes nobody reads.  They keep executing,
+  deterministically: their stimulus bits are packed as zero and their
+  RAM ports never fire (the enables are masked to
+  :attr:`ExecutionEngine.lane_mask`), so a stream gives the same words
+  in them on every engine, and whole-word digests and checkpoints are
+  reproducible.  Outputs, per-lane digests, probes and activity look at
+  lanes ``< batch`` only;
+* a quarantined lane is a lane of the batch: it is zeroed at quarantine
+  and keeps running on its own stimulus and RAM ports, and outputs,
+  per-lane digests and probes still report it.
 
 The conversion helpers use ``int.to_bytes``/``np.unpackbits`` rather than
 per-bit Python loops and accept leading axes, so the **pack layer** over
 them (``pack_block`` / ``unpack_block``: integer columns to and from the
-``(cycles, rows[, K])`` blocks a backend runs) converts a block per call.
+``(cycles, rows, K)`` blocks a backend runs) converts a block per call.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ WORD_LANES = 64
 #: point past which (batch, depth) RAM images stop fitting comfortably
 MAX_LANE_WORDS = 64
 
+#: a program constant of 1: the word with every lane set
+ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
 _LE64 = np.dtype("<u8")
-_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def validate_batch(batch: int) -> int:
@@ -156,21 +159,29 @@ def _port_ints(ports: Mapping[str, Port], bits: np.ndarray) -> dict[str, np.ndar
     return columns
 
 
+def constant_column(flags) -> np.ndarray:
+    """Decoded boolean program constants as words — ``0`` or
+    :data:`ALL_ONES` — in an ``(n, 1)`` column that broadcasts across any
+    ``(n, K)`` plane.  The same at every batch: what a constant does in
+    lanes beyond the batch, nobody reads."""
+    return np.where(np.asarray(flags, dtype=bool), ALL_ONES, _ZERO)[:, None]
+
+
 class ExecutionEngine:
     """Word-level ALU for ``batch`` packed stimulus lanes.
 
-    Owns the packed-lane representation: how constants broadcast across
-    lanes, how per-lane integers (primary inputs, RAM addresses and data)
-    convert to and from bit-plane words, and the fold step itself.  The
-    interpreter holds the decoded program and drives these primitives.
+    Owns the packed-lane representation: how per-lane integers (primary
+    inputs, RAM addresses and data) convert to and from bit-plane words,
+    which lanes a RAM port may touch, and the fold step itself.  The
+    interpreter holds the decoded program — the same at every batch — and
+    drives these primitives.
 
-    ``batch <= 64`` keeps the historical single-word layout: 1-D
-    ``(n,)`` arrays and a partial :attr:`lane_mask`.  ``batch > 64``
-    switches to K-word planes: ``(n, K)`` arrays and an all-ones
-    :attr:`lane_mask` (every word fully active).  An engine is pure lane
-    geometry, immutable once built — the loader shares one with every
-    interpreter of a program, and what a run changes (which lanes are
-    quarantined included) lives in the interpreter's ``SimState``.
+    State is ``(n, K)`` at every batch, and :attr:`lane_mask` names the
+    lanes of the batch (a partial word only below 64 lanes).  An engine
+    is pure lane geometry, immutable once built — the loader shares one
+    with every interpreter of a program at one batch, and what a run
+    changes (which lanes are quarantined included) lives in the
+    interpreter's ``SimState``.
 
     **Four-state (dual-rail) execution.**  ``values=4`` designs are
     compiled through :func:`repro.fourstate.dualrail.to_dual_rail`, which
@@ -184,54 +195,39 @@ class ExecutionEngine:
     """
 
     def __init__(self, batch: int = 1) -> None:
-        #: lane-plane width: state elements are ``(n,)`` words for
-        #: ``words == 1`` and ``(n, words)`` rows beyond that
+        #: lane-plane width: state elements are ``(n, words)`` rows
         self.words = validate_batch(batch)
         self.batch = batch
-        #: active-lane mask: bit ``l`` set for every lane ``l < batch`` (planes
-        #: are fully populated: a scalar word that broadcasts across them)
-        self.lane_mask = _ALL if batch >= WORD_LANES else np.uint64((1 << batch) - 1)
-        #: a stimulus bit every lane shares, as a packed word
-        self._bit_words = np.array([0, self.lane_mask], dtype=np.uint64)
+        #: the lanes of the batch, bit ``l`` set for every lane ``l < batch``
+        #: (one word: a plane beyond 64 lanes is full) — what RAM-port
+        #: enables and stimulus every lane shares are masked to
+        self.lane_mask = ALL_ONES if batch >= WORD_LANES else np.uint64((1 << batch) - 1)
+        #: a stimulus bit every lane shares, as a packed plane row
+        self._bit_words = np.zeros((2, self.words), dtype=np.uint64)
+        self._bit_words[1] = self.lane_mask
 
     @staticmethod
     def lane_coords(lane: int) -> tuple[int, int]:
         """``(word, bit)`` coordinates of a lane in a K-word plane."""
         return divmod(lane, WORD_LANES)
 
-    def lanes_mask(self, lanes: Iterable[int]):
-        """The packed word — a ``(K,)`` plane beyond 64 lanes — with
-        exactly ``lanes``' bits set (lane quarantine zeroes state under
-        its complement).  A lane outside the batch is a ``ValueError``."""
+    def lanes_mask(self, lanes: Iterable[int]) -> np.ndarray:
+        """The ``(K,)`` plane row with exactly ``lanes``' bits set (lane
+        quarantine zeroes state under its complement).  A lane outside
+        the batch is a ``ValueError``."""
         plane = np.zeros(self.words, dtype=np.uint64)
         for lane in lanes:
             if not 0 <= lane < self.batch:
                 raise ValueError(f"lane {lane} out of range for batch {self.batch}")
             word, bit = self.lane_coords(lane)
             plane[word] |= _ONE << np.uint64(bit)
-        return plane[0] if self.words == 1 else plane
+        return plane
 
     # -- state allocation -----------------------------------------------------
 
     def zeros(self, n: int) -> np.ndarray:
-        if self.words == 1:
-            return np.zeros(n, dtype=np.uint64)
+        """``n`` packed state elements: an ``(n, K)`` plane."""
         return np.zeros((n, self.words), dtype=np.uint64)
-
-    def const_mask(self, flags: np.ndarray) -> np.ndarray:
-        """Per-element lane mask for decoded boolean constants.
-
-        A fold/XOR/OR constant of 1 applies to *every* lane (the same
-        program serves all stimulus streams), but only to the active
-        ones — masking here is what keeps inactive lanes identically 0.
-        For K-word planes the constants come back as an ``(n, 1)``
-        column so they broadcast across the plane axis.
-        """
-        masked = np.where(np.asarray(flags, dtype=bool), self.lane_mask, _ZERO)
-        return masked if self.words == 1 else masked[:, None]
-
-    def scalar_mask(self, flag: bool) -> np.uint64:
-        return self.lane_mask if flag else _ZERO
 
     # -- the hot-loop primitive ----------------------------------------------
 
@@ -255,8 +251,8 @@ class ExecutionEngine:
         integers and bools included), anything else a
         :class:`~repro.errors.LaneConfigError`.  One ``np.unpackbits``
         and one ``np.packbits`` along the lane axis — the inverse of
-        :meth:`unpack_lanes`.  Returns ``(..., nbits)`` words,
-        ``(..., nbits, K)`` planes beyond 64 lanes.
+        :meth:`unpack_lanes`.  Returns ``(..., nbits, K)`` planes; the
+        bits of lanes beyond the batch are zero.
         """
         column = np.asarray(values)
         if column.dtype.kind not in "iub" and not isinstance(values, np.ndarray):
@@ -289,15 +285,14 @@ class ExecutionEngine:
         rows = np.zeros((*lanes.shape[:-1], 8 * self.words), dtype=np.uint8)
         packed = np.packbits(lanes, axis=-1, bitorder="little")
         rows[..., : packed.shape[-1]] = packed
-        words = rows.view(_LE64).astype(np.uint64, copy=False)
-        return words[..., 0] if self.words == 1 else words
+        return rows.view(_LE64).astype(np.uint64, copy=False)
 
     def unpack_lanes(self, words: np.ndarray) -> np.ndarray:
-        """Packed words to the per-lane bit matrix, shape ``(..., batch)``
-        uint8: the last axis holds one element's bit in every lane.  One
-        ``np.unpackbits`` over the words' bytes — no per-lane shift, the
-        same lines for a single word and a K-word plane."""
-        lead = words.shape if self.words == 1 else words.shape[:-1]
+        """Packed ``(..., K)`` planes to the per-lane bit matrix, shape
+        ``(..., batch)`` uint8: the last axis holds one element's bit in
+        every lane.  One ``np.unpackbits`` over the words' bytes — no
+        per-lane shift."""
+        lead = words.shape[:-1]
         raw = np.ascontiguousarray(words, dtype=_LE64).view(np.uint8)
         bits = np.unpackbits(raw.reshape(*lead, 8 * self.words), axis=-1, bitorder="little")
         return bits[..., : self.batch]
@@ -309,20 +304,20 @@ class ExecutionEngine:
         up to 64 bits, object dtype (Python ints) for wider ones."""
         return _port_ints({"": Port.after(None, bits.shape[0])}, bits.T[None])[""][0]
 
-    # -- the pack layer: integers <-> (cycles, rows[, K]) blocks ----------------
+    # -- the pack layer: integers <-> (cycles, rows, K) blocks -------------------
 
     def pack_block(
         self, ports: Mapping[str, Port], columns: Mapping[str, object], n: int
     ) -> np.ndarray:
         """``n`` cycles of stimulus as one block of packed words, ``(n,
-        rows)`` — ``(n, rows, K)`` beyond 64 lanes — whose rows are
-        ``ports``' bits (:func:`port_slices`).  ``columns`` maps port
-        names to ``(n, batch)`` integers in any form :meth:`pack_lanes`
-        takes; a port left out is 0 everywhere.  A name that is no port,
-        a shape that does not fit or a value that is no integer is a
-        :class:`~repro.errors.LaneConfigError` naming the port."""
+        rows, K)``, whose rows are ``ports``' bits (:func:`port_slices`).
+        ``columns`` maps port names to ``(n, batch)`` integers in any form
+        :meth:`pack_lanes` takes; a port left out is 0 everywhere.  A name
+        that is no port, a shape that does not fit or a value that is no
+        integer is a :class:`~repro.errors.LaneConfigError` naming the
+        port."""
         rows = _last(ports).hi
-        block = np.zeros((n, rows) if self.words == 1 else (n, rows, self.words), dtype=np.uint64)
+        block = np.zeros((n, rows, self.words), dtype=np.uint64)
         for name, column in columns.items():
             if name not in ports:
                 raise LaneConfigError(f"unknown primary input {name!r}; have {sorted(ports)}")
@@ -350,7 +345,8 @@ class ExecutionEngine:
         -> value`` mapping per cycle (``None``: all zero; a name that is
         no port is ignored).  A cycle travels as one Python int — masked
         per port, any width, the same integer rule — and the block is one
-        ``np.unpackbits``, each bit widened to the active-lane mask."""
+        ``np.unpackbits``, each bit widened to a plane row of the batch's
+        lanes."""
         rows_bits = _last(ports).hi
         nbytes = (rows_bits + 7) // 8
         index, raw = operator.index, []
@@ -365,15 +361,13 @@ class ExecutionEngine:
         except TypeError as exc:
             raise LaneConfigError(f"input {name!r}: holds non-integer values ({exc})") from None
         mat = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(len(rows), nbytes)
-        words = self._bit_words[np.unpackbits(mat, axis=1, bitorder="little")[:, :rows_bits]]
-        return words if self.words == 1 else np.repeat(words[..., None], self.words, axis=2)
+        return self._bit_words[np.unpackbits(mat, axis=1, bitorder="little")[:, :rows_bits]]
 
     def unpack_scalars(self, ports: Mapping[str, Port], block: np.ndarray) -> list[dict[str, int]]:
         """Lane 0's words of a sampled block, one ``port -> value`` dict
         per cycle: one mask over each row's first word, one ``np.packbits``
         per block, one Python int per cycle, a shift and mask per port."""
-        first = block if self.words == 1 else block[..., 0]
-        packed = np.packbits((first & _ONE).astype(np.uint8), axis=1, bitorder="little")
+        packed = np.packbits((block[..., 0] & _ONE).astype(np.uint8), axis=1, bitorder="little")
         nbytes, raw = packed.shape[1], packed.tobytes()
         fields = [(name, port.lo, port.mask) for name, port in ports.items()]
         out = []
@@ -383,8 +377,8 @@ class ExecutionEngine:
         return out
 
     def lane_bits(self, word) -> np.ndarray:
-        """One packed word (or ``(K,)`` plane row) split into per-lane
-        bits, shape ``(batch,)``."""
+        """One ``(K,)`` plane row split into per-lane bits, shape
+        ``(batch,)``."""
         return self.unpack_lanes(np.asarray(word, dtype=np.uint64))
 
     def lane_values(self, words: np.ndarray) -> np.ndarray:
@@ -401,12 +395,11 @@ class ExecutionEngine:
         the block-local state or its arena view), ``image`` the block's
         ``(batch, depth)`` per-lane contents.  Read-first semantics: the
         read samples the array *before* this port's write lands, lane by
-        lane.  Returns the deferred read-data commit ``(gidx, values,
-        read-enable lane mask)`` for :meth:`merge`, or ``None`` when no
-        lane reads this cycle.
+        lane.  Only the batch's lanes fire.  Returns the deferred
+        read-data commit ``(gidx, values, read-enable lane mask)`` for
+        :meth:`merge`, or ``None`` when no lane reads this cycle.
         """
-        # scalar words for K == 1, (K,) plane rows beyond -- .any() gates
-        # both without the ambiguous array truthiness
+        # (K,) plane rows: .any() gates them without the ambiguous array truthiness
         ren = (local[op.ren_slot] ^ op.ren_inv) & self.lane_mask
         wen = (local[op.wen_slot] ^ op.wen_inv) & self.lane_mask
         read = None
@@ -427,10 +420,9 @@ class ExecutionEngine:
 
     @staticmethod
     def merge(dst: np.ndarray, gidx: np.ndarray, values: np.ndarray, mask) -> None:
-        """Commit a deferred scatter; ``mask`` (a packed lane word, a
-        ``(K,)`` plane row, or ``None``) restricts the merge to the lanes
-        whose write enable was set — the per-lane generalization of 'no
-        deferred write at all'."""
+        """Commit a deferred scatter; ``mask`` (a ``(K,)`` plane row, or
+        ``None``) restricts the merge to the lanes whose write enable was
+        set — the per-lane generalization of 'no deferred write at all'."""
         if mask is None:
             dst[gidx] = values
         else:
@@ -440,36 +432,35 @@ class ExecutionEngine:
 # -- decoded RAM ports ----------------------------------------------------------
 #
 # The table form of a RAMOP that :meth:`ExecutionEngine.ram_port` and the
-# backends run.  It is a function of the port's spec and the lane geometry
-# alone, so the instruction decoder and the plan store (which persists
-# specs, :mod:`repro.core.fused`) both build it here.
+# backends run.  It is a function of the port's spec alone, so the
+# instruction decoder and the plan store (which persists specs,
+# :mod:`repro.core.fused`) both build it here.
 
 
 @dataclass
 class _DecodedRamOp:
-    """A RAM port with decode-time index/weight tables (no per-bit loops)."""
+    """A RAM port with decode-time index/inversion tables (no per-bit loops)."""
 
     spec: isa.RamOp
     raddr_slots: np.ndarray
-    raddr_inv: np.ndarray  # uint64 lane masks, one per address bit
+    raddr_inv: np.ndarray  # constant column, one word per address bit
     waddr_slots: np.ndarray
     waddr_inv: np.ndarray
     wdata_slots: np.ndarray
     wdata_inv: np.ndarray
     ren_slot: int
-    ren_inv: np.uint64
+    ren_inv: np.uint64  # 0 or ALL_ONES
     wen_slot: int
     wen_inv: np.uint64
     rd_gidx: np.ndarray
 
 
-def _decode_ramop(op: isa.RamOp, engine: ExecutionEngine) -> _DecodedRamOp:
-    """Precompute index/inversion/weight tables for one RAM port."""
+def _decode_ramop(op: isa.RamOp) -> _DecodedRamOp:
+    """Precompute index/inversion tables for one RAM port."""
 
     def refs(pairs: list[tuple[int, bool]]) -> tuple[np.ndarray, np.ndarray]:
         slots = np.array([slot for slot, _ in pairs], dtype=np.int64)
-        inv = engine.const_mask(np.array([inv for _, inv in pairs], dtype=bool))
-        return slots, inv
+        return slots, constant_column([inv for _, inv in pairs])
 
     raddr_slots, raddr_inv = refs(op.raddr)
     waddr_slots, waddr_inv = refs(op.waddr)
@@ -483,8 +474,8 @@ def _decode_ramop(op: isa.RamOp, engine: ExecutionEngine) -> _DecodedRamOp:
         wdata_slots=wdata_slots,
         wdata_inv=wdata_inv,
         ren_slot=op.ren[0],
-        ren_inv=engine.scalar_mask(op.ren[1]),
+        ren_inv=ALL_ONES if op.ren[1] else _ZERO,
         wen_slot=op.wen[0],
-        wen_inv=engine.scalar_mask(op.wen[1]),
+        wen_inv=ALL_ONES if op.wen[1] else _ZERO,
         rd_gidx=np.arange(op.rd_global_base, op.rd_global_base + op.data_bits),
     )

@@ -63,7 +63,7 @@ written before read every cycle, so checkpoint restore needs no
 executor cooperation.
 
 :class:`FusedProgram` is pure static tables, a function of the bitstream
-words and the lane geometry alone — so it is computed at most once:
+words alone — the same at every batch — so it is computed at most once:
 :func:`fused_program` serves it from an in-process memo (shared across
 interpreter instances), else from a plan file persisted beside the
 compile cache, and only then runs :func:`fuse` (and stores the result
@@ -90,7 +90,7 @@ import numpy as np
 from repro.core import isa
 from repro.core.backend import INDEX_TABLES, WORD_TABLES, CycleBuffers, StagePlan
 from repro.core.cachefile import cache_dir, write_atomic
-from repro.core.engine import _decode_ramop
+from repro.core.engine import ALL_ONES, _decode_ramop
 from repro.errors import GemError
 from repro.obs.metrics import REGISTRY, MemoTable
 from repro.obs.trace import TRACER
@@ -182,42 +182,40 @@ def _loader_digest() -> str:
     return h.hexdigest()
 
 
-def plan_key(words: np.ndarray, batch: int) -> tuple[str, int, str]:
+def plan_key(words: np.ndarray) -> tuple[str, str]:
     """What a decode and a fused plan are functions of: the bitstream's
-    words (SHA-256 — the identity has to outlive the process), the lane
-    geometry the tables embed, and the code that builds them.  The one
-    key of the in-process memos and of the plan store."""
+    words (SHA-256 — the identity has to outlive the process) and the
+    code that builds them — not the batch: the program is lane-free.  The
+    one key of the in-process memos and of the plan store."""
     image = np.ascontiguousarray(words, dtype="<u4")
-    return hashlib.sha256(image).hexdigest(), batch, _loader_digest()
+    return hashlib.sha256(image).hexdigest(), _loader_digest()
 
 
-def fused_program(
-    key: tuple[str, int, str], decode, stage_indices: list[list[int]], engine
-) -> FusedProgram:
+def fused_program(key: tuple[str, str], decode, stage_indices: list[list[int]]) -> FusedProgram:
     """The fused plan under ``key`` (:func:`plan_key`): the in-process
     memo, else the plan file in the cache directory, else
     ``fuse(decode(), ...)`` — written back when it schedules
     :data:`PERSIST_MIN_NODES` nodes or more.
 
-    So a Supervisor's primary + shadow and repeated ``GemSimulator``
-    instantiations fuse at most once per process, and a design that was
+    So every interpreter of a bitstream — any batch, either backend, the
+    reference — fuses at most once per process, and a design that was
     ever loaded from this cache directory is not fused — nor decoded —
     again at all.  A plan file that is torn, corrupted, foreign or
     written by other sources is deleted with one warning and rebuilt,
     never interpreted; a cache directory that cannot be written costs
     one warning and nothing else.
     """
-    path = os.path.join(cache_dir(), f"plan-{key[0][:16]}-b{key[1]}.bin")
+    path = os.path.join(cache_dir(), f"plan-{key[0][:16]}.bin")
     served = {"tier": "memory", "bytes": 0}
 
     def fetch() -> FusedProgram | None:
-        return _read_plan(path, key, engine, served)
+        return _read_plan(path, key, served)
 
     def build() -> FusedProgram:
         served["tier"] = "fuse"
         partitions = decode()
         with TRACER.span("fuse", cat="compile", args={"stages": len(stage_indices)}):
-            fused = fuse(partitions, stage_indices, engine)
+            fused = fuse(partitions, stage_indices)
         if sum(plan.gather.size for plan in fused.stages) >= 2 * PERSIST_MIN_NODES:
             _write_plan(path, key, fused, served)
         return fused
@@ -235,8 +233,7 @@ def fused_program(
 # (:data:`INDEX_TABLES` as int64, :data:`WORD_TABLES` as uint64) and its
 # RAM ports.  A port is stored as its partition index and its RAMOP
 # instruction (:func:`repro.core.isa.encode_ramop`), and comes back the
-# way it came out of the bitstream: ``decode_ramop``, then the engine's
-# table form for the lane geometry at hand.
+# way it came out of the bitstream: ``decode_ramop``, then its table form.
 
 _PORT_WORDS = 1 + isa.instruction_words(isa.Opcode.RAMOP)
 
@@ -262,7 +259,7 @@ def _plan_arrays(fused: FusedProgram) -> list[np.ndarray]:
     return [ints([len(arrays), *(arr.size for arr in arrays)]), *arrays]
 
 
-def _plan_from_payload(payload, engine) -> FusedProgram:
+def _plan_from_payload(payload) -> FusedProgram:
     """The inverse of :func:`_plan_arrays`; every array is a copy that
     owns its memory, as :func:`fuse` would have made it.  Raises
     :class:`ValueError` for a payload whose directory does not describe
@@ -290,7 +287,7 @@ def _plan_from_payload(payload, engine) -> FusedProgram:
         tables = {name: table() for name in INDEX_TABLES}
         tables.update((name, table(np.uint64)) for name in WORD_TABLES)
         ports = [
-            (int(pidx), _decode_ramop(isa.decode_ramop(inst), engine))
+            (int(pidx), _decode_ramop(isa.decode_ramop(inst)))
             for pidx, *inst in table().reshape(-1, _PORT_WORDS).tolist()
         ]
         stages.append(StagePlan(trace_size=trace_size, ramops=ports, **tables))
@@ -308,11 +305,11 @@ def _plan_from_payload(payload, engine) -> FusedProgram:
     )
 
 
-def _key_digest(key: tuple[str, int, str]) -> bytes:
+def _key_digest(key: tuple[str, str]) -> bytes:
     return hashlib.sha256("\0".join(map(str, key)).encode()).digest()
 
 
-def _read_plan(path: str, key: tuple, engine, served: dict) -> FusedProgram | None:
+def _read_plan(path: str, key: tuple, served: dict) -> FusedProgram | None:
     """The plan stored at ``path`` if it is whole and is ``key``'s;
     ``None`` — after deleting whatever else was there — otherwise."""
     try:
@@ -320,10 +317,10 @@ def _read_plan(path: str, key: tuple, engine, served: dict) -> FusedProgram | No
             blob = memoryview(f.read())
         header, digest, payload = blob[:40], blob[40:72], blob[72:]
         if header != _PLAN_MAGIC + _key_digest(key):
-            raise ValueError("not this loader's plan of this bitstream and batch")
+            raise ValueError("not this loader's plan of this bitstream")
         if hashlib.sha256(payload).digest() != digest:
             raise ValueError("payload digest mismatch (torn or corrupted)")
-        fused = _plan_from_payload(payload, engine)
+        fused = _plan_from_payload(payload)
     except (FileNotFoundError, NotADirectoryError):  # nothing stored (or nowhere to)
         return None
     except (OSError, ValueError, IndexError) as problem:
@@ -376,13 +373,15 @@ def _nonzero(vec: np.ndarray) -> bool:
     return bool(vec.any())
 
 
-def _dynamic(pos: list[int], entries: list[tuple[int, int]], mask: int):
+#: a constant 1, as the int the symbolic walk builds its word tables from
+_ONES = int(ALL_ONES)
+
+
+def _dynamic(pos: list[int], entries: list[tuple[int, int]]):
     """Trace positions and inversion words of dynamic ``(sym, inv)`` terminals
     (the symbol's edge flip folds into the inversion)."""
     src = np.array([pos[(sym - 4) >> 1] for sym, _ in entries], dtype=np.int64)
-    inv = np.array(
-        [iv ^ (mask if sym & 1 else 0) for sym, iv in entries], dtype=np.uint64
-    )
+    inv = np.array([iv ^ (_ONES if sym & 1 else 0) for sym, iv in entries], dtype=np.uint64)
     return src, inv
 
 
@@ -422,9 +421,8 @@ def count_legacy_array_ops(partitions: list, stage_indices: list[list[int]]) -> 
 # polarity for constants *and* the edge flip for dynamic values).
 
 
-def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgram:
+def fuse(partitions: list, stage_indices: list[list[int]]) -> FusedProgram:
     """Compile decoded partitions into one :class:`FusedProgram`."""
-    mask = int(engine.lane_mask)
 
     arena_span = [p.state_slots for p in partitions]
     arena_base: list[int] = []
@@ -490,8 +488,8 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
             for layer in part.layers:
                 vec = [local[i] for i in layer.gather.tolist()]
                 for step in range(layer.eff_width_log2):
-                    # ravel: K-word planes decode constants as (n, 1)
-                    # columns; the symbolic walk only needs 0/mask words
+                    # ravel: constants decode as (n, 1) columns; the
+                    # symbolic walk only needs 0 / all-ones words
                     xa = np.ravel(layer.xor_a[step]).tolist()
                     xb = np.ravel(layer.xor_b[step]).tolist()
                     ob = np.ravel(layer.or_b[step]).tolist()
@@ -627,9 +625,9 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
                 gather[start + i] = pos[(a - 4) >> 1]
                 gather[start + n + i] = pos[(b - 4) >> 1]
                 if a & 1:
-                    flips[start + i] = mask
+                    flips[start + i] = _ONES
                 if b & 1:
-                    flips[start + n + i] = mask
+                    flips[start + n + i] = _ONES
                 pos[nid] = off + i
             outs.append(off)
             starts.append(start)
@@ -646,9 +644,9 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
             dyn = [e for e in entries if e[1] >= 4]
             const = [e for e in entries if e[1] < 4]
             tgt = np.array([e[0] for e in dyn + const], dtype=np.int64)
-            src, inv = _dynamic(pos, [(sym, iv) for _, sym, iv in dyn], mask)
+            src, inv = _dynamic(pos, [(sym, iv) for _, sym, iv in dyn])
             cvals = np.array(
-                [(mask if sym else 0) ^ iv for _, sym, iv in const],
+                [(_ONES if sym else 0) ^ iv for _, sym, iv in const],
                 dtype=np.uint64,
             )
             return tgt, src, inv, cvals
@@ -665,7 +663,7 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
         # so constant-0 inputs need nothing
         preset_slots.extend(slot for slot, sym in ram_keep if sym == 1)
         ram_slots = np.array([slot for slot, _ in ram_dyn], dtype=np.int64)
-        ram_src, ram_inv = _dynamic(pos, [(sym, 0) for _, sym in ram_dyn], mask)
+        ram_src, ram_inv = _dynamic(pos, [(sym, 0) for _, sym in ram_dyn])
         if ram_slots.size:
             fused_ops += 2 + _nonzero(ram_inv)  # gather (+ xor) + scatter
 
@@ -708,12 +706,12 @@ def fuse(partitions: list, stage_indices: list[list[int]], engine) -> FusedProgr
         st = stages[si]
         st.def_gidx = np.array([g for g, _, _ in entries], dtype=np.int64)
         st.def_src, st.def_inv = _dynamic(
-            stage_pos[si], [(sym, iv) for _, sym, iv in entries], mask
+            stage_pos[si], [(sym, iv) for _, sym, iv in entries]
         )
         fused_ops += 2 + _nonzero(st.def_inv)  # gather (+ xor) + commit
     def_const_gidx = np.array([g for g, _, _ in const_def], dtype=np.int64)
     def_const_vals = np.array(
-        [(mask if sym else 0) ^ iv for _, sym, iv in const_def], dtype=np.uint64
+        [(_ONES if sym else 0) ^ iv for _, sym, iv in const_def], dtype=np.uint64
     )
     if def_const_gidx.size:
         fused_ops += 1  # the commit scatter of the shared constant tuple
@@ -749,7 +747,7 @@ def cycle_buffers(
     the constant presets written here.
     """
     arena = engine.zeros(fused.arena_size)
-    arena[fused.preset_slots] = engine.lane_mask
+    arena[fused.preset_slots] = ALL_ONES
     trace = engine.zeros(max((plan.trace_size for plan in fused.stages), default=0))
     rams = state.ram_arrays
     return CycleBuffers(engine, state.global_state, pi_rows, sample_rows, trace, arena, rams)

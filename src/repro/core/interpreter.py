@@ -55,12 +55,12 @@ plans, fused program: everything a load computes and no run changes.
 The fused program is looked up before it is computed
 (:func:`repro.core.fused.fused_program`: in-process memo, then the plan
 file stored beside the compile cache, then decode + ``fuse()``), keyed
-by the SHA-256 of the bitstream words, the batch and the loader's own
-sources — so a Supervisor's primary+shadow pair and repeated
-``GemSimulator`` instantiations share one fusion, and a process that
-loads a design some earlier process loaded reads the plan instead of
-re-deriving it.  Decoding is demand-driven: the instruction streams are
-decoded (memoized under the same key, :func:`decode_cache_stats`) when
+by the SHA-256 of the bitstream words and the loader's own sources.
+The program is lane-free (:mod:`repro.core.engine`), so every batch,
+both backends and the reference interpreter share one fusion, and a
+process that loads a design some earlier process loaded, at any batch,
+reads the plan instead of re-deriving it.  Decoding is demand-driven:
+the instruction streams are decoded (memoized under the same key, :func:`decode_cache_stats`) when
 a fusion miss needs them or when someone reads
 :attr:`LoadedProgram.partitions` — the reference interpreters do, the
 executor never does.  The container parse, the RAM-port checks and the
@@ -86,7 +86,8 @@ import numpy as np
 from repro.core import isa
 from repro.core.backend import resolve_backend
 from repro.core.bitstream import Container, GemProgram, parse_container
-from repro.core.engine import ExecutionEngine, Port, _DecodedRamOp, _decode_ramop, port_slices
+from repro.core.engine import ALL_ONES, ExecutionEngine, Port, _DecodedRamOp, _decode_ramop
+from repro.core.engine import constant_column, port_slices
 from repro.core.fused import FusedProgram, _StaticWork, cycle_buffers, fused_program, plan_key
 from repro.errors import BitstreamError, LaneConfigError
 from repro.obs.metrics import MemoTable
@@ -111,7 +112,7 @@ class _DecodedLayer:
     eff_width_log2: int
     #: dense gather indices into local state, size 2**eff (0 = const slot)
     gather: np.ndarray
-    #: per fold step: lane-masked uint64 constant words
+    #: per fold step: constant columns (0 / all-ones words)
     xor_a: list[np.ndarray]
     xor_b: list[np.ndarray]
     or_b: list[np.ndarray]
@@ -125,11 +126,11 @@ class _DecodedPartition:
     state_slots: int
     read_gidx: np.ndarray
     read_slots: np.ndarray
-    read_inv: np.ndarray  # uint64 lane masks
+    read_inv: np.ndarray  # constant column
     layers: list[_DecodedLayer]
-    #: immediate global writes: (slots, inv masks, gidx)
+    #: immediate global writes: (slots, inversion column, gidx)
     gw_now: tuple[np.ndarray, np.ndarray, np.ndarray]
-    #: deferred global writes: (slots, inv masks, gidx)
+    #: deferred global writes: (slots, inversion column, gidx)
     gw_deferred: tuple[np.ndarray, np.ndarray, np.ndarray]
     ramops: list[_DecodedRamOp]
     instruction_words: int
@@ -177,24 +178,25 @@ class CycleCounters:
 
 
 #: Decoded-partition memoization, keyed like the fused plan
-#: (:func:`repro.core.fused.plan_key`: bitstream SHA-256, batch, loader
-#: sources).  The decoded tables are immutable at runtime, so sharing
-#: them across interpreter instances (Supervisor primary+shadow, repeated
-#: GemSimulator construction) is safe; batch is part of the key because
-#: decoded constants embed the engine's active-lane mask.
+#: (:func:`repro.core.fused.plan_key`: bitstream SHA-256, loader
+#: sources).  The decoded tables are immutable and lane-free, so every
+#: interpreter of a bitstream shares them, whatever its batch.
 _DECODES = MemoTable("decode", "partition-decode")
 #: hit/miss counters of the decode cache, and its reset (tests, benchmarks)
 decode_cache_stats = _DECODES.stats
 clear_decode_cache = _DECODES.clear
 
 
-def _decoded(key: tuple, container: Container, engine: ExecutionEngine) -> list[_DecodedPartition]:
-    """``container``'s partitions decoded for ``engine`` (memoized), their
-    RAM ports held against the container before anyone runs or fuses them."""
+def _decoded(key: tuple, container: Container) -> list[_DecodedPartition]:
+    """``container``'s partitions, decoded (memoized), every operand held
+    against the container before anyone runs or fuses them."""
 
     def decode() -> list[_DecodedPartition]:
         with TRACER.span("decode", cat="compile", args={"partitions": len(container.partitions)}):
-            partitions = [_decode_partition(words, engine) for words in container.partitions]
+            partitions = [
+                _decode_partition(words, container.global_bits, index)
+                for index, words in enumerate(container.partitions)
+            ]
         _check_ram_ports(
             [(pidx, op) for pidx, part in enumerate(partitions) for op in part.ramops],
             [part.state_slots for part in partitions],
@@ -216,7 +218,7 @@ class LoadedProgram:
     container: Container
     engine: ExecutionEngine
     #: what decode and fusion are memoized (and the plan stored) under
-    key: tuple[str, int, str]
+    key: tuple[str, str]
     #: per stage, the indices of its partitions
     stage_indices: list[list[int]]
     #: input port name -> global bit indices, LSB first
@@ -238,7 +240,7 @@ class LoadedProgram:
         from the fusion cache or the plan store decodes nothing; the
         first read decodes (through the shared memo) and can raise
         :class:`~repro.errors.BitstreamError`."""
-        return _decoded(self.key, self.container, self.engine)
+        return _decoded(self.key, self.container)
 
 
 def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
@@ -258,12 +260,10 @@ def load_program(program: GemProgram, batch: int = 1) -> LoadedProgram:
     """
     engine = ExecutionEngine(batch)
     container = parse_container(program.words)
-    key = plan_key(program.words, batch)
+    key = plan_key(program.words)
     bounds = np.cumsum([0, *container.stage_counts]).tolist()
     stage_indices = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    fused = fused_program(
-        key, lambda: _decoded(key, container, engine), stage_indices, engine
-    )
+    fused = fused_program(key, lambda: _decoded(key, container), stage_indices)
     _check_ram_ports(
         [port for plan in fused.stages for port in plan.ramops], fused.arena_span, container
     )
@@ -325,7 +325,7 @@ class SimState:
     assigns *into* them and none rebinds them.
     """
 
-    #: packed lane words, shape (global_bits,) — (global_bits, K) beyond 64 lanes
+    #: packed lane words, shape (global_bits, K)
     global_state: np.ndarray
     #: per RAM block, one image per lane: shape (batch, depth), uint32
     ram_arrays: list[np.ndarray]
@@ -353,7 +353,7 @@ class SimState:
         """Back to power-on: FF reset values, pristine RAM images, cycle
         0, fresh work counters, no lane quarantined."""
         self.global_state[:] = 0
-        self.global_state[loaded.container.reset_ones] = loaded.engine.lane_mask
+        self.global_state[loaded.container.reset_ones] = ALL_ONES
         for arr, (_, _, image) in zip(self.ram_arrays, loaded.container.rams):
             arr[:] = image
         self.counters = CycleCounters(lanes=self.counters.lanes)
@@ -398,9 +398,10 @@ class SimState:
     def digest(self) -> int:
         """CRC32 over every array: the packed global state words (every
         stimulus lane) and every RAM image — the complete set of bits an
-        SEU can corrupt between cycles.  Inactive lanes are identically
-        zero by the engine's layout invariant, so the digest is
-        deterministic at any batch size."""
+        SEU can corrupt between cycles.  It covers the lanes nobody reads
+        too: they evolve deterministically (:mod:`repro.core.engine`), so
+        the digest is deterministic at any batch and identical on every
+        engine."""
         h = zlib.crc32(np.ascontiguousarray(self.global_state, dtype="<u8").tobytes())
         for arr in self.ram_arrays:
             h = zlib.crc32(np.ascontiguousarray(arr, dtype="<u4").tobytes(), h)
@@ -599,7 +600,7 @@ class GemInterpreter:
             times["inject"] += time.perf_counter() - t0
         buffer = self._po_buffer
         if buffer is None or len(buffer) < n:
-            shape = (max(n, self.block_cycles), self._sample_rows.size, *self.global_state.shape[1:])
+            shape = (max(n, self.block_cycles), self._sample_rows.size, self.engine.words)
             buffer = self._po_buffer = np.empty(shape, dtype=np.uint64)
         po_block, outputs = buffer[:n], self.loaded.po_gidx.size
         writes = self._run_block(n, pi_block, po_block, times)
@@ -734,17 +735,29 @@ class GemInterpreter:
         return self._lanes(self._settled())[0]
 
 
-def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPartition:
-    """Decode one partition's instruction stream into lane-masked tables."""
+def _decode_partition(words: np.ndarray, global_bits: int, index: int) -> _DecodedPartition:
+    """Decode partition ``index``'s instruction stream into lane-free tables,
+    every global bit, local slot and WB step / position held against what
+    it indexes: a :class:`BitstreamError` at load, on every engine."""
     pos = 0
     stage = 0
-    state_slots = 0
+    state_slots = 1
     read_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     layers: list[_DecodedLayer] = []
     gw_now: list[tuple[int, bool, int]] = []
     gw_deferred: list[tuple[int, bool, int]] = []
     ramops: list[_DecodedRamOp] = []
     pending_perm: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def check(values: np.ndarray, bound, what: str) -> None:
+        """Every entry of ``values`` below ``bound`` (one limit, or one per entry)."""
+        bad = np.flatnonzero(values >= bound)
+        if bad.size:
+            limit = np.broadcast_to(bound, values.shape)[bad[0]]
+            raise BitstreamError(
+                f"partition {index}: {opcode.name} at word {pos}: {what} "
+                f"{int(values[bad[0]])} out of range (< {int(limit)})"
+            )
 
     while pos < len(words):
         opcode, length, count = isa.parse_header(int(words[pos]))
@@ -756,11 +769,16 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
         if opcode is isa.Opcode.INIT:
             info = isa.decode_init(inst)
             stage = info["stage"]
-            state_slots = info["state_slots"]
+            state_slots = max(1, info["state_slots"])
         elif opcode is isa.Opcode.READ:
-            read_chunks.append(isa.decode_read(inst, count))
+            gidx, slots, inv = isa.decode_read(inst, count)
+            check(gidx, global_bits, "global bit")
+            check(slots, state_slots, "local slot")
+            read_chunks.append((gidx, slots, inv))
         elif opcode is isa.Opcode.PERM:
-            pending_perm.append(isa.decode_perm(inst, count))
+            leaves, slots = isa.decode_perm(inst, count)
+            check(slots, state_slots, "local slot")
+            pending_perm.append((leaves, slots))
         elif opcode is isa.Opcode.FOLD:
             eff = count
             xor_a, xor_b, or_b = isa.decode_fold(inst, eff)
@@ -773,9 +791,9 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
                 _DecodedLayer(
                     eff_width_log2=eff,
                     gather=gather,
-                    xor_a=[engine.const_mask(a) for a in xor_a],
-                    xor_b=[engine.const_mask(b) for b in xor_b],
-                    or_b=[engine.const_mask(o) for o in or_b],
+                    xor_a=[constant_column(a) for a in xor_a],
+                    xor_b=[constant_column(b) for b in xor_b],
+                    or_b=[constant_column(o) for o in or_b],
                     writebacks=[
                         (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
                         for _ in range(eff)
@@ -783,8 +801,13 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
                 )
             )
         elif opcode is isa.Opcode.WB:
+            if not layers:
+                raise BitstreamError(f"partition {index}: WB at word {pos} precedes every FOLD")
             steps, positions, slots = isa.decode_wb(inst, count)
             layer = layers[-1]
+            check(steps, layer.eff_width_log2, "fold step")
+            check(positions, 1 << (layer.eff_width_log2 - 1 - steps), "fold position")
+            check(slots, state_slots, "local slot")
             for s in range(layer.eff_width_log2):
                 sel = steps == s
                 if sel.any():
@@ -795,10 +818,12 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
                     )
         elif opcode is isa.Opcode.GWRITE:
             slots, inv, gidx, deferred_flags = isa.decode_gwrite(inst, count)
+            check(gidx, global_bits, "global bit")
+            check(slots, state_slots, "local slot")
             for s, iv, g, d in zip(slots, inv, gidx, deferred_flags):
                 (gw_deferred if d else gw_now).append((int(s), bool(iv), int(g)))
         elif opcode is isa.Opcode.RAMOP:
-            ramops.append(_decode_ramop(isa.decode_ramop(inst), engine))
+            ramops.append(_decode_ramop(isa.decode_ramop(inst)))
         else:  # pragma: no cover - parse_header already validates
             raise BitstreamError(f"unknown opcode {opcode}")
         pos += length
@@ -806,25 +831,22 @@ def _decode_partition(words: np.ndarray, engine: ExecutionEngine) -> _DecodedPar
     def pack_reads() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if not read_chunks:
             empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, engine.const_mask(np.zeros(0, dtype=bool))
+            return empty, empty, constant_column([])
         g = np.concatenate([c[0] for c in read_chunks])
         s = np.concatenate([c[1] for c in read_chunks])
         i = np.concatenate([c[2] for c in read_chunks])
-        return g, s, engine.const_mask(i)
+        return g, s, constant_column(i)
 
     def pack_gw(entries: list[tuple[int, bool, int]]):
-        if not entries:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty.copy(), engine.const_mask(np.zeros(0, dtype=bool)), empty.copy()
         slots = np.array([e[0] for e in entries], dtype=np.int64)
-        inv = engine.const_mask(np.array([e[1] for e in entries], dtype=bool))
+        inv = constant_column([e[1] for e in entries])
         gidx = np.array([e[2] for e in entries], dtype=np.int64)
         return slots, inv, gidx
 
     read_gidx, read_slots, read_inv = pack_reads()
     return _DecodedPartition(
         stage=stage,
-        state_slots=max(1, state_slots),
+        state_slots=state_slots,
         read_gidx=read_gidx,
         read_slots=read_slots,
         read_inv=read_inv,

@@ -51,7 +51,7 @@ class PruningGemInterpreter(ReferenceInterpreter):
 
     def _run_partition(self, part: _DecodedPartition, local: np.ndarray):
         index = self._index_of[id(part)]
-        sources = self.global_state[part.read_gidx]
+        sources = self.global_state[part.read_gidx] & self.engine.lane_mask
         cached = self._source_cache[index]
         if cached is not None and sources.shape == cached.shape and (sources == cached).all():
             self._stable_cycles[index] += 1

@@ -49,14 +49,6 @@ def popcount(arr: np.ndarray) -> np.ndarray:
     return _BYTE_POPCOUNT[as_bytes].sum(axis=-1)
 
 
-def lane_masks(batch: int, words: int) -> np.ndarray:
-    """Active-lane mask per lane-plane word (partial final word)."""
-    masks = np.full(words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-    if batch < 64 * words:
-        masks[-1] = (1 << (batch - 64 * (words - 1))) - 1
-    return masks
-
-
 class ActivityAccumulator:
     """Streaming T0/T1/TC counters over a probe-tap word stream.
 
@@ -75,25 +67,26 @@ class ActivityAccumulator:
         self.tc = np.zeros(n, dtype=np.uint64)
         self.cycles = 0
         self.batch = 1
-        self._mask = lane_masks(1, 1)
+        self._lanes = np.ones(1, dtype=np.uint64)
         self._prev: np.ndarray | None = None
 
-    def bind(self, batch: int, words: int) -> None:
-        """Called by the tap at attach time with the engine's lane shape."""
+    def bind(self, batch: int, lanes: np.ndarray) -> None:
+        """Called by the tap at attach time with the batch and the
+        engine's ``(K,)`` plane row of its lanes."""
         self.batch = batch
-        self._mask = lane_masks(batch, words)
+        self._lanes = lanes
 
     def on_block(self, first_cycle: int, words: np.ndarray) -> None:
+        """Fold a block of ``(n, num_bits, K)`` tap words into the counters."""
         n = len(words)
         if not n:
             return
-        w = words.reshape(n, self.plan.num_bits, -1)
-        ones = popcount(w & self._mask).sum(axis=(0, 2), dtype=np.uint64)
+        ones = popcount(words & self._lanes).sum(axis=(0, 2), dtype=np.uint64)
         self.t1 += ones
         self.t0 += np.uint64(n * self.batch) - ones
-        rows = w if self._prev is None else np.concatenate([self._prev[None], w])
-        self.tc += popcount((rows[1:] ^ rows[:-1]) & self._mask).sum(axis=(0, 2), dtype=np.uint64)
-        self._prev = w[-1].copy()
+        rows = words if self._prev is None else np.concatenate([self._prev[None], words])
+        self.tc += popcount((rows[1:] ^ rows[:-1]) & self._lanes).sum(axis=(0, 2), dtype=np.uint64)
+        self._prev = words[-1].copy()
         self.cycles += n
 
     # -- rewind support (supervisor rollback) -------------------------------

@@ -238,8 +238,8 @@ class ProbeTap:
 
     Attach to a :class:`~repro.core.interpreter.GemInterpreter` (any
     mode, any backend, any batch); each block of ``n`` cycles the probed
-    words of every cycle — ``(n, num_bits)``, ``(n, num_bits, K)`` lane
-    planes beyond batch 64 — arrive sampled at the settled point and go
+    words of every cycle — ``(n, num_bits, K)`` lane planes — arrive
+    sampled at the settled point and go
     to every sink's ``on_block(first_cycle, words)`` (a view of the
     engine's buffer: keep a copy).  :meth:`snapshot` / :meth:`restore` give
     the supervisor probe continuity across checkpoint rollbacks: rewind
@@ -252,7 +252,6 @@ class ProbeTap:
         self.sinks = list(sinks)
         self.cycle = 0
         self.batch = 1
-        self.words = 1
         self.captured = 0
         #: set when a supervised run degraded to the gate-level fallback
         #: (the tap stops; captured data up to the degrade point is valid)
@@ -266,12 +265,12 @@ class ProbeTap:
                 f"interpreter runs {digest:#x}"
             )
         self.batch = interp.batch
-        self.words = interp.engine.words
         self.cycle = interp.cycle
+        lanes = interp.engine.lanes_mask(range(self.batch))
         for sink in self.sinks:
             bind = getattr(sink, "bind", None)
             if bind is not None:
-                bind(self.batch, self.words)
+                bind(self.batch, lanes)
         interp.attach_probe(self)
         return self
 
@@ -308,7 +307,7 @@ class ProbeTap:
 def _lane_bits(words: np.ndarray, lane: int) -> np.ndarray:
     """Extract one lane's 0/1 bits from packed tap words."""
     k, b = divmod(lane, 64)
-    col = words if words.ndim == 1 else words[:, k]
+    col = words[:, k]
     return ((col >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
 
 
@@ -330,11 +329,9 @@ class WaveRing:
         self._entries: deque[tuple[int, np.ndarray]] = deque(maxlen=capacity)
         self.dropped = 0
         self.batch = 1
-        self.words = 1
 
-    def bind(self, batch: int, words: int) -> None:
+    def bind(self, batch: int, lanes: np.ndarray) -> None:
         self.batch = batch
-        self.words = words
 
     def on_block(self, first_cycle: int, words: np.ndarray) -> None:
         self.dropped += max(0, len(self._entries) + len(words) - self.capacity)

@@ -29,8 +29,8 @@ I/O scenarios (each deterministic per seed):
     Scribble over a compile-cache pickle; the cache must discard and
     rebuild instead of crashing or serving garbage.
 ``corrupt-plan``
-    Scribble over a persisted fused plan, then put another batch's plan
-    in its place; both must be discarded and re-fused, and the
+    Scribble over a persisted fused plan, then put another bitstream's
+    plan in its place; both must be discarded and re-fused, and the
     supervised run must stay bit-identical.
 ``save-oserror``
     Make every on-disk checkpoint write raise :class:`OSError`; the run
@@ -244,6 +244,8 @@ def scenario_corrupt_plan(seed: int, work_dir: str) -> ChaosOutcome:
     import shutil
 
     from repro.core import fused
+    from repro.core.bitstream import mutate_fold_constant
+    from repro.core.interpreter import load_program
 
     design, stimuli = _compile_small(seed)
     store = os.path.join(work_dir, f"plan-{seed}")
@@ -253,9 +255,9 @@ def scenario_corrupt_plan(seed: int, work_dir: str) -> ChaosOutcome:
 
     before = discards()
 
-    def fresh_run(batch: int = 1) -> SupervisedRun:
+    def fresh_run() -> SupervisedRun:
         fused.clear_fusion_cache()  # what a new process would see
-        return Supervisor(design, batch=batch).run(stimuli)
+        return Supervisor(design).run(stimuli)
 
     # the chaos designs are far below the persistence threshold: lower it
     # for the scenario so that they are stored at all
@@ -275,8 +277,8 @@ def scenario_corrupt_plan(seed: int, work_dir: str) -> ChaosOutcome:
         with open(path, "wb") as f:
             f.write(good[:cut] + rng.randbytes(64))
         scribbled = fresh_run()
-        # Misfiled flavour: a whole, valid plan — of another batch.
-        fresh_run(batch=2)
+        # Misfiled flavour: a whole, valid plan — of another bitstream.
+        load_program(mutate_fold_constant(design.program, 0, 0), 1)
         (other,) = set(glob.glob(os.path.join(store, "plan-*.bin"))) - {path}
         shutil.copyfile(other, path)
         misfiled = fresh_run()

@@ -103,8 +103,7 @@ class Checkpoint:
 
     cycle: int
     program_digest: int
-    #: packed lane words, shape (global_bits,) — or (global_bits, K) for
-    #: multi-word lane planes — dtype uint64
+    #: packed lane words, shape (global_bits, K), dtype uint64
     global_state: np.ndarray
     #: per block, shape (batch, depth), dtype uint32
     ram_arrays: list[np.ndarray]
@@ -263,7 +262,7 @@ def checkpoint_from_words(words: np.ndarray) -> Checkpoint:
     if state_sec.size < 2 * global_bits * words_k:
         raise CheckpointError("checkpoint: global state section truncated")
     flat = _u32_to_words(state_sec, global_bits * words_k)
-    global_state = flat if words_k == 1 else flat.reshape(global_bits, words_k)
+    global_state = flat.reshape(global_bits, words_k)
     ram_arrays: list[np.ndarray] = []
     pos = 0
     for _ in range(num_rams):

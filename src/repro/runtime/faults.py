@@ -103,8 +103,7 @@ class FaultInjector:
         if lane is None:
             lane = self.rng.randrange(interp.batch) if interp.batch > 1 else 0
         word, bit = interp.engine.lane_coords(lane)
-        at = (index, word) if gstate.ndim == 2 else index
-        gstate[at] = np.uint64(int(gstate[at]) ^ (1 << bit))
+        gstate[index, word] ^= np.uint64(1 << bit)
         return self._register(
             FaultRecord(
                 kind="state", location=f"global bit {index} lane {lane}", cycle=cycle

@@ -144,7 +144,7 @@ def tiny_program(planes=1, ram=True):
         def_gidx=i64(4),
         def_src=i64(3),
         def_inv=u64(0),
-        ramops=[(0, _decode_ramop(port, engine))] if ram else [],
+        ramops=[(0, _decode_ramop(port))] if ram else [],
     )
     arena_rows = 2 if ram else 1
     fused = FusedProgram(
@@ -214,7 +214,7 @@ def _child(code, cache, **env):
 USE_KERNEL = (
     "from tests.test_backends import run_tiny_program\n"
     "g, arena, image, writes, po_block = run_tiny_program('native')\n"
-    "assert g[2] == 0b1000 and g[4] == 0b0100 and writes == 3, (g, writes)\n"
+    "assert g[2, 0] == 0b1000 and g[4, 0] == 0b0100 and writes == 3, (g, writes)\n"
     "print('kernel ok')\n"
 )
 
@@ -372,10 +372,10 @@ class TestPlanValidation:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             gstate, arena, image, writes, po_block = got
-            word = gstate[:, 0] if planes > 1 else gstate
+            word = gstate[:, 0]
             # the samples are the settled point's: t2 and the constant store
             # have landed, t3's deferred write has not
-            sampled = po_block[0, :, 0] if planes > 1 else po_block[0]
+            sampled = po_block[0, :, 0]
             assert sampled.tolist() == [0b1000, 0xFFFFFFFFFFFFFFFF, 0]
             # t3 = a & ~(a & b) = 0b0100 is the deferred write and, inverted
             # twice on its way through the arena, the port's read enable:
@@ -507,7 +507,6 @@ class TestPlanValidation:
             cycle._run = lambda *args: pytest.fail("the library was entered")
         pi_block, po_block = tiny_blocks(buffers, n=2)
         before = buffers.gstate.copy()
-        lane_axis = (slice(None),) * (planes > 1)
         for name, bad in [
             ("pi_block", pi_block[:1]),  # one cycle short
             ("pi_block", pi_block.astype(np.int64)),
@@ -515,7 +514,7 @@ class TestPlanValidation:
             ("pi_block", pi_block.tolist()),
             ("po_block", po_block[:, :2]),  # one sample row short
             ("po_block", po_block.astype(np.uint32)),
-            ("po_block", po_block[(slice(None), slice(None), *lane_axis, None)]),  # a rank too many
+            ("po_block", po_block[..., None]),  # a rank too many
         ]:
             blocks = {"pi_block": pi_block, "po_block": po_block, name: bad}
             with pytest.raises(LaneConfigError, match=name):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
-from repro.core.engine import WORD_LANES, ExecutionEngine
+from repro.core.engine import WORD_LANES, ExecutionEngine, constant_column
 from repro.core.partition import PartitionConfig
 from repro.errors import CheckpointError
 from repro.harness.cosim import cosim
@@ -71,7 +71,7 @@ class TestEngineHelpers:
         for lane, value in enumerate(values):  # the old per-lane loop
             bits = int_to_bits(value & ((1 << nbits) - 1), nbits)
             reference |= np.where(bits, np.uint64(1), np.uint64(0)) << np.uint64(lane)
-        assert (eng.pack_lanes(values, nbits) == reference).all()
+        assert (eng.pack_lanes(values, nbits) == reference[:, None]).all()
 
     @given(
         st.sampled_from([1, 3, 64, 128, 1024]),
@@ -90,7 +90,7 @@ class TestEngineHelpers:
         eng = ExecutionEngine(batch)
         words = eng.pack_lanes(values, nbits)
         assert words.dtype == np.uint64
-        assert words.shape == ((nbits,) if eng.words == 1 else (nbits, eng.words))
+        assert words.shape == (nbits, eng.words)
         bits = eng.unpack_lanes(words)
         assert bits.shape == (nbits, batch) and bits.dtype == np.uint8
         for lane in (0, batch // 2, batch - 1):  # the per-lane loop reference
@@ -121,10 +121,13 @@ class TestEngineHelpers:
         assert ExecutionEngine(3).lane_mask == np.uint64(0b111)
         assert ExecutionEngine(64).lane_mask == np.uint64(0xFFFFFFFFFFFFFFFF)
 
-    def test_const_mask_broadcasts_to_active_lanes(self):
-        eng = ExecutionEngine(5)
-        masks = eng.const_mask(np.array([True, False, True]))
-        assert masks.tolist() == [0b11111, 0, 0b11111]
+    def test_program_constants_are_lane_free(self):
+        """A decoded constant is 0 or every lane whatever the batch: an
+        ``(n, 1)`` column that broadcasts across any lane plane."""
+        column = constant_column(np.array([True, False, True]))
+        assert column.shape == (3, 1) and column.dtype == np.uint64
+        assert column.ravel().tolist() == [0xFFFFFFFFFFFFFFFF, 0, 0xFFFFFFFFFFFFFFFF]
+        assert ExecutionEngine(3).zeros(5).shape == (5, 1)
 
     def test_lane_values_roundtrip(self):
         eng = ExecutionEngine(4)
@@ -197,14 +200,47 @@ class TestLaneEquivalence:
         stimuli = random_vectors(circuit, 61, 25)
         assert design.simulator(batch=1).run(stimuli) == design.simulator().run(stimuli)
 
-    def test_inactive_lanes_stay_zero(self, memory_design):
-        """The engine's layout invariant: lanes >= batch never go live."""
+    @pytest.mark.parametrize("engine", ["native", "numpy", "reference"])
+    @pytest.mark.parametrize("batch", [1, 3, 63])
+    def test_unread_lanes_are_never_read(self, memory_design, engine, batch):
+        """Lanes beyond the batch keep executing and nothing reads them:
+        poisoning their bits mid-run moves no output, per-lane digest,
+        RAM image, probe sample or activity count of the batch's lanes."""
+        from repro.core.backend import available_backends
+        from repro.obs.activity import ActivityAccumulator
+        from repro.obs.probe import ProbeTap, WaveRing, build_probe_plan
+
+        if engine == "native" and "native" not in available_backends():
+            pytest.skip("no C compiler and no cached kernel here")
         circuit, design = memory_design
-        sim = design.simulator(batch=3)
-        streams = lane_vectors(circuit, 3, 20, seed=70)
-        sim.run_lanes([[s[c] for s in streams] for c in range(20)])
-        stale = ~np.uint64(0b111)
-        assert not (sim.global_state & stale).any()
+        streams = lane_vectors(circuit, batch, 24, seed=70)
+        rows = [[s[c] for s in streams] for c in range(24)]
+        plan = build_probe_plan(design)
+
+        def run(poison: bool):
+            if engine == "reference":
+                sim = ReferenceInterpreter(design.program, batch=batch)
+            else:
+                sim = design.simulator(batch=batch, backend=engine)
+            ring, activity = WaveRing(plan, capacity=24), ActivityAccumulator(plan)
+            ProbeTap(plan, [ring, activity]).attach(sim)
+            outputs = sim.run_lanes(rows[:12])
+            if poison:
+                unread = ~sim.engine.lanes_mask(range(batch))
+                noise = np.random.default_rng(batch).integers(
+                    0, 1 << 64, sim.global_state.shape, dtype=np.uint64
+                )
+                sim.global_state ^= noise & unread
+            outputs += sim.run_lanes(rows[12:])
+            return (
+                outputs,
+                sim.state.digest_lanes(sim.engine),
+                [image.tolist() for image in sim.ram_arrays],
+                [ring.lane_samples(lane) for lane in range(batch)],
+                [counts.tolist() for counts in (activity.t0, activity.t1, activity.tc)],
+            )
+
+        assert run(poison=True) == run(poison=False)
 
     def test_counters_report_lanes(self, memory_design):
         circuit, design = memory_design
@@ -568,7 +604,7 @@ class TestArrayLaneIO:
                 word, bit = divmod(lane, WORD_LANES)
                 for name, idx in sim.program.meta.po_index.items():
                     words = sim.global_state[idx]
-                    column = words if sim.engine.words == 1 else words[:, word]
+                    column = words[:, word]
                     assert outs[lane][name] == bits_to_int((column >> np.uint64(bit)) & one)
         assert sim.quarantined_lanes == [batch // 2]
 
@@ -698,12 +734,12 @@ def _reference_inject(sim, inputs):
     for name, idx in sim.loaded.pi_tables.items():
         bits = int_to_bits((inputs or {}).get(name, 0), idx.size)
         words = np.where(bits, sim.engine.lane_mask, np.uint64(0))
-        sim.global_state[idx] = words if sim.engine.words == 1 else words[:, None]
+        sim.global_state[idx] = words[:, None]
 
 
 def _reference_outputs(sim):
     """``outputs()`` before the packed word: one ``bits_to_int`` per port."""
-    lane0 = sim.global_state if sim.engine.words == 1 else sim.global_state[:, 0]
+    lane0 = sim.global_state[:, 0]
     po_index = sim.program.meta.po_index
     return {name: bits_to_int(lane0[idx] & np.uint64(1)) for name, idx in po_index.items()}
 

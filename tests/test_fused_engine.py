@@ -184,17 +184,35 @@ class TestDecodeAndFusionCaches:
         assert decode_cache_stats() == {"misses": 1, "hits": 0}
         assert fusion["misses"] == 1 and fusion["hits"] >= 1
 
-    def test_batch_is_part_of_the_key(self):
-        """Decoded constants embed the lane mask, so a different batch
-        must miss rather than alias another batch's tables."""
-        circuit = random_circuit(124, n_ops=40, n_regs=2)
-        design = _compile_small(circuit)
+    def test_every_batch_shares_one_program(self, tmp_path, monkeypatch):
+        """The program is lane-free: loading one bitstream at 1, 3, 64 and
+        1024 lanes — the executor on each backend and the reference
+        interpreter — decodes once, fuses once and stores one plan file,
+        which a fresh process at yet another batch reads from disk."""
+        import repro.core.fused as fused_mod
+        from repro.core.backend import available_backends
+        from repro.obs.metrics import REGISTRY
+
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(fused_mod, "PERSIST_MIN_NODES", 0)
+        design = _compile_small(random_circuit(124, n_ops=40, n_regs=2, with_memory=True))
         clear_decode_cache()
         clear_fusion_cache()
-        design.simulator(batch=1)
-        design.simulator(batch=8)
-        assert decode_cache_stats()["misses"] == 2
-        assert fusion_cache_stats()["misses"] == 2
+        REGISTRY.clear()
+        backends = available_backends()
+        design.simulator(batch=1, backend=backends[0])
+        design.simulator(batch=3, backend=backends[-1])
+        ReferenceInterpreter(design.program, batch=64)  # reads the partitions
+        design.simulator(batch=1024)
+        assert decode_cache_stats() == {"misses": 1, "hits": 1}
+        assert fusion_cache_stats() == {"misses": 1, "hits": 3}
+        assert len(list(tmp_path.glob("plan-*.bin"))) == 1
+        clear_decode_cache()  # a fresh process, at another batch
+        clear_fusion_cache()
+        design.simulator(batch=128)
+        assert REGISTRY.snapshot()['gem_fusion_cache_hits_total{tier="disk"}'] == 1
+        assert decode_cache_stats() == {"misses": 0, "hits": 0}
+        REGISTRY.clear()
 
     def test_repeated_instantiation_hits(self):
         circuit = random_circuit(125, n_ops=40, n_regs=2)

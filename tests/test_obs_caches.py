@@ -16,8 +16,9 @@ that tier).
 
 import pytest
 
+from repro.core.bitstream import mutate_fold_constant
 from repro.core.fused import clear_fusion_cache, fusion_cache_stats
-from repro.core.interpreter import clear_decode_cache, decode_cache_stats
+from repro.core.interpreter import GemInterpreter, clear_decode_cache, decode_cache_stats
 from repro.obs.metrics import REGISTRY, MemoTable
 from repro.runtime.supervisor import Supervisor
 from repro.simref.isa_interp import ReferenceInterpreter
@@ -64,20 +65,22 @@ class TestSupervisorSharing:
 
 class TestEviction:
     def test_lru_eviction_past_capacity(self, design):
-        """Distinct batch sizes are distinct keys; pushing past the
-        8-entry bound evicts the oldest and re-keying it re-misses."""
+        """Distinct bitstreams are distinct keys (a batch is not); pushing
+        past the 8-entry bound evicts the oldest and re-keying it re-misses."""
         capacity = MemoTable.CAPACITY  # both caches are one MemoTable each
         assert capacity == 8
-        for batch in range(1, capacity + 2):  # 9 distinct keys
-            design.simulator(batch=batch)
+        programs = [mutate_fold_constant(design.program, 0, bit) for bit in range(capacity + 1)]
+        for program in programs:  # 9 distinct keys
+            GemInterpreter(program)
         stats = decode_cache_stats()
         assert stats["misses"] == capacity + 1
         assert stats["hits"] == 0
-        # batch=1 was the oldest entry: it must have been evicted.
-        design.simulator(batch=1)
+        # the first bitstream was the oldest entry: it must have been evicted.
+        GemInterpreter(programs[0])
         assert decode_cache_stats()["misses"] == capacity + 2
-        # The newest key is still resident (and its fusion hit decodes nothing).
-        design.simulator(batch=capacity + 1)
+        # The newest key is still resident, at any batch (and its fusion
+        # hit decodes nothing).
+        GemInterpreter(programs[-1], batch=64)
         assert fusion_cache_stats() == {"misses": capacity + 2, "hits": 1}
         assert decode_cache_stats() == {"misses": capacity + 2, "hits": 0}
         snap = REGISTRY.snapshot()

@@ -184,8 +184,9 @@ def test_disk_plan_equals_fresh_fuse_four_state(store):
 
 @pytest.mark.parametrize("batch", [1, 6, 192])
 def test_disk_plan_equals_fresh_fuse_with_ram_ports(batch, store, persist_all):
-    """RAM ports are stored as ISA specs and decoded for the engine at
-    hand: partial word, full word and three-word lane planes."""
+    """RAM ports are stored as ISA specs and decoded back to the same
+    tables at every batch: partial word, full word and three-word lane
+    planes."""
     circuit = random_circuit(977, n_ops=60, n_regs=4, with_memory=True)
     design = _compile_small(circuit)
     assert any(plan.ramops for plan in load_program(design.program, batch).fused.stages)
@@ -281,8 +282,10 @@ def _truncate(path):
 
 
 def _misfile(path, design):
-    """A whole, valid plan — of the same bitstream at another batch."""
-    design.simulator(batch=3)
+    """A whole, valid plan — of another bitstream."""
+    from repro.core.bitstream import mutate_fold_constant
+
+    load_program(mutate_fold_constant(design.program, 0, 0), 2)
     (other,) = set(path.parent.glob("plan-*.bin")) - {path}
     path.write_bytes(other.read_bytes())
     other.unlink()

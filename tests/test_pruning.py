@@ -95,6 +95,28 @@ class TestSkipBehaviour:
             gem.step(vec)
         assert gem.skip_fraction < 0.5
 
+    def test_skip_fraction_reads_only_the_batch(self):
+        """Pruning compares its sources under the batch's lanes: the same
+        broadcast stream skips the same blocks at batch 3 as at batch 1,
+        and poisoning the lanes beyond the batch mid-run moves nothing."""
+        circuit = random_circuit(556, n_ops=80, n_regs=2)
+        design = _compile(circuit, gpp=200)
+        busy = random_vectors(circuit, 2, 10)
+        stimuli = busy + [busy[-1]] * 30  # then idle: the design settles
+
+        def counts(batch, poison):
+            gem = PruningGemInterpreter(design.program, batch=batch)
+            gem.run(stimuli[:25])
+            if poison:  # mid-way through the idle phase
+                gem.global_state ^= ~gem.engine.lanes_mask(range(batch))
+            gem.run(stimuli[25:])
+            return gem.blocks_executed, gem.blocks_skipped
+
+        want = counts(1, poison=False)
+        assert want[1] > 0
+        for batch, poison in ((3, False), (1, True), (3, True)):
+            assert counts(batch, poison) == want, (batch, poison)
+
     def test_counters(self):
         circuit = random_circuit(558, n_ops=40)
         design = _compile(circuit)

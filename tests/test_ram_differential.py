@@ -29,7 +29,7 @@ import pytest
 
 from repro.core import isa
 from repro.core.backend import available_backends
-from repro.core.bitstream import GemProgram, seal, verify_integrity
+from repro.core.bitstream import GemProgram, parse_container, seal, verify_integrity
 from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig, GemSimulator
 from repro.core.interpreter import GemInterpreter
@@ -211,12 +211,12 @@ def beside_a_stored_plan(tmp_path, monkeypatch):
     return store
 
 
-def ramop_offsets(instructions):
-    """Stream offsets of every RAMOP instruction."""
+def instruction_offsets(instructions, opcode=isa.Opcode.RAMOP):
+    """Stream offsets of every ``opcode`` instruction."""
     offsets, pos = [], 0
     while pos < instructions.size:
-        opcode, length, _ = isa.parse_header(int(instructions[pos]))
-        if opcode is isa.Opcode.RAMOP:
+        found, length, _ = isa.parse_header(int(instructions[pos]))
+        if found is opcode:
             offsets.append(pos)
         pos += length
     return offsets
@@ -259,7 +259,7 @@ class TestLoadTimeRamValidation:
     )
     def test_bad_ramop_is_rejected_at_load(self, program, backend, mutate, match):
         instructions = verify_integrity(program.words)[1].copy()
-        mutate(instructions, ramop_offsets(instructions)[0])
+        mutate(instructions, instruction_offsets(instructions)[0])
         bad = reseal(program, instructions=instructions)
         with pytest.raises(BitstreamError, match=match):
             GemInterpreter(bad, batch=4, backend=backend)
@@ -280,9 +280,115 @@ class TestLoadTimeRamValidation:
 
     def test_reference_interpreter_shares_the_gate(self, program):
         instructions = verify_integrity(program.words)[1].copy()
-        _set_word(1, 9)(instructions, ramop_offsets(instructions)[0])
+        _set_word(1, 9)(instructions, instruction_offsets(instructions)[0])
         with pytest.raises(BitstreamError, match="names RAM block 9"):
             ReferenceInterpreter(reseal(program, instructions=instructions), batch=4)
+
+
+def _entries(instructions, opcode):
+    """``(offset, entry)`` of every entry of every ``opcode`` instruction."""
+    for at in instruction_offsets(instructions, opcode):
+        for entry in range(int(instructions[at]) & 0xFFFF):
+            yield at, entry
+
+
+def _field(word, shift, width, value):
+    """``word`` with bits ``[shift, shift + width)`` replaced by ``value``."""
+    mask = ((1 << width) - 1) << shift
+    return (int(word) & ~mask) | (value << shift)
+
+
+def _read(word, value):
+    """The first READ entry's global bit (``word`` 1) or local slot (2)."""
+
+    def mutate(inst, global_bits):
+        at, _ = next(_entries(inst, isa.Opcode.READ))
+        inst[at + word] = _field(inst[at + word], 0, 31, value(global_bits))
+
+    return mutate
+
+
+def _gwrite(deferred, word, value):
+    """The first immediate / deferred GWRITE entry's local slot (``word``
+    1) or global bit (2)."""
+
+    def mutate(inst, global_bits):
+        at, entry = next(
+            (at, entry)
+            for at, entry in _entries(inst, isa.Opcode.GWRITE)
+            if int(inst[at + 2 + 2 * entry]) >> 31 == deferred
+        )
+        where = at + word + 2 * entry
+        inst[where] = _field(inst[where], 0, 31, value(global_bits))
+
+    return mutate
+
+
+def _wb(shift, width, value):
+    """The first WB entry's local slot (bits 0-13) or fold step (28-31)."""
+
+    def mutate(inst, global_bits):
+        at, _ = next(_entries(inst, isa.Opcode.WB))
+        inst[at + 1] = _field(inst[at + 1], shift, width, value)
+
+    return mutate
+
+
+def _past(bits):
+    return bits + 3
+
+
+def _huge(bits):
+    return 1 << 20
+
+
+#: (id, mutation, what decode says) — one operand past what it indexes
+BAD_OPERANDS = [
+    ("read-global-bit", _read(1, _past), r"READ at word \d+: global bit"),
+    ("read-slot", _read(2, _huge), r"READ at word \d+: local slot"),
+    ("gwrite-global-bit", _gwrite(0, 2, _past), r"GWRITE at word \d+: global bit"),
+    ("gwrite-deferred-global-bit", _gwrite(1, 2, _past), r"GWRITE at word \d+: global bit"),
+    ("gwrite-slot", _gwrite(0, 1, _huge), r"GWRITE at word \d+: local slot"),
+    ("wb-slot", _wb(0, 14, 0x3FFF), r"WB at word \d+: local slot"),
+    ("wb-step", _wb(28, 4, 15), r"WB at word \d+: fold step"),
+]
+
+
+class TestLoadTimeOperandValidation:
+    """Before decode checked operand ranges, one sealed bitstream got three
+    verdicts: a READ of a global bit past the state loaded and ran under
+    numpy (``take`` clamps), died mid-run with an ``IndexError`` in the
+    reference and was refused at load by native; a slot past the block's
+    state was an ``IndexError`` from fusion everywhere.  Now every engine
+    refuses it at load, naming partition, opcode and word."""
+
+    ENGINES = [
+        *((name, functools.partial(GemInterpreter, batch=4, backend=name)) for name in BACKENDS),
+        ("reference", functools.partial(ReferenceInterpreter, batch=4)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def program(self):
+        config = GemConfig(
+            partition=PartitionConfig(gates_per_partition=400),
+            boomerang=BoomerangConfig(width_log2=10),
+        )
+        circuit = random_circuit(80, n_ops=80, n_regs=4, with_memory=True)
+        return GemCompiler(config).compile(circuit).program
+
+    @pytest.fixture(autouse=True)
+    def _warm_store(self, program, beside_a_stored_plan):
+        beside_a_stored_plan(program, 4)
+
+    @pytest.mark.parametrize("engine", [e[1] for e in ENGINES], ids=[e[0] for e in ENGINES])
+    @pytest.mark.parametrize(
+        "mutate, match", [row[1:] for row in BAD_OPERANDS], ids=[row[0] for row in BAD_OPERANDS]
+    )
+    def test_bad_operand_is_rejected_at_load(self, program, engine, mutate, match):
+        instructions = verify_integrity(program.words)[1].copy()
+        mutate(instructions, parse_container(program.words).global_bits)
+        with pytest.raises(BitstreamError, match=rf"partition \d+: {match}"):
+            engine(reseal(program, instructions=instructions))
 
 
 # -- the load boundary ------------------------------------------------------------

@@ -31,16 +31,17 @@ from tests.helpers import random_circuit, random_vectors
 
 class TestFusionErrorGuard:
     @staticmethod
-    def _passthrough(engine, read, write):
+    def _passthrough(read, write):
         """A one-instruction-pair block: READ global ``read`` into local
         slot 1, GWRITE slot 1 immediately to global ``write``."""
+        from repro.core.engine import constant_column
         from repro.core.interpreter import _DecodedPartition
 
         def index(*values):
             return np.array(values, dtype=np.int64)
 
-        no_inv = engine.const_mask(np.zeros(1, dtype=bool))
-        none = (index(), engine.const_mask(np.zeros(0, dtype=bool)), index())
+        no_inv = constant_column([False])
+        none = (index(), constant_column([]), index())
         return _DecodedPartition(
             stage=0,
             state_slots=2,
@@ -55,16 +56,14 @@ class TestFusionErrorGuard:
         )
 
     def test_same_stage_read_of_immediate_write_refuses_to_fuse(self):
-        from repro.core.engine import ExecutionEngine
         from repro.core.fused import FusionError, fuse
 
-        engine = ExecutionEngine(1)
-        writer = self._passthrough(engine, read=0, write=5)
-        reader = self._passthrough(engine, read=5, write=7)
+        writer = self._passthrough(read=0, write=5)
+        reader = self._passthrough(read=5, write=7)
         with pytest.raises(FusionError, match=r"stage 0 reads global bits \[5\]"):
-            fuse([writer, reader], [[0, 1]], engine)
+            fuse([writer, reader], [[0, 1]])
         # a stage apart, the same pair is the ordinary cut-value handoff
-        fused = fuse([writer, reader], [[0], [1]], engine)
+        fused = fuse([writer, reader], [[0], [1]])
         assert [plan.gwn_gidx.tolist() for plan in fused.stages] == [[5], [7]]
 
     def test_fusion_error_surfaces_as_typed_load_error(self, monkeypatch, caplog, recwarn):
@@ -164,7 +163,7 @@ class TestConfigCacheKeying:
 
     def test_decode_cache_is_config_keyed(self, tmp_path, monkeypatch):
         """Decode and fusion are keyed by what they are functions of: the
-        SHA-256 of the bitstream words (plus batch and loader sources).
+        SHA-256 of the bitstream words (plus the loader sources).
         Two configs share an entry exactly when they assembled identical
         words — the old CRC32 key needed the config digest folded in to
         tell near-collisions apart; a cryptographic hash does not."""
