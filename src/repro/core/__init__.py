@@ -9,21 +9,26 @@ RTL circuit
   → :mod:`repro.core.partition`   (multi-stage RepCut, §III-C)
   → :mod:`repro.core.merging`     (Algorithm 1 partition merging, §III-C)
   → :mod:`repro.core.placement`   (Algorithm 2 boomerang placement, §III-D)
-  → :mod:`repro.core.bitstream`   (VLIW ISA assembly, §III-E)
+  → :mod:`repro.core.assembler`   (VLIW ISA assembly, §III-E)
+  → :mod:`repro.core.bitstream`   (the container a run loads)
   → :mod:`repro.core.interpreter` (word-parallel virtual-GPU execution)
 
 :class:`repro.core.compiler.GemCompiler` drives the whole flow and
 :class:`repro.core.compiler.GemSimulator` is the user-facing run API.
+Every knob lives in :mod:`repro.core.config`, which imports no flow
+module, so reading a compiled design back loads none of them.
 """
-
-from repro.core.eaig import EAIG, EAIGSim, Ram
 
 __all__ = ["EAIG", "EAIGSim", "Ram"]
 
 
 def __getattr__(name: str):
-    # GemCompiler and friends are imported lazily to keep `import repro.core`
-    # light and to avoid import cycles during the staged build of the flow.
+    # Everything is imported on first touch: `import repro.core` must not
+    # load the compile flow into a run that only reads a compiled design.
+    if name in ("EAIG", "EAIGSim", "Ram"):
+        from repro.core import eaig
+
+        return getattr(eaig, name)
     if name in ("GemCompiler", "GemConfig", "GemSimulator", "CompileReport"):
         from repro.core import compiler
 

@@ -1,10 +1,9 @@
-"""Bitstream generation (paper §III-E).
+"""The bitstream container (paper §III-E): format, parse, program.
 
-Serializes a fully compiled design — synthesis result, partition plan and
-placements — into the binary the GEM interpreter loads.  As the paper puts
-it, this is simultaneously FPGA-style bitstream generation (it encodes the
-wiring of a reconfigurable fabric) and a software assembler (the result is
-interpreted by a virtual machine).
+A compiled design runs from one binary, the bitstream.  As the paper puts
+it, producing it is simultaneously FPGA-style bitstream generation (it
+encodes the wiring of a reconfigurable fabric) and a software assembler
+(the result is interpreted by a virtual machine).
 
 Binary layout (32-bit words)::
 
@@ -26,11 +25,14 @@ Format version 2 split the container into four CRC32-protected sections
 corruption — a GPU soft error in the resident bitstream, a truncated
 file — is detected at load instead of silently mis-simulating.
 
-This module owns the format in both directions: :func:`assemble` writes
-it, and :func:`parse_container`, its inverse, is the only code that
-indexes container words by position.  Parsing verifies the CRCs, then
-holds every count, offset and index against the section it lives in: a
-container that is intact but *wrong* is a
+This module is the load side of the format: :func:`parse_container` is
+the only code that indexes container words by position.  Its inverse,
+:func:`repro.core.assembler.assemble`, writes containers from the compile
+flow's objects and is imported only by a compile (``assemble`` is still
+importable from here, on first touch), so loading a program loads
+nothing of the flow.  Parsing verifies the CRCs, then holds every count,
+offset and index against the section it lives in: a container that is
+intact but *wrong* is a
 :class:`~repro.errors.BitstreamError` at load, not an ``IndexError`` or
 an empty partition mid-run.
 
@@ -41,19 +43,14 @@ values | PO bits]``.  Host-side name→bit-index maps live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import isa
-from repro.core.boomerang import BoomerangConfig
-from repro.core.eaig import EAIG, lit_node
+from repro.core.config import BoomerangConfig
 from repro.core.integrity import crc32_words, seal, unseal
-from repro.core.merging import MergeResult
-from repro.core.placement import PlacedPartition
-from repro.core.synthesis import SynthesisResult
 from repro.errors import BitstreamError
-from repro.obs.trace import TRACER
 
 MAGIC = 0x47454D42  # "GEMB"
 VERSION = 2
@@ -95,7 +92,8 @@ class Container:
 
 
 def parse_container(words: np.ndarray) -> Container:
-    """The inverse of :func:`assemble`: verify and take apart a container.
+    """The inverse of :func:`~repro.core.assembler.assemble`: verify and
+    take apart a container.
 
     Magic and version are read off the raw leading words (a file that is
     not a bitstream should say so, not report a CRC); everything else is
@@ -221,200 +219,6 @@ class GemProgram:
         return crc32_words(self.words)
 
 
-@dataclass
-class _PartitionCode:
-    instructions: list[np.ndarray] = field(default_factory=list)
-
-    def extend(self, insts) -> None:
-        if isinstance(insts, np.ndarray):
-            self.instructions.append(insts)
-        else:
-            self.instructions.extend(insts)
-
-    def words(self) -> np.ndarray:
-        if not self.instructions:
-            return np.zeros(0, dtype=np.uint32)
-        return np.concatenate(self.instructions)
-
-
-def allocate_global_state(eaig: EAIG, merge: MergeResult, synth: SynthesisResult) -> ProgramMeta:
-    """Assign a global bit index to every globally visible value."""
-    node_gidx: dict[int, int] = {}
-    next_bit = 1  # bit 0 is a constant 0 (handy for unconnected reads)
-    for pi in eaig.pis:
-        node_gidx[pi] = next_bit
-        next_bit += 1
-    for ff in eaig.ffs:
-        node_gidx[ff] = next_bit
-        next_bit += 1
-    for ram in eaig.rams:
-        for node in ram.data_nodes:
-            node_gidx[node] = next_bit
-            next_bit += 1
-    for spec in merge.plan.partitions:
-        for node in spec.cut_nodes:
-            node_gidx[node] = next_bit
-            next_bit += 1
-    po_index: dict[str, list[int]] = {}
-    for name, bits in synth.output_bits.items():
-        po_index[name] = list(range(next_bit, next_bit + len(bits)))
-        next_bit += len(bits)
-    pi_index = {
-        name: [node_gidx[lit_node(l)] for l in bits]
-        for name, bits in synth.input_bits.items()
-    }
-    config = merge.placements[0].config if merge.placements else BoomerangConfig()
-    return ProgramMeta(
-        config=config,
-        global_bits=next_bit,
-        pi_index=pi_index,
-        po_index=po_index,
-        node_gidx=node_gidx,
-        stage_partition_counts=[len(s) for s in merge.plan.stages],
-    )
-
-
-def assemble_partition(
-    eaig: EAIG, placed: PlacedPartition, meta: ProgramMeta, synth: SynthesisResult
-) -> _PartitionCode:
-    """Emit the instruction stream of one partition."""
-    spec = placed.spec
-    code = _PartitionCode()
-
-    read_entries = [
-        (meta.node_gidx[node], placed.slot_of[node], False) for node in spec.sources
-    ]
-    ramops: list[isa.RamOp] = []
-    for ram_index in spec.ram_indices:
-        ram = eaig.rams[ram_index]
-        ramops.append(
-            isa.RamOp(
-                ram_index=ram_index,
-                addr_bits=ram.addr_bits,
-                data_bits=ram.data_bits,
-                rd_global_base=meta.node_gidx[ram.data_nodes[0]],
-                raddr=[placed.slot_and_invert(l) for l in ram.raddr],
-                ren=placed.slot_and_invert(ram.ren),
-                waddr=[placed.slot_and_invert(l) for l in ram.waddr],
-                wdata=[placed.slot_and_invert(l) for l in ram.wdata],
-                wen=placed.slot_and_invert(ram.wen),
-            )
-        )
-
-    code.extend(
-        isa.encode_init(
-            stage=spec.stage,
-            num_layers=placed.num_layers,
-            state_slots=placed.num_slots,
-            num_reads=len(read_entries),
-            num_ramops=len(ramops),
-        )
-    )
-    code.extend(isa.encode_read(read_entries))
-    for layer, eff in zip(placed.layers, placed.effective_widths_log2()):
-        code.extend(isa.encode_perm(layer.perm))
-        code.extend(isa.encode_fold(eff, layer.xor_a, layer.xor_b, layer.or_b))
-        wb_entries = [
-            (step, pos, slot)
-            for step, wbs in enumerate(layer.writebacks)
-            for pos, slot in wbs
-        ]
-        if wb_entries:
-            code.extend(isa.encode_wb(wb_entries))
-
-    gwrite_entries: list[tuple[int, bool, int, bool]] = []
-    for group in spec.groups:
-        if group.kind == "ff":
-            slot, inv = placed.slot_and_invert(eaig.fanin0[group.ff_node])
-            gwrite_entries.append((slot, inv, meta.node_gidx[group.ff_node], True))
-        elif group.kind == "cut":
-            slot, inv = placed.slot_and_invert(2 * group.cut_node)
-            gwrite_entries.append((slot, inv, meta.node_gidx[group.cut_node], False))
-        elif group.kind == "po":
-            targets = meta.po_index[group.po_name]
-            literals = synth.output_bits[group.po_name]
-            for literal, gidx in zip(literals, targets):
-                slot, inv = placed.slot_and_invert(literal)
-                gwrite_entries.append((slot, inv, gidx, False))
-    if gwrite_entries:
-        code.extend(isa.encode_gwrite(gwrite_entries))
-    for op in ramops:
-        code.extend(isa.encode_ramop(op))
-    return code
-
-
-def assemble(
-    eaig: EAIG, synth: SynthesisResult, merge: MergeResult, config_digest: str = ""
-) -> GemProgram:
-    """Assemble the complete program for a compiled design."""
-    meta = allocate_global_state(eaig, merge, synth)
-    meta.config_digest = config_digest
-    # Partition order is stage-major: all stage-0 blocks, then stage-1, ...
-    if TRACER.enabled:
-        codes = []
-        for pi, placed in enumerate(merge.placements):
-            with TRACER.span(
-                f"assemble:p{pi}",
-                cat="compile.partition",
-                args={"stage": placed.spec.stage, "layers": placed.num_layers},
-            ):
-                codes.append(assemble_partition(eaig, placed, meta, synth))
-    else:
-        codes = [
-            assemble_partition(eaig, placed, meta, synth) for placed in merge.placements
-        ]
-    num_parts = len(codes)
-    num_stages = len(meta.stage_partition_counts)
-    header_len = 8 + num_stages + 2 * num_parts
-    offsets: list[tuple[int, int]] = []
-    cursor = header_len
-    chunks: list[np.ndarray] = []
-    for code in codes:
-        words = code.words()
-        offsets.append((cursor, len(words)))
-        chunks.append(words)
-        cursor += len(words)
-    total_inst_words = cursor - header_len
-
-    # Reset section: global bits that power up as 1 (flip-flop init values).
-    ones = [meta.node_gidx[ff] for ff in eaig.ffs if eaig.aux[ff]]
-    reset_section = np.array([len(ones), *ones], dtype=np.uint32)
-
-    ram_section: list[np.ndarray] = []
-    for ram in eaig.rams:
-        head = np.zeros(2, dtype=np.uint32)
-        head[0] = (ram.addr_bits << 16) | ram.data_bits
-        head[1] = ram.depth
-        words = np.zeros(ram.depth, dtype=np.uint32)
-        init = ram.init[: ram.depth]
-        words[: len(init)] = np.asarray(init, dtype=np.uint32)
-        ram_section.extend((head, words))
-
-    header = np.zeros(header_len, dtype=np.uint32)
-    header[0] = MAGIC
-    header[1] = VERSION
-    header[2] = meta.config.width_log2
-    header[3] = meta.global_bits
-    header[4] = num_parts
-    header[5] = num_stages
-    header[6] = len(eaig.rams)
-    header[7] = total_inst_words
-    for s, count in enumerate(meta.stage_partition_counts):
-        header[8 + s] = count
-    for i, (start, length) in enumerate(offsets):
-        header[8 + num_stages + 2 * i] = start
-        header[8 + num_stages + 2 * i + 1] = length
-
-    inst_stream = (
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint32)
-    )
-    ram_words = (
-        np.concatenate(ram_section) if ram_section else np.zeros(0, dtype=np.uint32)
-    )
-    words = seal([header, inst_stream, ram_words, reset_section])
-    return GemProgram(words=words, meta=meta)
-
-
 # -- fault injection -----------------------------------------------------------
 
 
@@ -467,3 +271,13 @@ def mutate_fold_constant(program: GemProgram, fold_index: int, bit: int) -> GemP
     instructions[word] = np.uint32(instructions[word]) ^ np.uint32(1 << (target & 31))
     words = seal([sections[0], instructions, sections[2], sections[3]])
     return GemProgram(words=words, meta=program.meta)
+
+
+def __getattr__(name: str):
+    # the writer lives with the compile flow it reads; importing it here
+    # eagerly would load that flow into every run
+    if name in ("allocate_global_state", "assemble", "assemble_partition"):
+        from repro.core import assembler
+
+        return getattr(assembler, name)
+    raise AttributeError(f"module 'repro.core.bitstream' has no attribute {name!r}")

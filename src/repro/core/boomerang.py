@@ -33,42 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.isa import MAX_WIDTH_LOG2
-from repro.errors import ConfigError
-
-
-@dataclass(frozen=True)
-class BoomerangConfig:
-    """Shape of the virtual Boolean processor core."""
-
-    #: log2 of the leaf width; the paper's core folds 8192 bits (2^13)
-    width_log2: int = 13
-    #: state bits per core; defaults to the leaf width (the paper keeps
-    #: "up to 8192 bits of circuit states" per core)
-    state_bits: int | None = None
-
-    def validate(self) -> None:
-        """Reject a core the ISA cannot program (checked when a compile
-        starts, see ``GemConfig.validate``)."""
-        if not 1 <= self.width_log2 <= MAX_WIDTH_LOG2:
-            raise ConfigError(
-                f"width_log2={self.width_log2} is outside [1, {MAX_WIDTH_LOG2}]: "
-                f"the fold constants of a wider core do not fit one FOLD "
-                f"instruction, so bitstream assembly cannot emit it"
-            )
-
-    @property
-    def width(self) -> int:
-        return 1 << self.width_log2
-
-    @property
-    def state_size(self) -> int:
-        return self.state_bits if self.state_bits is not None else self.width
-
-    @property
-    def threads(self) -> int:
-        """GPU threads per block (256 threads × 32 bits = 8192 lanes)."""
-        return max(1, self.width // 32)
+from repro.core.config import BoomerangConfig
 
 
 @dataclass

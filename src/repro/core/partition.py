@@ -27,27 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.core.config import PartitionConfig
 from repro.core.eaig import EAIG, NodeKind, lit_node
 from repro.partition.repcut import RepCutResult, cone_masks, repcut_partition
-
-
-@dataclass
-class PartitionConfig:
-    """Partitioning knobs (defaults follow the paper's architecture)."""
-
-    #: bits of block state per virtual Boolean processor core
-    width: int = 8192
-    #: target live gates per partition before merging (Algorithm 1 merges
-    #: excessive partitions back together, so this errs small)
-    gates_per_partition: int = 3072
-    #: overpartitioning factor for Algorithm 1's "partition excessively"
-    overpartition: float = 1.5
-    #: number of RepCut stages; None = auto heuristic
-    num_stages: int | None = None
-    #: allowed relative imbalance inside the hypergraph partitioner
-    epsilon: float = 0.1
-    seed: int = 0
-    max_net_pins: int = 128
 
 
 @dataclass

@@ -62,6 +62,7 @@ from itertools import chain
 import numpy as np
 
 from repro.core.boomerang import BoomerangConfig, Layer
+from repro.core.config import RefineConfig
 from repro.core.eaig import EAIG, NodeKind, lit_neg, lit_node
 from repro.core.partition import PartitionSpec
 from repro.errors import PlacementStallError, UnmappableError
@@ -74,38 +75,6 @@ __all__ = [
     "place_partition",
     "placement_cost",
 ]
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Simulated-annealing refinement of boomerang placement.
-
-    ``iterations == 0`` (the default) disables refinement entirely and keeps
-    :func:`place_partition` byte-identical to the unrefined pass.  All entropy
-    comes from ``seed`` plus the partition's coordinates — no wall clock, no
-    ``hash()`` — so the same seed reproduces the same placement bit-for-bit
-    across processes.
-
-    Each SA move perturbs the placement *inputs* rather than the placement
-    itself: a per-node jitter added to the Algorithm 2 criticality key
-    reorders which nodes claim tree positions first, and a per-node level
-    promotion places a node one tree level deeper than its local logic level
-    (pre-empting the stretch phase).  The full placement pass re-runs under
-    the perturbation; candidates are accepted on a layer-count +
-    writeback-traffic cost (see :func:`placement_cost`).
-    """
-
-    iterations: int = 0
-    seed: int = 0
-    #: initial temperature in layer-count units (wb traffic is fractional)
-    initial_temp: float = 0.5
-    cooling: float = 0.9
-    #: magnitude of the uniform criticality jitter per perturbed node
-    jitter: float = 1.5
-    #: probability a move toggles a level promotion instead of jittering
-    promote_prob: float = 0.25
-    #: fraction of the partition's nodes perturbed per move
-    move_frac: float = 0.125
 
 
 def placement_cost(placed: PlacedPartition) -> tuple[int, int, int]:

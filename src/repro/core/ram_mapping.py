@@ -28,19 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.core.config import RamMappingConfig
 from repro.core.eaig import EAIG, FALSE, TRUE, lit_not
 from repro.rtl.memory import Memory
 
 #: Resolver from an RTL signal to its E-AIG literal vector (LSB first).
 LitsOf = Callable[[object], list[int]]
-
-
-@dataclass
-class RamMappingConfig:
-    """Native RAM block shape (the paper's 13-bit address × 32-bit data)."""
-
-    addr_bits: int = 13
-    data_bits: int = 32
 
 
 @dataclass

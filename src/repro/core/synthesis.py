@@ -26,20 +26,14 @@ adapter used throughout the test suite to prove the lowering correct against
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+from repro.core.config import SynthesisConfig
 from repro.core.eaig import EAIG, EAIGSim, FALSE, TRUE, lit_neg, lit_node, lit_not
-from repro.core.ram_mapping import MappedMemory, MappingReport, RamMappingConfig, map_memory
+from repro.core.ram_mapping import MappedMemory, MappingReport, map_memory
 from repro.rtl.ir import Circuit, Op, OpKind, Signal
 from repro.rtl.netlist import Netlist
-
-
-@dataclass
-class SynthesisConfig:
-    """Knobs for the synthesis step."""
-
-    ram: RamMappingConfig = field(default_factory=RamMappingConfig)
 
 
 @dataclass

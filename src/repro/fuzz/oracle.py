@@ -55,20 +55,17 @@ from typing import Mapping
 
 from repro.core.backend import available_backends, resolve_backend
 from repro.core.bitstream import GemProgram, mutate_fold_constant
-from repro.core.boomerang import BoomerangConfig
-from repro.core.compiler import (
-    CompiledDesign,
-    FourStateSimulator,
-    GemCompiler,
+from repro.core.compiler import CompiledDesign, GemCompiler, GemSimulator
+from repro.core.config import (
+    BoomerangConfig,
     GemConfig,
-    GemSimulator,
+    PartitionConfig,
+    RamMappingConfig,
+    SynthesisConfig,
 )
-from repro.core.partition import PartitionConfig
-from repro.core.ram_mapping import RamMappingConfig
-from repro.core.synthesis import SynthesisConfig
 from repro.errors import BackendUnavailableError
 from repro.fourstate.dualrail import to_dual_rail
-from repro.fourstate.fastpath import validate_values
+from repro.fourstate.fastpath import FourStateSimulator, validate_values
 from repro.fourstate.semantics import FourState
 from repro.fourstate.sim import FourStateSim
 from repro.fuzz.designgen import DesignSpec

@@ -28,19 +28,23 @@ import pickle
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.core.cachefile import cache_dir, write_atomic
-from repro.core.compiler import CompiledDesign, GemCompiler, GemConfig
-from repro.core.depth_opt import optimize
-from repro.core.synthesis import SynthesisResult, synthesize
-from repro.designs.workloads import Workload, workloads_for
+from repro.core.compiler import CompiledDesign, CompileFlow, GemCompiler
+from repro.core.config import GemConfig
+from repro.core.engine import validate_values
+from repro.core.interpreter import load_program
+from repro.errors import ConfigError, GemError
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER
-from repro.rtl.ir import Circuit
-from repro.errors import ConfigError
-from repro.rtl.netlist import Netlist
 
 if TYPE_CHECKING:
     from repro.core.autotune import AutotuneConfig, AutotuneResult, KnobSpace
+    from repro.core.bitstream import GemProgram
+    from repro.core.synthesis import SynthesisResult
+    from repro.designs.workloads import Workload
+    from repro.rtl.ir import Circuit
     from repro.runtime.supervisor import SupervisedRun
 
 logger = logging.getLogger(__name__)
@@ -50,7 +54,8 @@ logger = logging.getLogger(__name__)
 #: a different format (or written before the envelope existed) are
 #: deleted and rebuilt instead of being unpickled into stale objects.
 #: 3: ``PlacedPartition`` keeps its layers packed instead of as ``Layer`` arrays.
-CACHE_FORMAT = 3
+#: 4: a compile entry is two files, the program and the flow (:func:`compile_design`).
+CACHE_FORMAT = 4
 
 
 def _build_nvdla() -> Circuit:
@@ -99,9 +104,12 @@ DESIGNS: dict[str, DesignEntry] = {
 _memory_cache: dict[str, object] = {}
 
 
-def _cache_path(key: str) -> str:
+def _cache_path(key: str, prefix: str | None = None) -> str:
+    """The file of ``key``'s entry, named ``<prefix>-<digest>.pkl``; the
+    prefix defaults to the key's kind (a compile entry's program file
+    is ``program-*``)."""
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir(), f"{key.split(':')[0]}-{digest}.pkl")
+    return os.path.join(cache_dir(), f"{prefix or key.split(':')[0]}-{digest}.pkl")
 
 
 def _discard_cache_file(path: str, reason: str) -> None:
@@ -137,7 +145,41 @@ def _load_cached(path: str, key: str):
     return (envelope["value"],)
 
 
-def _cached(key: str, make: Callable[[], object], use_disk: bool = True):
+def _read_entry(key: str):
+    return _load_cached(_cache_path(key), key)
+
+
+def _write_entry(key: str, value, prefix: str | None = None) -> None:
+    path = _cache_path(key, prefix)
+    envelope = {"format": CACHE_FORMAT, "key": key, "value": value}
+    try:
+        write_atomic(path, lambda f: pickle.dump(envelope, f))
+    except OSError as exc:
+        # the build may have taken minutes: a cache that cannot be
+        # written costs the next process a rebuild, not this one its result
+        kind = key.split(":", 1)[0]
+        logger.warning("cannot cache %s at %s (%s); it will be rebuilt", kind, path, exc)
+
+
+def _count_miss(kind: str) -> None:
+    REGISTRY.counter(
+        "gem_compile_cache_misses_total",
+        help="runner cache misses (value rebuilt)",
+        labels={"kind": kind},
+    ).inc()
+
+
+def _cached(
+    key: str,
+    make: Callable[[], object],
+    use_disk: bool = True,
+    *,
+    read: Callable[[str], tuple | None] = _read_entry,
+    write: Callable[[str, object], None] = _write_entry,
+):
+    """``key``'s value: from memory, else read from disk by ``read(key)``
+    (``(value,)`` or ``None``), else ``make()`` — kept in memory and
+    handed to ``write(key, value)``."""
     kind = key.split(":", 1)[0]
     if key in _memory_cache:
         REGISTRY.counter(
@@ -146,9 +188,8 @@ def _cached(key: str, make: Callable[[], object], use_disk: bool = True):
             labels={"kind": kind, "tier": "memory"},
         ).inc()
         return _memory_cache[key]
-    path = _cache_path(key)
     if use_disk:
-        hit = _load_cached(path, key)
+        hit = read(key)
         if hit is not None:
             REGISTRY.counter(
                 "gem_compile_cache_hits_total",
@@ -157,21 +198,11 @@ def _cached(key: str, make: Callable[[], object], use_disk: bool = True):
             ).inc()
             _memory_cache[key] = hit[0]
             return hit[0]
-    REGISTRY.counter(
-        "gem_compile_cache_misses_total",
-        help="runner cache misses (value rebuilt)",
-        labels={"kind": kind},
-    ).inc()
+    _count_miss(kind)
     value = make()
     _memory_cache[key] = value
     if use_disk:
-        envelope = {"format": CACHE_FORMAT, "key": key, "value": value}
-        try:
-            write_atomic(path, lambda f: pickle.dump(envelope, f))
-        except OSError as exc:
-            # the build may have taken minutes: a cache that cannot be
-            # written costs the next process a rebuild, not this one its result
-            logger.warning("cannot cache %s at %s (%s); it will be rebuilt", kind, path, exc)
+        write(key, value)
     return value
 
 
@@ -202,6 +233,9 @@ def design_synth(name: str, config: GemConfig | None = None) -> SynthesisResult:
     config = config or GemConfig()
 
     def make() -> SynthesisResult:
+        from repro.core.depth_opt import optimize
+        from repro.core.synthesis import synthesize
+
         synth = synthesize(design_circuit(name), config.synthesis)
         return optimize(synth) if config.optimize else synth
 
@@ -226,27 +260,96 @@ def compile_design(
     (:func:`repro.fourstate.fastpath.compile_fourstate`) so the fast
     engines carry X/Z; the x-initialization knobs join the cache key
     because they change the transformed circuit.
-    """
-    from repro.fourstate.fastpath import compile_fourstate, validate_values
 
+    An entry on disk is two files under one key: ``program-*.pkl`` holds
+    what a run reads (program, report, four-state rail map) and
+    ``compile-*.pkl`` the flow's products (``synth``, ``plan``,
+    ``merge``).  A disk hit reads the program file only; the flow file is
+    read the first time one of its fields is touched
+    (:func:`_flow_loader`).  A compile also leaves the program's fused
+    plan in the plan store (:func:`repro.core.fused.fused_program`), so
+    the first simulator of a later process reads it instead of fusing.
+    """
     four = validate_values(values) == 4
 
     def make() -> CompiledDesign:
         if four:
+            from repro.fourstate.fastpath import compile_fourstate
+
             return compile_fourstate(
                 design_circuit(name), config, x_reset=x_reset, x_memory=x_memory
             )
         return GemCompiler(config).compile(design_synth(name, config))
 
+    def compile_and_store() -> CompiledDesign:
+        design = make()
+        load_program(design.program)  # fuses, and stores the plan
+        return design
+
     # values4 is v3: the dual-rail transform keeps sync read ports native
     # (deferred-bound), structurally changing the compiled circuit.
     suffix = f"v3:values4:xr{int(x_reset)}:xm{int(x_memory)}" if four else "v2"
     key = f"compile:{name}:{(config or GemConfig()).digest()}:{suffix}"
+
+    def read(key: str) -> tuple[CompiledDesign] | None:
+        hit = _load_cached(_cache_path(key, "program"), key)
+        if hit is None:
+            return None
+        run = hit[0]
+        flow = _flow_loader(key, run["program"], compile_and_store)
+        return (CompiledDesign(run["program"], run["report"], flow, run["fourstate"]),)
+
     # The span exists even on a cache hit, so every traced run carries a
     # compile span (the child phase spans only appear on real compiles).
     args = {"design": name, "values": 4} if four else {"design": name}
     with TRACER.span(f"compile:{name}", cat="compile", args=args):
-        return _cached(key, make)
+        return _cached(key, compile_and_store, read=read, write=_write_design)
+
+
+def _bitstream_sha256(program: GemProgram) -> str:
+    return hashlib.sha256(np.ascontiguousarray(program.words, dtype="<u4")).hexdigest()
+
+
+def _write_design(key: str, design: CompiledDesign) -> None:
+    """Store a compile entry: the flow file first, so that a program
+    file on disk always has had its flow written beside it."""
+    flow = {"bitstream_sha256": _bitstream_sha256(design.program), "flow": design.flow}
+    _write_entry(key, flow)
+    run = {"program": design.program, "report": design.report, "fourstate": design.fourstate}
+    _write_entry(key, run, "program")
+
+
+def _flow_loader(key: str, program: GemProgram, rebuild: Callable[[], CompiledDesign]):
+    """First-touch loader of a cached design's :class:`CompileFlow`.
+
+    The flow file passes the checks every entry does (:func:`_load_cached`)
+    and must name the bitstream of the program it is loaded beside.  When
+    it is missing or unusable the entry is rebuilt and stored again; a
+    rebuild that assembles another bitstream is an error — the flow of
+    one program is never handed out beside another.
+    """
+
+    def load() -> CompileFlow:
+        want = _bitstream_sha256(program)
+        hit = _load_cached(_cache_path(key), key)
+        if hit is not None and hit[0]["bitstream_sha256"] == want:
+            return hit[0]["flow"]
+        if hit is not None:
+            _discard_cache_file(_cache_path(key), "flow of another bitstream")
+        _count_miss("compile")
+        design = rebuild()
+        _memory_cache[key] = design
+        _write_design(key, design)
+        got = _bitstream_sha256(design.program)
+        if got != want:
+            raise GemError(
+                f"compile cache: rebuilding the flow of {key} assembled bitstream "
+                f"{got[:16]}, the cached program is {want[:16]}; the entry now holds "
+                f"the rebuild, compile the design again to run it"
+            )
+        return design.flow
+
+    return load
 
 
 def autotune_design(
@@ -280,6 +383,8 @@ def autotune_design(
 
 
 def design_workloads(name: str) -> dict[str, Workload]:
+    from repro.designs.workloads import workloads_for
+
     return workloads_for(DESIGNS[name].workload_design)
 
 
@@ -314,6 +419,7 @@ def measure_activity(name: str, workload: Workload, max_cycles: int | None = 400
         from repro.simref.cycle_sim import CompiledCycleSim
         from repro.simref.event_sim import EventDrivenSim
         from repro.simref.gate_sim import GateLevelSim
+        from repro.rtl.netlist import Netlist
 
         synth = design_synth(name)
         stimuli = workload.stimuli

@@ -26,68 +26,50 @@ probe layer only *receives* core objects, it never imports them):
 See docs/OBSERVABILITY.md for the full tour and the metric-name table.
 """
 
-from repro.obs.activity import (
-    ActivityAccumulator,
-    format_hot_nets,
-    hot_nets,
-    publish_net_activity,
-    read_saif,
-    write_saif,
-)
-from repro.obs.metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.probe import (
-    ProbePlan,
-    ProbeTap,
-    SimrefProbe,
-    WaveRing,
-    build_probe_plan,
-    dump_divergence_waves,
-    list_nets,
-    probe_catalog,
-)
-from repro.obs.report import (
-    RunReport,
-    build_run_report,
-    compare_e2e,
-    diff_reports,
-    environment_info,
-    format_report,
-    load_e2e_records,
-    load_report,
-    write_report,
-)
-from repro.obs.trace import TRACER, Tracer, validate_trace
+import importlib
 
-__all__ = [
-    "ActivityAccumulator",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "ProbePlan",
-    "ProbeTap",
-    "REGISTRY",
-    "RunReport",
-    "SimrefProbe",
-    "TRACER",
-    "Tracer",
-    "WaveRing",
-    "build_probe_plan",
-    "build_run_report",
-    "compare_e2e",
-    "diff_reports",
-    "dump_divergence_waves",
-    "environment_info",
-    "format_hot_nets",
-    "format_report",
-    "hot_nets",
-    "list_nets",
-    "load_e2e_records",
-    "load_report",
-    "probe_catalog",
-    "publish_net_activity",
-    "read_saif",
-    "validate_trace",
-    "write_report",
-    "write_saif",
-]
+#: public name -> the submodule that defines it, imported on first touch:
+#: a run that only counts and traces never loads the probe, activity or
+#: report layers
+_EXPORTS = {
+    "ActivityAccumulator": "activity",
+    "format_hot_nets": "activity",
+    "hot_nets": "activity",
+    "publish_net_activity": "activity",
+    "read_saif": "activity",
+    "write_saif": "activity",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "REGISTRY": "metrics",
+    "ProbePlan": "probe",
+    "ProbeTap": "probe",
+    "SimrefProbe": "probe",
+    "WaveRing": "probe",
+    "build_probe_plan": "probe",
+    "dump_divergence_waves": "probe",
+    "list_nets": "probe",
+    "probe_catalog": "probe",
+    "RunReport": "report",
+    "build_run_report": "report",
+    "compare_e2e": "report",
+    "diff_reports": "report",
+    "environment_info": "report",
+    "format_report": "report",
+    "load_e2e_records": "report",
+    "load_report": "report",
+    "write_report": "report",
+    "TRACER": "trace",
+    "Tracer": "trace",
+    "validate_trace": "trace",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"repro.obs.{module}"), name)
