@@ -679,7 +679,7 @@ def _build_library(source: str, path: str) -> None:
             proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
             if proc.returncode != 0:
                 raise BackendUnavailableError(
-                    f"{' '.join(compiler)} could not build the cycle kernel: "
+                    f"{' '.join(compiler)} could not build {os.path.basename(path)}: "
                     f"{proc.stderr.strip()[-300:]}"
                 )
             version = subprocess.run(
@@ -690,42 +690,55 @@ def _build_library(source: str, path: str) -> None:
             os.replace(note, os.path.splitext(path)[0] + ".json")
             os.replace(lib, path)
     except (OSError, subprocess.SubprocessError) as exc:
-        raise BackendUnavailableError(f"cannot build the cycle kernel: {exc}") from exc
+        raise BackendUnavailableError(f"cannot build {path}: {exc}") from exc
 
 
-def _open_library(path: str):
-    run = ctypes.CDLL(path).gem_run
-    # the blocks go in as plain addresses: run() has checked the arrays
-    run.argtypes = [
+#: ``gem_run``'s ctypes signature: the blocks go in as plain addresses,
+#: ``run()`` has checked the arrays
+RUN_SIGNATURE = (
+    (
         ctypes.POINTER(_Program),
         ctypes.c_int64,
         ctypes.c_void_p,
         ctypes.c_void_p,
         ctypes.POINTER(ctypes.c_double),
-    ]
-    run.restype = ctypes.c_int64
-    return run
+    ),
+    ctypes.c_int64,
+)
 
 
-def load_kernel(source: str = KERNEL_SOURCE):
-    """``gem_run`` of ``source`` as a ``ctypes`` function (the GIL is
-    released while it runs), built on first use and cached.
+def _open_library(path: str, entry: str, signature: tuple):
+    fn = getattr(ctypes.CDLL(path), entry)
+    fn.argtypes, fn.restype = signature
+    return fn
 
-    The library lives in the compile-cache directory
-    (:func:`~repro.core.cachefile.cache_dir`) as
-    ``native-<sha256(source + machine + pointer size)>.so``; a cached
-    file that does not load (truncated, foreign) is rebuilt once.
-    """
+
+def library_path(source: str) -> str:
+    """Where :func:`load_kernel` keeps the library built from ``source``:
+    ``native-<sha256(source + machine + pointer size)>.so`` in the
+    compile-cache directory (:func:`~repro.core.cachefile.cache_dir`)."""
     key = f"{source}\0{platform.machine()}\0{ctypes.sizeof(ctypes.c_void_p)}"
-    path = os.path.join(cache_dir(), f"native-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
+    return os.path.join(cache_dir(), f"native-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
+
+
+def load_kernel(source: str, entry: str, signature: tuple):
+    """``entry`` of the library built from ``source`` as a ``ctypes``
+    function with ``signature`` (``(argtypes, restype)``; the GIL is
+    released while it runs), built on first use and cached at
+    :func:`library_path`.  A cached file that does not load (truncated,
+    foreign) is rebuilt once.  The block kernel (:data:`KERNEL_SOURCE`)
+    and Algorithm 2's layer loop (:mod:`repro.core.placement_kernel`)
+    both come through here.
+    """
+    path = library_path(source)
     if os.path.exists(path):
         try:
-            return _open_library(path)
+            return _open_library(path, entry, signature)
         except (OSError, AttributeError) as exc:
-            logger.warning("rebuilding the cycle kernel: %s does not load (%s)", path, exc)
+            logger.warning("rebuilding %s: it does not load (%s)", path, exc)
     _build_library(source, path)
     try:
-        return _open_library(path)
+        return _open_library(path, entry, signature)
     except (OSError, AttributeError) as exc:
         raise BackendUnavailableError(f"{path} does not load: {exc}") from exc
 
@@ -800,7 +813,7 @@ class NativeBackend(ArrayBackend):
     name = "native"
 
     def __init__(self) -> None:
-        self._kernel = load_kernel()
+        self._kernel = load_kernel(KERNEL_SOURCE, "gem_run", RUN_SIGNATURE)
 
     def compile_cycle(self, fused: "FusedProgram", buffers: CycleBuffers):
         """Prove every index of ``fused`` in range of ``buffers``, then

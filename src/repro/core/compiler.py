@@ -182,6 +182,7 @@ class GemCompiler:
     def compile(self, circuit: Circuit | SynthesisResult) -> CompiledDesign:
         # the flow is imported here, not at the top: a run that reads a
         # compiled design back (repro.harness.runner) never loads it
+        from repro.core import placement_kernel
         from repro.core.assembler import assemble
         from repro.core.depth_opt import optimize as depth_optimize
         from repro.core.merging import merge_partitions
@@ -213,21 +214,24 @@ class GemCompiler:
                 },
             ):
                 plan = partition_design(eaig, pconfig)
+            span_args = {
+                "partitions": plan.num_partitions,
+                "sa_iterations": config.refine.iterations,
+            }
             try:
-                with TRACER.span(
-                    "placement",
-                    cat="compile",
-                    args={
-                        "partitions": plan.num_partitions,
-                        "sa_iterations": config.refine.iterations,
-                    },
-                ):
+                with TRACER.span("placement", cat="compile", args=span_args):
                     merge = merge_partitions(
                         eaig,
                         plan,
                         config.boomerang,
                         refine=config.refine,
                         merge_limit=config.merge_limit,
+                    )
+                    # which Algorithm 2 ran, and how often Algorithm 1 ran it
+                    span_args.update(
+                        algorithm2=placement_kernel.algorithm2(),
+                        probes=merge.probes,
+                        rejected=merge.rejected,
                     )
                 break
             except UnmappableError:

@@ -13,7 +13,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.core.isa import MAX_WIDTH_LOG2
+from repro.core.isa import MAX_STATE_BITS, MAX_WIDTH_LOG2
 from repro.errors import ConfigError
 
 
@@ -94,13 +94,20 @@ class BoomerangConfig:
     state_bits: int | None = None
 
     def validate(self) -> None:
-        """Reject a core the ISA cannot program (checked when a compile
-        starts, see ``GemConfig.validate``)."""
+        """Reject a core the ISA cannot program, or one too small to place
+        a single AND (checked when a compile starts, see
+        ``GemConfig.validate``)."""
         if not 1 <= self.width_log2 <= MAX_WIDTH_LOG2:
             raise ConfigError(
                 f"width_log2={self.width_log2} is outside [1, {MAX_WIDTH_LOG2}]: "
                 f"the fold constants of a wider core do not fit one FOLD "
                 f"instruction, so bitstream assembly cannot emit it"
+            )
+        if self.state_bits is not None and not 4 <= self.state_bits <= MAX_STATE_BITS:
+            raise ConfigError(
+                f"state_bits={self.state_bits} is outside [4, {MAX_STATE_BITS}]: a core "
+                f"needs the constant slot, two sources and one writeback, and a "
+                f"writeback addresses at most {MAX_STATE_BITS} slots"
             )
 
     @property

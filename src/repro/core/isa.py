@@ -81,6 +81,9 @@ GWRITE_CAPACITY = (SIZE_CLASS_WORDS[1] - 1) // 2  # 2 words per entry
 #: OR.B over all fold steps) in 1023 words
 MAX_WIDTH_LOG2 = 13
 
+#: most state bits a core may have: a WB entry holds a 14-bit state slot
+MAX_STATE_BITS = 1 << 14
+
 
 def instruction_words(opcode: Opcode) -> int:
     return SIZE_CLASS_WORDS[_OPCODE_SIZE_CLASS[opcode]]
@@ -253,7 +256,7 @@ def encode_wb(entries: list[tuple[int, int, int]]) -> list[np.ndarray]:
         chunk = entries[base : base + WB_CAPACITY]
         inst = _blank(Opcode.WB, len(chunk))
         for i, (step, pos, slot) in enumerate(chunk):
-            if step >= 16 or pos >= (1 << 14) or slot >= (1 << 14):
+            if step >= 16 or pos >= (1 << 14) or slot >= MAX_STATE_BITS:
                 raise ValueError(f"writeback entry out of range: {(step, pos, slot)}")
             inst[1 + i] = (step << 28) | (pos << 14) | slot
         out.append(inst)

@@ -41,6 +41,11 @@ class MergeResult:
     placements: list[PlacedPartition]
     partitions_before: int
     partitions_after: int
+    #: Algorithm 2 runs Algorithm 1 made: a base placement per partition
+    #: it visited plus one per merge it tried
+    probes: int = 0
+    #: merges tried whose placement was unmappable
+    rejected: int = 0
 
     def stats(self) -> dict:
         return {
@@ -96,10 +101,11 @@ def merge_partitions(
     before = plan.num_partitions
     new_stages: list[list[PartitionSpec]] = []
     placements: list[PlacedPartition] = []
+    probes = {"probes": 0, "rejected": 0}
 
     for stage_specs in plan.stages:
         merged_stage, stage_placements = _merge_stage(
-            eaig, stage_specs, config, merge_limit
+            eaig, stage_specs, config, merge_limit, probes
         )
         for index, spec in enumerate(merged_stage):
             spec.index = index
@@ -127,6 +133,7 @@ def merge_partitions(
         placements=placements,
         partitions_before=before,
         partitions_after=merged_plan.num_partitions,
+        **probes,
     )
 
 
@@ -134,9 +141,10 @@ def _merge_stage(
     eaig: EAIG,
     specs: list[PartitionSpec],
     config: BoomerangConfig,
-    merge_limit: int | None = None,
+    merge_limit: int | None,
+    probes: dict[str, int],
 ) -> tuple[list[PartitionSpec], list[PlacedPartition]]:
-    """Algorithm 1 within one stage."""
+    """Algorithm 1 within one stage; counts its placements into ``probes``."""
     alive: dict[int, PartitionSpec] = dict(enumerate(specs))
     placed: dict[int, PlacedPartition] = {}
     node_sets: dict[int, set[int]] = {i: set(s.nodes) for i, s in alive.items()}
@@ -148,6 +156,7 @@ def _merge_stage(
         visited.add(i)
         base = alive[i]
         if i not in placed:
+            probes["probes"] += 1
             placed[i] = place_partition(eaig, base, config)
         # Line 3: other unvisited partitions by overlap, large to small.
         candidates = sorted(
@@ -164,9 +173,11 @@ def _merge_stage(
             # per source plus the constant slot.
             if len(trial.sources) + 1 > config.state_size:
                 continue
+            probes["probes"] += 1
             try:
                 trial_placed = place_partition(eaig, trial, config)
             except UnmappableError:
+                probes["rejected"] += 1
                 continue
             # Line 5: commit.
             base = trial

@@ -50,10 +50,17 @@ per layer), the insertion order of ``mapped`` (it numbers the writeback
 slots), the stable sorts on criticality, the cursor advance, and the limits
 ``max_attempts=8`` / ``max_consecutive_failures=20``.  The golden sha256
 pins in ``tests/test_placement.py`` hold all of them in place.
+
+Where it runs: each layer is one call into the C layer loop of
+:mod:`repro.core.placement_kernel` wherever that library builds or is
+cached, and :func:`_place_python` — this module's builder, the reference
+the C loop is tested against — otherwise.  The ``remaining`` set, the slot
+table and the errors stay here either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,6 +68,7 @@ from itertools import chain
 
 import numpy as np
 
+from repro.core import placement_kernel
 from repro.core.boomerang import BoomerangConfig, Layer
 from repro.core.config import RefineConfig
 from repro.core.eaig import EAIG, NodeKind, lit_neg, lit_node
@@ -97,6 +105,8 @@ def _scalar_cost(cost: tuple[int, int, int], config: BoomerangConfig) -> float:
 #: or_b << 2``: AND positions carry their two invert bits (0..3), a bypass
 #: position — and every unoccupied one — is the pass-through ``_ROUTE``.
 _ROUTE = 4
+#: a fan-in that is neither a local node, the constant nor a source
+_NOWHERE = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -367,18 +377,139 @@ def _place_once(
     node's placement level above its local logic level (capped at the tree
     height).  With both empty/None the pass is byte-identical to the
     unperturbed placement.
+
+    Each layer is placed by one call into :mod:`repro.core.placement_kernel`
+    where that library loads, else by the Python loop
+    (:func:`_place_python`); the two make the same decisions.
     """
-    where = f"partition s{spec.stage}p{spec.index}"
-    slot_of: dict[int, int] = {}
-    next_slot = 1  # slot 0 is the constant-0 slot
-    for s in spec.sources:
-        slot_of[s] = next_slot
-        next_slot += 1
-    state_size = config.state_size
-    if next_slot > state_size:
+    place_layer = placement_kernel.library()
+    if place_layer is None:
+        return _place_python(eaig, spec, config, timing_driven, bias, promote)
+    return _place_native(place_layer, eaig, spec, config, timing_driven, bias, promote)
+
+
+def _source_slots(spec: PartitionSpec, config: BoomerangConfig, where: str) -> dict[int, int]:
+    """Slots 1.. for the sources (slot 0 is the constant-0 slot)."""
+    slot_of = {s: slot for slot, s in enumerate(spec.sources, start=1)}
+    if len(spec.sources) + 1 > config.state_size:
         raise UnmappableError(
-            f"{where}: {len(spec.sources)} sources exceed state size {state_size}"
+            f"{where}: {len(spec.sources)} sources exceed state size {config.state_size}"
         )
+    return slot_of
+
+
+def _place_native(
+    place_layer,
+    eaig: EAIG,
+    spec: PartitionSpec,
+    config: BoomerangConfig,
+    timing_driven: bool,
+    bias: dict[int, float] | None,
+    promote: dict[int, int] | None,
+) -> PlacedPartition:
+    """:func:`_place_python`'s decisions, a layer per ``gem_place_layer``
+    call.  Python keeps the ``remaining`` set (its iteration order is the
+    tie order within a level), the slot table and the errors."""
+    where = f"partition s{spec.stage}p{spec.index}"
+    slot_of = _source_slots(spec, config, where)
+    remaining = set(spec.nodes)
+    # the partition's own int objects: the slot table's keys share them,
+    # as the Python loop's do
+    node_list = sorted(spec.nodes)
+    nodes = np.array(node_list, dtype=np.int64)
+    n = nodes.size
+    # node id -> local index (rank in ``nodes``), or -1 - slot for the
+    # constant and the sources; _NOWHERE for anything else
+    lut = np.full(len(eaig.kind), _NOWHERE, dtype=np.int64)
+    lut[0] = -1
+    lut[np.array(spec.sources, dtype=np.int64)] = -1 - np.arange(1, len(spec.sources) + 1)
+    lut[nodes] = np.arange(n)
+    lit0 = np.fromiter(map(eaig.fanin0.__getitem__, node_list), dtype=np.int64, count=n)
+    lit1 = np.fromiter(map(eaig.fanin1.__getitem__, node_list), dtype=np.int64, count=n)
+    fan0, fan1 = lut[lit0 >> 1], lut[lit1 >> 1]
+    for i in np.nonzero((fan0 == _NOWHERE) | (fan1 == _NOWHERE))[0][:1].tolist():
+        f = (lit0[i] if fan0[i] == _NOWHERE else lit1[i]) >> 1
+        raise AssertionError(f"node {node_list[i]}: fanin {f} neither available nor local")
+    # consumers as CSR over producers
+    producer = np.concatenate([fan0[fan0 >= 0], fan1[fan1 >= 0]])
+    consumer = np.concatenate([np.nonzero(fan0 >= 0)[0], np.nonzero(fan1 >= 0)[0]])
+    cons_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(producer, minlength=n), out=cons_start[1:])
+    roots = lut[np.array(spec.root_literals(), dtype=np.int64) >> 1]
+    root = np.zeros(n, dtype=np.uint8)
+    root[roots[roots >= 0]] = 1
+    mapped = np.empty(n, dtype=np.int64)
+    wb = np.empty(4 * n, dtype=np.int64)
+    tables = {
+        "fan0": fan0,
+        "fan1": fan1,
+        "inverts": (lit0 & 1) | ((lit1 & 1) << 1),
+        "cons_start": cons_start,
+        "cons": consumer[np.argsort(producer, kind="stable")],
+        "root": root,
+        "slot": np.full(n, -1, dtype=np.int64),
+        "alive": np.ones(n, dtype=np.uint8),
+        "mapped": mapped,
+        "wb": wb,
+    }
+    for name, table, dtype in (("bias", bias, np.float64), ("promote", promote, np.int64)):
+        if table:  # else NULL: unperturbed
+            tables[name] = np.zeros(n, dtype=dtype)
+            for node, value in table.items():
+                if 0 <= node < lut.size and lut[node] >= 0:
+                    tables[name][lut[node]] = value
+    place = placement_kernel.Place(
+        n=n,
+        width_log2=config.width_log2,
+        state_size=config.state_size,
+        timing_driven=bool(timing_driven),
+        next_slot=len(spec.sources) + 1,
+        **{name: arr.ctypes.data for name, arr in tables.items()},
+    )
+    ref = ctypes.byref(place)
+    width = config.width
+    packed: list[PackedLayer] = []
+    while remaining:
+        order = lut[np.fromiter(remaining, dtype=np.int64, count=len(remaining))]
+        perm = np.full(width, -1, dtype=np.int32)
+        fold = np.full(width, _ROUTE, dtype=np.uint8)
+        place.perm, place.fold = perm.ctypes.data, fold.ctypes.data
+        count = place_layer(ref, order.ctypes.data, order.size)
+        if count == 0:
+            raise PlacementStallError(
+                f"{where}: placement made no progress", stage=spec.stage, index=spec.index
+            )
+        if count == -1:
+            raise UnmappableError(f"{where}: state overflow at {place.next_slot} slots")
+        if count == -2:
+            raise MemoryError(f"{where}: placement scratch")
+        if count < 0:  # pragma: no cover - guarded by the fan-in check above
+            raise AssertionError(f"{where}: a fan-in is neither available nor local")
+        writebacks: list[tuple[int, int, int]] = []
+        for level, pos, slot, i in wb[: 4 * place.nwb].reshape(-1, 4).tolist():
+            slot_of[node_list[i]] = slot
+            writebacks.append((level, pos, slot))
+        packed.append(PackedLayer(perm=perm, fold=fold, writebacks=writebacks))
+        remaining -= set(nodes[mapped[:count]].tolist())
+    return PlacedPartition(
+        spec=spec, config=config, slot_of=slot_of, num_slots=place.next_slot, packed=packed
+    )
+
+
+def _place_python(
+    eaig: EAIG,
+    spec: PartitionSpec,
+    config: BoomerangConfig,
+    timing_driven: bool,
+    bias: dict[int, float] | None = None,
+    promote: dict[int, int] | None = None,
+) -> PlacedPartition:
+    """:func:`_place_once` in Python: the reference the native layer loop
+    is held against, and the path on a host without a C compiler."""
+    where = f"partition s{spec.stage}p{spec.index}"
+    slot_of = _source_slots(spec, config, where)
+    next_slot = len(spec.sources) + 1
+    state_size = config.state_size
 
     remaining = set(spec.nodes)
     # node -> (fan-in node 0, fan-in node 1, invert bits as a fold constant)

@@ -10,10 +10,10 @@ from repro.rtl import CircuitBuilder
 from tests.helpers import random_circuit, random_vectors
 
 
-def _config(width_log2=10, gpp=300):
+def _config(width_log2=10, gpp=300, state_bits=None):
     return GemConfig(
         partition=PartitionConfig(gates_per_partition=gpp),
-        boomerang=BoomerangConfig(width_log2=width_log2),
+        boomerang=BoomerangConfig(width_log2=width_log2, state_bits=state_bits),
     )
 
 
@@ -93,19 +93,31 @@ class TestCompile:
         with pytest.raises(UnmappableError, match="could not find"):
             GemCompiler(cfg).compile(circuit)
 
-    @pytest.mark.parametrize("width_log2", [14, 15, 0])
-    def test_unsupported_core_width_rejected_at_compile_start(self, width_log2, tmp_path):
+    @pytest.mark.parametrize(
+        "width_log2, state_bits",
+        [(14, None), (15, None), (0, None), (10, 0), (10, -5), (10, 3), (10, (1 << 14) + 1)],
+        ids=["14", "15", "0", "state_bits=0", "state_bits=-5", "state_bits=3", "state_bits=16385"],
+    )
+    def test_unsupported_core_width_rejected_at_compile_start(
+        self, width_log2, state_bits, tmp_path
+    ):
         """A core wider than one FOLD instruction can program used to die
         with an IndexError in bitstream assembly; it is now a typed error
         raised before any compile work, and the autotuner's sweep records
-        the candidate from it instead of from a crash."""
+        the candidate from it instead of from a crash.  So is a state too
+        small to place one AND (which used to search partition sizes down
+        to the floor before failing) or too big for a writeback's 14-bit
+        slot (which used to escape assembly as an untyped ValueError)."""
         from repro.core.autotune import AutotuneConfig, KnobSpace, autotune
         from repro.errors import ConfigError, GemError
 
         circuit = random_circuit(15, n_ops=30)
-        message = rf"width_log2={width_log2} is outside \[1, 13\]"
+        if state_bits is None:
+            message = rf"width_log2={width_log2} is outside \[1, 13\]"
+        else:
+            message = rf"state_bits={state_bits} is outside \[4, 16384\]"
         with pytest.raises(ConfigError, match=message) as exc:
-            GemCompiler(_config(width_log2=width_log2)).compile(circuit)
+            GemCompiler(_config(width_log2, state_bits=state_bits)).compile(circuit)
         assert isinstance(exc.value, GemError)
         if width_log2 != 14:
             return

@@ -393,6 +393,31 @@ class TestSupervisorTelemetry:
         assert snap["gem_supervisor_rollbacks_total"] >= 1
 
 
+class TestPlacementSpan:
+    @pytest.mark.parametrize("path", ["resolved", "python"])
+    def test_says_which_algorithm2_ran_and_how_often(self, path, monkeypatch):
+        """The ``placement`` span names the Algorithm 2 that ran and counts
+        Algorithm 1's probes: a base placement per partition that is not
+        merged away, one per merge committed, one per merge rejected."""
+        from repro.core import placement_kernel
+
+        if path == "python":
+            monkeypatch.setattr(placement_kernel, "library", lambda: None)
+        circuit = random_circuit(326, n_ops=120, n_regs=6)
+        TRACER.enable()
+        try:
+            design = _compile_small(circuit)
+        finally:
+            TRACER.disable()
+        (span,) = [e for e in TRACER.events() if e["name"] == "placement"]
+        merge = design.merge
+        expected = "python" if path == "python" else placement_kernel.algorithm2()
+        assert span["args"]["algorithm2"] == expected
+        assert span["args"]["probes"] == merge.probes == merge.partitions_before + merge.rejected
+        assert span["args"]["rejected"] == merge.rejected
+        assert merge.partitions_before > merge.partitions_after, "no merge was tried"
+
+
 # -- CLI end to end -----------------------------------------------------------
 
 

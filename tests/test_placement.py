@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import placement
+from repro.core import placement, placement_kernel
 from repro.core.boomerang import BoomerangConfig, Layer, count_layer_work
 from repro.core.compiler import GemConfig, compile_circuit
 from repro.core.eaig import EAIG, EAIGSim, NodeKind
@@ -308,6 +308,7 @@ class TestSmallestCore:
 
     def test_no_progress_is_a_typed_error(self, monkeypatch):
         eaig, spec = _one_and_partition()
+        monkeypatch.setattr(placement_kernel, "library", lambda: None)  # the Python loop
         monkeypatch.setattr(
             placement._LayerBuilder, "try_map_node", lambda self, n, level: False
         )
@@ -316,3 +317,118 @@ class TestSmallestCore:
         assert (info.value.stage, info.value.index) == (spec.stage, spec.index)
         assert isinstance(info.value, GemError)
         assert isinstance(info.value, RuntimeError)  # pre-existing except sites
+
+    def test_no_progress_is_a_typed_error_on_the_native_path(self, monkeypatch):
+        """The layer loop in C places nothing when it is handed no
+        candidates; the caller turns that into the same typed error."""
+        place_layer = _native_or_skip()
+        eaig, spec = _one_and_partition()
+        monkeypatch.setattr(
+            placement_kernel, "library", lambda: lambda ref, order, norder: place_layer(ref, order, 0)
+        )
+        with pytest.raises(PlacementStallError, match="placement made no progress") as info:
+            place_partition(eaig, spec, BoomerangConfig(width_log2=1, state_bits=8))
+        assert (info.value.stage, info.value.index) == (spec.stage, spec.index)
+
+
+def _native_or_skip():
+    place_layer = placement_kernel.library()
+    if place_layer is None:
+        pytest.skip("no C compiler and no cached placement library here")
+    return place_layer
+
+
+def _outcome(place, *args):
+    """A placement's whole observable result, or its typed error."""
+    try:
+        pp = place(*args)
+    except (UnmappableError, PlacementStallError) as exc:
+        return type(exc).__name__, str(exc)
+    layers = [
+        (p.perm.dtype.str, p.perm.tolist(), p.fold.dtype.str, p.fold.tolist(), p.writebacks)
+        for p in pp.packed
+    ]
+    return layers, list(pp.slot_of.items()), pp.num_slots
+
+
+_DIFFERENTIAL_DESIGNS = {}
+
+
+def _differential_design(seed, profile, gates_per_partition=150):
+    """A seeded generated design, synthesized and partitioned once."""
+    key = (seed, profile, gates_per_partition)
+    if key not in _DIFFERENTIAL_DESIGNS:
+        from repro.fuzz.designgen import generate_design
+
+        eaig = synthesize(generate_design(seed, profile).spec.build()).eaig
+        pconfig = PartitionConfig(gates_per_partition=gates_per_partition, num_stages=2)
+        _DIFFERENTIAL_DESIGNS[key] = eaig, partition_design(eaig, pconfig).partitions
+    return _DIFFERENTIAL_DESIGNS[key]
+
+
+class TestNativeMatchesPython:
+    """The layer loop in C (:mod:`repro.core.placement_kernel`) against the
+    Python loop it replaces, on every partition of seeded generated
+    designs: the same packed layers, writebacks, slot table and slot count,
+    or the same typed error — across core shapes, both criticality modes
+    and SA perturbations."""
+
+    @pytest.mark.parametrize(
+        "width_log2, state_bits",
+        [(1, 8), (4, None), (4, 4096), (6, None), (6, 4096), (9, None), (13, None)],
+    )
+    @pytest.mark.parametrize("timing_driven", [True, False])
+    @pytest.mark.parametrize("seed, profile", [(3, "mixed"), (5, "deep"), (8, "merge_stress")])
+    def test_every_partition(self, seed, profile, width_log2, state_bits, timing_driven):
+        place_layer = _native_or_skip()
+        # a 2-leaf tree over 8 state bits places only the smallest partitions
+        eaig, specs = _differential_design(seed, profile, 8 if width_log2 == 1 else 150)
+        cfg = BoomerangConfig(width_log2=width_log2, state_bits=state_bits)
+        refine = RefineConfig(iterations=1, seed=seed, move_frac=0.3, promote_prob=0.5)
+        placed = 0
+        for spec in specs:
+            bias: dict[int, float] = {}
+            promote: dict[int, int] = {}
+            nodes = sorted(spec.nodes)
+            rng = placement._refine_rng(refine, spec)
+            for _ in range(3):  # unperturbed, then two chained SA neighbours
+                python = _outcome(
+                    placement._place_python, eaig, spec, cfg, timing_driven, bias, promote
+                )
+                native = _outcome(
+                    placement._place_native,
+                    place_layer, eaig, spec, cfg, timing_driven, bias, promote,
+                )
+                assert native == python, (spec.stage, spec.index, bias, promote)
+                placed += isinstance(python[0], list)
+                if nodes:
+                    bias, promote = placement._neighbor(bias, promote, nodes, rng, refine)
+        if state_bits is not None or width_log2 >= 9:  # else the state is too narrow
+            assert placed, "every partition failed: the case compares errors only"
+
+    def test_state_overflow_is_the_same_error(self):
+        """A state that holds the sources but not the writebacks."""
+        place_layer = _native_or_skip()
+        eaig, specs = _differential_design(5, "deep")
+        spec = max(specs, key=lambda s: len(s.nodes))
+        cfg = BoomerangConfig(width_log2=4, state_bits=len(spec.sources) + 3)
+        python = _outcome(placement._place_python, eaig, spec, cfg, True)
+        assert python[0] == "UnmappableError" and "state overflow" in python[1]
+        native = _outcome(placement._place_native, place_layer, eaig, spec, cfg, True, None, None)
+        assert native == python
+
+    def test_placement_resolves_the_library_on_first_use(self):
+        """Importing placement loads nothing; a placement resolves it."""
+        import subprocess
+        import sys
+
+        code = (
+            "import repro.core.placement, repro.core.placement_kernel as k\n"
+            "assert k._RESOLVED == []\n"
+            "print(k.algorithm2())\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == placement_kernel.algorithm2()

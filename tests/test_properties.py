@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.boomerang import BoomerangConfig
 from repro.core.eaig import EAIG, EAIGSim, TRUE
 from repro.core.partition import PartitionConfig, partition_design
-from repro.core import placement
+from repro.core import placement, placement_kernel
 from repro.core.placement import UnmappableError, place_partition
 from repro.errors import PlacementStallError
 from repro.partition.repcut import repcut_partition
@@ -136,6 +136,8 @@ class TestOccupancyInvariant:
             return ok
 
         placement._LayerBuilder.try_map_node = checked
+        library = placement_kernel.library
+        placement_kernel.library = lambda: None  # the Python loop: its builder is checked
         try:
             # a narrow tree over a roomy state: many layers, many failed attempts
             cfg = BoomerangConfig(width_log2=width_log2, state_bits=4096)
@@ -146,6 +148,7 @@ class TestOccupancyInvariant:
                     pass
         finally:
             placement._LayerBuilder.try_map_node = real
+            placement_kernel.library = library
         assert outcomes[True] > 0 or not any(spec.nodes for spec in plan.partitions)
 
 
