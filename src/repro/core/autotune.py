@@ -7,21 +7,19 @@ partitions fix the per-cycle work — so this module closes the loop from
 1. **Knob sweep** — a deterministic grid over :class:`KnobSpace` dimensions
    (gates_per_partition, stage count, merge aggressiveness, depth-opt,
    boomerang tree height, SA refinement budget) is compiled candidate by
-   candidate and scored with the cheap analytical
-   :func:`repro.core.perfmodel.tuning_score` filter.
-2. **Measured finalists** — the top-k analytical candidates (the default
-   config always rides along) get a short measured batch=1 fused
-   ``cycles_per_s`` run; the measured winner must beat the default by a
-   margin (``min_gain``) or the default is kept.  With
-   ``measure_cycles=0`` the sweep is model-only and fully deterministic.
-3. **Tuning cache** — the winning knobs are stored as JSON keyed by the
+   candidate and scored with the analytical GPU cost model
+   :func:`repro.core.perfmodel.tuning_score`.  The ``model_hz`` argmax
+   wins if it beats the default by :data:`MIN_GAIN`, else the default is
+   kept.  Host timings never enter: the fused plan evaluates every E-AIG
+   AND once whatever the knobs, so a host run would time noise.
+2. **Tuning cache** — the winning knobs are stored as JSON keyed by the
    design's structural CRC + knob-space digest + autotune options, so the
    search runs once per (design, space) and every later compile is a
    cache hit (``gem_tune_cache_hits_total``).
 
-Everything is seeded (`AutotuneConfig.seed`) and wall-clock-free except the
-explicit measurement phase, so the *selection* is reproducible bit-for-bit
-across processes; see ``tests/test_regressions.py``.
+Everything is seeded (`AutotuneConfig.seed`) and wall-clock-free, so the
+selection is reproducible bit-for-bit across processes; see
+``tests/test_regressions.py``.
 """
 
 from __future__ import annotations
@@ -55,8 +53,10 @@ __all__ = [
     "design_crc",
 ]
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 DEFAULT_TUNE_DIR = ".gem_tune"
+#: a tuned winner must beat the default's ``model_hz`` by this fraction
+MIN_GAIN = 0.05
 
 
 def default_tune_dir() -> str:
@@ -151,31 +151,16 @@ def apply_knobs(base: GemConfig, knobs: dict) -> GemConfig:
 
 @dataclass
 class AutotuneConfig:
-    """Search budget and scoring policy of one autotune run."""
+    """Search budget of one autotune run."""
 
     #: max candidates compiled (grid is subsampled deterministically)
     budget: int = 8
-    #: analytical finalists that get a measured run (default always rides)
-    top_k: int = 3
-    #: measured run length per finalist; 0 = model-only (fully deterministic)
-    measure_cycles: int = 24
-    #: best-of repeats per measured finalist (shields against host noise)
-    repeats: int = 3
     seed: int = 0
-    #: measured/model winner must beat the default by this fraction
-    min_gain: float = 0.05
     #: tuning-cache directory (None → GEM_TUNE_DIR / .gem_tune)
     cache_dir: str | None = None
 
     def key_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "top_k": self.top_k,
-            "measure_cycles": self.measure_cycles,
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "min_gain": self.min_gain,
-        }
+        return {"budget": self.budget, "seed": self.seed}
 
 
 @dataclass
@@ -186,7 +171,6 @@ class CandidateResult:
     digest: str  # GemConfig.digest() of the applied candidate
     status: str  # "ok" | "unmappable" | "error"
     score: dict | None = None  # perfmodel.tuning_score breakdown
-    measured_cycles_per_s: float | None = None
     compile_s: float = 0.0
     error: str = ""
 
@@ -211,17 +195,9 @@ class AutotuneResult:
     cache_hit: bool
     cache_path: str | None
     candidates: list[CandidateResult] = field(default_factory=list)
-    default_measured: float | None = None
-    winner_measured: float | None = None
 
     def winning_config(self, base: GemConfig | None = None) -> GemConfig:
         return apply_knobs(base or GemConfig(), self.winner_knobs)
-
-    @property
-    def measured_gain(self) -> float | None:
-        if self.default_measured and self.winner_measured:
-            return self.winner_measured / self.default_measured
-        return None
 
     def summary(self) -> str:
         """The sweep as text: one line per candidate, then the verdict."""
@@ -229,17 +205,10 @@ class AutotuneResult:
         lines = [f"{self.design} (crc {self.crc}): {hit}, winner = {self.winner_label}"]
         for cand in self.candidates:
             label = ", ".join(f"{k}={v}" for k, v in cand.knobs.items()) or "default"
-            measured = (
-                f"  measured {cand.measured_cycles_per_s:8.0f} c/s"
-                if cand.measured_cycles_per_s
-                else ""
-            )
             model = f"model {cand.model_hz:9.0f} Hz" if cand.score else cand.status
+            compiled = f"compile {cand.compile_s:6.2f} s"
             marker = " <== winner" if cand.digest == self.winner_digest else ""
-            lines.append(f"  [{cand.status:10s}] {model}{measured}  {label}{marker}")
-        gain = self.measured_gain
-        if gain is not None:
-            lines.append(f"measured winner/default: {gain:.2f}x")
+            lines.append(f"  [{cand.status:10s}] {model}  {compiled}  {label}{marker}")
         lines.append(f"winning knobs: {self.winner_knobs or '(default config)'}")
         lines.append(f"cache: {self.cache_path}")
         return "\n".join(lines)
@@ -256,8 +225,6 @@ class AutotuneResult:
             "winner_knobs": self.winner_knobs,
             "winner_digest": self.winner_digest,
             "winner_label": self.winner_label,
-            "default_measured": self.default_measured,
-            "winner_measured": self.winner_measured,
             "candidates": [asdict(c) for c in self.candidates],
         }
 
@@ -276,8 +243,6 @@ class AutotuneResult:
             cache_hit=True,
             cache_path=cache_path,
             candidates=[CandidateResult(**c) for c in payload.get("candidates", ())],
-            default_measured=payload.get("default_measured"),
-            winner_measured=payload.get("winner_measured"),
         )
 
 
@@ -299,9 +264,9 @@ def _counter(name: str, help: str, **labels):
     return REGISTRY.counter(name, help=help, labels=labels or None)
 
 
-def _load_cache(path: str, **identity: str) -> dict | None:
-    """The payload at ``path`` if it is of this version and agrees with
-    every ``identity`` field, else ``None``."""
+def _load_cache(path: str, **identity: str) -> AutotuneResult | None:
+    """The sweep cached at ``path`` if it is of this version, agrees with
+    every ``identity`` field and builds a result, else ``None``."""
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -310,12 +275,17 @@ def _load_cache(path: str, **identity: str) -> dict | None:
     want = {"version": CACHE_VERSION, **identity}
     if not isinstance(payload, dict) or any(payload.get(k) != v for k, v in want.items()):
         return None
-    return payload
+    try:
+        return AutotuneResult.from_payload(payload, path)
+    except (TypeError, KeyError, ValueError):
+        return None  # a hand-edited or foreign file: a miss, never trusted
 
 
-def _recall_cache(cache_dir: str, design: str, crc: str, base_digest: str) -> tuple | None:
-    """``(path, payload)`` of the newest cached sweep of this design (same
-    netlist, same base config) whatever its search options were."""
+def _recall_cache(
+    cache_dir: str, design: str, crc: str, base_digest: str
+) -> AutotuneResult | None:
+    """The newest cached sweep of this design (same netlist, same base
+    config) whatever its search options were."""
     try:
         paths = [
             os.path.join(cache_dir, entry)
@@ -325,9 +295,9 @@ def _recall_cache(cache_dir: str, design: str, crc: str, base_digest: str) -> tu
     except OSError:
         return None
     for path in sorted(paths, key=lambda p: (os.path.getmtime(p), p), reverse=True):
-        payload = _load_cache(path, design=design, crc=crc, base_digest=base_digest)
-        if payload is not None:
-            return path, payload
+        cached = _load_cache(path, design=design, crc=crc, base_digest=base_digest)
+        if cached is not None:
+            return cached
     return None
 
 
@@ -357,18 +327,8 @@ def _choose_candidates(
     return chosen
 
 
-def _measure_once(design: CompiledDesign, vecs: list[dict]) -> float:
-    sim = design.simulator(batch=1)
-    sim.run(vecs[:2])  # first-touch decode/fusion outside the timer
-    t0 = time.perf_counter()
-    sim.run(vecs)  # the block path: the speed a run of the winner gets
-    elapsed = max(time.perf_counter() - t0, 1e-9)
-    return len(vecs) / elapsed
-
-
 def autotune(
     design_input: SynthesisResult | Callable[[GemConfig], SynthesisResult],
-    stimuli: list[dict] | None = None,
     *,
     name: str | None = None,
     base: GemConfig | None = None,
@@ -383,9 +343,7 @@ def autotune(
     knobs like ``optimize`` are then inert — every candidate reuses the same
     netlist) or a provider called as ``provider(config)`` so candidates with
     different synthesis knobs get their own netlist (the runner passes its
-    config-keyed ``design_synth``).  ``stimuli`` feeds the measured phase;
-    without it (or with ``measure_cycles=0``) selection is model-only.
-    ``compile_fn`` overrides how a candidate config becomes a
+    config-keyed ``design_synth``).  ``compile_fn`` overrides how a candidate config becomes a
     :class:`CompiledDesign` — the runner passes its disk-cached
     ``compile_design`` so tuning also warms the compile cache.
 
@@ -394,7 +352,7 @@ def autotune(
     search options stop mattering: the newest cached sweep of this netlist
     under this base config is the answer, and ``opts`` only says how to
     sweep when there is none — what ``gem run --tune`` asks for, so it hits
-    whatever budget, seed or repeats ``gem tune`` was given.
+    whatever budget or seed ``gem tune`` was given.
     """
     base = base or GemConfig()
     space = space or KnobSpace()
@@ -421,19 +379,16 @@ def autotune(
 
     cached = _load_cache(cache_path, key=key)
     if cached is None and recall:
-        newest = _recall_cache(cache_dir, design, crc, base.digest())
-        if newest is not None:
-            cache_path, cached = newest
+        cached = _recall_cache(cache_dir, design, crc, base.digest())
     if cached is not None:
         _counter(
             "gem_tune_cache_hits_total", "tuning-cache hits (no sweep re-run)"
         ).inc()
-        return AutotuneResult.from_payload(cached, cache_path)
+        return cached
     _counter("gem_tune_cache_misses_total", "tuning-cache misses (sweep runs)").inc()
 
     chosen = _choose_candidates(space, base, opts)
     records: list[CandidateResult] = []
-    compiled: dict[str, CompiledDesign] = {}
 
     with TRACER.span(
         f"tune:{design}",
@@ -485,7 +440,6 @@ def autotune(
                     )
                 )
                 continue
-            compiled[digest] = candidate
             records.append(
                 CandidateResult(
                     knobs=knobs,
@@ -508,56 +462,12 @@ def autotune(
                 f"({default_record.status}: {default_record.error})"
             )
 
-        measure = opts.measure_cycles > 0 and stimuli is not None
-        if measure:
-            ranked = sorted(
-                ok, key=lambda r: (-r.model_hz, _knob_sort_key(r.knobs))
-            )
-            finalists = ranked[: max(1, opts.top_k)]
-            if default_record not in finalists:
-                finalists.append(default_record)
-            vecs = stimuli[: opts.measure_cycles]
-            if not vecs:
-                raise ValueError(
-                    "measurement requested but the stimulus list is empty"
-                )
-            # Round-robin the repeats across finalists (best-of per
-            # finalist): measuring one candidate's repeats back-to-back
-            # lets host frequency drift masquerade as a config effect,
-            # while interleaving puts every finalist through the same
-            # thermal window.
-            best: dict[str, float] = {r.digest: 0.0 for r in finalists}
-            for _ in range(max(1, opts.repeats)):
-                for record in finalists:
-                    with TRACER.span(
-                        f"tune:measure:{design}",
-                        cat="tune",
-                        args={"digest": record.digest},
-                    ):
-                        hz = _measure_once(compiled[record.digest], vecs)
-                    best[record.digest] = max(best[record.digest], hz)
-                    _counter(
-                        "gem_tune_measurements_total", "measured finalist runs"
-                    ).inc()
-            for record in finalists:
-                record.measured_cycles_per_s = best[record.digest]
-            winner = max(
-                finalists,
-                key=lambda r: (r.measured_cycles_per_s, _knob_sort_key(r.knobs)),
-            )
-            default_value = default_record.measured_cycles_per_s or 0.0
-            if (
-                winner is not default_record
-                and winner.measured_cycles_per_s < default_value * (1 + opts.min_gain)
-            ):
-                winner = default_record
-        else:
-            winner = max(ok, key=lambda r: (r.model_hz, _knob_sort_key(r.knobs)))
-            if (
-                winner is not default_record
-                and winner.model_hz < default_record.model_hz * (1 + opts.min_gain)
-            ):
-                winner = default_record
+        winner = max(ok, key=lambda r: (r.model_hz, _knob_sort_key(r.knobs)))
+        if (
+            winner is not default_record
+            and winner.model_hz < default_record.model_hz * (1 + MIN_GAIN)
+        ):
+            winner = default_record
 
     result = AutotuneResult(
         design=design,
@@ -572,14 +482,7 @@ def autotune(
         cache_hit=False,
         cache_path=cache_path,
         candidates=records,
-        default_measured=default_record.measured_cycles_per_s,
-        winner_measured=winner.measured_cycles_per_s,
     )
-    gain = result.measured_gain
-    if gain is not None:
-        REGISTRY.gauge(
-            "gem_tune_best_gain", help="measured winner/default cycles_per_s ratio"
-        ).set(gain)
     text = json.dumps(result.to_payload(), indent=2, sort_keys=True)
     write_atomic(cache_path, lambda f: f.write(text.encode()))
     return result

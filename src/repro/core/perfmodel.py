@@ -169,10 +169,10 @@ def tuning_score(
 ) -> dict:
     """Analytical scorecard used by :mod:`repro.core.autotune`.
 
-    The autotuner's cheap filter: rank every knob candidate by modelled
-    :func:`gem_speed` before spending wall clock measuring finalists.  The
-    breakdown fields make tuning-cache records self-describing (why a
-    candidate scored the way it did) without re-compiling the design.
+    The autotuner ranks every knob candidate by modelled :func:`gem_speed`
+    (the ``model_hz`` field) and by nothing else.  The breakdown fields
+    make tuning-cache records self-describing (why a candidate scored the
+    way it did) without re-compiling the design.
     """
     metrics = (
         design_or_metrics

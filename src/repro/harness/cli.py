@@ -10,7 +10,7 @@ One parser tree, built from the :data:`COMMANDS` table::
     gem perf show|diff|compare|validate-trace   # telemetry tooling
     gem fuzz run|replay|corpus              # differential fuzzing (docs/FUZZING.md)
     gem chaos [--seeds S1,S2]               # chaos harness: injected crashes/hangs
-    gem tune <design> [workload]            # compile-time autotuner (docs/TUNING.md)
+    gem tune <design>                       # compile-time autotuner (docs/TUNING.md)
     gem probe list|watch                    # probeable nets, per-cycle values
 
 ``--log-level`` belongs to the root (``gem --log-level info run ...``).
@@ -251,15 +251,13 @@ def _run(args) -> int:
         from repro.harness.runner import autotune_design
 
         tuned = autotune_design(
-            args.design, wl.name, opts=AutotuneConfig(cache_dir=args.tune_cache), recall=True
+            args.design, opts=AutotuneConfig(cache_dir=args.tune_cache), recall=True
         )
         args.tuned_config = tuned.winning_config()
         hit = "cache hit" if tuned.cache_hit else "sweep ran"
-        gain = tuned.measured_gain
-        gain_s = f", measured {gain:.2f}x default" if gain else ""
         print(
             f"autotune: {tuned.winner_label} config {tuned.winner_digest} "
-            f"({hit}{gain_s}; cache {tuned.cache_path})"
+            f"({hit}; cache {tuned.cache_path})"
         )
     probing = args.probe or args.vcd_out or args.saif_out
     if probing:
@@ -552,8 +550,6 @@ def _faultcampaign(args) -> int:
 def _tune_arguments(parser, groups) -> None:
     # defaults are AutotuneConfig's own: an option left out is a field left alone
     parser.add_argument("--budget", type=int, help="max candidates compiled")
-    parser.add_argument("--top-k", type=int, help="measured finalists")
-    parser.add_argument("--repeats", type=int, help="best-of repeats per finalist")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--cache", metavar="DIR",
                         help="tuning-cache directory (default: $GEM_TUNE_DIR or .gem_tune)")
@@ -561,21 +557,16 @@ def _tune_arguments(parser, groups) -> None:
 
 
 def _tune(args) -> int:
-    """Compile-time autotuner: knob sweep + SA placement refinement
-    (docs/TUNING.md).  --max-cycles is the measured cycles per finalist
-    (0 = model-only selection)."""
+    """Compile-time autotuner: knob sweep + SA placement refinement, ranked
+    by the GPU cost model (docs/TUNING.md)."""
     import json
 
     from repro.core.autotune import AutotuneConfig
     from repro.harness.runner import autotune_design
 
-    _, wl, _ = _target(args)
-    given = {
-        "budget": args.budget, "top_k": args.top_k, "measure_cycles": args.max_cycles,
-        "repeats": args.repeats, "seed": args.seed, "cache_dir": args.cache,
-    }
+    given = {"budget": args.budget, "seed": args.seed, "cache_dir": args.cache}
     opts = AutotuneConfig(**{k: v for k, v in given.items() if v is not None})
-    result = autotune_design(args.design, wl.name, opts=opts)
+    result = autotune_design(args.design, opts=opts)
     if args.json:
         print(json.dumps(result.to_payload(), indent=2, sort_keys=True))
         return 0
@@ -971,7 +962,7 @@ COMMANDS: dict[str, Command] = {
     "perf": Command(_perf_arguments, _perf),
     "fuzz": Command(_fuzz_arguments, _fuzz),
     "chaos": Command(_chaos_arguments, _chaos),
-    "tune": Command(_tune_arguments, _tune, ("target",)),
+    "tune": Command(_tune_arguments, _tune, ("design",)),
     "probe": Command(_probe_arguments, _probe),
 }
 

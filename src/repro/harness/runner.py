@@ -354,7 +354,6 @@ def _flow_loader(key: str, program: GemProgram, rebuild: Callable[[], CompiledDe
 
 def autotune_design(
     name: str,
-    workload: str | None = None,
     *,
     base: GemConfig | None = None,
     space: "KnobSpace | None" = None,
@@ -364,15 +363,14 @@ def autotune_design(
     """Autotune a registry design (see :mod:`repro.core.autotune`).
 
     The synth provider is the config-keyed :func:`design_synth`, so
-    candidates that change synthesis knobs get their own netlist; the
-    measured phase uses the named workload's stimuli.  ``recall`` takes
-    the newest cached sweep of the design whatever its search options.
+    candidates that change synthesis knobs get their own netlist.
+    ``recall`` takes the newest cached sweep of the design whatever its
+    search options.
     """
     from repro.core.autotune import autotune
 
     return autotune(
         lambda cfg: design_synth(name, cfg),
-        design_workload(name, workload).stimuli,
         name=name,
         base=base,
         space=space,

@@ -5,19 +5,23 @@ Covers the docs/TUNING.md contracts:
 * the SA placement refinement never worsens ``placement_cost``, is
   deterministic under a seed, and leaves simulated behavior bit-identical;
 * the knob sweep is deterministic, records unmappable candidates instead
-  of dying, and never selects a measured winner below the default;
+  of dying, and crowns a tuned winner only when its modelled speed beats
+  the default's by ``MIN_GAIN``;
 * the tuning cache turns the second autotune of the same (design CRC,
   knob space, options) into a pure cache hit — no sweep re-run — proved
-  on the ``gem_tune_*`` counters.
+  on the ``gem_tune_*`` counters, while a stale or hand-edited cache file
+  is a miss, never a crash.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
 
 from repro.core.autotune import (
+    MIN_GAIN,
     AutotuneConfig,
     AutotuneResult,
     KnobSpace,
@@ -152,7 +156,7 @@ class TestAutotune:
     def test_model_only_winner_and_cache_hit_counters(self, tiny, tmp_path):
         _, synth = tiny
         opts = AutotuneConfig(
-            budget=5, measure_cycles=0, seed=7, cache_dir=str(tmp_path)
+            budget=5, seed=7, cache_dir=str(tmp_path)
         )
         hits0 = _counter_value("gem_tune_cache_hits_total")
         misses0 = _counter_value("gem_tune_cache_misses_total")
@@ -179,15 +183,13 @@ class TestAutotune:
 
     def test_recall_hits_a_sweep_whatever_its_search_options(self, tiny, tmp_path):
         """What ``gem run --tune`` does after ``gem tune``: the sweep ran with
-        a budget, seed and repeat count of its own; a recall at the default
+        a budget and seed of its own; a recall at the default
         options is still a hit, and only a different netlist or base config
         sweeps afresh."""
         _, synth = tiny
         swept = autotune(
             synth, name="tiny", base=_tiny_config(), space=self.SPACE,
-            opts=AutotuneConfig(
-                budget=3, repeats=5, seed=9, measure_cycles=0, cache_dir=str(tmp_path)
-            ),
+            opts=AutotuneConfig(budget=3, seed=9, cache_dir=str(tmp_path)),
         )
         defaults = AutotuneConfig(cache_dir=str(tmp_path))
         compiled = _counter_value("gem_tune_candidates_total")
@@ -203,14 +205,14 @@ class TestAutotune:
         # the newest matching sweep wins
         newer = autotune(
             synth, name="tiny", base=_tiny_config(), space=self.SPACE,
-            opts=AutotuneConfig(budget=2, seed=1, measure_cycles=0, cache_dir=str(tmp_path)),
+            opts=AutotuneConfig(budget=2, seed=1, cache_dir=str(tmp_path)),
         )
         os.utime(newer.cache_path, (2e9, 2e9))
         again = autotune(synth, name="tiny", base=_tiny_config(), opts=defaults, recall=True)
         assert again.cache_path == newer.cache_path != swept.cache_path
 
         # another base config is another question: nothing to recall, so it sweeps
-        model_only = AutotuneConfig(budget=2, measure_cycles=0, cache_dir=str(tmp_path))
+        model_only = AutotuneConfig(budget=2, cache_dir=str(tmp_path))
         other = autotune(
             synth, name="tiny", base=_tiny_config(gates_per_partition=300),
             space=self.SPACE, opts=model_only, recall=True,
@@ -238,35 +240,30 @@ class TestAutotune:
             name="tiny-unmap",
             base=base,
             space=space,
-            opts=AutotuneConfig(budget=4, measure_cycles=0, cache_dir=str(tmp_path)),
+            opts=AutotuneConfig(budget=4, cache_dir=str(tmp_path)),
         )
         statuses = {c.status for c in result.candidates}
         assert "unmappable" in statuses
         assert "ok" in statuses
         assert result.winner_digest  # a mappable winner was still chosen
 
-    def test_measured_winner_never_below_default(self, tiny, tmp_path):
-        circ, synth = tiny
-        stimuli = random_vectors(circ, 23, cycles=12)
+    def test_model_winner_clears_min_gain_or_is_default(self, tiny, tmp_path):
+        _, synth = tiny
         result = autotune(
             synth,
-            stimuli,
-            name="tiny-measured",
+            name="tiny-model",
             base=_tiny_config(),
             space=self.SPACE,
-            opts=AutotuneConfig(
-                budget=4,
-                top_k=2,
-                measure_cycles=10,
-                repeats=1,
-                cache_dir=str(tmp_path),
-            ),
+            opts=AutotuneConfig(budget=4, cache_dir=str(tmp_path)),
         )
-        assert result.default_measured is not None
-        assert result.winner_measured is not None
-        assert result.winner_measured >= result.default_measured
+        default = result.candidates[0]
+        winner = next(c for c in result.candidates if c.digest == result.winner_digest)
         if result.winner_label == "default":
-            assert result.winner_knobs == {}
+            assert winner is default and result.winner_knobs == {}
+        else:
+            assert winner.model_hz >= default.model_hz * (1 + MIN_GAIN)
+        best = max(c.model_hz for c in result.candidates if c.status == "ok")
+        assert winner.model_hz == best or winner is default
 
     def test_crashing_candidate_recorded_not_fatal(self, tiny, tmp_path):
         """A knob corner that dies mid-compile (not merely unmappable) is
@@ -289,7 +286,7 @@ class TestAutotune:
                 width_log2=(9,),
                 sa_iterations=(0,),
             ),
-            opts=AutotuneConfig(budget=4, measure_cycles=0, cache_dir=str(tmp_path)),
+            opts=AutotuneConfig(budget=4, cache_dir=str(tmp_path)),
             compile_fn=compile_fn,
         )
         statuses = [c.status for c in result.candidates]
@@ -326,17 +323,63 @@ class TestAutotune:
                     sa_iterations=(0, 6),
                 ),
                 opts=AutotuneConfig(
-                    budget=3, measure_cycles=0, cache_dir=str(tmp_path)
+                    budget=3, cache_dir=str(tmp_path)
                 ),
                 compile_fn=compile_fn,
             )
 
     def test_cache_payload_roundtrip(self, tiny, tmp_path):
         _, synth = tiny
-        opts = AutotuneConfig(budget=3, measure_cycles=0, cache_dir=str(tmp_path))
+        opts = AutotuneConfig(budget=3, cache_dir=str(tmp_path))
         result = autotune(
             synth, name="tiny-rt", base=_tiny_config(), space=self.SPACE, opts=opts
         )
         loaded = AutotuneResult.from_payload(result.to_payload(), result.cache_path)
         assert loaded.winner_knobs == result.winner_knobs
         assert loaded.winning_config(_tiny_config()).digest() == result.winner_digest
+
+    def test_a_v1_cache_file_is_recalled_as_a_miss(self, tiny, tmp_path):
+        """Every v1 file on disk records a measured finalist phase; a recall
+        skips it and sweeps afresh instead of crowning its stale winner."""
+        _, synth = tiny
+        base = _tiny_config()
+        stale = {
+            "version": 1, "design": "tiny-v1", "crc": design_crc(synth),
+            "space_digest": KnobSpace().digest(), "base_digest": base.digest(),
+            "key": "0123456789abcdef", "seed": 0,
+            "winner_knobs": {"num_stages": 1}, "winner_digest": "f" * 16,
+            "winner_label": "tuned",
+            "candidates": [{
+                "knobs": {}, "digest": base.digest(), "status": "ok",
+                "score": {"model_hz": 1.0}, "measured_cycles_per_s": 900.0,
+                "compile_s": 0.1, "error": "",
+            }],
+        }
+        (tmp_path / "tiny-v1-0123456789ab.json").write_text(json.dumps(stale))
+        compiled = _counter_value("gem_tune_candidates_total")
+        result = autotune(
+            synth, name="tiny-v1", base=base, space=self.SPACE,
+            opts=AutotuneConfig(budget=2, cache_dir=str(tmp_path)), recall=True,
+        )
+        assert not result.cache_hit
+        assert result.winner_digest != stale["winner_digest"]
+        assert _counter_value("gem_tune_candidates_total") == compiled + 2
+
+    def test_an_unknown_candidate_field_is_a_miss(self, tiny, tmp_path):
+        """A file of this version with the right key that no longer builds a
+        result is ignored, never trusted, under both lookups."""
+        _, synth = tiny
+        kwargs = dict(
+            name="tiny-edit", base=_tiny_config(), space=self.SPACE,
+            opts=AutotuneConfig(budget=2, cache_dir=str(tmp_path)),
+        )
+        swept = autotune(synth, **kwargs)
+        with open(swept.cache_path) as f:
+            payload = json.load(f)
+        for recall in (False, True):
+            payload["candidates"][0]["bogus"] = 1
+            with open(swept.cache_path, "w") as f:
+                json.dump(payload, f)
+            again = autotune(synth, recall=recall, **kwargs)
+            assert not again.cache_hit
+            assert again.winner_digest == swept.winner_digest

@@ -31,11 +31,12 @@ def walk(parser, path=("gem",)):
 class TestParserTree:
     """The tree ``main`` parses with is the inventory of the command line."""
 
-    #: what PR 22 took out (DESIGN.md §6 says what replaces each)
+    #: flags taken out of the tree (DESIGN.md §6 says what replaces each)
     REMOVED_FLAGS = {
         "--tune-budget", "--tune-seed", "--tune-topk", "--tune-cycles", "--designs", "--every",
         "--window", "--keep-going", "--max-retries", "--min-gain", "--no-shrink",
-        "--shrink-budget", "--quarantine-after", "--trace-buffer", "--top",
+        "--shrink-budget", "--quarantine-after", "--trace-buffer", "--top", "--top-k",
+        "--repeats",
     }
 
     def test_help_renders_for_every_command(self):
@@ -173,7 +174,7 @@ class TestTargetGroup:
     """design / workload / --max-cycles are resolved in one place."""
 
     @pytest.mark.parametrize(
-        "command", [["run"], ["cosim"], ["faultcampaign"], ["probe", "watch"], ["tune"]]
+        "command", [["run"], ["cosim"], ["faultcampaign"], ["probe", "watch"]]
     )
     def test_unknown_workload_exits_2_with_the_names(self, command, capsys):
         assert cli.main([*command, "openpiton1", "nosuch"]) == cli.EXIT_USAGE
@@ -182,14 +183,14 @@ class TestTargetGroup:
         assert "ldst_quad2, fp_mt_combo0, asi_notused_priv" in out
 
     def test_the_library_resolves_a_workload_the_same_way(self):
-        """``autotune_design(name, "nope")`` used to be a bare ``KeyError``."""
+        """An unknown workload is a ``ConfigError`` naming the valid ones."""
         from repro.errors import ConfigError
-        from repro.harness.runner import autotune_design, design_workload, design_workloads
+        from repro.harness.runner import design_workload, design_workloads
 
         first = next(iter(design_workloads("openpiton1").values()))
         assert design_workload("openpiton1") == first
         with pytest.raises(ConfigError, match="unknown workload 'nope'; available: ldst_quad2"):
-            autotune_design("openpiton1", "nope")
+            design_workload("openpiton1", "nope")
 
     @pytest.mark.parametrize("command", [["compile"], ["run"], ["probe", "list"], ["tune"]])
     def test_unknown_design_exits_2_with_the_names(self, command, capsys):

@@ -131,7 +131,7 @@ class TestCompile:
                 width_log2=(10, 14),
                 sa_iterations=(0,),
             ),
-            opts=AutotuneConfig(budget=4, measure_cycles=0, cache_dir=str(tmp_path)),
+            opts=AutotuneConfig(budget=4, cache_dir=str(tmp_path)),
         )
         rejected = [c for c in result.candidates if c.knobs.get("width_log2") == 14]
         assert rejected and all(c.status == "error" for c in rejected)

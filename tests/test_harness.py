@@ -145,7 +145,7 @@ class TestCache:
             synth = synthesize(random_circuit(5, n_ops=20, with_memory=False))
 
             def write():
-                opts = AutotuneConfig(budget=1, measure_cycles=0, cache_dir=str(tmp_path))
+                opts = AutotuneConfig(budget=1, cache_dir=str(tmp_path))
                 autotune(synth, name="t", opts=opts)
 
         def broken_replace(src, dst):

@@ -231,7 +231,7 @@ result = autotune(
     name="pinned",
     base=base,
     space=space,
-    opts=AutotuneConfig(budget=5, measure_cycles=0, seed=13, cache_dir=sys.argv[1]),
+    opts=AutotuneConfig(budget=5, seed=13, cache_dir=sys.argv[1]),
 )
 program = GemCompiler(result.winning_config(base)).compile(synth).program
 print(json.dumps({
