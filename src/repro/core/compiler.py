@@ -188,6 +188,7 @@ class GemCompiler:
         from repro.core.merging import merge_partitions
         from repro.core.partition import partition_design
         from repro.core.synthesis import SynthesisResult, synthesize
+        from repro.partition import kernel as partition_kernel
 
         config = self.config
         config.validate()
@@ -205,15 +206,18 @@ class GemCompiler:
         merge: MergeResult | None = None
         plan: PartitionPlan | None = None
         for attempt in range(config.max_partition_retries + 1):
-            with TRACER.span(
-                "partition",
-                cat="compile",
-                args={
-                    "attempt": attempt,
-                    "gates_per_partition": pconfig.gates_per_partition,
-                },
-            ):
+            partition_args = {
+                "attempt": attempt,
+                "gates_per_partition": pconfig.gates_per_partition,
+            }
+            with TRACER.span("partition", cat="compile", args=partition_args):
                 plan = partition_design(eaig, pconfig)
+                # which partitioner loops ran, and how much work they did
+                partition_args.update(
+                    kway=partition_kernel.kway(),
+                    bisections=sum(r.bisections for r in plan.stage_results),
+                    fm_passes=sum(r.fm_passes for r in plan.stage_results),
+                )
             span_args = {
                 "partitions": plan.num_partitions,
                 "sa_iterations": config.refine.iterations,

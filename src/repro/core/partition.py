@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import PartitionConfig
 from repro.core.eaig import EAIG, NodeKind, lit_node
+from repro.errors import GemError
 from repro.partition.repcut import RepCutResult, cone_masks, repcut_partition
 
 
@@ -120,7 +121,9 @@ class PartitionPlan:
         }
 
     def validate(self) -> None:
-        """Structural invariants every plan must satisfy."""
+        """Structural invariants every plan must satisfy; a violation is a
+        :class:`~repro.errors.GemError` (a partitioner bug must not reach
+        a bitstream)."""
         eaig = self.eaig
         owned_ffs: set[int] = set()
         owned_rams: set[int] = set()
@@ -131,15 +134,15 @@ class PartitionPlan:
             for g in spec.groups:
                 if g.kind == "ff":
                     if g.ff_node in owned_ffs:
-                        raise AssertionError(f"FF {g.ff_node} owned twice")
+                        raise GemError(f"FF {g.ff_node} owned twice")
                     owned_ffs.add(g.ff_node)
                 elif g.kind == "ram":
                     if g.ram_index in owned_rams:
-                        raise AssertionError(f"RAM {g.ram_index} owned twice")
+                        raise GemError(f"RAM {g.ram_index} owned twice")
                     owned_rams.add(g.ram_index)
                 elif g.kind == "po":
                     if g.po_name in owned_pos:
-                        raise AssertionError(f"output {g.po_name} owned twice")
+                        raise GemError(f"output {g.po_name} owned twice")
                     owned_pos.add(g.po_name)
                 elif g.kind == "cut":
                     published.add(g.cut_node)
@@ -150,31 +153,31 @@ class PartitionPlan:
                     if f == 0:
                         continue
                     if f not in nodes and f not in sources:
-                        raise AssertionError(
+                        raise GemError(
                             f"partition s{spec.stage}p{spec.index}: node {node} "
                             f"reads {f} which is neither local nor a source"
                         )
             for literal in spec.root_literals():
                 f = lit_node(literal)
                 if f != 0 and f not in nodes and f not in sources:
-                    raise AssertionError(
+                    raise GemError(
                         f"partition s{spec.stage}p{spec.index}: root {literal} unresolved"
                     )
             # Earlier-stage AND sources must be published by earlier stages.
             for f in sources:
                 if eaig.kind[f] is NodeKind.AND and f not in published:
-                    raise AssertionError(
+                    raise GemError(
                         f"partition s{spec.stage}p{spec.index}: source {f} is an "
                         "AND node never published by an earlier stage"
                     )
         if owned_ffs != set(eaig.ffs):
             missing = set(eaig.ffs) - owned_ffs
-            raise AssertionError(f"{len(missing)} FFs unowned (e.g. {sorted(missing)[:5]})")
+            raise GemError(f"{len(missing)} FFs unowned (e.g. {sorted(missing)[:5]})")
         if owned_rams != set(range(len(eaig.rams))):
-            raise AssertionError("some RAM blocks unowned")
+            raise GemError("some RAM blocks unowned")
         expected_pos = {name.rsplit("[", 1)[0] for name, _ in eaig.outputs}
         if owned_pos != expected_pos:
-            raise AssertionError(f"outputs unowned: {sorted(expected_pos - owned_pos)[:5]}")
+            raise GemError(f"outputs unowned: {sorted(expected_pos - owned_pos)[:5]}")
 
 
 def build_endpoint_groups(eaig: EAIG) -> list[EndpointGroup]:

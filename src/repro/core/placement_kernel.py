@@ -3,10 +3,13 @@
 :func:`repro.core.placement._place_once` hands each layer of a partition
 to :data:`PLACEMENT_SOURCE`'s ``gem_place_layer`` when the library loads,
 and runs its Python loop otherwise; both make the same decisions, so a
-bitstream does not depend on which one ran.  The library is built, cached
+bitstream does not depend on which one ran.  The library — the compile
+flow's one C library, :data:`COMPILE_SOURCE`, which also holds the
+partitioner's loops (:mod:`repro.partition.kernel`) — is built, cached
 and loaded by :func:`repro.core.backend.load_kernel` (``$CC``, the
-compile-cache directory, ``ctypes``) the first time a partition is
-placed — never at import, so a run, which places nothing, never loads it.
+compile-cache directory, ``ctypes``) the first time a graph is
+partitioned or a partition placed — never at import, so a run, which
+does neither, never loads it.
 
 What C cannot reproduce stays in Python: the iteration order of the
 ``remaining`` set (the tie order within a level; it arrives each layer as
@@ -22,6 +25,7 @@ import ctypes
 import logging
 
 from repro.errors import BackendUnavailableError
+from repro.partition.kernel import PARTITION_SOURCE
 
 logger = logging.getLogger(__name__)
 
@@ -384,6 +388,10 @@ done:
 }
 """
 
+#: the compile flow's one C library: Algorithm 2's layer loop and the
+#: partitioner's FM pass and coarsening round
+COMPILE_SOURCE = PLACEMENT_SOURCE + PARTITION_SOURCE
+
 
 class Place(ctypes.Structure):
     """``gem_place`` of :data:`PLACEMENT_SOURCE`, field for field (the
@@ -420,7 +428,7 @@ def library():
         from repro.core.backend import load_kernel
 
         try:
-            fn = load_kernel(PLACEMENT_SOURCE, "gem_place_layer", SIGNATURE)
+            fn = load_kernel(COMPILE_SOURCE, "gem_place_layer", SIGNATURE)
         except BackendUnavailableError as exc:
             logger.info("native placement unavailable (%s); Algorithm 2 runs in Python", exc)
             fn = None

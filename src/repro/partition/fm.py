@@ -12,52 +12,99 @@ uses — the reproduction's equivalent of hMETIS in the original RepCut paper.
 
 from __future__ import annotations
 
+import ctypes
 import random
+from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
+from repro.partition import kernel
 from repro.partition.hypergraph import Hypergraph
+
+#: FM passes per refinement, at most (it stops at the first that does not
+#: improve the cut)
+_MAX_PASSES = 8
 
 
 def refine_bipartition(
     graph: Hypergraph,
     parts: list[int],
     max_part_weight: Sequence[int],
-    max_passes: int = 8,
     rng: random.Random | None = None,
+    stats: Counter | None = None,
 ) -> int:
     """Improve ``parts`` in place; returns the final cut weight.
 
     ``max_part_weight[p]`` bounds the total vertex weight of part ``p``.
     A move is admissible only if the destination stays within its bound
     (the standard FM balance rule; an initially infeasible side may always
-    shed weight).
+    shed weight).  Each pass runs in C (:mod:`repro.partition.kernel`)
+    where that library loads, else in Python (:func:`_one_pass`); ``rng``
+    shuffles the vertex order before each pass on both paths.
+    ``stats["fm_passes"]`` counts the passes run.
     """
+    if len(parts) != graph.num_vertices or not set(parts) <= {0, 1}:
+        raise ValueError("parts must give every vertex a side, 0 or 1")
     rng = rng or random.Random(0)
-    incidence = graph.incidence()
-    n = graph.num_vertices
-    part_weight = graph.part_weights(parts, 2)
-
-    best_cut = graph.cut_weight(parts)
-    for _ in range(max_passes):
-        improved = _one_pass(graph, parts, part_weight, max_part_weight, incidence, rng)
-        cut = graph.cut_weight(parts)
-        if not improved or cut >= best_cut:
-            best_cut = min(best_cut, cut)
+    lib = kernel.library()
+    for passes in range(1, _MAX_PASSES + 1):
+        order = list(range(graph.num_vertices))
+        rng.shuffle(order)
+        if lib is None:
+            improved, cut = _one_pass(graph, parts, max_part_weight, order)
+        else:
+            improved, cut = _one_pass_native(lib, graph, parts, max_part_weight, order)
+        if not improved:
             break
-        best_cut = cut
-    return best_cut
+    if stats is not None:
+        stats["fm_passes"] += passes
+    return cut
+
+
+def _one_pass_native(
+    lib: kernel.Kernels,
+    graph: Hypergraph,
+    parts: list[int],
+    max_part_weight: Sequence[int],
+    order: list[int],
+) -> tuple[bool, int]:
+    """:func:`_one_pass` as one ``gem_fm_pass`` call."""
+    arrays = graph.arrays()
+    side = np.array(parts, dtype=np.uint8)
+    max_w = np.array(max_part_weight, dtype=np.int64)
+    vertex_order = np.array(order, dtype=np.int64)
+    cut = ctypes.c_int64()
+    rc = lib.fm_pass(
+        ctypes.byref(kernel.graph_struct(arrays)),
+        side.ctypes.data,
+        max_w.ctypes.data,
+        vertex_order.ctypes.data,
+        ctypes.byref(cut),
+    )
+    if rc == -3:  # gains too wide for the bucket array: the same pass in Python
+        return _one_pass(graph, parts, max_part_weight, order)
+    if rc < 0:
+        raise MemoryError("FM pass scratch")
+    parts[:] = side.tolist()
+    return rc == 1, cut.value
 
 
 def _one_pass(
     graph: Hypergraph,
     parts: list[int],
-    part_weight: list[int],
     max_part_weight: Sequence[int],
-    incidence: list[list[int]],
-    rng: random.Random,
-) -> bool:
-    """One FM pass: tentatively move every vertex once, keep best prefix."""
+    order: list[int],
+) -> tuple[bool, int]:
+    """One FM pass: tentatively move every vertex once, keep best prefix.
+
+    ``order`` is the order the gain buckets are filled in.  Returns
+    whether the cut improved, and the cut.  The reference ``gem_fm_pass``
+    is held against, and the path where that library does not load.
+    """
     n = graph.num_vertices
+    incidence = graph.incidence()
+    part_weight = graph.part_weights(parts, 2)
     # pins_in[e][p]: number of net e's pins currently in part p.
     pins_in = [[0, 0] for _ in range(graph.num_nets)]
     for e, net in enumerate(graph.nets):
@@ -79,8 +126,6 @@ def _one_pass(
     # Gain bucket structure: dict gain -> list of vertices (lazy deletion).
     gains = [gain(v) for v in range(n)]
     buckets: dict[int, list[int]] = {}
-    order = list(range(n))
-    rng.shuffle(order)
     for v in order:
         buckets.setdefault(gains[v], []).append(v)
     locked = [False] * n
@@ -171,4 +216,4 @@ def _one_pass(
         part_weight[dst] -= graph.vertex_weight[v]
         part_weight[src] += graph.vertex_weight[v]
 
-    return moved_any and best_sum > 0
+    return moved_any and best_sum > 0, graph.cut_weight(parts)

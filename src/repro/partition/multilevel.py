@@ -13,14 +13,22 @@ tens-of-thousands-of-vertices graphs RepCut produces):
    hierarchy with Fiduccia–Mattheyses refinement at every level.
 
 ``partition_kway`` recursively bisects to reach any ``k`` (weights split
-proportionally for non-power-of-two ``k``).
+proportionally for non-power-of-two ``k``).  Coarsening rounds and FM
+passes run in C (:mod:`repro.partition.kernel`) where that library loads;
+every random draw stays here, on the one ``random.Random`` of the k-way
+partition, so both paths give the same partition.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.partition import kernel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
 
@@ -36,12 +44,55 @@ class _Level:
 
 
 def coarsen(graph: Hypergraph, rng: random.Random) -> tuple[Hypergraph, list[int]]:
-    """One heavy-edge matching round; returns (coarser graph, vertex map)."""
+    """One heavy-edge matching round; returns (coarser graph, vertex map).
+
+    ``rng`` shuffles the matching order; the round runs in C where the
+    library loads, else in Python (:func:`_coarsen_python`).
+    """
+    order = list(range(graph.num_vertices))
+    rng.shuffle(order)
+    lib = kernel.library()
+    if lib is None:
+        return _coarsen_python(graph, order)
+    return _coarsen_native(lib, graph, order)
+
+
+def _coarsen_native(
+    lib: kernel.Kernels, graph: Hypergraph, order: list[int]
+) -> tuple[Hypergraph, list[int]]:
+    """:func:`_coarsen_python` as one ``gem_coarsen`` call."""
+    arrays = graph.arrays()
+    n, m = graph.num_vertices, graph.num_nets
+    out = {
+        "coarse_of": np.empty(n, dtype=np.int64),
+        "vertex_weight": np.empty(n, dtype=np.int64),
+        "net_start": np.empty(m + 1, dtype=np.int64),
+        "pins": np.empty(arrays.pins.size, dtype=np.int64),
+        "net_weight": np.empty(m, dtype=np.int64),
+    }
+    result = kernel.Coarse(**{name: arr.ctypes.data for name, arr in out.items()})
+    vertex_order = np.array(order, dtype=np.int64)
+    if lib.coarsen(
+        ctypes.byref(kernel.graph_struct(arrays)), vertex_order.ctypes.data, ctypes.byref(result)
+    ):
+        raise MemoryError("coarsening scratch")
+    net_start = out["net_start"][: result.mc + 1].copy()
+    coarse = Hypergraph.from_arrays(
+        out["vertex_weight"][: result.nc].copy(),
+        net_start,
+        out["pins"][: net_start[-1]].copy(),
+        out["net_weight"][: result.mc].copy(),
+    )
+    return coarse, out["coarse_of"].tolist()
+
+
+def _coarsen_python(graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, list[int]]:
+    """One round with matching order ``order``: the reference
+    ``gem_coarsen`` is held against, and the path where that library does
+    not load."""
     n = graph.num_vertices
     incidence = graph.incidence()
     match = [-1] * n
-    order = list(range(n))
-    rng.shuffle(order)
     for v in order:
         if match[v] != -1:
             continue
@@ -137,11 +188,13 @@ def bisect(
     weight_fraction0: float = 0.5,
     epsilon: float = 0.05,
     rng: random.Random | None = None,
+    stats: Counter | None = None,
 ) -> list[int]:
     """Multilevel bisection; returns a 0/1 part label per vertex.
 
     ``weight_fraction0`` is part 0's share of total vertex weight and
-    ``epsilon`` the allowed relative imbalance.
+    ``epsilon`` the allowed relative imbalance.  ``stats`` counts the FM
+    passes (:func:`~repro.partition.fm.refine_bipartition`).
     """
     rng = rng or random.Random(0)
     levels: list[_Level] = []
@@ -160,13 +213,13 @@ def bisect(
         int(total * (1 - weight_fraction0) * (1 + epsilon)) + 1,
     ]
     parts = _initial_bipartition(current, target0, rng)
-    refine_bipartition(current, parts, max_w, rng=rng)
+    refine_bipartition(current, parts, max_w, rng=rng, stats=stats)
 
     # Uncoarsen: project and refine at each finer level.
     for level in reversed(levels):
         fine_parts = [parts[level.map_to_coarse[v]] for v in range(level.graph.num_vertices)]
         parts = fine_parts
-        refine_bipartition(level.graph, parts, max_w, rng=rng)
+        refine_bipartition(level.graph, parts, max_w, rng=rng, stats=stats)
     return parts
 
 
@@ -175,8 +228,12 @@ def partition_kway(
     k: int,
     epsilon: float = 0.05,
     seed: int = 0,
+    stats: Counter | None = None,
 ) -> list[int]:
-    """Recursive-bisection k-way partition; returns part id per vertex."""
+    """Recursive-bisection k-way partition; returns part id per vertex.
+
+    ``stats``, when given, counts ``bisections`` and ``fm_passes``.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     parts = [0] * graph.num_vertices
@@ -191,10 +248,13 @@ def partition_kway(
             return
         k_left = k_here // 2
         frac_left = k_left / k_here
-        sub, back = _subgraph(graph, vertices)
-        labels = bisect(sub, weight_fraction0=frac_left, epsilon=epsilon, rng=rng)
-        left = [back[i] for i, p in enumerate(labels) if p == 0]
-        right = [back[i] for i, p in enumerate(labels) if p == 1]
+        labels = bisect(
+            _subgraph(graph, vertices), frac_left, epsilon=epsilon, rng=rng, stats=stats
+        )
+        if stats is not None:
+            stats["bisections"] += 1
+        left = [vertices[i] for i, p in enumerate(labels) if p == 0]
+        right = [vertices[i] for i, p in enumerate(labels) if p == 1]
         recurse(left, k_left, base)
         recurse(right, k_here - k_left, base + k_left)
 
@@ -202,8 +262,9 @@ def partition_kway(
     return parts
 
 
-def _subgraph(graph: Hypergraph, vertices: list[int]) -> tuple[Hypergraph, list[int]]:
-    """Induced sub-hypergraph on ``vertices`` (nets restricted, >=2 pins)."""
+def _subgraph(graph: Hypergraph, vertices: list[int]) -> Hypergraph:
+    """Induced sub-hypergraph on ``vertices`` (vertex ``i`` is
+    ``vertices[i]``; nets restricted, >=2 pins)."""
     index = {v: i for i, v in enumerate(vertices)}
     sub = Hypergraph(vertex_weight=[graph.vertex_weight[v] for v in vertices])
     seen: dict[tuple[int, ...], int] = {}
@@ -218,4 +279,4 @@ def _subgraph(graph: Hypergraph, vertices: list[int]) -> tuple[Hypergraph, list[
             sub.net_weight.append(w)
         else:
             sub.net_weight[idx] += w
-    return sub, vertices
+    return sub

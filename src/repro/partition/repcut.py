@@ -24,6 +24,7 @@ partition counts; this module implements the single-stage core:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.core.eaig import EAIG, NodeKind
@@ -45,6 +46,9 @@ class RepCutResult:
     total_nodes: int
     #: km1 cut of the sharing hypergraph (= extra copies from cut nets)
     cut_weight: int
+    #: multilevel bisections and FM passes the k-way partition ran
+    bisections: int = 0
+    fm_passes: int = 0
 
     @property
     def replicated_nodes(self) -> int:
@@ -152,7 +156,8 @@ def repcut_partition(
     if masks is None:
         masks = cone_masks(eaig, groups, source_flags)
     graph, histogram = build_sharing_hypergraph(len(groups), masks, max_net_pins)
-    assignment = partition_kway(graph, k, epsilon=epsilon, seed=seed)
+    stats: Counter = Counter()
+    assignment = partition_kway(graph, k, epsilon=epsilon, seed=seed, stats=stats)
 
     part_nodes: list[list[int]] = [[] for _ in range(k)]
     mask_parts: dict[int, list[int]] = {}
@@ -176,4 +181,6 @@ def repcut_partition(
         part_groups=part_groups,
         total_nodes=total,
         cut_weight=graph.connectivity_minus_one(assignment),
+        bisections=stats["bisections"],
+        fm_passes=stats["fm_passes"],
     )

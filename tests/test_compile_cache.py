@@ -45,11 +45,14 @@ from tests.helpers import random_circuit
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: what a run must not load: the compile flow, the partitioners, the
-#: four-state reference, the probe / activity / report layers, waveforms
+#: what a run must not load: the compile flow, the partitioners and the
+#: glue of the compile flow's C library (placement_kernel,
+#: partition.kernel), the four-state reference, the probe / activity /
+#: report layers, waveforms
 FLOW_MODULES = (
-    r"repro\.(core\.(eaig|synthesis|depth_opt|partition|merging|placement|ram_mapping)"
-    r"|partition|fourstate\.(dualrail|sim)|obs\.(activity|probe|report)|waveform)\b"
+    r"repro\.(core\.(eaig|synthesis|depth_opt|partition|merging|placement(_kernel)?"
+    r"|ram_mapping)|partition(\.kernel)?|fourstate\.(dualrail|sim)"
+    r"|obs\.(activity|probe|report)|waveform)\b"
 )
 
 

@@ -418,6 +418,34 @@ class TestPlacementSpan:
         assert merge.partitions_before > merge.partitions_after, "no merge was tried"
 
 
+class TestPartitionSpan:
+    def test_says_which_partitioner_ran_and_how_much_work(self, monkeypatch):
+        """The ``partition`` span names the partitioner loops that ran and
+        counts their bisections and FM passes: the same counts on the C
+        loops and on the Python ones."""
+        from repro.partition import kernel
+
+        circuit = random_circuit(326, n_ops=120, n_regs=6)
+        seen = {}
+        for path in ("resolved", "python"):
+            if path == "python":
+                monkeypatch.setattr(kernel, "library", lambda: None)
+            TRACER.enable()
+            try:
+                design = _compile_small(circuit)
+            finally:
+                TRACER.disable()
+            (span,) = [e for e in TRACER.events() if e["name"] == "partition"]
+            TRACER.clear()
+            expected = "python" if path == "python" else kernel.kway()
+            assert span["args"]["kway"] == expected
+            results = design.plan.stage_results
+            assert span["args"]["bisections"] == sum(r.bisections for r in results) > 0
+            assert span["args"]["fm_passes"] == sum(r.fm_passes for r in results) > 0
+            seen[path] = span["args"]["bisections"], span["args"]["fm_passes"]
+        assert seen["resolved"] == seen["python"]
+
+
 # -- CLI end to end -----------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from repro.core.partition import (
     partition_design,
 )
 from repro.core.synthesis import synthesize
+from repro.errors import GemError
 from repro.rtl import CircuitBuilder
 from tests.helpers import random_circuit
 
@@ -123,6 +124,40 @@ class TestPartitionDesign:
         eaig = _design(seed=12)
         plan = partition_design(eaig, PartitionConfig(gates_per_partition=250))
         assert plan.replication_cost() >= 0.0
+
+
+class TestValidateRaisesGemError:
+    """A plan that breaks an invariant is a typed error, not an
+    ``AssertionError``: it is the check between a partitioner bug and a
+    bitstream."""
+
+    def _plan(self):
+        eaig = _design(seed=7, n_ops=100)
+        plan = partition_design(eaig, PartitionConfig(gates_per_partition=300))
+        assert plan.num_partitions >= 2
+        return plan
+
+    def test_doubly_owned_ff(self):
+        plan = self._plan()
+        owner = next(p for p in plan.partitions if p.ff_nodes)
+        other = next(p for p in plan.partitions if p is not owner)
+        ff = next(g for g in owner.groups if g.kind == "ff")
+        other.groups.append(ff)
+        with pytest.raises(GemError, match=f"FF {ff.ff_node} owned twice"):
+            plan.validate()
+
+    def test_unresolved_source(self):
+        plan = self._plan()
+        spec = next(p for p in plan.partitions if p.sources and p.nodes)
+        local = set(spec.nodes)
+        read = {
+            lit_node(f)
+            for n in spec.nodes
+            for f in (plan.eaig.fanin0[n], plan.eaig.fanin1[n])
+        } - local - {0}
+        spec.sources = [s for s in spec.sources if s not in read]
+        with pytest.raises(GemError, match="neither local nor a source"):
+            plan.validate()
 
 
 class TestTrivialDesigns:

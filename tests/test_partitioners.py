@@ -1,9 +1,11 @@
 """FM refinement and multilevel k-way partitioning."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from repro.partition import fm, kernel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import bisect, coarsen, partition_kway
@@ -118,3 +120,142 @@ class TestKway:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             partition_kway(Hypergraph(vertex_weight=[1]), 0)
+
+
+# -- the C loops against the Python ones ---------------------------------------
+
+
+def _native_or_skip():
+    lib = kernel.library()
+    if lib is None:
+        pytest.skip("no C compiler and no cached partitioner library here")
+    return lib
+
+
+def _random_graph(seed: int, n: int, m: int) -> Hypergraph:
+    """Vertex weights 1–50; nets of 2–140 pins (wider than the 16 pins
+    matching reads, and around RepCut's 128-pin net limit); one net in
+    eight repeated with its pins reversed, so contraction merges it."""
+    rng = random.Random(seed)
+    g = Hypergraph(vertex_weight=[rng.randint(1, 50) for _ in range(n)])
+    for _ in range(m):
+        size = min(n, rng.choice([2, 2, 2, 3, 3, 4, 6, 9, 16, 17, 40, 127, 128, 129, 140]))
+        pins = rng.sample(range(n), size)
+        g.add_net(pins, weight=rng.randint(1, 12))
+        if rng.random() < 0.125:
+            g.add_net(pins[::-1], weight=rng.randint(1, 12))
+    return g
+
+
+#: (seed, vertices, nets): a graph with no nets, small and coarsening-sized
+#: ones, and some with more nets than vertices
+_GRAPHS = [(0, 40, 0), (1, 2, 1), (2, 30, 25), (3, 150, 200), (4, 260, 180), (5, 320, 500)]
+
+
+def _python(monkeypatch):
+    monkeypatch.setattr(kernel, "library", lambda: None)
+
+
+class TestNativeMatchesPython:
+    """``gem_fm_pass`` and ``gem_coarsen`` (:mod:`repro.partition.kernel`)
+    against the Python loops they replace: the same result and the same
+    ``random.Random`` state afterwards, so a k-way partition — which shares
+    one generator across all its bisections — is the same on both paths."""
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    def test_coarsen(self, seed, n, m, monkeypatch):
+        _native_or_skip()
+        g = _random_graph(seed, n, m)
+        native_rng, python_rng = random.Random(seed), random.Random(seed)
+        native, native_map = coarsen(g, native_rng)
+        _python(monkeypatch)
+        python, python_map = coarsen(g, python_rng)
+        assert native_map == python_map
+        assert native.vertex_weight == python.vertex_weight
+        assert native.nets == python.nets
+        assert native.net_weight == python.net_weight
+        assert native_rng.getstate() == python_rng.getstate()
+        if m:
+            assert native.num_nets < g.num_nets, "no net merged or vanished"
+        # the native graph's arrays are its nets' arrays
+        for field, cached in zip(native.arrays()._fields, native.arrays()):
+            rebuilt = Hypergraph(
+                vertex_weight=native.vertex_weight,
+                nets=native.nets,
+                net_weight=native.net_weight,
+            ).arrays()
+            assert cached.tolist() == getattr(rebuilt, field).tolist(), field
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    @pytest.mark.parametrize("start", ["random", "tight", "infeasible"])
+    def test_every_fm_pass(self, seed, n, m, start):
+        """Pass by pass as ``refine_bipartition`` runs them: from a random
+        start, from one whose sides sit within half a vertex of their bounds
+        (moves turn inadmissible, then admissible again as the other side
+        sheds weight), and from one whose part 0 holds everything (over its
+        bound)."""
+        lib = _native_or_skip()
+        g = _random_graph(seed, n, m)
+        rng = random.Random(seed)
+        total = g.total_weight
+        max_w = [total // 2 + 1, total // 2 + 1]
+        if start == "infeasible":
+            parts = [0] * n
+            assert g.part_weights(parts, 2)[0] > max_w[0]
+        else:
+            parts = [rng.randrange(2) for _ in range(n)]
+        if start == "tight":
+            max_w = [w + 25 for w in g.part_weights(parts, 2)]
+        for _ in range(fm._MAX_PASSES):
+            order = list(range(n))
+            rng.shuffle(order)
+            python_parts, native_parts = list(parts), list(parts)
+            python = fm._one_pass(g, python_parts, max_w, order)
+            native = fm._one_pass_native(lib, g, native_parts, max_w, order)
+            assert native == python
+            assert native_parts == python_parts
+            assert native[1] == g.cut_weight(native_parts)
+            parts = native_parts
+            if not native[0]:
+                break
+
+    def test_wide_gains_take_the_python_pass(self):
+        """Gains wider than the C bucket array are refined in Python, with
+        the same order: the result does not change."""
+        lib = _native_or_skip()
+        g = _random_graph(6, 60, 80)
+        g.net_weight = [w << 22 for w in g.net_weight]
+        parts = [v % 2 for v in range(g.num_vertices)]
+        order = list(range(g.num_vertices))
+        random.Random(6).shuffle(order)
+        native_parts = list(parts)
+        native = fm._one_pass_native(lib, g, native_parts, [10**9] * 2, order)
+        assert native == fm._one_pass(g, parts, [10**9] * 2, order)
+        assert native_parts == parts
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    def test_partition_kway(self, seed, n, m, monkeypatch):
+        _native_or_skip()
+        g = _random_graph(seed, n, m)
+        native = {}
+        for k in range(2, 10):
+            stats = Counter()
+            native[k] = partition_kway(g, k, seed=seed, stats=stats), stats
+        native_rng, python_rng = random.Random(seed), random.Random(seed)
+        native_bisect = bisect(g, 0.4, rng=native_rng)
+        _python(monkeypatch)
+        for k in range(2, 10):
+            stats = Counter()
+            assert (partition_kway(g, k, seed=seed, stats=stats), stats) == native[k], k
+        assert bisect(g, 0.4, rng=python_rng) == native_bisect
+        assert native_rng.getstate() == python_rng.getstate()
+
+    def test_bad_input_is_refused_before_c_reads_it(self):
+        g = _random_graph(7, 20, 15)
+        with pytest.raises(ValueError, match="0 or 1"):
+            refine_bipartition(g, [2] * 20, [10**6] * 2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            refine_bipartition(g, [0] * 19, [10**6] * 2)
+        g.add_net([0, 20])
+        with pytest.raises(ValueError, match="out of range"):
+            g.arrays()

@@ -22,6 +22,7 @@ from repro.core.synthesis import synthesize
 from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
 from repro.errors import GemError, PlacementStallError
 from repro.harness.runner import DESIGNS
+from repro.partition import kernel as partition_kernel
 from tests.helpers import random_circuit
 
 
@@ -177,8 +178,16 @@ _SA_REFINE = RefineConfig(iterations=6, seed=3)
 
 class TestGoldenBitstreams:
     """sha256 of ``program.words`` for cold default-config compiles, recorded
-    on the commit before the flat-heap builder.  Placement speed-ups must
-    leave every decision — and so every byte — where it was."""
+    on the commit before the flat-heap builder.  Placement and partitioner
+    speed-ups must leave every decision — and so every byte — where it was:
+    each pin holds with the partitioner's C loops and with its Python ones."""
+
+    @pytest.fixture(autouse=True, params=["native", "python"])
+    def partitioner(self, request, monkeypatch):
+        if request.param == "python":
+            monkeypatch.setattr(partition_kernel, "library", lambda: None)
+        elif partition_kernel.library() is None:
+            pytest.skip("no C compiler and no cached partitioner library here")
 
     def test_openpiton1(self):
         design = compile_circuit(DESIGNS["openpiton1"].build())
