@@ -1,12 +1,13 @@
-"""Run one workload on every simulation engine and compare them.
+"""Run one workload on every level of the flow and compare them.
 
 Run:  python examples/compare_simulators.py
 
-Drives the same OpenPiton-like workload through all five engines — golden
-word-level, event-driven (commercial stand-in), compiled full-cycle
-(Verilator stand-in), gate-level (GL0AM stand-in) and the GEM interpreter —
-verifying they agree cycle-for-cycle and reporting each engine's host
-wall-clock plus the activity statistics the performance models consume.
+Drives the same OpenPiton-like workload through the golden word-level
+simulator, the gate-level simulator of the synthesized E-AIG (the GL0AM
+stand-in, whose counts also drive the commercial event-driven model) and
+the GEM interpreter, verifying they agree cycle-for-cycle and reporting
+each engine's host wall-clock plus the activity statistics the performance
+models consume.
 """
 
 import time
@@ -16,8 +17,6 @@ from repro.core.synthesis import synthesize
 from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
 from repro.designs.workloads import openpiton_workloads
 from repro.rtl import Netlist, WordSim
-from repro.simref.cycle_sim import CompiledCycleSim
-from repro.simref.event_sim import EventDrivenSim
 from repro.simref.gate_sim import GateLevelSim
 
 
@@ -25,7 +24,6 @@ def main() -> None:
     scale = OpenPitonScale(cores=2, imem_depth=128, dmem_depth=128)
     circuit = build_openpiton_like(scale)
     wl = openpiton_workloads(cores=2, dmem_depth=128)["ldst_quad2"]
-    netlist = Netlist(circuit)
     synth = synthesize(circuit)
     print(f"design: {circuit.name}, E-AIG {synth.eaig.num_gates()} gates, "
           f"workload {wl.name} ({wl.cycles} cycles)")
@@ -33,9 +31,7 @@ def main() -> None:
     print("compiling for GEM...")
     design = GemCompiler().compile(circuit)
     engines = {
-        "word (golden)": WordSim(netlist),
-        "event-driven": EventDrivenSim(synth),
-        "compiled full-cycle": CompiledCycleSim(netlist),
+        "word (golden)": WordSim(Netlist(circuit)),
         "gate-level": GateLevelSim(synth),
         "GEM interpreter": design.simulator(),
     }
@@ -55,14 +51,12 @@ def main() -> None:
         print(f"{name:24s} {timings[name]:9.2f}s {hz:9.0f}  {'✓' if agrees else '✗'}")
         assert agrees, name
 
-    ev = engines["event-driven"]
     gl = engines["gate-level"]
     gem = engines["GEM interpreter"]
     print("\nactivity statistics (performance-model inputs):")
-    print(f"  signal events / cycle (commercial model): {ev.events_per_cycle:8.1f}")
+    print(f"  signal events / cycle (commercial model): {gl.events_per_cycle:8.1f}")
     print(f"  gate toggles  / cycle (GL0AM model):      {gl.toggles_per_cycle:8.1f}")
     print(f"  GEM per-cycle work: {gem.counters.per_cycle()}")
-    outs = [o for o, r in zip(reference, reference) if o.get('out_valid0')]
     print(f"\nworkload output stream matches the software model: "
           f"{[o['out0'] for o in reference if o.get('out_valid0')] == wl.expected_out}")
 

@@ -19,13 +19,13 @@ Every knob lives in :mod:`repro.core.config`, which imports no flow
 module, so reading a compiled design back loads none of them.
 """
 
-__all__ = ["EAIG", "EAIGSim", "Ram"]
+__all__ = ["EAIG", "Ram"]
 
 
 def __getattr__(name: str):
     # Everything is imported on first touch: `import repro.core` must not
     # load the compile flow into a run that only reads a compiled design.
-    if name in ("EAIG", "EAIGSim", "Ram"):
+    if name in ("EAIG", "Ram"):
         from repro.core import eaig
 
         return getattr(eaig, name)

@@ -19,15 +19,15 @@ The class performs structural hashing and constant folding on construction
 ``AND(x, ~x) = 0``), which is the first half of the depth-oriented synthesis
 step; the rest lives in :mod:`repro.core.depth_opt`.
 
-:class:`EAIGSim` is the bit-level golden simulator for the format, used to
-cross-check both the word-level golden model and the GEM interpreter.
+The format's bit-level simulator is
+:class:`repro.simref.gate_sim.GateLevelSim`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 FALSE = 0  #: literal constant false
 TRUE = 1  #: literal constant true
@@ -317,111 +317,3 @@ class EAIG:
             "rams": len(self.rams),
             "outputs": len(self.outputs),
         }
-
-
-class EAIGSim:
-    """Golden bit-level simulator for an E-AIG.
-
-    Evaluates nodes in index order, which is topological by construction
-    (every fanin literal refers to an already-created node, except FF d
-    inputs which are state).  Time-parallel: values are Python ints used as
-    bit masks, so ``vectors`` independent test sequences simulate at once.
-    """
-
-    def __init__(self, eaig: EAIG, vectors: int = 1) -> None:
-        eaig.check()
-        self.eaig = eaig
-        self.vectors = vectors
-        self.vmask = (1 << vectors) - 1
-        self.value: list[int] = [0] * len(eaig.kind)
-        for ff in eaig.ffs:
-            self.value[ff] = self.vmask if eaig.aux[ff] else 0
-        #: RAM contents, one array of int-bitmask words per vector lane —
-        #: stored as per-lane lists because addresses differ across lanes.
-        self.ram_words: list[list[list[int]]] = []
-        for ram in eaig.rams:
-            words = ram.init + [0] * (ram.depth - len(ram.init))
-            self.ram_words.append([list(words[: ram.depth]) for _ in range(vectors)])
-        self.cycle = 0
-
-    def _lit_value(self, literal: int) -> int:
-        v = self.value[lit_node(literal)]
-        return (~v & self.vmask) if lit_neg(literal) else v
-
-    def settle(self, pi_values: Mapping[str, int] | Sequence[int]) -> None:
-        """Drive PI values (bitmask per vector lane) and evaluate all ANDs."""
-        eaig = self.eaig
-        if isinstance(pi_values, Mapping):
-            by_name = {eaig.names.get(node, f"pi{idx}"): node for idx, node in enumerate(eaig.pis)}
-            for name, val in pi_values.items():
-                node = by_name.get(name)
-                if node is None:
-                    raise KeyError(f"unknown PI {name!r}")
-                self.value[node] = val & self.vmask
-        else:
-            if len(pi_values) != len(eaig.pis):
-                raise ValueError(f"expected {len(eaig.pis)} PI values, got {len(pi_values)}")
-            for node, val in zip(eaig.pis, pi_values):
-                self.value[node] = val & self.vmask
-        value = self.value
-        kind = eaig.kind
-        fanin0 = eaig.fanin0
-        fanin1 = eaig.fanin1
-        vmask = self.vmask
-        for node in range(1, len(kind)):
-            if kind[node] is NodeKind.AND:
-                a = fanin0[node]
-                b = fanin1[node]
-                va = value[a >> 1] ^ (vmask if a & 1 else 0)
-                vb = value[b >> 1] ^ (vmask if b & 1 else 0)
-                value[node] = va & vb
-
-    def _lane_bits(self, literals: Sequence[int], lane: int) -> int:
-        word = 0
-        for i, literal in enumerate(literals):
-            if (self._lit_value(literal) >> lane) & 1:
-                word |= 1 << i
-        return word
-
-    def clock_edge(self) -> None:
-        eaig = self.eaig
-        ff_next = [(ff, self._lit_value(eaig.fanin0[ff])) for ff in eaig.ffs]
-        ram_next: list[list[int | None]] = []
-        for ram_idx, ram in enumerate(eaig.rams):
-            lanes: list[int | None] = []
-            for lane in range(self.vectors):
-                if (self._lit_value(ram.ren) >> lane) & 1:
-                    raddr = self._lane_bits(ram.raddr, lane)
-                    lanes.append(self.ram_words[ram_idx][lane][raddr])
-                else:
-                    lanes.append(None)  # hold
-            ram_next.append(lanes)
-        for ram_idx, ram in enumerate(eaig.rams):
-            for lane in range(self.vectors):
-                if (self._lit_value(ram.wen) >> lane) & 1:
-                    waddr = self._lane_bits(ram.waddr, lane)
-                    wdata = self._lane_bits(ram.wdata, lane)
-                    self.ram_words[ram_idx][lane][waddr] = wdata
-        for ff, val in ff_next:
-            self.value[ff] = val
-        for ram_idx, ram in enumerate(eaig.rams):
-            for bit, node in enumerate(ram.data_nodes):
-                current = self.value[node]
-                new = current
-                for lane in range(self.vectors):
-                    word = ram_next[ram_idx][lane]
-                    if word is None:
-                        continue
-                    bitval = (word >> bit) & 1
-                    new = (new & ~(1 << lane)) | (bitval << lane)
-                self.value[node] = new & self.vmask
-        self.cycle += 1
-
-    def step(self, pi_values: Mapping[str, int] | Sequence[int]) -> dict[str, int]:
-        self.settle(pi_values)
-        outs = self.outputs()
-        self.clock_edge()
-        return outs
-
-    def outputs(self) -> dict[str, int]:
-        return {name: self._lit_value(literal) for name, literal in self.eaig.outputs}

@@ -3,9 +3,8 @@
 This reproduction has no GPU, so simulated-cycles-per-second numbers are
 produced by analytical timing models driven by *measured* quantities from
 the real flow: instruction words assembled, permutation/fold bits placed,
-partitions per stage, signal events counted by the event-driven baseline,
-gate toggles counted by the gate-level baseline, and op counts of the
-compiled cycle simulator.  The same methodology as calibrating an
+partitions per stage, signal events and gate toggles counted by the
+gate-level simulator, and the width-weighted op count of the netlist.  The same methodology as calibrating an
 architectural simulator: fix a small set of rate constants against anchor
 points, then let every other number fall out of the counted work.
 
@@ -19,7 +18,7 @@ Models
 * :func:`event_sim_speed` — commercial event-driven tool:
   per-cycle scheduler overhead + events × per-event cost.
 * :func:`compiled_sim_speed` — Verilator-style compiled full-cycle:
-  word ops × per-op cost (+ thread scaling via
+  word ops (:func:`compiled_work_units`) × per-op cost (+ thread scaling via
   :class:`repro.simref.threads.ThreadScalingModel`).
 * :func:`gate_sim_speed` — GL0AM-style GPU gate-level:
   kernel launches × launch cost + toggled gates / GPU gate rate.
@@ -249,6 +248,19 @@ def event_sim_speed(events_per_cycle: float, cpu: CpuProfile = XEON) -> float:
     """Simulated Hz of the commercial event-driven baseline."""
     t = cpu.event_cycle_overhead_s + events_per_cycle / cpu.event_rate
     return 1.0 / t
+
+
+def compiled_work_units(netlist) -> int:
+    """Per-cycle work of a compiled full-cycle simulator of ``netlist``:
+    one unit per produced bit of every combinational op and register.
+
+    Full-cycle simulators do all of it every cycle, and compiled-code cost
+    tracks datapath width (wide ops compile to more machine work), so this
+    is what :func:`compiled_sim_speed` charges.
+    """
+    return sum(op.out.width for op in netlist.order) + sum(
+        op.out.width for op in netlist.circuit.registers
+    )
 
 
 def compiled_sim_speed(

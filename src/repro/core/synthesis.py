@@ -18,19 +18,19 @@ constructions:
 Behavioral memories are delegated to :mod:`repro.core.ram_mapping`.
 
 The output is a :class:`SynthesisResult` carrying the E-AIG plus the
-word-level I/O binding, and a :meth:`SynthesisResult.make_sim` golden
-adapter used throughout the test suite to prove the lowering correct against
-:class:`repro.rtl.netlist.WordSim`.
+word-level I/O binding; :class:`repro.simref.gate_sim.GateLevelSim` runs
+it with word-valued I/O, which is how the test suite proves the lowering
+correct against :class:`repro.rtl.netlist.WordSim`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.core.config import SynthesisConfig
-from repro.core.eaig import EAIG, EAIGSim, FALSE, TRUE, lit_neg, lit_node, lit_not
+from repro.core.eaig import EAIG, FALSE, TRUE, lit_not
 from repro.core.ram_mapping import MappedMemory, MappingReport, map_memory
 from repro.rtl.ir import Circuit, Op, OpKind, Signal
 from repro.rtl.netlist import Netlist
@@ -47,40 +47,6 @@ class SynthesisResult:
     output_bits: dict[str, list[int]]
     #: per-memory mapping accounting (blocks vs polyfill)
     memory_reports: list[MappingReport]
-
-    def make_sim(self) -> "EAIGWordSim":
-        """Bit-level golden simulator with word-level I/O."""
-        return EAIGWordSim(self)
-
-
-class EAIGWordSim:
-    """Adapter: drive an :class:`EAIGSim` with word-valued inputs/outputs."""
-
-    def __init__(self, result: SynthesisResult) -> None:
-        self.result = result
-        self.sim = EAIGSim(result.eaig, vectors=1)
-        self._num_pis = len(result.eaig.pis)
-
-    def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
-        eaig = self.result.eaig
-        pi_values = [0] * self._num_pis
-        for name, bits in self.result.input_bits.items():
-            value = (inputs or {}).get(name, 0)
-            for i, literal in enumerate(bits):
-                pi_values[eaig.aux[lit_node(literal)]] = (value >> i) & 1
-        self.sim.settle(pi_values)
-        outs = self.outputs()
-        self.sim.clock_edge()
-        return outs
-
-    def outputs(self) -> dict[str, int]:
-        words: dict[str, int] = {}
-        for name, bits in self.result.output_bits.items():
-            value = 0
-            for i, literal in enumerate(bits):
-                value |= self.sim._lit_value(literal) << i
-            words[name] = value
-        return words
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ real MiniRV programs for the CPU designs (loaded over the boot bus),
 tile/stream schedules for the accelerators.  Every workload carries the
 full input stimulus sequence plus, where a software golden model exists,
 the expected visible outputs — so the same workload object drives GEM, the
-event-driven baseline, the compiled baseline, the gate-level baseline and
-the correctness tests.
+gate-level simulator whose counts feed the Table II baselines, and the
+correctness tests.
 """
 
 from __future__ import annotations

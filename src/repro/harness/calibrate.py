@@ -84,13 +84,14 @@ def calibrate(
         if isinstance(nvdla_design, GemMetrics)
         else gem_metrics(nvdla_design)
     )
-    gate_launches = 2.0 * nvdla_activity.gate_levels
     raw = {
         "gem_a100": gem_speed(metrics, A100),
         "gem_3090": gem_speed(metrics, RTX3090),
         "commercial": event_sim_speed(nvdla_activity.events_per_cycle),
         "verilator_1t": compiled_sim_speed(nvdla_activity.compiled_ops_per_cycle, 1),
-        "gl0am": gate_sim_speed(nvdla_activity.toggles_per_cycle, gate_launches),
+        "gl0am": gate_sim_speed(
+            nvdla_activity.toggles_per_cycle, nvdla_activity.gate_launches_per_cycle
+        ),
     }
     scales = {key: anchors[key] / raw[key] for key in raw}
     return CalibratedModels(scales=scales)

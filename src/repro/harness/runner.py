@@ -5,8 +5,8 @@ Benchmarks regenerate the paper's tables from three kinds of data:
 1. **flow outputs** — the compile reports of :func:`compile_design`
    (gates, levels, stages, layers, partitions, bitstream bytes);
 2. **activity measurements** — :func:`measure_activity` runs the
-   event-driven and gate-level reference engines on a workload window and
-   reports events/toggles per cycle;
+   gate-level reference engine on a workload window and reports
+   events/toggles per cycle, beside the static compiled-work count;
 3. **model speeds** — :mod:`repro.core.perfmodel` converts 1+2 into Hz.
 
 How fast the simulator itself runs on this host is not measured here:
@@ -112,8 +112,13 @@ def _cache_path(key: str, prefix: str | None = None) -> str:
     return os.path.join(cache_dir(), f"{prefix or key.split(':')[0]}-{digest}.pkl")
 
 
-def _discard_cache_file(path: str, reason: str) -> None:
+def _discard_cache_file(path: str, key: str, reason: str) -> None:
     logger.warning("discarding cache entry %s: %s", path, reason)
+    REGISTRY.counter(
+        "gem_cache_discards_total",
+        "cache files found unusable, deleted and rebuilt",
+        labels={"cache": key.split(":", 1)[0]},
+    ).inc()
     try:
         os.remove(path)
     except OSError:
@@ -133,14 +138,14 @@ def _load_cached(path: str, key: str):
     except (FileNotFoundError, NotADirectoryError):  # nothing cached (or nowhere to)
         return None
     except Exception as exc:
-        _discard_cache_file(path, f"unreadable pickle ({type(exc).__name__}: {exc})")
+        _discard_cache_file(path, key, f"unreadable pickle ({type(exc).__name__}: {exc})")
         return None
     if (
         not isinstance(envelope, dict)
         or envelope.get("format") != CACHE_FORMAT
         or envelope.get("key") != key
     ):
-        _discard_cache_file(path, "stale format or key mismatch")
+        _discard_cache_file(path, key, "stale format or key mismatch")
         return None
     return (envelope["value"],)
 
@@ -335,7 +340,7 @@ def _flow_loader(key: str, program: GemProgram, rebuild: Callable[[], CompiledDe
         if hit is not None and hit[0]["bitstream_sha256"] == want:
             return hit[0]["flow"]
         if hit is not None:
-            _discard_cache_file(_cache_path(key), "flow of another bitstream")
+            _discard_cache_file(_cache_path(key), key, "flow of another bitstream")
         _count_miss("compile")
         design = rebuild()
         _memory_cache[key] = design
@@ -399,7 +404,7 @@ def design_workload(name: str, workload: str | None = None) -> Workload:
 
 @dataclass
 class ActivityMeasurement:
-    """Per-workload activity statistics from the reference engines."""
+    """Per-workload activity statistics from the gate-level reference engine."""
 
     design: str
     workload: str
@@ -409,33 +414,35 @@ class ActivityMeasurement:
     gate_levels: int
     compiled_ops_per_cycle: float
 
+    @property
+    def gate_launches_per_cycle(self) -> float:
+        """GL0AM's kernel launches per cycle: one per level, in each of the
+        two settles of a cycle (combinational and post-edge)."""
+        return 2.0 * self.gate_levels
+
 
 def measure_activity(name: str, workload: Workload, max_cycles: int | None = 400) -> ActivityMeasurement:
-    """Run the event-driven + gate-level engines over a workload window."""
+    """Run the gate-level engine over a workload window and count the
+    design's compiled work."""
 
     def make() -> ActivityMeasurement:
-        from repro.simref.cycle_sim import CompiledCycleSim
-        from repro.simref.event_sim import EventDrivenSim
+        from repro.core.perfmodel import compiled_work_units
         from repro.simref.gate_sim import GateLevelSim
         from repro.rtl.netlist import Netlist
 
-        synth = design_synth(name)
         stimuli = workload.stimuli
         if max_cycles is not None and len(stimuli) > max_cycles:
             stimuli = stimuli[:max_cycles]
-        ev = EventDrivenSim(synth)
-        gl = GateLevelSim(synth)
-        ev.run(stimuli)
+        gl = GateLevelSim(design_synth(name))
         gl.run(stimuli)
-        compiled = CompiledCycleSim(Netlist(design_circuit(name)))
         return ActivityMeasurement(
             design=name,
             workload=workload.name,
             cycles=len(stimuli),
-            events_per_cycle=ev.events_per_cycle,
+            events_per_cycle=gl.events_per_cycle,
             toggles_per_cycle=gl.toggles_per_cycle,
             gate_levels=gl.depth,
-            compiled_ops_per_cycle=float(compiled.work_units),
+            compiled_ops_per_cycle=float(compiled_work_units(Netlist(design_circuit(name)))),
         )
 
     key = f"activity:{name}:{workload.name}:{max_cycles}:v2"

@@ -211,7 +211,6 @@ def table2_rows(
             activity = measure_activity(name, wl, max_cycles=max_cycles)
             if ratio != 1.0:
                 activity = _scale_activity(activity, ratio)
-            launches = 2.0 * activity.gate_levels
             rows.append(
                 Table2Row(
                     design=name,
@@ -219,7 +218,9 @@ def table2_rows(
                     commercial=models.commercial(activity.events_per_cycle),
                     verilator_8t=models.verilator(activity.compiled_ops_per_cycle, 8),
                     verilator_1t=models.verilator(activity.compiled_ops_per_cycle, 1),
-                    gl0am=models.gl0am(activity.toggles_per_cycle, launches),
+                    gl0am=models.gl0am(
+                        activity.toggles_per_cycle, activity.gate_launches_per_cycle
+                    ),
                     gem_a100=gem_a100,
                     gem_3090=gem_3090,
                 )

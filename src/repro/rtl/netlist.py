@@ -6,9 +6,9 @@ combinational ops, logic levels, fanout maps and cycle detection.
 
 :class:`WordSim` is the *golden model* of the whole repository: a direct
 Python-integer evaluation of the word-level netlist, independent of the
-E-AIG synthesis path.  Every other simulator (the event-driven baseline, the
-levelized baseline, the gate-level model, and the GEM interpreter itself) is
-tested cycle-for-cycle against it.
+E-AIG synthesis path.  The other cycle simulators (the gate-level
+:class:`~repro.simref.gate_sim.GateLevelSim` and the GEM interpreter itself)
+are tested cycle-for-cycle against it.
 """
 
 from __future__ import annotations

@@ -10,9 +10,14 @@ substrate:
   gather-evaluate-scatter (one "kernel launch" + one synchronization);
 * per-node toggle counts are tracked, because GL0AM's re-simulation
   acceleration makes its effective speed activity-dependent — the
-  performance model uses the measured toggle rate the same way.
+  performance model uses the measured toggle rate the same way;
+* source-bit changes (PI bits set, FF and RAM-data commits) are counted
+  beside the AND toggles: their sum is the signal-event count of a
+  zero-delay event-driven simulator (the commercial-tool stand-in of
+  Table II, whose cost scales with ``events_per_cycle``).
 
-It is validated bit-for-bit against :class:`repro.core.eaig.EAIGSim`.
+It is the one bit-level simulator of the E-AIG, validated cycle-for-cycle
+against the word-level golden :class:`repro.rtl.netlist.WordSim`.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.eaig import EAIG, NodeKind, lit_node
+from repro.core.eaig import NodeKind
 from repro.core.synthesis import SynthesisResult
 
 
@@ -58,6 +63,8 @@ class GateLevelSim:
             self.ram_words.append(words[: ram.depth])
         self.cycle = 0
         self.total_toggles = 0
+        #: AND toggles plus source-bit changes, over all cycles
+        self.total_events = 0
         self.gates = eaig.num_gates()
         #: optional per-cycle observer called at the settled point (after
         #: the combinational settle, before the clock edge) — the same
@@ -86,33 +93,42 @@ class GateLevelSim:
                 word |= 1 << i
         return word
 
+    def _commit(self, nodes: list[int], bits: list[bool]) -> int:
+        """Set source ``nodes`` to ``bits``; returns how many changed."""
+        new = np.array(bits, dtype=bool)
+        changed = int((self.value[nodes] != new).sum())
+        self.value[nodes] = new
+        return changed
+
     def step(self, inputs: Mapping[str, int] | None = None) -> dict[str, int]:
         eaig = self.eaig
         given = inputs or {}
+        pi_nodes: list[int] = []
+        pi_bits: list[bool] = []
         for name, bits in self.synth.input_bits.items():
             word = given.get(name, 0)
             for i, literal in enumerate(bits):
-                self.value[literal >> 1] = bool((word >> i) & 1)
+                pi_nodes.append(literal >> 1)
+                pi_bits.append(bool((word >> i) & 1))
+        sources = self._commit(pi_nodes, pi_bits)
         toggles = self._settle()
         outs = self.outputs()
         if self.probe_hook is not None:
             self.probe_hook(self)
         # Clock edge.
-        ff_next = [(ff, self._lit(eaig.fanin0[ff])) for ff in eaig.ffs]
-        ram_updates: list[tuple[int, bool]] = []
+        edge_nodes = list(eaig.ffs)
+        edge_bits = [self._lit(eaig.fanin0[ff]) for ff in eaig.ffs]
         for ridx, ram in enumerate(eaig.rams):
             if self._lit(ram.ren):
                 word = self.ram_words[ridx][self._bits(ram.raddr)]
-                for bit, node in enumerate(ram.data_nodes):
-                    ram_updates.append((node, bool((word >> bit) & 1)))
+                edge_nodes.extend(ram.data_nodes)
+                edge_bits.extend(bool((word >> bit) & 1) for bit in range(len(ram.data_nodes)))
             if self._lit(ram.wen):
                 self.ram_words[ridx][self._bits(ram.waddr)] = self._bits(ram.wdata)
-        for ff, val in ff_next:
-            self.value[ff] = val
-        for node, val in ram_updates:
-            self.value[node] = val
+        sources += self._commit(edge_nodes, edge_bits)
         toggles += self._settle()
         self.total_toggles += toggles
+        self.total_events += toggles + sources
         self.cycle += 1
         return outs
 
@@ -128,6 +144,6 @@ class GateLevelSim:
         return self.total_toggles / self.cycle if self.cycle else 0.0
 
     @property
-    def kernel_launches_per_cycle(self) -> int:
-        """Levelized batches per cycle (two settles: comb + post-edge)."""
-        return 2 * len(self.level_batches)
+    def events_per_cycle(self) -> float:
+        """Mean signal events per cycle (the commercial tool's activity metric)."""
+        return self.total_events / self.cycle if self.cycle else 0.0

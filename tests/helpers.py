@@ -1,8 +1,7 @@
 """Shared test utilities: random circuit generation and lockstep comparison.
 
 The equivalence strategy of this repository: every engine (word-level
-golden sim, bit-level E-AIG sim, event-driven, compiled full-cycle,
-gate-level, and the GEM interpreter itself) exposes
+golden sim, gate-level E-AIG sim, and the GEM interpreter itself) exposes
 ``step(inputs) -> outputs``; tests drive them in lockstep on random and
 directed stimuli and require identical output words every cycle.
 """
@@ -13,9 +12,12 @@ import random
 
 import numpy as np
 
+from repro.core.eaig import EAIG
+from repro.core.synthesis import SynthesisResult
 from repro.harness import cosim
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
+from repro.simref.gate_sim import GateLevelSim
 
 
 def random_circuit(
@@ -140,24 +142,31 @@ def random_vectors(circuit: Circuit, seed: int, cycles: int) -> list[dict[str, i
     ]
 
 
-class Stepped:
-    """A step-only engine (the E-AIG simulators under ``core/``) as a
-    lockstep participant."""
+def eaig_sim(eaig: EAIG, outputs: dict[str, list[int]] | None = None) -> GateLevelSim:
+    """A hand-built E-AIG on the gate-level simulator: one single-bit
+    input per PI, named as the E-AIG names it (``pi<index>`` when it is
+    unnamed), in PI order, and one single-bit output per E-AIG output —
+    or the words ``outputs`` names (name -> literals, LSB first)."""
+    names = [eaig.names.get(node, f"pi{idx}") for idx, node in enumerate(eaig.pis)]
+    assert len(set(names)) == len(names), "PI names must be unique"
+    synth = SynthesisResult(
+        eaig,
+        input_bits={name: [2 * node] for name, node in zip(names, eaig.pis)},
+        output_bits=outputs or {name: [literal] for name, literal in eaig.outputs},
+        memory_reports=[],
+    )
+    return GateLevelSim(synth)
 
-    def __init__(self, engine) -> None:
-        self.engine = engine
 
-    def run(self, stimuli) -> list[dict[str, int]]:
-        return list(map(self.engine.step, stimuli))
+def pi_inputs(sim: GateLevelSim, bits) -> dict[str, int]:
+    """Positional PI values as the inputs of an :func:`eaig_sim`."""
+    return dict(zip(sim.synth.input_bits, bits, strict=True))
 
 
 def lockstep(engines: dict[str, object], stimuli: list[dict[str, int]]) -> None:
     """Drive all engines with the same stimuli (the first is the
     reference); assert identical outputs."""
-    (reference, golden), *duts = (
-        (name, engine if hasattr(engine, "run") else Stepped(engine))
-        for name, engine in engines.items()
-    )
+    (reference, golden), *duts = engines.items()
     site, _ = cosim.lockstep(golden, dict(duts), stimuli)
     assert site is None, (
         f"cycle {site.cycle}: {site.dut} diverged from {reference}: "

@@ -10,7 +10,7 @@ the plan store.  These tests hold:
 * the run path — a disk hit, a simulator, a step — to loading none of the
   compile flow, in a child process as a user's session would;
 * both files to the checks every cache entry gets: a torn, foreign or
-  stale program file is discarded and rebuilt; a flow file that is
+  stale program file is discarded (and counted) and rebuilt; a flow file that is
   missing, unreadable or another bitstream's is rebuilt on first touch,
   and is never handed out beside a program it does not describe;
 * the plan to being written by ``compile_design``, and not by
@@ -58,6 +58,10 @@ FLOW_MODULES = (
 
 def sha256(program) -> str:
     return hashlib.sha256(np.ascontiguousarray(program.words, dtype="<u4")).hexdigest()
+
+
+def discards(cache: str) -> float:
+    return REGISTRY.snapshot().get(f'gem_cache_discards_total{{cache="{cache}"}}', 0.0)
 
 
 def compile_misses() -> float:
@@ -152,15 +156,30 @@ def test_an_unusable_program_file_is_discarded_and_rebuilt(damage, cache, caplog
         envelope.update({"key": "compile:other"} if damage == "foreign" else {"format": 3})
         path.write_bytes(pickle.dumps(envelope))
     forget_compiles()
-    misses = compile_misses()
+    misses, discarded = compile_misses(), discards("compile")
     with caplog.at_level(logging.WARNING):
         design = runner.compile_design("openpiton1")
     assert len(caplog.records) == 1 and "discarding cache entry" in caplog.text
+    assert discards("compile") == discarded + 1, "counted under the entry's kind"
     assert compile_misses() == misses + 1
     assert sha256(design.program) == want
     forget_compiles()
     assert sha256(runner.compile_design("openpiton1").program) == want
     assert compile_misses() == misses + 1, "the rebuilt entry is whole again"
+
+
+@pytest.mark.parametrize("kind", ["synth", "activity"])
+def test_an_unusable_entry_of_any_kind_is_discarded_and_counted(kind, cache, caplog):
+    key = f"{kind}:openpiton1:torn:v2"
+    path = runner._cache_path(key)
+    with open(path, "wb") as f:
+        f.write(b"\x80\x05torn")
+    discarded = discards(kind)
+    with caplog.at_level(logging.WARNING):
+        assert runner._read_entry(key) is None
+    assert "discarding cache entry" in caplog.text
+    assert discards(kind) == discarded + 1
+    assert not os.path.exists(path)
 
 
 @pytest.mark.parametrize("damage", ["missing", "unreadable", "another bitstream's"])

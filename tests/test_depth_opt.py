@@ -6,6 +6,7 @@ from repro.core.depth_opt import compact, depth_report, optimize, rebuild
 from repro.core.eaig import EAIG, NodeKind
 from repro.core.synthesis import synthesize
 from repro.rtl import CircuitBuilder, Netlist, WordSim
+from repro.simref.gate_sim import GateLevelSim
 from tests.helpers import lockstep, random_circuit, random_vectors
 
 
@@ -65,7 +66,7 @@ class TestEquivalence:
     def test_optimize_preserves_behaviour(self, seed):
         circuit = random_circuit(seed + 10, n_ops=45, with_memory=True)
         word = WordSim(Netlist(circuit))
-        optimized = optimize(synthesize(circuit)).make_sim()
+        optimized = GateLevelSim(optimize(synthesize(circuit)))
         lockstep({"word": word, "opt": optimized}, random_vectors(circuit, seed, 30))
 
     def test_optimize_never_increases_gates_or_depth(self):

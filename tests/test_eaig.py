@@ -1,10 +1,11 @@
-"""E-AIG structure, strashing, and the bit-level golden simulator."""
+"""E-AIG structure, strashing, and its semantics on the gate-level simulator."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eaig import EAIG, EAIGSim, FALSE, TRUE, NodeKind, lit_not
+from repro.core.eaig import EAIG, FALSE, TRUE, lit_not
+from tests.helpers import eaig_sim, pi_inputs
 
 
 class TestLiterals:
@@ -130,7 +131,7 @@ class TestAnalysis:
         assert s["pis"] == 1 and s["ffs"] == 1
 
 
-class TestEAIGSim:
+class TestEAIGSemantics:
     def _xor_graph(self):
         g = EAIG()
         a = g.add_pi("a")
@@ -141,15 +142,8 @@ class TestEAIGSim:
     @given(st.integers(0, 1), st.integers(0, 1))
     @settings(max_examples=8, deadline=None)
     def test_xor_truth_table(self, a, b):
-        sim = EAIGSim(self._xor_graph())
-        assert sim.step([a, b])["y"] == a ^ b
-
-    def test_time_parallel_lanes(self):
-        # 4 lanes simulate 4 independent stimuli at once.
-        sim = EAIGSim(self._xor_graph(), vectors=4)
-        # lanes: a = 0b0011, b = 0b0101 -> y = 0b0110
-        outs = sim.step([0b0011, 0b0101])
-        assert outs["y"] == 0b0110
+        sim = eaig_sim(self._xor_graph())
+        assert sim.step({"a": a, "b": b})["y"] == a ^ b
 
     def test_ff_sequence(self):
         g = EAIG()
@@ -157,14 +151,14 @@ class TestEAIGSim:
         q = g.add_ff(init=0, name="q")
         g.set_ff_input(q, g.add_xor(a, q))
         g.add_output("q", q)
-        sim = EAIGSim(g)
+        sim = eaig_sim(g)
         seq = [1, 1, 0, 1]
         expect = []
         state = 0
         for bit in seq:
             expect.append(state)
             state ^= bit
-        got = [sim.step([bit])["q"] for bit in seq]
+        got = [sim.step({"a": bit})["q"] for bit in seq]
         assert got == expect
 
     def test_ram_read_write(self):
@@ -178,22 +172,15 @@ class TestEAIGSim:
         ram.waddr = list(addr)
         ram.wdata = list(data)
         ram.wen = wen
-        for i, node in enumerate(ram.data_nodes):
-            g.add_output(f"q{i}", 2 * node)
-        sim = EAIGSim(g)
+        q = [2 * node for node in ram.data_nodes]
+        sim = eaig_sim(g, {"q": q})
 
         def step(a, d, w):
             bits = [(a >> 0) & 1, (a >> 1) & 1] + [(d >> i) & 1 for i in range(4)] + [w]
-            outs = sim.step(bits)
-            return sum(outs[f"q{i}"] << i for i in range(4))
+            return sim.step(pi_inputs(sim, bits))["q"]
 
         step(0, 0, 0)
         assert step(0, 0, 0) == 5  # init value at addr 0
         step(2, 9, 1)  # write 9 to addr 2 (read-first: sampled old)
         assert step(2, 0, 0) == 0  # read of addr 2 sampled before write
         assert step(0, 0, 0) == 9  # now the write is visible
-
-    def test_pi_count_mismatch_rejected(self):
-        sim = EAIGSim(self._xor_graph())
-        with pytest.raises(ValueError):
-            sim.step([1])

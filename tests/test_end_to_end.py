@@ -1,10 +1,10 @@
-"""Flagship equivalence: all five engines in lockstep on real designs.
+"""Flagship equivalence: every level of the flow in lockstep on real designs.
 
 This is the repository's central correctness statement: the golden
-word-level simulator, the event-driven baseline, the compiled full-cycle
-baseline, the gate-level baseline, and the GEM interpreter (through
-synthesis, multi-stage RepCut, merging, placement and binary bitstream)
-produce identical outputs on every cycle of real workloads.
+word-level simulator, the gate-level simulator of the synthesized E-AIG,
+and the GEM interpreter (through synthesis, multi-stage RepCut, merging,
+placement and binary bitstream) produce identical outputs on every cycle
+of real workloads.
 """
 
 import pytest
@@ -25,8 +25,6 @@ from repro.designs.workloads import (
     rocket_workloads,
 )
 from repro.rtl import Netlist, WordSim
-from repro.simref.cycle_sim import CompiledCycleSim
-from repro.simref.event_sim import EventDrivenSim
 from repro.simref.gate_sim import GateLevelSim
 from tests.helpers import lockstep
 
@@ -45,8 +43,6 @@ def _all_engines(circuit):
     design = GemCompiler(_config()).compile(circuit)
     return {
         "word": WordSim(netlist),
-        "event": EventDrivenSim(synth),
-        "compiled": CompiledCycleSim(netlist),
         "gate": GateLevelSim(synth),
         "gem": design.simulator(),
     }

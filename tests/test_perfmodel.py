@@ -1,5 +1,7 @@
 """Performance model behaviour (repro.core.perfmodel + calibration)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.boomerang import BoomerangConfig
@@ -11,6 +13,7 @@ from repro.core.perfmodel import (
     XEON,
     GemMetrics,
     compiled_sim_speed,
+    compiled_work_units,
     event_sim_speed,
     gate_sim_speed,
     gem_cycle_time,
@@ -20,6 +23,7 @@ from repro.core.perfmodel import (
 )
 from repro.harness.calibrate import PAPER_ANCHOR, CalibratedModels, calibrate
 from repro.harness.runner import ActivityMeasurement
+from repro.rtl import CircuitBuilder, Netlist
 from tests.helpers import random_circuit
 
 
@@ -90,6 +94,30 @@ class TestBaselineModels:
         assert eight > one  # parallel speedup
         assert sixteen < eight  # the paper's degradation
 
+    def test_compiled_work_is_produced_bits(self):
+        """One unit per bit an op or a register produces each cycle."""
+        b = CircuitBuilder()
+        total = b.input("a", 8) + b.input("c", 8)  # 8
+        r = b.reg("r", 4)  # 4
+        r.next = total[3:0]  # 4
+        b.output("s", total)
+        assert compiled_work_units(Netlist(b.build())) == 8 + 4 + 4
+
+    def test_gate_launches_are_two_per_level(self):
+        """One launch per level in each of a cycle's two settles; derived,
+        so cached measurements carry no field for it."""
+        activity = ActivityMeasurement(
+            design="d",
+            workload="w",
+            cycles=10,
+            events_per_cycle=1.0,
+            toggles_per_cycle=1.0,
+            gate_levels=7,
+            compiled_ops_per_cycle=1.0,
+        )
+        assert activity.gate_launches_per_cycle == 14.0
+        assert "gate_launches_per_cycle" not in dataclasses.asdict(activity)
+
     def test_gate_model_launch_bound(self):
         few_levels = gate_sim_speed(10_000, 20)
         many_levels = gate_sim_speed(10_000, 400)
@@ -132,8 +160,9 @@ class TestCalibration:
         assert cal_models.verilator(activity.compiled_ops_per_cycle, 1) == pytest.approx(
             PAPER_ANCHOR["verilator_1t"]
         )
+        assert activity.gate_launches_per_cycle == 2 * activity.gate_levels
         assert cal_models.gl0am(
-            activity.toggles_per_cycle, 2 * activity.gate_levels
+            activity.toggles_per_cycle, activity.gate_launches_per_cycle
         ) == pytest.approx(PAPER_ANCHOR["gl0am"])
 
     def test_uncalibrated_scale_is_identity(self):

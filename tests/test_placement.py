@@ -8,7 +8,7 @@ import pytest
 from repro.core import placement, placement_kernel
 from repro.core.boomerang import BoomerangConfig, Layer, count_layer_work
 from repro.core.compiler import GemConfig, compile_circuit
-from repro.core.eaig import EAIG, EAIGSim, NodeKind
+from repro.core.eaig import EAIG
 from repro.core.partition import PartitionConfig, PartitionSpec, partition_design
 from repro.core.placement import (
     RefineConfig,
@@ -23,7 +23,7 @@ from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
 from repro.errors import GemError, PlacementStallError
 from repro.harness.runner import DESIGNS
 from repro.partition import kernel as partition_kernel
-from tests.helpers import random_circuit
+from tests.helpers import eaig_sim, pi_inputs, random_circuit
 
 
 def _reference_fold(layer: Layer, state: np.ndarray) -> np.ndarray:
@@ -96,23 +96,26 @@ def _placed_design(seed=2, n_ops=80, width_log2=10):
 class TestPlacement:
     def test_all_partition_values_computed_correctly(self):
         eaig, plan, placed, cfg = _placed_design()
-        sim = EAIGSim(eaig)
+        sim = eaig_sim(eaig)
         import random as _r
 
         rng = _r.Random(0)
-        for _ in range(10):
-            sim.settle([rng.getrandbits(1) for _ in eaig.pis])
+
+        def check(settled):
             for pp in placed:
                 local_nodes = set(pp.spec.nodes)
                 state = np.zeros(cfg.state_size, dtype=bool)
                 for node, slot in pp.slot_of.items():
                     if node not in local_nodes:
-                        state[slot] = bool(sim.value[node])
+                        state[slot] = bool(settled.value[node])
                 for layer in pp.layers:
                     layer.execute(state)
                 for node, slot in pp.slot_of.items():
-                    assert bool(state[slot]) == bool(sim.value[node]), node
-            sim.clock_edge()
+                    assert bool(state[slot]) == bool(settled.value[node]), node
+
+        sim.probe_hook = check
+        for _ in range(10):
+            sim.step(pi_inputs(sim, [rng.getrandbits(1) for _ in eaig.pis]))
 
     def test_layers_beat_levelization(self):
         """Fig. 3's claim at unit scale: boomerang layers need far fewer

@@ -6,8 +6,7 @@ Hypothesis-driven invariants that no directed test pins down:
   bit-exactly (placement is total and correct for any mappable shape);
 * the bitstream survives assembly/decode for random designs, and corrupt
   binaries fail loudly instead of mis-executing;
-* RepCut's accounting identities hold on random cone structures;
-* the compiled cycle simulator's generated code is deterministic.
+* RepCut's accounting identities hold on random cone structures.
 """
 
 import random
@@ -18,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.boomerang import BoomerangConfig
-from repro.core.eaig import EAIG, EAIGSim, TRUE
+from repro.core.eaig import EAIG, TRUE
 from repro.core.partition import PartitionConfig, partition_design
 from repro.core import placement, placement_kernel
 from repro.core.placement import UnmappableError, place_partition
 from repro.errors import PlacementStallError
 from repro.partition.repcut import repcut_partition
-from tests.helpers import random_circuit
+from tests.helpers import eaig_sim, pi_inputs, random_circuit
 
 
 def random_eaig(rng: random.Random, n_pis: int, n_ffs: int, n_gates: int) -> EAIG:
@@ -59,20 +58,23 @@ class TestPlacementProperty:
             placed = [place_partition(eaig, spec, cfg) for spec in plan.partitions]
         except UnmappableError:
             return  # legitimately too small a core for this shape
-        sim = EAIGSim(eaig)
-        for _ in range(5):
-            sim.settle([rng.getrandbits(1) for _ in eaig.pis])
+        sim = eaig_sim(eaig)
+
+        def check(settled):
             for pp in placed:
                 local = set(pp.spec.nodes)
                 state = np.zeros(cfg.state_size, dtype=bool)
                 for node, slot in pp.slot_of.items():
                     if node not in local:
-                        state[slot] = bool(sim.value[node])
+                        state[slot] = bool(settled.value[node])
                 for layer in pp.layers:
                     layer.execute(state)
                 for node, slot in pp.slot_of.items():
-                    assert bool(state[slot]) == bool(sim.value[node])
-            sim.clock_edge()
+                    assert bool(state[slot]) == bool(settled.value[node])
+
+        sim.probe_hook = check
+        for _ in range(5):
+            sim.step(pi_inputs(sim, [rng.getrandbits(1) for _ in eaig.pis]))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -215,17 +217,6 @@ class TestBitstreamRobustness:
         a = self._program(44).program.words
         b = self._program(44).program.words
         assert (a == b).all()
-
-
-class TestCompiledSimDeterminism:
-    def test_generated_source_stable(self):
-        from repro.rtl import Netlist
-        from repro.simref.cycle_sim import generate_cycle_source
-
-        circuit = random_circuit(45, n_ops=40)
-        src1 = generate_cycle_source(Netlist(circuit))
-        src2 = generate_cycle_source(Netlist(circuit))
-        assert src1 == src2
 
 
 class TestFuzzGeneratorProperties:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.ram_mapping import RamMappingConfig
 from repro.core.synthesis import SynthesisConfig, synthesize
 from repro.rtl import CircuitBuilder, Netlist, WordSim
+from repro.simref.gate_sim import GateLevelSim
 from tests.helpers import lockstep
 
 
@@ -37,7 +38,7 @@ def _rand_stimuli(circuit, seed, n):
 
 def _check_equivalent(circuit, config=None, cycles=150, seed=0):
     word = WordSim(Netlist(circuit))
-    synth = synthesize(circuit, config).make_sim()
+    synth = GateLevelSim(synthesize(circuit, config))
     lockstep({"word": word, "gem": synth}, _rand_stimuli(circuit, seed, cycles))
 
 
@@ -130,7 +131,7 @@ class TestPolyfill:
         b.output("rd", b.read(mem, addr, sync=False))
         circuit = b.build()
         word = WordSim(Netlist(circuit))
-        synth = synthesize(circuit, self.CFG).make_sim()
+        synth = GateLevelSim(synthesize(circuit, self.CFG))
         vec = {"addr": 3, "we0": 1, "we1": 1, "d0": 11, "d1": 22}
         word.step(vec)
         synth.step(vec)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eaig import EAIG, EAIGSim, FALSE, TRUE
+from repro.core.eaig import EAIG, FALSE, TRUE
 from repro.core.synthesis import (
     add_words,
     const_bits,
@@ -27,7 +27,8 @@ from repro.core.synthesis import (
     tree_xor,
 )
 from repro.rtl import CircuitBuilder, Netlist, WordSim
-from tests.helpers import lockstep, random_circuit, random_vectors
+from repro.simref.gate_sim import GateLevelSim
+from tests.helpers import eaig_sim, lockstep, pi_inputs, random_circuit, random_vectors
 
 
 def _bits_of(value: int, width: int) -> list[int]:
@@ -35,12 +36,8 @@ def _bits_of(value: int, width: int) -> list[int]:
 
 
 def _eval_bits(eaig: EAIG, pi_values: list[int], literals: list[int]) -> int:
-    sim = EAIGSim(eaig)
-    sim.settle(pi_values)
-    out = 0
-    for i, literal in enumerate(literals):
-        out |= sim._lit_value(literal) << i
-    return out
+    sim = eaig_sim(eaig, {"value": list(literals)})
+    return sim.step(pi_inputs(sim, pi_values))["value"]
 
 
 class TestOperatorLibrary:
@@ -148,14 +145,14 @@ class TestCircuitSynthesis:
     def test_random_circuits_equivalent(self, seed):
         circuit = random_circuit(seed, n_ops=50)
         word = WordSim(Netlist(circuit))
-        synth = synthesize(circuit).make_sim()
+        synth = GateLevelSim(synthesize(circuit))
         lockstep({"word": word, "eaig": synth}, random_vectors(circuit, seed + 100, 40))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_circuits_with_memory(self, seed):
         circuit = random_circuit(seed + 50, n_ops=40, with_memory=True, with_async_memory=True)
         word = WordSim(Netlist(circuit))
-        synth = synthesize(circuit).make_sim()
+        synth = GateLevelSim(synthesize(circuit))
         lockstep({"word": word, "eaig": synth}, random_vectors(circuit, seed + 200, 40))
 
     def test_io_binding_complete(self):
@@ -171,5 +168,5 @@ class TestCircuitSynthesis:
         r = b.reg("r", 8, init=0xA5)
         r.next = r
         b.output("q", r)
-        sim = synthesize(b.build()).make_sim()
+        sim = GateLevelSim(synthesize(b.build()))
         assert sim.step({})["q"] == 0xA5
