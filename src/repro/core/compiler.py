@@ -231,11 +231,16 @@ class GemCompiler:
                         refine=config.refine,
                         merge_limit=config.merge_limit,
                     )
-                    # which Algorithm 2 ran, and how often Algorithm 1 ran it
+                    # which Algorithm 2 ran, how often Algorithm 1 ran it,
+                    # and how the shipped placements fill the fold tree
+                    use = [p.fold_use() for p in merge.placements]
                     span_args.update(
                         algorithm2=placement_kernel.algorithm2(),
                         probes=merge.probes,
                         rejected=merge.rejected,
+                        and_by_fold_level=[u["and_by_fold_level"] for u in use],
+                        placements_per_and=[u["placements_per_and"] for u in use],
+                        leaf_use=[u["leaf_use"] for u in use],
                     )
                 break
             except UnmappableError:
@@ -253,6 +258,7 @@ class GemCompiler:
             "bitstream", cat="compile", args={"partitions": merge.plan.num_partitions}
         ):
             program = assemble(eaig, synth, merge, config_digest=config_digest)
+        eaig.drop_arrays()
         report = CompileReport(
             name=eaig.name,
             gates=eaig.num_gates(),

@@ -27,6 +27,7 @@ from dataclasses import replace
 
 from repro.core.eaig import EAIG, FALSE, NodeKind, lit_node
 from repro.core.synthesis import SynthesisResult, reduce_tree
+from repro.errors import GemError
 
 
 def optimize(result: SynthesisResult, balance: bool = True) -> SynthesisResult:
@@ -98,7 +99,7 @@ def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
                 continue
             kind = old.kind[node]
             if kind is not NodeKind.AND:
-                raise AssertionError(f"unmapped non-AND node {node} ({kind})")
+                raise GemError(f"unmapped non-AND node {node} ({kind})")
             if balance:
                 leaves = conjunction_leaves(node)
                 if expanded:

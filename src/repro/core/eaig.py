@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 FALSE = 0  #: literal constant false
 TRUE = 1  #: literal constant true
@@ -93,8 +95,21 @@ class Ram:
         return [*self.raddr, self.ren, *self.waddr, *self.wdata, self.wen]
 
 
+class EAIGArrays(NamedTuple):
+    """An :class:`EAIG`'s per-node lists as read-only numpy arrays."""
+
+    kind: np.ndarray  # int8 NodeKind
+    fanin0: np.ndarray  # int64 literals
+    fanin1: np.ndarray
+    level: np.ndarray  # int64, ``level_of``
+
+
 class EAIG:
     """Extended and-inverter graph with structural hashing."""
+
+    #: the memo of :meth:`arrays` (a class default, so a pickle that never
+    #: held one loads without it)
+    _arrays: EAIGArrays | None = None
 
     def __init__(self, name: str = "eaig") -> None:
         self.name = name
@@ -119,7 +134,14 @@ class EAIG:
     def __len__(self) -> int:
         return len(self.kind)
 
+    def __getstate__(self) -> dict:
+        # the array view is rebuilt on demand, never stored
+        state = self.__dict__.copy()
+        state.pop("_arrays", None)
+        return state
+
     def _new_node(self, kind: NodeKind, f0: int = FALSE, f1: int = FALSE, aux: int = 0) -> int:
+        self._arrays = None
         node = len(self.kind)
         self.kind.append(kind)
         self.fanin0.append(f0)
@@ -196,6 +218,7 @@ class EAIG:
         if lit_neg(ff_literal):
             raise ValueError("set_ff_input expects the positive FF literal")
         self.fanin0[node] = d
+        self._arrays = None
         self._pending_ffs.discard(node)
 
     def add_ram(self, name: str, addr_bits: int, data_bits: int, init: Sequence[int] = ()) -> Ram:
@@ -229,23 +252,42 @@ class EAIG:
 
     # -- analysis --------------------------------------------------------------
 
+    def arrays(self) -> EAIGArrays:
+        """``kind``, ``fanin0``, ``fanin1`` and ``level_of`` as read-only
+        arrays, built on first use and kept until a node is added, an FF
+        input set or :meth:`drop_arrays` called."""
+        if self._arrays is None:
+            n = len(self.kind)
+            arrays = EAIGArrays(
+                kind=np.fromiter(self.kind, dtype=np.int8, count=n),
+                fanin0=np.array(self.fanin0, dtype=np.int64),
+                fanin1=np.array(self.fanin1, dtype=np.int64),
+                level=np.array(self.level_of, dtype=np.int64),
+            )
+            for arr in arrays:
+                arr.flags.writeable = False
+            self._arrays = arrays
+        return self._arrays
+
+    def drop_arrays(self) -> None:
+        """Forget :meth:`arrays` until the next call: a compiled design
+        does not hold the view its compile read."""
+        self._arrays = None
+
     def num_gates(self) -> int:
-        """Number of AND gates (the paper's '#E-AIG Gates' metric)."""
-        return sum(1 for k in self.kind if k is NodeKind.AND)
+        """Number of AND gates (the paper's '#E-AIG Gates' metric): every
+        AND node comes from :meth:`add_and` and holds one strash entry."""
+        return len(self._strash)
 
     def levels(self) -> list[int]:
         """Logic level per node: AND = 1 + max(inputs); sources = 0.
 
         Matches the paper's delay model (AND/OR = 1 ps, INV = 0 ps): only
-        AND nodes add a level, inverters are free edge attributes.
+        AND nodes add a level, inverters are free edge attributes.  An
+        AND's fan-ins precede it and never change, so this is the
+        incrementally kept ``level_of``.
         """
-        level = [0] * len(self.kind)
-        for node in range(len(self.kind)):
-            if self.kind[node] is NodeKind.AND:
-                a = level[lit_node(self.fanin0[node])]
-                b = level[lit_node(self.fanin1[node])]
-                level[node] = 1 + (a if a > b else b)
-        return level
+        return list(self.level_of)
 
     def lit_level(self, literal: int) -> int:
         """Incrementally tracked logic level of a literal's node."""
@@ -253,13 +295,12 @@ class EAIG:
 
     def depth(self) -> int:
         """Maximum logic level over all nodes (the paper's '#Levels')."""
-        lvl = self.levels()
-        return max(lvl) if lvl else 0
+        return max(self.level_of)
 
     def level_histogram(self) -> dict[int, int]:
         """AND-gate count per logic level — exhibits the long tail (Obs. 4)."""
         hist: dict[int, int] = {}
-        lvl = self.levels()
+        lvl = self.level_of
         for node in range(len(self.kind)):
             if self.kind[node] is NodeKind.AND:
                 hist[lvl[node]] = hist.get(lvl[node], 0) + 1

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.boomerang import BoomerangConfig
 from repro.core.eaig import EAIG
 from repro.core.partition import PartitionPlan, PartitionSpec, compute_sources
@@ -68,10 +70,13 @@ class MergeResult:
 
 
 def _merge_specs(eaig: EAIG, p: PartitionSpec, q: PartitionSpec) -> PartitionSpec:
+    # the sorted union, as the int objects p and q already hold
+    both = p.nodes + q.nodes
+    first = np.unique(np.asarray(both, dtype=np.int64), return_index=True)[1]
     merged = PartitionSpec(
         stage=p.stage,
         index=p.index,
-        nodes=sorted(set(p.nodes) | set(q.nodes)),
+        nodes=list(map(both.__getitem__, first.tolist())),
         groups=p.groups + q.groups,
     )
     compute_sources(eaig, merged)

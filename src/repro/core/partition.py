@@ -20,17 +20,23 @@ This module:
 * materializes :class:`PartitionSpec` objects — the unit everything
   downstream (merging, placement, bitstream) consumes — and validates the
   whole plan.
+
+Every per-node pass here is a numpy pass over the finished E-AIG's
+:meth:`~repro.core.eaig.EAIG.arrays`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from repro.core.config import PartitionConfig
-from repro.core.eaig import EAIG, NodeKind, lit_node
+from repro.core.eaig import EAIG, EAIGArrays, NodeKind
 from repro.errors import GemError
-from repro.partition.repcut import RepCutResult, cone_masks, repcut_partition
+from repro.partition.repcut import RepCutResult, live_count, repcut_partition, stage_cones
 
 
 @dataclass
@@ -125,12 +131,13 @@ class PartitionPlan:
         :class:`~repro.errors.GemError` (a partitioner bug must not reach
         a bitstream)."""
         eaig = self.eaig
+        arrays = eaig.arrays()
         owned_ffs: set[int] = set()
         owned_rams: set[int] = set()
         owned_pos: set[str] = set()
-        published: set[int] = set()
+        published = np.zeros(len(eaig), dtype=bool)
         for spec in self.partitions:
-            nodes = set(spec.nodes)
+            where = f"partition s{spec.stage}p{spec.index}"
             for g in spec.groups:
                 if g.kind == "ff":
                     if g.ff_node in owned_ffs:
@@ -145,31 +152,29 @@ class PartitionPlan:
                         raise GemError(f"output {g.po_name} owned twice")
                     owned_pos.add(g.po_name)
                 elif g.kind == "cut":
-                    published.add(g.cut_node)
-            sources = set(spec.sources)
-            for node in spec.nodes:
-                for fanin in (eaig.fanin0[node], eaig.fanin1[node]):
-                    f = lit_node(fanin)
-                    if f == 0:
-                        continue
-                    if f not in nodes and f not in sources:
-                        raise GemError(
-                            f"partition s{spec.stage}p{spec.index}: node {node} "
-                            f"reads {f} which is neither local nor a source"
-                        )
-            for literal in spec.root_literals():
-                f = lit_node(literal)
-                if f != 0 and f not in nodes and f not in sources:
-                    raise GemError(
-                        f"partition s{spec.stage}p{spec.index}: root {literal} unresolved"
-                    )
+                    published[g.cut_node] = True
+            nodes = np.asarray(spec.nodes, dtype=np.int64)
+            sources = np.asarray(spec.sources, dtype=np.int64)
+            known = np.zeros(len(eaig), dtype=bool)
+            known[0] = known[nodes] = known[sources] = True
+            bad0 = ~known[arrays.fanin0[nodes] >> 1]
+            bad1 = ~known[arrays.fanin1[nodes] >> 1]
+            # the first offending node, and its first offending fan-in
+            for at in np.flatnonzero(bad0 | bad1)[:1].tolist():
+                fanin = arrays.fanin0 if bad0[at] else arrays.fanin1
+                raise GemError(
+                    f"{where}: node {spec.nodes[at]} "
+                    f"reads {fanin[spec.nodes[at]] >> 1} which is neither local nor a source"
+                )
+            roots = np.asarray(spec.root_literals(), dtype=np.int64)
+            for literal in roots[~known[roots >> 1]][:1].tolist():
+                raise GemError(f"{where}: root {literal} unresolved")
             # Earlier-stage AND sources must be published by earlier stages.
-            for f in sources:
-                if eaig.kind[f] is NodeKind.AND and f not in published:
-                    raise GemError(
-                        f"partition s{spec.stage}p{spec.index}: source {f} is an "
-                        "AND node never published by an earlier stage"
-                    )
+            unpublished = (arrays.kind[sources] == NodeKind.AND) & ~published[sources]
+            for f in np.unique(sources[unpublished])[:1].tolist():
+                raise GemError(
+                    f"{where}: source {f} is an AND node never published by an earlier stage"
+                )
         if owned_ffs != set(eaig.ffs):
             missing = set(eaig.ffs) - owned_ffs
             raise GemError(f"{len(missing)} FFs unowned (e.g. {sorted(missing)[:5]})")
@@ -196,42 +201,62 @@ def build_endpoint_groups(eaig: EAIG) -> list[EndpointGroup]:
     return groups
 
 
+def _group_levels(arrays: EAIGArrays, groups: list[EndpointGroup]) -> tuple[np.ndarray, ...]:
+    """Every group's root nodes (flat), the group of each, and each group's
+    deepest root level (0 for a group without roots)."""
+    sizes = np.fromiter((len(g.roots) for g in groups), dtype=np.int64, count=len(groups))
+    roots = np.fromiter(
+        chain.from_iterable(g.roots for g in groups), dtype=np.int64, count=int(sizes.sum())
+    ) >> 1
+    owner = np.repeat(np.arange(len(groups)), sizes)
+    glevel = np.zeros(len(groups), dtype=np.int64)
+    np.maximum.at(glevel, owner, arrays.level[roots])
+    return roots, owner, glevel
+
+
 def _max_need_level(
-    eaig: EAIG,
-    groups: list[EndpointGroup],
-    levels: list[int],
-    live: set[int] | None = None,
-) -> list[int]:
+    eaig: EAIG, groups: list[EndpointGroup], live: np.ndarray | None = None
+) -> np.ndarray:
     """Highest logic level at which each AND node's value is consumed.
 
     AND consumers count at their own level; endpoint-root consumers count at
     the *group's* maximum root level (roots of one group stay together).
-    ``live`` restricts consumers to nodes inside endpoint cones — dead logic
-    must not force values to be published across stage boundaries.
+    ``live`` (a bool per node) restricts consumers to nodes inside endpoint
+    cones — dead logic must not force values to be published across stage
+    boundaries.
     """
-    need = [0] * len(eaig.kind)
-    for node in range(len(eaig.kind)):
-        if eaig.kind[node] is NodeKind.AND and (live is None or node in live):
-            lvl = levels[node]
-            for fanin in (eaig.fanin0[node], eaig.fanin1[node]):
-                f = lit_node(fanin)
-                if lvl > need[f]:
-                    need[f] = lvl
-    for g in groups:
-        glevel = max((levels[lit_node(r)] for r in g.roots), default=0)
-        for r in g.roots:
-            f = lit_node(r)
-            if glevel > need[f]:
-                need[f] = glevel
+    arrays = eaig.arrays()
+    consumer = arrays.kind == NodeKind.AND
+    if live is not None:
+        consumer &= live
+    level = arrays.level[consumer]
+    need = np.zeros(len(eaig), dtype=np.int64)
+    np.maximum.at(need, arrays.fanin0[consumer] >> 1, level)
+    np.maximum.at(need, arrays.fanin1[consumer] >> 1, level)
+    roots, owner, glevel = _group_levels(arrays, groups)
+    np.maximum.at(need, roots, glevel[owner])
     return need
 
 
-def choose_cut_levels(
-    eaig: EAIG,
-    groups: list[EndpointGroup],
-    num_stages: int,
-    levels: list[int] | None = None,
-) -> list[int]:
+def _live(arrays: EAIGArrays, roots: np.ndarray) -> np.ndarray:
+    """:meth:`EAIG.cone` of ``roots`` (nodes) as a bool per node: one pass
+    per logic level, deepest first — an AND's fan-ins sit on lower levels."""
+    is_and = arrays.kind == NodeKind.AND
+    live = np.zeros(is_and.size, dtype=bool)
+    live[roots] = True
+    live &= is_and
+    ands = np.flatnonzero(is_and)
+    ands = ands[np.argsort(arrays.level[ands], kind="stable")]
+    bounds = np.searchsorted(arrays.level[ands], np.arange(int(arrays.level.max()) + 2))
+    for lvl in range(bounds.size - 2, 0, -1):
+        at = ands[bounds[lvl] : bounds[lvl + 1]]
+        at = at[live[at]]
+        for fanin in (arrays.fanin0[at] >> 1, arrays.fanin1[at] >> 1):
+            live[fanin[is_and[fanin]]] = True
+    return live
+
+
+def choose_cut_levels(eaig: EAIG, groups: list[EndpointGroup], num_stages: int) -> list[int]:
     """Pick ``num_stages - 1`` boundaries minimizing crossing values.
 
     A node at level ``l`` with a consumer above boundary ``L`` (``l <= L <
@@ -242,51 +267,33 @@ def choose_cut_levels(
     """
     if num_stages <= 1:
         return []
-    levels = levels or eaig.levels()
-    depth = max(levels) if levels else 0
+    depth = eaig.depth()
     if depth < num_stages:
         return []
-    need = _max_need_level(eaig, groups, levels)
-    crossing = [0] * (depth + 1)
-    for node in range(len(eaig.kind)):
-        if eaig.kind[node] is not NodeKind.AND:
-            continue
-        lo = levels[node]
-        hi = need[node]
-        if hi > lo:
-            crossing[lo] += 1
-            if hi <= depth:
-                crossing[hi] -= 1
-    for i in range(1, depth + 1):
-        crossing[i] += crossing[i - 1]
+    arrays = eaig.arrays()
+    is_and = arrays.kind == NodeKind.AND
+    lo = arrays.level[is_and]
+    hi = _max_need_level(eaig, groups)[is_and]
+    cross = hi > lo
+    crossing = np.cumsum(
+        np.bincount(lo[cross], minlength=depth + 1) - np.bincount(hi[cross], minlength=depth + 1)
+    )
     # Gate mass per level: the long tail (Observation 4) makes equal-depth
     # splits lopsided, so windows are centred on gate-count quantiles.
-    mass = [0] * (depth + 1)
-    for node in range(len(eaig.kind)):
-        if eaig.kind[node] is NodeKind.AND:
-            mass[levels[node]] += 1
-    cum = [0] * (depth + 2)
-    for i in range(depth + 1):
-        cum[i + 1] = cum[i] + mass[i]
-    total = cum[depth + 1]
-
-    def quantile_level(fraction: float) -> int:
-        target = total * fraction
-        for i in range(depth + 1):
-            if cum[i + 1] >= target:
-                return i
-        return depth
+    cum = np.cumsum(np.bincount(lo, minlength=depth + 1))
+    total = int(cum[-1])
 
     cuts: list[int] = []
     prev = 0
     for s in range(1, num_stages):
-        centre = quantile_level(s / num_stages)
+        # the first level whose cumulative mass reaches the quantile
+        centre = min(depth, int(np.searchsorted(cum, total * s / num_stages)))
         half = max(1, depth // (2 * num_stages))
         band_lo = max(prev + 1, centre - half)
         band_hi = min(depth - 1, centre + half)
         if band_lo > band_hi:
             continue
-        best = min(range(band_lo, band_hi + 1), key=lambda L: crossing[L])
+        best = band_lo + int(np.argmin(crossing[band_lo : band_hi + 1]))
         cuts.append(best)
         prev = best
     return cuts
@@ -307,39 +314,36 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
     config = config or PartitionConfig()
     eaig.check()
     groups = build_endpoint_groups(eaig)
-    levels = eaig.levels()
-    total_gates = eaig.num_gates()
-    num_stages = config.num_stages or _auto_stages(total_gates, config)
-    cut_levels = choose_cut_levels(eaig, groups, num_stages, levels)
-    boundaries = cut_levels + [max(levels) if levels else 0]
-    num_stages = len(boundaries)  # cuts may collapse on shallow designs
+    arrays = eaig.arrays()
+    is_and = arrays.kind == NodeKind.AND
+    num_stages = config.num_stages or _auto_stages(eaig.num_gates(), config)
+    cut_levels = choose_cut_levels(eaig, groups, num_stages)
+    boundaries = np.array(cut_levels + [eaig.depth()], dtype=np.int64)
+    num_stages = boundaries.size  # cuts may collapse on shallow designs
 
-    def band_of(level: int) -> int:
-        for s, boundary in enumerate(boundaries):
-            if level <= boundary:
-                return s
-        return num_stages - 1
+    def band_of(level: np.ndarray) -> np.ndarray:
+        """The stage of each level: the first boundary at or above it."""
+        return np.minimum(np.searchsorted(boundaries, level), num_stages - 1)
 
     # Assign real endpoint groups to stages by their deepest root.
+    roots, _, glevel = _group_levels(arrays, groups)
     stage_groups: list[list[EndpointGroup]] = [[] for _ in range(num_stages)]
-    for g in groups:
-        glevel = max((levels[lit_node(r)] for r in g.roots), default=0)
-        stage_groups[band_of(glevel)].append(g)
+    for g, s in zip(groups, band_of(glevel).tolist()):
+        stage_groups[s].append(g)
 
     # Publish groups: values crossing a boundary become endpoints of their
     # own band's stage.  Only live logic (inside some endpoint cone) is
     # published — dead gates never need a global slot.
     if num_stages > 1:
-        live = eaig.cone([r for g in groups for r in g.roots])
-        need = _max_need_level(eaig, groups, levels, live)
-        for node in range(len(eaig.kind)):
-            if eaig.kind[node] is not NodeKind.AND or node not in live:
-                continue
-            band = band_of(levels[node])
-            if band < num_stages - 1 and band_of(need[node]) > band:
-                stage_groups[band].append(
-                    EndpointGroup(kind="cut", roots=[2 * node], cut_node=node)
-                )
+        live = _live(arrays, roots)
+        band = band_of(arrays.level)
+        cut = np.flatnonzero(
+            live
+            & (band < num_stages - 1)
+            & (band_of(_max_need_level(eaig, groups, live)) > band)
+        )
+        for node, s in zip(cut.tolist(), band[cut].tolist()):
+            stage_groups[s].append(EndpointGroup(kind="cut", roots=[2 * node], cut_node=node))
 
     stages: list[list[PartitionSpec]] = []
     stage_results: list[RepCutResult] = []
@@ -347,11 +351,7 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
     for s in range(num_stages):
         source_flags = None
         if s > 0:
-            boundary = boundaries[s - 1]
-            source_flags = [
-                eaig.kind[n] is NodeKind.AND and levels[n] <= boundary
-                for n in range(len(eaig.kind))
-            ]
+            source_flags = is_and & (arrays.level <= boundaries[s - 1])
         sgroups = stage_groups[s]
         if not sgroups:
             stages.append([])
@@ -360,19 +360,21 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
             )
             stage_live.append(0)
             continue
-        masks = cone_masks(eaig, [g.roots for g in sgroups], source_flags)
-        live = sum(1 for m in masks if m)
+        group_roots = [g.roots for g in sgroups]
+        cones = stage_cones(eaig, group_roots, source_flags)
+        live = live_count(cones)
         k = max(1, math.ceil(live / config.gates_per_partition * config.overpartition))
         k = min(k, len(sgroups))
         result = repcut_partition(
             eaig,
-            [g.roots for g in sgroups],
+            group_roots,
             k,
             epsilon=config.epsilon,
             seed=config.seed + s,
             max_net_pins=config.max_net_pins,
-            masks=masks,
+            masks=cones,
         )
+        del cones
         specs: list[PartitionSpec] = []
         for p in range(k):
             if not result.part_groups[p] and not result.part_nodes[p]:
@@ -380,7 +382,7 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
             spec = PartitionSpec(
                 stage=s,
                 index=len(specs),
-                nodes=sorted(result.part_nodes[p]),
+                nodes=result.part_nodes[p],  # ascending
                 groups=[sgroups[g] for g in result.part_groups[p]],
             )
             compute_sources(eaig, spec)
@@ -402,18 +404,13 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
 
 
 def compute_sources(eaig: EAIG, spec: PartitionSpec) -> None:
-    """Fill ``spec.sources``: every non-local, non-constant value it reads."""
-    local = set(spec.nodes)
-    sources: set[int] = set()
-
-    def visit(literal: int) -> None:
-        node = lit_node(literal)
-        if node != 0 and node not in local:
-            sources.add(node)
-
-    for node in spec.nodes:
-        visit(eaig.fanin0[node])
-        visit(eaig.fanin1[node])
-    for literal in spec.root_literals():
-        visit(literal)
-    spec.sources = sorted(sources)
+    """Fill ``spec.sources``: every non-local, non-constant value it reads,
+    ascending."""
+    arrays = eaig.arrays()
+    nodes = np.asarray(spec.nodes, dtype=np.int64)
+    read = np.zeros(len(eaig), dtype=bool)
+    read[arrays.fanin0[nodes] >> 1] = True
+    read[arrays.fanin1[nodes] >> 1] = True
+    read[np.asarray(spec.root_literals(), dtype=np.int64) >> 1] = True
+    read[0] = read[nodes] = False
+    spec.sources = np.flatnonzero(read).tolist()

@@ -73,7 +73,7 @@ from repro.core.boomerang import BoomerangConfig, Layer
 from repro.core.config import RefineConfig
 from repro.core.eaig import EAIG, NodeKind, lit_neg, lit_node
 from repro.core.partition import PartitionSpec
-from repro.errors import PlacementStallError, UnmappableError
+from repro.errors import GemError, PlacementStallError, UnmappableError
 
 __all__ = [
     "PackedLayer",
@@ -186,6 +186,27 @@ class PlacedPartition:
         node = lit_node(literal)
         slot = 0 if node == 0 else self.slot_of[node]
         return slot, lit_neg(literal)
+
+    def fold_use(self) -> dict:
+        """How the layers fill the fold tree: ``and_by_fold_level`` (placed
+        AND positions at fold levels 1..``width_log2``), ``placements_per_and``
+        (placed AND positions ÷ the partition's nodes; above 1 counts the
+        duplicates) and ``leaf_use`` (leaves holding a state slot ÷ leaves)."""
+        width = self.config.width
+        # fold level of each interior heap number (entry 0 is unused)
+        level = self.config.width_log2 + 1 - np.frexp(np.arange(width))[1]
+        level[0] = 0
+        by_level = np.zeros(self.config.width_log2 + 1, dtype=np.int64)
+        leaves = 0
+        for p in self.packed:
+            by_level += np.bincount(level[p.fold < _ROUTE], minlength=by_level.size)
+            leaves += int(np.count_nonzero(p.perm >= 0))
+        placed = int(by_level.sum())
+        return {
+            "and_by_fold_level": by_level[1:].tolist(),
+            "placements_per_and": placed / len(self.spec.nodes) if self.spec.nodes else 0.0,
+            "leaf_use": leaves / (width * self.num_layers) if self.packed else 0.0,
+        }
 
     def stats(self) -> dict:
         return {
@@ -320,8 +341,8 @@ class _LayerBuilder:
                 if not sub:
                     return 0
                 claimed += sub
-            else:  # pragma: no cover - guarded by PartitionPlan.validate
-                raise AssertionError(f"node {n}: fanin {f} neither available nor local")
+            else:
+                raise GemError(f"node {n}: fanin {f} neither available nor local")
             child += 1
         free[k] -= claimed
         return claimed
@@ -424,12 +445,12 @@ def _place_native(
     lut[0] = -1
     lut[np.array(spec.sources, dtype=np.int64)] = -1 - np.arange(1, len(spec.sources) + 1)
     lut[nodes] = np.arange(n)
-    lit0 = np.fromiter(map(eaig.fanin0.__getitem__, node_list), dtype=np.int64, count=n)
-    lit1 = np.fromiter(map(eaig.fanin1.__getitem__, node_list), dtype=np.int64, count=n)
+    arrays = eaig.arrays()
+    lit0, lit1 = arrays.fanin0[nodes], arrays.fanin1[nodes]
     fan0, fan1 = lut[lit0 >> 1], lut[lit1 >> 1]
     for i in np.nonzero((fan0 == _NOWHERE) | (fan1 == _NOWHERE))[0][:1].tolist():
         f = (lit0[i] if fan0[i] == _NOWHERE else lit1[i]) >> 1
-        raise AssertionError(f"node {node_list[i]}: fanin {f} neither available nor local")
+        raise GemError(f"node {node_list[i]}: fanin {f} neither available nor local")
     # consumers as CSR over producers
     producer = np.concatenate([fan0[fan0 >= 0], fan1[fan1 >= 0]])
     consumer = np.concatenate([np.nonzero(fan0 >= 0)[0], np.nonzero(fan1 >= 0)[0]])
@@ -484,7 +505,7 @@ def _place_native(
         if count == -2:
             raise MemoryError(f"{where}: placement scratch")
         if count < 0:  # pragma: no cover - guarded by the fan-in check above
-            raise AssertionError(f"{where}: a fan-in is neither available nor local")
+            raise GemError(f"{where}: a fan-in is neither available nor local")
         writebacks: list[tuple[int, int, int]] = []
         for level, pos, slot, i in wb[: 4 * place.nwb].reshape(-1, 4).tolist():
             slot_of[node_list[i]] = slot

@@ -1,11 +1,15 @@
-"""The partitioner's two hot loops in C: an FM pass and a coarsening round.
+"""The partitioner's hot loops in C: RepCut's cone signatures, an FM pass
+and a coarsening round.
 
-:func:`repro.partition.fm.refine_bipartition` hands each
-Fiduccia–Mattheyses pass to :data:`PARTITION_SOURCE`'s ``gem_fm_pass``, and
+:func:`repro.partition.repcut.cone_signatures` hands the cone sweep and
+the signature histogram of a stage to :data:`PARTITION_SOURCE`'s
+``gem_cone_masks``, :func:`repro.partition.fm.refine_bipartition` each
+Fiduccia–Mattheyses pass to ``gem_fm_pass``, and
 :func:`repro.partition.multilevel.coarsen` each heavy-edge matching and
-contraction round to ``gem_coarsen``, when the library loads; both run
-their Python loops otherwise, and both paths make the same decisions, so a
-partition — and the bitstream built on it — does not depend on which ran.
+contraction round to ``gem_coarsen``, when the library loads; all three
+run their Python loops otherwise, and both paths make the same decisions,
+so a partition — and the bitstream built on it — does not depend on which
+ran.
 
 The source is part of the compile flow's one C library
 (:data:`repro.core.placement_kernel.COMPILE_SOURCE`, beside Algorithm 2's
@@ -413,6 +417,141 @@ done:
     free(table);
     return rc;
 }
+
+#define CONE_CHUNK 4                  /* mask words swept at a time */
+
+typedef struct {
+    int64_t n, words, ngroups;
+    int64_t nsig;                     /* out: signatures; in when rows is set */
+    const int8_t *kind;               /* NodeKind per node; AND is 2 */
+    const int64_t *fanin0, *fanin1;   /* literals */
+    const uint8_t *source;            /* 1: read as a source, or NULL */
+    const int64_t *root_start, *roots; /* root literals per group, CSR */
+    int64_t *signature;               /* out: per node, or -1 */
+    int64_t *first;                   /* out: first node per signature */
+    uint64_t *rows;                   /* NULL, or out: nsig rows of words */
+} gem_cones;
+
+static int cone_node(const gem_cones *c, int64_t node)
+{
+    return c->kind[node] == 2 && !(c->source && c->source[node]);
+}
+
+/* the cone masks of groups [64 * w0, 64 * (w0 + nb)): cur gets nb words
+   per node, one reverse sweep (AND nodes only; a source truncates) */
+static void sweep_chunk(const gem_cones *c, uint64_t *cur, int64_t w0, int64_t nb)
+{
+    const int64_t n = c->n;
+    memset(cur, 0, (size_t)(n * nb) * sizeof *cur);
+    const int64_t g_end = 64 * (w0 + nb) < c->ngroups ? 64 * (w0 + nb) : c->ngroups;
+    for (int64_t g = 64 * w0; g < g_end; ++g)
+        for (int64_t r = c->root_start[g]; r < c->root_start[g + 1]; ++r) {
+            const int64_t node = c->roots[r] >> 1;
+            if (cone_node(c, node))
+                cur[node * nb + (g >> 6) - w0] |= (uint64_t)1 << (g & 63);
+        }
+    for (int64_t node = n - 1; node > 0; --node) {
+        if (!cone_node(c, node))
+            continue;
+        const uint64_t *row = cur + node * nb;
+        uint64_t any = 0;
+        for (int64_t w = 0; w < nb; ++w)
+            any |= row[w];
+        if (!any)
+            continue;
+        const int64_t fanin[2] = {c->fanin0[node] >> 1, c->fanin1[node] >> 1};
+        for (int side = 0; side < 2; ++side)
+            if (cone_node(c, fanin[side])) {
+                uint64_t *dst = cur + fanin[side] * nb;
+                for (int64_t w = 0; w < nb; ++w)
+                    dst[w] |= row[w];
+            }
+    }
+}
+
+static uint64_t hash_key(int64_t prev, const uint64_t *row, int64_t nb)
+{
+    uint64_t h = 1469598103934665603ULL ^ (uint64_t)prev;
+    for (int64_t w = 0; w < nb; ++w)
+        h = (h ^ row[w]) * 1099511628211ULL;
+    return h ^ (h >> 29);
+}
+
+/* RepCut's cone signatures: the set of endpoint groups whose fan-in cone
+   holds each node, numbered in ascending node order of their first
+   holder.  The masks are swept CONE_CHUNK words at a time, and each chunk
+   refines the numbering: a node's new number is that of the pair (its
+   number so far, its words of this chunk), so only n x CONE_CHUNK words
+   are ever held.  With rows NULL this fills signature and first and
+   returns nsig; with rows set (after such a call) it writes each
+   signature's mask words.  Returns -2 when out of memory. */
+int64_t gem_cone_masks(gem_cones *c)
+{
+    const int64_t n = c->n, words = c->words;
+    uint64_t *cur = malloc((size_t)(n * CONE_CHUNK + 1) * sizeof *cur);
+    int64_t size = 16, ncone = 0;
+    for (int64_t node = 0; node < n; ++node)
+        ncone += cone_node(c, node);
+    while (size < 2 * ncone)
+        size <<= 1;
+    int64_t *table = NULL, *key_prev = NULL;
+    uint64_t *key_row = NULL;
+    if (!c->rows) {
+        table = malloc((size_t)size * sizeof *table);
+        key_prev = malloc((size_t)(ncone + 1) * sizeof *key_prev);
+        key_row = malloc((size_t)((ncone + 1) * CONE_CHUNK) * sizeof *key_row);
+    }
+    int64_t rc = -2;
+    if (!cur || (!c->rows && (!table || !key_prev || !key_row)))
+        goto done;
+    if (!c->rows) {
+        for (int64_t node = 0; node < n; ++node)
+            c->signature[node] = -1;
+        c->nsig = 0;
+    }
+    for (int64_t w0 = 0; w0 < words; w0 += CONE_CHUNK) {
+        const int64_t nb = words - w0 < CONE_CHUNK ? words - w0 : CONE_CHUNK;
+        sweep_chunk(c, cur, w0, nb);
+        if (c->rows) {
+            for (int64_t s = 0; s < c->nsig; ++s)
+                memcpy(c->rows + s * words + w0, cur + c->first[s] * nb,
+                       (size_t)nb * sizeof *cur);
+            continue;
+        }
+        for (int64_t t = 0; t < size; ++t)
+            table[t] = -1;
+        int64_t count = 0;
+        for (int64_t node = 0; node < n; ++node) {
+            const int64_t prev = c->signature[node];
+            const uint64_t *row = cur + node * nb;
+            uint64_t any = 0;
+            for (int64_t w = 0; w < nb; ++w)
+                any |= row[w];
+            if (prev == -1 && !any)
+                continue;
+            int64_t slot = (int64_t)(hash_key(prev, row, nb) & (uint64_t)(size - 1)), s;
+            while ((s = table[slot]) != -1
+                   && (key_prev[s] != prev
+                       || memcmp(key_row + s * nb, row, (size_t)nb * sizeof *row)))
+                slot = (slot + 1) & (size - 1);
+            if (s == -1) {
+                s = table[slot] = count++;
+                key_prev[s] = prev;
+                memcpy(key_row + s * nb, row, (size_t)nb * sizeof *row);
+                c->first[s] = node;
+            }
+            c->signature[node] = s;
+        }
+        c->nsig = count;
+    }
+    rc = c->nsig;
+done:
+    free(cur);
+    free(table);
+    free(key_prev);
+    free(key_row);
+    return rc;
+}
 """
 
 
@@ -461,11 +600,32 @@ COARSEN_SIGNATURE = (
 )
 
 
+class Cones(ctypes.Structure):
+    """``gem_cones`` of :data:`PARTITION_SOURCE`."""
+
+    _fields_ = [
+        *((name, ctypes.c_int64) for name in ("n", "words", "ngroups", "nsig")),
+        *(
+            (name, ctypes.c_void_p)
+            for name in (
+                "kind", "fanin0", "fanin1", "source", "root_start", "roots",
+                "signature", "first", "rows",
+            )
+        ),
+    ]
+
+
+#: ``gem_cone_masks(cones)``
+CONE_MASKS_SIGNATURE = ((ctypes.POINTER(Cones),), ctypes.c_int64)
+
+
 class Kernels(NamedTuple):
-    """``gem_fm_pass`` and ``gem_coarsen`` as ``ctypes`` functions."""
+    """``gem_fm_pass``, ``gem_coarsen`` and ``gem_cone_masks`` as
+    ``ctypes`` functions."""
 
     fm_pass: object
     coarsen: object
+    cone_masks: object
 
 
 def graph_struct(arrays) -> Graph:
@@ -485,7 +645,7 @@ _RESOLVED: list = []
 
 
 def library() -> Kernels | None:
-    """``gem_fm_pass`` and ``gem_coarsen`` as ``ctypes`` functions, or
+    """The partitioner's entry points as ``ctypes`` functions, or
     ``None`` where no library can be built or loaded (the reason is logged
     once, at INFO, and the partitioner runs its Python loops).  Resolved
     once per process."""
@@ -497,10 +657,13 @@ def library() -> Kernels | None:
             fns = Kernels(
                 fm_pass=load_kernel(COMPILE_SOURCE, "gem_fm_pass", FM_PASS_SIGNATURE),
                 coarsen=load_kernel(COMPILE_SOURCE, "gem_coarsen", COARSEN_SIGNATURE),
+                cone_masks=load_kernel(COMPILE_SOURCE, "gem_cone_masks", CONE_MASKS_SIGNATURE),
             )
         except BackendUnavailableError as exc:
             logger.info(
-                "native partitioner unavailable (%s); FM and coarsening run in Python", exc
+                "native partitioner unavailable (%s); FM, coarsening and cone signatures "
+                "run in Python",
+                exc,
             )
             fns = None
         _RESOLVED.append(fns)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import GemError
 from repro.partition import kernel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
@@ -179,7 +180,8 @@ def _initial_bipartition(graph: Hypergraph, target0: int, rng: random.Random) ->
         if best_cut is None or cut < best_cut:
             best_cut = cut
             best_parts = parts
-    assert best_parts is not None
+    if best_parts is None:
+        raise GemError("initial bipartition: no candidate was tried")
     return best_parts
 
 

@@ -20,14 +20,28 @@ partition counts; this module implements the single-stage core:
    bundle size, so the km1 objective *is* the number of extra gate copies;
 3. k-way partition (:func:`repro.partition.multilevel.partition_kway`);
 4. materialize per-partition node sets and the replication accounting.
+
+Steps 1 and 2 run in C (``gem_cone_masks`` of
+:mod:`repro.partition.kernel`: uint64 mask rows, signatures numbered in
+first-occurrence order) and numpy (:class:`ConeSignatures`) wherever the
+compile library loads.  :func:`cone_masks`, :func:`build_sharing_hypergraph`
+and :func:`_mask_bits` — Python big-int masks and a dict histogram — are the
+reference they are tested against and the path on a host without a C
+compiler; both give the same graph and the same part node lists.
 """
 
 from __future__ import annotations
 
+import ctypes
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.eaig import EAIG, NodeKind
+from repro.partition import kernel
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import partition_kway
 
@@ -136,6 +150,123 @@ def _mask_bits(mask: int) -> list[int]:
     return bits
 
 
+class ConeSignatures(NamedTuple):
+    """One stage's cone signatures as arrays: what :func:`cone_masks` and
+    :func:`build_sharing_hypergraph`'s histogram hold, without the masks."""
+
+    #: AND nodes inside some group's cone, ascending
+    nodes: np.ndarray
+    #: per entry of ``nodes``, its signature (numbered by first occurrence)
+    signature: np.ndarray
+    #: nodes per signature
+    count: np.ndarray
+    #: signature ``s`` is the groups ``pins[pin_start[s]:pin_start[s + 1]]``, ascending
+    pin_start: np.ndarray
+    pins: np.ndarray
+
+    def pin_signature(self) -> np.ndarray:
+        """The signature of each entry of ``pins``."""
+        return np.repeat(np.arange(self.count.size), np.diff(self.pin_start))
+
+
+def cone_signatures(
+    eaig: EAIG, groups: Sequence[Sequence[int]], source_flags: Sequence[bool] | None = None
+) -> ConeSignatures:
+    """:func:`cone_masks` and the signature histogram in two
+    ``gem_cone_masks`` calls (the compile library must load): one numbers
+    the signatures, the next writes each signature's mask words.  The masks
+    are swept a few words at a time, so no ``nodes x groups`` matrix is
+    ever held."""
+    lib = kernel.library()
+    arrays = eaig.arrays()
+    n, ngroups = arrays.kind.size, len(groups)
+    words = max(1, -(-ngroups // 64))
+    root_start = np.zeros(ngroups + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=ngroups), out=root_start[1:])
+    roots = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(root_start[-1]))
+    if roots.size and not 0 <= roots.min() <= roots.max() < 2 * n:
+        raise ValueError("root literal out of range")
+    source = None
+    if source_flags is not None:
+        source = np.ascontiguousarray(source_flags, dtype=np.uint8)
+        if source.size != n:
+            raise ValueError(f"source_flags holds {source.size} entries for {n} nodes")
+    signature = np.empty(n, dtype=np.int64)
+    first = np.empty(n, dtype=np.int64)
+    cones = kernel.Cones(
+        n=n,
+        words=words,
+        ngroups=ngroups,
+        kind=arrays.kind.ctypes.data,
+        fanin0=arrays.fanin0.ctypes.data,
+        fanin1=arrays.fanin1.ctypes.data,
+        source=None if source is None else source.ctypes.data,
+        root_start=root_start.ctypes.data,
+        roots=roots.ctypes.data,
+        signature=signature.ctypes.data,
+        first=first.ctypes.data,
+    )
+    if lib.cone_masks(ctypes.byref(cones)) < 0:
+        raise MemoryError("cone signature scratch")
+    rows = np.zeros((cones.nsig, words), dtype=np.uint64)
+    if cones.nsig:
+        cones.rows = rows.ctypes.data
+        if lib.cone_masks(ctypes.byref(cones)) < 0:
+            raise MemoryError("cone signature scratch")
+    nodes = np.flatnonzero(signature >= 0)
+    signature = signature[nodes]
+    # pins: the set bits of each signature's nonzero words, ascending
+    row, word = np.nonzero(rows)
+    bits = np.unpackbits(
+        rows[row, word].astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+    )
+    at, bit = np.nonzero(bits)
+    pin_start = np.zeros(cones.nsig + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[at], minlength=cones.nsig), out=pin_start[1:])
+    return ConeSignatures(
+        nodes=nodes,
+        signature=signature,
+        count=np.bincount(signature, minlength=cones.nsig),
+        pin_start=pin_start,
+        pins=word[at] * 64 + bit,
+    )
+
+
+def signature_hypergraph(
+    num_groups: int, sigs: ConeSignatures, max_net_pins: int = 128
+) -> Hypergraph:
+    """:func:`build_sharing_hypergraph`'s graph from :class:`ConeSignatures`."""
+    sizes = np.diff(sigs.pin_start)
+    pin_sig = sigs.pin_signature()
+    vertex_weight = 1 + np.bincount(
+        sigs.pins, weights=sigs.count[pin_sig], minlength=num_groups
+    ).astype(np.int64)
+    is_net = (sizes >= 2) & (sizes <= max_net_pins)
+    net_start = np.zeros(int(is_net.sum()) + 1, dtype=np.int64)
+    np.cumsum(sizes[is_net], out=net_start[1:])
+    return Hypergraph.from_arrays(
+        vertex_weight, net_start, sigs.pins[is_net[pin_sig]], sigs.count[is_net]
+    )
+
+
+def stage_cones(
+    eaig: EAIG, groups: Sequence[Sequence[int]], source_flags: Sequence[bool] | None = None
+) -> ConeSignatures | list[int]:
+    """A stage's cones: :func:`cone_signatures` where the compile library
+    loads, :func:`cone_masks` otherwise (``source_flags`` a bool per node)."""
+    if kernel.library() is None:
+        flags = None if source_flags is None else [bool(f) for f in source_flags]
+        return cone_masks(eaig, list(groups), flags)
+    return cone_signatures(eaig, groups, source_flags)
+
+
+def live_count(cones: ConeSignatures | list[int]) -> int:
+    """AND nodes inside some group's cone."""
+    if isinstance(cones, ConeSignatures):
+        return int(cones.nodes.size)
+    return sum(1 for m in cones if m)
+
+
 def repcut_partition(
     eaig: EAIG,
     groups: list[list[int]],
@@ -143,33 +274,48 @@ def repcut_partition(
     epsilon: float = 0.1,
     seed: int = 0,
     max_net_pins: int = 128,
-    source_flags: list[bool] | None = None,
-    masks: list[int] | None = None,
+    source_flags: Sequence[bool] | None = None,
+    masks: ConeSignatures | list[int] | None = None,
 ) -> RepCutResult:
     """Partition endpoint ``groups`` into ``k`` parts with replication.
 
-    ``masks`` may carry a precomputed :func:`cone_masks` result (callers
+    ``masks`` may carry a precomputed :func:`stage_cones` result (callers
     that already needed it for sizing avoid a second sweep).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if masks is None:
-        masks = cone_masks(eaig, groups, source_flags)
-    graph, histogram = build_sharing_hypergraph(len(groups), masks, max_net_pins)
+        masks = stage_cones(eaig, groups, source_flags)
+    if isinstance(masks, ConeSignatures):
+        graph = signature_hypergraph(len(groups), masks, max_net_pins)
+    else:
+        graph, histogram = build_sharing_hypergraph(len(groups), masks, max_net_pins)
     stats: Counter = Counter()
     assignment = partition_kway(graph, k, epsilon=epsilon, seed=seed, stats=stats)
 
-    part_nodes: list[list[int]] = [[] for _ in range(k)]
-    mask_parts: dict[int, list[int]] = {}
-    for mask in histogram:
-        mask_parts[mask] = sorted({assignment[g] for g in _mask_bits(mask)})
-    total = 0
-    for node, m in enumerate(masks):
-        if not m:
-            continue
-        total += 1
-        for p in mask_parts[m]:
-            part_nodes[p].append(node)
+    if isinstance(masks, ConeSignatures):
+        # one part bitmask per signature, read per node through its signature
+        in_part = np.zeros((masks.count.size, k), dtype=bool)
+        in_part[masks.pin_signature(), np.asarray(assignment)[masks.pins]] = True
+        # the parts share one int object per node, as the Python path's do
+        live = masks.nodes.tolist()
+        part_nodes = [
+            list(map(live.__getitem__, np.flatnonzero(in_part[masks.signature, p]).tolist()))
+            for p in range(k)
+        ]
+        total = int(masks.nodes.size)
+    else:
+        part_nodes = [[] for _ in range(k)]
+        mask_parts: dict[int, list[int]] = {}
+        for mask in histogram:
+            mask_parts[mask] = sorted({assignment[g] for g in _mask_bits(mask)})
+        total = 0
+        for node, m in enumerate(masks):
+            if not m:
+                continue
+            total += 1
+            for p in mask_parts[m]:
+                part_nodes[p].append(node)
 
     part_groups: list[list[int]] = [[] for _ in range(k)]
     for g, p in enumerate(assignment):

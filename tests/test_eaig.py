@@ -1,11 +1,17 @@
 """E-AIG structure, strashing, and its semantics on the gate-level simulator."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.eaig import EAIG, FALSE, TRUE, lit_not
-from tests.helpers import eaig_sim, pi_inputs
+from repro.core import depth_opt
+from repro.core.compiler import compile_circuit
+from repro.core.eaig import EAIG, FALSE, TRUE, NodeKind, lit_not
+from repro.core.synthesis import synthesize
+from repro.harness.runner import DESIGNS
+from tests.helpers import eaig_sim, pi_inputs, random_circuit
 
 
 class TestLiterals:
@@ -184,3 +190,75 @@ class TestEAIGSemantics:
         step(2, 9, 1)  # write 9 to addr 2 (read-first: sampled old)
         assert step(2, 0, 0) == 0  # read of addr 2 sampled before write
         assert step(0, 0, 0) == 9  # now the write is visible
+
+
+# -- the array view and the O(1) counts ------------------------------------------
+
+
+def _assert_view(g: EAIG) -> None:
+    arrays = g.arrays()
+    assert arrays.kind.dtype.name == "int8" and arrays.fanin0.dtype.name == "int64"
+    assert arrays.kind.tolist() == [int(k) for k in g.kind]
+    assert arrays.fanin0.tolist() == g.fanin0
+    assert arrays.fanin1.tolist() == g.fanin1
+    assert arrays.level.tolist() == g.level_of
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def _assert_counts(g: EAIG) -> None:
+    """``num_gates`` against a kind scan, ``levels``/``depth`` against the
+    recursive definition (AND = 1 + max of its fan-ins, sources 0)."""
+    assert g.num_gates() == sum(1 for k in g.kind if k is NodeKind.AND)
+    level = [0] * len(g)
+    for node, kind in enumerate(g.kind):
+        if kind is NodeKind.AND:
+            level[node] = 1 + max(level[g.fanin0[node] >> 1], level[g.fanin1[node] >> 1])
+    assert g.levels() == level
+    assert g.depth() == max(level)
+
+
+class TestArrays:
+    def test_view_is_memoised_and_dropped_by_every_mutation(self):
+        g = EAIG()
+        a, b = g.add_pi(), g.add_pi()
+        q = g.add_ff()
+        x = g.add_and(a, lit_not(b))
+        view = g.arrays()
+        assert g.arrays() is view
+        _assert_view(g)
+        assert g.add_and(lit_not(b), a) == x and g.arrays() is view  # a strash hit adds nothing
+        y = g.add_and(x, q)
+        assert g.arrays() is not view
+        _assert_view(g)
+        view = g.arrays()
+        g.set_ff_input(q, y)
+        assert g.arrays() is not view and g.arrays().fanin0[q >> 1] == y
+        _assert_view(g)
+        g.add_ram("m", addr_bits=1, data_bits=2)
+        _assert_view(g)
+        view = g.arrays()
+        g.drop_arrays()
+        assert g.arrays() is not view
+
+    def test_view_is_never_pickled(self):
+        g = EAIG()
+        g.add_output("y", g.add_and(g.add_pi(), g.add_pi()))
+        without = pickle.dumps(g)  # the form of a flow file written before the view
+        g.arrays()
+        assert pickle.dumps(g) == without
+        loaded = pickle.loads(without)
+        assert "_arrays" not in vars(loaded)
+        _assert_view(loaded)
+
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_counts_on_registered_designs(self, name):
+        synth = synthesize(DESIGNS[name].build())
+        _assert_counts(synth.eaig)
+        _assert_counts(depth_opt.optimize(synth).eaig)
+
+    def test_counts_on_a_dual_rail_compile(self):
+        design = compile_circuit(random_circuit(11, n_ops=60, n_regs=4), values=4)
+        assert design.fourstate is not None
+        assert vars(design.synth.eaig).get("_arrays") is None, "the compile kept its view"
+        _assert_counts(design.synth.eaig)
+        _assert_view(design.synth.eaig)

@@ -418,6 +418,41 @@ class TestPlacementSpan:
         assert merge.partitions_before > merge.partitions_after, "no merge was tried"
 
 
+    def test_fold_use_of_the_shipped_placements(self, monkeypatch):
+        """``and_by_fold_level``, ``placements_per_and`` and ``leaf_use``:
+        one value per shipped partition, read off the final placements (not
+        the probes), identical on both Algorithm 2 paths.  openpiton1 places
+        each AND 2.76 times (ROADMAP finding 6)."""
+        from repro.core import placement_kernel
+        from repro.core.compiler import compile_circuit
+        from repro.harness.runner import DESIGNS
+
+        circuit = DESIGNS["openpiton1"].build()
+        seen = {}
+        for path in ("resolved", "python"):
+            if path == "python":
+                monkeypatch.setattr(placement_kernel, "library", lambda: None)
+            TRACER.enable()
+            try:
+                design = compile_circuit(circuit)
+            finally:
+                TRACER.disable()
+            (span,) = [e for e in TRACER.events() if e["name"] == "placement"]
+            TRACER.clear()
+            keys = ("and_by_fold_level", "placements_per_and", "leaf_use")
+            seen[path] = {key: span["args"][key] for key in keys}
+            assert seen[path] == {
+                key: [p.fold_use()[key] for p in design.merge.placements] for key in keys
+            }
+        assert seen["resolved"] == seen["python"]
+        (by_level,) = seen["python"]["and_by_fold_level"]
+        (per_and,) = seen["python"]["placements_per_and"]
+        (leaf_use,) = seen["python"]["leaf_use"]
+        assert len(by_level) == 13 and sum(by_level[:3]) / sum(by_level) > 0.9
+        assert per_and == pytest.approx(2.76, abs=0.01)
+        assert 0 < leaf_use < 1
+
+
 class TestPartitionSpan:
     def test_says_which_partitioner_ran_and_how_much_work(self, monkeypatch):
         """The ``partition`` span names the partitioner loops that ran and

@@ -5,8 +5,11 @@ import pytest
 from repro.core.eaig import NodeKind, lit_node
 from repro.core.partition import (
     PartitionConfig,
+    _live,
+    _max_need_level,
     build_endpoint_groups,
     choose_cut_levels,
+    compute_sources,
     partition_design,
 )
 from repro.core.synthesis import synthesize
@@ -59,6 +62,39 @@ class TestCutLevels:
         eaig = _design(seed=5, n_ops=150)
         cuts = choose_cut_levels(eaig, build_endpoint_groups(eaig), 3)
         assert cuts == sorted(set(cuts))
+
+
+class TestArrayPasses:
+    """The numpy passes over ``eaig.arrays()`` against their per-node
+    definitions."""
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_live_need_and_sources(self, seed):
+        eaig = _design(seed=seed, n_ops=120)
+        groups = build_endpoint_groups(eaig)
+        roots = [r for g in groups for r in g.roots]
+        live = _live(eaig.arrays(), [lit_node(r) for r in roots])
+        assert set(live.nonzero()[0].tolist()) == eaig.cone(roots)
+        level = eaig.level_of
+        need = [0] * len(eaig)
+        for node, kind in enumerate(eaig.kind):
+            if kind is NodeKind.AND and live[node]:
+                for fanin in (eaig.fanin0[node], eaig.fanin1[node]):
+                    need[lit_node(fanin)] = max(need[lit_node(fanin)], level[node])
+        for g in groups:
+            glevel = max((level[lit_node(r)] for r in g.roots), default=0)
+            for r in g.roots:
+                need[lit_node(r)] = max(need[lit_node(r)], glevel)
+        assert _max_need_level(eaig, groups, live).tolist() == need
+        for spec in partition_design(eaig, PartitionConfig(gates_per_partition=100)).partitions:
+            local = set(spec.nodes)
+            reads = {lit_node(f) for n in spec.nodes for f in (eaig.fanin0[n], eaig.fanin1[n])}
+            reads |= {lit_node(r) for r in spec.root_literals()}
+            expected = sorted(reads - local - {0})
+            assert spec.sources == expected
+            spec.sources = []
+            compute_sources(eaig, spec)
+            assert spec.sources == expected
 
 
 class TestPartitionDesign:

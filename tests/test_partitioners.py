@@ -5,10 +5,22 @@ from collections import Counter
 
 import pytest
 
+from repro.core.eaig import NodeKind
+from repro.core.synthesis import synthesize
+from repro.fuzz.designgen import generate_design
 from repro.partition import fm, kernel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import bisect, coarsen, partition_kway
+from repro.partition.repcut import (
+    build_sharing_hypergraph,
+    cone_masks,
+    cone_signatures,
+    live_count,
+    repcut_partition,
+    signature_hypergraph,
+    stage_cones,
+)
 
 
 def _two_clusters(n_per_side=12, cross_nets=2, seed=0) -> Hypergraph:
@@ -156,6 +168,47 @@ def _python(monkeypatch):
     monkeypatch.setattr(kernel, "library", lambda: None)
 
 
+def _random_groups(eaig, count, seed):
+    """``count`` endpoint groups of 1–4 root literals over every node kind.
+    Group 0 roots on the constant, 1 on a PI, 2 on an FF and 3 on a RAM
+    read bit (where the design has one): cones that are empty.  One group
+    in twenty has no roots at all, and one in ten roots only on sources."""
+    rng = random.Random(seed)
+    of_kind = {kind: [n for n in range(len(eaig)) if eaig.kind[n] is kind] for kind in NodeKind}
+    sources = [n for kind, nodes in of_kind.items() if kind is not NodeKind.AND for n in nodes]
+    groups = [[2 * nodes[0] + 1] for kind, nodes in of_kind.items() if kind is not NodeKind.AND and nodes]
+    groups = groups[:count]
+    while len(groups) < count:
+        draw = rng.random()
+        pool = sources if draw < 0.1 else of_kind[NodeKind.AND] + sources
+        size = 0 if draw > 0.95 else rng.randint(1, 4)
+        groups.append([2 * rng.choice(pool) + rng.randrange(2) for _ in range(size)])
+    return groups
+
+
+def _signature_histogram(sigs):
+    """:class:`ConeSignatures` as :func:`build_sharing_hypergraph`'s
+    histogram: (big-int mask, node count), in order."""
+    bounds = sigs.pin_start.tolist()
+    return [
+        (sum(1 << g for g in sigs.pins[a:b].tolist()), count)
+        for a, b, count in zip(bounds, bounds[1:], sigs.count.tolist())
+    ]
+
+
+#: (design seed, profile, groups): one group, a word boundary from both
+#: sides, and more than 1024 groups (17 words), on designs with RAM read
+#: bits, deep cones and wide fan-out
+_CONE_CASES = [
+    (1, "ram", 1),
+    (4, "ram", 63),
+    (2, "mixed", 64),
+    (7, "merge_stress", 65),
+    (3, "deep", 130),
+    (4, "ram", 1100),
+]
+
+
 class TestNativeMatchesPython:
     """``gem_fm_pass`` and ``gem_coarsen`` (:mod:`repro.partition.kernel`)
     against the Python loops they replace: the same result and the same
@@ -249,6 +302,59 @@ class TestNativeMatchesPython:
             assert (partition_kway(g, k, seed=seed, stats=stats), stats) == native[k], k
         assert bisect(g, 0.4, rng=python_rng) == native_bisect
         assert native_rng.getstate() == python_rng.getstate()
+
+    @pytest.mark.parametrize("seed, profile, count", _CONE_CASES)
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_cone_signatures(self, seed, profile, count, truncate, monkeypatch):
+        """``gem_cone_masks`` plus its numpy glue against ``cone_masks`` /
+        ``build_sharing_hypergraph``: the same signature histogram in the
+        same order, the same mask per node, the same graph, live count and
+        :class:`RepCutResult` — with cones whole, and truncated by
+        ``source_flags`` at a mid level plus random nodes."""
+        _native_or_skip()
+        eaig = synthesize(generate_design(seed, profile).spec.build()).eaig
+        groups = _random_groups(eaig, count, seed)
+        flags = None
+        if truncate:
+            rng = random.Random(seed)
+            mid = eaig.depth() // 2
+            flags = [
+                kind is NodeKind.AND and (level <= mid or rng.random() < 0.1)
+                for kind, level in zip(eaig.kind, eaig.level_of)
+            ]
+        masks = cone_masks(eaig, groups, flags)
+        sigs = cone_signatures(eaig, groups, flags)
+        for max_net_pins in (3, 128):
+            graph, histogram = build_sharing_hypergraph(count, masks, max_net_pins)
+            native = signature_hypergraph(count, sigs, max_net_pins)
+            assert native.nets == graph.nets
+            assert native.net_weight == graph.net_weight
+            assert native.vertex_weight == graph.vertex_weight
+        assert _signature_histogram(sigs) == list(histogram.items())
+        by_signature = [mask for mask, _ in _signature_histogram(sigs)]
+        native_masks = [0] * len(eaig)
+        for node, s in zip(sigs.nodes.tolist(), sigs.signature.tolist()):
+            native_masks[node] = by_signature[s]
+        assert native_masks == masks
+        assert live_count(sigs) == live_count(masks) == sum(1 for m in masks if m)
+        if count > 2:
+            assert any(len(mask_bits) > 1 for mask_bits in graph.nets), "no shared logic"
+            assert any(not m for m in masks), "every node in some cone"
+        k = min(4, count)
+        native_result = repcut_partition(eaig, groups, k, seed=seed, masks=sigs)
+        assert repcut_partition(eaig, groups, k, seed=seed, masks=masks) == native_result
+        assert repcut_partition(eaig, groups, k, seed=seed, source_flags=flags) == native_result
+        _python(monkeypatch)
+        assert stage_cones(eaig, groups, flags) == masks
+        assert repcut_partition(eaig, groups, k, seed=seed, source_flags=flags) == native_result
+
+    def test_cone_signatures_refuse_bad_roots(self):
+        _native_or_skip()
+        eaig = synthesize(generate_design(1, "ram").spec.build()).eaig
+        with pytest.raises(ValueError, match="root literal out of range"):
+            cone_signatures(eaig, [[2 * len(eaig)]])
+        with pytest.raises(ValueError, match="source_flags"):
+            cone_signatures(eaig, [[2]], [False])
 
     def test_bad_input_is_refused_before_c_reads_it(self):
         g = _random_graph(7, 20, 15)

@@ -330,6 +330,23 @@ class TestSmallestCore:
         assert isinstance(info.value, GemError)
         assert isinstance(info.value, RuntimeError)  # pre-existing except sites
 
+    @pytest.mark.parametrize("path", ["native", "python"])
+    def test_a_fanin_missing_from_the_sources_is_a_gem_error(self, path, monkeypatch):
+        """A hand-built partition whose ``sources`` omit a fan-in: both
+        layer loops refuse it with a :class:`GemError`, not an assert."""
+        if path == "python":
+            monkeypatch.setattr(placement_kernel, "library", lambda: None)
+        else:
+            _native_or_skip()
+        eaig = EAIG()
+        a, b = eaig.add_pi("a"), eaig.add_pi("b")
+        y = eaig.add_and(a, b)
+        eaig.add_output("y", y)
+        spec = PartitionSpec(stage=0, index=0, nodes=[y >> 1], groups=[], sources=[a >> 1])
+        with pytest.raises(GemError, match=f"fanin {b >> 1} neither available nor local") as info:
+            place_partition(eaig, spec, BoomerangConfig(width_log2=4))
+        assert not isinstance(info.value, (UnmappableError, PlacementStallError))
+
     def test_no_progress_is_a_typed_error_on_the_native_path(self, monkeypatch):
         """The layer loop in C places nothing when it is handed no
         candidates; the caller turns that into the same typed error."""
