@@ -182,9 +182,8 @@ class GemCompiler:
     def compile(self, circuit: Circuit | SynthesisResult) -> CompiledDesign:
         # the flow is imported here, not at the top: a run that reads a
         # compiled design back (repro.harness.runner) never loads it
-        from repro.core import placement_kernel
+        from repro.core import depth_opt, placement_kernel
         from repro.core.assembler import assemble
-        from repro.core.depth_opt import optimize as depth_optimize
         from repro.core.merging import merge_partitions
         from repro.core.partition import partition_design
         from repro.core.synthesis import SynthesisResult, synthesize
@@ -198,8 +197,15 @@ class GemCompiler:
             with TRACER.span("synthesis", cat="compile", args={"design": circuit.name}):
                 synth = synthesize(circuit, config.synthesis)
             if config.optimize:
-                with TRACER.span("depth_opt", cat="compile"):
-                    synth = depth_optimize(synth)
+                # which rebuild ran, and what it did to the size and depth
+                opt_args = {"gates_in": synth.eaig.num_gates(), "levels_in": synth.eaig.depth()}
+                with TRACER.span("depth_opt", cat="compile", args=opt_args):
+                    synth = depth_opt.optimize(synth)
+                    opt_args.update(
+                        rebuild=depth_opt.rebuild_path(),
+                        gates_out=synth.eaig.num_gates(),
+                        levels_out=synth.eaig.depth(),
+                    )
         eaig = synth.eaig
 
         pconfig = config.partition

@@ -19,15 +19,326 @@ plays the cleanup role the ASIC tool plays after elaboration:
 in place of the old one, preserving the word-level I/O binding, FF order,
 and RAM blocks, so everything downstream (partitioning, placement,
 simulation) is oblivious to whether optimization ran.
+
+The rebuild's cone loop runs in C (:data:`REBUILD_SOURCE`'s
+``gem_rebuild``, part of the compile flow's one library,
+:data:`repro.core.placement_kernel.COMPILE_SOURCE`) where that library
+loads, and in :func:`_build_python` otherwise.  C follows the Python
+loop step for step — its stack, the leaf order of each conjunction, the
+heap's ``(level, age)`` order, ``add_and``'s folding and strash — so both
+make the same nodes in the same order.  Python still makes the sources
+before the call and wires the FFs, RAM ports and outputs after it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 from dataclasses import replace
 
-from repro.core.eaig import EAIG, FALSE, NodeKind, lit_node
+import numpy as np
+
+from repro.core.eaig import EAIG, FALSE, NodeKind
 from repro.core.synthesis import SynthesisResult, reduce_tree
-from repro.errors import GemError
+from repro.errors import BackendUnavailableError, GemError
+
+logger = logging.getLogger(__name__)
+
+REBUILD_SOURCE = r"""
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define RB_AND 2                      /* NodeKind.AND */
+
+typedef struct {
+    int64_t nroots, balance;
+    int64_t base;                     /* new nodes before the first AND */
+    int64_t cap;                      /* room for new ANDs and mappings */
+    int64_t nand, nmapped, bad;       /* out */
+    const int8_t *kind;               /* the old graph's arrays() */
+    const int64_t *fanin0, *fanin1;
+    const int64_t *fanout;            /* NULL without balance */
+    const int64_t *roots;             /* literals, state_roots() order */
+    int64_t *node_map;                /* in/out: new literal, -1 unmapped */
+    int64_t *and0, *and1, *level;     /* out: new ANDs, creation order */
+    int64_t *order;                   /* out: old ANDs, mapping order */
+} gem_rebuild_job;
+
+typedef struct {
+    int64_t *data;
+    int64_t len, cap;
+} rb_stack;
+
+static int rb_push(rb_stack *s, int64_t x)
+{
+    if (s->len == s->cap) {
+        const int64_t cap = s->cap ? 2 * s->cap : 256;
+        int64_t *data = realloc(s->data, (size_t)cap * sizeof *data);
+        if (!data)
+            return 0;
+        s->data = data;
+        s->cap = cap;
+    }
+    s->data[s->len++] = x;
+    return 1;
+}
+
+typedef struct {
+    gem_rebuild_job *j;
+    int32_t *table;                   /* strash: index of a new AND, -1 */
+    uint64_t mask;
+    rb_stack work;                    /* build's stack: node << 1 | expanded */
+    rb_stack dfs, leaves;             /* conjunction_leaves */
+    rb_stack heap;                    /* reduce_tree: (key, literal) pairs */
+} rb_state;
+
+static int64_t rb_level(const gem_rebuild_job *j, int64_t literal)
+{
+    const int64_t node = literal >> 1;
+    return node < j->base ? 0 : j->level[node - j->base];
+}
+
+/* EAIG.add_and: normalise, fold constants, strash; -1 when out of room */
+static int64_t rb_and(rb_state *s, int64_t a, int64_t b)
+{
+    gem_rebuild_job *j = s->j;
+    if (a > b) {
+        const int64_t t = a;
+        a = b;
+        b = t;
+    }
+    if (a == 0)
+        return 0;
+    if (a == 1)
+        return b;
+    if (a == b)
+        return a;
+    if (a == (b ^ 1))
+        return 0;
+    uint64_t h = (uint64_t)a * 0x9E3779B97F4A7C15ull ^ (uint64_t)b * 0xC2B2AE3D27D4EB4Full;
+    for (h = (h ^ h >> 32) & s->mask; s->table[h] >= 0; h = (h + 1) & s->mask) {
+        const int64_t e = s->table[h];
+        if (j->and0[e] == a && j->and1[e] == b)
+            return 2 * (j->base + e);
+    }
+    if (j->nand == j->cap)
+        return -1;
+    const int64_t e = j->nand++, la = rb_level(j, a), lb = rb_level(j, b);
+    j->and0[e] = a;
+    j->and1[e] = b;
+    j->level[e] = 1 + (la > lb ? la : lb);
+    s->table[h] = (int32_t)e;
+    return 2 * (j->base + e);
+}
+
+/* conjunction_leaves(root) into s->leaves: fanin0 pushed before fanin1 */
+static int rb_leaves(rb_state *s, int64_t root)
+{
+    const gem_rebuild_job *j = s->j;
+    s->leaves.len = 0;
+    s->dfs.len = 0;
+    if (!rb_push(&s->dfs, 2 * root))
+        return 0;
+    while (s->dfs.len) {
+        const int64_t literal = s->dfs.data[--s->dfs.len], node = literal >> 1;
+        if (!(literal & 1) && j->kind[node] == RB_AND
+            && (node == root || j->fanout[node] == 1)) {
+            if (!rb_push(&s->dfs, j->fanin0[node]) || !rb_push(&s->dfs, j->fanin1[node]))
+                return 0;
+        } else if (!rb_push(&s->leaves, literal))
+            return 0;
+    }
+    return 1;
+}
+
+/* a min-heap of (level << 32 | counter, literal) pairs */
+static int rb_heap_push(rb_stack *h, int64_t key, int64_t literal)
+{
+    if (!rb_push(h, key) || !rb_push(h, literal))
+        return 0;
+    int64_t *d = h->data, i = h->len / 2 - 1;
+    while (i > 0) {
+        const int64_t parent = (i - 1) / 2;
+        if (d[2 * parent] <= key)
+            break;
+        d[2 * i] = d[2 * parent];
+        d[2 * i + 1] = d[2 * parent + 1];
+        i = parent;
+    }
+    d[2 * i] = key;
+    d[2 * i + 1] = literal;
+    return 1;
+}
+
+static int64_t rb_heap_pop(rb_stack *h)
+{
+    int64_t *d = h->data;
+    const int64_t top = d[1], n = h->len / 2 - 1;
+    const int64_t key = d[2 * n], literal = d[2 * n + 1];
+    h->len -= 2;
+    int64_t i = 0;
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= n)
+            break;
+        if (c + 1 < n && d[2 * c + 2] < d[2 * c])
+            ++c;
+        if (key <= d[2 * c])
+            break;
+        d[2 * i] = d[2 * c];
+        d[2 * i + 1] = d[2 * c + 1];
+        i = c;
+    }
+    if (n > 0) {
+        d[2 * i] = key;
+        d[2 * i + 1] = literal;
+    }
+    return top;
+}
+
+/* _tree_and_signed over s->leaves translated: reduce_tree merges the two
+   shallowest first, ties by age; -1 when out of memory or room */
+static int64_t rb_reduce(rb_state *s)
+{
+    gem_rebuild_job *j = s->j;
+    rb_stack *h = &s->heap;
+    if (!s->leaves.len)
+        return 1;
+    h->len = 0;
+    int64_t counter = 0;
+    for (; counter < s->leaves.len; ++counter) {
+        const int64_t l = s->leaves.data[counter], t = j->node_map[l >> 1] ^ (l & 1);
+        if (!rb_heap_push(h, rb_level(j, t) << 32 | counter, t))
+            return -1;
+    }
+    while (h->len > 2) {
+        const int64_t a = rb_heap_pop(h), b = rb_heap_pop(h), m = rb_and(s, a, b);
+        if (m < 0 || !rb_heap_push(h, rb_level(j, m) << 32 | counter++, m))
+            return -1;
+    }
+    return h->data[1];
+}
+
+/* depth_opt's build over every root, step for step: the same new ANDs in
+   the same order, the same node_map.  Returns 0, -1 for an unmapped node
+   that is not an AND (bad says which), -2 when out of memory or room. */
+int64_t gem_rebuild(gem_rebuild_job *j)
+{
+    rb_state s;
+    memset(&s, 0, sizeof s);
+    s.j = j;
+    int64_t size = 1024; /* a power of two, at least twice the room */
+    while (size < 2 * j->cap)
+        size *= 2;
+    s.mask = (uint64_t)size - 1;
+    s.table = j->cap < INT32_MAX ? malloc((size_t)size * sizeof *s.table) : NULL;
+    int64_t rc = -2;
+    if (!s.table)
+        goto done;
+    memset(s.table, 0xff, (size_t)size * sizeof *s.table);
+    j->nand = j->nmapped = 0;
+    for (int64_t r = 0; r < j->nroots; ++r) {
+        s.work.len = 0;
+        if (!rb_push(&s.work, j->roots[r] >> 1 << 1))
+            goto done;
+        while (s.work.len) {
+            const int64_t entry = s.work.data[--s.work.len], node = entry >> 1;
+            if (j->node_map[node] >= 0)
+                continue;
+            if (j->kind[node] != RB_AND) {
+                j->bad = node;
+                rc = -1;
+                goto done;
+            }
+            int64_t value;
+            if (j->balance) {
+                if (!rb_leaves(&s, node))
+                    goto done;
+                if (!(entry & 1)) {
+                    if (!rb_push(&s.work, entry | 1))
+                        goto done;
+                    for (int64_t i = 0; i < s.leaves.len; ++i)
+                        if (!rb_push(&s.work, s.leaves.data[i] >> 1 << 1))
+                            goto done;
+                    continue;
+                }
+                value = rb_reduce(&s);
+            } else {
+                const int64_t f0 = j->fanin0[node], f1 = j->fanin1[node];
+                if (!(entry & 1)) {
+                    if (!rb_push(&s.work, entry | 1) || !rb_push(&s.work, f0 >> 1 << 1)
+                        || !rb_push(&s.work, f1 >> 1 << 1))
+                        goto done;
+                    continue;
+                }
+                value = rb_and(&s, j->node_map[f0 >> 1] ^ (f0 & 1),
+                               j->node_map[f1 >> 1] ^ (f1 & 1));
+            }
+            if (value < 0 || j->nmapped == j->cap)
+                goto done;
+            j->node_map[node] = value;
+            j->order[j->nmapped++] = node;
+        }
+    }
+    rc = 0;
+done:
+    free(s.table);
+    free(s.work.data);
+    free(s.dfs.data);
+    free(s.leaves.data);
+    free(s.heap.data);
+    return rc;
+}
+"""
+
+
+class RebuildJob(ctypes.Structure):
+    """``gem_rebuild_job`` of :data:`REBUILD_SOURCE` (arrays as addresses)."""
+
+    _fields_ = [
+        *(
+            (name, ctypes.c_int64)
+            for name in ("nroots", "balance", "base", "cap", "nand", "nmapped", "bad")
+        ),
+        *(
+            (name, ctypes.c_void_p)
+            for name in (
+                "kind", "fanin0", "fanin1", "fanout", "roots", "node_map",
+                "and0", "and1", "level", "order",
+            )
+        ),
+    ]
+
+
+#: ``gem_rebuild(job)``
+SIGNATURE = ((ctypes.POINTER(RebuildJob),), ctypes.c_int64)
+
+#: the loaded entry point, or None where it cannot be built; empty until
+#: the first rebuild asks
+_RESOLVED: list = []
+
+
+def library():
+    """``gem_rebuild`` as a ``ctypes`` function, or ``None`` where no
+    library can be built or loaded (the reason is logged once, at INFO, and
+    :func:`rebuild` runs its Python loop).  Resolved once per process."""
+    if not _RESOLVED:
+        from repro.core.backend import load_kernel
+        from repro.core.placement_kernel import COMPILE_SOURCE
+
+        try:
+            fn = load_kernel(COMPILE_SOURCE, "gem_rebuild", SIGNATURE)
+        except BackendUnavailableError as exc:
+            logger.info("native rebuild unavailable (%s); depth_opt rebuilds in Python", exc)
+            fn = None
+        _RESOLVED.append(fn)
+    return _RESOLVED[0]
+
+
+def rebuild_path() -> str:
+    """Which rebuild runs in this process: ``"native"`` or ``"python"``."""
+    return "python" if library() is None else "native"
 
 
 def optimize(result: SynthesisResult, balance: bool = True) -> SynthesisResult:
@@ -52,10 +363,13 @@ def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
 
     Returns the new graph and a literal translation map covering every
     literal that refers to a surviving (live) node plus all state nodes.
+    The cones are built by ``gem_rebuild`` where the compile library loads
+    and by :func:`_build_python` otherwise: the same nodes in the same
+    order either way.
     """
     old.check()
     new = EAIG(old.name)
-    node_map: dict[int, int] = {0: 0}  # old node -> new *positive literal*
+    node_map: dict[int, int] = {0: 0}  # old node -> new literal
 
     for idx, pi in enumerate(old.pis):
         node_map[pi] = new.add_pi(old.names.get(pi, f"pi{idx}"))
@@ -66,7 +380,39 @@ def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
         for old_node, new_node in zip(ram.data_nodes, new_ram.data_nodes):
             node_map[old_node] = 2 * new_node
 
+    lib = library()
+    if lib is None:
+        _build_python(old, new, node_map, balance)
+    else:
+        _build_native(lib, old, new, node_map, balance)
+
+    def translate(literal: int) -> int:
+        return node_map[literal >> 1] ^ (literal & 1)
+
+    for ff in old.ffs:
+        new.set_ff_input(node_map[ff], translate(old.fanin0[ff]))
+    for ram, new_ram in zip(old.rams, new.rams):
+        new_ram.raddr = [translate(l) for l in ram.raddr]
+        new_ram.ren = translate(ram.ren)
+        new_ram.waddr = [translate(l) for l in ram.waddr]
+        new_ram.wdata = [translate(l) for l in ram.wdata]
+        new_ram.wen = translate(ram.wen)
+    for name, literal in old.outputs:
+        new.add_output(name, translate(literal))
+    new.check()
+
+    lit_map: dict[int, int] = {}
+    for old_node, new_lit in node_map.items():
+        lit_map[2 * old_node] = new_lit
+        lit_map[2 * old_node + 1] = new_lit ^ 1
+    return new, lit_map
+
+
+def _build_python(old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool) -> None:
+    """Map every AND of ``old`` that a root reaches into ``new``: the
+    reference ``gem_rebuild`` follows, and the path without a compiler."""
     fanout = old.fanout_counts() if balance else []
+    old.drop_arrays()  # the loop reads the lists
 
     def translate(literal: int) -> int:
         return node_map[literal >> 1] ^ (literal & 1)
@@ -118,45 +464,65 @@ def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
                     stack.append((old.fanin0[node] >> 1, False))
                     stack.append((old.fanin1[node] >> 1, False))
 
-    roots: list[int] = []
-    for ff in old.ffs:
-        roots.append(old.fanin0[ff])
-    for ram in old.rams:
-        roots.extend(ram.port_literals())
-    roots.extend(literal for _, literal in old.outputs)
-    for root in roots:
+    for root in old.state_roots():
         build(root)
 
-    for ff in old.ffs:
-        new.set_ff_input(node_map[ff], translate(old.fanin0[ff]))
-    for ram, new_ram in zip(old.rams, new.rams):
-        new_ram.raddr = [translate(l) for l in ram.raddr]
-        new_ram.ren = translate(ram.ren)
-        new_ram.waddr = [translate(l) for l in ram.waddr]
-        new_ram.wdata = [translate(l) for l in ram.wdata]
-        new_ram.wen = translate(ram.wen)
-    for name, literal in old.outputs:
-        new.add_output(name, translate(literal))
-    new.check()
 
-    lit_map: dict[int, int] = {}
-    for old_node, new_pos in node_map.items():
-        lit_map[2 * old_node] = new_pos
-        lit_map[2 * old_node + 1] = new_pos ^ 1
-    return new, lit_map
+def _build_native(lib, old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool) -> None:
+    """:func:`_build_python` in one ``gem_rebuild`` call.
+
+    C walks ``old.arrays()`` and returns the new ANDs' fan-ins and levels
+    in creation order plus the old ANDs in the order they were mapped, so
+    ``new`` and ``node_map`` grow exactly as the Python loop grows them.
+    Its scratch (strash table, stacks, heap) lives and dies in the call.
+    """
+    arrays = old.arrays()
+    # an old AND makes at most one new AND: a cone of k leaves holds k - 1
+    # old ANDs, each in no other cone, and reduces in k - 1 add_and calls
+    cap = int(np.count_nonzero(arrays.kind == NodeKind.AND))
+    mapped = np.full(len(old), -1, dtype=np.int64)
+    mapped[list(node_map)] = list(node_map.values())
+    fanout = np.array(old.fanout_counts(), dtype=np.int64) if balance else None
+    roots = np.array(old.state_roots(), dtype=np.int64)
+    out = np.empty((4, cap), dtype=np.int64)  # and0, and1, level, order
+    job = RebuildJob(
+        nroots=roots.size,
+        balance=int(balance),
+        base=len(new),
+        cap=cap,
+        kind=arrays.kind.ctypes.data,
+        fanin0=arrays.fanin0.ctypes.data,
+        fanin1=arrays.fanin1.ctypes.data,
+        fanout=None if fanout is None else fanout.ctypes.data,
+        roots=roots.ctypes.data,
+        node_map=mapped.ctypes.data,
+        **{name: row.ctypes.data for name, row in zip(("and0", "and1", "level", "order"), out)},
+    )
+    rc = lib(ctypes.byref(job))
+    # release the view and the inputs before the new nodes' ints exist: a
+    # held pre-optimisation design does not carry the view either
+    del arrays, fanout, roots
+    old.drop_arrays()
+    if rc == -1:
+        raise GemError(f"unmapped non-AND node {job.bad} ({old.kind[job.bad]})")
+    if rc < 0:
+        raise MemoryError("depth_opt: rebuild scratch")
+    new.extend_ands(*(row[: job.nand].tolist() for row in out[:3]))
+    order = out[3, : job.nmapped]
+    node_map.update(zip(order.tolist(), mapped[order].tolist()))
 
 
 def _tree_and_signed(eaig: EAIG, leaves: list[int]) -> int:
-    """Level-aware AND reduction returning a *positive* literal mapping.
+    """Level-aware AND reduction; returns the conjunction's literal.
 
-    The conjunction value may strash to a complemented literal (e.g. when it
-    folds to a constant); callers store node mappings as positive literals,
-    so encode the result literal directly.
+    The literal may be complemented: ``add_and`` folds ``AND(TRUE, ~x)``
+    to ``~x``, and a conjunction that folds to TRUE is literal 1.  So
+    ``node_map`` holds signed literals, and ``translate`` XORs an edge's
+    own complement into them.
     """
     if not leaves:
-        return 1  # empty conjunction is TRUE; map node to constant literal
-    result = reduce_tree(eaig, leaves, eaig.add_and, empty=FALSE)
-    return result
+        return 1  # the empty conjunction is TRUE
+    return reduce_tree(eaig, leaves, eaig.add_and, empty=FALSE)
 
 
 def depth_report(eaig: EAIG) -> dict:

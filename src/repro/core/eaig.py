@@ -184,6 +184,21 @@ class EAIG:
             self._strash[key] = node
         return lit(node)
 
+    def extend_ands(self, fanin0: list[int], fanin1: list[int], levels: list[int]) -> None:
+        """Append AND nodes as :meth:`add_and` would have made them one by
+        one: each pair normalised (``fanin0 < fanin1``), not foldable, new
+        to the strash and over earlier nodes, ``levels`` their
+        ``level_of``.  The caller guarantees all of it (depth_opt's native
+        rebuild); the strash keys share the fan-in lists' int objects."""
+        self._arrays = None
+        base, count = len(self.kind), len(fanin0)
+        self.kind.extend([NodeKind.AND] * count)
+        self.fanin0.extend(fanin0)
+        self.fanin1.extend(fanin1)
+        self.aux.extend([0] * count)
+        self.level_of.extend(levels)
+        self._strash.update(zip(zip(fanin0, fanin1), range(base, base + count)))
+
     def add_or(self, a: int, b: int) -> int:
         return lit_not(self.add_and(lit_not(a), lit_not(b)))
 
@@ -298,13 +313,14 @@ class EAIG:
         return max(self.level_of)
 
     def level_histogram(self) -> dict[int, int]:
-        """AND-gate count per logic level — exhibits the long tail (Obs. 4)."""
-        hist: dict[int, int] = {}
-        lvl = self.level_of
-        for node in range(len(self.kind)):
-            if self.kind[node] is NodeKind.AND:
-                hist[lvl[node]] = hist.get(lvl[node], 0) + 1
-        return hist
+        """AND-gate count per logic level — exhibits the long tail (Obs. 4).
+
+        Levels appear in the order of their first AND node."""
+        arrays = self.arrays()
+        levels = arrays.level[arrays.kind == NodeKind.AND]
+        values, first, counts = np.unique(levels, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        return dict(zip(values[order].tolist(), counts[order].tolist()))
 
     def state_roots(self) -> list[int]:
         """Literals that must be computed every cycle: FF inputs, RAM ports,
@@ -316,19 +332,20 @@ class EAIG:
         return roots
 
     def fanout_counts(self) -> list[int]:
-        counts = [0] * len(self.kind)
-        for node in range(len(self.kind)):
-            if self.kind[node] is NodeKind.AND:
-                counts[lit_node(self.fanin0[node])] += 1
-                counts[lit_node(self.fanin1[node])] += 1
-            elif self.kind[node] is NodeKind.FF:
-                counts[lit_node(self.fanin0[node])] += 1
-        for ram in self.rams:
-            for literal in ram.port_literals():
-                counts[lit_node(literal)] += 1
-        for _, literal in self.outputs:
-            counts[lit_node(literal)] += 1
-        return counts
+        """Uses per node: AND fan-ins, FF inputs, RAM ports and outputs."""
+        arrays = self.arrays()
+        is_and = arrays.kind == NodeKind.AND
+        ports = [literal for ram in self.rams for literal in ram.port_literals()]
+        ports.extend(literal for _, literal in self.outputs)
+        literals = np.concatenate(
+            (
+                arrays.fanin0[is_and],
+                arrays.fanin1[is_and],
+                arrays.fanin0[arrays.kind == NodeKind.FF],
+                np.array(ports, dtype=np.int64),
+            )
+        )
+        return np.bincount(literals >> 1, minlength=len(self.kind)).tolist()
 
     def cone(self, roots: Iterable[int]) -> set[int]:
         """Transitive combinational fan-in nodes of ``roots`` literals.

@@ -169,14 +169,13 @@ def decode_read(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, n
 
 def encode_perm(perm: np.ndarray) -> list[np.ndarray]:
     """Sparse permutation: one (leaf, slot) word per occupied leaf."""
-    occupied = np.nonzero(perm >= 0)[0]
+    occupied = np.flatnonzero(perm >= 0).astype(np.uint32)
     out = []
     for base in range(0, len(occupied), PERM_CAPACITY):
         chunk = occupied[base : base + PERM_CAPACITY]
         inst = _blank(Opcode.PERM, len(chunk))
         inst[1] = 0  # reserved (chunk base; leaves are absolute here)
-        for i, leaf in enumerate(chunk):
-            inst[2 + i] = (int(leaf) << 16) | int(perm[leaf])
+        inst[2 : 2 + len(chunk)] = (chunk << 16) | perm[chunk].astype(np.uint32)
         out.append(inst)
     if not out:  # a layer of pure constants still needs its permutation slot
         out.append(_blank(Opcode.PERM, 0))
@@ -251,14 +250,16 @@ def decode_fold(inst: np.ndarray, eff_width_log2: int) -> tuple[list, list, list
 
 def encode_wb(entries: list[tuple[int, int, int]]) -> list[np.ndarray]:
     """Entries: (fold step, position, state slot)."""
+    table = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    bad = (table < 0).any(axis=1) | (table >= (16, 1 << 14, MAX_STATE_BITS)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"writeback entry out of range: {tuple(entries[int(bad.argmax())])}")
+    words = ((table[:, 0] << 28) | (table[:, 1] << 14) | table[:, 2]).astype(np.uint32)
     out = []
-    for base in range(0, len(entries), WB_CAPACITY):
-        chunk = entries[base : base + WB_CAPACITY]
+    for base in range(0, len(words), WB_CAPACITY):
+        chunk = words[base : base + WB_CAPACITY]
         inst = _blank(Opcode.WB, len(chunk))
-        for i, (step, pos, slot) in enumerate(chunk):
-            if step >= 16 or pos >= (1 << 14) or slot >= MAX_STATE_BITS:
-                raise ValueError(f"writeback entry out of range: {(step, pos, slot)}")
-            inst[1 + i] = (step << 28) | (pos << 14) | slot
+        inst[1 : 1 + len(chunk)] = chunk
         out.append(inst)
     return out
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import logging
 
+from repro.core.depth_opt import REBUILD_SOURCE
 from repro.errors import BackendUnavailableError
 from repro.partition.kernel import PARTITION_SOURCE
 
@@ -388,9 +389,10 @@ done:
 }
 """
 
-#: the compile flow's one C library: Algorithm 2's layer loop and the
-#: partitioner's FM pass and coarsening round
-COMPILE_SOURCE = PLACEMENT_SOURCE + PARTITION_SOURCE
+#: the compile flow's one C library: Algorithm 2's layer loop, the
+#: partitioner's cone signatures, FM pass and coarsening round, and
+#: depth_opt's rebuild
+COMPILE_SOURCE = PLACEMENT_SOURCE + PARTITION_SOURCE + REBUILD_SOURCE
 
 
 class Place(ctypes.Structure):

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.core import depth_opt
 from repro.core.depth_opt import compact, depth_report, optimize, rebuild
 from repro.core.eaig import EAIG, NodeKind
 from repro.core.synthesis import synthesize
-from repro.rtl import CircuitBuilder, Netlist, WordSim
+from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
+from repro.errors import GemError
+from repro.fourstate.dualrail import to_dual_rail
+from repro.harness.runner import DESIGNS
+from repro.rtl import Netlist, WordSim
 from repro.simref.gate_sim import GateLevelSim
 from tests.helpers import lockstep, random_circuit, random_vectors
 
@@ -99,3 +104,89 @@ class TestReport:
         report = depth_report(synthesize(circuit).eaig)
         if report["depth"] >= 8:
             assert report["frontier_fraction"] > 0.25
+
+
+# -- gem_rebuild against the Python loop ---------------------------------------
+
+#: the registered designs, the cold benchmark's, a dual-rail one (4-state
+#: compiles run depth_opt too) and generated ones with memory
+REBUILD_CASES = [*sorted(DESIGNS), "openpiton3", "dual-rail", "random-3", "random-17", "random-41"]
+
+
+@pytest.fixture(scope="module", params=REBUILD_CASES)
+def synthesized(request) -> EAIG:
+    case = request.param
+    if case == "openpiton3":
+        circuit = build_openpiton_like(OpenPitonScale(cores=3))
+    elif case == "dual-rail":
+        circuit = to_dual_rail(random_circuit(11, n_ops=60, n_regs=4, with_memory=True)).circuit
+    elif case.startswith("random-"):
+        circuit = random_circuit(int(case.split("-")[1]), n_ops=80, with_memory=True)
+    else:
+        circuit = DESIGNS[case].build()
+    return synthesize(circuit).eaig
+
+
+def _everything(eaig: EAIG, lit_map: dict[int, int]) -> dict:
+    """What a rebuild makes, in the order it made it."""
+    return {
+        "kind": eaig.kind,
+        "fanin0": eaig.fanin0,
+        "fanin1": eaig.fanin1,
+        "aux": eaig.aux,
+        "level_of": eaig.level_of,
+        "names": list(eaig.names.items()),
+        "strash": list(eaig._strash.items()),
+        "pis": eaig.pis,
+        "ffs": eaig.ffs,
+        "rams": [vars(ram) for ram in eaig.rams],
+        "outputs": eaig.outputs,
+        "lit_map": list(lit_map.items()),
+    }
+
+
+class TestNativeMatchesPython:
+    """``gem_rebuild`` makes the Python loop's graph node for node: the
+    same ANDs in the same order, the same strash, the same literal map."""
+
+    @pytest.fixture(autouse=True)
+    def native(self):
+        if depth_opt.library() is None:
+            pytest.skip("no C compiler and no cached compile library here")
+
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_same_graph(self, synthesized, balance, monkeypatch):
+        native = _everything(*rebuild(synthesized, balance))
+        assert vars(synthesized).get("_arrays") is None, "the rebuild kept the old view"
+        monkeypatch.setattr(depth_opt, "library", lambda: None)
+        python = _everything(*rebuild(synthesized, balance))
+        for key, value in python.items():
+            assert native[key] == value, key
+
+    def test_same_graph_when_a_conjunction_meets_a_complement(self, monkeypatch):
+        """Balancing pairs the two shallowest leaves first, here ``a`` and
+        ``~a``: ``add_and`` folds them to FALSE, and so must C."""
+        g = EAIG()
+        a, c, d = g.add_pi(), g.add_pi(), g.add_pi()
+        shared = g.add_and(c, d)  # two fan-outs: a leaf one level up
+        g.add_output("shared", shared)
+        g.add_output("y", g.add_and(g.add_and(a, shared), a ^ 1))
+        native = _everything(*rebuild(g, balance=True))
+        monkeypatch.setattr(depth_opt, "library", lambda: None)
+        python = _everything(*rebuild(g, balance=True))
+        assert native == python
+        assert python["outputs"][1] == ("y", 0)
+
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_same_error_for_an_unregistered_source(self, balance, monkeypatch):
+        g = EAIG()
+        a = g.add_pi()
+        stray = g._new_node(NodeKind.PI)  # a PI that g.pis does not list
+        g.add_output("y", g.add_and(a, g.add_and(2 * stray, g.add_pi())))
+        messages = []
+        for lib in (depth_opt.library(), None):
+            monkeypatch.setattr(depth_opt, "library", lambda: lib)
+            with pytest.raises(GemError, match="unmapped non-AND node") as info:
+                rebuild(g, balance)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"unmapped non-AND node {stray} ({NodeKind.PI})"

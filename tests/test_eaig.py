@@ -207,14 +207,28 @@ def _assert_view(g: EAIG) -> None:
 
 def _assert_counts(g: EAIG) -> None:
     """``num_gates`` against a kind scan, ``levels``/``depth`` against the
-    recursive definition (AND = 1 + max of its fan-ins, sources 0)."""
+    recursive definition (AND = 1 + max of its fan-ins, sources 0), and
+    ``fanout_counts``/``level_histogram`` (dict order too) against their
+    loops."""
     assert g.num_gates() == sum(1 for k in g.kind if k is NodeKind.AND)
     level = [0] * len(g)
+    fanout = [0] * len(g)
+    hist: dict[int, int] = {}
     for node, kind in enumerate(g.kind):
         if kind is NodeKind.AND:
             level[node] = 1 + max(level[g.fanin0[node] >> 1], level[g.fanin1[node] >> 1])
+            fanout[g.fanin0[node] >> 1] += 1
+            fanout[g.fanin1[node] >> 1] += 1
+            hist[level[node]] = hist.get(level[node], 0) + 1
+        elif kind is NodeKind.FF:
+            fanout[g.fanin0[node] >> 1] += 1
+    ports = [literal for ram in g.rams for literal in ram.port_literals()]
+    for literal in ports + [literal for _, literal in g.outputs]:
+        fanout[literal >> 1] += 1
     assert g.levels() == level
     assert g.depth() == max(level)
+    assert g.fanout_counts() == fanout
+    assert list(g.level_histogram().items()) == list(hist.items())
 
 
 class TestArrays:

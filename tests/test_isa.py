@@ -1,5 +1,7 @@
 """VLIW ISA encode/decode round-trips (repro.core.isa)."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,23 @@ class TestPerm:
         expected = {i: int(v) for i, v in enumerate(perm) if v >= 0}
         assert recovered == expected
 
+    @given(st.lists(st.integers(-1, 1 << 14), min_size=1, max_size=3000))
+    @settings(max_examples=20, deadline=None)
+    def test_words_match_the_per_leaf_loop(self, perm_list):
+        """The array encoder writes the bytes one word per leaf would."""
+        perm = np.array(perm_list, dtype=np.int32)
+        expected = []
+        occupied = [leaf for leaf, slot in enumerate(perm_list) if slot >= 0]
+        for base in range(0, len(occupied), isa.PERM_CAPACITY):
+            chunk = occupied[base : base + isa.PERM_CAPACITY]
+            inst = isa._blank(isa.Opcode.PERM, len(chunk))
+            for i, leaf in enumerate(chunk):
+                inst[2 + i] = (leaf << 16) | perm_list[leaf]
+            expected.append(inst)
+        expected = expected or [isa._blank(isa.Opcode.PERM, 0)]
+        got = isa.encode_perm(perm)
+        assert [inst.tobytes() for inst in got] == [inst.tobytes() for inst in expected]
+
     def test_all_empty_still_emits_one(self):
         perm = np.full(16, -1, dtype=np.int32)
         insts = isa.encode_perm(perm)
@@ -126,9 +145,35 @@ class TestWb:
             decoded.extend(zip(steps.tolist(), pos.tolist(), slots.tolist()))
         assert decoded == entries
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 15), st.integers(0, (1 << 14) - 1), st.integers(0, 16383)),
+            max_size=700,
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_words_match_the_per_entry_loop(self, entries):
+        expected = []
+        for base in range(0, len(entries), isa.WB_CAPACITY):
+            chunk = entries[base : base + isa.WB_CAPACITY]
+            inst = isa._blank(isa.Opcode.WB, len(chunk))
+            for i, (step, pos, slot) in enumerate(chunk):
+                inst[1 + i] = (step << 28) | (pos << 14) | slot
+            expected.append(inst)
+        got = isa.encode_wb(entries)
+        assert [inst.tobytes() for inst in got] == [inst.tobytes() for inst in expected]
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             isa.encode_wb([(16, 0, 0)])
+
+    @pytest.mark.parametrize(
+        "bad", [(16, 0, 0), (0, 1 << 14, 0), (0, 0, isa.MAX_STATE_BITS), (0, -1, 0)]
+    )
+    def test_range_check_names_the_first_bad_entry(self, bad):
+        entries = [(1, 2, 3)] * 300 + [bad, (99, 99, 99)]
+        with pytest.raises(ValueError, match=f"out of range: {re.escape(str(bad))}$"):
+            isa.encode_wb(entries)
 
 
 class TestGwrite:

@@ -481,6 +481,35 @@ class TestPartitionSpan:
         assert seen["resolved"] == seen["python"]
 
 
+class TestDepthOptSpan:
+    def test_says_which_rebuild_ran_and_what_it_did(self, monkeypatch):
+        """The ``depth_opt`` span names the rebuild that ran and counts the
+        gates and levels before and after: the same counts on the C rebuild
+        and on the Python one."""
+        from repro.core import depth_opt
+
+        circuit = random_circuit(326, n_ops=120, n_regs=6)
+        seen = {}
+        for path in ("resolved", "python"):
+            if path == "python":
+                monkeypatch.setattr(depth_opt, "library", lambda: None)
+            TRACER.enable()
+            try:
+                design = _compile_small(circuit)
+            finally:
+                TRACER.disable()
+            (span,) = [e for e in TRACER.events() if e["name"] == "depth_opt"]
+            TRACER.clear()
+            args = span["args"]
+            expected = "python" if path == "python" else depth_opt.rebuild_path()
+            assert args["rebuild"] == expected
+            assert args["gates_out"] == design.report.gates <= args["gates_in"]
+            assert args["levels_out"] == design.report.levels <= args["levels_in"]
+            keys = ("gates_in", "gates_out", "levels_in", "levels_out")
+            seen[path] = {key: args[key] for key in keys}
+        assert seen["resolved"] == seen["python"]
+
+
 # -- CLI end to end -----------------------------------------------------------
 
 
