@@ -211,9 +211,6 @@ class GemProgram:
     def num_bytes(self) -> int:
         return int(self.words.size) * 4
 
-    def size_mb(self) -> float:
-        return self.num_bytes / (1024 * 1024)
-
     def digest(self) -> int:
         """CRC32 over the whole container (binds checkpoints to programs)."""
         return crc32_words(self.words)

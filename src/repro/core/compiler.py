@@ -187,7 +187,6 @@ class GemCompiler:
         from repro.core.merging import merge_partitions
         from repro.core.partition import partition_design
         from repro.core.synthesis import SynthesisResult, synthesize
-        from repro.partition import kernel as partition_kernel
 
         config = self.config
         config.validate()
@@ -197,14 +196,12 @@ class GemCompiler:
             with TRACER.span("synthesis", cat="compile", args={"design": circuit.name}):
                 synth = synthesize(circuit, config.synthesis)
             if config.optimize:
-                # which rebuild ran, and what it did to the size and depth
+                # what the rebuild did to the size and depth
                 opt_args = {"gates_in": synth.eaig.num_gates(), "levels_in": synth.eaig.depth()}
                 with TRACER.span("depth_opt", cat="compile", args=opt_args):
                     synth = depth_opt.optimize(synth)
                     opt_args.update(
-                        rebuild=depth_opt.rebuild_path(),
-                        gates_out=synth.eaig.num_gates(),
-                        levels_out=synth.eaig.depth(),
+                        gates_out=synth.eaig.num_gates(), levels_out=synth.eaig.depth()
                     )
         eaig = synth.eaig
 
@@ -218,9 +215,10 @@ class GemCompiler:
             }
             with TRACER.span("partition", cat="compile", args=partition_args):
                 plan = partition_design(eaig, pconfig)
-                # which partitioner loops ran, and how much work they did
+                # which loops the flow runs (C or Python, one library for
+                # all five), and how much work the partitioner did
                 partition_args.update(
-                    kway=partition_kernel.kway(),
+                    loops=placement_kernel.loops(),
                     bisections=sum(r.bisections for r in plan.stage_results),
                     fm_passes=sum(r.fm_passes for r in plan.stage_results),
                 )
@@ -237,11 +235,10 @@ class GemCompiler:
                         refine=config.refine,
                         merge_limit=config.merge_limit,
                     )
-                    # which Algorithm 2 ran, how often Algorithm 1 ran it,
-                    # and how the shipped placements fill the fold tree
+                    # how often Algorithm 1 ran Algorithm 2, and how the
+                    # shipped placements fill the fold tree
                     use = [p.fold_use() for p in merge.placements]
                     span_args.update(
-                        algorithm2=placement_kernel.algorithm2(),
                         probes=merge.probes,
                         rejected=merge.rejected,
                         and_by_fold_level=[u["and_by_fold_level"] for u in use],

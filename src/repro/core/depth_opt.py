@@ -23,7 +23,8 @@ simulation) is oblivious to whether optimization ran.
 The rebuild's cone loop runs in C (:data:`REBUILD_SOURCE`'s
 ``gem_rebuild``, part of the compile flow's one library,
 :data:`repro.core.placement_kernel.COMPILE_SOURCE`) where that library
-loads, and in :func:`_build_python` otherwise.  C follows the Python
+loads (:func:`repro.core.placement_kernel.library`), and in
+:func:`_build_python` otherwise.  C follows the Python
 loop step for step — its stack, the leaf order of each conjunction, the
 heap's ``(level, age)`` order, ``add_and``'s folding and strash — so both
 make the same nodes in the same order.  Python still makes the sources
@@ -33,16 +34,13 @@ before the call and wires the FFs, RAM ports and outputs after it.
 from __future__ import annotations
 
 import ctypes
-import logging
 from dataclasses import replace
 
 import numpy as np
 
 from repro.core.eaig import EAIG, FALSE, NodeKind
 from repro.core.synthesis import SynthesisResult, reduce_tree
-from repro.errors import BackendUnavailableError, GemError
-
-logger = logging.getLogger(__name__)
+from repro.errors import GemError
 
 REBUILD_SOURCE = r"""
 #include <stdint.h>
@@ -312,33 +310,7 @@ class RebuildJob(ctypes.Structure):
 
 
 #: ``gem_rebuild(job)``
-SIGNATURE = ((ctypes.POINTER(RebuildJob),), ctypes.c_int64)
-
-#: the loaded entry point, or None where it cannot be built; empty until
-#: the first rebuild asks
-_RESOLVED: list = []
-
-
-def library():
-    """``gem_rebuild`` as a ``ctypes`` function, or ``None`` where no
-    library can be built or loaded (the reason is logged once, at INFO, and
-    :func:`rebuild` runs its Python loop).  Resolved once per process."""
-    if not _RESOLVED:
-        from repro.core.backend import load_kernel
-        from repro.core.placement_kernel import COMPILE_SOURCE
-
-        try:
-            fn = load_kernel(COMPILE_SOURCE, "gem_rebuild", SIGNATURE)
-        except BackendUnavailableError as exc:
-            logger.info("native rebuild unavailable (%s); depth_opt rebuilds in Python", exc)
-            fn = None
-        _RESOLVED.append(fn)
-    return _RESOLVED[0]
-
-
-def rebuild_path() -> str:
-    """Which rebuild runs in this process: ``"native"`` or ``"python"``."""
-    return "python" if library() is None else "native"
+REBUILD_SIGNATURE = ((ctypes.POINTER(RebuildJob),), ctypes.c_int64)
 
 
 def optimize(result: SynthesisResult, balance: bool = True) -> SynthesisResult:
@@ -380,7 +352,9 @@ def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
         for old_node, new_node in zip(ram.data_nodes, new_ram.data_nodes):
             node_map[old_node] = 2 * new_node
 
-    lib = library()
+    from repro.core import placement_kernel
+
+    lib = placement_kernel.library()
     if lib is None:
         _build_python(old, new, node_map, balance)
     else:
@@ -498,7 +472,7 @@ def _build_native(lib, old: EAIG, new: EAIG, node_map: dict[int, int], balance: 
         node_map=mapped.ctypes.data,
         **{name: row.ctypes.data for name, row in zip(("and0", "and1", "level", "order"), out)},
     )
-    rc = lib(ctypes.byref(job))
+    rc = lib.rebuild(ctypes.byref(job))
     # release the view and the inputs before the new nodes' ints exist: a
     # held pre-optimisation design does not carry the view either
     del arrays, fanout, roots

@@ -36,7 +36,7 @@ import numpy as np
 from repro.core.config import PartitionConfig
 from repro.core.eaig import EAIG, EAIGArrays, NodeKind
 from repro.errors import GemError
-from repro.partition.repcut import RepCutResult, live_count, repcut_partition, stage_cones
+from repro.partition.repcut import RepCutResult, cone_signatures, repcut_partition
 
 
 @dataclass
@@ -75,10 +75,6 @@ class PartitionSpec:
     @property
     def cut_nodes(self) -> list[int]:
         return [g.cut_node for g in self.groups if g.kind == "cut"]
-
-    @property
-    def po_groups(self) -> list[EndpointGroup]:
-        return [g for g in self.groups if g.kind == "po"]
 
     def root_literals(self) -> list[int]:
         out: list[int] = []
@@ -361,8 +357,8 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
             stage_live.append(0)
             continue
         group_roots = [g.roots for g in sgroups]
-        cones = stage_cones(eaig, group_roots, source_flags)
-        live = live_count(cones)
+        cones = cone_signatures(eaig, group_roots, source_flags)
+        live = int(cones.nodes.size)
         k = max(1, math.ceil(live / config.gates_per_partition * config.overpartition))
         k = min(k, len(sgroups))
         result = repcut_partition(
@@ -372,7 +368,7 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
             epsilon=config.epsilon,
             seed=config.seed + s,
             max_net_pins=config.max_net_pins,
-            masks=cones,
+            cones=cones,
         )
         del cones
         specs: list[PartitionSpec] = []

@@ -188,62 +188,6 @@ def tuning_score(
     }
 
 
-def gem_lane_throughput(
-    design_or_metrics: CompiledDesign | GemMetrics,
-    batch: int = 1,
-    gpu: GpuProfile = A100,
-) -> float:
-    """Simulated cycles×lanes per second of GEM with packed stimulus lanes.
-
-    A cycle's bitstream fetch and word compute are independent of how
-    many stimulus lanes each word carries (every counted word op in
-    :class:`~repro.core.interpreter.CycleCounters` serves all ``lanes``
-    at once), so lane throughput scales linearly with ``batch`` up to
-    the word width — the packed-word multiplier GATSPI/Parendi-style
-    batching buys on top of the single-instance :func:`gem_speed`.
-    Multi-word lane planes (``batch`` a whole number of 64-lane words,
-    up to 4096 lanes) scale the word compute by K but amortize the
-    fetch, which this first-order model folds into the same linear
-    estimate.  Rejects unsupported geometries with
-    :class:`~repro.errors.LaneConfigError` (a ``ValueError``).
-    """
-    from repro.core.engine import validate_batch
-
-    validate_batch(batch)
-    return batch * gem_speed(design_or_metrics, gpu)
-
-
-def lane_amortized_work(counters) -> dict:
-    """Measured per-lane per-cycle work from a run's ``CycleCounters``.
-
-    Thin adapter so table generators report the amortized cost of a
-    batched run next to the single-instance numbers
-    (:meth:`~repro.core.interpreter.CycleCounters.per_lane_cycle`).
-    """
-    work = counters.per_lane_cycle()
-    work["lanes"] = max(1, counters.lanes)
-    work["lane_cycles"] = counters.lane_cycles
-    return work
-
-
-def dispatch_amortization(counters) -> dict:
-    """Kernel-launch amortization of stage fusion from ``CycleCounters``.
-
-    The counters carry the per-cycle array-op counts of an ISA-literal
-    per-partition walk (``array_ops``) and of the stage-fused executor
-    (``fused_array_ops``); their ratio is how many per-partition NumPy
-    dispatches (≈ GPU kernel launches) each fused whole-stage op replaces.
-    """
-    per_cycle = counters.per_cycle()
-    legacy = per_cycle["array_ops"]
-    fused = per_cycle["fused_array_ops"]
-    return {
-        "array_ops_per_cycle": legacy,
-        "fused_array_ops_per_cycle": fused,
-        "amortization": legacy / fused if fused else 0.0,
-    }
-
-
 def event_sim_speed(events_per_cycle: float, cpu: CpuProfile = XEON) -> float:
     """Simulated Hz of the commercial event-driven baseline."""
     t = cpu.event_cycle_overhead_s + events_per_cycle / cpu.event_rate

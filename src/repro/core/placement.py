@@ -52,8 +52,8 @@ slots), the stable sorts on criticality, the cursor advance, and the limits
 pins in ``tests/test_placement.py`` hold all of them in place.
 
 Where it runs: each layer is one call into the C layer loop of
-:mod:`repro.core.placement_kernel` wherever that library builds or is
-cached, and :func:`_place_python` — this module's builder, the reference
+:mod:`repro.core.placement_kernel` wherever the compile flow's library
+builds or is cached, and :func:`_place_python` — this module's builder, the reference
 the C loop is tested against — otherwise.  The ``remaining`` set, the slot
 table and the errors stay here either way.
 """
@@ -403,10 +403,10 @@ def _place_once(
     where that library loads, else by the Python loop
     (:func:`_place_python`); the two make the same decisions.
     """
-    place_layer = placement_kernel.library()
-    if place_layer is None:
+    lib = placement_kernel.library()
+    if lib is None:
         return _place_python(eaig, spec, config, timing_driven, bias, promote)
-    return _place_native(place_layer, eaig, spec, config, timing_driven, bias, promote)
+    return _place_native(lib, eaig, spec, config, timing_driven, bias, promote)
 
 
 def _source_slots(spec: PartitionSpec, config: BoomerangConfig, where: str) -> dict[int, int]:
@@ -420,7 +420,7 @@ def _source_slots(spec: PartitionSpec, config: BoomerangConfig, where: str) -> d
 
 
 def _place_native(
-    place_layer,
+    lib: placement_kernel.Library,
     eaig: EAIG,
     spec: PartitionSpec,
     config: BoomerangConfig,
@@ -495,7 +495,7 @@ def _place_native(
         perm = np.full(width, -1, dtype=np.int32)
         fold = np.full(width, _ROUTE, dtype=np.uint8)
         place.perm, place.fold = perm.ctypes.data, fold.ctypes.data
-        count = place_layer(ref, order.ctypes.data, order.size)
+        count = lib.place_layer(ref, order.ctypes.data, order.size)
         if count == 0:
             raise PlacementStallError(
                 f"{where}: placement made no progress", stage=spec.stage, index=spec.index

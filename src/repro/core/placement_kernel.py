@@ -1,17 +1,20 @@
-"""Algorithm 2's layer loop in C: one call places one boomerang layer.
+"""The compile flow's one C library, and Algorithm 2's layer loop in it.
 
-:func:`repro.core.placement._place_once` hands each layer of a partition
-to :data:`PLACEMENT_SOURCE`'s ``gem_place_layer`` when the library loads,
-and runs its Python loop otherwise; both make the same decisions, so a
-bitstream does not depend on which one ran.  The library — the compile
-flow's one C library, :data:`COMPILE_SOURCE`, which also holds the
-partitioner's loops (:mod:`repro.partition.kernel`) — is built, cached
-and loaded by :func:`repro.core.backend.load_kernel` (``$CC``, the
-compile-cache directory, ``ctypes``) the first time a graph is
-partitioned or a partition placed — never at import, so a run, which
-does neither, never loads it.
+:data:`COMPILE_SOURCE` holds the flow's five hot loops: Algorithm 2's
+``gem_place_layer`` (one call places one boomerang layer, here), the
+partitioner's ``gem_cone_masks``, ``gem_fm_pass`` and ``gem_coarsen``
+(:mod:`repro.partition.kernel`) and depth_opt's ``gem_rebuild``
+(:mod:`repro.core.depth_opt`).  One source builds one library, so a host
+has all five or none: :func:`library` resolves it once per process and
+every loop of the flow forks on that one handle, taking its C entry point
+or running its Python loop.  Both make the same decisions, so a bitstream
+does not depend on which ran.  The library is built, cached and loaded by
+:func:`repro.core.backend.load_kernel` (``$CC``, the compile-cache
+directory, ``ctypes``) the first time the flow asks — never at import, so
+a run, which compiles nothing, never loads it.
 
-What C cannot reproduce stays in Python: the iteration order of the
+In :func:`repro.core.placement._place_once`'s layer loop, what C cannot
+reproduce stays in Python: the iteration order of the
 ``remaining`` set (the tie order within a level; it arrives each layer as
 an array of the set's nodes in that order), the state-slot table and the
 typed errors.  Nodes are *local* indices — ranks in the partition's
@@ -23,10 +26,11 @@ from __future__ import annotations
 
 import ctypes
 import logging
+from typing import NamedTuple
 
-from repro.core.depth_opt import REBUILD_SOURCE
+from repro.core import depth_opt
 from repro.errors import BackendUnavailableError
-from repro.partition.kernel import PARTITION_SOURCE
+from repro.partition import kernel
 
 logger = logging.getLogger(__name__)
 
@@ -391,8 +395,8 @@ done:
 
 #: the compile flow's one C library: Algorithm 2's layer loop, the
 #: partitioner's cone signatures, FM pass and coarsening round, and
-#: depth_opt's rebuild
-COMPILE_SOURCE = PLACEMENT_SOURCE + PARTITION_SOURCE + REBUILD_SOURCE
+#: depth_opt's rebuild (resolved by :func:`library`)
+COMPILE_SOURCE = PLACEMENT_SOURCE + kernel.PARTITION_SOURCE + depth_opt.REBUILD_SOURCE
 
 
 class Place(ctypes.Structure):
@@ -415,30 +419,51 @@ class Place(ctypes.Structure):
 
 
 #: ``gem_place_layer(place, order, norder)``
-SIGNATURE = ((ctypes.POINTER(Place), ctypes.c_void_p, ctypes.c_int64), ctypes.c_int64)
+PLACE_LAYER_SIGNATURE = ((ctypes.POINTER(Place), ctypes.c_void_p, ctypes.c_int64), ctypes.c_int64)
 
-#: the loaded entry point, or None where it cannot be built; empty until
-#: the first placement asks
+
+class Library(NamedTuple):
+    """:data:`COMPILE_SOURCE`'s five entry points as ``ctypes`` functions."""
+
+    place_layer: object
+    fm_pass: object
+    coarsen: object
+    cone_masks: object
+    rebuild: object
+
+
+#: the loaded library, or None where it cannot be built; empty until the
+#: flow first asks
 _RESOLVED: list = []
 
 
-def library():
-    """``gem_place_layer`` as a ``ctypes`` function, or ``None`` where no
-    library can be built or loaded (the reason is logged once, at INFO,
-    and placement runs its Python loop).  Resolved once per process."""
+def library() -> Library | None:
+    """The compile flow's C entry points, or ``None`` where no library can
+    be built or loaded (the reason is logged once, at INFO, and every loop
+    of the flow runs in Python).  Resolved once per process."""
     if not _RESOLVED:
         from repro.core.backend import load_kernel
 
         try:
-            fn = load_kernel(COMPILE_SOURCE, "gem_place_layer", SIGNATURE)
+            lib = Library(
+                place_layer=load_kernel(COMPILE_SOURCE, "gem_place_layer", PLACE_LAYER_SIGNATURE),
+                fm_pass=load_kernel(COMPILE_SOURCE, "gem_fm_pass", kernel.FM_PASS_SIGNATURE),
+                coarsen=load_kernel(COMPILE_SOURCE, "gem_coarsen", kernel.COARSEN_SIGNATURE),
+                cone_masks=load_kernel(
+                    COMPILE_SOURCE, "gem_cone_masks", kernel.CONE_MASKS_SIGNATURE
+                ),
+                rebuild=load_kernel(COMPILE_SOURCE, "gem_rebuild", depth_opt.REBUILD_SIGNATURE),
+            )
         except BackendUnavailableError as exc:
-            logger.info("native placement unavailable (%s); Algorithm 2 runs in Python", exc)
-            fn = None
-        _RESOLVED.append(fn)
+            logger.info(
+                "native compile loops unavailable (%s); the compile flow runs in Python", exc
+            )
+            lib = None
+        _RESOLVED.append(lib)
     return _RESOLVED[0]
 
 
-def algorithm2() -> str:
-    """Which Algorithm 2 placement runs in this process: ``"native"`` or
+def loops() -> str:
+    """Which loops the compile flow runs in this process: ``"native"`` or
     ``"python"``."""
     return "python" if library() is None else "native"

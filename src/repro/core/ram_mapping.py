@@ -52,19 +52,6 @@ class MappingReport:
         return self.adapter_gates_after - self.adapter_gates_before
 
 
-def _tree_or(eaig: EAIG, lits: Sequence[int]) -> int:
-    """Balanced OR over literals (depth-minimal for equal input depths)."""
-    level = list(lits)
-    if not level:
-        return FALSE
-    while len(level) > 1:
-        nxt = [eaig.add_or(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
 def _eq_const(eaig: EAIG, lits: Sequence[int], value: int) -> int:
     """Literal for ``lits == value`` (balanced AND of matched bits)."""
     terms = []

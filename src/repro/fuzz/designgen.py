@@ -25,7 +25,7 @@ gate-heavy shapes that stress Algorithm 1 partition merging.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from repro.rtl.builder import CircuitBuilder, Value
 from repro.rtl.ir import Circuit
@@ -583,14 +583,3 @@ def random_stimuli(
         out.append(vec)
         prev = vec
     return out
-
-
-def mutate_knobs(knobs: ShapeKnobs, rng: random.Random) -> ShapeKnobs:
-    """A nearby knob setting (the corpus loop's exploration move)."""
-    return replace(
-        knobs,
-        n_ops=max(4, knobs.n_ops + rng.randrange(-10, 11)),
-        n_regs=max(1, knobs.n_regs + rng.randrange(-1, 2)),
-        chain_len=max(0, knobs.chain_len + rng.randrange(-8, 9)),
-        clock_enable_frac=min(1.0, max(0.0, knobs.clock_enable_frac + rng.choice((-0.2, 0.0, 0.2)))),
-    )

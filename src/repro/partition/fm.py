@@ -40,14 +40,17 @@ def refine_bipartition(
     A move is admissible only if the destination stays within its bound
     (the standard FM balance rule; an initially infeasible side may always
     shed weight).  Each pass runs in C (:mod:`repro.partition.kernel`)
-    where that library loads, else in Python (:func:`_one_pass`); ``rng``
-    shuffles the vertex order before each pass on both paths.
+    where the compile flow's library loads, else in Python
+    (:func:`_one_pass`); ``rng`` shuffles the vertex order before each pass
+    on both paths.
     ``stats["fm_passes"]`` counts the passes run.
     """
     if len(parts) != graph.num_vertices or not set(parts) <= {0, 1}:
         raise ValueError("parts must give every vertex a side, 0 or 1")
+    from repro.core import placement_kernel
+
     rng = rng or random.Random(0)
-    lib = kernel.library()
+    lib = placement_kernel.library()
     for passes in range(1, _MAX_PASSES + 1):
         order = list(range(graph.num_vertices))
         rng.shuffle(order)
@@ -63,7 +66,7 @@ def refine_bipartition(
 
 
 def _one_pass_native(
-    lib: kernel.Kernels,
+    lib,
     graph: Hypergraph,
     parts: list[int],
     max_part_weight: Sequence[int],

@@ -13,9 +13,8 @@ ran.
 
 The source is part of the compile flow's one C library
 (:data:`repro.core.placement_kernel.COMPILE_SOURCE`, beside Algorithm 2's
-layer loop), built, cached and loaded by
-:func:`repro.core.backend.load_kernel` the first time a graph is
-partitioned — never at import, so a run never loads it.
+layer loop), resolved by :func:`repro.core.placement_kernel.library` the
+first time the flow asks — never at import, so a run never loads it.
 
 What C does not do is draw random numbers: the ``random.Random`` of a
 k-way partition is shared by every bisection of it, so Python makes each
@@ -27,12 +26,6 @@ bipartition's seeds) and C consumes the shuffled order.  Graphs arrive as
 from __future__ import annotations
 
 import ctypes
-import logging
-from typing import NamedTuple
-
-from repro.errors import BackendUnavailableError
-
-logger = logging.getLogger(__name__)
 
 PARTITION_SOURCE = r"""
 #include <stdint.h>
@@ -619,15 +612,6 @@ class Cones(ctypes.Structure):
 CONE_MASKS_SIGNATURE = ((ctypes.POINTER(Cones),), ctypes.c_int64)
 
 
-class Kernels(NamedTuple):
-    """``gem_fm_pass``, ``gem_coarsen`` and ``gem_cone_masks`` as
-    ``ctypes`` functions."""
-
-    fm_pass: object
-    coarsen: object
-    cone_masks: object
-
-
 def graph_struct(arrays) -> Graph:
     """The ``gem_hgraph`` view of a graph's
     :class:`~repro.partition.hypergraph.HypergraphArrays` (which the caller
@@ -637,40 +621,3 @@ def graph_struct(arrays) -> Graph:
         m=arrays.net_weight.size,
         **{name: getattr(arrays, name).ctypes.data for name, _ in Graph._fields_[2:]},
     )
-
-
-#: the loaded entry points, or None where they cannot be built; empty
-#: until the first partition asks
-_RESOLVED: list = []
-
-
-def library() -> Kernels | None:
-    """The partitioner's entry points as ``ctypes`` functions, or
-    ``None`` where no library can be built or loaded (the reason is logged
-    once, at INFO, and the partitioner runs its Python loops).  Resolved
-    once per process."""
-    if not _RESOLVED:
-        from repro.core.backend import load_kernel
-        from repro.core.placement_kernel import COMPILE_SOURCE
-
-        try:
-            fns = Kernels(
-                fm_pass=load_kernel(COMPILE_SOURCE, "gem_fm_pass", FM_PASS_SIGNATURE),
-                coarsen=load_kernel(COMPILE_SOURCE, "gem_coarsen", COARSEN_SIGNATURE),
-                cone_masks=load_kernel(COMPILE_SOURCE, "gem_cone_masks", CONE_MASKS_SIGNATURE),
-            )
-        except BackendUnavailableError as exc:
-            logger.info(
-                "native partitioner unavailable (%s); FM, coarsening and cone signatures "
-                "run in Python",
-                exc,
-            )
-            fns = None
-        _RESOLVED.append(fns)
-    return _RESOLVED[0]
-
-
-def kway() -> str:
-    """Which partitioner loops run in this process: ``"native"`` or
-    ``"python"``."""
-    return "python" if library() is None else "native"

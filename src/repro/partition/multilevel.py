@@ -48,19 +48,19 @@ def coarsen(graph: Hypergraph, rng: random.Random) -> tuple[Hypergraph, list[int
     """One heavy-edge matching round; returns (coarser graph, vertex map).
 
     ``rng`` shuffles the matching order; the round runs in C where the
-    library loads, else in Python (:func:`_coarsen_python`).
+    compile flow's library loads, else in Python (:func:`_coarsen_python`).
     """
+    from repro.core import placement_kernel
+
     order = list(range(graph.num_vertices))
     rng.shuffle(order)
-    lib = kernel.library()
+    lib = placement_kernel.library()
     if lib is None:
         return _coarsen_python(graph, order)
     return _coarsen_native(lib, graph, order)
 
 
-def _coarsen_native(
-    lib: kernel.Kernels, graph: Hypergraph, order: list[int]
-) -> tuple[Hypergraph, list[int]]:
+def _coarsen_native(lib, graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, list[int]]:
     """:func:`_coarsen_python` as one ``gem_coarsen`` call."""
     arrays = graph.arrays()
     n, m = graph.num_vertices, graph.num_nets

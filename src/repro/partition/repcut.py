@@ -21,13 +21,12 @@ partition counts; this module implements the single-stage core:
 3. k-way partition (:func:`repro.partition.multilevel.partition_kway`);
 4. materialize per-partition node sets and the replication accounting.
 
-Steps 1 and 2 run in C (``gem_cone_masks`` of
-:mod:`repro.partition.kernel`: uint64 mask rows, signatures numbered in
-first-occurrence order) and numpy (:class:`ConeSignatures`) wherever the
-compile library loads.  :func:`cone_masks`, :func:`build_sharing_hypergraph`
-and :func:`_mask_bits` — Python big-int masks and a dict histogram — are the
-reference they are tested against and the path on a host without a C
-compiler; both give the same graph and the same part node lists.
+Step 1 runs in C (``gem_cone_masks`` of :mod:`repro.partition.kernel`:
+uint64 mask rows, signatures numbered in first-occurrence order) wherever
+the compile flow's library loads, and step 2 in numpy.  :func:`cone_masks`
+— Python big-int masks — is the reference C is tested against and the path
+on a host without a C compiler; its masks become the same
+:class:`ConeSignatures`, so everything after step 1 is one path.
 """
 
 from __future__ import annotations
@@ -116,31 +115,6 @@ def cone_masks(
     return masks
 
 
-def build_sharing_hypergraph(
-    num_groups: int, masks: list[int], max_net_pins: int = 128
-) -> tuple[Hypergraph, dict[int, int]]:
-    """Hypergraph over endpoint groups from node sharing signatures.
-
-    Returns the graph and the signature histogram (mask -> node count).
-    Nets wider than ``max_net_pins`` are dropped from the objective: logic
-    shared by that many endpoints is effectively global and will be
-    replicated almost regardless of the partition, so it only slows FM down.
-    """
-    histogram: dict[int, int] = {}
-    for m in masks:
-        if m:
-            histogram[m] = histogram.get(m, 0) + 1
-    weights = [1] * num_groups  # base weight so empty-cone groups balance
-    graph = Hypergraph(vertex_weight=weights)
-    for mask, count in histogram.items():
-        pins = _mask_bits(mask)
-        for g in pins:
-            weights[g] += count  # vertex weight accumulates full cone size
-        if 2 <= len(pins) <= max_net_pins:
-            graph.add_net(pins, weight=count)
-    return graph, histogram
-
-
 def _mask_bits(mask: int) -> list[int]:
     bits = []
     while mask:
@@ -151,8 +125,8 @@ def _mask_bits(mask: int) -> list[int]:
 
 
 class ConeSignatures(NamedTuple):
-    """One stage's cone signatures as arrays: what :func:`cone_masks` and
-    :func:`build_sharing_hypergraph`'s histogram hold, without the masks."""
+    """One stage's cone signatures as arrays: what :func:`cone_masks` holds,
+    with each distinct mask stored once."""
 
     #: AND nodes inside some group's cone, ascending
     nodes: np.ndarray
@@ -172,15 +146,17 @@ class ConeSignatures(NamedTuple):
 def cone_signatures(
     eaig: EAIG, groups: Sequence[Sequence[int]], source_flags: Sequence[bool] | None = None
 ) -> ConeSignatures:
-    """:func:`cone_masks` and the signature histogram in two
-    ``gem_cone_masks`` calls (the compile library must load): one numbers
-    the signatures, the next writes each signature's mask words.  The masks
-    are swept a few words at a time, so no ``nodes x groups`` matrix is
-    ever held."""
-    lib = kernel.library()
+    """:func:`cone_masks` as :class:`ConeSignatures` (``source_flags`` a
+    bool per node).  Where the compile flow's library loads this is two
+    ``gem_cone_masks`` calls: one numbers the signatures, the next writes
+    each signature's mask words; the masks are swept a few words at a time,
+    so no ``nodes x groups`` matrix is ever held.  Elsewhere the Python
+    sweep's masks are numbered the same way.  Both refuse a root literal
+    out of range and ``source_flags`` of the wrong length."""
+    from repro.core import placement_kernel
+
     arrays = eaig.arrays()
     n, ngroups = arrays.kind.size, len(groups)
-    words = max(1, -(-ngroups // 64))
     root_start = np.zeros(ngroups + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, groups), dtype=np.int64, count=ngroups), out=root_start[1:])
     roots = np.fromiter(chain.from_iterable(groups), dtype=np.int64, count=int(root_start[-1]))
@@ -191,6 +167,11 @@ def cone_signatures(
         source = np.ascontiguousarray(source_flags, dtype=np.uint8)
         if source.size != n:
             raise ValueError(f"source_flags holds {source.size} entries for {n} nodes")
+    lib = placement_kernel.library()
+    if lib is None:
+        flags = None if source is None else source.tolist()
+        return _mask_signatures(cone_masks(eaig, groups, flags))
+    words = max(1, -(-ngroups // 64))
     signature = np.empty(n, dtype=np.int64)
     first = np.empty(n, dtype=np.int64)
     cones = kernel.Cones(
@@ -232,10 +213,38 @@ def cone_signatures(
     )
 
 
+def _mask_signatures(masks: list[int]) -> ConeSignatures:
+    """:func:`cone_masks`'s masks as :class:`ConeSignatures`, numbered as
+    ``gem_cone_masks`` numbers them: by first holder."""
+    number: dict[int, int] = {}
+    nodes = [node for node, m in enumerate(masks) if m]
+    signature = np.array(
+        [number.setdefault(masks[node], len(number)) for node in nodes], dtype=np.int64
+    )
+    pins = [_mask_bits(m) for m in number]
+    pin_start = np.zeros(len(pins) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, pins), dtype=np.int64, count=len(pins)), out=pin_start[1:])
+    return ConeSignatures(
+        nodes=np.array(nodes, dtype=np.int64),
+        signature=signature,
+        count=np.bincount(signature, minlength=len(pins)),
+        pin_start=pin_start,
+        pins=np.fromiter(chain.from_iterable(pins), dtype=np.int64, count=int(pin_start[-1])),
+    )
+
+
 def signature_hypergraph(
     num_groups: int, sigs: ConeSignatures, max_net_pins: int = 128
 ) -> Hypergraph:
-    """:func:`build_sharing_hypergraph`'s graph from :class:`ConeSignatures`."""
+    """Hypergraph over endpoint groups from their cone signatures.
+
+    Vertices are the groups, weighted 1 (so empty-cone groups balance) plus
+    their cone size; each signature shared by 2 to ``max_net_pins`` groups
+    is a net weighted by its node count.  Wider nets are dropped from the
+    objective: logic shared by that many endpoints is effectively global
+    and will be replicated almost regardless of the partition, so it only
+    slows FM down.
+    """
     sizes = np.diff(sigs.pin_start)
     pin_sig = sigs.pin_signature()
     vertex_weight = 1 + np.bincount(
@@ -249,24 +258,6 @@ def signature_hypergraph(
     )
 
 
-def stage_cones(
-    eaig: EAIG, groups: Sequence[Sequence[int]], source_flags: Sequence[bool] | None = None
-) -> ConeSignatures | list[int]:
-    """A stage's cones: :func:`cone_signatures` where the compile library
-    loads, :func:`cone_masks` otherwise (``source_flags`` a bool per node)."""
-    if kernel.library() is None:
-        flags = None if source_flags is None else [bool(f) for f in source_flags]
-        return cone_masks(eaig, list(groups), flags)
-    return cone_signatures(eaig, groups, source_flags)
-
-
-def live_count(cones: ConeSignatures | list[int]) -> int:
-    """AND nodes inside some group's cone."""
-    if isinstance(cones, ConeSignatures):
-        return int(cones.nodes.size)
-    return sum(1 for m in cones if m)
-
-
 def repcut_partition(
     eaig: EAIG,
     groups: list[list[int]],
@@ -275,47 +266,30 @@ def repcut_partition(
     seed: int = 0,
     max_net_pins: int = 128,
     source_flags: Sequence[bool] | None = None,
-    masks: ConeSignatures | list[int] | None = None,
+    cones: ConeSignatures | None = None,
 ) -> RepCutResult:
     """Partition endpoint ``groups`` into ``k`` parts with replication.
 
-    ``masks`` may carry a precomputed :func:`stage_cones` result (callers
-    that already needed it for sizing avoid a second sweep).
+    ``cones`` may carry a precomputed :func:`cone_signatures` result
+    (callers that already needed it for sizing avoid a second sweep).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if masks is None:
-        masks = stage_cones(eaig, groups, source_flags)
-    if isinstance(masks, ConeSignatures):
-        graph = signature_hypergraph(len(groups), masks, max_net_pins)
-    else:
-        graph, histogram = build_sharing_hypergraph(len(groups), masks, max_net_pins)
+    if cones is None:
+        cones = cone_signatures(eaig, groups, source_flags)
+    graph = signature_hypergraph(len(groups), cones, max_net_pins)
     stats: Counter = Counter()
     assignment = partition_kway(graph, k, epsilon=epsilon, seed=seed, stats=stats)
 
-    if isinstance(masks, ConeSignatures):
-        # one part bitmask per signature, read per node through its signature
-        in_part = np.zeros((masks.count.size, k), dtype=bool)
-        in_part[masks.pin_signature(), np.asarray(assignment)[masks.pins]] = True
-        # the parts share one int object per node, as the Python path's do
-        live = masks.nodes.tolist()
-        part_nodes = [
-            list(map(live.__getitem__, np.flatnonzero(in_part[masks.signature, p]).tolist()))
-            for p in range(k)
-        ]
-        total = int(masks.nodes.size)
-    else:
-        part_nodes = [[] for _ in range(k)]
-        mask_parts: dict[int, list[int]] = {}
-        for mask in histogram:
-            mask_parts[mask] = sorted({assignment[g] for g in _mask_bits(mask)})
-        total = 0
-        for node, m in enumerate(masks):
-            if not m:
-                continue
-            total += 1
-            for p in mask_parts[m]:
-                part_nodes[p].append(node)
+    # one part bitmask per signature, read per node through its signature
+    in_part = np.zeros((cones.count.size, k), dtype=bool)
+    in_part[cones.pin_signature(), np.asarray(assignment)[cones.pins]] = True
+    # the parts share one int object per node
+    live = cones.nodes.tolist()
+    part_nodes = [
+        list(map(live.__getitem__, np.flatnonzero(in_part[cones.signature, p]).tolist()))
+        for p in range(k)
+    ]
 
     part_groups: list[list[int]] = [[] for _ in range(k)]
     for g, p in enumerate(assignment):
@@ -325,7 +299,7 @@ def repcut_partition(
         assignment=assignment,
         part_nodes=part_nodes,
         part_groups=part_groups,
-        total_nodes=total,
+        total_nodes=int(cones.nodes.size),
         cut_weight=graph.connectivity_minus_one(assignment),
         bisections=stats["bisections"],
         fm_passes=stats["fm_passes"],

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import depth_opt
 from repro.core.depth_opt import compact, depth_report, optimize, rebuild
 from repro.core.eaig import EAIG, NodeKind
 from repro.core.synthesis import synthesize
@@ -145,25 +144,21 @@ def _everything(eaig: EAIG, lit_map: dict[int, int]) -> dict:
     }
 
 
+@pytest.mark.usefixtures("native_loops")
 class TestNativeMatchesPython:
     """``gem_rebuild`` makes the Python loop's graph node for node: the
     same ANDs in the same order, the same strash, the same literal map."""
 
-    @pytest.fixture(autouse=True)
-    def native(self):
-        if depth_opt.library() is None:
-            pytest.skip("no C compiler and no cached compile library here")
-
     @pytest.mark.parametrize("balance", [True, False])
-    def test_same_graph(self, synthesized, balance, monkeypatch):
+    def test_same_graph(self, synthesized, balance, request):
         native = _everything(*rebuild(synthesized, balance))
         assert vars(synthesized).get("_arrays") is None, "the rebuild kept the old view"
-        monkeypatch.setattr(depth_opt, "library", lambda: None)
+        request.getfixturevalue("python_loops")
         python = _everything(*rebuild(synthesized, balance))
         for key, value in python.items():
             assert native[key] == value, key
 
-    def test_same_graph_when_a_conjunction_meets_a_complement(self, monkeypatch):
+    def test_same_graph_when_a_conjunction_meets_a_complement(self, request):
         """Balancing pairs the two shallowest leaves first, here ``a`` and
         ``~a``: ``add_and`` folds them to FALSE, and so must C."""
         g = EAIG()
@@ -172,20 +167,20 @@ class TestNativeMatchesPython:
         g.add_output("shared", shared)
         g.add_output("y", g.add_and(g.add_and(a, shared), a ^ 1))
         native = _everything(*rebuild(g, balance=True))
-        monkeypatch.setattr(depth_opt, "library", lambda: None)
+        request.getfixturevalue("python_loops")
         python = _everything(*rebuild(g, balance=True))
         assert native == python
         assert python["outputs"][1] == ("y", 0)
 
     @pytest.mark.parametrize("balance", [True, False])
-    def test_same_error_for_an_unregistered_source(self, balance, monkeypatch):
+    def test_same_error_for_an_unregistered_source(self, balance, request):
         g = EAIG()
         a = g.add_pi()
         stray = g._new_node(NodeKind.PI)  # a PI that g.pis does not list
         g.add_output("y", g.add_and(a, g.add_and(2 * stray, g.add_pi())))
         messages = []
-        for lib in (depth_opt.library(), None):
-            monkeypatch.setattr(depth_opt, "library", lambda: lib)
+        for loops in ("native_loops", "python_loops"):
+            request.getfixturevalue(loops)
             with pytest.raises(GemError, match="unmapped non-AND node") as info:
                 rebuild(g, balance)
             messages.append(str(info.value))

@@ -393,37 +393,50 @@ class TestSupervisorTelemetry:
         assert snap["gem_supervisor_rollbacks_total"] >= 1
 
 
+def _compile_spans(circuit, request, path):
+    """A traced compile of ``circuit`` on the flow's ``resolved`` loops or
+    on its ``python`` ones: the design and each compile phase's span args."""
+    if path == "python":
+        request.getfixturevalue("python_loops")
+    TRACER.enable()
+    try:
+        design = _compile_small(circuit)
+    finally:
+        TRACER.disable()
+    events = TRACER.events()
+    TRACER.clear()
+    spans = {}
+    for name in ("depth_opt", "partition", "placement"):
+        (spans[name],) = [e["args"] for e in events if e["name"] == name]
+    return design, spans
+
+
+def _expected_loops(path):
+    from repro.core import placement_kernel
+
+    return "python" if path == "python" else placement_kernel.loops()
+
+
 class TestPlacementSpan:
     @pytest.mark.parametrize("path", ["resolved", "python"])
-    def test_says_which_algorithm2_ran_and_how_often(self, path, monkeypatch):
-        """The ``placement`` span names the Algorithm 2 that ran and counts
-        Algorithm 1's probes: a base placement per partition that is not
-        merged away, one per merge committed, one per merge rejected."""
-        from repro.core import placement_kernel
-
-        if path == "python":
-            monkeypatch.setattr(placement_kernel, "library", lambda: None)
+    def test_says_which_algorithm2_ran_and_how_often(self, path, request):
+        """Algorithm 2 runs in the flow's one set of loops, which the
+        ``partition`` span's ``args.loops`` names; the ``placement`` span
+        counts Algorithm 1's probes: a base placement per partition that is
+        not merged away, one per merge committed, one per merge rejected."""
         circuit = random_circuit(326, n_ops=120, n_regs=6)
-        TRACER.enable()
-        try:
-            design = _compile_small(circuit)
-        finally:
-            TRACER.disable()
-        (span,) = [e for e in TRACER.events() if e["name"] == "placement"]
-        merge = design.merge
-        expected = "python" if path == "python" else placement_kernel.algorithm2()
-        assert span["args"]["algorithm2"] == expected
-        assert span["args"]["probes"] == merge.probes == merge.partitions_before + merge.rejected
-        assert span["args"]["rejected"] == merge.rejected
+        design, spans = _compile_spans(circuit, request, path)
+        assert spans["partition"]["loops"] == _expected_loops(path)
+        place, merge = spans["placement"], design.merge
+        assert place["probes"] == merge.probes == merge.partitions_before + merge.rejected
+        assert place["rejected"] == merge.rejected
         assert merge.partitions_before > merge.partitions_after, "no merge was tried"
 
-
-    def test_fold_use_of_the_shipped_placements(self, monkeypatch):
+    def test_fold_use_of_the_shipped_placements(self, request):
         """``and_by_fold_level``, ``placements_per_and`` and ``leaf_use``:
         one value per shipped partition, read off the final placements (not
-        the probes), identical on both Algorithm 2 paths.  openpiton1 places
+        the probes), identical on the flow's C and Python loops.  openpiton1 places
         each AND 2.76 times (ROADMAP finding 6)."""
-        from repro.core import placement_kernel
         from repro.core.compiler import compile_circuit
         from repro.harness.runner import DESIGNS
 
@@ -431,7 +444,7 @@ class TestPlacementSpan:
         seen = {}
         for path in ("resolved", "python"):
             if path == "python":
-                monkeypatch.setattr(placement_kernel, "library", lambda: None)
+                request.getfixturevalue("python_loops")
             TRACER.enable()
             try:
                 design = compile_circuit(circuit)
@@ -454,59 +467,38 @@ class TestPlacementSpan:
 
 
 class TestPartitionSpan:
-    def test_says_which_partitioner_ran_and_how_much_work(self, monkeypatch):
-        """The ``partition`` span names the partitioner loops that ran and
-        counts their bisections and FM passes: the same counts on the C
-        loops and on the Python ones."""
-        from repro.partition import kernel
-
+    def test_says_which_partitioner_ran_and_how_much_work(self, request):
+        """The ``partition`` span names the loops the whole flow ran — C or
+        Python, one library and one switch — and counts the partitioner's
+        bisections and FM passes: the same counts on either."""
         circuit = random_circuit(326, n_ops=120, n_regs=6)
         seen = {}
         for path in ("resolved", "python"):
-            if path == "python":
-                monkeypatch.setattr(kernel, "library", lambda: None)
-            TRACER.enable()
-            try:
-                design = _compile_small(circuit)
-            finally:
-                TRACER.disable()
-            (span,) = [e for e in TRACER.events() if e["name"] == "partition"]
-            TRACER.clear()
-            expected = "python" if path == "python" else kernel.kway()
-            assert span["args"]["kway"] == expected
+            design, spans = _compile_spans(circuit, request, path)
+            part = spans["partition"]
+            assert part["loops"] == _expected_loops(path)
             results = design.plan.stage_results
-            assert span["args"]["bisections"] == sum(r.bisections for r in results) > 0
-            assert span["args"]["fm_passes"] == sum(r.fm_passes for r in results) > 0
-            seen[path] = span["args"]["bisections"], span["args"]["fm_passes"]
+            assert part["bisections"] == sum(r.bisections for r in results) > 0
+            assert part["fm_passes"] == sum(r.fm_passes for r in results) > 0
+            seen[path] = part["bisections"], part["fm_passes"]
         assert seen["resolved"] == seen["python"]
 
 
 class TestDepthOptSpan:
-    def test_says_which_rebuild_ran_and_what_it_did(self, monkeypatch):
-        """The ``depth_opt`` span names the rebuild that ran and counts the
-        gates and levels before and after: the same counts on the C rebuild
-        and on the Python one."""
-        from repro.core import depth_opt
-
+    def test_says_which_rebuild_ran_and_what_it_did(self, request):
+        """The ``depth_opt`` span counts the gates and levels before and
+        after the rebuild: the same counts on the C rebuild and on the
+        Python one, which the ``partition`` span's ``args.loops`` names."""
         circuit = random_circuit(326, n_ops=120, n_regs=6)
         seen = {}
         for path in ("resolved", "python"):
-            if path == "python":
-                monkeypatch.setattr(depth_opt, "library", lambda: None)
-            TRACER.enable()
-            try:
-                design = _compile_small(circuit)
-            finally:
-                TRACER.disable()
-            (span,) = [e for e in TRACER.events() if e["name"] == "depth_opt"]
-            TRACER.clear()
-            args = span["args"]
-            expected = "python" if path == "python" else depth_opt.rebuild_path()
-            assert args["rebuild"] == expected
-            assert args["gates_out"] == design.report.gates <= args["gates_in"]
-            assert args["levels_out"] == design.report.levels <= args["levels_in"]
+            design, spans = _compile_spans(circuit, request, path)
+            assert spans["partition"]["loops"] == _expected_loops(path)
+            opt = spans["depth_opt"]
+            assert opt["gates_out"] == design.report.gates <= opt["gates_in"]
+            assert opt["levels_out"] == design.report.levels <= opt["levels_in"]
             keys = ("gates_in", "gates_out", "levels_in", "levels_out")
-            seen[path] = {key: args[key] for key in keys}
+            seen[path] = {key: opt[key] for key in keys}
         assert seen["resolved"] == seen["python"]
 
 

@@ -3,23 +3,21 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.eaig import NodeKind
 from repro.core.synthesis import synthesize
 from repro.fuzz.designgen import generate_design
-from repro.partition import fm, kernel
+from repro.partition import fm
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import bisect, coarsen, partition_kway
 from repro.partition.repcut import (
-    build_sharing_hypergraph,
     cone_masks,
     cone_signatures,
-    live_count,
     repcut_partition,
     signature_hypergraph,
-    stage_cones,
 )
 
 
@@ -137,13 +135,6 @@ class TestKway:
 # -- the C loops against the Python ones ---------------------------------------
 
 
-def _native_or_skip():
-    lib = kernel.library()
-    if lib is None:
-        pytest.skip("no C compiler and no cached partitioner library here")
-    return lib
-
-
 def _random_graph(seed: int, n: int, m: int) -> Hypergraph:
     """Vertex weights 1–50; nets of 2–140 pins (wider than the 16 pins
     matching reads, and around RepCut's 128-pin net limit); one net in
@@ -164,10 +155,6 @@ def _random_graph(seed: int, n: int, m: int) -> Hypergraph:
 _GRAPHS = [(0, 40, 0), (1, 2, 1), (2, 30, 25), (3, 150, 200), (4, 260, 180), (5, 320, 500)]
 
 
-def _python(monkeypatch):
-    monkeypatch.setattr(kernel, "library", lambda: None)
-
-
 def _random_groups(eaig, count, seed):
     """``count`` endpoint groups of 1–4 root literals over every node kind.
     Group 0 roots on the constant, 1 on a PI, 2 on an FF and 3 on a RAM
@@ -186,14 +173,28 @@ def _random_groups(eaig, count, seed):
     return groups
 
 
-def _signature_histogram(sigs):
-    """:class:`ConeSignatures` as :func:`build_sharing_hypergraph`'s
-    histogram: (big-int mask, node count), in order."""
+def _signature_masks(sigs):
+    """Each signature of a :class:`ConeSignatures` as a big-int mask."""
     bounds = sigs.pin_start.tolist()
-    return [
-        (sum(1 << g for g in sigs.pins[a:b].tolist()), count)
-        for a, b, count in zip(bounds, bounds[1:], sigs.count.tolist())
-    ]
+    return [sum(1 << g for g in sigs.pins[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+
+
+def _graph_of_masks(num_groups, masks, max_net_pins):
+    """The sharing hypergraph spelled out over big-int masks, as lists:
+    vertex weights (1 plus the cone size), then one net per distinct mask
+    of 2 to ``max_net_pins`` groups (its groups ascending, weighted by its
+    node count), in order of first holder."""
+    histogram = Counter(m for m in masks if m)
+    weights = [1] * num_groups
+    nets, net_weight = [], []
+    for mask, count in histogram.items():
+        pins = tuple(g for g, bit in enumerate(reversed(bin(mask))) if bit == "1")
+        for g in pins:
+            weights[g] += count
+        if 2 <= len(pins) <= max_net_pins:
+            nets.append(pins)
+            net_weight.append(count)
+    return weights, nets, net_weight
 
 
 #: (design seed, profile, groups): one group, a word boundary from both
@@ -216,12 +217,11 @@ class TestNativeMatchesPython:
     one generator across all its bisections — is the same on both paths."""
 
     @pytest.mark.parametrize("seed, n, m", _GRAPHS)
-    def test_coarsen(self, seed, n, m, monkeypatch):
-        _native_or_skip()
+    def test_coarsen(self, seed, n, m, native_loops, request):
         g = _random_graph(seed, n, m)
         native_rng, python_rng = random.Random(seed), random.Random(seed)
         native, native_map = coarsen(g, native_rng)
-        _python(monkeypatch)
+        request.getfixturevalue("python_loops")
         python, python_map = coarsen(g, python_rng)
         assert native_map == python_map
         assert native.vertex_weight == python.vertex_weight
@@ -241,13 +241,12 @@ class TestNativeMatchesPython:
 
     @pytest.mark.parametrize("seed, n, m", _GRAPHS)
     @pytest.mark.parametrize("start", ["random", "tight", "infeasible"])
-    def test_every_fm_pass(self, seed, n, m, start):
+    def test_every_fm_pass(self, seed, n, m, start, native_loops):
         """Pass by pass as ``refine_bipartition`` runs them: from a random
         start, from one whose sides sit within half a vertex of their bounds
         (moves turn inadmissible, then admissible again as the other side
         sheds weight), and from one whose part 0 holds everything (over its
         bound)."""
-        lib = _native_or_skip()
         g = _random_graph(seed, n, m)
         rng = random.Random(seed)
         total = g.total_weight
@@ -264,7 +263,7 @@ class TestNativeMatchesPython:
             rng.shuffle(order)
             python_parts, native_parts = list(parts), list(parts)
             python = fm._one_pass(g, python_parts, max_w, order)
-            native = fm._one_pass_native(lib, g, native_parts, max_w, order)
+            native = fm._one_pass_native(native_loops, g, native_parts, max_w, order)
             assert native == python
             assert native_parts == python_parts
             assert native[1] == g.cut_weight(native_parts)
@@ -272,23 +271,21 @@ class TestNativeMatchesPython:
             if not native[0]:
                 break
 
-    def test_wide_gains_take_the_python_pass(self):
+    def test_wide_gains_take_the_python_pass(self, native_loops):
         """Gains wider than the C bucket array are refined in Python, with
         the same order: the result does not change."""
-        lib = _native_or_skip()
         g = _random_graph(6, 60, 80)
         g.net_weight = [w << 22 for w in g.net_weight]
         parts = [v % 2 for v in range(g.num_vertices)]
         order = list(range(g.num_vertices))
         random.Random(6).shuffle(order)
         native_parts = list(parts)
-        native = fm._one_pass_native(lib, g, native_parts, [10**9] * 2, order)
+        native = fm._one_pass_native(native_loops, g, native_parts, [10**9] * 2, order)
         assert native == fm._one_pass(g, parts, [10**9] * 2, order)
         assert native_parts == parts
 
     @pytest.mark.parametrize("seed, n, m", _GRAPHS)
-    def test_partition_kway(self, seed, n, m, monkeypatch):
-        _native_or_skip()
+    def test_partition_kway(self, seed, n, m, native_loops, request):
         g = _random_graph(seed, n, m)
         native = {}
         for k in range(2, 10):
@@ -296,7 +293,7 @@ class TestNativeMatchesPython:
             native[k] = partition_kway(g, k, seed=seed, stats=stats), stats
         native_rng, python_rng = random.Random(seed), random.Random(seed)
         native_bisect = bisect(g, 0.4, rng=native_rng)
-        _python(monkeypatch)
+        request.getfixturevalue("python_loops")
         for k in range(2, 10):
             stats = Counter()
             assert (partition_kway(g, k, seed=seed, stats=stats), stats) == native[k], k
@@ -305,13 +302,14 @@ class TestNativeMatchesPython:
 
     @pytest.mark.parametrize("seed, profile, count", _CONE_CASES)
     @pytest.mark.parametrize("truncate", [False, True])
-    def test_cone_signatures(self, seed, profile, count, truncate, monkeypatch):
-        """``gem_cone_masks`` plus its numpy glue against ``cone_masks`` /
-        ``build_sharing_hypergraph``: the same signature histogram in the
-        same order, the same mask per node, the same graph, live count and
-        :class:`RepCutResult` — with cones whole, and truncated by
-        ``source_flags`` at a mid level plus random nodes."""
-        _native_or_skip()
+    def test_cone_signatures(self, seed, profile, count, truncate, native_loops, request):
+        """``gem_cone_masks`` plus its numpy glue against ``cone_masks``:
+        each node's signature is its mask, numbered by first holder, and
+        the sharing hypergraph is the one the masks spell out.  Without the
+        library ``cone_signatures`` numbers ``cone_masks``'s masks into
+        :class:`ConeSignatures` equal to C's field for field, so the
+        :class:`RepCutResult` is the same — with cones whole, and truncated
+        by ``source_flags`` at a mid level plus random nodes."""
         eaig = synthesize(generate_design(seed, profile).spec.build()).eaig
         groups = _random_groups(eaig, count, seed)
         flags = None
@@ -324,35 +322,42 @@ class TestNativeMatchesPython:
             ]
         masks = cone_masks(eaig, groups, flags)
         sigs = cone_signatures(eaig, groups, flags)
-        for max_net_pins in (3, 128):
-            graph, histogram = build_sharing_hypergraph(count, masks, max_net_pins)
-            native = signature_hypergraph(count, sigs, max_net_pins)
-            assert native.nets == graph.nets
-            assert native.net_weight == graph.net_weight
-            assert native.vertex_weight == graph.vertex_weight
-        assert _signature_histogram(sigs) == list(histogram.items())
-        by_signature = [mask for mask, _ in _signature_histogram(sigs)]
+        by_signature = _signature_masks(sigs)
         native_masks = [0] * len(eaig)
         for node, s in zip(sigs.nodes.tolist(), sigs.signature.tolist()):
             native_masks[node] = by_signature[s]
         assert native_masks == masks
-        assert live_count(sigs) == live_count(masks) == sum(1 for m in masks if m)
+        histogram = Counter(m for m in masks if m)  # in order of first holder
+        assert list(histogram) == by_signature
+        assert sigs.count.tolist() == list(histogram.values())
+        for max_net_pins in (3, 128):
+            graph = signature_hypergraph(count, sigs, max_net_pins)
+            weights, nets, net_weight = _graph_of_masks(count, masks, max_net_pins)
+            assert graph.vertex_weight == weights
+            assert graph.nets == nets
+            assert graph.net_weight == net_weight
         if count > 2:
-            assert any(len(mask_bits) > 1 for mask_bits in graph.nets), "no shared logic"
+            assert any(len(pins) > 1 for pins in nets), "no shared logic"
             assert any(not m for m in masks), "every node in some cone"
         k = min(4, count)
-        native_result = repcut_partition(eaig, groups, k, seed=seed, masks=sigs)
-        assert repcut_partition(eaig, groups, k, seed=seed, masks=masks) == native_result
+        native_result = repcut_partition(eaig, groups, k, seed=seed, cones=sigs)
         assert repcut_partition(eaig, groups, k, seed=seed, source_flags=flags) == native_result
-        _python(monkeypatch)
-        assert stage_cones(eaig, groups, flags) == masks
+        request.getfixturevalue("python_loops")
+        python = cone_signatures(eaig, groups, flags)
+        for field, native_field, python_field in zip(sigs._fields, sigs, python):
+            assert python_field.dtype == native_field.dtype, field
+            assert np.array_equal(python_field, native_field), field
         assert repcut_partition(eaig, groups, k, seed=seed, source_flags=flags) == native_result
 
-    def test_cone_signatures_refuse_bad_roots(self):
-        _native_or_skip()
+    @pytest.mark.parametrize("path", ["native", "python"])
+    def test_cone_signatures_refuse_bad_roots(self, path, request):
+        """Both paths refuse a root literal past the last node or below
+        zero, and ``source_flags`` of the wrong length, before they sweep."""
+        request.getfixturevalue(f"{path}_loops")
         eaig = synthesize(generate_design(1, "ram").spec.build()).eaig
-        with pytest.raises(ValueError, match="root literal out of range"):
-            cone_signatures(eaig, [[2 * len(eaig)]])
+        for roots in ([2 * len(eaig)], [2, -1]):
+            with pytest.raises(ValueError, match="root literal out of range"):
+                cone_signatures(eaig, [roots])
         with pytest.raises(ValueError, match="source_flags"):
             cone_signatures(eaig, [[2]], [False])
 

@@ -22,7 +22,6 @@ from repro.core.synthesis import synthesize
 from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
 from repro.errors import GemError, PlacementStallError
 from repro.harness.runner import DESIGNS
-from repro.partition import kernel as partition_kernel
 from tests.helpers import eaig_sim, pi_inputs, random_circuit
 
 
@@ -183,14 +182,11 @@ class TestGoldenBitstreams:
     """sha256 of ``program.words`` for cold default-config compiles, recorded
     on the commit before the flat-heap builder.  Placement and partitioner
     speed-ups must leave every decision — and so every byte — where it was:
-    each pin holds with the partitioner's C loops and with its Python ones."""
+    each pin holds with the whole flow on its C loops and on its Python ones."""
 
     @pytest.fixture(autouse=True, params=["native", "python"])
-    def partitioner(self, request, monkeypatch):
-        if request.param == "python":
-            monkeypatch.setattr(partition_kernel, "library", lambda: None)
-        elif partition_kernel.library() is None:
-            pytest.skip("no C compiler and no cached partitioner library here")
+    def loops(self, request):
+        request.getfixturevalue(f"{request.param}_loops")
 
     def test_openpiton1(self):
         design = compile_circuit(DESIGNS["openpiton1"].build())
@@ -318,9 +314,8 @@ class TestSmallestCore:
         slot, inv = pp.slot_and_invert(spec.root_literals()[0])
         assert bool(state[slot]) ^ inv
 
-    def test_no_progress_is_a_typed_error(self, monkeypatch):
+    def test_no_progress_is_a_typed_error(self, python_loops, monkeypatch):
         eaig, spec = _one_and_partition()
-        monkeypatch.setattr(placement_kernel, "library", lambda: None)  # the Python loop
         monkeypatch.setattr(
             placement._LayerBuilder, "try_map_node", lambda self, n, level: False
         )
@@ -331,13 +326,10 @@ class TestSmallestCore:
         assert isinstance(info.value, RuntimeError)  # pre-existing except sites
 
     @pytest.mark.parametrize("path", ["native", "python"])
-    def test_a_fanin_missing_from_the_sources_is_a_gem_error(self, path, monkeypatch):
+    def test_a_fanin_missing_from_the_sources_is_a_gem_error(self, path, request):
         """A hand-built partition whose ``sources`` omit a fan-in: both
         layer loops refuse it with a :class:`GemError`, not an assert."""
-        if path == "python":
-            monkeypatch.setattr(placement_kernel, "library", lambda: None)
-        else:
-            _native_or_skip()
+        request.getfixturevalue(f"{path}_loops")
         eaig = EAIG()
         a, b = eaig.add_pi("a"), eaig.add_pi("b")
         y = eaig.add_and(a, b)
@@ -347,24 +339,17 @@ class TestSmallestCore:
             place_partition(eaig, spec, BoomerangConfig(width_log2=4))
         assert not isinstance(info.value, (UnmappableError, PlacementStallError))
 
-    def test_no_progress_is_a_typed_error_on_the_native_path(self, monkeypatch):
+    def test_no_progress_is_a_typed_error_on_the_native_path(self, native_loops, monkeypatch):
         """The layer loop in C places nothing when it is handed no
         candidates; the caller turns that into the same typed error."""
-        place_layer = _native_or_skip()
         eaig, spec = _one_and_partition()
-        monkeypatch.setattr(
-            placement_kernel, "library", lambda: lambda ref, order, norder: place_layer(ref, order, 0)
+        stalled = native_loops._replace(
+            place_layer=lambda ref, order, norder: native_loops.place_layer(ref, order, 0)
         )
+        monkeypatch.setattr(placement_kernel, "library", lambda: stalled)
         with pytest.raises(PlacementStallError, match="placement made no progress") as info:
             place_partition(eaig, spec, BoomerangConfig(width_log2=1, state_bits=8))
         assert (info.value.stage, info.value.index) == (spec.stage, spec.index)
-
-
-def _native_or_skip():
-    place_layer = placement_kernel.library()
-    if place_layer is None:
-        pytest.skip("no C compiler and no cached placement library here")
-    return place_layer
 
 
 def _outcome(place, *args):
@@ -408,8 +393,9 @@ class TestNativeMatchesPython:
     )
     @pytest.mark.parametrize("timing_driven", [True, False])
     @pytest.mark.parametrize("seed, profile", [(3, "mixed"), (5, "deep"), (8, "merge_stress")])
-    def test_every_partition(self, seed, profile, width_log2, state_bits, timing_driven):
-        place_layer = _native_or_skip()
+    def test_every_partition(
+        self, seed, profile, width_log2, state_bits, timing_driven, native_loops
+    ):
         # a 2-leaf tree over 8 state bits places only the smallest partitions
         eaig, specs = _differential_design(seed, profile, 8 if width_log2 == 1 else 150)
         cfg = BoomerangConfig(width_log2=width_log2, state_bits=state_bits)
@@ -426,7 +412,7 @@ class TestNativeMatchesPython:
                 )
                 native = _outcome(
                     placement._place_native,
-                    place_layer, eaig, spec, cfg, timing_driven, bias, promote,
+                    native_loops, eaig, spec, cfg, timing_driven, bias, promote,
                 )
                 assert native == python, (spec.stage, spec.index, bias, promote)
                 placed += isinstance(python[0], list)
@@ -435,29 +421,31 @@ class TestNativeMatchesPython:
         if state_bits is not None or width_log2 >= 9:  # else the state is too narrow
             assert placed, "every partition failed: the case compares errors only"
 
-    def test_state_overflow_is_the_same_error(self):
+    def test_state_overflow_is_the_same_error(self, native_loops):
         """A state that holds the sources but not the writebacks."""
-        place_layer = _native_or_skip()
         eaig, specs = _differential_design(5, "deep")
         spec = max(specs, key=lambda s: len(s.nodes))
         cfg = BoomerangConfig(width_log2=4, state_bits=len(spec.sources) + 3)
         python = _outcome(placement._place_python, eaig, spec, cfg, True)
         assert python[0] == "UnmappableError" and "state overflow" in python[1]
-        native = _outcome(placement._place_native, place_layer, eaig, spec, cfg, True, None, None)
+        native = _outcome(placement._place_native, native_loops, eaig, spec, cfg, True, None, None)
         assert native == python
 
-    def test_placement_resolves_the_library_on_first_use(self):
-        """Importing placement loads nothing; a placement resolves it."""
+    def test_importing_the_flow_resolves_nothing(self):
+        """Importing every module of the compile flow loads no library; the
+        first question resolves the one library, and every loop shares it."""
         import subprocess
         import sys
 
         code = (
-            "import repro.core.placement, repro.core.placement_kernel as k\n"
+            "import repro.core.compiler, repro.core.depth_opt, repro.core.placement\n"
+            "import repro.core.partition, repro.partition.fm, repro.partition.multilevel\n"
+            "import repro.core.placement_kernel as k\n"
             "assert k._RESOLVED == []\n"
-            "print(k.algorithm2())\n"
+            "print(k.loops(), len(k._RESOLVED))\n"
         )
         run = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
         )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == placement_kernel.algorithm2()
+        assert run.stdout.split() == [placement_kernel.loops(), "1"]

@@ -2,9 +2,10 @@
 
 from repro.core.eaig import EAIG, NodeKind, lit_not
 from repro.partition.repcut import (
-    build_sharing_hypergraph,
     cone_masks,
+    cone_signatures,
     repcut_partition,
+    signature_hypergraph,
 )
 
 
@@ -59,24 +60,27 @@ class TestConeMasks:
 class TestSharingHypergraph:
     def test_nets_from_signatures(self):
         g, groups, n = _diamond()
-        masks = cone_masks(g, groups)
-        graph, hist = build_sharing_hypergraph(2, masks)
-        # signature 0b11 appears for x, y, s -> one net of weight 3.
-        assert hist[0b11] == 3
+        sigs = cone_signatures(g, groups)
+        graph = signature_hypergraph(2, sigs)
+        # signature 0b11 holds x, y, s -> one net of weight 3.
+        shared = sigs.signature[sigs.nodes.tolist().index(n["s"])]
+        assert sigs.count[shared] == 3
         assert graph.num_nets == 1
         assert graph.net_weight[0] == 3
 
     def test_vertex_weights_are_cone_sizes(self):
         g, groups, _ = _diamond()
-        masks = cone_masks(g, groups)
-        graph, _ = build_sharing_hypergraph(2, masks)
+        graph = signature_hypergraph(2, cone_signatures(g, groups))
         # Each group's cone has 4 nodes, plus base weight 1.
         assert graph.vertex_weight == [5, 5]
 
     def test_huge_nets_dropped(self):
-        masks = [0b1111] * 10
-        graph, _ = build_sharing_hypergraph(4, masks, max_net_pins=3)
-        assert graph.num_nets == 0
+        g, groups, _ = _diamond()
+        # four groups that each hold both endpoints: every node is in all four cones
+        sigs = cone_signatures(g, [groups[0] + groups[1]] * 4)
+        assert sigs.count.tolist() == [5]
+        assert signature_hypergraph(4, sigs, max_net_pins=3).num_nets == 0
+        assert signature_hypergraph(4, sigs, max_net_pins=4).num_nets == 1
 
 
 class TestRepCut:
