@@ -53,7 +53,8 @@ __all__ = [
     "design_crc",
 ]
 
-CACHE_VERSION = 2
+#: sweep file version; 3: candidates scored on the top-down Algorithm 2 placement
+CACHE_VERSION = 3
 DEFAULT_TUNE_DIR = ".gem_tune"
 #: a tuned winner must beat the default's ``model_hz`` by this fraction
 MIN_GAIN = 0.05

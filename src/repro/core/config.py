@@ -64,10 +64,11 @@ class RefineConfig:
     Each SA move perturbs the placement *inputs* rather than the placement
     itself: a per-node jitter added to the Algorithm 2 criticality key
     reorders which nodes claim tree positions first, and a per-node level
-    promotion places a node one tree level deeper than its local logic level
-    (pre-empting the stretch phase).  The full placement pass re-runs under
-    the perturbation; candidates are accepted on a layer-count +
-    writeback-traffic cost (see :func:`~repro.core.placement.placement_cost`).
+    promotion places a node one tree level deeper than its local logic level,
+    so it is tried earlier in the root-down level loop (a node that fails at
+    its promoted level waits for the next layer).  The full placement pass
+    re-runs under the perturbation; candidates are accepted on a layer-count
+    + writeback-traffic cost (see :func:`~repro.core.placement.placement_cost`).
     """
 
     iterations: int = 0

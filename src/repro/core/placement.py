@@ -12,9 +12,12 @@ Each partition's AIG is mapped onto a sequence of boomerang layers:
   recursively placed at the child position, **duplicating** it if another
   copy already sits elsewhere in this layer (tree positions feed only their
   parent).
-* Within a level, the most timing-critical nodes (largest reverse depth
-  over the remaining subgraph, Algorithm 2 lines 7–8) are placed first;
-  leftover capacity is filled by *stretching* shallower nodes upward.
+* Levels are filled from the root level down, and within a level the most
+  timing-critical nodes (largest reverse depth over the remaining subgraph,
+  Algorithm 2 lines 7–8) are placed first.  Deep cones claim their subtrees
+  before shallow nodes take the leaves, so a shallow node is placed inside
+  its consumer's cone instead of again beside it; no backfill pass is
+  needed, because a node can never be placed below its local level.
 * After a layer is full, every newly computed value still needed (by a
   later layer or as an endpoint root) is written back to a fresh state
   slot; the layer repeats on the remaining subgraph.
@@ -47,9 +50,10 @@ Which orders are part of the bitstream: the iteration order of the
 ``remaining`` *set* (it is the tie order within a level, so the set must be
 built and shrunk exactly as it is — ``set(nodes)``, then ``-= set(mapped)``
 per layer), the insertion order of ``mapped`` (it numbers the writeback
-slots), the stable sorts on criticality, the cursor advance, and the limits
-``max_attempts=8`` / ``max_consecutive_failures=20``.  The golden sha256
-pins in ``tests/test_placement.py`` hold all of them in place.
+slots), the root-down level order, the stable sorts on criticality, the
+cursor advance, and the limits ``max_attempts=8`` /
+``max_consecutive_failures=20``.  The golden sha256 pins in
+``tests/test_placement.py`` hold all of them in place.
 
 Where it runs: each layer is one call into the C layer loop of
 :mod:`repro.core.placement_kernel` wherever the compile flow's library
@@ -71,7 +75,7 @@ import numpy as np
 from repro.core import placement_kernel
 from repro.core.boomerang import BoomerangConfig, Layer
 from repro.core.config import RefineConfig
-from repro.core.eaig import EAIG, NodeKind, lit_neg, lit_node
+from repro.core.eaig import EAIG, lit_neg, lit_node
 from repro.core.partition import PartitionSpec
 from repro.errors import GemError, PlacementStallError, UnmappableError
 
@@ -598,8 +602,9 @@ def _place_python(
                 lvl = min(depth, lvl + promote.get(n, 0))
             by_level.setdefault(lvl, []).append(n)
         max_consecutive_failures = 20
-        shallower: list[int] = []  # unmapped nodes of the levels below, in level order
-        for level in range(1, depth + 1):
+        # Root level down: deep cones claim their subtrees first, and the
+        # shallow nodes they did not absorb take what is left below.
+        for level in range(depth, 0, -1):
             failures = 0
             for n in sorted(by_level.get(level, ()), key=most_critical_first):
                 if free_at_level[level] == 0 or failures >= max_consecutive_failures:
@@ -610,18 +615,6 @@ def _place_python(
                     failures = 0
                 else:
                     failures += 1
-            # Stretch: fill leftover capacity with shallower unmapped nodes.
-            if free_at_level[level] > 0:
-                shallower = [n for n in shallower if n not in mapped]
-                failures = 0
-                for n in sorted(shallower, key=most_critical_first):
-                    if free_at_level[level] == 0 or failures >= max_consecutive_failures:
-                        break
-                    if builder.try_map_node(n, level):
-                        failures = 0
-                    else:
-                        failures += 1
-            shallower += by_level.get(level, ())
 
         if not mapped:
             raise PlacementStallError(
@@ -736,15 +729,6 @@ def place_partition(
                 best, best_cost = cand, cand_cost
         temp *= refine.cooling
     return best
-
-
-def is_mappable(eaig: EAIG, spec: PartitionSpec, config: BoomerangConfig | None = None) -> bool:
-    """Algorithm 1's predicate: does the partition fit one core?"""
-    try:
-        place_partition(eaig, spec, config)
-        return True
-    except UnmappableError:
-        return False
 
 
 def naive_levelized_layers(eaig: EAIG, spec: PartitionSpec, config: BoomerangConfig | None = None) -> dict:

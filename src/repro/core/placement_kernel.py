@@ -41,7 +41,7 @@ PLACEMENT_SOURCE = r"""
 
 #define ROUTE 4                       /* pass-through fold constant */
 #define MAX_ATTEMPTS 8                /* placement attempts per node */
-#define MAX_CONSECUTIVE_FAILURES 20   /* per level, per pass */
+#define MAX_CONSECUTIVE_FAILURES 20   /* per level */
 /* cone sizes saturate here: they are only compared against subtree
    capacities, which are below 2^15 */
 #define NEED_CAP ((int64_t)1 << 40)
@@ -190,8 +190,8 @@ static int try_map(builder *b, int64_t n, int64_t level)
 }
 
 /* out = x then y, merged most critical first; ties keep x's nodes first */
-static int64_t merge(const int64_t *x, int64_t nx, const int64_t *y, int64_t ny,
-                     int64_t *out, const double *crit)
+static void merge(const int64_t *x, int64_t nx, const int64_t *y, int64_t ny,
+                  int64_t *out, const double *crit)
 {
     int64_t i = 0, j = 0, o = 0;
     while (i < nx && j < ny)
@@ -200,7 +200,6 @@ static int64_t merge(const int64_t *x, int64_t nx, const int64_t *y, int64_t ny,
         out[o++] = x[i++];
     while (j < ny)
         out[o++] = y[j++];
-    return o;
 }
 
 /* stable sort, most critical first */
@@ -215,15 +214,14 @@ static void sort_by_crit(int64_t *a, int64_t len, int64_t *tmp, const double *cr
     memcpy(a, tmp, (size_t)len * sizeof *a);
 }
 
-static void fill_pass(builder *b, const int64_t *list, int64_t len, int64_t level,
-                      int skip_mapped)
+static void fill_pass(builder *b, const int64_t *list, int64_t len, int64_t level)
 {
     int64_t failures = 0;
     for (int64_t t = 0; t < len; ++t) {
         if (b->free_at_level[level] == 0 || failures >= MAX_CONSECUTIVE_FAILURES || b->bad)
             break;
         const int64_t n = list[t];
-        if (skip_mapped && b->mapped_k[n])
+        if (b->mapped_k[n])
             continue;
         failures = try_map(b, n, level) ? 0 : failures + 1;
     }
@@ -243,7 +241,7 @@ int64_t gem_place_layer(gem_place *p, const int64_t *order, int64_t norder)
     b.top = depth + 1;
     int64_t *local = malloc((size_t)(n + 1) * sizeof *local);
     double *crit = malloc((size_t)(n + 1) * sizeof *crit);
-    int64_t *lists = malloc((size_t)(5 * norder + depth + 3) * sizeof *lists);
+    int64_t *lists = malloc((size_t)(3 * norder + depth + 3) * sizeof *lists);
     b.need = malloc((size_t)(n + 1) * sizeof *b.need);
     b.mapped_k = calloc((size_t)(n + 1), sizeof *b.mapped_k);
     b.free = malloc((size_t)(2 * width) * sizeof *b.free);
@@ -290,9 +288,8 @@ int64_t gem_place_layer(gem_place *p, const int64_t *order, int64_t norder)
                 crit[i] += p->bias[i];
 
     /* nodes by placement level, each level in set order */
-    int64_t *bucket = lists, *level_list = lists + norder, *shallow = lists + 2 * norder;
-    int64_t *spare = lists + 3 * norder, *tmp = lists + 4 * norder;
-    int64_t *start = lists + 5 * norder; /* depth + 3 entries */
+    int64_t *bucket = lists, *level_list = lists + norder, *tmp = lists + 2 * norder;
+    int64_t *start = lists + 3 * norder; /* depth + 3 entries */
     for (int64_t l = 0; l < depth + 3; ++l)
         start[l] = 0;
     for (int64_t t = 0; t < norder; ++t) {
@@ -321,28 +318,12 @@ int64_t gem_place_layer(gem_place *p, const int64_t *order, int64_t norder)
         for (int64_t k = width >> l; k < (width >> l) * 2; ++k)
             b.free[k] = ((int64_t)1 << (l + 1)) - 1;
     }
-    int64_t nshallow = 0;
-    for (int64_t level = 1; level <= depth; ++level) {
+    /* root level down: deep cones claim their subtrees first */
+    for (int64_t level = depth; level >= 1 && !b.bad; --level) {
         const int64_t begin = start[level - 1], len = start[level] - begin;
         memcpy(level_list, bucket + begin, (size_t)len * sizeof *level_list);
         sort_by_crit(level_list, len, tmp, crit);
-        fill_pass(&b, level_list, len, level, 1);
-        if (b.free_at_level[level] > 0 && !b.bad) {
-            /* stretch: fill leftover capacity with shallower unmapped
-               nodes (the list is filtered once, before the pass) */
-            int64_t kept = 0;
-            for (int64_t t = 0; t < nshallow; ++t)
-                if (!b.mapped_k[shallow[t]])
-                    shallow[kept++] = shallow[t];
-            nshallow = kept;
-            fill_pass(&b, shallow, nshallow, level, 0);
-        }
-        if (b.bad)
-            break;
-        nshallow = merge(shallow, nshallow, level_list, len, spare, crit);
-        int64_t *swap = shallow;
-        shallow = spare;
-        spare = swap;
+        fill_pass(&b, level_list, len, level);
     }
     if (b.bad) {
         rc = -3;

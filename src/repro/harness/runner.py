@@ -55,7 +55,8 @@ logger = logging.getLogger(__name__)
 #: deleted and rebuilt instead of being unpickled into stale objects.
 #: 3: ``PlacedPartition`` keeps its layers packed instead of as ``Layer`` arrays.
 #: 4: a compile entry is two files, the program and the flow (:func:`compile_design`).
-CACHE_FORMAT = 4
+#: 5: Algorithm 2 fills the fold tree from the root level down (new bitstreams).
+CACHE_FORMAT = 5
 
 
 def _build_nvdla() -> Circuit:

@@ -145,7 +145,7 @@ def test_a_disk_hit_is_the_compile_it_stored(cache):
     assert copy.merge.partitions_after == fresh.merge.partitions_after
 
 
-@pytest.mark.parametrize("damage", ["torn", "foreign", "format 3"])
+@pytest.mark.parametrize("damage", ["torn", "foreign", "format 3", "format 4"])
 def test_an_unusable_program_file_is_discarded_and_rebuilt(damage, cache, caplog):
     want = sha256(runner.compile_design("openpiton1").program)
     (path,) = cache.glob("program-*.pkl")
@@ -153,7 +153,9 @@ def test_an_unusable_program_file_is_discarded_and_rebuilt(damage, cache, caplog
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     else:
         envelope = pickle.loads(path.read_bytes())
-        envelope.update({"key": "compile:other"} if damage == "foreign" else {"format": 3})
+        envelope.update(
+            {"key": "compile:other"} if damage == "foreign" else {"format": int(damage.split()[1])}
+        )
         path.write_bytes(pickle.dumps(envelope))
     forget_compiles()
     misses, discarded = compile_misses(), discards("compile")
@@ -238,7 +240,7 @@ def test_a_format_3_entry_is_a_clean_miss(cache, caplog):
         design = runner.compile_design("openpiton1")
     assert not caplog.records and compile_misses() == misses + 1
     with open(old, "rb") as f:
-        assert pickle.load(f)["format"] == runner.CACHE_FORMAT == 4
+        assert pickle.load(f)["format"] == runner.CACHE_FORMAT == 5
     forget_compiles()
     assert runner.compile_design("openpiton1").report == design.report
     assert compile_misses() == misses + 1
