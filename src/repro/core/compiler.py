@@ -216,7 +216,7 @@ class GemCompiler:
             with TRACER.span("partition", cat="compile", args=partition_args):
                 plan = partition_design(eaig, pconfig)
                 # which loops the flow runs (C or Python, one library for
-                # all five), and how much work the partitioner did
+                # all seven), and how much work the partitioner did
                 partition_args.update(
                     loops=placement_kernel.loops(),
                     bisections=sum(r.bisections for r in plan.stage_results),

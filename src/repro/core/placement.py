@@ -510,10 +510,10 @@ def _place_native(
             raise MemoryError(f"{where}: placement scratch")
         if count < 0:  # pragma: no cover - guarded by the fan-in check above
             raise GemError(f"{where}: a fan-in is neither available nor local")
-        writebacks: list[tuple[int, int, int]] = []
-        for level, pos, slot, i in wb[: 4 * place.nwb].reshape(-1, 4).tolist():
-            slot_of[node_list[i]] = slot
-            writebacks.append((level, pos, slot))
+        # (level, pos, slot, local node) per writeback, unpacked by column
+        rows = wb[: 4 * place.nwb].reshape(-1, 4).T.tolist()
+        slot_of.update(zip(map(node_list.__getitem__, rows[3]), rows[2]))
+        writebacks = list(zip(*rows[:3]))
         packed.append(PackedLayer(perm=perm, fold=fold, writebacks=writebacks))
         remaining -= set(nodes[mapped[:count]].tolist())
     return PlacedPartition(

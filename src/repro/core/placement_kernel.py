@@ -1,14 +1,15 @@
 """The compile flow's one C library, and Algorithm 2's layer loop in it.
 
-:data:`COMPILE_SOURCE` holds the flow's five hot loops: Algorithm 2's
+:data:`COMPILE_SOURCE` holds the flow's seven hot loops: Algorithm 2's
 ``gem_place_layer`` (one call places one boomerang layer, here), the
-partitioner's ``gem_cone_masks``, ``gem_fm_pass`` and ``gem_coarsen``
-(:mod:`repro.partition.kernel`) and depth_opt's ``gem_rebuild``
-(:mod:`repro.core.depth_opt`).  One source builds one library, so a host
-has all five or none: :func:`library` resolves it once per process and
-every loop of the flow forks on that one handle, taking its C entry point
-or running its Python loop.  Both make the same decisions, so a bitstream
-does not depend on which ran.  The library is built, cached and loaded by
+partitioner's ``gem_cone_masks``, ``gem_fm_pass``, ``gem_coarsen``,
+``gem_contract`` and ``gem_shuffle`` (:mod:`repro.partition.kernel`) and
+depth_opt's ``gem_rebuild`` (:mod:`repro.core.depth_opt`).  One source
+builds one library, so a host has all seven or none: :func:`library`
+resolves it once per process and every loop of the flow forks on that one
+handle, taking its C entry point or running its Python loop.  Both make
+the same decisions, so a bitstream does not depend on which ran.  The
+library is built, cached and loaded by
 :func:`repro.core.backend.load_kernel` (``$CC``, the compile-cache
 directory, ``ctypes``) the first time the flow asks — never at import, so
 a run, which compiles nothing, never loads it.
@@ -375,8 +376,8 @@ done:
 """
 
 #: the compile flow's one C library: Algorithm 2's layer loop, the
-#: partitioner's cone signatures, FM pass and coarsening round, and
-#: depth_opt's rebuild (resolved by :func:`library`)
+#: partitioner's cone signatures, FM pass, coarsening round, contraction
+#: and shuffle, and depth_opt's rebuild (resolved by :func:`library`)
 COMPILE_SOURCE = PLACEMENT_SOURCE + kernel.PARTITION_SOURCE + depth_opt.REBUILD_SOURCE
 
 
@@ -404,11 +405,13 @@ PLACE_LAYER_SIGNATURE = ((ctypes.POINTER(Place), ctypes.c_void_p, ctypes.c_int64
 
 
 class Library(NamedTuple):
-    """:data:`COMPILE_SOURCE`'s five entry points as ``ctypes`` functions."""
+    """:data:`COMPILE_SOURCE`'s seven entry points as ``ctypes`` functions."""
 
     place_layer: object
     fm_pass: object
     coarsen: object
+    contract: object
+    shuffle: object
     cone_masks: object
     rebuild: object
 
@@ -430,6 +433,8 @@ def library() -> Library | None:
                 place_layer=load_kernel(COMPILE_SOURCE, "gem_place_layer", PLACE_LAYER_SIGNATURE),
                 fm_pass=load_kernel(COMPILE_SOURCE, "gem_fm_pass", kernel.FM_PASS_SIGNATURE),
                 coarsen=load_kernel(COMPILE_SOURCE, "gem_coarsen", kernel.COARSEN_SIGNATURE),
+                contract=load_kernel(COMPILE_SOURCE, "gem_contract", kernel.CONTRACT_SIGNATURE),
+                shuffle=load_kernel(COMPILE_SOURCE, "gem_shuffle", kernel.SHUFFLE_SIGNATURE),
                 cone_masks=load_kernel(
                     COMPILE_SOURCE, "gem_cone_masks", kernel.CONE_MASKS_SIGNATURE
                 ),

@@ -29,37 +29,40 @@ _MAX_PASSES = 8
 
 def refine_bipartition(
     graph: Hypergraph,
-    parts: list[int],
+    parts: list[int] | np.ndarray,
     max_part_weight: Sequence[int],
     rng: random.Random | None = None,
     stats: Counter | None = None,
 ) -> int:
-    """Improve ``parts`` in place; returns the final cut weight.
+    """Improve ``parts`` (a list or an array) in place; returns the final
+    cut weight.
 
     ``max_part_weight[p]`` bounds the total vertex weight of part ``p``.
     A move is admissible only if the destination stays within its bound
     (the standard FM balance rule; an initially infeasible side may always
-    shed weight).  Each pass runs in C (:mod:`repro.partition.kernel`)
-    where the compile flow's library loads, else in Python
-    (:func:`_one_pass`); ``rng`` shuffles the vertex order before each pass
-    on both paths.
+    shed weight).  Each pass runs in C (:mod:`repro.partition.kernel`) on
+    ``uint8`` labels where the compile flow's library loads, else in
+    Python (:func:`_one_pass`) on a list; ``rng`` shuffles the vertex
+    order before each pass on both paths.
     ``stats["fm_passes"]`` counts the passes run.
     """
-    if len(parts) != graph.num_vertices or not set(parts) <= {0, 1}:
+    side = np.asarray(parts)
+    if side.shape != (graph.num_vertices,) or not ((side == 0) | (side == 1)).all():
         raise ValueError("parts must give every vertex a side, 0 or 1")
     from repro.core import placement_kernel
 
     rng = rng or random.Random(0)
     lib = placement_kernel.library()
+    work = side.tolist() if lib is None else side.astype(np.uint8)
     for passes in range(1, _MAX_PASSES + 1):
-        order = list(range(graph.num_vertices))
-        rng.shuffle(order)
+        order = kernel.shuffled_order(lib, rng, graph.num_vertices)
         if lib is None:
-            improved, cut = _one_pass(graph, parts, max_part_weight, order)
+            improved, cut = _one_pass(graph, work, max_part_weight, order)
         else:
-            improved, cut = _one_pass_native(lib, graph, parts, max_part_weight, order)
+            improved, cut = _one_pass_native(lib, graph, work, max_part_weight, order)
         if not improved:
             break
+    parts[:] = work.tolist() if isinstance(parts, list) and lib is not None else work
     if stats is not None:
         stats["fm_passes"] += passes
     return cut
@@ -68,15 +71,15 @@ def refine_bipartition(
 def _one_pass_native(
     lib,
     graph: Hypergraph,
-    parts: list[int],
+    side: np.ndarray,
     max_part_weight: Sequence[int],
-    order: list[int],
+    order: Sequence[int],
 ) -> tuple[bool, int]:
-    """:func:`_one_pass` as one ``gem_fm_pass`` call."""
+    """:func:`_one_pass` as one ``gem_fm_pass`` call, on ``uint8`` labels
+    ``side``."""
     arrays = graph.arrays()
-    side = np.array(parts, dtype=np.uint8)
     max_w = np.array(max_part_weight, dtype=np.int64)
-    vertex_order = np.array(order, dtype=np.int64)
+    vertex_order = np.asarray(order, dtype=np.int64)
     cut = ctypes.c_int64()
     rc = lib.fm_pass(
         ctypes.byref(kernel.graph_struct(arrays)),
@@ -86,10 +89,12 @@ def _one_pass_native(
         ctypes.byref(cut),
     )
     if rc == -3:  # gains too wide for the bucket array: the same pass in Python
-        return _one_pass(graph, parts, max_part_weight, order)
+        parts = side.tolist()
+        result = _one_pass(graph, parts, max_part_weight, vertex_order.tolist())
+        side[:] = parts
+        return result
     if rc < 0:
         raise MemoryError("FM pass scratch")
-    parts[:] = side.tolist()
     return rc == 1, cut.value
 
 

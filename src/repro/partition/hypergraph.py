@@ -1,17 +1,17 @@
 """Weighted hypergraph container for partitioning.
 
 Vertices are ``0..n-1`` with integer weights; each net (hyperedge) is a
-tuple of distinct vertices with an integer weight.  The structures are kept
-as flat lists for speed — these graphs reach tens of thousands of pins for
-the larger benchmark designs.  The incidence lists and the CSR arrays the
-C partitioner loops read (:mod:`repro.partition.kernel`) are built once,
-the first time either is asked for; :meth:`Hypergraph.add_net` drops them,
-and a graph is not otherwise changed after that.
+tuple of distinct vertices with an integer weight.  The CSR arrays the C
+partitioner loops read (:mod:`repro.partition.kernel`) are built once,
+the first time they are asked for, and the incidence lists from them;
+:meth:`Hypergraph.add_net` drops both, and a graph is not otherwise
+changed after that.  A graph of :meth:`Hypergraph.from_arrays` keeps its
+arrays and spells its nets out as tuples only when a Python loop reads
+:attr:`Hypergraph.nets`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,15 +29,27 @@ class HypergraphArrays(NamedTuple):
     vertex_weight: np.ndarray
 
 
-@dataclass
 class Hypergraph:
     """A vertex- and net-weighted hypergraph."""
 
-    vertex_weight: list[int]
-    nets: list[tuple[int, ...]] = field(default_factory=list)
-    net_weight: list[int] = field(default_factory=list)
-    _incidence: list[list[int]] | None = field(default=None, init=False, repr=False, compare=False)
-    _arrays: HypergraphArrays | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        vertex_weight: list[int],
+        nets: Iterable[tuple[int, ...]] = (),
+        net_weight: Iterable[int] = (),
+    ) -> None:
+        self.vertex_weight = vertex_weight
+        self._nets: list[tuple[int, ...]] | None = list(nets)
+        self.net_weight = list(net_weight)
+        self._incidence: list[list[int]] | None = None
+        self._arrays: HypergraphArrays | None = None
+        if len(self._nets) != len(self.net_weight):
+            raise ValueError("nets and net_weight must have equal length")
+        for net in self._nets:
+            if not net or len(set(net)) != len(net):
+                raise ValueError(f"net {net} has duplicate pins or none")
+            if not all(0 <= v < self.num_vertices for v in net):
+                raise ValueError(f"net {net}: pin out of range")
 
     @classmethod
     def from_arrays(
@@ -49,24 +61,18 @@ class Hypergraph:
     ) -> Hypergraph:
         """The graph of trusted CSR arrays (distinct, in-range pins), which
         it keeps as its :meth:`arrays`."""
-        flat = pins.tolist()
-        bounds = net_start.tolist()
         graph = cls(vertex_weight=vertex_weight.tolist())
-        graph.nets = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+        graph._nets = None  # spelled out from the arrays when first read
         graph.net_weight = net_weight.tolist()
         graph._arrays = _with_incidence(vertex_weight, net_start, pins, net_weight)
         return graph
 
-    def __post_init__(self) -> None:
-        if len(self.nets) != len(self.net_weight):
-            raise ValueError("nets and net_weight must have equal length")
-        n = self.num_vertices
-        for net in self.nets:
-            if len(set(net)) != len(net):
-                raise ValueError(f"net {net} has duplicate pins")
-            for v in net:
-                if not 0 <= v < n:
-                    raise ValueError(f"net pin {v} out of range")
+    @property
+    def nets(self) -> list[tuple[int, ...]]:
+        """Each net's pins, as a tuple."""
+        if self._nets is None:
+            self._nets = list(map(tuple, _rows(self._arrays.net_start, self._arrays.pins)))
+        return self._nets
 
     @property
     def num_vertices(self) -> int:
@@ -74,7 +80,7 @@ class Hypergraph:
 
     @property
     def num_nets(self) -> int:
-        return len(self.nets)
+        return len(self.net_weight)
 
     @property
     def total_weight(self) -> int:
@@ -92,11 +98,7 @@ class Hypergraph:
         """Vertex -> list of incident net indices, ascending (built once;
         callers do not change it)."""
         if self._incidence is None:
-            inc: list[list[int]] = [[] for _ in range(self.num_vertices)]
-            for e, net in enumerate(self.nets):
-                for v in net:
-                    inc[v].append(e)
-            self._incidence = inc
+            self._incidence = _rows(self.arrays().inc_start, self.arrays().inc)
         return self._incidence
 
     def arrays(self) -> HypergraphArrays:
@@ -121,12 +123,13 @@ class Hypergraph:
 
     def cut_weight(self, parts: Sequence[int]) -> int:
         """Total weight of nets spanning more than one part."""
-        total = 0
-        for net, w in zip(self.nets, self.net_weight):
-            first = parts[net[0]]
-            if any(parts[v] != first for v in net[1:]):
-                total += w
-        return total
+        arrays = self.arrays()
+        if not self.num_nets:
+            return 0  # reduceat cannot take no segments
+        pin_parts = np.asarray(parts)[arrays.pins]
+        starts = arrays.net_start[:-1]  # every net has a pin
+        cut = np.minimum.reduceat(pin_parts, starts) != np.maximum.reduceat(pin_parts, starts)
+        return int(arrays.net_weight[cut].sum())
 
     def connectivity_minus_one(self, parts: Sequence[int]) -> int:
         """The km1 objective: sum of (lambda - 1) * weight over nets.
@@ -135,11 +138,13 @@ class Hypergraph:
         logic copies (each net is a bundle of shared nodes; a node used by
         ``lambda`` parts is instantiated ``lambda`` times).
         """
-        total = 0
-        for net, w in zip(self.nets, self.net_weight):
-            lam = len({parts[v] for v in net})
-            total += (lam - 1) * w
-        return total
+        arrays = self.arrays()
+        part_of = np.asarray(parts, dtype=np.int64)
+        k = int(part_of.max()) + 1 if part_of.size else 1
+        net_of_pin = np.repeat(np.arange(self.num_nets, dtype=np.int64), np.diff(arrays.net_start))
+        spans = np.unique(net_of_pin * k + part_of[arrays.pins]) // k
+        lam = np.bincount(spans, minlength=self.num_nets)
+        return int(((lam - 1) * arrays.net_weight).sum())
 
     def part_weights(self, parts: Sequence[int], k: int) -> list[int]:
         weights = [0] * k
@@ -157,5 +162,13 @@ def _with_incidence(
     net_of_pin = np.repeat(np.arange(m, dtype=np.int64), np.diff(net_start))
     inc_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(pins, minlength=n), out=inc_start[1:])
-    inc = net_of_pin[np.argsort(pins, kind="stable")]
+    # a stable sort of 16-bit keys is a radix sort, ~9x one of int64 keys
+    keys = pins.astype(np.uint16) if n <= 1 << 16 else pins
+    inc = net_of_pin[np.argsort(keys, kind="stable")]
     return HypergraphArrays(net_start, pins, inc_start, inc, net_weight, vertex_weight)
+
+
+def _rows(start: np.ndarray, flat: np.ndarray) -> list[list[int]]:
+    """The rows of a CSR pair as lists."""
+    bounds, items = start.tolist(), flat.tolist()
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]

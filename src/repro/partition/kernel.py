@@ -1,31 +1,32 @@
-"""The partitioner's hot loops in C: RepCut's cone signatures, an FM pass
-and a coarsening round.
+"""The partitioner's hot loops in C: RepCut's cone signatures, an FM pass,
+a coarsening round, a contraction and the vertex-order shuffle.
 
-:func:`repro.partition.repcut.cone_signatures` hands the cone sweep and
-the signature histogram of a stage to :data:`PARTITION_SOURCE`'s
-``gem_cone_masks``, :func:`repro.partition.fm.refine_bipartition` each
-Fiduccia–Mattheyses pass to ``gem_fm_pass``, and
-:func:`repro.partition.multilevel.coarsen` each heavy-edge matching and
-contraction round to ``gem_coarsen``, when the library loads; all three
-run their Python loops otherwise, and both paths make the same decisions,
-so a partition — and the bitstream built on it — does not depend on which
-ran.
+:func:`repro.partition.repcut.cone_signatures` hands the cone sweep of a
+stage to :data:`PARTITION_SOURCE`'s ``gem_cone_masks``,
+:func:`repro.partition.fm.refine_bipartition` each Fiduccia–Mattheyses
+pass to ``gem_fm_pass``, and :mod:`repro.partition.multilevel` each
+matching round to ``gem_coarsen`` and each induced sub-graph to
+``gem_contract``, when the library loads; all run their Python loops
+otherwise, and both paths make the same decisions, so a partition — and
+the bitstream built on it — does not depend on which ran.  The source is
+part of the compile flow's one C library, resolved by
+:func:`repro.core.placement_kernel.library` the first time the flow asks —
+never at import, so a run never loads it.
 
-The source is part of the compile flow's one C library
-(:data:`repro.core.placement_kernel.COMPILE_SOURCE`, beside Algorithm 2's
-layer loop), resolved by :func:`repro.core.placement_kernel.library` the
-first time the flow asks — never at import, so a run never loads it.
-
-What C does not do is draw random numbers: the ``random.Random`` of a
-k-way partition is shared by every bisection of it, so Python makes each
-draw (the vertex order shuffled before each call, the initial
-bipartition's seeds) and C consumes the shuffled order.  Graphs arrive as
-:class:`~repro.partition.hypergraph.HypergraphArrays`.
+The ``random.Random`` of a k-way partition is shared by every bisection
+of it.  ``gem_shuffle`` draws the vertex order before each coarsening
+round and FM pass on that generator's own MT19937 state, exactly as
+``random.Random.shuffle`` would, and :func:`shuffled_order` hands the
+state back; the initial bipartition's draws stay in Python.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
+import random
+
+import numpy as np
 
 PARTITION_SOURCE = r"""
 #include <stdint.h>
@@ -294,27 +295,77 @@ static uint64_t hash_pins(const int64_t *a, int64_t len)
     return h ^ (h >> 29);
 }
 
-/* One coarsening round.  Heavy-edge matching: vertices in `order` (the
-   shuffled order) each take the unmatched neighbour of highest score,
-   the sum over shared nets of at most MATCH_MAX_PINS pins of
-   weight / (pins - 1), accumulated as doubles in incidence and pin order;
-   ties go to the neighbour scored first.  Contraction: coarse vertices
-   numbered in vertex order, each net's coarse pins sorted and unique,
-   nets of fewer than 2 pins dropped, equal nets merged into the first
-   (weights added).  Returns 0, or -2 when out of memory. */
-int64_t gem_coarsen(const gem_hgraph *g, const int64_t *order, gem_coarse *c)
+/* Contraction onto the c->nc coarse vertices of c->coarse_of (-1: the
+   vertex is dropped, with its pins): coarse vertex weights summed, each
+   net's coarse pins sorted and unique, nets of fewer than 2 pins
+   dropped, equal nets merged into the first (weights added).  The
+   induced sub-graph on ascending vertices v_0 < v_1 < ... is the
+   contraction by coarse_of[v_i] = i.  Returns 0, or -2 when out of
+   memory. */
+int64_t gem_contract(const gem_hgraph *g, gem_coarse *c)
 {
     const int64_t n = g->n, m = g->m;
-    int64_t *match = malloc((size_t)(n + 1) * sizeof *match);
-    int64_t *touched = malloc((size_t)(n + 1) * sizeof *touched);
-    double *score = malloc((size_t)(n + 1) * sizeof *score);
-    uint8_t *scored = calloc((size_t)(n + 1), 1);
     int64_t size = 8;
     while (size < 2 * m)
         size *= 2;
     int64_t *table = malloc((size_t)size * sizeof *table);
+    if (!table)
+        return -2;
+    memset(table, 0xff, (size_t)size * sizeof *table);
+    memset(c->vertex_weight, 0, (size_t)c->nc * sizeof *c->vertex_weight);
+    for (int64_t v = 0; v < n; ++v)
+        if (c->coarse_of[v] >= 0)
+            c->vertex_weight[c->coarse_of[v]] += g->vertex_weight[v];
+
+    int64_t mc = 0, pos = 0;
+    c->net_start[0] = 0;
+    for (int64_t e = 0; e < m; ++e) {
+        int64_t *buf = c->pins + pos, len = 0;
+        for (int64_t p = g->net_start[e]; p < g->net_start[e + 1]; ++p)
+            if (c->coarse_of[g->pins[p]] >= 0)
+                buf[len++] = c->coarse_of[g->pins[p]];
+        len = sort_unique(buf, len);
+        if (len < 2)
+            continue;
+        int64_t slot = (int64_t)(hash_pins(buf, len) & (uint64_t)(size - 1)), f;
+        while ((f = table[slot]) != -1) {
+            const int64_t start = c->net_start[f];
+            if (c->net_start[f + 1] - start == len
+                && !memcmp(c->pins + start, buf, (size_t)len * sizeof *buf))
+                break;
+            slot = (slot + 1) & (size - 1);
+        }
+        if (f != -1) {
+            c->net_weight[f] += g->net_weight[e];
+            continue;
+        }
+        table[slot] = mc;
+        c->net_weight[mc] = g->net_weight[e];
+        pos += len;
+        c->net_start[++mc] = pos;
+    }
+    c->mc = mc;
+    free(table);
+    return 0;
+}
+
+/* One coarsening round.  Heavy-edge matching: vertices in `order` (the
+   shuffled order) each take the unmatched neighbour of highest score,
+   the sum over shared nets of at most MATCH_MAX_PINS pins of
+   weight / (pins - 1), accumulated as doubles in incidence and pin order;
+   ties go to the neighbour scored first.  Then coarse vertices are
+   numbered in vertex order, a matched pair sharing one, and the graph is
+   contracted onto them (gem_contract).  Returns 0, or -2 when out of
+   memory. */
+int64_t gem_coarsen(const gem_hgraph *g, const int64_t *order, gem_coarse *c)
+{
+    const int64_t n = g->n;
+    int64_t *match = malloc((size_t)(n + 1) * sizeof *match);
+    int64_t *touched = malloc((size_t)(n + 1) * sizeof *touched);
+    double *score = malloc((size_t)(n + 1) * sizeof *score);
+    uint8_t *scored = calloc((size_t)(n + 1), 1);
     int64_t rc = -2;
-    if (!match || !touched || !score || !scored || !table)
+    if (!match || !touched || !score || !scored)
         goto done;
 
     for (int64_t v = 0; v < n; ++v)
@@ -367,48 +418,72 @@ int64_t gem_coarsen(const gem_hgraph *g, const int64_t *order, gem_coarse *c)
         c->coarse_of[v] = nc;
         if (match[v] != v)
             c->coarse_of[match[v]] = nc;
-        c->vertex_weight[nc++] = 0;
-    }
-    for (int64_t v = 0; v < n; ++v)
-        c->vertex_weight[c->coarse_of[v]] += g->vertex_weight[v];
-
-    memset(table, 0xff, (size_t)size * sizeof *table);
-    int64_t mc = 0, pos = 0;
-    c->net_start[0] = 0;
-    for (int64_t e = 0; e < m; ++e) {
-        int64_t *buf = c->pins + pos, len = 0;
-        for (int64_t p = g->net_start[e]; p < g->net_start[e + 1]; ++p)
-            buf[len++] = c->coarse_of[g->pins[p]];
-        len = sort_unique(buf, len);
-        if (len < 2)
-            continue;
-        int64_t slot = (int64_t)(hash_pins(buf, len) & (uint64_t)(size - 1)), f;
-        while ((f = table[slot]) != -1) {
-            const int64_t start = c->net_start[f];
-            if (c->net_start[f + 1] - start == len
-                && !memcmp(c->pins + start, buf, (size_t)len * sizeof *buf))
-                break;
-            slot = (slot + 1) & (size - 1);
-        }
-        if (f != -1) {
-            c->net_weight[f] += g->net_weight[e];
-            continue;
-        }
-        table[slot] = mc;
-        c->net_weight[mc] = g->net_weight[e];
-        pos += len;
-        c->net_start[++mc] = pos;
+        nc += 1;
     }
     c->nc = nc;
-    c->mc = mc;
-    rc = 0;
+    rc = gem_contract(g, c);
 done:
     free(match);
     free(touched);
     free(score);
     free(scored);
-    free(table);
     return rc;
+}
+
+#define MT_N 624                      /* CPython's MT19937 */
+#define MT_M 397
+
+static uint32_t mt_twist(uint32_t a, uint32_t b, uint32_t far)
+{
+    const uint32_t y = (a & 0x80000000U) | (b & 0x7fffffffU);
+    return far ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+}
+
+/* CPython's genrand_uint32 (Modules/_randommodule.c) on mt: 624 state
+   words, then the index */
+static uint32_t genrand_uint32(uint32_t *mt)
+{
+    if (mt[MT_N] >= MT_N) {
+        int k = 0;
+        for (; k < MT_N - MT_M; ++k)
+            mt[k] = mt_twist(mt[k], mt[k + 1], mt[k + MT_M]);
+        for (; k < MT_N - 1; ++k)
+            mt[k] = mt_twist(mt[k], mt[k + 1], mt[k + MT_M - MT_N]);
+        mt[MT_N - 1] = mt_twist(mt[MT_N - 1], mt[0], mt[MT_M - 1]);
+        mt[MT_N] = 0;
+    }
+    uint32_t y = mt[mt[MT_N]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* order = 0..n-1 as random.Random.shuffle leaves list(range(n)) from the
+   state mt (getstate()[1]: 624 words, then the index), which advances as
+   that shuffle advances it: for i = n-1 down to 1, swap i with
+   _randbelow(i + 1), which draws getrandbits(k) = genrand_uint32() >>
+   (32 - k), k the bit length of i + 1, until it is below i + 1.
+   Returns 0, or -1 when n is 2^32 or more (k would pass 32). */
+int64_t gem_shuffle(uint32_t *mt, int64_t n, int64_t *order)
+{
+    if (n >= ((int64_t)1 << 32))
+        return -1;
+    for (int64_t i = 0; i < n; ++i)
+        order[i] = i;
+    for (int64_t i = n - 1; i >= 1; --i) {
+        const uint64_t bound = (uint64_t)i + 1;
+        const int k = 64 - __builtin_clzll(bound);
+        uint64_t r;
+        do
+            r = genrand_uint32(mt) >> (32 - k);
+        while (r >= bound);
+        const int64_t t = order[i];
+        order[i] = order[r];
+        order[r] = t;
+    }
+    return 0;
 }
 
 #define CONE_CHUNK 4                  /* mask words swept at a time */
@@ -591,6 +666,10 @@ COARSEN_SIGNATURE = (
     (ctypes.POINTER(Graph), ctypes.c_void_p, ctypes.POINTER(Coarse)),
     ctypes.c_int64,
 )
+#: ``gem_contract(graph, coarse)``
+CONTRACT_SIGNATURE = ((ctypes.POINTER(Graph), ctypes.POINTER(Coarse)), ctypes.c_int64)
+#: ``gem_shuffle(mt, n, order)``
+SHUFFLE_SIGNATURE = ((ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p), ctypes.c_int64)
 
 
 class Cones(ctypes.Structure):
@@ -621,3 +700,20 @@ def graph_struct(arrays) -> Graph:
         m=arrays.net_weight.size,
         **{name: getattr(arrays, name).ctypes.data for name, _ in Graph._fields_[2:]},
     )
+
+
+def shuffled_order(lib, rng: random.Random, n: int):
+    """``list(range(n))`` as ``rng.shuffle`` leaves it, and ``rng`` where
+    that leaves it: an ``int64`` array from ``gem_shuffle`` where ``lib``
+    (the compile library) loaded, else the list itself."""
+    if lib is None:
+        order = list(range(n))
+        rng.shuffle(order)
+        return order
+    version, internal, gauss_next = rng.getstate()
+    mt = array.array("I", internal)  # uint32; half numpy's cost for 625 ints
+    order = np.empty(n, dtype=np.int64)
+    if lib.shuffle(mt.buffer_info()[0], n, order.ctypes.data):
+        raise ValueError(f"cannot shuffle {n} vertices")
+    rng.setstate((version, tuple(mt), gauss_next))
+    return order

@@ -13,22 +13,20 @@ tens-of-thousands-of-vertices graphs RepCut produces):
    hierarchy with Fiduccia–Mattheyses refinement at every level.
 
 ``partition_kway`` recursively bisects to reach any ``k`` (weights split
-proportionally for non-power-of-two ``k``).  Coarsening rounds and FM
-passes run in C (:mod:`repro.partition.kernel`) where that library loads;
-every random draw stays here, on the one ``random.Random`` of the k-way
-partition, so both paths give the same partition.
+proportionally for non-power-of-two ``k``).  Coarsening, sub-graphs, FM
+passes and their shuffles run in C (:mod:`repro.partition.kernel`) where
+that library loads; both paths draw the same numbers from the k-way
+partition's one ``random.Random``, so both give the same partition.
 """
 
 from __future__ import annotations
 
 import ctypes
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, deque
 
 import numpy as np
 
-from repro.errors import GemError
 from repro.partition import kernel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
@@ -37,14 +35,7 @@ _COARSEST_SIZE = 96
 _INITIAL_TRIES = 4
 
 
-@dataclass
-class _Level:
-    graph: Hypergraph
-    #: coarse vertex index per fine vertex of the previous (finer) level
-    map_to_coarse: list[int]
-
-
-def coarsen(graph: Hypergraph, rng: random.Random) -> tuple[Hypergraph, list[int]]:
+def coarsen(graph: Hypergraph, rng: random.Random) -> tuple[Hypergraph, np.ndarray]:
     """One heavy-edge matching round; returns (coarser graph, vertex map).
 
     ``rng`` shuffles the matching order; the round runs in C where the
@@ -52,31 +43,40 @@ def coarsen(graph: Hypergraph, rng: random.Random) -> tuple[Hypergraph, list[int
     """
     from repro.core import placement_kernel
 
-    order = list(range(graph.num_vertices))
-    rng.shuffle(order)
     lib = placement_kernel.library()
+    order = kernel.shuffled_order(lib, rng, graph.num_vertices)
     if lib is None:
         return _coarsen_python(graph, order)
-    return _coarsen_native(lib, graph, order)
+    return _contract_native(lib, graph, order=order)
 
 
-def _coarsen_native(lib, graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, list[int]]:
-    """:func:`_coarsen_python` as one ``gem_coarsen`` call."""
+def _contract_native(
+    lib,
+    graph: Hypergraph,
+    order: np.ndarray | None = None,
+    coarse_of: np.ndarray | None = None,
+    nc: int = 0,
+) -> tuple[Hypergraph, np.ndarray]:
+    """One ``gem_coarsen`` call with matching order ``order``, or else one
+    ``gem_contract`` call onto the ``nc`` coarse vertices of ``coarse_of``:
+    the coarse graph, and the coarse vertex of each vertex."""
     arrays = graph.arrays()
     n, m = graph.num_vertices, graph.num_nets
     out = {
-        "coarse_of": np.empty(n, dtype=np.int64),
+        "coarse_of": np.empty(n, dtype=np.int64) if coarse_of is None else coarse_of,
         "vertex_weight": np.empty(n, dtype=np.int64),
         "net_start": np.empty(m + 1, dtype=np.int64),
         "pins": np.empty(arrays.pins.size, dtype=np.int64),
         "net_weight": np.empty(m, dtype=np.int64),
     }
-    result = kernel.Coarse(**{name: arr.ctypes.data for name, arr in out.items()})
-    vertex_order = np.array(order, dtype=np.int64)
-    if lib.coarsen(
-        ctypes.byref(kernel.graph_struct(arrays)), vertex_order.ctypes.data, ctypes.byref(result)
-    ):
-        raise MemoryError("coarsening scratch")
+    result = kernel.Coarse(nc=nc, **{name: arr.ctypes.data for name, arr in out.items()})
+    fine = ctypes.byref(kernel.graph_struct(arrays))
+    if order is None:
+        rc = lib.contract(fine, ctypes.byref(result))
+    else:
+        rc = lib.coarsen(fine, order.ctypes.data, ctypes.byref(result))
+    if rc:
+        raise MemoryError("contraction scratch")
     net_start = out["net_start"][: result.mc + 1].copy()
     coarse = Hypergraph.from_arrays(
         out["vertex_weight"][: result.nc].copy(),
@@ -84,10 +84,10 @@ def _coarsen_native(lib, graph: Hypergraph, order: list[int]) -> tuple[Hypergrap
         out["pins"][: net_start[-1]].copy(),
         out["net_weight"][: result.mc].copy(),
     )
-    return coarse, out["coarse_of"].tolist()
+    return coarse, out["coarse_of"]
 
 
-def _coarsen_python(graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, list[int]]:
+def _coarsen_python(graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, np.ndarray]:
     """One round with matching order ``order``: the reference
     ``gem_coarsen`` is held against, and the path where that library does
     not load."""
@@ -127,15 +127,27 @@ def _coarsen_python(graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, li
         if match[v] != v:
             coarse_of[match[v]] = next_idx
         next_idx += 1
-    weights = [0] * next_idx
-    for v in range(n):
-        weights[coarse_of[v]] += graph.vertex_weight[v]
+    return _contract(graph, coarse_of, next_idx), np.array(coarse_of, dtype=np.int64)
+
+
+def _contract(graph: Hypergraph, coarse_of: list[int], nc: int) -> Hypergraph:
+    """The graph contracted onto ``nc`` coarse vertices, ``coarse_of[v]``
+    that of vertex ``v`` or -1 to drop it: the reference ``gem_contract``
+    is held against, and the path where that library does not load.  Each
+    net's coarse pins sorted, nets of fewer than 2 dropped, equal nets
+    merged into the first."""
+    weights = [0] * nc
+    for v, c in enumerate(coarse_of):
+        if c >= 0:
+            weights[c] += graph.vertex_weight[v]
     coarse = Hypergraph(vertex_weight=weights)
     seen: dict[tuple[int, ...], int] = {}
     for net, w in zip(graph.nets, graph.net_weight):
-        pins = tuple(sorted({coarse_of[v] for v in net}))
-        if len(pins) < 2:
+        kept = {coarse_of[v] for v in net}
+        kept.discard(-1)
+        if len(kept) < 2:
             continue
+        pins = tuple(sorted(kept))
         idx = seen.get(pins)
         if idx is None:
             seen[pins] = len(coarse.nets)
@@ -143,46 +155,52 @@ def _coarsen_python(graph: Hypergraph, order: list[int]) -> tuple[Hypergraph, li
             coarse.net_weight.append(w)
         else:
             coarse.net_weight[idx] += w
-    return coarse, coarse_of
+    return coarse
 
 
-def _initial_bipartition(graph: Hypergraph, target0: int, rng: random.Random) -> list[int]:
-    """Greedy BFS growth of part 0 up to ``target0`` total weight."""
+def _initial_bipartition(graph: Hypergraph, target0: int, rng: random.Random) -> np.ndarray:
+    """Greedy BFS growth of part 0 up to ``target0`` total weight; the
+    first best cut of :data:`_INITIAL_TRIES` seeds, as ``uint8`` labels."""
     n = graph.num_vertices
-    incidence = graph.incidence()
-    best_parts: list[int] | None = None
-    best_cut = None
+    arrays = graph.arrays()
+    inc_start, inc = arrays.inc_start.tolist(), arrays.inc.tolist()
+    net_start, pins = arrays.net_start.tolist(), arrays.pins.tolist()
+    vertex_weight = graph.vertex_weight
+    tries = []
     for _ in range(_INITIAL_TRIES):
-        parts = [1] * n
+        part0: list[int] = []
         weight0 = 0
         seed = rng.randrange(n)
-        frontier = [seed]
-        visited = {seed}
+        frontier = deque([seed])
+        visited = bytearray(n)
+        visited[seed] = 1
+        # a net's pins are all visited once one of them is grown from
+        expanded = bytearray(graph.num_nets)
         while frontier and weight0 < target0:
             v = frontier.pop()
-            if weight0 + graph.vertex_weight[v] > target0 and weight0 > 0:
+            if weight0 + vertex_weight[v] > target0 and weight0 > 0:
                 continue
-            parts[v] = 0
-            weight0 += graph.vertex_weight[v]
-            for e in incidence[v]:
-                for u in graph.nets[e]:
-                    if u not in visited:
-                        visited.add(u)
-                        frontier.insert(0, u)
+            part0.append(v)
+            weight0 += vertex_weight[v]
+            for e in inc[inc_start[v] : inc_start[v + 1]]:
+                if expanded[e]:
+                    continue
+                expanded[e] = 1
+                for u in pins[net_start[e] : net_start[e + 1]]:
+                    if not visited[u]:
+                        visited[u] = 1
+                        frontier.appendleft(u)
             if not frontier:
                 # Disconnected remainder: jump to an unvisited vertex.
-                rest = [u for u in range(n) if u not in visited]
-                if rest:
-                    nxt = rng.choice(rest)
-                    visited.add(nxt)
+                rest = np.flatnonzero(np.frombuffer(visited, dtype=np.uint8) == 0)
+                if rest.size:
+                    nxt = int(rng.choice(rest))
+                    visited[nxt] = 1
                     frontier.append(nxt)
-        cut = graph.cut_weight(parts)
-        if best_cut is None or cut < best_cut:
-            best_cut = cut
-            best_parts = parts
-    if best_parts is None:
-        raise GemError("initial bipartition: no candidate was tried")
-    return best_parts
+        parts = np.ones(n, dtype=np.uint8)
+        parts[part0] = 0
+        tries.append((graph.cut_weight(parts), parts))
+    return min(tries, key=lambda t: t[0])[1]
 
 
 def bisect(
@@ -191,21 +209,22 @@ def bisect(
     epsilon: float = 0.05,
     rng: random.Random | None = None,
     stats: Counter | None = None,
-) -> list[int]:
-    """Multilevel bisection; returns a 0/1 part label per vertex.
+) -> np.ndarray:
+    """Multilevel bisection; returns a 0/1 part label per vertex
+    (``uint8``).
 
     ``weight_fraction0`` is part 0's share of total vertex weight and
     ``epsilon`` the allowed relative imbalance.  ``stats`` counts the FM
     passes (:func:`~repro.partition.fm.refine_bipartition`).
     """
     rng = rng or random.Random(0)
-    levels: list[_Level] = []
+    levels: list[tuple[Hypergraph, np.ndarray]] = []  # (finer graph, its coarse map)
     current = graph
     while current.num_vertices > _COARSEST_SIZE:
         coarse, vmap = coarsen(current, rng)
         if coarse.num_vertices >= current.num_vertices * 0.95:
             break  # matching stalled (e.g. no nets); stop coarsening
-        levels.append(_Level(graph=current, map_to_coarse=vmap))
+        levels.append((current, vmap))
         current = coarse
 
     total = current.total_weight
@@ -218,10 +237,9 @@ def bisect(
     refine_bipartition(current, parts, max_w, rng=rng, stats=stats)
 
     # Uncoarsen: project and refine at each finer level.
-    for level in reversed(levels):
-        fine_parts = [parts[level.map_to_coarse[v]] for v in range(level.graph.num_vertices)]
-        parts = fine_parts
-        refine_bipartition(level.graph, parts, max_w, rng=rng, stats=stats)
+    for fine, vmap in reversed(levels):
+        parts = parts[vmap]
+        refine_bipartition(fine, parts, max_w, rng=rng, stats=stats)
     return parts
 
 
@@ -238,15 +256,14 @@ def partition_kway(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    parts = [0] * graph.num_vertices
+    parts = np.zeros(graph.num_vertices, dtype=np.int64)
     if k == 1 or graph.num_vertices == 0:
-        return parts
+        return parts.tolist()
     rng = random.Random(seed)
 
-    def recurse(vertices: list[int], k_here: int, base: int) -> None:
-        if k_here == 1 or len(vertices) <= 1:
-            for v in vertices:
-                parts[v] = base
+    def recurse(vertices: np.ndarray, k_here: int, base: int) -> None:
+        if k_here == 1 or vertices.size <= 1:
+            parts[vertices] = base
             return
         k_left = k_here // 2
         frac_left = k_left / k_here
@@ -255,30 +272,22 @@ def partition_kway(
         )
         if stats is not None:
             stats["bisections"] += 1
-        left = [vertices[i] for i, p in enumerate(labels) if p == 0]
-        right = [vertices[i] for i, p in enumerate(labels) if p == 1]
-        recurse(left, k_left, base)
-        recurse(right, k_here - k_left, base + k_left)
+        recurse(vertices[labels == 0], k_left, base)
+        recurse(vertices[labels == 1], k_here - k_left, base + k_left)
 
-    recurse(list(range(graph.num_vertices)), k, 0)
-    return parts
+    recurse(np.arange(graph.num_vertices), k, 0)
+    return parts.tolist()
 
 
-def _subgraph(graph: Hypergraph, vertices: list[int]) -> Hypergraph:
-    """Induced sub-hypergraph on ``vertices`` (vertex ``i`` is
-    ``vertices[i]``; nets restricted, >=2 pins)."""
-    index = {v: i for i, v in enumerate(vertices)}
-    sub = Hypergraph(vertex_weight=[graph.vertex_weight[v] for v in vertices])
-    seen: dict[tuple[int, ...], int] = {}
-    for net, w in zip(graph.nets, graph.net_weight):
-        pins = tuple(sorted(index[v] for v in net if v in index))
-        if len(pins) < 2:
-            continue
-        idx = seen.get(pins)
-        if idx is None:
-            seen[pins] = len(sub.nets)
-            sub.nets.append(pins)
-            sub.net_weight.append(w)
-        else:
-            sub.net_weight[idx] += w
-    return sub
+def _subgraph(graph: Hypergraph, vertices: np.ndarray) -> Hypergraph:
+    """Induced sub-hypergraph on ascending ``vertices`` (vertex ``i`` is
+    ``vertices[i]``; nets restricted, >=2 pins): the contraction that
+    numbers ``vertices`` in order and drops the rest."""
+    from repro.core import placement_kernel
+
+    coarse_of = np.full(graph.num_vertices, -1, dtype=np.int64)
+    coarse_of[vertices] = np.arange(vertices.size)
+    lib = placement_kernel.library()
+    if lib is None:
+        return _contract(graph, coarse_of.tolist(), vertices.size)
+    return _contract_native(lib, graph, coarse_of=coarse_of, nc=vertices.size)[0]

@@ -9,7 +9,7 @@ import pytest
 from repro.core.eaig import NodeKind
 from repro.core.synthesis import synthesize
 from repro.fuzz.designgen import generate_design
-from repro.partition import fm
+from repro.partition import fm, kernel, multilevel
 from repro.partition.fm import refine_bipartition
 from repro.partition.hypergraph import Hypergraph
 from repro.partition.multilevel import bisect, coarsen, partition_kway
@@ -223,7 +223,7 @@ class TestNativeMatchesPython:
         native, native_map = coarsen(g, native_rng)
         request.getfixturevalue("python_loops")
         python, python_map = coarsen(g, python_rng)
-        assert native_map == python_map
+        assert native_map.tolist() == python_map.tolist()
         assert native.vertex_weight == python.vertex_weight
         assert native.nets == python.nets
         assert native.net_weight == python.net_weight
@@ -261,13 +261,13 @@ class TestNativeMatchesPython:
         for _ in range(fm._MAX_PASSES):
             order = list(range(n))
             rng.shuffle(order)
-            python_parts, native_parts = list(parts), list(parts)
+            python_parts, native_parts = list(parts), np.array(parts, dtype=np.uint8)
             python = fm._one_pass(g, python_parts, max_w, order)
             native = fm._one_pass_native(native_loops, g, native_parts, max_w, order)
             assert native == python
-            assert native_parts == python_parts
+            assert native_parts.tolist() == python_parts
             assert native[1] == g.cut_weight(native_parts)
-            parts = native_parts
+            parts = python_parts
             if not native[0]:
                 break
 
@@ -279,10 +279,10 @@ class TestNativeMatchesPython:
         parts = [v % 2 for v in range(g.num_vertices)]
         order = list(range(g.num_vertices))
         random.Random(6).shuffle(order)
-        native_parts = list(parts)
+        native_parts = np.array(parts, dtype=np.uint8)
         native = fm._one_pass_native(native_loops, g, native_parts, [10**9] * 2, order)
         assert native == fm._one_pass(g, parts, [10**9] * 2, order)
-        assert native_parts == parts
+        assert native_parts.tolist() == parts
 
     @pytest.mark.parametrize("seed, n, m", _GRAPHS)
     def test_partition_kway(self, seed, n, m, native_loops, request):
@@ -297,7 +297,7 @@ class TestNativeMatchesPython:
         for k in range(2, 10):
             stats = Counter()
             assert (partition_kway(g, k, seed=seed, stats=stats), stats) == native[k], k
-        assert bisect(g, 0.4, rng=python_rng) == native_bisect
+        assert bisect(g, 0.4, rng=python_rng).tolist() == native_bisect.tolist()
         assert native_rng.getstate() == python_rng.getstate()
 
     @pytest.mark.parametrize("seed, profile, count", _CONE_CASES)
@@ -370,3 +370,154 @@ class TestNativeMatchesPython:
         g.add_net([0, 20])
         with pytest.raises(ValueError, match="out of range"):
             g.arrays()
+
+
+def _list_initial_bipartition(graph, target0, rng):
+    """The list-based BFS the arrays-first ``_initial_bipartition``
+    replaced, kept verbatim as its oracle."""
+    n = graph.num_vertices
+    incidence = graph.incidence()
+    best_parts = None
+    best_cut = None
+    for _ in range(multilevel._INITIAL_TRIES):
+        parts = [1] * n
+        weight0 = 0
+        seed = rng.randrange(n)
+        frontier = [seed]
+        visited = {seed}
+        while frontier and weight0 < target0:
+            v = frontier.pop()
+            if weight0 + graph.vertex_weight[v] > target0 and weight0 > 0:
+                continue
+            parts[v] = 0
+            weight0 += graph.vertex_weight[v]
+            for e in incidence[v]:
+                for u in graph.nets[e]:
+                    if u not in visited:
+                        visited.add(u)
+                        frontier.insert(0, u)
+            if not frontier:
+                # Disconnected remainder: jump to an unvisited vertex.
+                rest = [u for u in range(n) if u not in visited]
+                if rest:
+                    nxt = rng.choice(rest)
+                    visited.add(nxt)
+                    frontier.append(nxt)
+        cut = graph.cut_weight(parts)
+        if best_cut is None or cut < best_cut:
+            best_cut = cut
+            best_parts = parts
+    return best_parts
+
+
+class TestArraysFirst:
+    """The k-way partitioner's array paths against Python references:
+    ``gem_contract`` against ``_contract``, ``gem_shuffle`` against
+    ``random.Random.shuffle``, the initial bipartition against the
+    list-based BFS it replaced, and a graph's nets spelled out lazily."""
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    @pytest.mark.parametrize("subset", ["all", "half", "one", "none", "many-to-one"])
+    def test_contract(self, seed, n, m, subset, native_loops, request):
+        """Sub-graphs on every vertex, a random half, one and none, and a
+        contraction that maps several vertices to one and drops others:
+        ``_subgraph`` on both paths, and ``gem_contract`` against
+        ``_contract`` directly."""
+        g = _random_graph(seed, n, m)
+        rng = random.Random(seed)
+        coarse_of = [-1] * n
+        if subset == "many-to-one":
+            nc = max(1, n // 3)
+            coarse_of = [rng.randrange(-1, nc) for _ in range(n)]
+        else:
+            size = {"all": n, "half": n // 2, "one": min(n, 1), "none": 0}[subset]
+            vertices = np.array(sorted(rng.sample(range(n), size)), dtype=np.int64)
+            nc = vertices.size
+            for i, v in enumerate(vertices.tolist()):
+                coarse_of[v] = i
+        python = multilevel._contract(g, coarse_of, nc)
+        native, native_map = multilevel._contract_native(
+            native_loops, g, coarse_of=np.array(coarse_of, dtype=np.int64), nc=nc
+        )
+        assert native_map.tolist() == coarse_of
+        assert native.vertex_weight == python.vertex_weight
+        assert native.nets == python.nets
+        assert native.net_weight == python.net_weight
+        kept = [{coarse_of[v] for v in net} - {-1} for net in g.nets]
+        assert python.num_nets == len({frozenset(pins) for pins in kept if len(pins) >= 2})
+        if subset == "many-to-one" and m >= 25:
+            assert python.num_nets < sum(len(pins) >= 2 for pins in kept), "no net merged"
+            assert any(len(pins) == 1 for pins in kept), "no net shrank to one pin"
+        if subset != "many-to-one":
+            native_sub = multilevel._subgraph(g, vertices)
+            request.getfixturevalue("python_loops")
+            python_sub = multilevel._subgraph(g, vertices)
+            assert native_sub.vertex_weight == python_sub.vertex_weight == python.vertex_weight
+            assert native_sub.nets == python_sub.nets == python.nets
+            assert native_sub.net_weight == python_sub.net_weight == python.net_weight
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffle(self, seed, native_loops):
+        """One generator per side, through every length in turn (so the
+        draws start at many points of the MT19937 state and cross its
+        regeneration): the same order, and the same state afterwards."""
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in (0, 1, 2, 3, 63, 64, 65, 1731):
+            order = kernel.shuffled_order(native_loops, ours, n)
+            expected = list(range(n))
+            theirs.shuffle(expected)
+            assert order.dtype == np.int64
+            assert order.tolist() == expected, n
+            assert ours.getstate() == theirs.getstate(), n
+        assert ours.random() == theirs.random()
+
+    def test_shuffle_refuses_lengths_past_32_bits(self, native_loops):
+        """A draw of more than 32 bits is not one MT19937 word: refused
+        before any write (``order`` is NULL here)."""
+        mt = np.array(random.Random(0).getstate()[1], dtype=np.uint32)
+        assert native_loops.shuffle(mt.ctypes.data, 1 << 32, None) == -1
+        assert mt.tolist() == list(random.Random(0).getstate()[1])
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    @pytest.mark.parametrize("isolated", [0, 25])
+    @pytest.mark.parametrize("fraction", [0.3, 0.5])
+    def test_initial_bipartition(self, seed, n, m, isolated, fraction):
+        """On graphs with nets wider than 16 pins and with isolated
+        vertices (jumps to the unvisited): the same parts and the same
+        generator state."""
+        g = _random_graph(seed, n, m)
+        g = Hypergraph(
+            vertex_weight=g.vertex_weight + [1 + v % 7 for v in range(isolated)],
+            nets=g.nets,
+            net_weight=g.net_weight,
+        )
+        target0 = int(round(g.total_weight * fraction))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        parts = multilevel._initial_bipartition(g, target0, ours)
+        assert parts.dtype == np.uint8
+        assert parts.tolist() == _list_initial_bipartition(g, target0, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_initial_bipartition_graphs_have_wide_nets(self):
+        assert any(max(map(len, _random_graph(*case).nets), default=0) > 16 for case in _GRAPHS)
+
+    @pytest.mark.parametrize("seed, n, m", _GRAPHS)
+    def test_lazy_nets(self, seed, n, m):
+        """A graph of CSR arrays spells its nets out only when read, as the
+        tuples of the list-built graph; its objectives, read off the
+        arrays, are those of the nets spelled out."""
+        g = _random_graph(seed, n, m)
+        a = g.arrays()
+        lazy = Hypergraph.from_arrays(a.vertex_weight, a.net_start, a.pins, a.net_weight)
+        assert lazy.num_nets == g.num_nets
+        assert lazy._nets is None
+        assert lazy.nets == g.nets
+        assert all(type(net) is tuple for net in lazy.nets)
+        rng = random.Random(seed)
+        for k in (2, 3, 7):
+            parts = [rng.randrange(k) for _ in range(n)]
+            spans = [len({parts[v] for v in net}) for net in g.nets]
+            cut = sum(w for lam, w in zip(spans, g.net_weight) if lam > 1)
+            km1 = sum((lam - 1) * w for lam, w in zip(spans, g.net_weight))
+            assert lazy.cut_weight(parts) == g.cut_weight(np.array(parts)) == cut
+            assert lazy.connectivity_minus_one(parts) == km1
