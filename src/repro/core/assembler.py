@@ -21,6 +21,7 @@ from repro.core.integrity import seal
 from repro.core.merging import MergeResult
 from repro.core.placement import PlacedPartition
 from repro.core.synthesis import SynthesisResult
+from repro.errors import GemError
 from repro.obs.trace import TRACER
 
 
@@ -80,27 +81,45 @@ def allocate_global_state(eaig: EAIG, merge: MergeResult, synth: SynthesisResult
 def assemble_partition(
     eaig: EAIG, placed: PlacedPartition, meta: ProgramMeta, synth: SynthesisResult
 ) -> _PartitionCode:
-    """Emit the instruction stream of one partition."""
+    """Emit the instruction stream of one partition, straight from the
+    placement's packed layers and slot table (no :class:`Layer` and no
+    node -> slot dict is built)."""
     spec = placed.spec
     code = _PartitionCode()
+    # node -> state slot of every value in the partition's state, else -1
+    slot_by_node = np.full(len(eaig), -1, dtype=np.int64)
+    slot_by_node[placed.slot_node] = np.arange(placed.num_slots)
 
-    read_entries = [
-        (meta.node_gidx[node], placed.slot_of[node], False) for node in spec.sources
-    ]
+    def slots(literals) -> tuple[np.ndarray, np.ndarray]:
+        """(state slot, invert) per literal."""
+        lits = np.asarray(literals, dtype=np.int64)
+        found = slot_by_node[lits >> 1]
+        if (found < 0).any():
+            missing = int(lits[int(np.argmax(found < 0))]) >> 1
+            raise GemError(f"partition s{spec.stage}p{spec.index}: node {missing} has no slot")
+        return found, lits & 1
+
+    sources = np.array(spec.sources, dtype=np.int64)
+    read_entries = np.zeros((sources.size, 3), dtype=np.int64)
+    read_entries[:, 0] = [meta.node_gidx[node] for node in spec.sources]
+    read_entries[:, 1] = slots(2 * sources)[0]
     ramops: list[isa.RamOp] = []
     for ram_index in spec.ram_indices:
         ram = eaig.rams[ram_index]
+        ports = [*ram.raddr, ram.ren, *ram.waddr, *ram.wdata, ram.wen]
+        refs = list(zip(*(column.tolist() for column in slots(ports))))
+        addr, data = len(ram.raddr), len(ram.wdata)
         ramops.append(
             isa.RamOp(
                 ram_index=ram_index,
                 addr_bits=ram.addr_bits,
                 data_bits=ram.data_bits,
                 rd_global_base=meta.node_gidx[ram.data_nodes[0]],
-                raddr=[placed.slot_and_invert(l) for l in ram.raddr],
-                ren=placed.slot_and_invert(ram.ren),
-                waddr=[placed.slot_and_invert(l) for l in ram.waddr],
-                wdata=[placed.slot_and_invert(l) for l in ram.wdata],
-                wen=placed.slot_and_invert(ram.wen),
+                raddr=refs[:addr],
+                ren=refs[addr],
+                waddr=refs[addr + 1 : 2 * addr + 1],
+                wdata=refs[2 * addr + 1 : 2 * addr + 1 + data],
+                wen=refs[-1],
             )
         )
 
@@ -114,32 +133,35 @@ def assemble_partition(
         )
     )
     code.extend(isa.encode_read(read_entries))
-    for layer, eff in zip(placed.layers, placed.effective_widths_log2()):
+    for layer, eff in zip(placed.packed, placed.effective_widths_log2()):
         code.extend(isa.encode_perm(layer.perm))
-        code.extend(isa.encode_fold(eff, layer.xor_a, layer.xor_b, layer.or_b))
-        wb_entries = [
-            (step, pos, slot)
-            for step, wbs in enumerate(layer.writebacks)
-            for pos, slot in wbs
-        ]
-        if wb_entries:
-            code.extend(isa.encode_wb(wb_entries))
+        code.extend(isa.encode_fold_tree(eff, layer.fold))
+        if len(layer.writebacks):
+            # (fold step, position, slot), by step, each step in slot order
+            wb = layer.writebacks[np.argsort(layer.writebacks[:, 0], kind="stable")]
+            wb[:, 0] -= 1
+            code.extend(isa.encode_wb(wb))
 
-    gwrite_entries: list[tuple[int, bool, int, bool]] = []
+    # per store: the literal, its global bit, and whether it is deferred
+    # (three flat lists: no tuple per store)
+    literals: list[int] = []
+    gidx: list[int] = []
+    deferred: list[bool] = []
     for group in spec.groups:
         if group.kind == "ff":
-            slot, inv = placed.slot_and_invert(eaig.fanin0[group.ff_node])
-            gwrite_entries.append((slot, inv, meta.node_gidx[group.ff_node], True))
+            literals.append(eaig.fanin0[group.ff_node])
+            gidx.append(meta.node_gidx[group.ff_node])
+            deferred.append(True)
         elif group.kind == "cut":
-            slot, inv = placed.slot_and_invert(2 * group.cut_node)
-            gwrite_entries.append((slot, inv, meta.node_gidx[group.cut_node], False))
+            literals.append(2 * group.cut_node)
+            gidx.append(meta.node_gidx[group.cut_node])
+            deferred.append(False)
         elif group.kind == "po":
-            targets = meta.po_index[group.po_name]
-            literals = synth.output_bits[group.po_name]
-            for literal, gidx in zip(literals, targets):
-                slot, inv = placed.slot_and_invert(literal)
-                gwrite_entries.append((slot, inv, gidx, False))
-    if gwrite_entries:
+            literals += synth.output_bits[group.po_name]
+            gidx += meta.po_index[group.po_name]
+            deferred += [False] * (len(gidx) - len(deferred))
+    if literals:
+        gwrite_entries = np.stack([*slots(literals), gidx, deferred], axis=1)
         code.extend(isa.encode_gwrite(gwrite_entries))
     for op in ramops:
         code.extend(isa.encode_ramop(op))

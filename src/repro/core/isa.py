@@ -39,6 +39,7 @@ arrays; :mod:`repro.core.bitstream` assembles whole programs and
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,18 @@ def _blank(opcode: Opcode, count: int) -> np.ndarray:
     return inst
 
 
+def _chunked(opcode: Opcode, entries: np.ndarray, capacity: int, first: int = 1) -> list:
+    """One instruction per ``capacity`` rows of ``entries`` (one row of
+    payload words per entry), the rows' words from word ``first`` on."""
+    out = []
+    for base in range(0, len(entries), capacity):
+        chunk = entries[base : base + capacity]
+        inst = _blank(opcode, len(chunk))
+        inst[first : first + chunk.size] = chunk.ravel()
+        out.append(inst)
+    return out
+
+
 # -- INIT --------------------------------------------------------------------
 
 
@@ -142,17 +155,14 @@ def decode_init(inst: np.ndarray) -> dict:
 # -- READ ----------------------------------------------------------------------
 
 
-def encode_read(entries: list[tuple[int, int, bool]]) -> list[np.ndarray]:
-    """Entries: (global bit index, local slot, invert)."""
-    out = []
-    for base in range(0, len(entries), READ_CAPACITY):
-        chunk = entries[base : base + READ_CAPACITY]
-        inst = _blank(Opcode.READ, len(chunk))
-        for i, (gidx, slot, inv) in enumerate(chunk):
-            inst[1 + 2 * i] = gidx | (0x80000000 if inv else 0)
-            inst[2 + 2 * i] = slot
-        out.append(inst)
-    return out
+def encode_read(entries) -> list[np.ndarray]:
+    """Entries: (global bit index, local slot, invert), as tuples or one
+    ``(n, 3)`` integer array."""
+    table = np.array(entries, dtype=np.int64).reshape(-1, 3)
+    words = np.empty((len(table), 2), dtype=np.uint32)
+    words[:, 0] = table[:, 0] | ((table[:, 2] != 0) << 31)
+    words[:, 1] = table[:, 1]
+    return _chunked(Opcode.READ, words, READ_CAPACITY)
 
 
 def decode_read(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,13 +180,9 @@ def decode_read(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, n
 def encode_perm(perm: np.ndarray) -> list[np.ndarray]:
     """Sparse permutation: one (leaf, slot) word per occupied leaf."""
     occupied = np.flatnonzero(perm >= 0).astype(np.uint32)
-    out = []
-    for base in range(0, len(occupied), PERM_CAPACITY):
-        chunk = occupied[base : base + PERM_CAPACITY]
-        inst = _blank(Opcode.PERM, len(chunk))
-        inst[1] = 0  # reserved (chunk base; leaves are absolute here)
-        inst[2 : 2 + len(chunk)] = (chunk << 16) | perm[chunk].astype(np.uint32)
-        out.append(inst)
+    # word 1 is reserved (chunk base; leaves are absolute here)
+    words = (occupied << 16) | perm[occupied].astype(np.uint32)
+    out = _chunked(Opcode.PERM, words, PERM_CAPACITY, first=2)
     if not out:  # a layer of pure constants still needs its permutation slot
         out.append(_blank(Opcode.PERM, 0))
     return out
@@ -209,25 +215,52 @@ def _unpack_bits(words: np.ndarray, bit_offset: int, n: int) -> tuple[np.ndarray
     return bits.astype(bool), bit_offset + n
 
 
+def _fold_inst(eff_width_log2: int, bits: np.ndarray) -> np.ndarray:
+    """A FOLD instruction whose payload holds ``bits`` from bit 0 on."""
+    inst = _blank(Opcode.FOLD, eff_width_log2)
+    if bits.size > 32 * (len(inst) - 1):
+        raise ValueError("fold constants overflow the instruction")
+    _pack_bits(bits, inst[1:], 0)
+    return inst
+
+
 def encode_fold(
     eff_width_log2: int,
     xor_a: list[np.ndarray],
     xor_b: list[np.ndarray],
     or_b: list[np.ndarray],
 ) -> np.ndarray:
-    """All fold constants of one layer, trimmed to the effective width."""
-    inst = _blank(Opcode.FOLD, eff_width_log2)
-    payload = np.zeros(instruction_words(Opcode.FOLD) - 1, dtype=np.uint32)
-    offset = 0
+    """All fold constants of one layer, trimmed to the effective width:
+    per fold step, its XOR.A, XOR.B and OR.B bits in turn."""
+    bits = []
     for step in range(eff_width_log2):
         size = 1 << (eff_width_log2 - step - 1)
-        offset = _pack_bits(xor_a[step][:size], payload, offset)
-        offset = _pack_bits(xor_b[step][:size], payload, offset)
-        offset = _pack_bits(or_b[step][:size], payload, offset)
-    if offset > len(payload) * 32:
-        raise ValueError("fold constants overflow the instruction")
-    inst[1:] = payload
-    return inst
+        bits += [xor_a[step][:size], xor_b[step][:size], or_b[step][:size]]
+    return _fold_inst(eff_width_log2, np.concatenate(bits) if bits else np.zeros(0, bool))
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_tree_order(width_log2: int, eff_width_log2: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`encode_fold`'s bits sit in a heap-numbered tree of
+    ``2**width_log2`` leaves: the heap number and the bit of each."""
+    heap, shift = [], []
+    for level in range(1, eff_width_log2 + 1):
+        first = 1 << (width_log2 - level)
+        row = np.arange(first, first + (1 << (eff_width_log2 - level)))
+        for bit in range(3):
+            heap.append(row)
+            shift.append(np.full(row.size, bit, dtype=np.uint8))
+    if not heap:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
+    return np.concatenate(heap), np.concatenate(shift)
+
+
+def encode_fold_tree(eff_width_log2: int, fold: np.ndarray) -> np.ndarray:
+    """:func:`encode_fold` from one layer's fold constants by heap number:
+    ``fold[k]`` for position ``k = (len(fold) >> level) + i``, bit 0 its
+    XOR.A, bit 1 its XOR.B, bit 2 its OR.B."""
+    heap, shift = _fold_tree_order(len(fold).bit_length() - 1, eff_width_log2)
+    return _fold_inst(eff_width_log2, (fold[heap] >> shift) & 1)
 
 
 def decode_fold(inst: np.ndarray, eff_width_log2: int) -> tuple[list, list, list]:
@@ -248,20 +281,17 @@ def decode_fold(inst: np.ndarray, eff_width_log2: int) -> tuple[list, list, list
 # -- WB -------------------------------------------------------------------------
 
 
-def encode_wb(entries: list[tuple[int, int, int]]) -> list[np.ndarray]:
-    """Entries: (fold step, position, state slot)."""
+def encode_wb(entries) -> list[np.ndarray]:
+    """Entries: (fold step, position, state slot), as tuples or one
+    ``(n, 3)`` integer array."""
     table = np.array(entries, dtype=np.int64).reshape(-1, 3)
     bad = (table < 0).any(axis=1) | (table >= (16, 1 << 14, MAX_STATE_BITS)).any(axis=1)
     if bad.any():
-        raise ValueError(f"writeback entry out of range: {tuple(entries[int(bad.argmax())])}")
+        raise ValueError(
+            f"writeback entry out of range: {tuple(table[int(bad.argmax())].tolist())}"
+        )
     words = ((table[:, 0] << 28) | (table[:, 1] << 14) | table[:, 2]).astype(np.uint32)
-    out = []
-    for base in range(0, len(words), WB_CAPACITY):
-        chunk = words[base : base + WB_CAPACITY]
-        inst = _blank(Opcode.WB, len(chunk))
-        inst[1 : 1 + len(chunk)] = chunk
-        out.append(inst)
-    return out
+    return _chunked(Opcode.WB, words, WB_CAPACITY)
 
 
 def decode_wb(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,17 +302,14 @@ def decode_wb(inst: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.
 # -- GWRITE ---------------------------------------------------------------------
 
 
-def encode_gwrite(entries: list[tuple[int, bool, int, bool]]) -> list[np.ndarray]:
-    """Entries: (local slot, invert, global bit index, deferred)."""
-    out = []
-    for base in range(0, len(entries), GWRITE_CAPACITY):
-        chunk = entries[base : base + GWRITE_CAPACITY]
-        inst = _blank(Opcode.GWRITE, len(chunk))
-        for i, (slot, inv, gidx, deferred) in enumerate(chunk):
-            inst[1 + 2 * i] = slot | (0x80000000 if inv else 0)
-            inst[2 + 2 * i] = gidx | (0x80000000 if deferred else 0)
-        out.append(inst)
-    return out
+def encode_gwrite(entries) -> list[np.ndarray]:
+    """Entries: (local slot, invert, global bit index, deferred), as tuples
+    or one ``(n, 4)`` integer array."""
+    table = np.array(entries, dtype=np.int64).reshape(-1, 4)
+    words = np.empty((len(table), 2), dtype=np.uint32)
+    words[:, 0] = table[:, 0] | ((table[:, 1] != 0) << 31)
+    words[:, 1] = table[:, 2] | ((table[:, 3] != 0) << 31)
+    return _chunked(Opcode.GWRITE, words, GWRITE_CAPACITY)
 
 
 def decode_gwrite(

@@ -29,6 +29,7 @@ from repro.core.eaig import EAIG
 from repro.core.partition import PartitionPlan, PartitionSpec, compute_sources
 from repro.core.placement import (
     PlacedPartition,
+    ProbeScratch,
     RefineConfig,
     UnmappableError,
     place_partition,
@@ -69,18 +70,26 @@ class MergeResult:
         return total / len(self.placements)
 
 
-def _merge_specs(eaig: EAIG, p: PartitionSpec, q: PartitionSpec) -> PartitionSpec:
-    # the sorted union, as the int objects p and q already hold
-    both = p.nodes + q.nodes
-    first = np.unique(np.asarray(both, dtype=np.int64), return_index=True)[1]
+def _merge_specs(
+    eaig: EAIG,
+    p: PartitionSpec,
+    q: PartitionSpec,
+    nodes_p: np.ndarray,
+    nodes_q: np.ndarray,
+    mask: np.ndarray,
+) -> tuple[PartitionSpec, np.ndarray]:
+    """``p`` and ``q`` (nodes ``nodes_p`` / ``nodes_q``) as one partition,
+    and its nodes as an array: the sorted union and its sources, both read
+    off ``mask`` (design-length, all False; it is left all False)."""
+    mask[nodes_p] = True
+    mask[nodes_q] = True
+    nodes = np.flatnonzero(mask)
+    mask[nodes] = False
     merged = PartitionSpec(
-        stage=p.stage,
-        index=p.index,
-        nodes=list(map(both.__getitem__, first.tolist())),
-        groups=p.groups + q.groups,
+        stage=p.stage, index=p.index, nodes=nodes.tolist(), groups=p.groups + q.groups
     )
-    compute_sources(eaig, merged)
-    return merged
+    compute_sources(eaig, merged, nodes=nodes, read=mask)
+    return merged, nodes
 
 
 def merge_partitions(
@@ -107,10 +116,11 @@ def merge_partitions(
     new_stages: list[list[PartitionSpec]] = []
     placements: list[PlacedPartition] = []
     probes = {"probes": 0, "rejected": 0}
+    scratch = ProbeScratch(eaig)
 
     for stage_specs in plan.stages:
         merged_stage, stage_placements = _merge_stage(
-            eaig, stage_specs, config, merge_limit, probes
+            eaig, stage_specs, config, merge_limit, probes, scratch
         )
         for index, spec in enumerate(merged_stage):
             spec.index = index
@@ -121,7 +131,8 @@ def merge_partitions(
         # SA starts from the greedy placement the probes already produced
         # and only ever replaces it with a strictly cheaper one.
         placements = [
-            place_partition(eaig, p.spec, config, refine=refine, start=p) for p in placements
+            place_partition(eaig, p.spec, config, refine=refine, start=p, scratch=scratch)
+            for p in placements
         ]
 
     merged_plan = PartitionPlan(
@@ -148,11 +159,15 @@ def _merge_stage(
     config: BoomerangConfig,
     merge_limit: int | None,
     probes: dict[str, int],
+    scratch: ProbeScratch,
 ) -> tuple[list[PartitionSpec], list[PlacedPartition]]:
-    """Algorithm 1 within one stage; counts its placements into ``probes``."""
+    """Algorithm 1 within one stage; counts its placements into ``probes``.
+    Every probe shares ``scratch``; overlaps and merge trials are read off
+    one design-length node mask, all False between uses."""
+    mask = np.zeros(len(eaig), dtype=bool)
     alive: dict[int, PartitionSpec] = dict(enumerate(specs))
     placed: dict[int, PlacedPartition] = {}
-    node_sets: dict[int, set[int]] = {i: set(s.nodes) for i, s in alive.items()}
+    node_arrays = {i: np.array(s.nodes, dtype=np.int64) for i, s in alive.items()}
     visited: set[int] = set()
 
     for i in sorted(alive):
@@ -162,25 +177,29 @@ def _merge_stage(
         base = alive[i]
         if i not in placed:
             probes["probes"] += 1
-            placed[i] = place_partition(eaig, base, config)
+            placed[i] = place_partition(eaig, base, config, scratch=scratch)
         # Line 3: other unvisited partitions by overlap, large to small.
-        candidates = sorted(
-            (j for j in alive if j not in visited),
-            key=lambda j: -len(node_sets[i] & node_sets[j]),
-        )
+        mask[node_arrays[i]] = True
+        overlap = {
+            j: int(np.count_nonzero(mask[node_arrays[j]])) for j in alive if j not in visited
+        }
+        mask[node_arrays[i]] = False
+        candidates = sorted(overlap, key=lambda j: -overlap[j])
         if merge_limit is not None:
             candidates = candidates[:merge_limit]
         for j in candidates:
             if j not in alive:
                 continue
-            trial = _merge_specs(eaig, base, alive[j])
+            trial, trial_nodes = _merge_specs(
+                eaig, base, alive[j], node_arrays[i], node_arrays[j], mask
+            )
             # Cheap pre-filter: a merged partition needs at least one slot
             # per source plus the constant slot.
             if len(trial.sources) + 1 > config.state_size:
                 continue
             probes["probes"] += 1
             try:
-                trial_placed = place_partition(eaig, trial, config)
+                trial_placed = place_partition(eaig, trial, config, scratch=scratch)
             except UnmappableError:
                 probes["rejected"] += 1
                 continue
@@ -188,9 +207,9 @@ def _merge_stage(
             base = trial
             alive[i] = trial
             placed[i] = trial_placed
-            node_sets[i] = set(trial.nodes)
+            node_arrays[i] = trial_nodes
             del alive[j]
-            node_sets.pop(j)
+            del node_arrays[j]
             placed.pop(j, None)
 
     order = sorted(alive)

@@ -399,14 +399,25 @@ def partition_design(eaig: EAIG, config: PartitionConfig | None = None) -> Parti
     return plan
 
 
-def compute_sources(eaig: EAIG, spec: PartitionSpec) -> None:
+def compute_sources(
+    eaig: EAIG,
+    spec: PartitionSpec,
+    nodes: np.ndarray | None = None,
+    read: np.ndarray | None = None,
+) -> None:
     """Fill ``spec.sources``: every non-local, non-constant value it reads,
-    ascending."""
+    ascending.  ``nodes`` is ``spec.nodes`` as an array where the caller
+    holds one; ``read`` a design-length all-False mask to reuse (it is left
+    all False)."""
     arrays = eaig.arrays()
-    nodes = np.asarray(spec.nodes, dtype=np.int64)
-    read = np.zeros(len(eaig), dtype=bool)
+    if nodes is None:
+        nodes = np.asarray(spec.nodes, dtype=np.int64)
+    if read is None:
+        read = np.zeros(len(eaig), dtype=bool)
     read[arrays.fanin0[nodes] >> 1] = True
     read[arrays.fanin1[nodes] >> 1] = True
     read[np.asarray(spec.root_literals(), dtype=np.int64) >> 1] = True
     read[0] = read[nodes] = False
-    spec.sources = np.flatnonzero(read).tolist()
+    sources = np.flatnonzero(read)
+    read[sources] = False
+    spec.sources = sources.tolist()

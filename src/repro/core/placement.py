@@ -42,14 +42,18 @@ multiplied, not paid once; the bookkeeping is kept flat:
   :class:`_LayerBuilder`): exact between attempts, which is the only time
   anything outside the attempt's cone is read.
 * A finished layer is kept **packed** (:class:`PackedLayer`: leaf
-  permutation, one fold constant per interior position, the writebacks); :attr:`PlacedPartition.layers` builds the
-  :class:`~repro.core.boomerang.Layer` arrays on demand, which for a probe
-  that Algorithm 1 supersedes is never.
+  permutation, one fold constant per interior position, the writebacks as
+  one ``(nwb, 3)`` array); a placement's state layout is one slot -> node
+  array (:attr:`PlacedPartition.slot_node`).  The assembler encodes from
+  those arrays; :attr:`PlacedPartition.layers` and
+  :attr:`PlacedPartition.slot_of` build the :class:`~repro.core.boomerang.Layer`
+  arrays and the node -> slot dict on demand, which for a probe that
+  Algorithm 1 supersedes is never.
 
 Which orders are part of the bitstream: the iteration order of the
 ``remaining`` *set* (it is the tie order within a level, so the set must be
-built and shrunk exactly as it is — ``set(nodes)``, then ``-= set(mapped)``
-per layer), the insertion order of ``mapped`` (it numbers the writeback
+built and shrunk exactly as it is — ``set(nodes)``, then ``mapped``
+discarded from it per layer), the insertion order of ``mapped`` (it numbers the writeback
 slots), the root-down level order, the stable sorts on criticality, the
 cursor advance, and the limits ``max_attempts=8`` /
 ``max_consecutive_failures=20``.  The golden sha256 pins in
@@ -59,12 +63,15 @@ Where it runs: each layer is one call into the C layer loop of
 :mod:`repro.core.placement_kernel` wherever the compile flow's library
 builds or is cached, and :func:`_place_python` — this module's builder, the reference
 the C loop is tested against — otherwise.  The ``remaining`` set, the slot
-table and the errors stay here either way.
+table and the errors stay here either way; the design-length tables the C
+loop's lookups need are made once per :func:`~repro.core.merging.merge_partitions`
+call (:class:`ProbeScratch`), not once per probe.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -82,6 +89,7 @@ from repro.errors import GemError, PlacementStallError, UnmappableError
 __all__ = [
     "PackedLayer",
     "PlacedPartition",
+    "ProbeScratch",
     "RefineConfig",
     "UnmappableError",
     "place_partition",
@@ -115,16 +123,17 @@ _NOWHERE = np.iinfo(np.int64).min
 
 @dataclass
 class PackedLayer:
-    """One finished layer at two arrays instead of a :class:`Layer`'s 3 per
-    fold step: the leaf permutation and one fold constant per interior heap
-    position, plus the writebacks."""
+    """One finished layer at three arrays instead of a :class:`Layer`'s 3 per
+    fold step: the leaf permutation, one fold constant per interior heap
+    position, and the writebacks."""
 
     #: state slot per leaf; -1 means "load constant 0"
     perm: np.ndarray
     #: fold constant by heap number (entry 0 is unused)
     fold: np.ndarray
-    #: (level, position, state slot), in slot-allocation order
-    writebacks: list[tuple[int, int, int]]
+    #: ``(nwb, 3)`` ``int64``: (level, position, state slot) per writeback,
+    #: in slot-allocation order
+    writebacks: np.ndarray
 
     def unpack(self, config: BoomerangConfig) -> Layer:
         layer = Layer(config=config, perm=self.perm.copy())
@@ -134,7 +143,7 @@ class PackedLayer:
             layer.xor_b.append((row & 2).astype(bool))
             layer.or_b.append(row >= _ROUTE)
             layer.writebacks.append([])
-        for level, pos, slot in self.writebacks:
+        for level, pos, slot in self.writebacks.tolist():
             layer.writebacks[level - 1].append((pos, slot))
         return layer
 
@@ -143,11 +152,13 @@ class PackedLayer:
         folding only the occupied power-of-two prefix is equivalent and much
         cheaper to execute (the interpreter honours this per-layer width)."""
         eff = 1
-        occupied = np.nonzero(self.perm >= 0)[0]
+        occupied = np.flatnonzero(self.perm >= 0)
         if occupied.size:
             eff = max(eff, int(occupied[-1]).bit_length())
-        for level, pos, _slot in self.writebacks:
-            eff = max(eff, level + pos.bit_length())
+        if len(self.writebacks):
+            # a position's bit length is its binary exponent (0 for 0)
+            level, pos = self.writebacks[:, 0], self.writebacks[:, 1]
+            eff = max(eff, int((level + np.frexp(pos)[1]).max()))
         return min(eff, config.width_log2)
 
 
@@ -155,23 +166,38 @@ class PackedLayer:
 class PlacedPartition:
     """A partition mapped onto boomerang layers plus its state layout.
 
-    Placement hands over the layers packed, and packed is how they are
-    kept: :attr:`layers` builds the :class:`Layer` arrays afresh on every
-    read (bitstream assembly reads it once), so an Algorithm 1 probe that
-    gets superseded never pays for them and a cached design does not hold
-    them.
+    Placement hands over the layers packed and the state layout as one
+    slot -> node array, and that is how they are kept: :attr:`layers` and
+    :attr:`slot_of` are built from them on demand (bitstream assembly reads
+    neither), so an Algorithm 1 probe that gets superseded never pays for
+    them and a cached design does not hold them.
     """
 
     spec: PartitionSpec
     config: BoomerangConfig
-    #: node -> state slot (sources and written-back values; node 0 -> 0)
-    slot_of: dict[int, int]
-    num_slots: int
+    #: ``int64``, one entry per state slot: the node it holds — 0 (the
+    #: constant) at slot 0, the sources at 1.., then the written-back nodes
+    slot_node: np.ndarray = field(repr=False)
     packed: list[PackedLayer] = field(repr=False)
+
+    def __getstate__(self) -> dict:
+        # the dict view is rebuilt on demand, never stored
+        state = self.__dict__.copy()
+        state.pop("slot_of", None)
+        return state
 
     @property
     def layers(self) -> list[Layer]:
         return [p.unpack(self.config) for p in self.packed]
+
+    @functools.cached_property
+    def slot_of(self) -> dict[int, int]:
+        """node -> state slot (sources, then written-back values, by slot)."""
+        return dict(zip(self.slot_node[1:].tolist(), range(1, self.num_slots)))
+
+    @property
+    def num_slots(self) -> int:
+        return self.slot_node.size
 
     @property
     def num_layers(self) -> int:
@@ -385,7 +411,23 @@ class _LayerBuilder:
         perm[keys[leaf] - width] = codes[leaf]
         fold = np.full(width, _ROUTE, dtype=np.uint8)
         fold[keys[~leaf]] = codes[~leaf]
-        return PackedLayer(perm=perm, fold=fold, writebacks=writebacks)
+        rows = np.array(writebacks, dtype=np.int64).reshape(-1, 3)
+        return PackedLayer(perm=perm, fold=fold, writebacks=rows)
+
+
+class ProbeScratch:
+    """What every Algorithm 2 run on one design shares: the E-AIG's arrays
+    and one design-length lookup, ``_NOWHERE`` everywhere but the constant
+    between runs.  :func:`~repro.core.merging.merge_partitions` makes one
+    and hands it to each probe, so a probe's tables are slices and scatters
+    of it instead of design-length allocations."""
+
+    def __init__(self, eaig: EAIG) -> None:
+        self.arrays = eaig.arrays()
+        #: node id -> local index, -1 - slot for the constant and the
+        #: sources, _NOWHERE for anything else
+        self.lut = np.full(len(self.arrays.kind), _NOWHERE, dtype=np.int64)
+        self.lut[0] = -1
 
 
 def _place_once(
@@ -395,6 +437,7 @@ def _place_once(
     timing_driven: bool,
     bias: dict[int, float] | None = None,
     promote: dict[int, int] | None = None,
+    scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """One full Algorithm 2 pass, optionally under an SA perturbation.
 
@@ -410,17 +453,15 @@ def _place_once(
     lib = placement_kernel.library()
     if lib is None:
         return _place_python(eaig, spec, config, timing_driven, bias, promote)
-    return _place_native(lib, eaig, spec, config, timing_driven, bias, promote)
+    return _place_native(lib, eaig, spec, config, timing_driven, bias, promote, scratch)
 
 
-def _source_slots(spec: PartitionSpec, config: BoomerangConfig, where: str) -> dict[int, int]:
-    """Slots 1.. for the sources (slot 0 is the constant-0 slot)."""
-    slot_of = {s: slot for slot, s in enumerate(spec.sources, start=1)}
+def _check_sources(spec: PartitionSpec, config: BoomerangConfig, where: str) -> None:
+    """Slots 1.. hold the sources (slot 0 is the constant-0 slot)."""
     if len(spec.sources) + 1 > config.state_size:
         raise UnmappableError(
             f"{where}: {len(spec.sources)} sources exceed state size {config.state_size}"
         )
-    return slot_of
 
 
 def _place_native(
@@ -431,93 +472,97 @@ def _place_native(
     timing_driven: bool,
     bias: dict[int, float] | None,
     promote: dict[int, int] | None,
+    scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """:func:`_place_python`'s decisions, a layer per ``gem_place_layer``
     call.  Python keeps the ``remaining`` set (its iteration order is the
-    tie order within a level), the slot table and the errors."""
+    tie order within a level), the slot table and the errors; the layers
+    and the slot table stay the arrays the C loop fills."""
     where = f"partition s{spec.stage}p{spec.index}"
-    slot_of = _source_slots(spec, config, where)
+    _check_sources(spec, config, where)
+    scratch = scratch or ProbeScratch(eaig)
     remaining = set(spec.nodes)
-    # the partition's own int objects: the slot table's keys share them,
-    # as the Python loop's do
-    node_list = sorted(spec.nodes)
-    nodes = np.array(node_list, dtype=np.int64)
+    # ascending = topological
+    nodes = np.fromiter(spec.nodes, dtype=np.int64, count=len(spec.nodes))
+    sources = np.fromiter(spec.sources, dtype=np.int64, count=len(spec.sources))
     n = nodes.size
-    # node id -> local index (rank in ``nodes``), or -1 - slot for the
-    # constant and the sources; _NOWHERE for anything else
-    lut = np.full(len(eaig.kind), _NOWHERE, dtype=np.int64)
-    lut[0] = -1
-    lut[np.array(spec.sources, dtype=np.int64)] = -1 - np.arange(1, len(spec.sources) + 1)
+    lut = scratch.lut
+    lut[sources] = -1 - np.arange(1, sources.size + 1)
     lut[nodes] = np.arange(n)
-    arrays = eaig.arrays()
-    lit0, lit1 = arrays.fanin0[nodes], arrays.fanin1[nodes]
-    fan0, fan1 = lut[lit0 >> 1], lut[lit1 >> 1]
-    for i in np.nonzero((fan0 == _NOWHERE) | (fan1 == _NOWHERE))[0][:1].tolist():
-        f = (lit0[i] if fan0[i] == _NOWHERE else lit1[i]) >> 1
-        raise GemError(f"node {node_list[i]}: fanin {f} neither available nor local")
-    # consumers as CSR over producers
-    producer = np.concatenate([fan0[fan0 >= 0], fan1[fan1 >= 0]])
-    consumer = np.concatenate([np.nonzero(fan0 >= 0)[0], np.nonzero(fan1 >= 0)[0]])
-    cons_start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(producer, minlength=n), out=cons_start[1:])
-    roots = lut[np.array(spec.root_literals(), dtype=np.int64) >> 1]
-    root = np.zeros(n, dtype=np.uint8)
-    root[roots[roots >= 0]] = 1
-    mapped = np.empty(n, dtype=np.int64)
-    wb = np.empty(4 * n, dtype=np.int64)
-    tables = {
-        "fan0": fan0,
-        "fan1": fan1,
-        "inverts": (lit0 & 1) | ((lit1 & 1) << 1),
-        "cons_start": cons_start,
-        "cons": consumer[np.argsort(producer, kind="stable")],
-        "root": root,
-        "slot": np.full(n, -1, dtype=np.int64),
-        "alive": np.ones(n, dtype=np.uint8),
-        "mapped": mapped,
-        "wb": wb,
-    }
-    for name, table, dtype in (("bias", bias, np.float64), ("promote", promote, np.int64)):
-        if table:  # else NULL: unperturbed
-            tables[name] = np.zeros(n, dtype=dtype)
-            for node, value in table.items():
-                if 0 <= node < lut.size and lut[node] >= 0:
-                    tables[name][lut[node]] = value
-    place = placement_kernel.Place(
-        n=n,
-        width_log2=config.width_log2,
-        state_size=config.state_size,
-        timing_driven=bool(timing_driven),
-        next_slot=len(spec.sources) + 1,
-        **{name: arr.ctypes.data for name, arr in tables.items()},
-    )
-    ref = ctypes.byref(place)
-    width = config.width
-    packed: list[PackedLayer] = []
-    while remaining:
-        order = lut[np.fromiter(remaining, dtype=np.int64, count=len(remaining))]
-        perm = np.full(width, -1, dtype=np.int32)
-        fold = np.full(width, _ROUTE, dtype=np.uint8)
-        place.perm, place.fold = perm.ctypes.data, fold.ctypes.data
-        count = lib.place_layer(ref, order.ctypes.data, order.size)
-        if count == 0:
-            raise PlacementStallError(
-                f"{where}: placement made no progress", stage=spec.stage, index=spec.index
-            )
-        if count == -1:
-            raise UnmappableError(f"{where}: state overflow at {place.next_slot} slots")
-        if count == -2:
-            raise MemoryError(f"{where}: placement scratch")
-        if count < 0:  # pragma: no cover - guarded by the fan-in check above
-            raise GemError(f"{where}: a fan-in is neither available nor local")
-        # (level, pos, slot, local node) per writeback, unpacked by column
-        rows = wb[: 4 * place.nwb].reshape(-1, 4).T.tolist()
-        slot_of.update(zip(map(node_list.__getitem__, rows[3]), rows[2]))
-        writebacks = list(zip(*rows[:3]))
-        packed.append(PackedLayer(perm=perm, fold=fold, writebacks=writebacks))
-        remaining -= set(nodes[mapped[:count]].tolist())
+    try:
+        lit0, lit1 = scratch.arrays.fanin0[nodes], scratch.arrays.fanin1[nodes]
+        fan0, fan1 = lut[lit0 >> 1], lut[lit1 >> 1]
+        for i in np.nonzero((fan0 == _NOWHERE) | (fan1 == _NOWHERE))[0][:1].tolist():
+            f = (lit0[i] if fan0[i] == _NOWHERE else lit1[i]) >> 1
+            raise GemError(f"node {spec.nodes[i]}: fanin {f} neither available nor local")
+        # consumers as CSR over producers
+        producer = np.concatenate([fan0[fan0 >= 0], fan1[fan1 >= 0]])
+        consumer = np.concatenate([np.nonzero(fan0 >= 0)[0], np.nonzero(fan1 >= 0)[0]])
+        cons_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(producer, minlength=n), out=cons_start[1:])
+        # a stable sort of 16-bit keys is a radix sort, ~9x one of int64 keys
+        keys = producer.astype(np.uint16) if n <= 1 << 16 else producer
+        roots = lut[np.array(spec.root_literals(), dtype=np.int64) >> 1]
+        root = np.zeros(n, dtype=np.uint8)
+        root[roots[roots >= 0]] = 1
+        mapped = np.empty(n, dtype=np.int64)
+        wb = np.empty(4 * n, dtype=np.int64)
+        tables = {
+            "fan0": fan0,
+            "fan1": fan1,
+            "inverts": (lit0 & 1) | ((lit1 & 1) << 1),
+            "cons_start": cons_start,
+            "cons": consumer[np.argsort(keys, kind="stable")],
+            "root": root,
+            "slot": np.full(n, -1, dtype=np.int64),
+            "alive": np.ones(n, dtype=np.uint8),
+            "mapped": mapped,
+            "wb": wb,
+        }
+        for name, table, dtype in (("bias", bias, np.float64), ("promote", promote, np.int64)):
+            if table:  # else NULL: unperturbed
+                tables[name] = np.zeros(n, dtype=dtype)
+                for node, value in table.items():
+                    if 0 <= node < lut.size and lut[node] >= 0:
+                        tables[name][lut[node]] = value
+        place = placement_kernel.Place(
+            n=n,
+            width_log2=config.width_log2,
+            state_size=config.state_size,
+            timing_driven=bool(timing_driven),
+            next_slot=sources.size + 1,
+            **{name: arr.ctypes.data for name, arr in tables.items()},
+        )
+        ref = ctypes.byref(place)
+        width = config.width
+        packed: list[PackedLayer] = []
+        slot_node = [np.zeros(1, dtype=np.int64), sources]
+        while remaining:
+            order = lut[np.fromiter(remaining, dtype=np.int64, count=len(remaining))]
+            perm = np.full(width, -1, dtype=np.int32)
+            fold = np.full(width, _ROUTE, dtype=np.uint8)
+            place.perm, place.fold = perm.ctypes.data, fold.ctypes.data
+            count = lib.place_layer(ref, order.ctypes.data, order.size)
+            if count == 0:
+                raise PlacementStallError(
+                    f"{where}: placement made no progress", stage=spec.stage, index=spec.index
+                )
+            if count == -1:
+                raise UnmappableError(f"{where}: state overflow at {place.next_slot} slots")
+            if count == -2:
+                raise MemoryError(f"{where}: placement scratch")
+            if count < 0:  # pragma: no cover - guarded by the fan-in check above
+                raise GemError(f"{where}: a fan-in is neither available nor local")
+            # (level, pos, slot, local node) per writeback, at consecutive slots
+            rows = wb[: 4 * place.nwb].reshape(-1, 4)
+            slot_node.append(nodes[rows[:, 3]])
+            packed.append(PackedLayer(perm=perm, fold=fold, writebacks=rows[:, :3].copy()))
+            remaining.difference_update(nodes[mapped[:count]].tolist())
+    finally:
+        lut[sources] = _NOWHERE
+        lut[nodes] = _NOWHERE
     return PlacedPartition(
-        spec=spec, config=config, slot_of=slot_of, num_slots=place.next_slot, packed=packed
+        spec=spec, config=config, slot_node=np.concatenate(slot_node), packed=packed
     )
 
 
@@ -532,7 +577,9 @@ def _place_python(
     """:func:`_place_once` in Python: the reference the native layer loop
     is held against, and the path on a host without a C compiler."""
     where = f"partition s{spec.stage}p{spec.index}"
-    slot_of = _source_slots(spec, config, where)
+    _check_sources(spec, config, where)
+    # node -> state slot, by slot: the sources, then the writebacks
+    slot_of = {s: slot for slot, s in enumerate(spec.sources, start=1)}
     next_slot = len(spec.sources) + 1
     state_size = config.state_size
 
@@ -595,7 +642,7 @@ def _place_python(
         free_at_level = builder.free_at_level
         by_level: dict[int, list[int]] = {}
         # Set iteration order fixes the tie order within a level — part of
-        # the bitstream contract, like the ``remaining -= set(...)`` below.
+        # the bitstream contract, like the ``difference_update`` below.
         for n in remaining:
             lvl = local[n]
             if promote and lvl <= depth:
@@ -634,12 +681,11 @@ def _place_python(
                 writebacks.append((level, k - (config.width >> level), next_slot))
                 next_slot += 1
         packed.append(builder.pack(writebacks))
-        remaining -= set(mapped)
+        remaining.difference_update(mapped)
         order = [n for n in order if n in remaining]
 
-    return PlacedPartition(
-        spec=spec, config=config, slot_of=slot_of, num_slots=next_slot, packed=packed
-    )
+    slot_node = np.fromiter(chain((0,), slot_of), dtype=np.int64, count=next_slot)
+    return PlacedPartition(spec=spec, config=config, slot_node=slot_node, packed=packed)
 
 
 def _refine_rng(refine: RefineConfig, spec: PartitionSpec) -> random.Random:
@@ -683,6 +729,7 @@ def place_partition(
     timing_driven: bool = True,
     refine: RefineConfig | None = None,
     start: PlacedPartition | None = None,
+    scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """Algorithm 2: iterative multi-boomerang-layer mapping of one partition.
 
@@ -696,10 +743,15 @@ def place_partition(
     best placement seen under :func:`placement_cost`.  The result is never
     worse than the unrefined placement.  ``start`` hands in that unrefined
     placement when the caller already holds it (Algorithm 1 does), so the
-    SA budget is spent on candidates only.
+    SA budget is spent on candidates only.  ``scratch`` shares one
+    design's lookup tables between runs (:class:`ProbeScratch`); without
+    it each run makes its own.
     """
     config = config or BoomerangConfig()
-    best = start if start is not None else _place_once(eaig, spec, config, timing_driven)
+    if start is not None:
+        best = start
+    else:
+        best = _place_once(eaig, spec, config, timing_driven, scratch=scratch)
     if refine is None or refine.iterations <= 0:
         return best
 
@@ -714,7 +766,13 @@ def place_partition(
         cand_bias, cand_promote = _neighbor(bias, promote, nodes, rng, refine)
         try:
             cand = _place_once(
-                eaig, spec, config, timing_driven, bias=cand_bias, promote=cand_promote
+                eaig,
+                spec,
+                config,
+                timing_driven,
+                bias=cand_bias,
+                promote=cand_promote,
+                scratch=scratch,
             )
         except UnmappableError:
             temp *= refine.cooling

@@ -56,7 +56,9 @@ logger = logging.getLogger(__name__)
 #: 3: ``PlacedPartition`` keeps its layers packed instead of as ``Layer`` arrays.
 #: 4: a compile entry is two files, the program and the flow (:func:`compile_design`).
 #: 5: Algorithm 2 fills the fold tree from the root level down (new bitstreams).
-CACHE_FORMAT = 5
+#: 6: ``PlacedPartition`` keeps a slot -> node array and each ``PackedLayer``
+#: its writebacks as one array (the node -> slot dict is built on demand).
+CACHE_FORMAT = 6
 
 
 def _build_nvdla() -> Circuit:

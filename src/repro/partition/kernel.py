@@ -17,7 +17,9 @@ The ``random.Random`` of a k-way partition is shared by every bisection
 of it.  ``gem_shuffle`` draws the vertex order before each coarsening
 round and FM pass on that generator's own MT19937 state, exactly as
 ``random.Random.shuffle`` would, and :func:`shuffled_order` hands the
-state back; the initial bipartition's draws stay in Python.
+state back (below :data:`SHUFFLE_IN_C_FROM` vertices the shuffle itself is
+cheaper than that round trip, and ``rng.shuffle`` draws); the initial
+bipartition's draws stay in Python.
 """
 
 from __future__ import annotations
@@ -702,14 +704,21 @@ def graph_struct(arrays) -> Graph:
     )
 
 
+#: fewest vertices ``gem_shuffle`` draws for: below it, ``rng.shuffle``
+#: costs less than the ~70 µs ``getstate`` / ``setstate`` round trip (the
+#: two cross at ~150 vertices on a 2-vCPU x86 host)
+SHUFFLE_IN_C_FROM = 150
+
+
 def shuffled_order(lib, rng: random.Random, n: int):
     """``list(range(n))`` as ``rng.shuffle`` leaves it, and ``rng`` where
-    that leaves it: an ``int64`` array from ``gem_shuffle`` where ``lib``
-    (the compile library) loaded, else the list itself."""
-    if lib is None:
+    that leaves it: an ``int64`` array where ``lib`` (the compile library)
+    loaded — drawn by ``gem_shuffle`` from :data:`SHUFFLE_IN_C_FROM`
+    vertices on — else the list itself."""
+    if lib is None or n < SHUFFLE_IN_C_FROM:
         order = list(range(n))
         rng.shuffle(order)
-        return order
+        return order if lib is None else np.array(order, dtype=np.int64)
     version, internal, gauss_next = rng.getstate()
     mt = array.array("I", internal)  # uint32; half numpy's cost for 625 ints
     order = np.empty(n, dtype=np.int64)

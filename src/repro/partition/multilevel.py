@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import random
+from bisect import bisect_left
 from collections import Counter, deque
 
 import numpy as np
@@ -174,6 +175,11 @@ def _initial_bipartition(graph: Hypergraph, target0: int, rng: random.Random) ->
         frontier = deque([seed])
         visited = bytearray(n)
         visited[seed] = 1
+        # the unvisited vertices, ascending, as a jump draws from them;
+        # ``grown`` says the growth visited some since the pool was exact
+        unvisited = list(range(n))
+        del unvisited[seed]
+        grown = False
         # a net's pins are all visited once one of them is grown from
         expanded = bytearray(graph.num_nets)
         while frontier and weight0 < target0:
@@ -189,13 +195,17 @@ def _initial_bipartition(graph: Hypergraph, target0: int, rng: random.Random) ->
                 for u in pins[net_start[e] : net_start[e + 1]]:
                     if not visited[u]:
                         visited[u] = 1
+                        grown = True
                         frontier.appendleft(u)
             if not frontier:
                 # Disconnected remainder: jump to an unvisited vertex.
-                rest = np.flatnonzero(np.frombuffer(visited, dtype=np.uint8) == 0)
-                if rest.size:
-                    nxt = int(rng.choice(rest))
+                if grown:
+                    unvisited = [u for u in unvisited if not visited[u]]
+                    grown = False
+                if unvisited:
+                    nxt = rng.choice(unvisited)
                     visited[nxt] = 1
+                    del unvisited[bisect_left(unvisited, nxt)]
                     frontier.append(nxt)
         parts = np.ones(n, dtype=np.uint8)
         parts[part0] = 0

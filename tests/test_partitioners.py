@@ -460,9 +460,11 @@ class TestArraysFirst:
     def test_shuffle(self, seed, native_loops):
         """One generator per side, through every length in turn (so the
         draws start at many points of the MT19937 state and cross its
-        regeneration): the same order, and the same state afterwards."""
+        regeneration), on both sides of the length ``gem_shuffle`` starts
+        at: the same order, and the same state afterwards."""
         ours, theirs = random.Random(seed), random.Random(seed)
-        for n in (0, 1, 2, 3, 63, 64, 65, 1731):
+        cutoff = kernel.SHUFFLE_IN_C_FROM
+        for n in (0, 1, 2, 3, 63, 64, 65, cutoff - 1, cutoff, cutoff + 1, 1731):
             order = kernel.shuffled_order(native_loops, ours, n)
             expected = list(range(n))
             theirs.shuffle(expected)

@@ -351,10 +351,17 @@ def _outcome(place, *args):
     except (UnmappableError, PlacementStallError) as exc:
         return type(exc).__name__, str(exc)
     layers = [
-        (p.perm.dtype.str, p.perm.tolist(), p.fold.dtype.str, p.fold.tolist(), p.writebacks)
+        (
+            p.perm.dtype.str,
+            p.perm.tolist(),
+            p.fold.dtype.str,
+            p.fold.tolist(),
+            p.writebacks.dtype.str,
+            p.writebacks.tolist(),
+        )
         for p in pp.packed
     ]
-    return layers, list(pp.slot_of.items()), pp.num_slots
+    return layers, pp.slot_node.tolist(), list(pp.slot_of.items()), pp.num_slots
 
 
 _DIFFERENTIAL_DESIGNS = {}
