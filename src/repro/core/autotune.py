@@ -5,13 +5,13 @@ partitions fix the per-cycle work — so this module closes the loop from
 :mod:`repro.core.perfmodel` back to the compile knobs:
 
 1. **Knob sweep** — a deterministic grid over :class:`KnobSpace` dimensions
-   (gates_per_partition, stage count, merge aggressiveness, depth-opt,
-   boomerang tree height, SA refinement budget) is compiled candidate by
-   candidate and scored with the analytical GPU cost model
-   :func:`repro.core.perfmodel.tuning_score`.  The ``model_hz`` argmax
-   wins if it beats the default by :data:`MIN_GAIN`, else the default is
-   kept.  Host timings never enter: the fused plan evaluates every E-AIG
-   AND once whatever the knobs, so a host run would time noise.
+   (gates_per_partition, stage count, boomerang tree height, SA refinement
+   budget) is compiled candidate by candidate and scored with the
+   analytical GPU cost model :func:`repro.core.perfmodel.tuning_score`.
+   The ``model_hz`` argmax wins if it beats the default by
+   :data:`MIN_GAIN`, else the default is kept.  Host timings never enter:
+   the fused plan evaluates every E-AIG AND once whatever the knobs, so a
+   host run would time noise.
 2. **Tuning cache** — the winning knobs are stored as JSON keyed by the
    design's structural CRC + knob-space digest + autotune options, so the
    search runs once per (design, space) and every later compile is a
@@ -53,8 +53,9 @@ __all__ = [
     "design_crc",
 ]
 
-#: sweep file version; 3: candidates scored on the top-down Algorithm 2 placement
-CACHE_VERSION = 3
+#: sweep file version; 4: the knob dicts lost overpartition / optimize /
+#: merge_limit, and SA candidates are scored on the jitter-only move
+CACHE_VERSION = 4
 DEFAULT_TUNE_DIR = ".gem_tune"
 #: a tuned winner must beat the default's ``model_hz`` by this fraction
 MIN_GAIN = 0.05
@@ -99,14 +100,8 @@ class KnobSpace:
 
     gates_per_partition: tuple[int, ...] = (3072, 6144, 8192)
     num_stages: tuple[int | None, ...] = (None, 1)
-    overpartition: tuple[float, ...] = (1.5,)
-    #: depth-opt on/off (only effective when the autotuner synthesizes per
-    #: candidate, i.e. a synth *provider* was given — see :func:`autotune`)
-    optimize: tuple[bool, ...] = (True,)
     #: boomerang tree height (2^w leaf bits per layer)
     width_log2: tuple[int, ...] = (13,)
-    #: Algorithm 1 merge-candidate cap (None = unlimited)
-    merge_limit: tuple[int | None, ...] = (None,)
     #: simulated-annealing placement refinement budget per partition
     sa_iterations: tuple[int, ...] = (0, 12)
 
@@ -131,7 +126,6 @@ def apply_knobs(base: GemConfig, knobs: dict) -> GemConfig:
             "gates_per_partition", base.partition.gates_per_partition
         ),
         num_stages=knobs.get("num_stages", base.partition.num_stages),
-        overpartition=knobs.get("overpartition", base.partition.overpartition),
     )
     boomerang = replace(
         base.boomerang, width_log2=knobs.get("width_log2", base.boomerang.width_log2)
@@ -139,15 +133,7 @@ def apply_knobs(base: GemConfig, knobs: dict) -> GemConfig:
     refine = replace(
         base.refine, iterations=knobs.get("sa_iterations", base.refine.iterations)
     )
-    return GemConfig(
-        synthesis=base.synthesis,
-        partition=partition,
-        boomerang=boomerang,
-        optimize=knobs.get("optimize", base.optimize),
-        max_partition_retries=base.max_partition_retries,
-        refine=refine,
-        merge_limit=knobs.get("merge_limit", base.merge_limit),
-    )
+    return replace(base, partition=partition, boomerang=boomerang, refine=refine)
 
 
 @dataclass
@@ -329,7 +315,7 @@ def _choose_candidates(
 
 
 def autotune(
-    design_input: SynthesisResult | Callable[[GemConfig], SynthesisResult],
+    synth: SynthesisResult,
     *,
     name: str | None = None,
     base: GemConfig | None = None,
@@ -340,13 +326,12 @@ def autotune(
 ) -> AutotuneResult:
     """Find (or recall) the best GemConfig for one design.
 
-    ``design_input`` is either a ready :class:`SynthesisResult` (synthesis
-    knobs like ``optimize`` are then inert — every candidate reuses the same
-    netlist) or a provider called as ``provider(config)`` so candidates with
-    different synthesis knobs get their own netlist (the runner passes its
-    config-keyed ``design_synth``).  ``compile_fn`` overrides how a candidate config becomes a
-    :class:`CompiledDesign` — the runner passes its disk-cached
-    ``compile_design`` so tuning also warms the compile cache.
+    ``synth`` is the netlist every candidate compiles: no swept knob
+    touches synthesis, so one netlist serves the whole sweep (the runner
+    passes ``design_synth(name, base)``).  ``compile_fn`` overrides how a
+    candidate config becomes a :class:`CompiledDesign` — the runner passes
+    its disk-cached ``compile_design`` so tuning also warms the compile
+    cache.
 
     A sweep is recalled when its exact identity (design CRC, knob space,
     base config *and* search options) is cached.  With ``recall`` the
@@ -358,22 +343,13 @@ def autotune(
     base = base or GemConfig()
     space = space or KnobSpace()
     opts = opts or AutotuneConfig()
-    if callable(design_input):
-        provider = design_input
-    else:
-        synth_fixed = design_input
-
-        def provider(_config: GemConfig) -> SynthesisResult:
-            return synth_fixed
-
     if compile_fn is None:
 
         def compile_fn(config: GemConfig) -> CompiledDesign:
-            return GemCompiler(config).compile(provider(config))
+            return GemCompiler(config).compile(synth)
 
-    base_synth = provider(base)
-    design = name or base_synth.eaig.name
-    crc = design_crc(base_synth)
+    design = name or synth.eaig.name
+    crc = design_crc(synth)
     key = _tune_key(crc, space, base, opts)
     cache_dir = opts.cache_dir or default_tune_dir()
     cache_path = os.path.join(cache_dir, f"{design}-{key[:12]}.json")

@@ -63,25 +63,16 @@ class RefineConfig:
 
     Each SA move perturbs the placement *inputs* rather than the placement
     itself: a per-node jitter added to the Algorithm 2 criticality key
-    reorders which nodes claim tree positions first, and a per-node level
-    promotion places a node one tree level deeper than its local logic level,
-    so it is tried earlier in the root-down level loop (a node that fails at
-    its promoted level waits for the next layer).  The full placement pass
-    re-runs under the perturbation; candidates are accepted on a layer-count
-    + writeback-traffic cost (see :func:`~repro.core.placement.placement_cost`).
+    reorders which nodes claim tree positions first.  The full placement
+    pass re-runs under the perturbation; candidates are accepted on a
+    layer-count + writeback-traffic cost (see
+    :func:`~repro.core.placement.placement_cost`).  The schedule — start
+    temperature, cooling, jitter and the share of nodes a move touches — is
+    fixed by module constants of :mod:`repro.core.placement`.
     """
 
     iterations: int = 0
     seed: int = 0
-    #: initial temperature in layer-count units (wb traffic is fractional)
-    initial_temp: float = 0.5
-    cooling: float = 0.9
-    #: magnitude of the uniform criticality jitter per perturbed node
-    jitter: float = 1.5
-    #: probability a move toggles a level promotion instead of jittering
-    promote_prob: float = 0.25
-    #: fraction of the partition's nodes perturbed per move
-    move_frac: float = 0.125
 
 
 @dataclass(frozen=True)

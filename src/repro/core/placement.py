@@ -113,6 +113,15 @@ def _scalar_cost(cost: tuple[int, int, int], config: BoomerangConfig) -> float:
     return layers + writebacks / (4.0 * config.width)
 
 
+#: The SA schedule of :func:`place_partition`'s ``refine`` loop: the start
+#: temperature in layer-count units (writeback traffic is fractional), its
+#: factor per iteration, the magnitude of the uniform criticality jitter,
+#: and the share of the partition's nodes one move re-jitters.
+INITIAL_TEMP = 0.5
+COOLING = 0.9
+JITTER = 1.5
+MOVE_FRAC = 0.125
+
 #: Interior tree positions hold a 3-bit fold constant ``xor_a | xor_b << 1 |
 #: or_b << 2``: AND positions carry their two invert bits (0..3), a bypass
 #: position — and every unoccupied one — is the pass-through ``_ROUTE``.
@@ -436,15 +445,12 @@ def _place_once(
     config: BoomerangConfig,
     timing_driven: bool,
     bias: dict[int, float] | None = None,
-    promote: dict[int, int] | None = None,
     scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """One full Algorithm 2 pass, optionally under an SA perturbation.
 
-    ``bias`` jitters the criticality sort key per node; ``promote`` lifts a
-    node's placement level above its local logic level (capped at the tree
-    height).  With both empty/None the pass is byte-identical to the
-    unperturbed placement.
+    ``bias`` jitters the criticality sort key per node; empty or None, the
+    pass is byte-identical to the unperturbed placement.
 
     Each layer is placed by one call into :mod:`repro.core.placement_kernel`
     where that library loads, else by the Python loop
@@ -452,8 +458,8 @@ def _place_once(
     """
     lib = placement_kernel.library()
     if lib is None:
-        return _place_python(eaig, spec, config, timing_driven, bias, promote)
-    return _place_native(lib, eaig, spec, config, timing_driven, bias, promote, scratch)
+        return _place_python(eaig, spec, config, timing_driven, bias)
+    return _place_native(lib, eaig, spec, config, timing_driven, bias, scratch)
 
 
 def _check_sources(spec: PartitionSpec, config: BoomerangConfig, where: str) -> None:
@@ -471,7 +477,6 @@ def _place_native(
     config: BoomerangConfig,
     timing_driven: bool,
     bias: dict[int, float] | None,
-    promote: dict[int, int] | None,
     scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """:func:`_place_python`'s decisions, a layer per ``gem_place_layer``
@@ -519,12 +524,11 @@ def _place_native(
             "mapped": mapped,
             "wb": wb,
         }
-        for name, table, dtype in (("bias", bias, np.float64), ("promote", promote, np.int64)):
-            if table:  # else NULL: unperturbed
-                tables[name] = np.zeros(n, dtype=dtype)
-                for node, value in table.items():
-                    if 0 <= node < lut.size and lut[node] >= 0:
-                        tables[name][lut[node]] = value
+        if bias:  # else NULL: unperturbed
+            tables["bias"] = np.zeros(n, dtype=np.float64)
+            for node, value in bias.items():
+                if 0 <= node < lut.size and lut[node] >= 0:
+                    tables["bias"][lut[node]] = value
         place = placement_kernel.Place(
             n=n,
             width_log2=config.width_log2,
@@ -572,7 +576,6 @@ def _place_python(
     config: BoomerangConfig,
     timing_driven: bool,
     bias: dict[int, float] | None = None,
-    promote: dict[int, int] | None = None,
 ) -> PlacedPartition:
     """:func:`_place_once` in Python: the reference the native layer loop
     is held against, and the path on a host without a C compiler."""
@@ -644,10 +647,7 @@ def _place_python(
         # Set iteration order fixes the tie order within a level — part of
         # the bitstream contract, like the ``difference_update`` below.
         for n in remaining:
-            lvl = local[n]
-            if promote and lvl <= depth:
-                lvl = min(depth, lvl + promote.get(n, 0))
-            by_level.setdefault(lvl, []).append(n)
+            by_level.setdefault(local[n], []).append(n)
         max_consecutive_failures = 20
         # Root level down: deep cones claim their subtrees first, and the
         # shallow nodes they did not absorb take what is left below.
@@ -700,26 +700,12 @@ def _refine_rng(refine: RefineConfig, spec: PartitionSpec) -> random.Random:
     return random.Random(mix)
 
 
-def _neighbor(
-    bias: dict[int, float],
-    promote: dict[int, int],
-    nodes: list[int],
-    rng: random.Random,
-    refine: RefineConfig,
-) -> tuple[dict[int, float], dict[int, int]]:
+def _neighbor(bias: dict[int, float], nodes: list[int], rng: random.Random) -> dict[int, float]:
+    """Re-draw the criticality jitter of ``MOVE_FRAC`` of the nodes."""
     bias = dict(bias)
-    promote = dict(promote)
-    moves = max(1, int(len(nodes) * refine.move_frac))
-    for _ in range(moves):
-        n = nodes[rng.randrange(len(nodes))]
-        if rng.random() < refine.promote_prob:
-            if n in promote:
-                del promote[n]
-            else:
-                promote[n] = 1
-        else:
-            bias[n] = rng.uniform(-refine.jitter, refine.jitter)
-    return bias, promote
+    for _ in range(max(1, int(len(nodes) * MOVE_FRAC))):
+        bias[nodes[rng.randrange(len(nodes))]] = rng.uniform(-JITTER, JITTER)
+    return bias
 
 
 def place_partition(
@@ -739,11 +725,11 @@ def place_partition(
 
     ``refine`` (with ``iterations > 0``) runs a seeded simulated-annealing
     loop on top of the greedy pass: each iteration re-places the partition
-    under a perturbed criticality ordering / level assignment and keeps the
-    best placement seen under :func:`placement_cost`.  The result is never
-    worse than the unrefined placement.  ``start`` hands in that unrefined
-    placement when the caller already holds it (Algorithm 1 does), so the
-    SA budget is spent on candidates only.  ``scratch`` shares one
+    under a jittered criticality ordering and keeps the best placement seen
+    under :func:`placement_cost`.  The result is never worse than the
+    unrefined placement.  ``start`` hands in that unrefined placement when
+    the caller already holds it (Algorithm 1 does), so the SA budget is
+    spent on candidates only.  ``scratch`` shares one
     design's lookup tables between runs (:class:`ProbeScratch`); without
     it each run makes its own.
     """
@@ -759,33 +745,24 @@ def place_partition(
     best_cost = placement_cost(best)
     cur_cost = _scalar_cost(best_cost, config)
     bias: dict[int, float] = {}
-    promote: dict[int, int] = {}
     nodes = sorted(spec.nodes)
-    temp = refine.initial_temp
+    temp = INITIAL_TEMP
     for _ in range(refine.iterations):
-        cand_bias, cand_promote = _neighbor(bias, promote, nodes, rng, refine)
+        cand_bias = _neighbor(bias, nodes, rng)
         try:
-            cand = _place_once(
-                eaig,
-                spec,
-                config,
-                timing_driven,
-                bias=cand_bias,
-                promote=cand_promote,
-                scratch=scratch,
-            )
+            cand = _place_once(eaig, spec, config, timing_driven, bias=cand_bias, scratch=scratch)
         except UnmappableError:
-            temp *= refine.cooling
+            temp *= COOLING
             continue
         cand_cost = placement_cost(cand)
         cand_scalar = _scalar_cost(cand_cost, config)
         delta = cand_scalar - cur_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
-            bias, promote = cand_bias, cand_promote
+            bias = cand_bias
             cur_cost = cand_scalar
             if cand_cost < best_cost:
                 best, best_cost = cand, cand_cost
-        temp *= refine.cooling
+        temp *= COOLING
     return best
 
 

@@ -56,7 +56,6 @@ typedef struct {
     const int64_t *cons_start, *cons; /* local consumers, CSR */
     const uint8_t *root;              /* 1: feeds an endpoint */
     const double *bias;               /* criticality jitter, or NULL */
-    const int64_t *promote;           /* level promotion, or NULL */
     int64_t *slot;                    /* in/out: state slot, -1 if none */
     uint8_t *alive;                   /* in/out: 1 while still to place */
     int32_t *perm;                    /* out: width leaves, preset to -1 */
@@ -294,14 +293,7 @@ int64_t gem_place_layer(gem_place *p, const int64_t *order, int64_t norder)
     for (int64_t l = 0; l < depth + 3; ++l)
         start[l] = 0;
     for (int64_t t = 0; t < norder; ++t) {
-        const int64_t i = order[t];
-        int64_t lvl = local[i];
-        if (p->promote && lvl <= depth) {
-            lvl += p->promote[i];
-            if (lvl > depth)
-                lvl = depth;
-        }
-        local[i] = lvl; /* from here on: the placement level */
+        const int64_t lvl = local[order[t]];
         if (lvl >= 1 && lvl <= depth)
             start[lvl + 1] += 1;
     }
@@ -393,7 +385,7 @@ class Place(ctypes.Structure):
         *(
             (name, ctypes.c_void_p)
             for name in (
-                "fan0", "fan1", "inverts", "cons_start", "cons", "root", "bias", "promote",
+                "fan0", "fan1", "inverts", "cons_start", "cons", "root", "bias",
                 "slot", "alive", "perm", "fold", "mapped", "wb",
             )
         ),

@@ -368,17 +368,14 @@ def autotune_design(
     opts: "AutotuneConfig | None" = None,
     recall: bool = False,
 ) -> "AutotuneResult":
-    """Autotune a registry design (see :mod:`repro.core.autotune`).
-
-    The synth provider is the config-keyed :func:`design_synth`, so
-    candidates that change synthesis knobs get their own netlist.
-    ``recall`` takes the newest cached sweep of the design whatever its
-    search options.
+    """Autotune a registry design (see :mod:`repro.core.autotune`) on its
+    netlist under ``base``'s front end.  ``recall`` takes the newest cached
+    sweep of the design whatever its search options.
     """
     from repro.core.autotune import autotune
 
     return autotune(
-        lambda cfg: design_synth(name, cfg),
+        design_synth(name, base),
         name=name,
         base=base,
         space=space,
