@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -52,15 +53,14 @@ REBUILD_SOURCE = r"""
 typedef struct {
     int64_t nroots, balance;
     int64_t base;                     /* new nodes before the first AND */
-    int64_t cap;                      /* room for new ANDs and mappings */
-    int64_t nand, nmapped, bad;       /* out */
+    int64_t cap;                      /* room for new ANDs */
+    int64_t nand, bad;                /* out */
     const int8_t *kind;               /* the old graph's arrays() */
     const int64_t *fanin0, *fanin1;
     const int64_t *fanout;            /* NULL without balance */
     const int64_t *roots;             /* literals, state_roots() order */
     int64_t *node_map;                /* in/out: new literal, -1 unmapped */
     int64_t *and0, *and1, *level;     /* out: new ANDs, creation order */
-    int64_t *order;                   /* out: old ANDs, mapping order */
 } gem_rebuild_job;
 
 typedef struct {
@@ -235,7 +235,7 @@ int64_t gem_rebuild(gem_rebuild_job *j)
     if (!s.table)
         goto done;
     memset(s.table, 0xff, (size_t)size * sizeof *s.table);
-    j->nand = j->nmapped = 0;
+    j->nand = 0;
     for (int64_t r = 0; r < j->nroots; ++r) {
         s.work.len = 0;
         if (!rb_push(&s.work, j->roots[r] >> 1 << 1))
@@ -273,10 +273,9 @@ int64_t gem_rebuild(gem_rebuild_job *j)
                 value = rb_and(&s, j->node_map[f0 >> 1] ^ (f0 & 1),
                                j->node_map[f1 >> 1] ^ (f1 & 1));
             }
-            if (value < 0 || j->nmapped == j->cap)
+            if (value < 0)
                 goto done;
             j->node_map[node] = value;
-            j->order[j->nmapped++] = node;
         }
     }
     rc = 0;
@@ -297,13 +296,13 @@ class RebuildJob(ctypes.Structure):
     _fields_ = [
         *(
             (name, ctypes.c_int64)
-            for name in ("nroots", "balance", "base", "cap", "nand", "nmapped", "bad")
+            for name in ("nroots", "balance", "base", "cap", "nand", "bad")
         ),
         *(
             (name, ctypes.c_void_p)
             for name in (
                 "kind", "fanin0", "fanin1", "fanout", "roots", "node_map",
-                "and0", "and1", "level", "order",
+                "and0", "and1", "level",
             )
         ),
     ]
@@ -315,14 +314,21 @@ REBUILD_SIGNATURE = ((ctypes.POINTER(RebuildJob),), ctypes.c_int64)
 
 def optimize(result: SynthesisResult, balance: bool = True) -> SynthesisResult:
     """DCE + re-strash (+ balance) a synthesized design."""
-    old = result.eaig
-    new, lit_map = rebuild(old, balance=balance)
+    new, node_map = rebuild(result.eaig, balance=balance)
     return replace(
         result,
         eaig=new,
-        input_bits={k: [lit_map[l] for l in v] for k, v in result.input_bits.items()},
-        output_bits={k: [lit_map[l] for l in v] for k, v in result.output_bits.items()},
+        input_bits=_translate_bits(result.input_bits, node_map),
+        output_bits=_translate_bits(result.output_bits, node_map),
     )
+
+
+def _translate_bits(bits: dict[str, list[int]], node_map: np.ndarray) -> dict[str, list[int]]:
+    """Every word's literals through ``node_map`` in one gather (each is a
+    PI or an output literal, so its node is mapped)."""
+    old = np.fromiter(chain.from_iterable(bits.values()), dtype=np.int64)
+    flat = iter((node_map[old >> 1] ^ (old & 1)).tolist())
+    return {name: list(islice(flat, len(literals))) for name, literals in bits.items()}
 
 
 def compact(eaig: EAIG) -> EAIG:
@@ -330,66 +336,66 @@ def compact(eaig: EAIG) -> EAIG:
     return rebuild(eaig, balance=False)[0]
 
 
-def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, dict[int, int]]:
+def rebuild(old: EAIG, balance: bool) -> tuple[EAIG, np.ndarray]:
     """Rebuild ``old`` bottom-up from its roots.
 
-    Returns the new graph and a literal translation map covering every
-    literal that refers to a surviving (live) node plus all state nodes.
-    The cones are built by ``gem_rebuild`` where the compile library loads
-    and by :func:`_build_python` otherwise: the same nodes in the same
-    order either way.
+    Returns the new graph and the node map: an int64 array, old node ->
+    new literal (possibly complemented), ``-1`` for a node no root
+    reaches; every state node and every live AND is mapped.  The cones
+    are built by ``gem_rebuild`` where the compile library loads and by
+    :func:`_build_python` otherwise: the same nodes in the same order
+    either way.
     """
     old.check()
     new = EAIG(old.name)
-    node_map: dict[int, int] = {0: 0}  # old node -> new literal
-
-    for idx, pi in enumerate(old.pis):
-        node_map[pi] = new.add_pi(old.names.get(pi, f"pi{idx}"))
-    for ff in old.ffs:
-        node_map[ff] = new.add_ff(init=old.aux[ff], name=old.names.get(ff))
+    node_map = np.full(len(old), -1, dtype=np.int64)
+    node_map[0] = 0
+    new_sources = [new.add_pi(old.names.get(pi, f"pi{idx}")) for idx, pi in enumerate(old.pis)]
+    new_sources += [new.add_ff(init=old.aux[ff], name=old.names.get(ff)) for ff in old.ffs]
     for ram in old.rams:
         new_ram = new.add_ram(ram.name, ram.addr_bits, ram.data_bits, init=ram.init)
-        for old_node, new_node in zip(ram.data_nodes, new_ram.data_nodes):
-            node_map[old_node] = 2 * new_node
+        new_sources += [2 * node for node in new_ram.data_nodes]
+    node_map[[*old.pis, *old.ffs, *(n for ram in old.rams for n in ram.data_nodes)]] = new_sources
 
     from repro.core import placement_kernel
 
+    roots = old.state_roots()
     lib = placement_kernel.library()
     if lib is None:
-        _build_python(old, new, node_map, balance)
+        _build_python(old, new, node_map, roots, balance)
     else:
-        _build_native(lib, old, new, node_map, balance)
+        _build_native(lib, old, new, node_map, roots, balance)
 
-    def translate(literal: int) -> int:
-        return node_map[literal >> 1] ^ (literal & 1)
-
-    for ff in old.ffs:
-        new.set_ff_input(node_map[ff], translate(old.fanin0[ff]))
+    # the roots in state_roots() order: FF inputs, RAM ports, outputs
+    literals = np.array(roots, dtype=np.int64)
+    wired = iter((node_map[literals >> 1] ^ (literals & 1)).tolist())
+    for ff in new.ffs:
+        new.set_ff_input(2 * ff, next(wired))
     for ram, new_ram in zip(old.rams, new.rams):
-        new_ram.raddr = [translate(l) for l in ram.raddr]
-        new_ram.ren = translate(ram.ren)
-        new_ram.waddr = [translate(l) for l in ram.waddr]
-        new_ram.wdata = [translate(l) for l in ram.wdata]
-        new_ram.wen = translate(ram.wen)
-    for name, literal in old.outputs:
-        new.add_output(name, translate(literal))
+        new_ram.raddr = list(islice(wired, len(ram.raddr)))
+        new_ram.ren = next(wired)
+        new_ram.waddr = list(islice(wired, len(ram.waddr)))
+        new_ram.wdata = list(islice(wired, len(ram.wdata)))
+        new_ram.wen = next(wired)
+    for name, _ in old.outputs:
+        new.add_output(name, next(wired))
     new.check()
-
-    lit_map: dict[int, int] = {}
-    for old_node, new_lit in node_map.items():
-        lit_map[2 * old_node] = new_lit
-        lit_map[2 * old_node + 1] = new_lit ^ 1
-    return new, lit_map
+    return new, node_map
 
 
-def _build_python(old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool) -> None:
+def _build_python(
+    old: EAIG, new: EAIG, node_map: np.ndarray, roots: list[int], balance: bool
+) -> None:
     """Map every AND of ``old`` that a root reaches into ``new``: the
-    reference ``gem_rebuild`` follows, and the path without a compiler."""
-    fanout = old.fanout_counts() if balance else []
+    reference ``gem_rebuild`` follows, and the path without a compiler.
+    The loop keeps its map as a dict and writes it back at the end."""
+    fanout = old.fanout_counts().tolist() if balance else []
     old.drop_arrays()  # the loop reads the lists
+    mapped = np.flatnonzero(node_map >= 0)
+    built: dict[int, int] = dict(zip(mapped.tolist(), node_map[mapped].tolist()))
 
     def translate(literal: int) -> int:
-        return node_map[literal >> 1] ^ (literal & 1)
+        return built[literal >> 1] ^ (literal & 1)
 
     def conjunction_leaves(root: int) -> list[int]:
         """Maximal AND cone of ``root``: expand non-complemented,
@@ -415,7 +421,7 @@ def _build_python(old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool)
         stack: list[tuple[int, bool]] = [(root_literal >> 1, False)]
         while stack:
             node, expanded = stack.pop()
-            if node in node_map:
+            if node in built:
                 continue
             kind = old.kind[node]
             if kind is not NodeKind.AND:
@@ -424,13 +430,13 @@ def _build_python(old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool)
                 leaves = conjunction_leaves(node)
                 if expanded:
                     new_leaves = [translate(l) for l in leaves]
-                    node_map[node] = _tree_and_signed(new, new_leaves)
+                    built[node] = _tree_and_signed(new, new_leaves)
                 else:
                     stack.append((node, True))
                     stack.extend((l >> 1, False) for l in leaves)
             else:
                 if expanded:
-                    node_map[node] = new.add_and(
+                    built[node] = new.add_and(
                         translate(old.fanin0[node]), translate(old.fanin1[node])
                     )
                 else:
@@ -438,29 +444,30 @@ def _build_python(old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool)
                     stack.append((old.fanin0[node] >> 1, False))
                     stack.append((old.fanin1[node] >> 1, False))
 
-    for root in old.state_roots():
+    for root in roots:
         build(root)
+    node_map[list(built)] = list(built.values())
 
 
-def _build_native(lib, old: EAIG, new: EAIG, node_map: dict[int, int], balance: bool) -> None:
+def _build_native(
+    lib, old: EAIG, new: EAIG, node_map: np.ndarray, roots: list[int], balance: bool
+) -> None:
     """:func:`_build_python` in one ``gem_rebuild`` call.
 
-    C walks ``old.arrays()`` and returns the new ANDs' fan-ins and levels
-    in creation order plus the old ANDs in the order they were mapped, so
-    ``new`` and ``node_map`` grow exactly as the Python loop grows them.
-    Its scratch (strash table, stacks, heap) lives and dies in the call.
+    C walks ``old.arrays()``, fills ``node_map`` in place and returns the
+    new ANDs' fan-ins and levels in creation order, so ``new`` grows
+    exactly as the Python loop grows it.  Its scratch (strash table,
+    stacks, heap) lives and dies in the call.
     """
     arrays = old.arrays()
     # an old AND makes at most one new AND: a cone of k leaves holds k - 1
     # old ANDs, each in no other cone, and reduces in k - 1 add_and calls
     cap = int(np.count_nonzero(arrays.kind == NodeKind.AND))
-    mapped = np.full(len(old), -1, dtype=np.int64)
-    mapped[list(node_map)] = list(node_map.values())
-    fanout = np.array(old.fanout_counts(), dtype=np.int64) if balance else None
-    roots = np.array(old.state_roots(), dtype=np.int64)
-    out = np.empty((4, cap), dtype=np.int64)  # and0, and1, level, order
+    fanout = old.fanout_counts() if balance else None
+    root_array = np.array(roots, dtype=np.int64)
+    out = np.empty((3, cap), dtype=np.int64)  # and0, and1, level
     job = RebuildJob(
-        nroots=roots.size,
+        nroots=root_array.size,
         balance=int(balance),
         base=len(new),
         cap=cap,
@@ -468,22 +475,20 @@ def _build_native(lib, old: EAIG, new: EAIG, node_map: dict[int, int], balance: 
         fanin0=arrays.fanin0.ctypes.data,
         fanin1=arrays.fanin1.ctypes.data,
         fanout=None if fanout is None else fanout.ctypes.data,
-        roots=roots.ctypes.data,
-        node_map=mapped.ctypes.data,
-        **{name: row.ctypes.data for name, row in zip(("and0", "and1", "level", "order"), out)},
+        roots=root_array.ctypes.data,
+        node_map=node_map.ctypes.data,
+        **{name: row.ctypes.data for name, row in zip(("and0", "and1", "level"), out)},
     )
     rc = lib.rebuild(ctypes.byref(job))
     # release the view and the inputs before the new nodes' ints exist: a
     # held pre-optimisation design does not carry the view either
-    del arrays, fanout, roots
+    del arrays, fanout, root_array
     old.drop_arrays()
     if rc == -1:
         raise GemError(f"unmapped non-AND node {job.bad} ({old.kind[job.bad]})")
     if rc < 0:
         raise MemoryError("depth_opt: rebuild scratch")
-    new.extend_ands(*(row[: job.nand].tolist() for row in out[:3]))
-    order = out[3, : job.nmapped]
-    node_map.update(zip(order.tolist(), mapped[order].tolist()))
+    new.extend_ands(*(row[: job.nand] for row in out))
 
 
 def _tree_and_signed(eaig: EAIG, leaves: list[int]) -> int:

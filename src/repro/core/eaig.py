@@ -105,7 +105,16 @@ class EAIGArrays(NamedTuple):
 
 
 class EAIG:
-    """Extended and-inverter graph with structural hashing."""
+    """Extended and-inverter graph with structural hashing.
+
+    The strash is keyed by one int per AND, ``fanin0 << 32 | fanin1``
+    (``fanin0 < fanin1``): no container per node for the collector to
+    track.  The key is unique while every literal is below 2**32, so a
+    graph holds fewer than 2**31 nodes; :meth:`check` raises beyond.
+    """
+
+    #: nodes a graph may hold: every literal fits the strash key's 32 bits
+    MAX_NODES = 1 << 31
 
     #: the memo of :meth:`arrays` (a class default, so a pickle that never
     #: held one loads without it)
@@ -125,7 +134,8 @@ class EAIG:
         self.ffs: list[int] = []
         self.rams: list[Ram] = []
         self.outputs: list[tuple[str, int]] = []
-        self._strash: dict[tuple[int, int], int] = {}
+        #: ``fanin0 << 32 | fanin1`` -> AND node, one entry per AND
+        self._strash: dict[int, int] = {}
         #: FFs created before their d input is known (two-phase construction)
         self._pending_ffs: set[int] = set()
 
@@ -140,17 +150,16 @@ class EAIG:
         state.pop("_arrays", None)
         return state
 
-    def _new_node(self, kind: NodeKind, f0: int = FALSE, f1: int = FALSE, aux: int = 0) -> int:
+    def _new_node(self, kind: NodeKind, aux: int = 0) -> int:
+        """Append a source node (PI, FF or RAMRD), level 0; ANDs come from
+        :meth:`add_and` and :meth:`extend_ands` only."""
         self._arrays = None
         node = len(self.kind)
         self.kind.append(kind)
-        self.fanin0.append(f0)
-        self.fanin1.append(f1)
+        self.fanin0.append(FALSE)
+        self.fanin1.append(FALSE)
         self.aux.append(aux)
-        if kind is NodeKind.AND:
-            self.level_of.append(1 + max(self.level_of[f0 >> 1], self.level_of[f1 >> 1]))
-        else:
-            self.level_of.append(0)
+        self.level_of.append(0)
         return node
 
     def add_pi(self, name: str | None = None) -> int:
@@ -175,35 +184,46 @@ class EAIG:
             return b
         if a == b:
             return a
-        if a == lit_not(b):
+        if a == b ^ 1:
             return FALSE
-        key = (a, b)
+        key = a << 32 | b
         node = self._strash.get(key)
         if node is None:
-            node = self._new_node(NodeKind.AND, a, b)
+            node = len(self.kind)
             self._strash[key] = node
-        return lit(node)
+            self._arrays = None
+            self.kind.append(NodeKind.AND)
+            self.fanin0.append(a)
+            self.fanin1.append(b)
+            self.aux.append(0)
+            level_of = self.level_of
+            level_a, level_b = level_of[a >> 1], level_of[b >> 1]
+            level_of.append((level_a if level_a > level_b else level_b) + 1)
+        return node << 1
 
-    def extend_ands(self, fanin0: list[int], fanin1: list[int], levels: list[int]) -> None:
+    def extend_ands(self, fanin0: np.ndarray, fanin1: np.ndarray, levels: np.ndarray) -> None:
         """Append AND nodes as :meth:`add_and` would have made them one by
         one: each pair normalised (``fanin0 < fanin1``), not foldable, new
         to the strash and over earlier nodes, ``levels`` their
         ``level_of``.  The caller guarantees all of it (depth_opt's native
-        rebuild); the strash keys share the fan-in lists' int objects."""
+        rebuild hands over the int64 arrays ``gem_rebuild`` filled)."""
         self._arrays = None
         base, count = len(self.kind), len(fanin0)
         self.kind.extend([NodeKind.AND] * count)
-        self.fanin0.extend(fanin0)
-        self.fanin1.extend(fanin1)
+        self.fanin0.extend(fanin0.tolist())
+        self.fanin1.extend(fanin1.tolist())
         self.aux.extend([0] * count)
-        self.level_of.extend(levels)
-        self._strash.update(zip(zip(fanin0, fanin1), range(base, base + count)))
+        self.level_of.extend(levels.tolist())
+        keys = (fanin0 << 32 | fanin1).tolist()
+        self._strash.update(zip(keys, range(base, base + count)))
 
     def add_or(self, a: int, b: int) -> int:
-        return lit_not(self.add_and(lit_not(a), lit_not(b)))
+        return self.add_and(a ^ 1, b ^ 1) ^ 1
 
     def add_xor(self, a: int, b: int) -> int:
-        return self.add_or(self.add_and(a, lit_not(b)), self.add_and(lit_not(a), b))
+        x = self.add_and(a, b ^ 1)
+        y = self.add_and(a ^ 1, b)
+        return self.add_and(x ^ 1, y ^ 1) ^ 1
 
     def add_mux(self, sel: int, a: int, b: int) -> int:
         """``sel ? a : b``."""
@@ -213,7 +233,9 @@ class EAIG:
             return a
         if sel == FALSE:
             return b
-        return self.add_or(self.add_and(sel, a), self.add_and(lit_not(sel), b))
+        x = self.add_and(sel, a)
+        y = self.add_and(sel ^ 1, b)
+        return self.add_and(x ^ 1, y ^ 1) ^ 1
 
     def add_ff(self, init: int = 0, name: str | None = None) -> int:
         """Declare a flip-flop (d assigned later); returns its literal."""
@@ -249,10 +271,13 @@ class EAIG:
         self.outputs.append((name, literal))
 
     def check(self) -> None:
-        """Validate completeness: no pending FFs, RAM ports fully wired."""
+        """Validate completeness: no pending FFs, RAM ports fully wired,
+        fewer than :attr:`MAX_NODES` nodes."""
         if self._pending_ffs:
             raise ValueError(f"{len(self._pending_ffs)} FFs have no d input")
         n = len(self.kind)
+        if n >= self.MAX_NODES:
+            raise ValueError(f"{n} nodes: the strash key holds fewer than {self.MAX_NODES}")
         for ram in self.rams:
             if len(ram.raddr) != ram.addr_bits or len(ram.waddr) != ram.addr_bits:
                 raise ValueError(f"RAM {ram.name!r}: address ports incomplete")
@@ -331,8 +356,9 @@ class EAIG:
         roots.extend(literal for _, literal in self.outputs)
         return roots
 
-    def fanout_counts(self) -> list[int]:
-        """Uses per node: AND fan-ins, FF inputs, RAM ports and outputs."""
+    def fanout_counts(self) -> np.ndarray:
+        """Uses per node (int64): AND fan-ins, FF inputs, RAM ports and
+        outputs."""
         arrays = self.arrays()
         is_and = arrays.kind == NodeKind.AND
         ports = [literal for ram in self.rams for literal in ram.port_literals()]
@@ -345,7 +371,7 @@ class EAIG:
                 np.array(ports, dtype=np.int64),
             )
         )
-        return np.bincount(literals >> 1, minlength=len(self.kind)).tolist()
+        return np.bincount(literals >> 1, minlength=len(self.kind))
 
     def cone(self, roots: Iterable[int]) -> set[int]:
         """Transitive combinational fan-in nodes of ``roots`` literals.

@@ -58,7 +58,9 @@ logger = logging.getLogger(__name__)
 #: 5: Algorithm 2 fills the fold tree from the root level down (new bitstreams).
 #: 6: ``PlacedPartition`` keeps a slot -> node array and each ``PackedLayer``
 #: its writebacks as one array (the node -> slot dict is built on demand).
-CACHE_FORMAT = 6
+#: 7: a flow file's ``EAIG`` keys its strash by ``fanin0 << 32 | fanin1``,
+#: not by the pair (an older one would load and miss on every ``add_and``).
+CACHE_FORMAT = 7
 
 
 def _build_nvdla() -> Circuit:

@@ -1,5 +1,6 @@
 """Depth-oriented optimization (repro.core.depth_opt)."""
 
+import numpy as np
 import pytest
 
 from repro.core.depth_opt import compact, depth_report, optimize, rebuild
@@ -60,7 +61,7 @@ class TestBalance:
         top = g.add_and(mid, c)
         g.add_output("mid", mid)
         g.add_output("top", top)
-        new, lit_map = rebuild(g, balance=True)
+        new, _ = rebuild(g, balance=True)
         assert new.num_gates() == 2
         assert dict(new.outputs)["mid"] != dict(new.outputs)["top"]
 
@@ -126,8 +127,8 @@ def synthesized(request) -> EAIG:
     return synthesize(circuit).eaig
 
 
-def _everything(eaig: EAIG, lit_map: dict[int, int]) -> dict:
-    """What a rebuild makes, in the order it made it."""
+def _everything(eaig: EAIG, node_map: np.ndarray) -> dict:
+    """What a rebuild makes, in the order it made it, and its node map."""
     return {
         "kind": eaig.kind,
         "fanin0": eaig.fanin0,
@@ -140,14 +141,14 @@ def _everything(eaig: EAIG, lit_map: dict[int, int]) -> dict:
         "ffs": eaig.ffs,
         "rams": [vars(ram) for ram in eaig.rams],
         "outputs": eaig.outputs,
-        "lit_map": list(lit_map.items()),
+        "node_map": node_map.tolist(),
     }
 
 
 @pytest.mark.usefixtures("native_loops")
 class TestNativeMatchesPython:
     """``gem_rebuild`` makes the Python loop's graph node for node: the
-    same ANDs in the same order, the same strash, the same literal map."""
+    same ANDs in the same order, the same strash, the same node map."""
 
     @pytest.mark.parametrize("balance", [True, False])
     def test_same_graph(self, synthesized, balance, request):

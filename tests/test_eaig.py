@@ -10,6 +10,8 @@ from repro.core import depth_opt
 from repro.core.compiler import compile_circuit
 from repro.core.eaig import EAIG, FALSE, TRUE, NodeKind, lit_not
 from repro.core.synthesis import synthesize
+from repro.designs.openpiton_like import OpenPitonScale, build_openpiton_like
+from repro.fourstate.dualrail import to_dual_rail
 from repro.harness.runner import DESIGNS
 from tests.helpers import eaig_sim, pi_inputs, random_circuit
 
@@ -19,6 +21,25 @@ class TestLiterals:
         assert FALSE == 0
         assert TRUE == 1
         assert lit_not(FALSE) == TRUE
+
+
+#: designs whose optimized graphs :class:`TestStrash` probes: the cold
+#: benchmark's and a dual-rail one (4-state compiles run depth_opt too)
+STRASH_CASES = {
+    "openpiton3": lambda: build_openpiton_like(OpenPitonScale(cores=3)),
+    "dual-rail": lambda: to_dual_rail(
+        random_circuit(11, n_ops=60, n_regs=4, with_memory=True)
+    ).circuit,
+}
+
+
+def _assert_strash_finds_every_and(g: EAIG) -> None:
+    ands = [node for node, kind in enumerate(g.kind) if kind is NodeKind.AND]
+    size = len(g)
+    for node in ands:
+        assert g.add_and(g.fanin0[node], g.fanin1[node]) == 2 * node
+        assert g.add_and(g.fanin1[node], g.fanin0[node]) == 2 * node
+    assert len(g) == size and g.num_gates() == len(ands) > 0
 
 
 class TestStrash:
@@ -57,6 +78,34 @@ class TestStrash:
         assert g.add_mux(sel, a, a) == a
         assert g.add_mux(TRUE, a, b) == a
         assert g.add_mux(FALSE, a, b) == b
+
+    def test_key_is_one_int(self):
+        g = EAIG()
+        a, b = g.add_pi(), g.add_pi()
+        x = g.add_and(b, lit_not(a))  # normalised to (~a, b): ~a < b
+        assert g._strash == {lit_not(a) << 32 | b: x >> 1}
+
+    def test_check_bounds_the_node_count(self, monkeypatch):
+        g = EAIG()
+        g.add_output("y", g.add_and(g.add_pi(), g.add_pi()))
+        g.check()
+        monkeypatch.setattr(EAIG, "MAX_NODES", len(g))
+        with pytest.raises(ValueError, match="strash key"):
+            g.check()
+
+    @pytest.mark.parametrize("loops", ["native_loops", "python_loops"])
+    @pytest.mark.parametrize("case", sorted(STRASH_CASES))
+    def test_every_and_found_again_after_depth_opt(self, case, loops, request):
+        """``add_and`` on an AND's own fan-ins returns that AND and adds
+        nothing, on every construction path: the builder, both rebuild
+        loops (the native one fills the strash from arrays) and a pickle
+        round trip (the form a flow file holds)."""
+        request.getfixturevalue(loops)
+        synth = synthesize(STRASH_CASES[case]())
+        _assert_strash_finds_every_and(synth.eaig)
+        optimized = depth_opt.optimize(synth).eaig
+        _assert_strash_finds_every_and(optimized)
+        _assert_strash_finds_every_and(pickle.loads(pickle.dumps(optimized)))
 
 
 class TestState:
@@ -227,7 +276,7 @@ def _assert_counts(g: EAIG) -> None:
         fanout[literal >> 1] += 1
     assert g.levels() == level
     assert g.depth() == max(level)
-    assert g.fanout_counts() == fanout
+    assert g.fanout_counts().tolist() == fanout
     assert list(g.level_histogram().items()) == list(hist.items())
 
 
