@@ -1,12 +1,12 @@
-"""Compile-time autotuner: knob sweep + SA placement refinement (docs/TUNING.md).
+"""Compile-time autotuner: knob sweep + placement refinement (docs/TUNING.md).
 
 Simulation speed in GEM is decided at compile time — layers × stages ×
 partitions fix the per-cycle work — so this module closes the loop from
 :mod:`repro.core.perfmodel` back to the compile knobs:
 
 1. **Knob sweep** — a deterministic grid over :class:`KnobSpace` dimensions
-   (gates_per_partition, stage count, boomerang tree height, SA refinement
-   budget) is compiled candidate by candidate and scored with the
+   (gates_per_partition, stage count, boomerang tree height, placement
+   refinement budget) is compiled candidate by candidate and scored with the
    analytical GPU cost model :func:`repro.core.perfmodel.tuning_score`.
    The ``model_hz`` argmax wins if it beats the default by
    :data:`MIN_GAIN`, else the default is kept.  Host timings never enter:
@@ -54,8 +54,9 @@ __all__ = [
 ]
 
 #: sweep file version; 4: the knob dicts lost overpartition / optimize /
-#: merge_limit, and SA candidates are scored on the jitter-only move
-CACHE_VERSION = 4
+#: merge_limit, and SA candidates are scored on the jitter-only move;
+#: 5: ``sa_iterations`` candidates are scored on best-of-N restarts
+CACHE_VERSION = 5
 DEFAULT_TUNE_DIR = ".gem_tune"
 #: a tuned winner must beat the default's ``model_hz`` by this fraction
 MIN_GAIN = 0.05
@@ -102,7 +103,7 @@ class KnobSpace:
     num_stages: tuple[int | None, ...] = (None, 1)
     #: boomerang tree height (2^w leaf bits per layer)
     width_log2: tuple[int, ...] = (13,)
-    #: simulated-annealing placement refinement budget per partition
+    #: placement refinement restarts per partition (``RefineConfig.iterations``)
     sa_iterations: tuple[int, ...] = (0, 12)
 
     def digest(self) -> str:

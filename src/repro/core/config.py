@@ -53,22 +53,20 @@ class PartitionConfig:
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """Simulated-annealing refinement of boomerang placement.
+    """Best-of-N refinement of boomerang placement
+    (:func:`~repro.core.placement.refine_placement`).
 
-    ``iterations == 0`` (the default) disables refinement entirely and keeps
-    :func:`~repro.core.placement.place_partition` byte-identical to the
-    unrefined pass.  All entropy comes from ``seed`` plus the partition's
-    coordinates — no wall clock, no ``hash()`` — so the same seed
-    reproduces the same placement bit-for-bit across processes.
-
-    Each SA move perturbs the placement *inputs* rather than the placement
-    itself: a per-node jitter added to the Algorithm 2 criticality key
-    reorders which nodes claim tree positions first.  The full placement
-    pass re-runs under the perturbation; candidates are accepted on a
-    layer-count + writeback-traffic cost (see
-    :func:`~repro.core.placement.placement_cost`).  The schedule — start
-    temperature, cooling, jitter and the share of nodes a move touches — is
-    fixed by module constants of :mod:`repro.core.placement`.
+    ``iterations == 0`` (the default) disables refinement entirely: the
+    compile ships Algorithm 2's greedy placements, byte-identical to an
+    unrefined one.  Otherwise each shipped placement is raced against
+    ``iterations`` independent re-placements of its partition, each under
+    a fresh per-node jitter of the Algorithm 2 criticality key (which
+    reorders which nodes claim tree positions first), and the cheapest
+    under :func:`~repro.core.placement.placement_cost` ships.  The jitter's
+    magnitude and the share of nodes it touches are module constants of
+    :mod:`repro.core.placement`.  All entropy comes from ``seed`` plus the
+    partition's coordinates — no wall clock, no ``hash()`` — so the same
+    seed reproduces the same placement bit-for-bit across processes.
     """
 
     iterations: int = 0
@@ -128,7 +126,7 @@ class GemConfig:
     #: halve gates_per_partition and retry when a base partition is
     #: unmappable (the paper's flow tunes partition granularity similarly)
     max_partition_retries: int = 3
-    #: simulated-annealing placement refinement (iterations=0 disables)
+    #: best-of-N placement refinement (iterations=0 disables)
     refine: RefineConfig = field(default_factory=RefineConfig)
     #: Algorithm 1 aggressiveness: max merge candidates probed per base
     #: partition (None = unlimited, 0 = no merging)
@@ -142,6 +140,11 @@ class GemConfig:
         """Reject knob values the flow cannot compile, with a typed
         :class:`~repro.errors.ConfigError`, before any work is done."""
         self.boomerang.validate()
+        if self.partition.gates_per_partition < 1:
+            raise ConfigError(
+                f"gates_per_partition={self.partition.gates_per_partition} is below 1: "
+                f"the partitioner sizes its partition count by dividing by it"
+            )
 
     def knob_dict(self) -> dict:
         """Canonical JSON-friendly dump of every effective knob.

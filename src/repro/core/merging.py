@@ -33,6 +33,7 @@ from repro.core.placement import (
     RefineConfig,
     UnmappableError,
     place_partition,
+    refine_placement,
 )
 
 
@@ -105,11 +106,11 @@ def merge_partitions(
     probe (Algorithm 1 line 4) — the merge-aggressiveness knob: ``0``
     disables merging, ``None`` probes every overlap candidate as before.
 
-    ``refine`` (iterations > 0) runs the simulated-annealing placement
-    refinement *after* merging settles, re-placing only the final surviving
-    partitions — the probe placements stay cheap and the SA budget is spent
-    exactly once per shipped partition.  A refined placement is only adopted
-    when it strictly improves :func:`repro.core.placement.placement_cost`.
+    ``refine`` (iterations > 0) refines each shipped placement once merging
+    settles (:func:`repro.core.placement.refine_placement`): the probes stay
+    greedy, and each surviving partition gets ``refine.iterations`` jittered
+    re-placements, of which one is adopted only when it strictly improves
+    :func:`repro.core.placement.placement_cost`.
     """
     config = config or BoomerangConfig()
     before = plan.num_partitions
@@ -127,13 +128,8 @@ def merge_partitions(
         new_stages.append(merged_stage)
         placements.extend(stage_placements)
 
-    if refine is not None and refine.iterations > 0:
-        # SA starts from the greedy placement the probes already produced
-        # and only ever replaces it with a strictly cheaper one.
-        placements = [
-            place_partition(eaig, p.spec, config, refine=refine, start=p, scratch=scratch)
-            for p in placements
-        ]
+    if refine is not None:
+        placements = [refine_placement(eaig, p, refine, scratch) for p in placements]
 
     merged_plan = PartitionPlan(
         eaig=eaig,

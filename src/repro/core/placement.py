@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain
@@ -94,6 +93,7 @@ __all__ = [
     "UnmappableError",
     "place_partition",
     "placement_cost",
+    "refine_placement",
 ]
 
 
@@ -103,22 +103,15 @@ def placement_cost(placed: PlacedPartition) -> tuple[int, int, int]:
     Layer count dominates (each layer is a device-wide sync per cycle,
     paper §III-D); writeback traffic breaks ties (each writeback is a
     state-store the fused executor must scatter); slot footprint last.
-    Read off the packed form, so costing an SA candidate builds no arrays.
+    Read off the packed form, so costing a refinement candidate builds no
+    arrays.
     """
     return (placed.num_layers, placed.num_writebacks, placed.num_slots)
 
 
-def _scalar_cost(cost: tuple[int, int, int], config: BoomerangConfig) -> float:
-    layers, writebacks, _slots = cost
-    return layers + writebacks / (4.0 * config.width)
-
-
-#: The SA schedule of :func:`place_partition`'s ``refine`` loop: the start
-#: temperature in layer-count units (writeback traffic is fractional), its
-#: factor per iteration, the magnitude of the uniform criticality jitter,
-#: and the share of the partition's nodes one move re-jitters.
-INITIAL_TEMP = 0.5
-COOLING = 0.9
+#: :func:`refine_placement`'s restart: the magnitude of the uniform
+#: criticality jitter, and the share of the partition's nodes one restart
+#: jitters.
 JITTER = 1.5
 MOVE_FRAC = 0.125
 
@@ -447,7 +440,7 @@ def _place_once(
     bias: dict[int, float] | None = None,
     scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
-    """One full Algorithm 2 pass, optionally under an SA perturbation.
+    """One full Algorithm 2 pass, optionally under a criticality jitter.
 
     ``bias`` jitters the criticality sort key per node; empty or None, the
     pass is byte-identical to the unperturbed placement.
@@ -700,9 +693,9 @@ def _refine_rng(refine: RefineConfig, spec: PartitionSpec) -> random.Random:
     return random.Random(mix)
 
 
-def _neighbor(bias: dict[int, float], nodes: list[int], rng: random.Random) -> dict[int, float]:
-    """Re-draw the criticality jitter of ``MOVE_FRAC`` of the nodes."""
-    bias = dict(bias)
+def _jitter(nodes: list[int], rng: random.Random) -> dict[int, float]:
+    """A criticality jitter on ``MOVE_FRAC`` of the nodes."""
+    bias: dict[int, float] = {}
     for _ in range(max(1, int(len(nodes) * MOVE_FRAC))):
         bias[nodes[rng.randrange(len(nodes))]] = rng.uniform(-JITTER, JITTER)
     return bias
@@ -713,8 +706,6 @@ def place_partition(
     spec: PartitionSpec,
     config: BoomerangConfig | None = None,
     timing_driven: bool = True,
-    refine: RefineConfig | None = None,
-    start: PlacedPartition | None = None,
     scratch: ProbeScratch | None = None,
 ) -> PlacedPartition:
     """Algorithm 2: iterative multi-boomerang-layer mapping of one partition.
@@ -722,47 +713,41 @@ def place_partition(
     ``timing_driven=False`` disables the criticality ordering (nodes are
     picked in index order instead) — the A1 ablation of DESIGN.md, which
     quantifies how much Algorithm 2's lines 7–8 reduce the layer count.
-
-    ``refine`` (with ``iterations > 0``) runs a seeded simulated-annealing
-    loop on top of the greedy pass: each iteration re-places the partition
-    under a jittered criticality ordering and keeps the best placement seen
-    under :func:`placement_cost`.  The result is never worse than the
-    unrefined placement.  ``start`` hands in that unrefined placement when
-    the caller already holds it (Algorithm 1 does), so the SA budget is
-    spent on candidates only.  ``scratch`` shares one
-    design's lookup tables between runs (:class:`ProbeScratch`); without
-    it each run makes its own.
+    ``scratch`` shares one design's lookup tables between runs
+    (:class:`ProbeScratch`); without it each run makes its own.
     """
-    config = config or BoomerangConfig()
-    if start is not None:
-        best = start
-    else:
-        best = _place_once(eaig, spec, config, timing_driven, scratch=scratch)
-    if refine is None or refine.iterations <= 0:
-        return best
+    return _place_once(eaig, spec, config or BoomerangConfig(), timing_driven, scratch=scratch)
 
+
+def refine_placement(
+    eaig: EAIG,
+    placed: PlacedPartition,
+    refine: RefineConfig,
+    scratch: ProbeScratch | None = None,
+) -> PlacedPartition:
+    """The cheapest under :func:`placement_cost` of ``placed`` and
+    ``refine.iterations`` seeded re-placements of its partition.
+
+    Each re-placement is a timing-driven Algorithm 2 pass under a fresh
+    criticality jitter (:func:`_jitter`); an unmappable one is skipped, and
+    a tie keeps the earlier placement, so the result is never worse than
+    ``placed`` and is ``placed`` itself when nothing beats it.
+    """
+    spec, config = placed.spec, placed.config
+    best, best_cost = placed, placement_cost(placed)
+    if refine.iterations <= 0 or not spec.nodes:
+        return best
     rng = _refine_rng(refine, spec)
-    best_cost = placement_cost(best)
-    cur_cost = _scalar_cost(best_cost, config)
-    bias: dict[int, float] = {}
     nodes = sorted(spec.nodes)
-    temp = INITIAL_TEMP
     for _ in range(refine.iterations):
-        cand_bias = _neighbor(bias, nodes, rng)
         try:
-            cand = _place_once(eaig, spec, config, timing_driven, bias=cand_bias, scratch=scratch)
+            bias = _jitter(nodes, rng)
+            cand = _place_once(eaig, spec, config, timing_driven=True, bias=bias, scratch=scratch)
         except UnmappableError:
-            temp *= COOLING
             continue
-        cand_cost = placement_cost(cand)
-        cand_scalar = _scalar_cost(cand_cost, config)
-        delta = cand_scalar - cur_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
-            bias = cand_bias
-            cur_cost = cand_scalar
-            if cand_cost < best_cost:
-                best, best_cost = cand, cand_cost
-        temp *= COOLING
+        cost = placement_cost(cand)
+        if cost < best_cost:
+            best, best_cost = cand, cost
     return best
 
 

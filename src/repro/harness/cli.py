@@ -557,7 +557,7 @@ def _tune_arguments(parser, groups) -> None:
 
 
 def _tune(args) -> int:
-    """Compile-time autotuner: knob sweep + SA placement refinement, ranked
+    """Compile-time autotuner: knob sweep + placement refinement, ranked
     by the GPU cost model (docs/TUNING.md)."""
     import json
 

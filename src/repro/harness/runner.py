@@ -60,7 +60,9 @@ logger = logging.getLogger(__name__)
 #: its writebacks as one array (the node -> slot dict is built on demand).
 #: 7: a flow file's ``EAIG`` keys its strash by ``fanin0 << 32 | fanin1``,
 #: not by the pair (an older one would load and miss on every ``add_and``).
-CACHE_FORMAT = 7
+#: 8: refinement is best-of-N jittered restarts (a refined compile's
+#: placements change under an unchanged ``GemConfig.digest()``).
+CACHE_FORMAT = 8
 
 
 def _build_nvdla() -> Circuit:

@@ -1,8 +1,8 @@
-"""Compile-time autotuner: knob sweep, SA refinement, tuning cache.
+"""Compile-time autotuner: knob sweep, placement refinement, tuning cache.
 
 Covers the docs/TUNING.md contracts:
 
-* the SA placement refinement never worsens ``placement_cost``, is
+* the placement refinement never worsens ``placement_cost``, is
   deterministic under a seed, and leaves simulated behavior bit-identical;
 * the knob sweep is deterministic, records unmappable candidates instead
   of dying, and crowns a tuned winner only when its modelled speed beats
@@ -33,7 +33,12 @@ from repro.core.boomerang import BoomerangConfig
 from repro.core.compiler import GemCompiler, GemConfig
 from repro.core.depth_opt import optimize
 from repro.core.partition import PartitionConfig, partition_design
-from repro.core.placement import RefineConfig, place_partition, placement_cost
+from repro.core.placement import (
+    RefineConfig,
+    place_partition,
+    placement_cost,
+    refine_placement,
+)
 from repro.core.synthesis import synthesize
 from repro.obs.metrics import REGISTRY
 from tests.helpers import random_circuit, random_vectors
@@ -62,7 +67,7 @@ def _counter_value(name: str) -> float:
 
 
 class TestRefinement:
-    """Seeded simulated annealing over boomerang placement."""
+    """Seeded best-of-N jittered re-placement over boomerang placement."""
 
     def _first_spec(self, synth, config):
         plan = partition_design(synth.eaig, config.partition)
@@ -76,8 +81,8 @@ class TestRefinement:
         spec = self._first_spec(synth, config)
         base = place_partition(synth.eaig, spec, config.boomerang)
         refine = RefineConfig(iterations=12, seed=5)
-        a = place_partition(synth.eaig, spec, config.boomerang, refine=refine)
-        b = place_partition(synth.eaig, spec, config.boomerang, refine=refine)
+        a = refine_placement(synth.eaig, base, refine)
+        b = refine_placement(synth.eaig, base, refine)
         assert placement_cost(a) <= placement_cost(base)
         assert placement_cost(a) == placement_cost(b)
         assert [layer.perm.tolist() for layer in a.layers] == [
@@ -89,13 +94,19 @@ class TestRefinement:
         config = _tiny_config()
         spec = self._first_spec(synth, config)
         base = place_partition(synth.eaig, spec, config.boomerang)
-        off = place_partition(
-            synth.eaig, spec, config.boomerang, refine=RefineConfig(iterations=0)
-        )
-        assert placement_cost(base) == placement_cost(off)
-        assert [layer.perm.tolist() for layer in base.layers] == [
-            layer.perm.tolist() for layer in off.layers
-        ]
+        assert refine_placement(synth.eaig, base, RefineConfig(iterations=0)) is base
+
+    def test_partition_without_nodes_ships_as_is(self):
+        """A partition of sources only has nothing to jitter; refining it
+        used to draw from an empty node list and raise ValueError."""
+        from repro.rtl import CircuitBuilder
+
+        b = CircuitBuilder()
+        r = b.reg("r", 4)
+        r.next = b.input("x", 4)
+        b.output("q", r)
+        design = GemCompiler(GemConfig(refine=RefineConfig(iterations=4))).compile(b.build())
+        assert [p.num_layers for p in design.merge.placements] == [0]
 
     def test_refined_compile_outputs_bit_identical(self, tiny):
         circ, synth = tiny

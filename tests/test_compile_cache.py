@@ -240,7 +240,7 @@ def test_a_format_3_entry_is_a_clean_miss(cache, caplog):
         design = runner.compile_design("openpiton1")
     assert not caplog.records and compile_misses() == misses + 1
     with open(old, "rb") as f:
-        assert pickle.load(f)["format"] == runner.CACHE_FORMAT == 7
+        assert pickle.load(f)["format"] == runner.CACHE_FORMAT == 8
     forget_compiles()
     assert runner.compile_design("openpiton1").report == design.report
     assert compile_misses() == misses + 1

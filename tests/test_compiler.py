@@ -137,6 +137,21 @@ class TestCompile:
         assert rejected and all(c.status == "error" for c in rejected)
         assert all("ConfigError" in c.error for c in rejected)
 
+    @pytest.mark.parametrize("gpp", [0, -1])
+    def test_nonpositive_partition_size_rejected_at_compile_start(self, gpp, monkeypatch):
+        """``gates_per_partition=0`` used to die with a ZeroDivisionError in
+        the partitioner's stage heuristic; it is a typed error raised before
+        synthesis runs."""
+        from repro.core import synthesis
+        from repro.errors import ConfigError
+
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis ran before the config was checked")
+
+        monkeypatch.setattr(synthesis, "synthesize", no_synthesis)
+        with pytest.raises(ConfigError, match=rf"gates_per_partition={gpp} is below 1"):
+            compile_circuit(random_circuit(15, n_ops=30), _config(gpp=gpp))
+
     def test_simulator_instances_independent(self):
         circuit = random_circuit(17, n_ops=40)
         design = GemCompiler(_config()).compile(circuit)
