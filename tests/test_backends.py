@@ -25,6 +25,8 @@ built, so the suite passes there on numpy alone.
 import dataclasses
 import logging
 import os
+import platform
+import shlex
 import shutil
 import subprocess
 import sys
@@ -34,12 +36,16 @@ import numpy as np
 import pytest
 
 from repro.core import isa
+from repro.core import backend as backend_module
 from repro.core.backend import (
+    KERNEL_SOURCE,
     CycleBuffers,
     NativeBackend,
     NumpyBackend,
     StagePlan,
+    _find_compiler,
     available_backends,
+    library_path,
     resolve_backend,
     reset_backend_state,
 )
@@ -189,6 +195,65 @@ def run_tiny_program(backend, planes=1):
     return buffers.gstate, buffers.arena, buffers.rams[0], writes, po_block
 
 
+def wave_program(counts, planes, seed=0):
+    """A hand-built one-stage program whose waves hold ``counts`` nodes:
+    eight PI rows read into the trace, every operand a random row below
+    its wave's outputs under a random flip word (zero, all-ones or any),
+    and the whole trace stored to the global rows behind the PIs, which
+    a block samples.  Returns ``(fused, buffers)``."""
+    rng = np.random.default_rng(seed)
+    engine = ExecutionEngine(64 * planes)
+    nread = 8
+    count = np.array(counts, dtype=np.int64)
+    out = nread + np.cumsum(count) - count
+    size = nread + int(count.sum())
+    gather = np.concatenate([rng.integers(0, o, 2 * n) for o, n in zip(out, count)])
+    choice = rng.integers(0, 3, gather.size)
+    words = rng.integers(0, 1 << 64, gather.size, dtype=np.uint64)
+    flips = np.where(choice == 0, 0, np.where(choice == 1, ~np.uint64(0), words))
+    i64 = lambda *v: np.array(v, dtype=np.int64)  # noqa: E731
+    u64 = lambda *v: np.array(v, dtype=np.uint64)  # noqa: E731
+    plan = StagePlan(
+        trace_size=size,
+        read_gidx=np.arange(nread, dtype=np.int64),
+        wave_count=count,
+        wave_out=out.astype(np.int64),
+        wave_start=(np.cumsum(2 * count) - 2 * count).astype(np.int64),
+        gather=gather.astype(np.int64),
+        flips=flips.astype(np.uint64),
+        gwn_gidx=np.arange(nread, nread + size, dtype=np.int64),
+        gwn_src=np.arange(size, dtype=np.int64),
+        gwn_inv=np.zeros(size, dtype=np.uint64),
+        gwn_const=u64(),
+        ram_slots=i64(),
+        ram_src=i64(),
+        ram_inv=u64(),
+        def_gidx=i64(),
+        def_src=i64(),
+        def_inv=u64(),
+        ramops=[],
+    )
+    fused = FusedProgram(
+        arena_size=1,
+        arena_base=[0],
+        arena_span=[1],
+        preset_slots=i64(),
+        stages=[plan],
+        def_const_gidx=i64(),
+        def_const_vals=u64(),
+    )
+    buffers = CycleBuffers(
+        engine=engine,
+        gstate=engine.zeros(nread + size),
+        pi_rows=np.arange(nread, dtype=np.int64),
+        sample_rows=np.arange(nread, nread + size, dtype=np.int64),
+        trace=engine.zeros(size),
+        arena=engine.zeros(1),
+        rams=[],
+    )
+    return fused, buffers
+
+
 def _child_env(cache, **env):
     return {
         **os.environ,
@@ -298,6 +363,16 @@ class TestFallbackWarnsOnce:
         assert design.simulator(batch=4).backend.name == "numpy"
 
 
+class TestLibraryKey:
+    def test_the_key_covers_the_build_flags(self, monkeypatch):
+        """A flag change must build a new library, not load one built
+        under the old flags."""
+        before = library_path(KERNEL_SOURCE)
+        monkeypatch.setattr(backend_module, "_CFLAGS", ("-O2", "-shared", "-fPIC"))
+        assert library_path(KERNEL_SOURCE) != before
+        assert library_path(KERNEL_SOURCE + "\n") != library_path(KERNEL_SOURCE)
+
+
 @needs_native
 class TestBuildCache:
     """One library per source, built atomically, never rebuilt warm."""
@@ -319,6 +394,31 @@ class TestBuildCache:
         # the same holds with no compiler at all: the cached build is enough
         bare = _child(forbid + USE_KERNEL, tmp_path, CC="/nonexistent/cc")
         assert bare.returncode == 0, bare.stderr
+
+    @pytest.mark.skipif(
+        platform.machine() not in ("x86_64", "AMD64") or platform.libc_ver()[0] != "glibc",
+        reason="per-ISA clones are built on x86-64 glibc only",
+    )
+    def test_x86_64_glibc_build_carries_the_wave_clones(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
+        NativeBackend()
+        (lib,) = _libraries(tmp_path)
+        image = (tmp_path / lib).read_bytes()
+        assert b"waves.avx512f" in image and b"waves.avx2" in image and b"waves1.avx2" in image
+
+    def test_unguarded_build_agrees_with_numpy(self, monkeypatch, tmp_path):
+        """Where the toolchain cannot dispatch clones (no ``__GNUC__``
+        stands for it) the kernel is one plain ``-O3`` function per wave
+        loop, and it still builds and matches numpy on both wave paths."""
+        monkeypatch.setenv("GEM_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("CC", shlex.join([*_find_compiler(), "-U__GNUC__"]))
+        native = NativeBackend()
+        (lib,) = _libraries(tmp_path)
+        assert b"waves1.avx2" not in (tmp_path / lib).read_bytes()
+        design = _design(seed=11, n_ops=60, with_memory=True)
+        for batch in (1, 192):
+            ref = design.simulator(batch=batch, backend="numpy")
+            _lockstep(ref, design.simulator(batch=batch, backend=native), batch)
 
     def test_racing_cold_builds_both_load(self, tmp_path):
         racers = [
@@ -526,17 +626,41 @@ class TestPlanValidation:
 class TestCompiledKernelEquivalence:
     """The native kernel must match the numpy stage bit-for-bit."""
 
-    @pytest.mark.parametrize("batch", [1, 3, 64, 128, 256])
+    @pytest.mark.parametrize("batch", [1, 3, 64, 128, 192, 256, 320])
     def test_generic_compile_stage_matches_numpy(self, batch):
         """The one generic cycle kernel in lockstep with numpy on a
         RAM-bearing design: single-word batches through the ``K == 1``
-        fast path, K-word planes through the plane path."""
+        fast path, K-word planes through the plane path (K = 2, 3, 4
+        and 5 each through its own constant-K copy)."""
         design = _design(seed=11, n_ops=60, with_memory=True)
         dut = design.simulator(batch=batch, backend="native")
         assert dut.backend.name == "native"
         ref = design.simulator(batch=batch, backend="numpy")
         assert ref.ram_arrays, "the design must exercise the RAM-port path"
         _lockstep(ref, dut, batch)
+
+    @pytest.mark.parametrize("planes", [1, 2, 3, 5, 8, 11])
+    def test_waves_of_1_to_17_nodes_agree_with_numpy(self, planes):
+        """Every remainder of a 2-, 4- or 8-wide vector loop, on the
+        ``K == 1`` wave and the plane wave of whichever clone runs, at a
+        constant K below 8 and a run-time K from 8 up."""
+        counts = list(range(1, 18))
+        np.random.default_rng(planes).shuffle(counts)
+        blocks = []
+        for backend in ("native", "numpy"):
+            fused, buffers = wave_program(counts, planes)
+            cycle = resolve_backend(backend, strict=True).compile_cycle(fused, buffers)
+            pi_block, po_block = (
+                buffers.engine.zeros(4 * rows.size).reshape(4, rows.size, planes)
+                for rows in (buffers.pi_rows, buffers.sample_rows)
+            )
+            pi_block[:] = np.random.default_rng(5).integers(
+                0, 1 << 64, pi_block.shape, dtype=np.uint64
+            )
+            cycle.run(4, pi_block, po_block, None)
+            blocks.append(po_block)
+        assert np.array_equal(*blocks)
+        assert blocks[0][:, 8:].any() and not blocks[0][:, 8:].all()
 
     def test_native_profile_splits_gather_fold_commit(self):
         """``clock_gettime`` inside the kernel: every phase is non-zero and
